@@ -69,27 +69,29 @@ func main() {
 		Parallelism:   *parallel,
 	}
 
-	var trace *tuner.Tracer
+	// One event stream out of the search: the trace file and the live
+	// progress line are both sinks of it (no sinks = disabled tracer).
+	var sinks []tuner.TraceSink
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fatal(err)
 		}
-		trace = tuner.NewTracer(tuner.NewJSONLTraceSink(f))
-		opts.Trace = trace
+		sinks = append(sinks, tuner.NewJSONLTraceSink(f))
 	}
+	var progressDone chan struct{}
+	if *progress {
+		prog := tuner.NewProgress()
+		sinks = append(sinks, prog)
+		progressDone = renderProgress(prog)
+	}
+	trace := tuner.NewTracer(tuner.MultiTraceSink(sinks...))
+	opts.Trace = trace
 
 	var prof *tuner.Profiler
 	if *profile {
 		prof = tuner.NewProfiler()
 		opts.Profile = prof
-	}
-
-	var progressDone chan struct{}
-	if *progress {
-		prog := tuner.NewProgress()
-		opts.Progress = prog
-		progressDone = renderProgress(prog)
 	}
 
 	if *whatIf != "" {
@@ -444,7 +446,7 @@ func printPlans(res *tuner.Result) {
 
 // closeTrace flushes the JSONL trace file, if tracing was requested.
 func closeTrace(trace *tuner.Tracer, path string) {
-	if trace == nil {
+	if path == "" {
 		return
 	}
 	if err := trace.Close(); err != nil {

@@ -284,7 +284,7 @@ func main() {
 		logger.Info("tunerd: single-tenant mode", "db", db.Name, "sf", *sf)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: service.AccessLog(logger, handler)}
+	srv := newServer(*addr, service.AccessLog(logger, handler))
 	go func() {
 		logger.Info("tunerd: serving", "addr", *addr, "fleet", *fleetMode)
 		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -294,7 +294,7 @@ func main() {
 
 	var debugSrv *http.Server
 	if *debugAddr != "" {
-		debugSrv = &http.Server{Addr: *debugAddr, Handler: pprofMux()}
+		debugSrv = newServer(*debugAddr, pprofMux())
 		go func() {
 			logger.Info("tunerd: pprof", "addr", *debugAddr)
 			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -356,6 +356,19 @@ func newLogger(format string) (*slog.Logger, error) {
 		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
 	}
 	return nil, fmt.Errorf("tunerd: unknown -log-format %q (want text or json)", format)
+}
+
+// Both listeners drop a client that does not finish its request headers
+// or that sits idle on a kept-alive connection. There is no write
+// timeout: /progress streams SSE for as long as the client stays, and a
+// retune answers only when its search is done.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // pprofMux exposes net/http/pprof on a dedicated mux, so profiling never

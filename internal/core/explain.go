@@ -78,6 +78,7 @@ type ExplainReport struct {
 // derives a decision per structure by diffing the optimal configuration
 // against the recommendation through the recorded transformations.
 func (t *Tuner) buildExplain(res *Result, bestNode *searchNode, source string) *ExplainReport {
+	defer t.Options.Profile.StartAlloc("explain")()
 	var lineage []*searchNode
 	for n := bestNode; n != nil && n.parent != nil; n = n.parent {
 		lineage = append(lineage, n)

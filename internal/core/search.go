@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/optimizer"
 	"repro/internal/physical"
 )
 
@@ -130,10 +129,6 @@ func (n *searchNode) untried() int {
 func (t *Tuner) Tune() (*Result, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.tune()
-}
-
-func (t *Tuner) tune() (*Result, error) {
 	start := time.Now()
 	stats0 := t.Opt.Stats()
 	reused0, reopt0 := t.statPlansReused.Load(), t.statPlansReopt.Load()
@@ -143,13 +138,24 @@ func (t *Tuner) tune() (*Result, error) {
 	if t.Options.Cache != nil {
 		cache0 = t.Options.Cache.Stats()
 	}
-	endTune := t.span("tune")
+	// The session span rides the tracer alone: the profiler's top-level
+	// phases partition the session, so "tune" must not be one of them.
+	trace := t.Options.Trace
+	var budget obs.F
+	if trace.Enabled() {
+		budget = obs.F{"budget": t.Options.SpaceBudget}
+	}
+	endTune := trace.Span("tune", budget)
 	res, err := t.runSearch(start)
+	stats := t.Opt.Stats()
 	if err != nil {
-		endTune(obs.F{"error": err.Error()})
+		endTune(callFields(stats0, stats, obs.F{"error": err.Error()}))
 		return nil, err
 	}
-	t.fillStats(res, stats0, start)
+	res.OptimizerCalls = stats.OptimizeCalls - stats0.OptimizeCalls
+	res.IndexRequests = stats.IndexRequests - stats0.IndexRequests
+	res.ViewRequests = stats.ViewRequests - stats0.ViewRequests
+	res.Elapsed = time.Since(start)
 	res.ParallelWorkers = t.workers()
 	res.Economy.OptimizerCalls = res.OptimizerCalls
 	res.Economy.PlansReused = t.statPlansReused.Load() - reused0
@@ -165,8 +171,8 @@ func (t *Tuner) tune() (*Result, error) {
 		res.Economy.CacheCallsSaved = cs.CallsSaved - cache0.CallsSaved
 	}
 	res.Explain.Calibration = obs.Calibrate(res.CalibSamples, res.Economy)
-	if t.Options.Trace.Enabled() {
-		endTune(obs.F{
+	if trace.Enabled() {
+		endTune(callFields(stats0, stats, obs.F{
 			"best_fp":              res.Best.Config.Fingerprint(),
 			"best_cost":            res.Best.Cost,
 			"best_size":            res.Best.SizeBytes,
@@ -178,38 +184,21 @@ func (t *Tuner) tune() (*Result, error) {
 			"eval_cache_evictions": res.Economy.EvalCacheEvictions,
 			"speculative_evals":    res.Economy.SpeculativeEvals,
 			"speculative_hits":     res.Economy.SpeculativeHits,
-		})
-	} else {
-		endTune(nil)
+		}))
 	}
 	return res, nil
 }
 
 // runSearch is the traced body of Tune: Figure 5 instantiated with the
-// §3.4 heuristics, emitting one iteration/candidates/eval event group
-// per relaxation step and recording the winning lineage for the
-// explain report.
+// §3.4 heuristics, emitting one iteration/candidates/apply event group
+// per relaxation step, closed by the eval or skip event the step ended
+// in, and recording the winning lineage for the explain report.
 func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 	trace := t.Options.Trace
 	prof := t.Options.Profile
-	prog := t.Options.Progress
 	res := &Result{}
 
-	// report publishes one live progress event, stamping the fields every
-	// event shares (budget, gap, iteration, elapsed). Call sites guard on
-	// prog.Enabled() so the nil path never constructs an event.
-	budget0 := t.Options.SpaceBudget
-	report := func(ev obs.ProgressEvent) {
-		if budget0 > 0 {
-			ev.BudgetBytes = budget0
-			ev.BudgetGapBytes = ev.SizeBytes - budget0
-		}
-		ev.Iteration = res.Iterations
-		ev.ElapsedMillis = time.Since(start).Milliseconds()
-		prog.Report(ev)
-	}
-
-	endPhase := t.phase("evaluate-initial")
+	endPhase := t.span("evaluate-initial")
 	initial, err := t.evaluate(t.Base)
 	if err != nil {
 		endPhase(obs.F{"error": err.Error()})
@@ -217,14 +206,8 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 	}
 	endPhase(obs.F{"cost": initial.Cost, "size": initial.SizeBytes})
 	res.Initial = initial
-	if prog.Enabled() {
-		report(obs.ProgressEvent{
-			Phase: "initial", SizeBytes: initial.SizeBytes, Cost: initial.Cost,
-			Fits: budget0 <= 0 || initial.SizeBytes <= budget0,
-		})
-	}
 
-	endPhase = t.phase("optimal-config")
+	endPhase = t.span("optimal-config")
 	optimalCfg, err := t.optimalConfiguration()
 	if err != nil {
 		endPhase(obs.F{"error": err.Error()})
@@ -232,7 +215,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 	}
 	endPhase(obs.F{"indexes": optimalCfg.NumIndexes(), "views": optimalCfg.NumViews()})
 
-	endPhase = t.phase("evaluate-optimal")
+	endPhase = t.span("evaluate-optimal")
 	optimal, err := t.evaluate(optimalCfg)
 	if err != nil {
 		endPhase(obs.F{"error": err.Error()})
@@ -244,28 +227,13 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 	hasUpdates := t.hasUpdates()
 	budget := t.Options.SpaceBudget
 	unconstrained := budget <= 0
-	if prog.Enabled() {
-		report(obs.ProgressEvent{
-			Phase: "optimal", SizeBytes: optimal.SizeBytes, Cost: optimal.Cost,
-			Fits: unconstrained || optimal.SizeBytes <= budget,
-		})
-	}
 	if unconstrained && !hasUpdates {
 		// §2/§4.1: with no constraints and no updates the optimal
 		// configuration is the answer; no search is needed.
 		res.Best = optimal
 		res.Frontier = append(res.Frontier,
 			FrontierPoint{SizeBytes: optimal.SizeBytes, Cost: optimal.Cost, Fits: true})
-		endExplain := prof.StartAlloc("explain")
 		res.Explain = t.buildExplain(res, nil, explainSourceOptimal)
-		endExplain()
-		if prog.Enabled() {
-			report(obs.ProgressEvent{
-				Phase: "done", Outcome: "evaluated", Done: true,
-				SizeBytes: optimal.SizeBytes, Cost: optimal.Cost,
-				BestCost: optimal.Cost, Fits: true,
-			})
-		}
 		return res, nil
 	}
 	effBudget := budget
@@ -300,7 +268,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 	// configuration are re-optimized, so a warm start over a repeat-heavy
 	// workload costs only a handful of optimizer calls.
 	if ws := t.Options.WarmStart; ws != nil {
-		endPhase = t.phase("warm-start")
+		endPhase = t.span("warm-start")
 		warmCfg := ws.Clone()
 		for _, ix := range t.Base.Indexes() {
 			warmCfg.AddIndex(ix)
@@ -321,17 +289,11 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 				if fits(warm) && (cbest == nil || warm.Cost < cbest.Cost) {
 					cbest, bestNode = warm, warmNode
 				}
-				endPhase(obs.F{"cost": warm.Cost, "size": warm.SizeBytes, "adopted": cbest == warm})
-				if prog.Enabled() {
-					ev := obs.ProgressEvent{
-						Phase: "warm-start", SizeBytes: warm.SizeBytes,
-						Cost: warm.Cost, Fits: fits(warm), PoolSize: len(pool),
-					}
-					if cbest != nil {
-						ev.BestCost = cbest.Cost
-					}
-					report(ev)
+				f := obs.F{"cost": warm.Cost, "size": warm.SizeBytes, "adopted": cbest == warm, "pool": len(pool)}
+				if cbest != nil {
+					f["best_cost"] = cbest.Cost
 				}
+				endPhase(f)
 			} else {
 				endPhase(obs.F{"adopted": false, "pruned": true})
 			}
@@ -346,7 +308,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 	}
 	last := root
 
-	endSearch := t.phase("search")
+	endSearch := t.span("search")
 	for iter := 0; iter < maxIter; iter++ {
 		if t.Options.TimeBudget > 0 && time.Since(start) > t.Options.TimeBudget {
 			if trace.Enabled() {
@@ -379,31 +341,37 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 		if trace.Enabled() {
 			trace.Emit(obs.EvCandidates, candidateFields(iter, ranked, skyPruned))
 		}
+		var chosenIDs []string
+		// exit emits the event this iteration ends in — a skip at the node
+		// it started from, or the eval of the configuration it produced —
+		// completed with the facts every exit shares: the step count, the
+		// configuration reported, the pool, skyline accounting, the chosen
+		// transformations with the winning penalty, and the incumbent. The
+		// progress sink publishes one live event per exit.
+		exit := func(typ string, at *EvaluatedConfig, f obs.F) {
+			f["iter"], f["step"] = iter, res.Iterations
+			f["size"], f["cost"] = at.SizeBytes, at.Cost
+			f["pool"], f["skyline_pruned"] = len(pool), len(skyPruned)
+			if len(chosenIDs) > 0 {
+				f["chosen"], f["penalty"] = chosenIDs, ranked[0].penalty
+			}
+			if cbest != nil {
+				f["best_cost"] = cbest.Cost
+			}
+			trace.Emit(typ, f)
+		}
 		if len(ranked) == 0 {
 			// Exhausted this node; try another next iteration.
 			markAllTried(node)
 			last = nil
 			if trace.Enabled() {
-				trace.Emit(obs.EvSkip, obs.F{"reason": "exhausted", "iter": iter})
-			}
-			if prog.Enabled() {
-				ev := obs.ProgressEvent{
-					Phase: "search", Outcome: "exhausted",
-					SizeBytes: node.eval.SizeBytes, Cost: node.eval.Cost,
-					Fits: fits(node.eval), PoolSize: len(pool),
-					CandidatesPruned: len(skyPruned),
-				}
-				if cbest != nil {
-					ev.BestCost = cbest.Cost
-				}
-				report(ev)
+				exit(obs.EvSkip, node.eval, obs.F{"reason": "exhausted"})
 			}
 			continue
 		}
 		chosen := t.selectNonConflicting(ranked)
 		cfgNew := node.eval.Config
 		var removedIdx, removedViews []string
-		var chosenIDs []string
 		estDT, estDS := 0.0, int64(0)
 		for _, tf := range chosen {
 			node.tried[tf.ID()] = true
@@ -417,7 +385,6 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			chosenIDs = append(chosenIDs, tf.ID())
 		}
 		res.Iterations++
-		transLabel := strings.Join(chosenIDs, " + ")
 		if trace.Enabled() {
 			trace.Emit(obs.EvApply, obs.F{
 				"iter": iter, "trans": chosenIDs,
@@ -430,20 +397,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			last = node
 			res.Economy.DuplicateSkips++
 			if trace.Enabled() {
-				trace.Emit(obs.EvSkip, obs.F{"reason": "duplicate", "iter": iter, "fp": fp})
-			}
-			if prog.Enabled() {
-				ev := obs.ProgressEvent{
-					Phase: "search", Outcome: "duplicate",
-					SizeBytes: node.eval.SizeBytes, Cost: node.eval.Cost,
-					Fits: fits(node.eval), PoolSize: len(pool),
-					Transformation: transLabel, Penalty: ranked[0].penalty,
-					CandidatesPruned: len(skyPruned),
-				}
-				if cbest != nil {
-					ev.BestCost = cbest.Cost
-				}
-				report(ev)
+				exit(obs.EvSkip, node.eval, obs.F{"reason": "duplicate", "fp": fp})
 			}
 			continue
 		}
@@ -471,20 +425,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			last = node
 			res.Economy.ShortcutPrunes++
 			if trace.Enabled() {
-				trace.Emit(obs.EvSkip, obs.F{"reason": "shortcut", "iter": iter, "fp": fp, "cutoff": cutoff})
-			}
-			if prog.Enabled() {
-				ev := obs.ProgressEvent{
-					Phase: "search", Outcome: "shortcut",
-					SizeBytes: node.eval.SizeBytes, Cost: node.eval.Cost,
-					Fits: fits(node.eval), PoolSize: len(pool),
-					Transformation: transLabel, Penalty: ranked[0].penalty,
-					CandidatesPruned: len(skyPruned),
-				}
-				if cbest != nil {
-					ev.BestCost = cbest.Cost
-				}
-				report(ev)
+				exit(obs.EvSkip, node.eval, obs.F{"reason": "shortcut", "fp": fp, "cutoff": cutoff})
 			}
 			continue
 		}
@@ -510,7 +451,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 		res.Frontier = append(res.Frontier, FrontierPoint{
 			Iteration: res.Iterations, SizeBytes: evalNew.SizeBytes,
 			Cost: evalNew.Cost, Fits: fits(evalNew),
-			Transformation: transLabel, Penalty: ranked[0].penalty,
+			Transformation: strings.Join(chosenIDs, " + "), Penalty: ranked[0].penalty,
 		})
 		newBest := fits(evalNew) && (cbest == nil || evalNew.Cost < cbest.Cost)
 		if newBest {
@@ -525,39 +466,22 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			obs.CalibSample{Kind: kind, EstDT: estDT, RealizedDT: realizedDT})
 		if trace.Enabled() {
 			f := obs.F{
-				"iter":        iter,
 				"fp":          evalNew.Config.Fingerprint(),
 				"parent_fp":   node.eval.Config.Fingerprint(),
-				"chosen":      chosenIDs,
-				"cost":        evalNew.Cost,
-				"size":        evalNew.SizeBytes,
 				"fits":        fits(evalNew),
 				"est_dt":      estDT,
 				"realized_dt": realizedDT,
 				"new_best":    newBest,
 			}
-			if budget0 > 0 {
-				f["budget_gap"] = evalNew.SizeBytes - budget0
+			if !unconstrained {
+				f["budget_gap"] = evalNew.SizeBytes - budget
 			}
 			if estDT > 0 {
 				// Bound tightness: the §3.3.2 estimate is an upper
 				// bound, so values ≤ 1 mean the bound held.
 				f["tightness"] = realizedDT / estDT
 			}
-			trace.Emit(obs.EvEval, f)
-		}
-		if prog.Enabled() {
-			ev := obs.ProgressEvent{
-				Phase: "search", Outcome: "evaluated",
-				SizeBytes: evalNew.SizeBytes, Cost: evalNew.Cost,
-				Fits: fits(evalNew), PoolSize: len(pool),
-				Transformation: transLabel, Penalty: ranked[0].penalty,
-				CandidatesPruned: len(skyPruned),
-			}
-			if cbest != nil {
-				ev.BestCost = cbest.Cost
-			}
-			report(ev)
+			exit(obs.EvEval, evalNew, f)
 		}
 		last = child
 	}
@@ -577,16 +501,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 		source = explainSourceWarmStart
 	}
 	res.Best = cbest
-	endExplain := prof.StartAlloc("explain")
 	res.Explain = t.buildExplain(res, bestNode, source)
-	endExplain()
-	if prog.Enabled() {
-		report(obs.ProgressEvent{
-			Phase: "done", Done: true,
-			SizeBytes: cbest.SizeBytes, Cost: cbest.Cost,
-			BestCost: cbest.Cost, Fits: fits(cbest),
-		})
-	}
 	return res, nil
 }
 
@@ -596,10 +511,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 func candidateFields(iter int, ranked, skyPruned []candidate) obs.F {
 	const maxList = 16
 	top := make([]obs.F, 0, min(len(ranked), maxList))
-	for i, c := range ranked {
-		if i >= maxList {
-			break
-		}
+	for _, c := range ranked[:cap(top)] {
 		top = append(top, obs.F{
 			"id": c.tr.ID(), "kind": c.tr.Kind.String(),
 			"dt": c.delta.DT, "ds": c.delta.DS, "penalty": c.penalty,
@@ -613,10 +525,7 @@ func candidateFields(iter int, ranked, skyPruned []candidate) obs.F {
 	}
 	if len(skyPruned) > 0 {
 		ids := make([]string, 0, min(len(skyPruned), maxList))
-		for i, c := range skyPruned {
-			if i >= maxList {
-				break
-			}
+		for _, c := range skyPruned[:cap(ids)] {
 			ids = append(ids, c.tr.ID())
 		}
 		f["pruned"] = ids
@@ -625,14 +534,6 @@ func candidateFields(iter int, ranked, skyPruned []candidate) obs.F {
 		f["truncated"] = true
 	}
 	return f
-}
-
-func (t *Tuner) fillStats(res *Result, stats0 optimizer.Stats, start time.Time) {
-	now := t.Opt.Stats()
-	res.OptimizerCalls = now.OptimizeCalls - stats0.OptimizeCalls
-	res.IndexRequests = now.IndexRequests - stats0.IndexRequests
-	res.ViewRequests = now.ViewRequests - stats0.ViewRequests
-	res.Elapsed = time.Since(start)
 }
 
 // selectNonConflicting picks the minimal-penalty transformation plus, in

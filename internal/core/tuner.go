@@ -106,11 +106,15 @@ type Options struct {
 
 	// Observability.
 
-	// Trace receives span/event telemetry from the search: per-iteration
-	// node selection, ranked candidates with penalty components, skyline
-	// pruning, bound tightness, cache activity, and optimizer-call
-	// attribution per phase. nil (the default) disables tracing at the
-	// cost of one pointer check per emission site.
+	// Trace receives the session's one event stream: per-iteration node
+	// selection, ranked candidates with penalty components, skyline
+	// pruning, bound tightness, cache activity, optimizer-call
+	// attribution per phase, and the exit every relaxation step ended in.
+	// Live progress, Prometheus metrics and JSONL files are sinks of
+	// this stream. Events are emitted only from the serial main line of
+	// the search, so any Parallelism setting emits the identical step
+	// sequence. nil (the default) disables tracing at the cost of one
+	// pointer check per emission site.
 	Trace *obs.Tracer
 	// Profile aggregates per-phase wall-clock/allocation/counter
 	// profiles of the session (optimal-config construction, penalty
@@ -118,14 +122,6 @@ type Options struct {
 	// nil (the default) disables profiling at the cost of one pointer
 	// check per phase boundary.
 	Profile *obs.Profiler
-	// Progress receives one live event per relaxation iteration (plus
-	// phase boundaries): the frontier point just visited, the budget gap,
-	// the chosen transformation and penalty, and skyline pruning. Events
-	// are published only from the serial main line of the search, so any
-	// Parallelism setting emits the identical stream. nil (the default)
-	// disables progress reporting at the cost of one pointer check per
-	// iteration — the nil path adds zero allocations to the search loop.
-	Progress *obs.Progress
 }
 
 // TunedQuery pairs a workload statement with its bound form.
@@ -443,51 +439,44 @@ func Improvement(initial, recommended float64) float64 {
 	return 100 * (1 - recommended/initial)
 }
 
-// span opens a trace phase and returns its closer. The closer stamps
-// the span-end event with the phase's elapsed time and optimizer-call
-// attribution (the delta of the optimizer's counters across the span),
-// merged with any extra fields. A disabled tracer costs one check.
-func (t *Tuner) span(phase string) func(extra obs.F) {
-	tr := t.Options.Trace
-	if !tr.Enabled() {
+// span opens a trace span and a profiler phase of the same name and
+// returns their closer. The closer records wall time plus the
+// heap-allocation delta under the profiler phase, attributes the
+// phase's optimizer calls to it, and stamps the span-end event with the
+// same attribution merged with any extra fields. With both observers
+// disabled the cost is two pointer checks.
+func (t *Tuner) span(name string) func(extra obs.F) {
+	tr, p := t.Options.Trace, t.Options.Profile
+	if !tr.Enabled() && !p.Enabled() {
 		return func(obs.F) {}
 	}
 	before := t.Opt.Stats()
-	end := tr.Span(phase, nil)
-	return func(extra obs.F) {
-		after := t.Opt.Stats()
-		f := obs.F{
-			"optimizer_calls": after.OptimizeCalls - before.OptimizeCalls,
-			"index_requests":  after.IndexRequests - before.IndexRequests,
-			"view_requests":   after.ViewRequests - before.ViewRequests,
-		}
-		for k, v := range extra {
-			f[k] = v
-		}
-		end(f)
-	}
-}
-
-// phase opens a combined trace span and profiler phase of the same
-// name. The closer stamps the trace as span does, records wall time
-// plus the heap-allocation delta under the profiler phase, and
-// attributes the phase's optimizer calls to it. With both observers
-// disabled the cost is two pointer checks.
-func (t *Tuner) phase(name string) func(extra obs.F) {
-	endSpan := t.span(name)
-	p := t.Options.Profile
-	if !p.Enabled() {
-		return endSpan
-	}
-	before := t.Opt.Stats().OptimizeCalls
+	endSpan := tr.Span(name, nil)
 	endProf := p.StartAlloc(name)
 	return func(extra obs.F) {
 		endProf()
-		if calls := t.Opt.Stats().OptimizeCalls - before; calls > 0 {
+		after := t.Opt.Stats()
+		if calls := after.OptimizeCalls - before.OptimizeCalls; calls > 0 {
 			p.Add(name, "optimizer_calls", float64(calls))
 		}
-		endSpan(extra)
+		if tr.Enabled() {
+			endSpan(callFields(before, after, extra))
+		}
 	}
+}
+
+// callFields is a closing span's payload: the optimizer work done
+// between before and after, merged with the span's own fields.
+func callFields(before, after optimizer.Stats, extra obs.F) obs.F {
+	f := obs.F{
+		"optimizer_calls": after.OptimizeCalls - before.OptimizeCalls,
+		"index_requests":  after.IndexRequests - before.IndexRequests,
+		"view_requests":   after.ViewRequests - before.ViewRequests,
+	}
+	for k, v := range extra {
+		f[k] = v
+	}
+	return f
 }
 
 // widthOf returns the average width of a base column, for view merging.

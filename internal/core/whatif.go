@@ -132,7 +132,7 @@ func (t *Tuner) buildWhatIfIndex(cfg *physical.Configuration, target string, s *
 func (t *Tuner) WhatIf(cfg *physical.Configuration) (*WhatIfResult, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	endSpan := t.phase("what-if")
+	endSpan := t.span("what-if")
 	base, err := t.evaluate(t.Base)
 	if err != nil {
 		endSpan(obs.F{"error": err.Error()})

@@ -1,10 +1,8 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -13,38 +11,17 @@ import (
 	"repro/internal/service"
 )
 
-// errorResponse is the uniform JSON error shape (matches the
-// single-tenant service surface).
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-// ingestRequest mirrors the tenant service's POST /ingest payload; the
-// fleet layer decodes it itself so the quota sees the batch size before
-// any statement is admitted.
-type ingestRequest struct {
-	Statements []string `json:"statements"`
-}
-
-// retuneRequest mirrors the tenant service's POST /retune payload.
-type retuneRequest struct {
-	BudgetMB *float64 `json:"budget_mb,omitempty"`
-}
-
-type retuneResponse struct {
-	Recommendation *service.Recommendation `json:"recommendation"`
-}
+// The fleet surface answers with the single-tenant service's HTTP
+// helpers and payload shapes (service.WriteJSON, ErrorResponse,
+// IngestRequest, ServeReady, ...), so the two cannot drift apart.
 
 // tenantsResponse wraps GET /tenants.
 type tenantsResponse struct {
 	Tenants []TenantStatus `json:"tenants"`
 }
 
-// readyResponse mirrors the single-tenant GET /readyz payload.
-type readyResponse struct {
-	Ready   bool     `json:"ready"`
-	Reasons []string `json:"reasons,omitempty"`
-}
+// readyResponse is the GET /readyz payload.
+type readyResponse = service.ReadyResponse
 
 // fleetAlerts is the GET /alerts payload: the rollup plus every
 // tenant's full alert-engine status.
@@ -89,8 +66,7 @@ func NewHandler(r *Registry) http.Handler {
 
 	mux.HandleFunc("POST /tenants", func(w http.ResponseWriter, req *http.Request) {
 		var spec TenantSpec
-		if err := json.NewDecoder(req.Body).Decode(&spec); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error()})
+		if !service.DecodeBody(w, req, &spec, false) {
 			return
 		}
 		t, err := r.Add(spec)
@@ -99,14 +75,14 @@ func NewHandler(r *Registry) http.Handler {
 			if strings.Contains(err.Error(), "already registered") {
 				status = http.StatusConflict
 			}
-			writeJSON(w, status, errorResponse{Error: err.Error()})
+			service.WriteJSON(w, status, service.ErrorResponse{Error: err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusCreated, r.tenantStatus(t))
+		service.WriteJSON(w, http.StatusCreated, r.tenantStatus(t))
 	})
 
 	mux.HandleFunc("GET /tenants", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, tenantsResponse{Tenants: r.Status().Tenants})
+		service.WriteJSON(w, http.StatusOK, tenantsResponse{Tenants: r.Status().Tenants})
 	})
 
 	mux.HandleFunc("GET /tenants/{tenant}", func(w http.ResponseWriter, req *http.Request) {
@@ -115,7 +91,7 @@ func NewHandler(r *Registry) http.Handler {
 			writeUnknownTenant(w, req.PathValue("tenant"))
 			return
 		}
-		writeJSON(w, http.StatusOK, r.tenantStatus(t))
+		service.WriteJSON(w, http.StatusOK, r.tenantStatus(t))
 	})
 
 	mux.HandleFunc("DELETE /tenants/{tenant}", func(w http.ResponseWriter, req *http.Request) {
@@ -124,7 +100,7 @@ func NewHandler(r *Registry) http.Handler {
 			writeUnknownTenant(w, id)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"removed": id})
+		service.WriteJSON(w, http.StatusOK, map[string]string{"removed": id})
 	})
 
 	mux.HandleFunc("/tenants/{tenant}/{rest...}", func(w http.ResponseWriter, req *http.Request) {
@@ -145,11 +121,11 @@ func NewHandler(r *Registry) http.Handler {
 	})
 
 	mux.HandleFunc("GET /fleet", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.Status())
+		service.WriteJSON(w, http.StatusOK, r.Status())
 	})
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, req *http.Request) {
-		if wantsPrometheus(req) {
+		if service.WantsPrometheus(req) {
 			r.renderPrometheus(w)
 			return
 		}
@@ -157,21 +133,21 @@ func NewHandler(r *Registry) http.Handler {
 		for _, t := range r.List() {
 			out.Tenants[t.Spec.ID] = t.Service.MetricsSnapshot()
 		}
-		writeJSON(w, http.StatusOK, out)
+		service.WriteJSON(w, http.StatusOK, out)
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.Health())
+		service.WriteJSON(w, http.StatusOK, r.Health())
 	})
 
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, req *http.Request) {
 		ready, reasons := r.Ready()
-		serveFleetReady(w, req, ready, reasons)
+		service.ServeReady(w, req, ready, reasons)
 	})
 
 	mux.HandleFunc("GET /alerts", func(w http.ResponseWriter, req *http.Request) {
 		if r.opts.Defaults.Monitor.HistoryInterval <= 0 {
-			writeJSON(w, http.StatusConflict, errorResponse{
+			service.WriteJSON(w, http.StatusConflict, service.ErrorResponse{
 				Error: "self-monitoring disabled; start with -history-interval > 0",
 			})
 			return
@@ -181,7 +157,7 @@ func NewHandler(r *Registry) http.Handler {
 		for _, t := range tenants {
 			out.Tenants[t.Spec.ID] = t.Service.Alerts().Status()
 		}
-		if wantsText(req) {
+		if service.WantsText(req) {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			fmt.Fprintf(w, "fleet alerts: %d firing across %d tenants\n",
 				out.Rollup.Firing, len(tenants))
@@ -192,40 +168,10 @@ func NewHandler(r *Registry) http.Handler {
 			}
 			return
 		}
-		writeJSON(w, http.StatusOK, out)
+		service.WriteJSON(w, http.StatusOK, out)
 	})
 
 	return mux
-}
-
-// serveFleetReady mirrors the single-tenant /readyz contract: 200 when
-// ready, 503 + Retry-After when not, text or JSON by ?format.
-func serveFleetReady(w http.ResponseWriter, req *http.Request, ready bool, reasons []string) {
-	status := http.StatusOK
-	if !ready {
-		status = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", "5")
-	}
-	if wantsText(req) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(status)
-		if ready {
-			fmt.Fprintln(w, "ready")
-			return
-		}
-		fmt.Fprintln(w, "not ready")
-		for _, reason := range reasons {
-			fmt.Fprintf(w, "  - %s\n", reason)
-		}
-		return
-	}
-	writeJSON(w, status, readyResponse{Ready: ready, Reasons: reasons})
-}
-
-// wantsText reports whether the request asked for the plain-text
-// rendering of a JSON endpoint (?format=text).
-func wantsText(r *http.Request) bool {
-	return r.URL.Query().Get("format") == "text"
 }
 
 // tenantStatus builds one tenant's status row.
@@ -242,13 +188,14 @@ func (r *Registry) tenantStatus(t *Tenant) TenantStatus {
 // serveIngest is the quota-gated tenant ingest: the whole batch is
 // admitted or the whole batch is rejected with 429 + Retry-After.
 func (r *Registry) serveIngest(t *Tenant, w http.ResponseWriter, req *http.Request) {
-	var body ingestRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error()})
+	// Decoded here, not by the tenant's handler, so the quota sees the
+	// batch size before any statement is admitted.
+	var body service.IngestRequest
+	if !service.DecodeBody(w, req, &body, false) {
 		return
 	}
 	if len(body.Statements) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "statements is empty"})
+		service.WriteJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: "statements is empty"})
 		return
 	}
 	if ok, retryAfter := t.quota.take(len(body.Statements), time.Now()); !ok {
@@ -258,22 +205,21 @@ func (r *Registry) serveIngest(t *Tenant, w http.ResponseWriter, req *http.Reque
 			secs = 1
 		}
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{
+		service.WriteJSON(w, http.StatusTooManyRequests, service.ErrorResponse{
 			Error: fmt.Sprintf("tenant %s over ingestion quota (%g statements/s, burst %d); retry after %ds",
 				t.Spec.ID, t.Spec.Quota.RatePerSec, t.Spec.Quota.Burst, secs),
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, t.Service.Ingest(body.Statements))
+	service.WriteJSON(w, http.StatusOK, t.Service.Ingest(body.Statements))
 }
 
 // serveRetune runs a tenant retune through the shared worker pool —
 // synchronous for the caller, serialized per tenant, fair across the
 // fleet.
 func (r *Registry) serveRetune(t *Tenant, w http.ResponseWriter, req *http.Request) {
-	var body retuneRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil && !errors.Is(err, io.EOF) {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error()})
+	var body service.RetuneRequest
+	if !service.DecodeBody(w, req, &body, true) {
 		return
 	}
 	budget, override := int64(0), false
@@ -295,10 +241,10 @@ func (r *Registry) serveRetune(t *Tenant, w http.ResponseWriter, req *http.Reque
 			case errors.Is(res.err, ErrTenantRemoved), errors.Is(res.err, ErrPoolClosed):
 				status = http.StatusGone
 			}
-			writeJSON(w, status, errorResponse{Error: res.err.Error()})
+			service.WriteJSON(w, status, service.ErrorResponse{Error: res.err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusOK, retuneResponse{Recommendation: res.rec})
+		service.WriteJSON(w, http.StatusOK, service.RetuneResponse{Recommendation: res.rec})
 	}
 }
 
@@ -320,25 +266,5 @@ func (r *Registry) renderPrometheus(w http.ResponseWriter) {
 
 // writeUnknownTenant is the uniform 404 for a missing tenant ID.
 func writeUnknownTenant(w http.ResponseWriter, id string) {
-	writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown tenant %q", id)})
-}
-
-// wantsPrometheus mirrors the single-tenant /metrics content
-// negotiation.
-func wantsPrometheus(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
-	case "prometheus", "prom", "text":
-		return true
-	case "json":
-		return false
-	}
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "text/plain") ||
-		strings.Contains(accept, "application/openmetrics-text")
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	service.WriteJSON(w, http.StatusNotFound, service.ErrorResponse{Error: fmt.Sprintf("unknown tenant %q", id)})
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/service"
 )
 
 func newTestServer(t *testing.T, opts Options) (*Registry, *httptest.Server) {
@@ -119,6 +120,26 @@ func TestFleetHTTPLifecycle(t *testing.T) {
 	}
 	if resp, _ = doJSON(t, "GET", srv.URL+"/tenants/alpha/sessions", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("removed tenant = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestFleetHTTPBodyLimit: every route that decodes a request body
+// refuses one over service.MaxBodyBytes with 413 instead of reading it.
+func TestFleetHTTPBodyLimit(t *testing.T) {
+	_, srv := newTestServer(t, Options{Workers: 1})
+	if resp, body := doJSON(t, "POST", srv.URL+"/tenants", TenantSpec{ID: "alpha", Database: "tpch"}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /tenants = %d: %s", resp.StatusCode, body)
+	}
+	huge := `{"statements":["` + strings.Repeat("x", service.MaxBodyBytes) + `"]}`
+	for _, path := range []string{"/tenants", "/tenants/alpha/ingest", "/tenants/alpha/retune"} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized POST %s = %d, want 413", path, resp.StatusCode)
+		}
 	}
 }
 

@@ -57,13 +57,16 @@ const (
 )
 
 // Event is one trace record. Fields hold event-specific payload; Phase
-// is the innermost open span at emission time.
+// is the innermost open span at emission time; Session is the tuning
+// session the tracer was labeled with (Tracer.SetSession) — the key
+// that joins an event to /sessions/{id}.
 type Event struct {
-	Seq    int64     `json:"seq"`
-	Time   time.Time `json:"time"`
-	Type   string    `json:"type"`
-	Phase  string    `json:"phase,omitempty"`
-	Fields F         `json:"fields,omitempty"`
+	Seq     int64     `json:"seq"`
+	Time    time.Time `json:"time"`
+	Session string    `json:"session,omitempty"`
+	Type    string    `json:"type"`
+	Phase   string    `json:"phase,omitempty"`
+	Fields  F         `json:"fields,omitempty"`
 }
 
 // Tracer stamps events with a sequence number and the current phase and
@@ -71,10 +74,11 @@ type Event struct {
 // safe for concurrent use, though the relaxation search itself is
 // serialized by the session mutex.
 type Tracer struct {
-	mu     sync.Mutex
-	sink   Sink
-	seq    int64
-	phases []string
+	mu      sync.Mutex
+	sink    Sink
+	seq     int64
+	session string
+	phases  []string
 	// now is swappable for tests.
 	now func() time.Time
 }
@@ -88,6 +92,17 @@ func NewTracer(sink Sink) *Tracer {
 // to skip field-map construction entirely.
 func (t *Tracer) Enabled() bool { return t != nil && t.sink != nil }
 
+// SetSession stamps subsequent events with the given session ID. Safe
+// on a nil tracer.
+func (t *Tracer) SetSession(id string) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.session = id
+	t.mu.Unlock()
+}
+
 // Emit sends one event to the sink. Safe on a nil tracer.
 func (t *Tracer) Emit(typ string, fields F) {
 	if !t.Enabled() {
@@ -95,7 +110,7 @@ func (t *Tracer) Emit(typ string, fields F) {
 	}
 	t.mu.Lock()
 	t.seq++
-	e := Event{Seq: t.seq, Time: t.now(), Type: typ, Fields: fields}
+	e := Event{Seq: t.seq, Time: t.now(), Session: t.session, Type: typ, Fields: fields}
 	if n := len(t.phases); n > 0 {
 		e.Phase = t.phases[n-1]
 	}

@@ -1,21 +1,22 @@
 package obs
 
 import (
+	"strings"
 	"sync"
 	"time"
 )
 
 // ProgressEvent is one live observation of the relaxation search: the
 // frontier point the search just visited, the chosen transformation and
-// its penalty, and the budget gap still to close. The relax loop emits
-// one event per iteration (plus phase-boundary and completion events),
-// so a subscriber watching the stream sees the paper's cost-vs-storage
-// trajectory unfold in real time instead of reading it post-hoc from
-// Result.Frontier.
+// its penalty, and the budget gap still to close. Progress publishes one
+// event per relaxation step (plus phase-boundary and completion
+// events), so a subscriber watching the stream sees the paper's
+// cost-vs-storage trajectory unfold in real time instead of reading it
+// post-hoc from Result.Frontier.
 type ProgressEvent struct {
 	// Seq is a monotonically increasing event number (per Progress).
 	Seq int64 `json:"seq"`
-	// Time is the emission timestamp.
+	// Time is the timestamp of the trace event this one was folded from.
 	Time time.Time `json:"time"`
 	// Session labels the tuning session the event belongs to (the
 	// flight-recorder session ID when the service drives the search).
@@ -59,11 +60,11 @@ type ProgressEvent struct {
 	ElapsedMillis int64 `json:"elapsed_millis,omitempty"`
 }
 
-// Progress fans live search progress out to subscribers. It follows the
-// same nil-safety contract as Tracer and Profiler: a nil *Progress is a
-// valid no-op reporter, so the search hot loop pays exactly one pointer
-// comparison (and zero allocations) per iteration when progress
-// reporting is disabled.
+// Progress fans live search progress out to subscribers. It is a Sink:
+// installed on the session's Tracer (alone or beside the JSONL and
+// Prometheus sinks) it folds the search's trace events into
+// ProgressEvents, so the search itself knows nothing about progress
+// reporting. The subscriber-side methods are safe on a nil *Progress.
 //
 // Delivery is non-blocking: each subscriber owns a bounded buffer and a
 // publisher that finds it full drops the oldest buffered event, so a
@@ -76,8 +77,13 @@ type Progress struct {
 	subs    map[int]chan ProgressEvent
 	last    ProgressEvent
 	hasLast bool
-	session string
 	dropped int64
+	// State of the session being folded, set by its "tune" span start:
+	// the space budget, the start time, and whether a relaxation search
+	// ran (a session the §2 optimal configuration answers runs none).
+	budget   int64
+	started  time.Time
+	searched bool
 }
 
 // NewProgress returns an empty progress reporter.
@@ -85,43 +91,69 @@ func NewProgress() *Progress {
 	return &Progress{subs: map[int]chan ProgressEvent{}}
 }
 
-// Enabled reports whether Report records anything. Hot paths use it to
-// skip event construction entirely.
-func (p *Progress) Enabled() bool { return p != nil }
-
-// SetSession labels subsequent events with the given session ID (events
-// carrying their own Session keep it). Safe on a nil reporter.
-func (p *Progress) SetSession(id string) {
-	if p == nil {
+// Emit folds one trace event. The stream publishes one ProgressEvent
+// per session boundary — the ends of the evaluate-initial,
+// evaluate-optimal, warm-start (when the warm configuration was
+// evaluated) and tune spans — and one per relaxation step: the eval or
+// skip event the step ended in. Everything else on the stream, and any
+// span that ended in an error, publishes nothing.
+func (p *Progress) Emit(e Event) {
+	f := e.Fields
+	ev := ProgressEvent{Time: e.Time, Session: e.Session, Phase: "search"}
+	size, cost, step := "size", "cost", "step"
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case e.Type == EvSpanStart && e.Phase == "tune":
+		p.budget, p.started, p.searched = int64(fieldFloat(f, "budget")), e.Time, false
+		return
+	case e.Type == EvSpanStart && e.Phase == "search":
+		p.searched = true
+		return
+	case e.Type == EvSpanEnd && e.Phase == "tune" && f["best_cost"] != nil:
+		ev.Phase, ev.Done = "done", true
+		size, cost, step = "best_size", "best_cost", "iterations"
+		if !p.searched {
+			ev.Outcome = "evaluated"
+		}
+	case e.Type == EvSpanEnd && f["cost"] != nil &&
+		(e.Phase == "evaluate-initial" || e.Phase == "evaluate-optimal" || e.Phase == "warm-start"):
+		ev.Phase = strings.TrimPrefix(e.Phase, "evaluate-")
+	case e.Type == EvEval && f["step"] != nil:
+		ev.Outcome = "evaluated"
+	case e.Type == EvSkip && f["step"] != nil:
+		ev.Outcome, _ = f["reason"].(string)
+	default:
 		return
 	}
-	p.mu.Lock()
-	p.session = id
-	p.mu.Unlock()
+	ev.Iteration = int(fieldFloat(f, step))
+	ev.SizeBytes, ev.Cost = int64(fieldFloat(f, size)), fieldFloat(f, cost)
+	ev.BestCost, ev.PoolSize = fieldFloat(f, "best_cost"), int(fieldFloat(f, "pool"))
+	ev.Penalty, ev.CandidatesPruned = fieldFloat(f, "penalty"), int(fieldFloat(f, "skyline_pruned"))
+	if ids, _ := f["chosen"].([]string); len(ids) > 0 {
+		ev.Transformation = strings.Join(ids, " + ")
+	}
+	ev.Fits = p.budget <= 0 || ev.SizeBytes <= p.budget
+	if p.budget > 0 {
+		ev.BudgetBytes, ev.BudgetGapBytes = p.budget, ev.SizeBytes-p.budget
+	}
+	ev.ElapsedMillis = e.Time.Sub(p.started).Milliseconds()
+	p.publish(ev)
 }
 
-// Report publishes one event to every subscriber, stamping it with a
-// sequence number, timestamp, and the current session label. Never
-// blocks: full subscriber buffers drop their oldest event. Safe on a
-// nil reporter.
-func (p *Progress) Report(ev ProgressEvent) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
+// Close is a no-op: subscribers close their own subscriptions.
+func (p *Progress) Close() error { return nil }
+
+// publish delivers one event to every subscriber, stamping it with the
+// next sequence number. Never blocks: full subscriber buffers drop
+// their oldest event. Callers hold p.mu.
+func (p *Progress) publish(ev ProgressEvent) {
 	p.seq++
 	ev.Seq = p.seq
-	if ev.Time.IsZero() {
-		ev.Time = time.Now()
-	}
-	if ev.Session == "" {
-		ev.Session = p.session
-	}
 	p.last, p.hasLast = ev, true
 	for _, ch := range p.subs {
 		p.send(ch, ev)
 	}
-	p.mu.Unlock()
 }
 
 // send delivers without blocking: when the subscriber's buffer is full

@@ -9,13 +9,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Registry is a minimal, dependency-free Prometheus metrics registry:
-// counters, gauges, one-label counter vectors, and histograms, exposed
-// in the text exposition format (version 0.0.4). Metrics render in
-// registration order. All operations are safe for concurrent use.
+// counters and gauges with up to two labels, and histograms with up to
+// one, exposed in the text exposition format (version 0.0.4). Metrics
+// render in registration order. All operations are safe for concurrent
+// use.
 type Registry struct {
 	mu      sync.Mutex
 	metrics []promMetric
@@ -34,6 +34,9 @@ type promMetric interface {
 	// sample's label set — how fleet deployments attribute one
 	// registry's metrics to one tenant without a full label model.
 	write(w io.Writer, extra string)
+	// sample enumerates the metric's current samples as numbers — for
+	// counters and gauges the same samples write renders as text.
+	sample(f sampleFunc)
 }
 
 func (r *Registry) register(m promMetric) {
@@ -47,6 +50,14 @@ func (r *Registry) register(m promMetric) {
 	r.metrics = append(r.metrics, m)
 }
 
+// snapshot copies the metric list so rendering runs outside the
+// registry lock.
+func (r *Registry) snapshot() []promMetric {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]promMetric(nil), r.metrics...)
+}
+
 // Render writes every metric in the Prometheus text format.
 func (r *Registry) Render(w io.Writer) { r.RenderLabeled(w, "", "") }
 
@@ -58,11 +69,7 @@ func (r *Registry) RenderLabeled(w io.Writer, label, value string) {
 	if label != "" {
 		extra = fmt.Sprintf("%s=%q", label, escapeLabel(value))
 	}
-	r.mu.Lock()
-	ms := make([]promMetric, len(r.metrics))
-	copy(ms, r.metrics)
-	r.mu.Unlock()
-	for _, m := range ms {
+	for _, m := range r.snapshot() {
 		name, help, typ := m.meta()
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 		m.write(w, extra)
@@ -84,42 +91,29 @@ type LabeledRegistry struct {
 // registries become one scrape with a tenant label, without the
 // tenants' metric objects knowing about each other.
 func RenderMerged(w io.Writer, label string, regs []LabeledRegistry) {
-	type family struct {
-		name, help, typ string
-		samples         []struct {
-			extra string
-			m     promMetric
-		}
+	type member struct {
+		extra string
+		m     promMetric
 	}
 	var order []string
-	families := map[string]*family{}
+	families := map[string][]member{}
 	for _, lr := range regs {
 		if lr.Registry == nil {
 			continue
 		}
 		extra := fmt.Sprintf("%s=%q", label, escapeLabel(lr.Value))
-		lr.Registry.mu.Lock()
-		ms := make([]promMetric, len(lr.Registry.metrics))
-		copy(ms, lr.Registry.metrics)
-		lr.Registry.mu.Unlock()
-		for _, m := range ms {
-			name, help, typ := m.meta()
-			f, ok := families[name]
-			if !ok {
-				f = &family{name: name, help: help, typ: typ}
-				families[name] = f
+		for _, m := range lr.Registry.snapshot() {
+			name, _, _ := m.meta()
+			if _, ok := families[name]; !ok {
 				order = append(order, name)
 			}
-			f.samples = append(f.samples, struct {
-				extra string
-				m     promMetric
-			}{extra, m})
+			families[name] = append(families[name], member{extra, m})
 		}
 	}
 	for _, name := range order {
-		f := families[name]
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
-		for _, s := range f.samples {
+		_, help, typ := families[name][0].m.meta()
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+		for _, s := range families[name] {
 			s.m.write(w, s.extra)
 		}
 	}
@@ -143,199 +137,214 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// atomicFloat is a float64 with atomic add/load (counters and gauges).
-type atomicFloat struct{ bits atomic.Uint64 }
+// writeSample renders one sample line; labels is the sample's rendered
+// label list ("" renders the bare name).
+func writeSample(w io.Writer, name, labels, value string) {
+	if labels == "" {
+		fmt.Fprintf(w, "%s %s\n", name, value)
+		return
+	}
+	fmt.Fprintf(w, "%s{%s} %s\n", name, labels, value)
+}
 
-func (f *atomicFloat) add(d float64) {
-	for {
-		old := f.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if f.bits.CompareAndSwap(old, next) {
-			return
+// family is the one labelled-float metric behind Counter, Gauge and
+// their one- and two-label vectors: float series keyed by up to two
+// label values, enumerated in sorted label order. The exported types
+// differ only in the Prometheus type they declare and in which of
+// add/set/del they expose.
+type family struct {
+	name, help, typ string
+	labels          []string // label names: none, one or two
+	mu              sync.Mutex
+	vals            map[[2]string]float64
+}
+
+func (r *Registry) newFamily(name, help, typ string, labels ...string) *family {
+	m := &family{name: name, help: help, typ: typ, labels: labels, vals: map[[2]string]float64{}}
+	if len(labels) == 0 {
+		m.vals[[2]string{}] = 0 // an unlabeled metric always has its one sample
+	}
+	r.register(m)
+	return m
+}
+
+// seriesKey pads a series' label values to the map key.
+func seriesKey(lv []string) (k [2]string) {
+	copy(k[:], lv)
+	return k
+}
+
+func (m *family) add(d float64, lv ...string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.vals[seriesKey(lv)] += d
+}
+
+func (m *family) set(x float64, lv ...string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.vals[seriesKey(lv)] = x
+}
+
+func (m *family) del(lv ...string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.vals, seriesKey(lv))
+}
+
+func (m *family) get(lv ...string) float64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.vals[seriesKey(lv)]
+}
+
+func (m *family) meta() (string, string, string) { return m.name, m.help, m.typ }
+
+// sample enumerates the series sorted by first, then second label value,
+// labels pre-rendered (`rule="r",severity="s"`; "" when unlabeled).
+func (m *family) sample(f sampleFunc) {
+	m.mu.Lock()
+	keys := make([][2]string, 0, len(m.vals))
+	vals := make(map[[2]string]float64, len(m.vals))
+	for k, x := range m.vals {
+		keys = append(keys, k)
+		vals[k] = x
+	}
+	m.mu.Unlock()
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i][0] != keys[j][0] {
+			return keys[i][0] < keys[j][0]
 		}
+		return keys[i][1] < keys[j][1]
+	})
+	for _, k := range keys {
+		pairs := make([]string, len(m.labels))
+		for i, l := range m.labels {
+			pairs[i] = fmt.Sprintf("%s=%q", l, escapeLabel(k[i]))
+		}
+		f(m.name, strings.Join(pairs, ","), vals[k])
 	}
 }
 
-func (f *atomicFloat) store(v float64) { f.bits.Store(math.Float64bits(v)) }
-func (f *atomicFloat) load() float64   { return math.Float64frombits(f.bits.Load()) }
+// write renders exactly the samples sample enumerates.
+func (m *family) write(w io.Writer, extra string) {
+	m.sample(func(name, labels string, v float64) {
+		if labels == "" {
+			labels = extra
+		} else {
+			labels = prefixLabel(extra) + labels
+		}
+		writeSample(w, name, labels, formatFloat(v))
+	})
+}
 
 // Counter is a monotonically increasing value.
-type Counter struct {
-	name, help string
-	v          atomicFloat
-}
+type Counter struct{ *family }
 
 // NewCounter registers a counter; by convention the name ends in
 // "_total".
 func (r *Registry) NewCounter(name, help string) *Counter {
-	c := &Counter{name: name, help: help}
-	r.register(c)
-	return c
+	return &Counter{r.newFamily(name, help, "counter")}
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.add(1) }
+func (c *Counter) Inc() { c.add(1) }
 
 // Add adds d (must be non-negative for Prometheus semantics).
-func (c *Counter) Add(d float64) { c.v.add(d) }
+func (c *Counter) Add(d float64) { c.add(d) }
 
 // Value returns the current count.
-func (c *Counter) Value() float64 { return c.v.load() }
-
-func (c *Counter) meta() (string, string, string) { return c.name, c.help, "counter" }
-func (c *Counter) write(w io.Writer, extra string) {
-	writePlain(w, c.name, extra, c.v.load())
-}
-
-// writePlain renders one unlabeled sample, wrapping it in the injected
-// label pair when present.
-func writePlain(w io.Writer, name, extra string, v float64) {
-	if extra == "" {
-		fmt.Fprintf(w, "%s %s\n", name, formatFloat(v))
-		return
-	}
-	fmt.Fprintf(w, "%s{%s} %s\n", name, extra, formatFloat(v))
-}
+func (c *Counter) Value() float64 { return c.get() }
 
 // Gauge is a value that can go up and down.
-type Gauge struct {
-	name, help string
-	v          atomicFloat
-}
+type Gauge struct{ *family }
 
 // NewGauge registers a gauge.
 func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{name: name, help: help}
-	r.register(g)
-	return g
+	return &Gauge{r.newFamily(name, help, "gauge")}
 }
 
 // Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.v.store(v) }
+func (g *Gauge) Set(v float64) { g.set(v) }
 
 // Add adjusts the gauge by d.
-func (g *Gauge) Add(d float64) { g.v.add(d) }
+func (g *Gauge) Add(d float64) { g.add(d) }
 
 // Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v.load() }
-
-func (g *Gauge) meta() (string, string, string) { return g.name, g.help, "gauge" }
-func (g *Gauge) write(w io.Writer, extra string) {
-	writePlain(w, g.name, extra, g.v.load())
-}
+func (g *Gauge) Value() float64 { return g.get() }
 
 // CounterVec is a counter partitioned by one label (enough for phase
 // attribution without pulling in a full label model).
-type CounterVec struct {
-	name, help, label string
-	mu                sync.Mutex
-	vals              map[string]float64
-}
+type CounterVec struct{ *family }
 
 // NewCounterVec registers a one-label counter family.
 func (r *Registry) NewCounterVec(name, help, label string) *CounterVec {
-	v := &CounterVec{name: name, help: help, label: label, vals: map[string]float64{}}
-	r.register(v)
-	return v
+	return &CounterVec{r.newFamily(name, help, "counter", label)}
 }
 
 // Add adds d to the series with the given label value.
-func (v *CounterVec) Add(labelValue string, d float64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.vals[labelValue] += d
-}
+func (v *CounterVec) Add(labelValue string, d float64) { v.add(d, labelValue) }
 
 // Value returns the count for one label value.
-func (v *CounterVec) Value(labelValue string) float64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.vals[labelValue]
-}
-
-func (v *CounterVec) meta() (string, string, string) { return v.name, v.help, "counter" }
-func (v *CounterVec) write(w io.Writer, extra string) {
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.vals))
-	for k := range v.vals {
-		keys = append(keys, k)
-	}
-	vals := make(map[string]float64, len(v.vals))
-	for k, x := range v.vals {
-		vals[k] = x
-	}
-	v.mu.Unlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, "%s{%s%s=%q} %s\n", v.name, prefixLabel(extra), v.label, escapeLabel(k), formatFloat(vals[k]))
-	}
-}
+func (v *CounterVec) Value(labelValue string) float64 { return v.get(labelValue) }
 
 // GaugeVec is a gauge partitioned by one label — the fleet uses one for
 // per-tenant queue depths, refreshed at scrape time.
-type GaugeVec struct {
-	name, help, label string
-	mu                sync.Mutex
-	vals              map[string]float64
-}
+type GaugeVec struct{ *family }
 
 // NewGaugeVec registers a one-label gauge family.
 func (r *Registry) NewGaugeVec(name, help, label string) *GaugeVec {
-	v := &GaugeVec{name: name, help: help, label: label, vals: map[string]float64{}}
-	r.register(v)
-	return v
+	return &GaugeVec{r.newFamily(name, help, "gauge", label)}
 }
 
 // Set replaces the value of the series with the given label value.
-func (v *GaugeVec) Set(labelValue string, x float64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.vals[labelValue] = x
-}
+func (v *GaugeVec) Set(labelValue string, x float64) { v.set(x, labelValue) }
 
 // Delete removes one series (e.g. a deregistered tenant).
-func (v *GaugeVec) Delete(labelValue string) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	delete(v.vals, labelValue)
-}
+func (v *GaugeVec) Delete(labelValue string) { v.del(labelValue) }
 
 // Value returns the value for one label value.
-func (v *GaugeVec) Value(labelValue string) float64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.vals[labelValue]
+func (v *GaugeVec) Value(labelValue string) float64 { return v.get(labelValue) }
+
+// GaugeVec2 is a gauge partitioned by two labels — the alert engine's
+// tuner_alerts_firing{rule,severity} meta-series needs exactly two, and
+// the one-label vecs stay the common case everywhere else.
+type GaugeVec2 struct{ *family }
+
+// NewGaugeVec2 registers a two-label gauge family.
+func (r *Registry) NewGaugeVec2(name, help, label1, label2 string) *GaugeVec2 {
+	return &GaugeVec2{r.newFamily(name, help, "gauge", label1, label2)}
 }
 
-func (v *GaugeVec) meta() (string, string, string) { return v.name, v.help, "gauge" }
-func (v *GaugeVec) write(w io.Writer, extra string) {
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.vals))
-	for k := range v.vals {
-		keys = append(keys, k)
-	}
-	vals := make(map[string]float64, len(v.vals))
-	for k, x := range v.vals {
-		vals[k] = x
-	}
-	v.mu.Unlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, "%s{%s%s=%q} %s\n", v.name, prefixLabel(extra), v.label, escapeLabel(k), formatFloat(vals[k]))
-	}
+// Set replaces the value of the (v1, v2) series.
+func (v *GaugeVec2) Set(v1, v2 string, x float64) { v.set(x, v1, v2) }
+
+// Value returns the value of the (v1, v2) series.
+func (v *GaugeVec2) Value(v1, v2 string) float64 { return v.get(v1, v2) }
+
+// Delete removes one series.
+func (v *GaugeVec2) Delete(v1, v2 string) { v.del(v1, v2) }
+
+// CounterVec2 is a counter partitioned by two labels (e.g.
+// tuner_alert_transitions_total{rule,to}).
+type CounterVec2 struct{ *family }
+
+// NewCounterVec2 registers a two-label counter family.
+func (r *Registry) NewCounterVec2(name, help, label1, label2 string) *CounterVec2 {
+	return &CounterVec2{r.newFamily(name, help, "counter", label1, label2)}
 }
+
+// Add adds d to the (v1, v2) series.
+func (v *CounterVec2) Add(v1, v2 string, d float64) { v.add(d, v1, v2) }
+
+// Value returns the count of the (v1, v2) series.
+func (v *CounterVec2) Value(v1, v2 string) float64 { return v.get(v1, v2) }
 
 // sampleFunc receives one current sample during VisitSamples: the
 // series name (a family may derive several — histograms contribute
 // _sum/_count plus quantile series), its rendered label pairs
 // (`phase="search"`, "" when unlabeled), and the value.
 type sampleFunc func(name, labels string, value float64)
-
-// sampler is the optional enumeration side of a metric: the numeric
-// view of the same samples write renders as text.
-type sampler interface {
-	sample(f sampleFunc)
-}
 
 // VisitSamples enumerates every metric's current samples as numbers, in
 // registration order. Counters and gauges yield one sample (vectors one
@@ -345,51 +354,8 @@ type sampler interface {
 // buckets. This is how obs.History scrapes the registry without
 // round-tripping through the text exposition.
 func (r *Registry) VisitSamples(f func(name, labels string, value float64)) {
-	r.mu.Lock()
-	ms := make([]promMetric, len(r.metrics))
-	copy(ms, r.metrics)
-	r.mu.Unlock()
-	for _, m := range ms {
-		if s, ok := m.(sampler); ok {
-			s.sample(f)
-		}
-	}
-}
-
-func (c *Counter) sample(f sampleFunc) { f(c.name, "", c.v.load()) }
-func (g *Gauge) sample(f sampleFunc)   { f(g.name, "", g.v.load()) }
-
-func (v *CounterVec) sample(f sampleFunc) {
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.vals))
-	for k := range v.vals {
-		keys = append(keys, k)
-	}
-	vals := make(map[string]float64, len(v.vals))
-	for k, x := range v.vals {
-		vals[k] = x
-	}
-	v.mu.Unlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		f(v.name, fmt.Sprintf("%s=%q", v.label, escapeLabel(k)), vals[k])
-	}
-}
-
-func (v *GaugeVec) sample(f sampleFunc) {
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.vals))
-	for k := range v.vals {
-		keys = append(keys, k)
-	}
-	vals := make(map[string]float64, len(v.vals))
-	for k, x := range v.vals {
-		vals[k] = x
-	}
-	v.mu.Unlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		f(v.name, fmt.Sprintf("%s=%q", v.label, escapeLabel(k)), vals[k])
+	for _, m := range r.snapshot() {
+		m.sample(f)
 	}
 }
 
@@ -536,19 +502,21 @@ func (h *Histogram) meta() (string, string, string) { return h.name, h.help, "hi
 func (h *Histogram) write(w io.Writer, extra string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	writeHistogram(w, h.name, extra, h.bounds, histSeries{h.counts, h.sum, h.total})
+}
+
+// writeHistogram renders one histogram series — cumulative buckets,
+// sum, count — under the given rendered label list.
+func writeHistogram(w io.Writer, name, labels string, bounds []float64, s histSeries) {
+	pre := prefixLabel(labels)
 	cum := uint64(0)
-	for i, b := range h.bounds {
-		cum += h.counts[i]
-		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", h.name, prefixLabel(extra), formatFloat(b), cum)
+	for i, b := range bounds {
+		cum += s.counts[i]
+		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, pre, formatFloat(b), cum)
 	}
-	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", h.name, prefixLabel(extra), h.total)
-	if extra == "" {
-		fmt.Fprintf(w, "%s_sum %s\n", h.name, formatFloat(h.sum))
-		fmt.Fprintf(w, "%s_count %d\n", h.name, h.total)
-		return
-	}
-	fmt.Fprintf(w, "%s_sum{%s} %s\n", h.name, extra, formatFloat(h.sum))
-	fmt.Fprintf(w, "%s_count{%s} %d\n", h.name, extra, h.total)
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, pre, s.total)
+	writeSample(w, name+"_sum", labels, formatFloat(s.sum))
+	writeSample(w, name+"_count", labels, strconv.FormatUint(s.total, 10))
 }
 
 // HistogramVec is a histogram family partitioned by one label (enough
@@ -619,154 +587,8 @@ func (v *HistogramVec) write(w io.Writer, extra string) {
 	}
 	v.mu.Unlock()
 	sort.Strings(keys)
-	pre := prefixLabel(extra)
 	for _, k := range keys {
-		s := copies[k]
-		lbl := escapeLabel(k)
-		cum := uint64(0)
-		for i, b := range v.bounds {
-			cum += s.counts[i]
-			fmt.Fprintf(w, "%s_bucket{%s%s=%q,le=%q} %d\n", v.name, pre, v.label, lbl, formatFloat(b), cum)
-		}
-		fmt.Fprintf(w, "%s_bucket{%s%s=%q,le=\"+Inf\"} %d\n", v.name, pre, v.label, lbl, s.total)
-		fmt.Fprintf(w, "%s_sum{%s%s=%q} %s\n", v.name, pre, v.label, lbl, formatFloat(s.sum))
-		fmt.Fprintf(w, "%s_count{%s%s=%q} %d\n", v.name, pre, v.label, lbl, s.total)
-	}
-}
-
-// vec2Key orders two-label series: primary label first, then secondary.
-type vec2Key struct{ a, b string }
-
-func sortedVec2Keys(vals map[vec2Key]float64) []vec2Key {
-	keys := make([]vec2Key, 0, len(vals))
-	for k := range vals {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
-		}
-		return keys[i].b < keys[j].b
-	})
-	return keys
-}
-
-// GaugeVec2 is a gauge partitioned by two labels — the alert engine's
-// tuner_alerts_firing{rule,severity} meta-series needs exactly two, and
-// the one-label vecs stay the common case everywhere else.
-type GaugeVec2 struct {
-	name, help     string
-	label1, label2 string
-	mu             sync.Mutex
-	vals           map[vec2Key]float64
-}
-
-// NewGaugeVec2 registers a two-label gauge family.
-func (r *Registry) NewGaugeVec2(name, help, label1, label2 string) *GaugeVec2 {
-	v := &GaugeVec2{name: name, help: help, label1: label1, label2: label2, vals: map[vec2Key]float64{}}
-	r.register(v)
-	return v
-}
-
-// Set replaces the value of the (v1, v2) series.
-func (v *GaugeVec2) Set(v1, v2 string, x float64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.vals[vec2Key{v1, v2}] = x
-}
-
-// Value returns the value of the (v1, v2) series.
-func (v *GaugeVec2) Value(v1, v2 string) float64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.vals[vec2Key{v1, v2}]
-}
-
-// Delete removes one series.
-func (v *GaugeVec2) Delete(v1, v2 string) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	delete(v.vals, vec2Key{v1, v2})
-}
-
-func (v *GaugeVec2) meta() (string, string, string) { return v.name, v.help, "gauge" }
-func (v *GaugeVec2) write(w io.Writer, extra string) {
-	v.mu.Lock()
-	vals := make(map[vec2Key]float64, len(v.vals))
-	for k, x := range v.vals {
-		vals[k] = x
-	}
-	v.mu.Unlock()
-	for _, k := range sortedVec2Keys(vals) {
-		fmt.Fprintf(w, "%s{%s%s=%q,%s=%q} %s\n", v.name, prefixLabel(extra),
-			v.label1, escapeLabel(k.a), v.label2, escapeLabel(k.b), formatFloat(vals[k]))
-	}
-}
-
-func (v *GaugeVec2) sample(f sampleFunc) {
-	v.mu.Lock()
-	vals := make(map[vec2Key]float64, len(v.vals))
-	for k, x := range v.vals {
-		vals[k] = x
-	}
-	v.mu.Unlock()
-	for _, k := range sortedVec2Keys(vals) {
-		f(v.name, fmt.Sprintf("%s=%q,%s=%q", v.label1, escapeLabel(k.a), v.label2, escapeLabel(k.b)), vals[k])
-	}
-}
-
-// CounterVec2 is a counter partitioned by two labels (e.g.
-// tuner_alert_transitions_total{rule,to}).
-type CounterVec2 struct {
-	name, help     string
-	label1, label2 string
-	mu             sync.Mutex
-	vals           map[vec2Key]float64
-}
-
-// NewCounterVec2 registers a two-label counter family.
-func (r *Registry) NewCounterVec2(name, help, label1, label2 string) *CounterVec2 {
-	v := &CounterVec2{name: name, help: help, label1: label1, label2: label2, vals: map[vec2Key]float64{}}
-	r.register(v)
-	return v
-}
-
-// Add adds d to the (v1, v2) series.
-func (v *CounterVec2) Add(v1, v2 string, d float64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.vals[vec2Key{v1, v2}] += d
-}
-
-// Value returns the count of the (v1, v2) series.
-func (v *CounterVec2) Value(v1, v2 string) float64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.vals[vec2Key{v1, v2}]
-}
-
-func (v *CounterVec2) meta() (string, string, string) { return v.name, v.help, "counter" }
-func (v *CounterVec2) write(w io.Writer, extra string) {
-	v.mu.Lock()
-	vals := make(map[vec2Key]float64, len(v.vals))
-	for k, x := range v.vals {
-		vals[k] = x
-	}
-	v.mu.Unlock()
-	for _, k := range sortedVec2Keys(vals) {
-		fmt.Fprintf(w, "%s{%s%s=%q,%s=%q} %s\n", v.name, prefixLabel(extra),
-			v.label1, escapeLabel(k.a), v.label2, escapeLabel(k.b), formatFloat(vals[k]))
-	}
-}
-
-func (v *CounterVec2) sample(f sampleFunc) {
-	v.mu.Lock()
-	vals := make(map[vec2Key]float64, len(v.vals))
-	for k, x := range v.vals {
-		vals[k] = x
-	}
-	v.mu.Unlock()
-	for _, k := range sortedVec2Keys(vals) {
-		f(v.name, fmt.Sprintf("%s=%q,%s=%q", v.label1, escapeLabel(k.a), v.label2, escapeLabel(k.b)), vals[k])
+		labels := fmt.Sprintf("%s%s=%q", prefixLabel(extra), v.label, escapeLabel(k))
+		writeHistogram(w, v.name, labels, v.bounds, copies[k])
 	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -100,5 +101,28 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 	if c.Value() != 8000 {
 		t.Fatalf("counter = %v", c.Value())
+	}
+}
+
+// TestPromRenderMatchesGolden byte-compares a populated single-tenant
+// render and a merged fleet render against expositions captured from
+// the per-type implementations this registry replaced.
+func TestPromRenderMatchesGolden(t *testing.T) {
+	regA, regB := lintTestRegistry(), lintTestRegistry()
+	regB.byName["demo_phase_total"].(*family).add(9, "rank")
+	var single, fleet bytes.Buffer
+	regA.Render(&single)
+	RenderMerged(&fleet, "tenant", []LabeledRegistry{{Value: "a", Registry: regA}, {Value: "b", Registry: regB}})
+	for name, got := range map[string][]byte{
+		"testdata/prom_single.golden.prom": single.Bytes(),
+		"testdata/prom_fleet.golden.prom":  fleet.Bytes(),
+	} {
+		want, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s diverged:\n--- got\n%s--- want\n%s", name, got, want)
+		}
 	}
 }

@@ -23,6 +23,12 @@ func lintTestRegistry() *Registry {
 	h.Observe(2)
 	hv := reg.NewHistogramVec("demo_phase_seconds", "Per-phase latency.", "phase", ExpBuckets(0.001, 10, 3))
 	hv.Observe("search", 0.01)
+	g2 := reg.NewGaugeVec2("demo_firing", "Per-rule firing state.", "rule", "severity")
+	g2.Set("slow-retune", "warning", 1)
+	g2.Set("cache\\collapse", "critical", 0)
+	c2 := reg.NewCounterVec2("demo_transitions_total", "Per-rule transitions.", "rule", "to")
+	c2.Add("slow-retune", "firing", 2)
+	c2.Add("slow-retune", "resolved", 1)
 	return reg
 }
 

@@ -193,7 +193,7 @@ const DefaultRecorderLimit = 256
 // persists each record as one JSONL line and reloads the retained tail
 // on construction, so the history survives daemon restarts; with an
 // empty path it is memory-only. A nil *Recorder is a valid no-op, the
-// same contract as Tracer/Profiler/Progress.
+// same contract as Tracer/Profiler.
 //
 // Retention is simple and predictable: the newest `limit` sessions are
 // kept in memory and served; the on-disk file is compacted (rewritten

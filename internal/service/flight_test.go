@@ -25,7 +25,7 @@ func TestSessionEndpointsAndDiff(t *testing.T) {
 	svc := newTestService(t, Options{})
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
-	if code := postJSON(t, srv.URL+"/ingest", ingestRequest{Statements: repeat(phase1, 3)}, nil); code != http.StatusOK {
+	if code := postJSON(t, srv.URL+"/ingest", IngestRequest{Statements: repeat(phase1, 3)}, nil); code != http.StatusOK {
 		t.Fatalf("ingest: %d", code)
 	}
 
@@ -35,7 +35,7 @@ func TestSessionEndpointsAndDiff(t *testing.T) {
 	if code := postJSON(t, srv.URL+"/retune", struct{}{}, nil); code != http.StatusOK {
 		t.Fatalf("retune 1: %d", code)
 	}
-	if code := postJSON(t, srv.URL+"/retune", retuneRequest{BudgetMB: &squeezeMB}, nil); code != http.StatusOK {
+	if code := postJSON(t, srv.URL+"/retune", RetuneRequest{BudgetMB: &squeezeMB}, nil); code != http.StatusOK {
 		t.Fatalf("retune 2: %d", code)
 	}
 

@@ -13,22 +13,26 @@ import (
 	"repro/internal/obs"
 )
 
-// ingestRequest is the POST /ingest payload.
-type ingestRequest struct {
+// MaxBodyBytes bounds every request body the daemon decodes; a larger
+// one is answered 413 before it can occupy memory.
+const MaxBodyBytes = 16 << 20
+
+// IngestRequest is the POST /ingest payload.
+type IngestRequest struct {
 	// Statements are observed SQL statements, one entry per execution
 	// (repeat a statement to weight it).
 	Statements []string `json:"statements"`
 }
 
-// retuneRequest is the optional POST /retune payload.
-type retuneRequest struct {
+// RetuneRequest is the optional POST /retune payload.
+type RetuneRequest struct {
 	// BudgetMB overrides the space budget for this session only
 	// (fractional MB allowed; 0 = unconstrained).
 	BudgetMB *float64 `json:"budget_mb,omitempty"`
 }
 
-// errorResponse is the uniform JSON error shape.
-type errorResponse struct {
+// ErrorResponse is the uniform JSON error shape.
+type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
@@ -36,14 +40,14 @@ type errorResponse struct {
 // shared with fleet mode.
 type healthResponse = HealthStatus
 
-// readyResponse is the GET /readyz payload.
-type readyResponse struct {
+// ReadyResponse is the GET /readyz payload.
+type ReadyResponse struct {
 	Ready   bool     `json:"ready"`
 	Reasons []string `json:"reasons,omitempty"`
 }
 
-// retuneResponse wraps POST /retune results.
-type retuneResponse struct {
+// RetuneResponse wraps POST /retune results.
+type RetuneResponse struct {
 	Recommendation *Recommendation `json:"recommendation"`
 }
 
@@ -102,16 +106,15 @@ func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /ingest", func(w http.ResponseWriter, r *http.Request) {
-		var req ingestRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error()})
+		var req IngestRequest
+		if !DecodeBody(w, r, &req, false) {
 			return
 		}
 		if len(req.Statements) == 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "statements is empty"})
+			WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "statements is empty"})
 			return
 		}
-		writeJSON(w, http.StatusOK, s.Ingest(req.Statements))
+		WriteJSON(w, http.StatusOK, s.Ingest(req.Statements))
 	})
 
 	mux.HandleFunc("GET /recommendation", func(w http.ResponseWriter, r *http.Request) {
@@ -120,18 +123,17 @@ func NewHandler(s *Service) http.Handler {
 			writeNoData(w, "no recommendation yet; ingest a workload and POST /retune")
 			return
 		}
-		if wantsText(r) {
+		if WantsText(r) {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			io.WriteString(w, rec.DDL)
 			return
 		}
-		writeJSON(w, http.StatusOK, rec)
+		WriteJSON(w, http.StatusOK, rec)
 	})
 
 	mux.HandleFunc("POST /retune", func(w http.ResponseWriter, r *http.Request) {
-		var req retuneRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error()})
+		var req RetuneRequest
+		if !DecodeBody(w, r, &req, true) {
 			return
 		}
 		var rec *Recommendation
@@ -146,20 +148,20 @@ func NewHandler(s *Service) http.Handler {
 			if errors.Is(err, ErrEmptyWindow) {
 				status = http.StatusConflict
 			}
-			writeJSON(w, status, errorResponse{Error: err.Error()})
+			WriteJSON(w, status, ErrorResponse{Error: err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusOK, retuneResponse{Recommendation: rec})
+		WriteJSON(w, http.StatusOK, RetuneResponse{Recommendation: rec})
 	})
 
 	mux.HandleFunc("GET /drift", func(w http.ResponseWriter, r *http.Request) {
 		rep := s.CheckDrift()
-		if wantsText(r) {
+		if WantsText(r) {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			rep.WriteText(w)
 			return
 		}
-		writeJSON(w, http.StatusOK, rep)
+		WriteJSON(w, http.StatusOK, rep)
 	})
 
 	mux.HandleFunc("GET /explain", func(w http.ResponseWriter, r *http.Request) {
@@ -168,12 +170,12 @@ func NewHandler(s *Service) http.Handler {
 			writeNoData(w, "no explain report yet; ingest a workload and POST /retune")
 			return
 		}
-		if wantsText(r) {
+		if WantsText(r) {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			rep.WriteText(w)
 			return
 		}
-		writeJSON(w, http.StatusOK, rep)
+		WriteJSON(w, http.StatusOK, rep)
 	})
 
 	mux.HandleFunc("GET /profile", func(w http.ResponseWriter, r *http.Request) {
@@ -182,12 +184,12 @@ func NewHandler(s *Service) http.Handler {
 			return
 		}
 		rep := s.Profile()
-		if wantsText(r) {
+		if WantsText(r) {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			rep.WriteText(w)
 			return
 		}
-		writeJSON(w, http.StatusOK, rep)
+		WriteJSON(w, http.StatusOK, rep)
 	})
 
 	mux.HandleFunc("GET /progress", func(w http.ResponseWriter, r *http.Request) {
@@ -201,7 +203,7 @@ func NewHandler(s *Service) http.Handler {
 		case "1", "true":
 			groundTruth = true
 		default:
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid ground_truth (want 0/1)"})
+			WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "invalid ground_truth (want 0/1)"})
 			return
 		}
 		cal, err := s.Calibration(groundTruth)
@@ -210,29 +212,29 @@ func NewHandler(s *Service) http.Handler {
 			if errors.Is(err, ErrReplayUnavailable) {
 				status = http.StatusConflict
 			}
-			writeJSON(w, status, errorResponse{Error: err.Error()})
+			WriteJSON(w, status, ErrorResponse{Error: err.Error()})
 			return
 		}
 		if cal == nil {
 			writeNoData(w, "no calibration report yet; ingest a workload and POST /retune")
 			return
 		}
-		if wantsText(r) {
+		if WantsText(r) {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			cal.WriteText(w)
 			return
 		}
-		writeJSON(w, http.StatusOK, cal)
+		WriteJSON(w, http.StatusOK, cal)
 	})
 
 	mux.HandleFunc("GET /workload", func(w http.ResponseWriter, r *http.Request) {
 		rep := s.WorkloadReport()
-		if wantsText(r) {
+		if WantsText(r) {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			rep.WriteText(w)
 			return
 		}
-		writeJSON(w, http.StatusOK, rep)
+		WriteJSON(w, http.StatusOK, rep)
 	})
 
 	mux.HandleFunc("GET /sessions", func(w http.ResponseWriter, r *http.Request) {
@@ -240,21 +242,21 @@ func NewHandler(s *Service) http.Handler {
 		if sums == nil {
 			sums = []obs.SessionSummary{} // an empty history is data, not an error
 		}
-		if wantsText(r) {
+		if WantsText(r) {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			writeSessionsText(w, sums)
 			return
 		}
-		writeJSON(w, http.StatusOK, sessionsResponse{Sessions: sums})
+		WriteJSON(w, http.StatusOK, sessionsResponse{Sessions: sums})
 	})
 
 	mux.HandleFunc("GET /sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		rec := s.Session(r.PathValue("id"))
 		if rec == nil {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown session " + r.PathValue("id")})
+			WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "unknown session " + r.PathValue("id")})
 			return
 		}
-		writeJSON(w, http.StatusOK, rec)
+		WriteJSON(w, http.StatusOK, rec)
 	})
 
 	mux.HandleFunc("GET /diff", func(w http.ResponseWriter, r *http.Request) {
@@ -265,29 +267,29 @@ func NewHandler(s *Service) http.Handler {
 		}
 		diff, err := s.DiffSessions(from, to)
 		if err != nil {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
+			WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusOK, diff)
+		WriteJSON(w, http.StatusOK, diff)
 	})
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		snap := s.MetricsSnapshot()
-		if wantsPrometheus(r) {
+		if WantsPrometheus(r) {
 			s.promGauges.update(snap)
 			s.promReg.Handler().ServeHTTP(w, r)
 			return
 		}
-		writeJSON(w, http.StatusOK, snap)
+		WriteJSON(w, http.StatusOK, snap)
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Health())
+		WriteJSON(w, http.StatusOK, s.Health())
 	})
 
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		ready, reasons := s.Ready()
-		serveReady(w, r, ready, reasons)
+		ServeReady(w, r, ready, reasons)
 	})
 
 	mux.HandleFunc("GET /alerts", func(w http.ResponseWriter, r *http.Request) {
@@ -296,12 +298,12 @@ func NewHandler(s *Service) http.Handler {
 			return
 		}
 		st := s.Alerts().Status()
-		if wantsText(r) {
+		if WantsText(r) {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			st.WriteText(w)
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		WriteJSON(w, http.StatusOK, st)
 	})
 
 	mux.HandleFunc("GET /metrics/history", func(w http.ResponseWriter, r *http.Request) {
@@ -311,21 +313,41 @@ func NewHandler(s *Service) http.Handler {
 		}
 		q, err := parseHistoryQuery(r)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+			WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusOK, s.History().Query(q))
+		WriteJSON(w, http.StatusOK, s.History().Query(q))
 	})
 
 	return mux
 }
 
-// serveReady renders the readiness probe answer: 200 once ready, 503
+// DecodeBody decodes a JSON request body of at most MaxBodyBytes into
+// v and reports whether the handler should go on: a larger body has
+// been answered 413, anything that is not JSON 400. optional accepts an
+// empty body (v keeps its zero value).
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any, optional bool) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil, optional && errors.Is(err, io.EOF):
+		return true
+	case errors.As(err, &tooLarge):
+		WriteJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
+			Error: fmt.Sprintf("request body exceeds %d bytes", MaxBodyBytes),
+		})
+	default:
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "invalid JSON: " + err.Error()})
+	}
+	return false
+}
+
+// ServeReady renders the readiness probe answer: 200 once ready, 503
 // with Retry-After and the blocking reasons until then — the same "not
 // ready yet" contract as the pre-retune data endpoints, so a load
 // balancer needs one convention, not two.
-func serveReady(w http.ResponseWriter, r *http.Request, ready bool, reasons []string) {
-	if wantsText(r) {
+func ServeReady(w http.ResponseWriter, r *http.Request, ready bool, reasons []string) {
+	if WantsText(r) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if !ready {
 			w.Header().Set("Retry-After", "5")
@@ -338,10 +360,10 @@ func serveReady(w http.ResponseWriter, r *http.Request, ready bool, reasons []st
 	}
 	if !ready {
 		w.Header().Set("Retry-After", "5")
-		writeJSON(w, http.StatusServiceUnavailable, readyResponse{Ready: false, Reasons: reasons})
+		WriteJSON(w, http.StatusServiceUnavailable, ReadyResponse{Ready: false, Reasons: reasons})
 		return
 	}
-	writeJSON(w, http.StatusOK, readyResponse{Ready: true})
+	WriteJSON(w, http.StatusOK, ReadyResponse{Ready: true})
 }
 
 // writeMonitorDisabled answers reads of /alerts and /metrics/history
@@ -349,7 +371,7 @@ func serveReady(w http.ResponseWriter, r *http.Request, ready bool, reasons []st
 // retrying turns the subsystem on — unlike the 503 "not ready yet" of
 // pre-retune reads.
 func writeMonitorDisabled(w http.ResponseWriter) {
-	writeJSON(w, http.StatusConflict, errorResponse{
+	WriteJSON(w, http.StatusConflict, ErrorResponse{
 		Error: "self-monitoring disabled; start with -history-interval > 0",
 	})
 }
@@ -413,14 +435,14 @@ const progressSubscribeBuf = 256
 func serveProgress(s *Service, w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusNotImplemented, errorResponse{Error: "streaming unsupported by this connection"})
+		WriteJSON(w, http.StatusNotImplemented, ErrorResponse{Error: "streaming unsupported by this connection"})
 		return
 	}
 	var timeout <-chan time.Time
 	if v := r.URL.Query().Get("timeout"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid timeout: " + v})
+			WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "invalid timeout: " + v})
 			return
 		}
 		tm := time.NewTimer(d)
@@ -430,7 +452,7 @@ func serveProgress(s *Service, w http.ResponseWriter, r *http.Request) {
 	maxEvents := 0
 	if v := r.URL.Query().Get("max"); v != "" {
 		if _, err := fmt.Sscanf(v, "%d", &maxEvents); err != nil || maxEvents <= 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid max: " + v})
+			WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "invalid max: " + v})
 			return
 		}
 	}
@@ -478,21 +500,21 @@ func serveProgress(s *Service, w http.ResponseWriter, r *http.Request) {
 // "not ready", never as "no such route".
 func writeNoData(w http.ResponseWriter, msg string) {
 	w.Header().Set("Retry-After", "5")
-	writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: msg})
+	WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: msg})
 }
 
-// wantsText reports whether the client asked for the plain-text
+// WantsText reports whether the client asked for the plain-text
 // rendering — the uniform ?format=text convention every JSON read
 // endpoint honors.
-func wantsText(r *http.Request) bool {
+func WantsText(r *http.Request) bool {
 	return r.URL.Query().Get("format") == "text"
 }
 
-// wantsPrometheus decides the /metrics representation: the text
+// WantsPrometheus decides the /metrics representation: the text
 // exposition is served when the client asks for it explicitly
 // (?format=prometheus) or when the Accept header prefers text/plain —
 // what a Prometheus scraper sends and a browser does not.
-func wantsPrometheus(r *http.Request) bool {
+func WantsPrometheus(r *http.Request) bool {
 	switch r.URL.Query().Get("format") {
 	case "prometheus", "prom", "text":
 		return true
@@ -504,7 +526,8 @@ func wantsPrometheus(r *http.Request) bool {
 		strings.Contains(accept, "application/openmetrics-text")
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v as the JSON body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -105,7 +106,7 @@ func TestTunerdEndToEnd(t *testing.T) {
 	const copies = 4
 	stream := repeat(phase1, copies)
 	var ing IngestResult
-	if code := postJSON(t, srv.URL+"/ingest", ingestRequest{Statements: stream}, &ing); code != http.StatusOK {
+	if code := postJSON(t, srv.URL+"/ingest", IngestRequest{Statements: stream}, &ing); code != http.StatusOK {
 		t.Fatalf("ingest: status %d", code)
 	}
 	if ing.Accepted != len(stream) || ing.Rejected != 0 || ing.WindowUnique != len(phase1) {
@@ -113,7 +114,7 @@ func TestTunerdEndToEnd(t *testing.T) {
 	}
 	// A bad statement is rejected without poisoning the batch.
 	var ing2 IngestResult
-	postJSON(t, srv.URL+"/ingest", ingestRequest{Statements: []string{"BOGUS SQL", phase1[0]}}, &ing2)
+	postJSON(t, srv.URL+"/ingest", IngestRequest{Statements: []string{"BOGUS SQL", phase1[0]}}, &ing2)
 	if ing2.Accepted != 1 || ing2.Rejected != 1 {
 		t.Fatalf("mixed batch: %+v", ing2)
 	}
@@ -126,7 +127,7 @@ func TestTunerdEndToEnd(t *testing.T) {
 	}
 
 	// Retune over HTTP.
-	var ret retuneResponse
+	var ret RetuneResponse
 	if code := postJSON(t, srv.URL+"/retune", struct{}{}, &ret); code != http.StatusOK {
 		t.Fatalf("retune: status %d", code)
 	}
@@ -219,8 +220,21 @@ func TestHandlerMethodsAndErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad JSON: status %d, want 400", resp.StatusCode)
 	}
+	// A body over the limit is refused before it is decoded, on both
+	// POST routes.
+	huge := `{"statements":["` + strings.Repeat("x", MaxBodyBytes) + `"]}`
+	for _, path := range []string{"/ingest", "/retune"} {
+		resp, err = http.Post(srv.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized POST %s: status %d, want 413", path, resp.StatusCode)
+		}
+	}
 	// Empty statement list.
-	if code := postJSON(t, srv.URL+"/ingest", ingestRequest{}, nil); code != http.StatusBadRequest {
+	if code := postJSON(t, srv.URL+"/ingest", IngestRequest{}, nil); code != http.StatusBadRequest {
 		t.Errorf("empty ingest: status %d, want 400", code)
 	}
 	// Unknown path.
@@ -253,7 +267,7 @@ func TestConcurrentIngestAndRetune(t *testing.T) {
 				if (i+g)%2 == 0 {
 					stmts = phase2
 				}
-				if code := postJSON(t, srv.URL+"/ingest", ingestRequest{Statements: stmts}, nil); code != http.StatusOK {
+				if code := postJSON(t, srv.URL+"/ingest", IngestRequest{Statements: stmts}, nil); code != http.StatusOK {
 					done <- fmt.Errorf("ingest status %d", code)
 					return
 				}

@@ -46,7 +46,7 @@ func TestMonitorHTTPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ready readyResponse
+	var ready ReadyResponse
 	if err := json.NewDecoder(resp.Body).Decode(&ready); err != nil {
 		t.Fatalf("decode readyz: %v", err)
 	}

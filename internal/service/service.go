@@ -151,8 +151,9 @@ type Service struct {
 	started time.Time
 
 	// Prometheus surface: the registry backs the text exposition of
-	// /metrics; tunerMetrics is fed from trace events, so every retune
-	// updates it without the core package knowing about Prometheus.
+	// /metrics. trace is every retune's one event stream; tunerMetrics,
+	// progress and Options.TraceSink are its sinks, so the core package
+	// knows about none of them.
 	promReg      *obs.Registry
 	tunerMetrics *obs.TunerMetrics
 	promGauges   *serviceGauges
@@ -162,8 +163,8 @@ type Service struct {
 	// observation also feeds tunerMetrics.PhaseDuration.
 	profiler *obs.Profiler
 	// recorder is the session flight recorder (history + /sessions +
-	// /diff); progress fans live per-iteration search events out to
-	// /progress subscribers.
+	// /diff); progress folds the trace stream into live per-step events
+	// for /progress subscribers.
 	recorder *obs.Recorder
 	progress *obs.Progress
 	// Self-monitoring (Options.Monitor): history samples the registry on
@@ -241,6 +242,7 @@ func New(opts Options) (*Service, error) {
 	profiler.SetAllocObserver(func(phase string, bytes uint64) {
 		tm.PhaseAllocBytes.Add(phase, float64(bytes))
 	})
+	progress := obs.NewProgress()
 	s := &Service{
 		opts:         opts,
 		db:           opts.DB,
@@ -251,10 +253,10 @@ func New(opts Options) (*Service, error) {
 		promReg:      promReg,
 		tunerMetrics: tm,
 		promGauges:   gauges,
-		trace:        obs.NewTracer(obs.MultiSink(tm.Sink(), opts.TraceSink)),
+		trace:        obs.NewTracer(obs.MultiSink(tm.Sink(), progress, opts.TraceSink)),
 		profiler:     profiler,
 		recorder:     recorder,
-		progress:     obs.NewProgress(),
+		progress:     progress,
 		costCache:    map[string]float64{},
 		driftOpt:     optimizer.New(opts.DB),
 		ctx:          ctx,
@@ -500,7 +502,6 @@ func (s *Service) retune(trigger string, budget int64, overrideBudget bool) (*Re
 	opts.CacheOrigin = s.opts.Tenant
 	opts.Trace = s.trace
 	opts.Profile = s.profiler
-	opts.Progress = s.progress
 	if overrideBudget {
 		opts.SpaceBudget = budget
 	}
@@ -513,7 +514,7 @@ func (s *Service) retune(trigger string, budget int64, overrideBudget bool) (*Re
 	}
 
 	sessionID := s.recorder.NewSessionID()
-	s.progress.SetSession(sessionID)
+	s.trace.SetSession(sessionID)
 	startedAt := time.Now()
 
 	t, err := core.NewTuner(s.db, snap, opts)

@@ -221,9 +221,9 @@ type (
 	// WhatIfEconomy aggregates a session's optimizer-call economy.
 	WhatIfEconomy = obs.WhatIfEconomy
 
-	// Progress fans live per-iteration search events out to subscribers;
-	// set Options.Progress to watch a session as it runs. A nil Progress
-	// is a valid no-op.
+	// Progress is a TraceSink that folds the search's events into live
+	// per-step progress and fans it out to subscribers; install it on the
+	// session's tracer to watch a session as it runs.
 	Progress = obs.Progress
 	// ProgressEvent is one live frontier observation of the search.
 	ProgressEvent = obs.ProgressEvent
@@ -273,8 +273,9 @@ func NewTunerMetricsWith(reg *MetricsRegistry, buckets TunerMetricsBuckets) *Tun
 // Options.Profile and call Snapshot after tuning.
 func NewProfiler() *Profiler { return obs.NewProfiler() }
 
-// NewProgress returns an empty live-progress reporter; set it as
-// Options.Progress and Subscribe to watch the search frontier unfold.
+// NewProgress returns an empty live-progress reporter; install it as
+// (one of) the sinks of Options.Trace — NewTracer(progress) — and
+// Subscribe to watch the search frontier unfold.
 func NewProgress() *Progress { return obs.NewProgress() }
 
 // NewRecorder opens (or creates) a session flight recorder. path == ""
