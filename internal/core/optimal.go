@@ -148,16 +148,13 @@ func clusterKeysFor(v *physical.View) []string {
 func (t *Tuner) OptimalForQuery(tq *TunedQuery) (*physical.Configuration, *optimizer.QueryResult, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.optimalForQuery(tq)
-}
-
-func (t *Tuner) optimalForQuery(tq *TunedQuery) (*physical.Configuration, *optimizer.QueryResult, error) {
 	return t.optimalForQueryOn(t.Opt, tq)
 }
 
-// optimalForQueryOn is optimalForQuery against an explicit optimizer:
-// hooks are per-optimizer state, so the parallel §2 phase gives every
-// worker its own fork and routes each query through it.
+// optimalForQueryOn is the §2 instrumented optimization against an
+// explicit optimizer: hooks are per-optimizer state, so a parallel §2
+// phase gives every worker its own fork and routes each query through
+// it.
 func (t *Tuner) optimalForQueryOn(opt *optimizer.Optimizer, tq *TunedQuery) (*physical.Configuration, *optimizer.QueryResult, error) {
 	defer t.Options.Profile.StartAlloc("optimal-config/instrument")()
 	work := t.Base.Clone()
@@ -209,53 +206,84 @@ func (t *Tuner) OptimalConfiguration() (*physical.Configuration, error) {
 	return t.optimalConfiguration()
 }
 
-// optimalConfiguration consults Options.Cache when present: statements
+// optimalConfiguration derives every query's optimal fragment, then
+// merges the fragments — and emits their trace events — in query order
+// on the calling goroutine, so the configuration, the trace and the
+// explain provenance are the same at every Parallelism. Hooks are
+// per-optimizer state: one worker derives inline on t.Opt, several each
+// on their own fork. It consults Options.Cache when present: statements
 // whose fragment was derived by an earlier session reuse it without any
 // optimizer calls (the warm-start fast path of the online retuner).
 func (t *Tuner) optimalConfiguration() (*physical.Configuration, error) {
-	if w := t.workers(); w > 1 && len(t.Queries) > 1 {
-		return t.optimalConfigurationParallel(w)
-	}
-	union := t.Base.Clone()
 	cache := t.Options.Cache
 	trace := t.Options.Trace
-	clear(t.demandedBy)
-	for _, tq := range t.Queries {
-		var frag *physical.Configuration
-		cached := false
+	n := len(t.Queries)
+	type fragOut struct {
+		frag   *physical.Configuration
+		cached bool
+		err    error
+	}
+	outs := make([]fragOut, n)
+	workers := min(t.workers(), n)
+	optimizers := []*optimizer.Optimizer{t.Opt}
+	if workers > 1 {
+		optimizers = make([]*optimizer.Optimizer, workers)
+		for w := range optimizers {
+			optimizers[w] = t.Opt.Fork()
+		}
+	}
+	err := fanOut(t.Options.Profile, "optimal-config", workers, n, func(w, i int) bool {
+		tq, opt := t.Queries[i], optimizers[w]
 		if cache != nil {
 			if hit, ok := cache.lookup(t.cacheKey(tq), t.Options.CacheOrigin); ok {
-				frag = hit
-				cached = true
-			}
-			if trace.Enabled() {
-				trace.Emit(obs.EvCache, obs.F{"hit": cached, "query": tq.Query.ID})
+				outs[i] = fragOut{frag: hit, cached: true}
+				return true
 			}
 		}
-		if frag == nil {
-			before := t.Opt.Stats().OptimizeCalls
-			f, _, err := t.optimalForQuery(tq)
-			if err != nil {
-				return nil, err
-			}
-			frag = f
-			if cache != nil {
-				cache.store(t.cacheKey(tq), f, t.Opt.Stats().OptimizeCalls-before, t.Options.CacheOrigin)
-			}
+		before := opt.Stats().OptimizeCalls
+		frag, _, err := t.optimalForQueryOn(opt, tq)
+		if err != nil {
+			outs[i] = fragOut{err: err}
+			return false
+		}
+		if cache != nil {
+			cache.store(t.cacheKey(tq), frag, opt.Stats().OptimizeCalls-before, t.Options.CacheOrigin)
+		}
+		outs[i] = fragOut{frag: frag}
+		return true
+	})
+	if workers > 1 {
+		for _, fork := range optimizers {
+			t.Opt.AddStats(fork.Stats())
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	union := t.Base.Clone()
+	clear(t.demandedBy)
+	for i, tq := range t.Queries {
+		o := outs[i]
+		if o.err != nil {
+			return nil, o.err
+		}
+		if cache != nil && trace.Enabled() {
+			trace.Emit(obs.EvCache, obs.F{"hit": o.cached, "query": tq.Query.ID})
 		}
 		if trace.Enabled() {
 			trace.Emit(obs.EvFragment, obs.F{
 				"query":   tq.Query.ID,
-				"cached":  cached,
-				"indexes": frag.NumIndexes(),
-				"views":   frag.NumViews(),
+				"cached":  o.cached,
+				"indexes": o.frag.NumIndexes(),
+				"views":   o.frag.NumViews(),
 			})
 		}
-		for _, v := range frag.Views() {
+		for _, v := range o.frag.Views() {
 			union.AddView(v)
 			t.demand("v:"+v.Name, tq.Query.ID)
 		}
-		for _, ix := range frag.Indexes() {
+		for _, ix := range o.frag.Indexes() {
 			union.AddIndex(ix)
 			t.demand("i:"+ix.ID(), tq.Query.ID)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"sync"
@@ -12,34 +13,92 @@ import (
 	"repro/internal/physical"
 )
 
-// This file is the parallel evaluation engine. Three independent fan-out
-// layers share one worker budget (Options.Parallelism):
+// This file is the parallel evaluation engine: one fan-out helper and
+// the two search-loop call sites that use it (the third, the §2
+// per-query derivation, lives with the rest of §2 in optimal.go). All
+// three share one worker budget (Options.Parallelism) and do exactly
+// the work the serial algorithm does — a parallel session makes the
+// serial session's optimizer calls, spread over more goroutines.
 //
 //  1. per-query what-if optimization: evalQueriesParallel spreads the
-//     workload's queries over a pool; the reentrant optimizer and the
-//     mutex-guarded sizer are shared, the §3.3.2 plan-reuse counters are
-//     atomic, and the weighted cost is reduced in query order so the
+//     workload's queries over the workers; the reentrant optimizer and
+//     the mutex-guarded sizer are shared, the §3.3.2 plan-reuse counters
+//     are atomic, and the weighted cost is reduced in query order so the
 //     total is bit-identical to the serial loop.
 //  2. §3.3.2 penalty estimation: precomputeDeltas bounds every untried
 //     candidate's (ΔT, ΔS) concurrently — pure arithmetic except for
 //     singleflighted CBV computations.
-//  3. speculative top-k: while the chosen transformation's child is
-//     evaluated, the runner-up candidates of the same node are evaluated
-//     too; losers park in specCache and are promoted into evalCache only
-//     when a later iteration actually selects them.
 //
-// Determinism argument, layer by layer: (1) per-query costs are
-// non-negative, so the serial prefix-abort of §3.5 prunes a
-// configuration iff the full in-order sum exceeds the cutoff — the
-// parallel path computes all results, sums in query order (bit-identical
-// float sequence), and applies the same predicate; the cooperative early
-// abort uses a relative margin so it can only fire on configurations the
-// deterministic check would prune anyway. (2) candidate deltas are
-// independent math: computing them concurrently changes wall time, not
-// values. (3) a speculative result is keyed by (parent fingerprint,
-// transformation, child fingerprint) and replayed only when the serial
-// decision sequence reaches exactly that step, with the §3.5 cutoff
-// re-applied at consumption time.
+// Determinism argument: (1) per-query costs are non-negative, so the
+// serial prefix-abort of §3.5 prunes a configuration iff the full
+// in-order sum exceeds the cutoff — the parallel path computes all
+// results, sums in query order (bit-identical float sequence), and
+// applies the same predicate; the cooperative early abort uses a
+// relative margin so it can only fire on configurations the
+// deterministic check would prune anyway. It is also the one place the
+// call economy may differ from the serial run: the serial loop stops at
+// the query that crosses the cutoff, the workers stop at whichever
+// queries were in flight when the running sum crossed it. (2) candidate
+// deltas are independent math: computing them concurrently changes wall
+// time, not values.
+
+// fanOut calls fn(worker, i) once for every i in [0, n). Indices are
+// claimed from a shared counter, so a worker that finishes early takes
+// the next unclaimed index instead of idling behind a fixed chunk. At
+// most min(workers, n) goroutines run and fanOut returns when all have
+// exited; with one worker or fewer fn runs inline on the calling
+// goroutine, in index order. fn returns false to stop the fan-out: no
+// further index is claimed, calls already in flight finish. A panic in
+// fn stops the fan-out the same way and comes back as the error — a
+// caller-side recover cannot catch a panic on another goroutine, so
+// without this one bad statement would take the whole process down.
+// label names the phase in that error and, when profiling, in the
+// per-worker "<label>/worker-<w>" phases.
+func fanOut(prof *obs.Profiler, label string, workers, n int, fn func(worker, i int) bool) error {
+	if workers > n {
+		workers = n
+	}
+	var (
+		next     atomic.Int64
+		stop     atomic.Bool
+		panicked sync.Once
+		err      error
+	)
+	run := func(w int) {
+		defer func() {
+			if r := recover(); r != nil {
+				stop.Store(true)
+				panicked.Do(func() { err = fmt.Errorf("core: panic in %s worker: %v", label, r) })
+			}
+		}()
+		for !stop.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if !fn(w, i) {
+				stop.Store(true)
+			}
+		}
+	}
+	if workers <= 1 {
+		run(0)
+		return err
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if prof.Enabled() {
+				defer prof.Since(label+"/worker-"+strconv.Itoa(w), time.Now())
+			}
+			run(w)
+		}(w)
+	}
+	wg.Wait()
+	return err
+}
 
 // atomicFloat is a CAS-looped float64 accumulator for the cooperative
 // §3.5 running cost.
@@ -63,69 +122,44 @@ func (f *atomicFloat) add(v float64) float64 {
 const shortcutMargin = 1e-9
 
 // evalQueriesParallel fans the per-query optimization of one
-// configuration over a worker pool. Result ordering, cost reduction
+// configuration over the workers. Result ordering, cost reduction
 // order, and the §3.5 prune decision match evalQueriesSerial exactly.
 func (t *Tuner) evalQueriesParallel(parent *EvaluatedConfig, cfg *physical.Configuration, removedIdx, removedViews []string, cutoff float64, workers int) (*EvaluatedConfig, bool, error) {
 	n := len(t.Queries)
-	if workers > n {
-		workers = n
-	}
 	ec := &EvaluatedConfig{Config: cfg, SizeBytes: t.Opt.Sizer().ConfigBytes(cfg)}
 	shortcut := cutoff > 0 && !t.Options.DisableShortcut
 	results := make([]*optimizer.QueryResult, n)
 	errs := make([]error, n)
 	var (
-		next    atomic.Int64
 		running atomicFloat
 		pruned  atomic.Bool
-		failed  atomic.Bool
-		wg      sync.WaitGroup
 	)
-	prof := t.Options.Profile
 	label := "evaluate"
 	if parent != nil {
 		label = "search/evaluate"
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if prof.Enabled() {
-				defer prof.Since(label+"/worker-"+strconv.Itoa(w), time.Now())
-			}
-			for {
-				if failed.Load() || pruned.Load() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				res, err := t.evalOneQuery(i, parent, cfg, removedIdx, removedViews)
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-				results[i] = res
-				if shortcut {
-					// Cooperative §3.5 abort: once the running total
-					// clearly exceeds the cutoff the remaining queries
-					// cannot rescue this configuration.
-					if running.add(t.Queries[i].Query.Weight*res.TotalCost()) > cutoff*(1+shortcutMargin) {
-						pruned.Store(true)
-						return
-					}
-				}
-			}
-		}(w)
+	err := fanOut(t.Options.Profile, label, workers, n, func(_, i int) bool {
+		res, err := t.evalOneQuery(i, parent, cfg, removedIdx, removedViews)
+		if err != nil {
+			errs[i] = err
+			return false
+		}
+		results[i] = res
+		// Cooperative §3.5 abort: once the running total clearly exceeds
+		// the cutoff the remaining queries cannot rescue this
+		// configuration.
+		if shortcut && running.add(t.Queries[i].Query.Weight*res.TotalCost()) > cutoff*(1+shortcutMargin) {
+			pruned.Store(true)
+			return false
+		}
+		return true
+	})
+	if err != nil {
+		return nil, false, err
 	}
-	wg.Wait()
-	if failed.Load() {
-		for _, err := range errs {
-			if err != nil {
-				return nil, false, err
-			}
+	for _, err := range errs {
+		if err != nil {
+			return nil, false, err
 		}
 	}
 	if pruned.Load() {
@@ -145,9 +179,9 @@ func (t *Tuner) evalQueriesParallel(parent *EvaluatedConfig, cfg *physical.Confi
 }
 
 // precomputeDeltas bounds every untried candidate of node that does not
-// yet carry a (ΔT, ΔS) estimate, chunked across workers. Candidates
+// yet carry a (ΔT, ΔS) estimate, spread across workers. Candidates
 // whose bound fails are marked tried, exactly as the serial loop does.
-func (t *Tuner) precomputeDeltas(node *searchNode, workers int) {
+func (t *Tuner) precomputeDeltas(node *searchNode, workers int) error {
 	var missing []*physical.Transformation
 	for _, tr := range node.trans {
 		if node.tried[tr.ID()] {
@@ -159,33 +193,17 @@ func (t *Tuner) precomputeDeltas(node *searchNode, workers int) {
 		missing = append(missing, tr)
 	}
 	if len(missing) < 2 {
-		return
-	}
-	if workers > len(missing) {
-		workers = len(missing)
+		return nil
 	}
 	deltas := make([]Delta, len(missing))
 	errs := make([]error, len(missing))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	prof := t.Options.Profile
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if prof.Enabled() {
-				defer prof.Since("search/penalty/worker-"+strconv.Itoa(w), time.Now())
-			}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(missing) {
-					return
-				}
-				deltas[i], errs[i] = t.boundDelta(node.eval, missing[i])
-			}
-		}(w)
+	err := fanOut(t.Options.Profile, "search/penalty", workers, len(missing), func(_, i int) bool {
+		deltas[i], errs[i] = t.boundDelta(node.eval, missing[i])
+		return true
+	})
+	if err != nil {
+		return err
 	}
-	wg.Wait()
 	for i, tr := range missing {
 		if errs[i] != nil {
 			node.tried[tr.ID()] = true
@@ -193,233 +211,5 @@ func (t *Tuner) precomputeDeltas(node *searchNode, workers int) {
 		}
 		node.deltas[tr.ID()] = deltas[i]
 	}
-}
-
-// specCacheKey identifies one speculated relaxation step: the search
-// only replays a cached result when the same transformation is applied
-// to the same parent and yields the same child fingerprint.
-func specCacheKey(parentFP, transID, childFP string) string {
-	return parentFP + "\x00" + transID + "\x00" + childFP
-}
-
-// evaluateStep evaluates cfgNew as a child of node inside the search
-// loop. It first consults the evaluation cache and the speculative side
-// cache (applying the §3.5 cutoff at consumption, exactly as a fresh
-// evaluation would); otherwise it evaluates — with speculative top-k
-// prefetching of the node's runner-up candidates when the session is
-// parallel and a single transformation was chosen.
-func (t *Tuner) evaluateStep(node *searchNode, cfgNew *physical.Configuration, removedIdx, removedViews []string, cutoff float64, ranked []candidate, chosen []*physical.Transformation, seen map[string]bool) (*EvaluatedConfig, bool, error) {
-	fp := cfgNew.Fingerprint()
-	if hit, ok := t.evalCacheGet(fp); ok {
-		return hit, true, nil
-	}
-	if len(chosen) == 1 {
-		key := specCacheKey(node.eval.Config.Fingerprint(), chosen[0].ID(), fp)
-		if ec, ok := t.specCache[key]; ok {
-			delete(t.specCache, key)
-			t.statSpecHits++
-			if cutoff > 0 && !t.Options.DisableShortcut && ec.Cost > cutoff {
-				return nil, false, nil
-			}
-			t.evalCachePut(fp, ec)
-			return ec, true, nil
-		}
-	}
-	if w := t.workers(); w > 1 && len(chosen) == 1 && len(ranked) > 1 {
-		return t.evaluateSpeculative(node, cfgNew, removedIdx, removedViews, cutoff, ranked, chosen[0], seen, w, fp)
-	}
-	ec, ok, err := t.evalQueries(node.eval, cfgNew, removedIdx, removedViews, cutoff)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	t.evalCachePut(fp, ec)
-	return ec, true, nil
-}
-
-// specTask is one runner-up candidate queued for speculative evaluation.
-type specTask struct {
-	key          string
-	cfg          *physical.Configuration
-	removedIdx   []string
-	removedViews []string
-}
-
-// evaluateSpeculative evaluates the chosen child and up to workers-1 of
-// the node's lowest-penalty runner-up candidates concurrently. Each
-// evaluation runs the serial per-query loop so the k evaluations share
-// the worker budget; the chosen child's evaluation (with the live §3.5
-// cutoff) is the returned result, and the losers — evaluated without a
-// cutoff so they stay valid under any future incumbent — park in
-// specCache for later iterations.
-func (t *Tuner) evaluateSpeculative(node *searchNode, cfgNew *physical.Configuration, removedIdx, removedViews []string, cutoff float64, ranked []candidate, chosenTr *physical.Transformation, seen map[string]bool, workers int, fp string) (*EvaluatedConfig, bool, error) {
-	parentFP := node.eval.Config.Fingerprint()
-	var specs []specTask
-	claimed := map[string]bool{fp: true}
-	for _, c := range ranked {
-		if len(specs) >= workers-1 {
-			break
-		}
-		id := c.tr.ID()
-		if id == chosenTr.ID() || node.tried[id] {
-			continue
-		}
-		cfgC := c.tr.Apply(node.eval.Config)
-		fpC := cfgC.Fingerprint()
-		// Skip children the search can never consume: already seen
-		// fingerprints, already evaluated ones, and duplicates within
-		// this speculation round.
-		if claimed[fpC] || seen[fpC] {
-			continue
-		}
-		if _, ok := t.evalCache[fpC]; ok {
-			continue
-		}
-		key := specCacheKey(parentFP, id, fpC)
-		if _, ok := t.specCache[key]; ok {
-			continue
-		}
-		if len(t.specCache)+len(specs) >= specCacheCap {
-			break
-		}
-		claimed[fpC] = true
-		specs = append(specs, specTask{
-			key:          key,
-			cfg:          cfgC,
-			removedIdx:   c.tr.RemovedIndexIDs(),
-			removedViews: c.tr.RemovedViewNames(),
-		})
-	}
-
-	prof := t.Options.Profile
-	var (
-		mainEC  *EvaluatedConfig
-		mainOK  bool
-		mainErr error
-		wg      sync.WaitGroup
-	)
-	specResults := make([]*EvaluatedConfig, len(specs))
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if prof.Enabled() {
-			defer prof.Since("search/evaluate/chosen", time.Now())
-		}
-		mainEC, mainOK, mainErr = t.evalQueriesSerial(node.eval, cfgNew, removedIdx, removedViews, cutoff)
-	}()
-	for si := range specs {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			if prof.Enabled() {
-				defer prof.Since("search/evaluate/speculate", time.Now())
-			}
-			ec, ok, err := t.evalQueriesSerial(node.eval, specs[si].cfg, specs[si].removedIdx, specs[si].removedViews, 0)
-			if err == nil && ok {
-				specResults[si] = ec
-			}
-		}(si)
-	}
-	wg.Wait()
-	for si, ec := range specResults {
-		if ec != nil {
-			t.specCache[specs[si].key] = ec
-			t.statSpecEvals++
-		}
-	}
-	if mainErr != nil {
-		return nil, false, mainErr
-	}
-	if !mainOK {
-		return nil, false, nil
-	}
-	t.evalCachePut(fp, mainEC)
-	return mainEC, true, nil
-}
-
-// optimalConfigurationParallel is the parallel form of the §2 phase:
-// each worker derives per-query optimal fragments on its own forked
-// optimizer (hooks are per-optimizer state), then the fragments are
-// merged — and trace events emitted — in query order on the calling
-// goroutine, so the resulting configuration and the explain provenance
-// are identical to the serial phase.
-func (t *Tuner) optimalConfigurationParallel(workers int) (*physical.Configuration, error) {
-	cache := t.Options.Cache
-	trace := t.Options.Trace
-	n := len(t.Queries)
-	if workers > n {
-		workers = n
-	}
-	type fragOut struct {
-		frag   *physical.Configuration
-		cached bool
-		err    error
-	}
-	outs := make([]fragOut, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	forks := make([]*optimizer.Optimizer, workers)
-	for w := 0; w < workers; w++ {
-		forks[w] = t.Opt.Fork()
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			opt := forks[w]
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				tq := t.Queries[i]
-				if cache != nil {
-					if hit, ok := cache.lookup(t.cacheKey(tq), t.Options.CacheOrigin); ok {
-						outs[i] = fragOut{frag: hit, cached: true}
-						continue
-					}
-				}
-				before := opt.Stats().OptimizeCalls
-				frag, _, err := t.optimalForQueryOn(opt, tq)
-				if err != nil {
-					outs[i] = fragOut{err: err}
-					continue
-				}
-				if cache != nil {
-					cache.store(t.cacheKey(tq), frag, opt.Stats().OptimizeCalls-before, t.Options.CacheOrigin)
-				}
-				outs[i] = fragOut{frag: frag}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, fork := range forks {
-		t.Opt.AddStats(fork.Stats())
-	}
-
-	union := t.Base.Clone()
-	clear(t.demandedBy)
-	for i, tq := range t.Queries {
-		o := outs[i]
-		if o.err != nil {
-			return nil, o.err
-		}
-		if cache != nil && trace.Enabled() {
-			trace.Emit(obs.EvCache, obs.F{"hit": o.cached, "query": tq.Query.ID})
-		}
-		if trace.Enabled() {
-			trace.Emit(obs.EvFragment, obs.F{
-				"query":   tq.Query.ID,
-				"cached":  o.cached,
-				"indexes": o.frag.NumIndexes(),
-				"views":   o.frag.NumViews(),
-			})
-		}
-		for _, v := range o.frag.Views() {
-			union.AddView(v)
-			t.demand("v:"+v.Name, tq.Query.ID)
-		}
-		for _, ix := range o.frag.Indexes() {
-			union.AddIndex(ix)
-			t.demand("i:"+ix.ID(), tq.Query.ID)
-		}
-	}
-	return union, nil
+	return nil
 }

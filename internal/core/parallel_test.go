@@ -2,6 +2,9 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/datagen"
@@ -36,7 +39,8 @@ func requireSameOutcome(t *testing.T, serial, parallel *Result) {
 }
 
 // TestParallelTuneEquivalenceTPCH: a budget-constrained TPC-H session at
-// Parallelism 8 must reproduce the serial recommendation exactly.
+// Parallelism 2 and 8 must reproduce the serial recommendation exactly,
+// at the serial session's optimizer-call economy.
 func TestParallelTuneEquivalenceTPCH(t *testing.T) {
 	probe := tpchTuner(t, Options{NoViews: true})
 	optCfg, err := probe.OptimalConfiguration()
@@ -56,13 +60,36 @@ func TestParallelTuneEquivalenceTPCH(t *testing.T) {
 		return res
 	}
 	serial := run(1)
-	parallel := run(8)
-	requireSameOutcome(t, serial, parallel)
-	if parallel.ParallelWorkers != 8 {
-		t.Errorf("ParallelWorkers = %d, want 8", parallel.ParallelWorkers)
-	}
 	if serial.ParallelWorkers != 1 {
 		t.Errorf("serial ParallelWorkers = %d, want 1", serial.ParallelWorkers)
+	}
+	for _, p := range []int{2, 8} {
+		parallel := run(p)
+		requireSameOutcome(t, serial, parallel)
+		requireSameEconomy(t, serial, parallel)
+		if parallel.ParallelWorkers != p {
+			t.Errorf("ParallelWorkers = %d, want %d", parallel.ParallelWorkers, p)
+		}
+	}
+}
+
+// requireSameEconomy asserts that a parallel session does the serial
+// session's work: the same optimizer calls and requests, the same
+// evaluation-cache traffic, the same plans reused and re-optimized.
+func requireSameEconomy(t *testing.T, serial, parallel *Result) {
+	t.Helper()
+	type economy struct {
+		Calls, IndexRequests, ViewRequests             int64
+		EvalCacheMisses, PlansReused, PlansReoptimized int64
+	}
+	of := func(r *Result) economy {
+		return economy{
+			r.OptimizerCalls, r.IndexRequests, r.ViewRequests,
+			r.Economy.EvalCacheMisses, r.Economy.PlansReused, r.Economy.PlansReoptimized,
+		}
+	}
+	if s, p := of(serial), of(parallel); s != p {
+		t.Errorf("economy diverged at %d workers:\n serial   %+v\n parallel %+v", parallel.ParallelWorkers, s, p)
 	}
 }
 
@@ -241,5 +268,160 @@ func TestOptionsWorkers(t *testing.T) {
 	}
 	if w := (Options{Parallelism: 1}).Workers(); w != 1 {
 		t.Errorf("Parallelism 1 → %d workers", w)
+	}
+}
+
+// goroutineID reads the current goroutine's ID off its stack header
+// ("goroutine 12 [running]:") — test-only, to tell inline execution from
+// a spawned worker.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// TestFanOutVisitsEveryIndexOnce: whatever the worker count, every index
+// is claimed exactly once, results land in the slot of their index, and
+// no more than min(workers, n) workers take part.
+func TestFanOutVisitsEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 64, 1000} {
+		for _, workers := range []int{-1, 0, 1, 2, 3, 8, 2000} {
+			visits := make([]atomic.Int32, n)
+			out := make([]int, n)
+			var maxWorker atomic.Int32
+			err := fanOut(nil, "test", workers, n, func(w, i int) bool {
+				visits[i].Add(1)
+				out[i] = i * i
+				for {
+					m := maxWorker.Load()
+					if int32(w) <= m || maxWorker.CompareAndSwap(m, int32(w)) {
+						return true
+					}
+				}
+			})
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+			}
+			for i := range visits {
+				if v := visits[i].Load(); v != 1 {
+					t.Errorf("n=%d workers=%d: index %d visited %d times", n, workers, i, v)
+				}
+				if out[i] != i*i {
+					t.Errorf("n=%d workers=%d: out[%d] = %d", n, workers, i, out[i])
+				}
+			}
+			if limit := max(min(workers, n), 1); int(maxWorker.Load()) >= limit {
+				t.Errorf("n=%d workers=%d: saw worker %d, want < %d", n, workers, maxWorker.Load(), limit)
+			}
+		}
+	}
+}
+
+// TestFanOutInlineAtOneWorker: with one worker or fewer nothing is
+// spawned — fn runs on the calling goroutine, in index order. The plain
+// int counter would also trip the race detector if that ever changed to
+// several goroutines.
+func TestFanOutInlineAtOneWorker(t *testing.T) {
+	caller := goroutineID()
+	for _, workers := range []int{-3, 0, 1} {
+		calls := 0
+		err := fanOut(nil, "test", workers, 50, func(w, i int) bool {
+			if w != 0 || i != calls {
+				t.Errorf("workers=%d: call %d got worker %d index %d", workers, calls, w, i)
+			}
+			if id := goroutineID(); id != caller {
+				t.Errorf("workers=%d: fn ran on goroutine %s, caller is %s", workers, id, caller)
+			}
+			calls++
+			return true
+		})
+		if err != nil || calls != 50 {
+			t.Errorf("workers=%d: %d calls, err %v", workers, calls, err)
+		}
+	}
+	// Several workers do leave the calling goroutine.
+	var offCaller atomic.Bool
+	if err := fanOut(nil, "test", 4, 50, func(_, _ int) bool {
+		if goroutineID() != caller {
+			offCaller.Store(true)
+		}
+		return true
+	}); err != nil || !offCaller.Load() {
+		t.Errorf("4 workers: ran on the caller only (err %v)", err)
+	}
+}
+
+// TestFanOutEarlyStop: fn returning false stops further claims; calls in
+// flight finish, nothing is visited twice, and no error is reported.
+func TestFanOutEarlyStop(t *testing.T) {
+	calls := 0
+	if err := fanOut(nil, "test", 1, 100, func(_, i int) bool { calls++; return i < 3 }); err != nil || calls != 4 {
+		t.Errorf("inline: %d calls (want 4), err %v", calls, err)
+	}
+	const n = 1 << 20
+	visits := make([]atomic.Int32, n)
+	var total, active atomic.Int64
+	err := fanOut(nil, "test", 4, n, func(_, i int) bool {
+		active.Add(1)
+		defer active.Add(-1)
+		visits[i].Add(1)
+		total.Add(1)
+		return i != 10
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := total.Load(); got >= n {
+		t.Errorf("stop at index 10 still visited all %d indices", got)
+	}
+	if active.Load() != 0 {
+		t.Errorf("%d calls still running after fanOut returned", active.Load())
+	}
+	for i := range visits {
+		if v := visits[i].Load(); v > 1 || (i <= 10 && v != 1) {
+			t.Fatalf("index %d visited %d times", i, v)
+		}
+	}
+}
+
+// TestFanOutPanicBecomesError: a panic in a worker comes back as an
+// error naming the phase and the panic value, the other workers stop
+// claiming and are waited for, and the process survives — inline and
+// spawned alike.
+func TestFanOutPanicBecomesError(t *testing.T) {
+	const n = 1 << 20
+	for _, workers := range []int{1, 4} {
+		var total, active atomic.Int64
+		err := fanOut(nil, "search/penalty", workers, n, func(_, i int) bool {
+			active.Add(1)
+			defer active.Add(-1)
+			total.Add(1)
+			if i == 5 {
+				panic("boom")
+			}
+			return true
+		})
+		if err == nil {
+			t.Fatalf("workers=%d: panic was swallowed", workers)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "boom") || !strings.Contains(msg, "search/penalty") {
+			t.Errorf("workers=%d: error %q does not name the panic value and the phase", workers, msg)
+		}
+		if got := total.Load(); got >= n {
+			t.Errorf("workers=%d: all %d indices visited after the panic", workers, got)
+		}
+		if active.Load() != 0 {
+			t.Errorf("workers=%d: %d calls still running after fanOut returned", workers, active.Load())
+		}
+	}
+}
+
+// TestTuneSurvivesWorkerPanic: a panic inside an evaluation worker ends
+// the session with an error from Tune instead of ending the process.
+func TestTuneSurvivesWorkerPanic(t *testing.T) {
+	tn := tpchTuner(t, Options{NoViews: true, Parallelism: 4})
+	tn.Queries[3].Bound = nil // OptimizeFull dereferences it on a worker goroutine
+	_, err := tn.Tune()
+	if err == nil || !strings.Contains(err.Error(), "panic in evaluate worker") {
+		t.Fatalf("Tune() error = %v, want the captured worker panic", err)
 	}
 }

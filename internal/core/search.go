@@ -133,7 +133,6 @@ func (t *Tuner) Tune() (*Result, error) {
 	stats0 := t.Opt.Stats()
 	reused0, reopt0 := t.statPlansReused.Load(), t.statPlansReopt.Load()
 	evalHits0, evalMisses0, evalEvicted0 := t.statEvalHits, t.statEvalMisses, t.statEvalEvicted
-	specEvals0, specHits0 := t.statSpecEvals, t.statSpecHits
 	var cache0 CacheStats
 	if t.Options.Cache != nil {
 		cache0 = t.Options.Cache.Stats()
@@ -163,8 +162,6 @@ func (t *Tuner) Tune() (*Result, error) {
 	res.Economy.EvalCacheHits = t.statEvalHits - evalHits0
 	res.Economy.EvalCacheMisses = t.statEvalMisses - evalMisses0
 	res.Economy.EvalCacheEvictions = t.statEvalEvicted - evalEvicted0
-	res.Economy.SpeculativeEvals = t.statSpecEvals - specEvals0
-	res.Economy.SpeculativeHits = t.statSpecHits - specHits0
 	if c := t.Options.Cache; c != nil {
 		cs := c.Stats()
 		res.Economy.CacheHits = cs.Hits - cache0.Hits
@@ -182,8 +179,6 @@ func (t *Tuner) Tune() (*Result, error) {
 			"eval_cache_hits":      res.Economy.EvalCacheHits,
 			"eval_cache_misses":    res.Economy.EvalCacheMisses,
 			"eval_cache_evictions": res.Economy.EvalCacheEvictions,
-			"speculative_evals":    res.Economy.SpeculativeEvals,
-			"speculative_hits":     res.Economy.SpeculativeHits,
 		}))
 	}
 	return res, nil
@@ -336,8 +331,12 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 		}
 
 		tRank := time.Now()
-		ranked, skyPruned := t.rankTransformations(node, effBudget, hasUpdates)
+		ranked, skyPruned, err := t.rankTransformations(node, effBudget, hasUpdates)
 		prof.Since("search/rank", tRank)
+		if err != nil {
+			endSearch(obs.F{"error": err.Error()})
+			return nil, err
+		}
 		if trace.Enabled() {
 			trace.Emit(obs.EvCandidates, candidateFields(iter, ranked, skyPruned))
 		}
@@ -415,7 +414,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			cutoff = 0
 		}
 		tEval := time.Now()
-		evalNew, ok, err := t.evaluateStep(node, cfgNew, removedIdx, removedViews, cutoff, ranked, chosen, seen)
+		evalNew, ok, err := t.evaluateIncremental(node.eval, cfgNew, removedIdx, removedViews, cutoff)
 		prof.Since("search/evaluate", tEval)
 		if err != nil {
 			endSearch(obs.F{"error": err.Error()})
@@ -727,10 +726,13 @@ func (t *Tuner) pickNode(pool []*searchNode, last *searchNode, budget int64, has
 
 // rankTransformations returns the node's untried transformations sorted
 // by increasing penalty, plus the candidates the §3.6 skyline filter
-// discarded (for the trace; empty unless the workload has updates).
-func (t *Tuner) rankTransformations(node *searchNode, budget int64, hasUpdates bool) (ranked, skyPruned []candidate) {
+// discarded (for the trace; empty unless the workload has updates). The
+// error is a panic captured in a penalty-estimation worker.
+func (t *Tuner) rankTransformations(node *searchNode, budget int64, hasUpdates bool) (ranked, skyPruned []candidate, _ error) {
 	if w := t.workers(); w > 1 {
-		t.precomputeDeltas(node, w)
+		if err := t.precomputeDeltas(node, w); err != nil {
+			return nil, nil, err
+		}
 	}
 	var cands []candidate
 	spaceOver := node.eval.SizeBytes - budget
@@ -782,7 +784,7 @@ func (t *Tuner) rankTransformations(node *searchNode, budget int64, hasUpdates b
 		cands = append(cands, candidate{tr: tr, delta: d, penalty: pen})
 	}
 	if len(cands) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if hasUpdates && !t.Options.DisableSkyline {
 		tSky := time.Now()
@@ -802,7 +804,7 @@ func (t *Tuner) rankTransformations(node *searchNode, budget int64, hasUpdates b
 		cands = kept
 	}
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].penalty < cands[j].penalty })
-	return cands, skyPruned
+	return cands, skyPruned, nil
 }
 
 // candidate pairs a transformation with its estimated deltas and penalty.

@@ -71,12 +71,14 @@ type Options struct {
 	ShrinkUnused bool
 
 	// Parallelism is the worker count of the parallel evaluation engine:
-	// per-query what-if optimization, §3.3.2 penalty estimation, and
-	// speculative top-k candidate evaluation all fan out across this many
-	// goroutines. 0 (the default) means runtime.GOMAXPROCS(0); 1 runs the
-	// exact serial algorithm. Any setting produces the same recommendation
-	// (same best configuration, cost, and iteration count) — only wall
-	// time and the optimizer-call economy differ.
+	// the §2 per-query derivation, per-query what-if optimization and
+	// §3.3.2 penalty estimation fan out across this many goroutines.
+	// 0 (the default) means runtime.GOMAXPROCS(0); 1 runs the exact serial
+	// algorithm. Any setting produces the same recommendation (same best
+	// configuration, cost, and iteration count) and makes the same
+	// optimizer calls, except that a §3.5 cooperative abort may stop a few
+	// queries earlier or later than the serial prefix abort — only wall
+	// time differs otherwise.
 	Parallelism int
 	// EvalCacheCap bounds the per-session evaluation cache (configuration
 	// fingerprint → evaluation) with LRU eviction. 0 means the default
@@ -159,11 +161,6 @@ type Tuner struct {
 	// eviction order) is identical at every Parallelism setting.
 	evalCache map[string]*list.Element
 	evalLRU   *list.List
-	// specCache holds speculative top-k evaluations keyed by
-	// (parent fingerprint, transformation ID, child fingerprint). Results
-	// are promoted into evalCache only when the search actually selects
-	// the speculated step, so speculation never alters the search path.
-	specCache map[string]*EvaluatedConfig
 	// demandedBy maps each optimal-fragment structure ("i:"+index ID or
 	// "v:"+view name) to the workload statements whose §2 instrumented
 	// optimization requested it — the provenance half of the explain
@@ -177,13 +174,11 @@ type Tuner struct {
 	// them concurrently.
 	statPlansReused atomic.Int64
 	statPlansReopt  atomic.Int64
-	// Eviction/hit accounting of the bounded evalCache plus speculation
-	// accounting; main-line only, guarded by mu.
+	// Eviction/hit accounting of the bounded evalCache; main-line only,
+	// guarded by mu.
 	statEvalHits    int64
 	statEvalMisses  int64
 	statEvalEvicted int64
-	statSpecEvals   int64
-	statSpecHits    int64
 }
 
 // cbvEntry singleflights one view's CBV computation.
@@ -203,11 +198,6 @@ type evalCacheEntry struct {
 // EvalCacheCap at zero.
 const defaultEvalCacheCap = 4096
 
-// specCacheCap bounds the speculative-evaluation side cache; losers that
-// are never consumed age out only at session end, so the cap keeps a
-// pathological search from hoarding evaluations.
-const specCacheCap = 512
-
 // NewTuner binds the workload against db and prepares a session. The base
 // configuration (required primary-key indexes) is derived from the
 // catalog.
@@ -221,7 +211,6 @@ func NewTuner(db *catalog.Database, w *workloads.Workload, opts Options) (*Tuner
 		cbvCache:   map[string]*cbvEntry{},
 		evalCache:  map[string]*list.Element{},
 		evalLRU:    list.New(),
-		specCache:  map[string]*EvaluatedConfig{},
 		demandedBy: map[string][]string{},
 	}
 	for _, q := range w.Queries {

@@ -48,12 +48,6 @@ type WhatIfEconomy struct {
 	EvalCacheHits      int64 `json:"eval_cache_hits,omitempty"`
 	EvalCacheMisses    int64 `json:"eval_cache_misses,omitempty"`
 	EvalCacheEvictions int64 `json:"eval_cache_evictions,omitempty"`
-	// Speculative top-k accounting (parallel sessions only):
-	// SpeculativeEvals counts runner-up candidate configurations
-	// evaluated ahead of need; SpeculativeHits counts the ones a later
-	// iteration actually consumed.
-	SpeculativeEvals int64 `json:"speculative_evals,omitempty"`
-	SpeculativeHits  int64 `json:"speculative_hits,omitempty"`
 }
 
 // ReuseRatio is the fraction of per-query evaluations that reused the

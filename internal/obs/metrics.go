@@ -43,10 +43,6 @@ type TunerMetrics struct {
 	EvalCacheHits      *Counter
 	EvalCacheMisses    *Counter
 	EvalCacheEvictions *Counter
-	// Speculative top-k economy (parallel sessions): evaluations made
-	// ahead of need and the ones later iterations consumed.
-	SpeculativeEvals *Counter
-	SpeculativeHits  *Counter
 
 	// Flight-recorder live series, fed from evaluation events:
 	// FrontierSpace is the size of the configuration the search last
@@ -158,10 +154,6 @@ func NewTunerMetricsWith(reg *Registry, buckets TunerMetricsBuckets) *TunerMetri
 			"Configuration evaluations not present in the evaluation cache."),
 		EvalCacheEvictions: reg.NewCounter("tuner_eval_cache_evictions_total",
 			"Evaluation-cache entries evicted by the LRU cap."),
-		SpeculativeEvals: reg.NewCounter("tuner_speculative_evals_total",
-			"Runner-up candidate configurations evaluated speculatively."),
-		SpeculativeHits: reg.NewCounter("tuner_speculative_hits_total",
-			"Speculative evaluations consumed by a later search iteration."),
 		FrontierSpace: reg.NewGauge("tuner_frontier_space_bytes",
 			"Size of the configuration the relaxation search last visited."),
 		BudgetGap: reg.NewGauge("tuner_budget_gap_bytes",
@@ -245,14 +237,12 @@ func (s *metricsSink) Emit(e Event) {
 				m.PhaseOptimizerCalls.Add(e.Phase, calls)
 			}
 		}
-		// The session-level cache/speculation economy rides on the "tune"
+		// The session-level evaluation-cache economy rides on the "tune"
 		// span's closing fields.
 		if e.Phase == "tune" {
 			m.EvalCacheHits.Add(fieldFloat(e.Fields, "eval_cache_hits"))
 			m.EvalCacheMisses.Add(fieldFloat(e.Fields, "eval_cache_misses"))
 			m.EvalCacheEvictions.Add(fieldFloat(e.Fields, "eval_cache_evictions"))
-			m.SpeculativeEvals.Add(fieldFloat(e.Fields, "speculative_evals"))
-			m.SpeculativeHits.Add(fieldFloat(e.Fields, "speculative_hits"))
 		}
 	}
 }

@@ -92,14 +92,17 @@ func NewTracer(sink Sink) *Tracer {
 // to skip field-map construction entirely.
 func (t *Tracer) Enabled() bool { return t != nil && t.sink != nil }
 
-// SetSession stamps subsequent events with the given session ID. Safe
-// on a nil tracer.
+// SetSession stamps subsequent events with the given session ID and
+// drops any span still open: a session that ended in a panic never
+// closed its spans, and the next one must not inherit their phases.
+// Safe on a nil tracer.
 func (t *Tracer) SetSession(id string) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	t.session = id
+	t.phases = t.phases[:0]
 	t.mu.Unlock()
 }
 

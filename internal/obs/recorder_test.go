@@ -151,6 +151,41 @@ func TestRecorderSkipsCorruptLines(t *testing.T) {
 	}
 }
 
+// TestRecorderLoadsOldHistory: a -history file written by an older
+// build must survive an upgrade that removes fields. The fixture is a
+// session recorded by the daemon at -parallel 4 before the what-if
+// economy lost two counters, with those counters added where a record
+// could have carried them; unknown fields are ignored, known ones keep
+// their values.
+func TestRecorderLoadsOldHistory(t *testing.T) {
+	line, err := os.ReadFile("testdata/history_pre_v8.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sessions.jsonl")
+	if err := os.WriteFile(path, line, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRecorder(path, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	got := r.Get("s-000001")
+	if got == nil {
+		t.Fatalf("old session did not reload (len=%d)", r.Len())
+	}
+	if got.ParallelWorkers != 4 || got.OptimizerCalls != 12 || len(got.Structures) != 1 || len(got.Frontier) != 1 {
+		t.Errorf("reloaded session lost fields: %+v", got)
+	}
+	if got.Calibration == nil || got.Calibration.Samples != 3 || got.Calibration.BoundViolations != 1 {
+		t.Errorf("reloaded calibration = %+v", got.Calibration)
+	}
+	if id := r.NewSessionID(); id != "s-000002" {
+		t.Errorf("next session ID = %q, want s-000002", id)
+	}
+}
+
 // TestRecorderRetentionAndCompaction records far past the limit and
 // checks both the in-memory tail and the on-disk file stay bounded.
 func TestRecorderRetentionAndCompaction(t *testing.T) {

@@ -12,7 +12,6 @@ package regress
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/catalog"
@@ -26,25 +25,9 @@ import (
 )
 
 // SchemaVersion identifies the BENCH_tuner.json layout. Bump it when a
-// field changes meaning; the gate refuses to compare across versions.
-// v2 added the flight-recorder counters (frontier_points,
-// recorded_sessions); v3 added the fleet-throughput scenario
-// (fleet_tenants, shared_cache_hits); v4 added the execution-grounded
-// replay of batch-tpch (measured_speedup, replay row counts); v5 added
-// the workload-introspection counters of online-drift
-// (workload_signatures, topk_weight_share); v6 changed parallel_workers
-// to record the EFFECTIVE worker count — min(resolved workers,
-// GOMAXPROCS, NumCPU) — instead of the raw Parallelism knob, so the
-// parallel_wall_ratio gate no longer fires on runners without the
-// cores to honor the requested parallelism, and was regenerated after
-// the what-if hot path's allocation-discipline pass (alloc_bytes
-// dropped ~25× and is now gated at 1.10×); v7 added the
-// self-monitoring counters of online-drift (history_series,
-// alerts_fired, alert_transitions): the scenario now runs the metrics-
-// history sampler and the SLO alert engine over the drift stream, so a
-// silently broken sampler or an engine that stops firing is a gated
-// regression.
-const SchemaVersion = 7
+// field is added, removed or changes meaning; the gate refuses to
+// compare across versions.
+const SchemaVersion = 8
 
 // Bench is the schema-versioned payload written to BENCH_tuner.json.
 type Bench struct {
@@ -58,8 +41,9 @@ type Bench struct {
 
 // ScenarioResult is one scenario's benchmark record. Optimizer calls,
 // iterations, improvement, and quality gap are deterministic for a
-// fixed seed and code version; wall time and allocations are
-// hardware-dependent and gated with looser factors.
+// fixed seed and code version; allocations are deterministic up to GC
+// timing and gated with a looser factor; wall time is recorded as
+// information only (bench/ is where time is measured).
 type ScenarioResult struct {
 	Name           string  `json:"name"`
 	WallSeconds    float64 `json:"wall_seconds"`
@@ -92,15 +76,6 @@ type ScenarioResult struct {
 	// must record two sessions).
 	FrontierPoints   int `json:"frontier_points,omitempty"`
 	RecordedSessions int `json:"recorded_sessions,omitempty"`
-	// ParallelWorkers records the EFFECTIVE worker count of the
-	// scenario's parallel leg (parallel-speedup only): the resolved
-	// worker count clamped to min(GOMAXPROCS, NumCPU), so it is 1 on
-	// single-core runners where the speedup assertion is vacuous even
-	// if more workers were requested. ParallelWallRatio is the parallel
-	// leg's wall time over the serial leg's: below 1 means speedup. The
-	// gate bounds the ratio only when effective workers > 1.
-	ParallelWorkers   int     `json:"parallel_workers,omitempty"`
-	ParallelWallRatio float64 `json:"parallel_wall_ratio,omitempty"`
 	// MeasuredSpeedup is the execution-grounded quality metric from the
 	// batch-tpch replay: baseline wall time over recommended wall time,
 	// measured by actually running the workload in the storage engine at
@@ -157,11 +132,6 @@ type Config struct {
 	Seed int64
 	// MaxIterations bounds each tuning session.
 	MaxIterations int
-	// Parallelism is the worker count of the parallel-speedup scenario's
-	// parallel leg (0 = all cores). The three baseline scenarios always
-	// pin Parallelism to 1 so their counters stay deterministic across
-	// runner core counts.
-	Parallelism int
 	// Logf, when set, receives per-scenario progress lines.
 	Logf func(format string, args ...any)
 }
@@ -205,11 +175,6 @@ func Scenarios() []Scenario {
 			Run:  runOnlineDrift,
 		},
 		{
-			Name: "parallel-speedup",
-			Desc: "TPC-H batch serial vs parallel evaluation engine (equivalence + wall ratio)",
-			Run:  runParallelSpeedup,
-		},
-		{
 			Name: "fleet-throughput",
 			Desc: "3-tenant fleet with overlapping shapes (shared-cache reuse + single-tenant parity)",
 			Run:  runFleetThroughput,
@@ -242,7 +207,7 @@ func runBatchTPCH(cfg Config) (ScenarioResult, error) {
 	// Index-only: with views enabled the 40-iteration smoke cap exhausts
 	// before the search shrinks under the budget, yielding a degenerate
 	// (improvement 0) record with no regression signal.
-	sr, res, err := runBatchFull("batch-tpch", db, w, core.Options{NoViews: true, MaxIterations: cfg.MaxIterations, Parallelism: 1})
+	sr, res, err := runBatch("batch-tpch", db, w, core.Options{NoViews: true, MaxIterations: cfg.MaxIterations, Parallelism: 1})
 	if err != nil {
 		return sr, err
 	}
@@ -279,20 +244,15 @@ func runBatchUpdates(cfg Config) (ScenarioResult, error) {
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-	return runBatch("batch-updates", db, w, core.Options{NoViews: true, MaxIterations: cfg.MaxIterations, Parallelism: 1})
+	sr, _, err := runBatch("batch-updates", db, w, core.Options{NoViews: true, MaxIterations: cfg.MaxIterations, Parallelism: 1})
+	return sr, err
 }
 
 // runBatch probes the unconstrained optimal configuration to derive a
 // budget that forces real relaxation work (optimal/3), then tunes with
-// the profiler attached and distills the scenario record.
-func runBatch(name string, db *catalog.Database, w *workloads.Workload, opts core.Options) (ScenarioResult, error) {
-	sr, _, err := runBatchFull(name, db, w, opts)
-	return sr, err
-}
-
-// runBatchFull is runBatch exposing the raw tuning result, so scenarios
-// comparing two runs (serial vs parallel) can assert equivalence.
-func runBatchFull(name string, db *catalog.Database, w *workloads.Workload, opts core.Options) (ScenarioResult, *core.Result, error) {
+// the profiler attached and distills the scenario record. The raw
+// tuning result comes back too: batch-tpch replays it against real data.
+func runBatch(name string, db *catalog.Database, w *workloads.Workload, opts core.Options) (ScenarioResult, *core.Result, error) {
 	probe, err := core.NewTuner(db, w, opts)
 	if err != nil {
 		return ScenarioResult{}, nil, err
@@ -330,70 +290,6 @@ func runBatchFull(name string, db *catalog.Database, w *workloads.Workload, opts
 	}
 	fillCalibration(&sr, res.Explain)
 	return sr, res, nil
-}
-
-// runParallelSpeedup tunes the TPC-H batch twice — Parallelism 1, then
-// cfg.Parallelism (0 = all cores) — asserts the two runs agree on the
-// recommendation (fingerprint, cost, iterations, calibration samples),
-// and records the parallel/serial wall ratio. The deterministic counters
-// come from the serial leg, so the record is stable across runner core
-// counts; on a single-core runner the parallel leg degenerates to
-// workers=1 and the ratio carries no signal (the gate skips it).
-func runParallelSpeedup(cfg Config) (ScenarioResult, error) {
-	db := datagen.TPCH(cfg.SF)
-	w, err := workloads.TPCH22()
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	opts := core.Options{NoViews: true, MaxIterations: cfg.MaxIterations, Parallelism: 1}
-	sr, serial, err := runBatchFull("parallel-speedup", db, w, opts)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	opts.Parallelism = cfg.Parallelism
-	parSr, parallel, err := runBatchFull("parallel-speedup", db, w, opts)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	if pfp, sfp := parallel.Best.Config.Fingerprint(), serial.Best.Config.Fingerprint(); pfp != sfp {
-		return ScenarioResult{}, fmt.Errorf("parallel run recommended %s, serial %s", pfp, sfp)
-	}
-	if parallel.Best.Cost != serial.Best.Cost {
-		return ScenarioResult{}, fmt.Errorf("parallel best cost %v differs from serial %v", parallel.Best.Cost, serial.Best.Cost)
-	}
-	if parallel.Iterations != serial.Iterations {
-		return ScenarioResult{}, fmt.Errorf("parallel run took %d iterations, serial %d", parallel.Iterations, serial.Iterations)
-	}
-	if len(parallel.CalibSamples) != len(serial.CalibSamples) {
-		return ScenarioResult{}, fmt.Errorf("parallel run recorded %d calibration samples, serial %d",
-			len(parallel.CalibSamples), len(serial.CalibSamples))
-	}
-	sr.ParallelWorkers = effectiveWorkers(parallel.ParallelWorkers)
-	if sr.WallSeconds > 0 {
-		sr.ParallelWallRatio = parSr.WallSeconds / sr.WallSeconds
-	}
-	return sr, nil
-}
-
-// effectiveWorkers clamps a resolved worker count to the parallelism
-// the runner can actually deliver. Options.Workers takes a positive
-// Parallelism knob literally, so a run requesting 8 workers on a
-// 2-core runner still records 8 — and the baseline then carries a
-// wall-ratio expectation no amount of scheduling can meet. Recording
-// min(resolved, GOMAXPROCS, NumCPU) instead makes the gate's
-// "workers > 1" guard reflect real concurrency.
-func effectiveWorkers(resolved int) int {
-	eff := resolved
-	if g := runtime.GOMAXPROCS(0); g < eff {
-		eff = g
-	}
-	if n := runtime.NumCPU(); n < eff {
-		eff = n
-	}
-	if eff < 1 {
-		eff = 1
-	}
-	return eff
 }
 
 // runOnlineDrift replays a two-phase workload through the service: a

@@ -488,6 +488,22 @@ func (s *Service) RetuneSession(trigger string, budget int64, overrideBudget boo
 	return s.retune(trigger, budget, overrideBudget)
 }
 
+// tuneRecovered runs the session and turns a panic on its main line —
+// the optimizer, the search, a sink of the event stream — into an
+// error, so one tenant's bad statement fails one retune instead of
+// ending the process for every tenant. (Panics on the session's worker
+// goroutines never get here: core's fan-out already returns them as
+// errors.) The tuner's own lock is released by Tune's deferred unlock
+// as the panic unwinds; the tuner is discarded either way.
+func tuneRecovered(t *core.Tuner) (res *core.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("panic in tuning session: %v", r)
+		}
+	}()
+	return t.Tune()
+}
+
 func (s *Service) retune(trigger string, budget int64, overrideBudget bool) (*Recommendation, error) {
 	s.tuneMu.Lock()
 	defer s.tuneMu.Unlock()
@@ -521,7 +537,7 @@ func (s *Service) retune(trigger string, budget int64, overrideBudget bool) (*Re
 	if err != nil {
 		return nil, fmt.Errorf("service: retune: %w", err)
 	}
-	res, err := t.Tune()
+	res, err := tuneRecovered(t)
 	if err != nil {
 		return nil, fmt.Errorf("service: retune: %w", err)
 	}

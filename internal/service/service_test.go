@@ -2,11 +2,14 @@ package service
 
 import (
 	"math"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/obs"
 	"repro/internal/workloads"
 )
 
@@ -235,5 +238,51 @@ func TestRetuneEmptyWindow(t *testing.T) {
 	s := newTestService(t, Options{})
 	if _, err := s.Retune(); err != ErrEmptyWindow {
 		t.Fatalf("got %v, want ErrEmptyWindow", err)
+	}
+}
+
+// panicSink panics on the first relaxation-step event it sees while
+// armed — a bug in a sink of the event stream, raised on the main line
+// of core.Tuner.Tune in the middle of a session.
+type panicSink struct{ armed atomic.Bool }
+
+func (p *panicSink) Emit(e obs.Event) {
+	if p.armed.Load() && e.Type == obs.EvIteration {
+		panic("sink exploded")
+	}
+}
+
+func (p *panicSink) Close() error { return nil }
+
+// TestRetunePanicBecomesError: a panic under Tune fails that retune with
+// an error and leaves the service serving — the next retune succeeds,
+// ingest still works, and no session was recorded for the failed one.
+func TestRetunePanicBecomesError(t *testing.T) {
+	sink := &panicSink{}
+	s := newTestService(t, Options{TraceSink: sink})
+	s.Ingest(repeat(phase1, 3))
+
+	sink.armed.Store(true)
+	rec, err := s.Retune()
+	if err == nil {
+		t.Fatalf("Retune() = %+v, want the panic reported as an error", rec)
+	}
+	if msg := err.Error(); !strings.HasPrefix(msg, "service: retune: ") || !strings.Contains(msg, "sink exploded") {
+		t.Errorf("error %q does not carry the retune prefix and the panic value", msg)
+	}
+	if s.Recommendation() != nil || len(s.Sessions()) != 0 {
+		t.Error("the failed retune installed a recommendation or recorded a session")
+	}
+
+	sink.armed.Store(false)
+	rec, err = s.Retune()
+	if err != nil {
+		t.Fatalf("retune after the recovered panic: %v", err)
+	}
+	if rec.WarmStart || len(rec.Indexes) == 0 {
+		t.Errorf("second retune should be a cold, non-empty recommendation: %+v", rec)
+	}
+	if res := s.Ingest(phase2); res.Accepted != len(phase2) {
+		t.Errorf("ingest after the recovered panic accepted %d of %d", res.Accepted, len(phase2))
 	}
 }
