@@ -115,13 +115,36 @@ func (t *Tuner) boundDelta(ec *EvaluatedConfig, tr *physical.Transformation) (De
 				d.DT += w * inc
 			}
 		}
-		// Update-shell deltas are exact and optimizer-free.
-		if tq.Bound.IsUpdate() {
+		// Update-shell deltas are exact and optimizer-free. A statement
+		// whose table tr cannot reach is skipped: its shell under cfgAfter
+		// sums the terms of res.UpdateCost in the same order, so the
+		// difference is exactly 0 and adding w·0 leaves ΔT's bits alone.
+		if tq.Bound.IsUpdate() && reachesTable(ec.Config, tr, tq.Bound.UpdateTable) {
 			newShell := t.Opt.UpdateShellCost(tq.Bound, cfgAfter, res.AffectedRows)
 			d.DT += w * (newShell - res.UpdateCost)
 		}
 	}
 	return d, nil
+}
+
+// reachesTable reports whether tr can change the update-shell cost of
+// statements modifying table: the shell reads the indexes on the table and
+// on every view referencing it, so tr reaches the table when the indexes it
+// adds and removes sit on it or on such a view (cfg resolves the view), or
+// when a view it removes or creates references it.
+func reachesTable(cfg *physical.Configuration, tr *physical.Transformation, table string) bool {
+	if tr.I1 != nil {
+		if v := cfg.View(tr.I1.Table); v != nil {
+			return containsFold(v.Tables, table)
+		}
+		return strings.EqualFold(tr.I1.Table, table)
+	}
+	for _, v := range [...]*physical.View{tr.V1, tr.V2, tr.VM} {
+		if v != nil && containsFold(v.Tables, table) {
+			return true
+		}
+	}
+	return false
 }
 
 // usageBound bounds the cost increase of one index usage when its index

@@ -179,3 +179,40 @@ func TestCostFromBaseCached(t *testing.T) {
 		t.Error("second CBV should hit the cache")
 	}
 }
+
+// TestBoundDeltaRemoveIndexAllocations pins the penalty path's allocation
+// discipline where it is simplest to read: bounding the removal of one
+// index on a select-only node builds the relaxed configuration (its
+// header, its relation list, the one rewritten index list) and nothing
+// per index or per statement. Measured 3 on every candidate; the ceiling
+// leaves one spare.
+func TestBoundDeltaRemoveIndexAllocations(t *testing.T) {
+	tn := tpchTuner(t, Options{NoViews: true, Parallelism: 1})
+	optCfg, err := tn.OptimalConfiguration()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ec, err := tn.Evaluate(optCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 4
+	checked := 0
+	for _, tr := range tn.newSearchNode(ec, nil, 0).trans {
+		if tr.Kind != physical.TransRemoveIndex {
+			continue
+		}
+		checked++
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := tn.boundDelta(ec, tr); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > ceiling {
+			t.Errorf("boundDelta(%s) allocates %.0f objects, ceiling %d", tr.ID(), allocs, ceiling)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no remove-index candidate on the optimal configuration")
+	}
+}

@@ -179,9 +179,10 @@ func (t *Tuner) evalQueriesParallel(parent *EvaluatedConfig, cfg *physical.Confi
 }
 
 // precomputeDeltas bounds every untried candidate of node that does not
-// yet carry a (ΔT, ΔS) estimate, spread across workers. Candidates
-// whose bound fails are marked tried, exactly as the serial loop does.
-func (t *Tuner) precomputeDeltas(node *searchNode, workers int) error {
+// yet carry a (ΔT, ΔS) estimate, spread across workers, and returns how
+// many it bounded. Candidates whose bound fails are marked tried, exactly
+// as the serial loop does.
+func (t *Tuner) precomputeDeltas(node *searchNode, workers int) (int, error) {
 	var missing []*physical.Transformation
 	for _, tr := range node.trans {
 		if node.tried[tr.ID()] {
@@ -193,7 +194,7 @@ func (t *Tuner) precomputeDeltas(node *searchNode, workers int) error {
 		missing = append(missing, tr)
 	}
 	if len(missing) < 2 {
-		return nil
+		return 0, nil
 	}
 	deltas := make([]Delta, len(missing))
 	errs := make([]error, len(missing))
@@ -202,14 +203,14 @@ func (t *Tuner) precomputeDeltas(node *searchNode, workers int) error {
 		return true
 	})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	for i, tr := range missing {
 		if errs[i] != nil {
-			node.tried[tr.ID()] = true
+			node.markTried(tr.ID())
 			continue
 		}
 		node.deltas[tr.ID()] = deltas[i]
 	}
-	return nil
+	return len(missing), nil
 }

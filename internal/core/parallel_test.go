@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/obs"
 	"repro/internal/physical"
 	"repro/internal/workloads"
 )
@@ -38,57 +39,69 @@ func requireSameOutcome(t *testing.T, serial, parallel *Result) {
 	}
 }
 
-// TestParallelTuneEquivalenceTPCH: a budget-constrained TPC-H session at
-// Parallelism 2 and 8 must reproduce the serial recommendation exactly,
-// at the serial session's optimizer-call economy.
+// TestParallelTuneEquivalenceTPCH: the budget-constrained TPC-H session
+// and the update+view bench session at Parallelism 2 and 8 must reproduce
+// the serial recommendation exactly, at the serial session's economy —
+// optimizer calls and §3.3.2 bounds alike.
 func TestParallelTuneEquivalenceTPCH(t *testing.T) {
-	probe := tpchTuner(t, Options{NoViews: true})
-	optCfg, err := probe.OptimalConfiguration()
-	if err != nil {
-		t.Fatal(err)
+	spineBudget := runSpineSession(t, 1).budget
+	sessions := map[string]func(Options) *Tuner{
+		"tpch": func(o Options) *Tuner {
+			o.NoViews, o.SpaceBudget, o.MaxIterations = true, spineBudget, 40
+			return tpchTuner(t, o)
+		},
+		"update+view": func(o Options) *Tuner {
+			o.MaxIterations = 60
+			return benchTuner(t, updViewSeed, 0.35, o)
+		},
 	}
-	budget := probe.Opt.Sizer().ConfigBytes(optCfg) / 3
-
-	run := func(parallelism int) *Result {
-		tn := tpchTuner(t, Options{
-			NoViews: true, SpaceBudget: budget, MaxIterations: 40, Parallelism: parallelism,
-		})
-		res, err := tn.Tune()
-		if err != nil {
-			t.Fatal(err)
+	for name, session := range sessions {
+		run := func(parallelism int) (*Result, *obs.Profiler) {
+			prof := obs.NewProfiler()
+			res, err := session(Options{Parallelism: parallelism, Profile: prof}).Tune()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return res, prof
 		}
-		return res
-	}
-	serial := run(1)
-	if serial.ParallelWorkers != 1 {
-		t.Errorf("serial ParallelWorkers = %d, want 1", serial.ParallelWorkers)
-	}
-	for _, p := range []int{2, 8} {
-		parallel := run(p)
-		requireSameOutcome(t, serial, parallel)
-		requireSameEconomy(t, serial, parallel)
-		if parallel.ParallelWorkers != p {
-			t.Errorf("ParallelWorkers = %d, want %d", parallel.ParallelWorkers, p)
+		serial, serialProf := run(1)
+		if serial.ParallelWorkers != 1 {
+			t.Errorf("%s: serial ParallelWorkers = %d, want 1", name, serial.ParallelWorkers)
+		}
+		if _, inherited := boundCounts(serialProf); inherited == 0 {
+			t.Errorf("%s: no bound inherited", name)
+		}
+		for _, p := range []int{2, 8} {
+			parallel, parallelProf := run(p)
+			requireSameOutcome(t, serial, parallel)
+			requireSameEconomy(t, serial, parallel, serialProf, parallelProf)
+			if parallel.ParallelWorkers != p {
+				t.Errorf("%s: ParallelWorkers = %d, want %d", name, parallel.ParallelWorkers, p)
+			}
 		}
 	}
 }
 
 // requireSameEconomy asserts that a parallel session does the serial
 // session's work: the same optimizer calls and requests, the same
-// evaluation-cache traffic, the same plans reused and re-optimized.
-func requireSameEconomy(t *testing.T, serial, parallel *Result) {
+// evaluation-cache traffic, the same plans reused and re-optimized, the
+// same bounds computed and inherited.
+func requireSameEconomy(t *testing.T, serial, parallel *Result, serialProf, parallelProf *obs.Profiler) {
 	t.Helper()
 	type economy struct {
 		Calls, IndexRequests, ViewRequests             int64
 		EvalCacheMisses, PlansReused, PlansReoptimized int64
+		BoundsComputed, BoundsInherited                int64
 	}
-	of := func(r *Result) economy {
+	of := func(r *Result, prof *obs.Profiler) economy {
+		computed, inherited := boundCounts(prof)
 		return economy{
 			r.OptimizerCalls, r.IndexRequests, r.ViewRequests,
 			r.Economy.EvalCacheMisses, r.Economy.PlansReused, r.Economy.PlansReoptimized,
+			computed, inherited,
 		}
 	}
-	if s, p := of(serial), of(parallel); s != p {
+	if s, p := of(serial, serialProf), of(parallel, parallelProf); s != p {
 		t.Errorf("economy diverged at %d workers:\n serial   %+v\n parallel %+v", parallel.ParallelWorkers, s, p)
 	}
 }

@@ -173,22 +173,15 @@ func goldenFields(t *testing.T, f obs.F) map[string]any {
 // (new fields are allowed), and the Prometheus exposition fed from the
 // stream must not move.
 func TestSpineMatchesParentGoldens(t *testing.T) {
-	readLines := func(name string) [][]byte {
-		raw, err := os.ReadFile("testdata/" + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
-	}
 	var wantProgress []obs.ProgressEvent
-	for _, line := range readLines("spine_progress.golden.jsonl") {
+	for _, line := range goldenLines(t, "spine_progress.golden.jsonl") {
 		var ev obs.ProgressEvent
 		if err := json.Unmarshal(line, &ev); err != nil {
 			t.Fatal(err)
 		}
 		wantProgress = append(wantProgress, ev)
 	}
-	wantTrace := readLines("spine_trace.golden.jsonl")
+	wantTrace := goldenLines(t, "spine_trace.golden.jsonl")
 
 	for _, parallelism := range []int{1, 8} {
 		s := runSpineSession(t, parallelism)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/physical"
+	"repro/internal/plan"
 )
 
 // FrontierPoint is one (space, cost) observation made during the search;
@@ -104,8 +106,14 @@ type searchNode struct {
 	realizedPenalty float64
 	trans           []*physical.Transformation
 	deltas          map[string]Delta
-	penalties       map[string]float64
 	tried           map[string]bool
+	// untried counts the transformations not yet in tried (Enumerate never
+	// repeats an ID); markTried is the only writer of both. The census of
+	// Figure 6 and node selection read it every iteration.
+	untried int
+	// ranked is set by the node's first ranking, which is when it takes
+	// over the deltas its parent can hand down (inheritDeltas).
+	ranked bool
 	// iteration and applied record the node's provenance (the
 	// transformations that produced it from its parent, and when) so
 	// the winning lineage can be replayed and explained.
@@ -113,14 +121,11 @@ type searchNode struct {
 	applied   []*physical.Transformation
 }
 
-func (n *searchNode) untried() int {
-	c := 0
-	for _, tr := range n.trans {
-		if !n.tried[tr.ID()] {
-			c++
-		}
+func (n *searchNode) markTried(id string) {
+	if !n.tried[id] {
+		n.tried[id] = true
+		n.untried--
 	}
-	return c
 }
 
 // Tune runs the full relaxation-based algorithm (Figure 5 instantiated
@@ -326,7 +331,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 				"node_cost":   node.eval.Cost,
 				"node_size":   node.eval.SizeBytes,
 				"pool":        len(pool),
-				"untried":     node.untried(),
+				"untried":     node.untried,
 			})
 		}
 
@@ -373,7 +378,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 		var removedIdx, removedViews []string
 		estDT, estDS := 0.0, int64(0)
 		for _, tf := range chosen {
-			node.tried[tf.ID()] = true
+			node.markTried(tf.ID())
 			cfgNew = tf.Apply(cfgNew)
 			removedIdx = append(removedIdx, tf.RemovedIndexIDs()...)
 			removedViews = append(removedViews, tf.RemovedViewNames()...)
@@ -643,14 +648,14 @@ func realizedPenalty(parent, child *EvaluatedConfig) float64 {
 // every transformation, without discarding entries already present.
 func markAllTried(n *searchNode) {
 	for _, tr := range n.trans {
-		n.tried[tr.ID()] = true
+		n.markTried(tr.ID())
 	}
 }
 
 func poolCensus(pool []*searchNode) int {
 	total := 0
 	for _, n := range pool {
-		total += n.untried()
+		total += n.untried
 	}
 	return total
 }
@@ -675,8 +680,8 @@ func (t *Tuner) newSearchNode(ec *EvaluatedConfig, parent *searchNode, realized 
 		realizedPenalty: realized,
 		trans:           trans,
 		deltas:          map[string]Delta{},
-		penalties:       map[string]float64{},
 		tried:           map[string]bool{},
+		untried:         len(trans),
 	}
 }
 
@@ -691,7 +696,7 @@ func (t *Tuner) newSearchNode(ec *EvaluatedConfig, parent *searchNode, realized 
 // The returned reason string labels which heuristic selected the node
 // (for the trace): "relax-last", "chain-correction", or "cheapest".
 func (t *Tuner) pickNode(pool []*searchNode, last *searchNode, budget int64, hasUpdates bool) (*searchNode, string) {
-	if last != nil && last.untried() > 0 {
+	if last != nil && last.untried > 0 {
 		over := last.eval.SizeBytes > budget
 		improved := hasUpdates && last.parent != nil && last.eval.Cost < last.parent.eval.Cost
 		if over || improved {
@@ -701,7 +706,7 @@ func (t *Tuner) pickNode(pool []*searchNode, last *searchNode, budget int64, has
 	if !t.Options.DisableChainCorrection && last != nil {
 		var best *searchNode
 		for n := last; n != nil; n = n.parent {
-			if n.untried() == 0 {
+			if n.untried == 0 {
 				continue
 			}
 			if best == nil || n.realizedPenalty > best.realizedPenalty {
@@ -714,7 +719,7 @@ func (t *Tuner) pickNode(pool []*searchNode, last *searchNode, budget int64, has
 	}
 	var best *searchNode
 	for _, n := range pool {
-		if n.untried() == 0 {
+		if n.untried == 0 {
 			continue
 		}
 		if best == nil || n.eval.Cost < best.eval.Cost {
@@ -726,11 +731,21 @@ func (t *Tuner) pickNode(pool []*searchNode, last *searchNode, budget int64, has
 
 // rankTransformations returns the node's untried transformations sorted
 // by increasing penalty, plus the candidates the §3.6 skyline filter
-// discarded (for the trace; empty unless the workload has updates). The
+// discarded (for the trace; empty unless the workload has updates). A
+// node's first ranking inherits what its parent can hand down; this and
+// every later one compute exactly the deltas the node still lacks. The
 // error is a panic captured in a penalty-estimation worker.
 func (t *Tuner) rankTransformations(node *searchNode, budget int64, hasUpdates bool) (ranked, skyPruned []candidate, _ error) {
+	var computed, inherited int
+	var err error
+	if !node.ranked {
+		node.ranked = true
+		if inherited, err = t.inheritDeltas(node); err != nil {
+			return nil, nil, err
+		}
+	}
 	if w := t.workers(); w > 1 {
-		if err := t.precomputeDeltas(node, w); err != nil {
+		if computed, err = t.precomputeDeltas(node, w); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -745,10 +760,10 @@ func (t *Tuner) rankTransformations(node *searchNode, budget int64, hasUpdates b
 		}
 		d, ok := node.deltas[id]
 		if !ok {
-			var err error
 			d, err = t.boundDelta(node.eval, tr)
+			computed++
 			if err != nil {
-				node.tried[id] = true
+				node.markTried(id)
 				continue
 			}
 			node.deltas[id] = d
@@ -783,6 +798,10 @@ func (t *Tuner) rankTransformations(node *searchNode, budget int64, hasUpdates b
 		}
 		cands = append(cands, candidate{tr: tr, delta: d, penalty: pen})
 	}
+	if prof := t.Options.Profile; prof.Enabled() && computed+inherited > 0 {
+		prof.Add("search/rank", "bounds_computed", float64(computed))
+		prof.Add("search/rank", "bounds_inherited", float64(inherited))
+	}
 	if len(cands) == 0 {
 		return nil, nil, nil
 	}
@@ -805,6 +824,121 @@ func (t *Tuner) rankTransformations(node *searchNode, budget int64, hasUpdates b
 	}
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].penalty < cands[j].penalty })
 	return cands, skyPruned, nil
+}
+
+// stepDiff is what separates a node's evaluation from its parent's, as far
+// as a §3.3.2 bound can tell. It is derived from the two evaluations
+// themselves, not from the transformations applied, so multi-transformation
+// steps, §3.5 shrinking and evaluation-cache hits need no case of their own.
+type stepDiff struct {
+	child *physical.Configuration
+	// relations are the tables and views whose index list differs, and the
+	// views present on one side only.
+	relations []string
+	// usedIdx and usedRels are the index IDs, and the relations and views,
+	// read by the old or the new plan of every statement whose plan or
+	// affected-row estimate changed: only there can a usage term of ΔT
+	// appear, vanish or change.
+	usedIdx  map[string]bool
+	usedRels []string
+	// updateTables are the tables of update statements whose shell term can
+	// differ: such a statement changed, or its table is among relations
+	// widened through the views there to their base tables.
+	updateTables []string
+}
+
+func (t *Tuner) diffStep(parent, child *EvaluatedConfig) *stepDiff {
+	s := &stepDiff{child: child.Config, usedIdx: map[string]bool{}}
+	var widened []string
+	for _, side := range [2][2]*physical.Configuration{{parent.Config, child.Config}, {child.Config, parent.Config}} {
+		ids, views := side[0].Diff(side[1])
+		for _, id := range ids {
+			s.relations = append(s.relations, side[0].Index(id).Table)
+		}
+		s.relations = append(s.relations, views...)
+	}
+	for _, r := range s.relations {
+		for _, cfg := range [2]*physical.Configuration{parent.Config, child.Config} {
+			if v := cfg.View(r); v != nil {
+				widened = append(widened, v.Tables...)
+			}
+		}
+	}
+	for i, tq := range t.Queries {
+		old, now := parent.Results[i], child.Results[i]
+		changed := old.Plan != now.Plan || old.AffectedRows != now.AffectedRows
+		if changed {
+			for _, p := range [2]*plan.QueryPlan{old.Plan, now.Plan} {
+				if p == nil {
+					continue
+				}
+				for _, u := range p.Usages {
+					s.usedIdx[u.Index.ID()] = true
+					s.usedRels = append(s.usedRels, u.Index.Table)
+				}
+				s.usedRels = append(s.usedRels, p.UsedViews...)
+			}
+		}
+		if tb := tq.Bound.UpdateTable; tq.Bound.IsUpdate() &&
+			(changed || containsFold(s.relations, tb) || containsFold(widened, tb)) {
+			s.updateTables = append(s.updateTables, tb)
+		}
+	}
+	return s
+}
+
+// leftAlone reports whether every input of tr's bound is the same value on
+// both sides of the step, so that boundDelta on the child would add the
+// parent's terms in the parent's order: the index lists and views tr
+// reads and rewrites, the plans that use what it removes, and the
+// update shells it can reach.
+func (s *stepDiff) leftAlone(tr *physical.Transformation) bool {
+	if tr.I1 != nil {
+		if containsFold(s.relations, tr.I1.Table) || s.usedIdx[tr.I1.ID()] || (tr.I2 != nil && s.usedIdx[tr.I2.ID()]) {
+			return false
+		}
+	}
+	for _, v := range [...]*physical.View{tr.V1, tr.V2, tr.VM} {
+		if v != nil && (containsFold(s.relations, v.Name) || containsFold(s.usedRels, v.Name)) {
+			return false
+		}
+	}
+	for _, tb := range s.updateTables {
+		if reachesTable(s.child, tr, tb) {
+			return false
+		}
+	}
+	return true
+}
+
+// inheritDeltas gives node the (ΔT, ΔS) its parent holds for every
+// transformation both enumerate whose inputs the step between them left
+// alone, and returns how many. It runs at the node's first ranking rather
+// than at its creation, so a pool node the search never ranks pays
+// nothing and keeps no delta table alive. Roots and warm-start nodes
+// have no parent and inherit nothing.
+func (t *Tuner) inheritDeltas(node *searchNode) (int, error) {
+	if node.parent == nil || len(node.parent.deltas) == 0 {
+		return 0, nil
+	}
+	step := t.diffStep(node.parent.eval, node.eval)
+	inherited := 0
+	for _, tr := range node.trans {
+		id := tr.ID()
+		d, ok := node.parent.deltas[id]
+		if !ok || !step.leftAlone(tr) {
+			continue
+		}
+		if t.verifyInherited {
+			fresh, err := t.boundDelta(node.eval, tr)
+			if err != nil || math.Float64bits(fresh.DT) != math.Float64bits(d.DT) || fresh.DS != d.DS {
+				return 0, fmt.Errorf("core: inherited bound of %s is %+v, recomputed %+v (%v)", id, d, fresh, err)
+			}
+		}
+		node.deltas[id] = d
+		inherited++
+	}
+	return inherited, nil
 }
 
 // candidate pairs a transformation with its estimated deltas and penalty.

@@ -267,3 +267,23 @@ func TestImprovementMetric(t *testing.T) {
 		t.Errorf("zero initial: %g", got)
 	}
 }
+
+// TestPromotedClusteredIndexKeepsTableReachable: on this session the
+// search promotes ix:t4(c) to the clustered index of heap table t4 and
+// later removes the last secondary index covering q11's columns. The
+// promoted index lists only column c, so no covering path is left; the
+// table must then be scanned through its clustered index instead of the
+// session failing with "no access path for table t4".
+func TestPromotedClusteredIndexKeepsTableReachable(t *testing.T) {
+	tn := benchTuner(t, 3, 0, Options{NoViews: true, Parallelism: 1})
+	res, err := tn.Tune()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Best.SizeBytes > tn.Options.SpaceBudget {
+		t.Errorf("recommendation takes %d bytes, budget %d", res.Best.SizeBytes, tn.Options.SpaceBudget)
+	}
+	if res.Best.Cost >= res.Initial.Cost {
+		t.Errorf("cost %g is not below initial %g", res.Best.Cost, res.Initial.Cost)
+	}
+}

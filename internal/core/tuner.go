@@ -179,6 +179,10 @@ type Tuner struct {
 	statEvalHits    int64
 	statEvalMisses  int64
 	statEvalEvicted int64
+	// verifyInherited is the tests' shadow mode: every inherited delta is
+	// recomputed with boundDelta on the inheriting node and the session
+	// fails unless both components match bit for bit.
+	verifyInherited bool
 }
 
 // cbvEntry singleflights one view's CBV computation.

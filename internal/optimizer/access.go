@@ -95,7 +95,7 @@ const inf = 1e308
 // residual filters and sorts — over the indexes available in cfg, and
 // returns the cheapest.
 func (o *Optimizer) bestAccess(oc *optCtx, cfg *physical.Configuration, spec *accessSpec) *accessResult {
-	indexes := oc.indexesOn(cfg, spec.table)
+	indexes := cfg.IndexesOn(spec.table)
 	clustered := cfg.ClusteredOn(spec.table)
 
 	var best *accessResult
@@ -129,6 +129,13 @@ func (o *Optimizer) bestAccess(oc *optCtx, cfg *physical.Configuration, spec *ac
 	}
 	if clustered == nil {
 		consider(o.heapScanPlan(cfg, spec))
+	} else if best == nil && spec.view == nil {
+		// A heap table's promoted clustered index keeps the key and suffix
+		// lists of the secondary index it came from, so Covers can fail on
+		// it; once the last covering secondary index is gone the table
+		// would have no access path at all. Its leaves are the table's
+		// rows (the sizer sizes them so): scan them.
+		best = o.fullScanPlan(cfg, spec, clustered)
 	}
 	return best
 }
@@ -280,6 +287,11 @@ func (o *Optimizer) scanPlan(cfg *physical.Configuration, spec *accessSpec, ix *
 	if !ix.Covers(spec.needed) {
 		return nil // non-covering full scans are dominated by primary scans
 	}
+	return o.fullScanPlan(cfg, spec, ix)
+}
+
+// fullScanPlan reads every leaf of ix and filters.
+func (o *Optimizer) fullScanPlan(cfg *physical.Configuration, spec *accessSpec, ix *physical.Index) *accessResult {
 	leafPages := o.sizer.IndexLeafPages(ix, cfg)
 	rows := float64(spec.rows)
 	access := plan.Cost{IO: float64(leafPages) * o.model.SeqPage, CPU: o.model.CPURow * rows}

@@ -236,3 +236,20 @@ func TestPlanCostMonotoneInIndexes(t *testing.T) {
 		}
 	}
 }
+
+// TestPromotedClusteredIndexIsScanned: a clustered index made by
+// PromoteToClustered lists only the columns of the secondary index it
+// came from. When nothing else covers the query the table is still
+// reachable through it — its leaves are the table's rows.
+func TestPromotedClusteredIndexIsScanned(t *testing.T) {
+	db := testDB(t)
+	o := New(db)
+	cfg := physical.NewConfiguration()
+	promoted := physical.PromoteToClustered(physical.NewIndex("r", []string{"c"}, nil, false))
+	cfg.AddIndex(promoted)
+	q := mustBind(t, db, "SELECT a, b FROM r WHERE b > 500")
+	p := mustPlan(t, o, q, cfg)
+	if findNode(p.Root, "IndexScan") == nil || !p.UsesIndex(promoted.ID()) {
+		t.Errorf("want a scan of %s:\n%s", promoted.ID(), plan.Format(p.Root))
+	}
+}

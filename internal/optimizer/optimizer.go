@@ -62,13 +62,6 @@ type optCtx struct {
 	probeSpec   accessSpec // inner-probe spec scratch (innerProbe)
 	probeSargs  []SargCond
 	probeOthers []residCond
-
-	// ixOn memoizes Configuration.IndexesOn per table: the configuration
-	// is fixed for the duration of one call, and join enumeration probes
-	// the same tables once per split. views does the same for Views().
-	ixOn     map[string][]*physical.Index
-	views    []*physical.View
-	viewsSet bool
 }
 
 var ctxPool = sync.Pool{New: func() any {
@@ -76,25 +69,21 @@ var ctxPool = sync.Pool{New: func() any {
 		reqSeen: make(map[string]bool, 64),
 		key:     make([]byte, 0, 160),
 		idx:     make(map[string]int, MaxJoinTables),
-		ixOn:    make(map[string][]*physical.Index, 8),
 	}
 }}
 
 func getOptCtx() *optCtx { return ctxPool.Get().(*optCtx) }
 
 // putOptCtx scrubs every reference the call left behind — plan nodes in
-// the DP table and arena, configuration indexes in the memo — so pooled
-// scratch never pins a finished plan tree, then returns the context.
+// the DP table and arena — so pooled scratch never pins a finished plan
+// tree, then returns the context.
 func putOptCtx(oc *optCtx) {
 	clear(oc.reqSeen)
 	clear(oc.idx)
-	clear(oc.ixOn)
 	clear(oc.dp)
 	oc.arena = oc.arena[:cap(oc.arena)]
 	clear(oc.arena)
 	oc.arena = oc.arena[:0]
-	oc.views = nil
-	oc.viewsSet = false
 	oc.probeSpec = accessSpec{}
 	ctxPool.Put(oc)
 }
@@ -126,31 +115,6 @@ func (oc *optCtx) newEntry() *dpEntry {
 	}
 	oc.arena = append(oc.arena, dpEntry{})
 	return &oc.arena[len(oc.arena)-1]
-}
-
-// indexesOn memoizes cfg.IndexesOn for the duration of one call.
-func (oc *optCtx) indexesOn(cfg *physical.Configuration, table string) []*physical.Index {
-	if oc == nil {
-		return cfg.IndexesOn(table)
-	}
-	if cached, ok := oc.ixOn[table]; ok {
-		return cached
-	}
-	ixs := cfg.IndexesOn(table)
-	oc.ixOn[table] = ixs
-	return ixs
-}
-
-// viewsOf memoizes cfg.Views for the duration of one call.
-func (oc *optCtx) viewsOf(cfg *physical.Configuration) []*physical.View {
-	if oc == nil {
-		return cfg.Views()
-	}
-	if !oc.viewsSet {
-		oc.views = cfg.Views()
-		oc.viewsSet = true
-	}
-	return oc.views
 }
 
 // New returns an optimizer over db with the default cost model.
@@ -500,12 +464,6 @@ func (o *Optimizer) issueIndexRequest(oc *optCtx, spec *accessSpec) {
 	o.stats.indexRequests.Add(1)
 	if o.hooks != nil && o.hooks.OnIndexRequest != nil {
 		o.hooks.OnIndexRequest(o.buildIndexRequest(spec))
-		if oc != nil {
-			// The hook may have injected hypothetical indexes on the
-			// requested table (the §2 what-if interceptor does exactly
-			// that), so the per-call index memo for it is now stale.
-			delete(oc.ixOn, spec.table)
-		}
 	}
 }
 
@@ -955,7 +913,7 @@ func (o *Optimizer) innerProbe(oc *optCtx, q *BoundQuery, cfg *physical.Configur
 	var best probeResult
 	bestTotal := inf
 	found := false
-	for _, ix := range oc.indexesOn(cfg, table) {
+	for _, ix := range cfg.IndexesOn(table) {
 		k, sel := o.seekPrefixLen(spec, ix)
 		usesProbe := false
 		for _, pc := range probeCols {

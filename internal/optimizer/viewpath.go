@@ -146,11 +146,11 @@ func (o *Optimizer) viewPlans(oc *optCtx, q *BoundQuery, cfg *physical.Configura
 			best = e
 		}
 	}
-	for _, v := range oc.viewsOf(cfg) {
+	for _, v := range cfg.Views() {
 		if !v.HasTableSet(ungrouped.Tables) || v.EstRows <= 0 {
 			continue
 		}
-		if len(oc.indexesOn(cfg, v.Name)) == 0 {
+		if len(cfg.IndexesOn(v.Name)) == 0 {
 			continue // not materialized
 		}
 		if m := physical.MatchView(ungrouped, v); m != nil {
@@ -217,13 +217,6 @@ func (o *Optimizer) issueViewRequest(oc *optCtx, key string, block *physical.Vie
 	o.stats.viewRequests.Add(1)
 	if o.hooks != nil && o.hooks.OnViewRequest != nil {
 		o.hooks.OnViewRequest(&ViewRequest{Block: block, Grouped: grouped})
-		if oc != nil {
-			// The hook may have materialized the block as a hypothetical
-			// view with a clustered index, so both the per-call view list
-			// and the index memo for the view's name are now stale.
-			oc.viewsSet = false
-			delete(oc.ixOn, block.Name)
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package physical
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -9,177 +10,246 @@ import (
 // Configuration is a set of indexes and materialized views. Configurations
 // are treated as immutable values by the search: transformations produce
 // new configurations sharing unchanged structures with their parents.
+//
+// Indexes are held per relation (base table or view), each relation's
+// list sorted by ID; views are held in one name-sorted list. Both kinds
+// of list are copy-on-write: a change installs a fresh list and never
+// writes to one that exists, so a clone shares every list with its
+// source, the lists handed out by IndexesOn and Views stay valid (and
+// must not be written by the caller), and readers on other goroutines
+// need no lock. Nothing here is filled in lazily — everything a reader
+// sees was sealed by the writer that installed it.
 type Configuration struct {
-	indexes  map[string]*Index // keyed by Index.ID()
-	views    map[string]*View  // keyed by View.Name
-	viewSigs map[string]string // signature -> name (deduplication)
+	// rels has one entry per relation carrying at least one index, in
+	// first-added order. The slice itself belongs to this configuration:
+	// Clone copies it, one entry per relation.
+	rels  []relation
+	views []*View
+}
+
+// relation is the index list of one base table or view.
+type relation struct {
+	name    string // Table of the first index added; matched case-insensitively
+	indexes []*Index
 }
 
 // NewConfiguration returns an empty configuration.
-func NewConfiguration() *Configuration {
-	return &Configuration{
-		indexes:  make(map[string]*Index),
-		views:    make(map[string]*View),
-		viewSigs: make(map[string]string),
-	}
+func NewConfiguration() *Configuration { return &Configuration{} }
+
+// Clone returns a copy that can be mutated independently. It copies one
+// list header per relation and shares the lists themselves.
+func (c *Configuration) Clone() *Configuration {
+	return &Configuration{rels: slices.Clone(c.rels), views: c.views}
 }
 
-// Clone returns a copy that can be mutated independently. The maps are
-// pre-sized from the source so cloning on the penalty-bound hot path
-// never rehashes.
-func (c *Configuration) Clone() *Configuration {
-	n := &Configuration{
-		indexes:  make(map[string]*Index, len(c.indexes)),
-		views:    make(map[string]*View, len(c.views)),
-		viewSigs: make(map[string]string, len(c.viewSigs)),
+// rel returns the position of the named relation in c.rels, or -1.
+func (c *Configuration) rel(table string) int {
+	for i := range c.rels {
+		if strings.EqualFold(c.rels[i].name, table) {
+			return i
+		}
 	}
-	for k, v := range c.indexes {
-		n.indexes[k] = v
+	return -1
+}
+
+// relOfID returns the position of the relation an index ID names, or -1.
+// Index.buildID writes the table between the first ':' and the first '('
+// after it, and identifiers contain neither.
+func (c *Configuration) relOfID(id string) int {
+	colon := strings.IndexByte(id, ':')
+	if colon < 0 {
+		return -1
 	}
-	for k, v := range c.views {
-		n.views[k] = v
+	paren := strings.IndexByte(id[colon+1:], '(')
+	if paren < 0 {
+		return -1
 	}
-	for k, v := range c.viewSigs {
-		n.viewSigs[k] = v
+	return c.rel(id[colon+1 : colon+1+paren])
+}
+
+// findIndex returns the position id has, or would take, in an ID-sorted
+// list, and whether it is there.
+func findIndex(list []*Index, id string) (int, bool) {
+	return slices.BinarySearchFunc(list, id, func(ix *Index, id string) int { return strings.Compare(ix.ID(), id) })
+}
+
+// insertAt and removeAt build the changed list in fresh storage: the list
+// they are given may be shared and is left as it was.
+func insertAt[T any](list []T, pos int, x T) []T {
+	out := make([]T, 0, len(list)+1)
+	return append(append(append(out, list[:pos]...), x), list[pos:]...)
+}
+
+func removeAt[T any](list []T, pos int) []T {
+	out := make([]T, 0, len(list)-1)
+	return append(append(out, list[:pos]...), list[pos+1:]...)
+}
+
+func clusteredIn(list []*Index) *Index {
+	for _, ix := range list {
+		if ix.Clustered {
+			return ix
+		}
 	}
-	return n
+	return nil
 }
 
 // AddIndex inserts ix; duplicate definitions are collapsed. Adding a
 // clustered index when the table already has one demotes the new index to
 // non-clustered (two clustered indexes per table are impossible).
 func (c *Configuration) AddIndex(ix *Index) *Index {
+	r := c.rel(ix.Table)
+	if r < 0 {
+		c.rels = append(c.rels, relation{name: ix.Table, indexes: []*Index{ix}})
+		return ix
+	}
+	list := c.rels[r].indexes
 	if ix.Clustered {
-		if existing := c.ClusteredOn(ix.Table); existing != nil && existing.ID() != ix.ID() {
+		if existing := clusteredIn(list); existing != nil && existing.ID() != ix.ID() {
 			ix = ix.Clone()
 			ix.Clustered = false
 			ix.id = ix.buildID()
 		}
 	}
-	id := ix.ID()
-	if old, ok := c.indexes[id]; ok {
+	pos, found := findIndex(list, ix.ID())
+	if found {
+		old := list[pos]
 		// Keep the Required flag if either copy carries it.
-		if ix.Required && !old.Required {
-			c.indexes[id] = ix
-			return ix
+		if !ix.Required || old.Required {
+			return old
 		}
-		return old
+		list = slices.Clone(list)
+		list[pos] = ix
+	} else {
+		list = insertAt(list, pos, ix)
 	}
-	c.indexes[id] = ix
+	c.rels[r].indexes = list
 	return ix
 }
 
 // RemoveIndex deletes the index with the given ID; required indexes are
 // never removed. Reports whether a removal happened.
 func (c *Configuration) RemoveIndex(id string) bool {
-	ix, ok := c.indexes[id]
-	if !ok || ix.Required {
+	r := c.relOfID(id)
+	if r < 0 {
 		return false
 	}
-	delete(c.indexes, id)
+	list := c.rels[r].indexes
+	pos, found := findIndex(list, id)
+	if !found || list[pos].Required {
+		return false
+	}
+	if len(list) == 1 {
+		c.rels = slices.Delete(c.rels, r, r+1)
+	} else {
+		c.rels[r].indexes = removeAt(list, pos)
+	}
 	return true
 }
 
 // HasIndex reports whether an index with this ID is present.
-func (c *Configuration) HasIndex(id string) bool {
-	_, ok := c.indexes[id]
-	return ok
-}
+func (c *Configuration) HasIndex(id string) bool { return c.Index(id) != nil }
 
 // Index returns the index with the given ID, or nil.
-func (c *Configuration) Index(id string) *Index { return c.indexes[id] }
+func (c *Configuration) Index(id string) *Index {
+	if r := c.relOfID(id); r >= 0 {
+		if pos, found := findIndex(c.rels[r].indexes, id); found {
+			return c.rels[r].indexes[pos]
+		}
+	}
+	return nil
+}
+
+// findView returns the position name has, or would take, in the
+// name-sorted view list, and whether it is there.
+func (c *Configuration) findView(name string) (int, bool) {
+	return slices.BinarySearchFunc(c.views, name, func(v *View, name string) int { return strings.Compare(v.Name, name) })
+}
 
 // AddView inserts a view definition, deduplicating by signature. It
-// returns the canonical view instance present in the configuration.
+// returns the canonical view instance present in the configuration: the
+// one already there, v itself, or — when v does not carry a sealed
+// signature (a hand-built or cloned definition) — a sealed copy of it, so
+// no view inside a configuration ever rebuilds its signature.
 func (c *Configuration) AddView(v *View) *View {
 	sig := v.Signature()
-	if name, ok := c.viewSigs[sig]; ok {
-		return c.views[name]
+	if existing := c.ViewBySignature(sig); existing != nil {
+		return existing
 	}
-	c.views[v.Name] = v
-	c.viewSigs[sig] = v.Name
+	if v.sig == "" {
+		sealed := *v
+		sealed.sig = sig
+		v = &sealed
+	}
+	pos, found := c.findView(v.Name)
+	if found {
+		c.views = slices.Clone(c.views)
+		c.views[pos] = v
+	} else {
+		c.views = insertAt(c.views, pos, v)
+	}
 	return v
 }
 
 // RemoveView deletes the view and cascades to all indexes defined over it.
 // Reports whether the view existed.
 func (c *Configuration) RemoveView(name string) bool {
-	v, ok := c.views[name]
-	if !ok {
+	pos, found := c.findView(name)
+	if !found {
 		return false
 	}
-	delete(c.views, name)
-	delete(c.viewSigs, v.Signature())
-	for id, ix := range c.indexes {
-		if strings.EqualFold(ix.Table, name) {
-			delete(c.indexes, id)
-		}
+	c.views = removeAt(c.views, pos)
+	if r := c.rel(name); r >= 0 {
+		c.rels = slices.Delete(c.rels, r, r+1)
 	}
 	return true
 }
 
 // View returns the named view, or nil.
-func (c *Configuration) View(name string) *View { return c.views[name] }
+func (c *Configuration) View(name string) *View {
+	if pos, found := c.findView(name); found {
+		return c.views[pos]
+	}
+	return nil
+}
 
 // ViewBySignature returns the view with the given definition, or nil.
 func (c *Configuration) ViewBySignature(sig string) *View {
-	name, ok := c.viewSigs[sig]
-	if !ok {
-		return nil
-	}
-	return c.views[name]
-}
-
-// Views returns all views sorted by name.
-func (c *Configuration) Views() []*View {
-	out := make([]*View, 0, len(c.views))
 	for _, v := range c.views {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Indexes returns all indexes sorted by ID. The map keys are the IDs, so
-// sorting compares existing strings instead of rebuilding each ID per
-// comparison (the comparator used to dominate search-loop allocations).
-func (c *Configuration) Indexes() []*Index {
-	ids := make([]string, 0, len(c.indexes))
-	for id := range c.indexes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make([]*Index, len(ids))
-	for i, id := range ids {
-		out[i] = c.indexes[id]
-	}
-	return out
-}
-
-// IndexesOn returns all indexes over the named table or view, sorted.
-func (c *Configuration) IndexesOn(table string) []*Index {
-	var ids []string
-	for id, ix := range c.indexes {
-		if strings.EqualFold(ix.Table, table) {
-			ids = append(ids, id)
+		if v.Signature() == sig {
+			return v
 		}
 	}
-	sort.Strings(ids)
-	out := make([]*Index, len(ids))
-	for i, id := range ids {
-		out[i] = c.indexes[id]
+	return nil
+}
+
+// Views returns all views sorted by name. The slice is shared with the
+// configuration and its clones: callers must not write to it.
+func (c *Configuration) Views() []*View { return c.views }
+
+// Indexes returns all indexes sorted by ID, in a slice of the caller's.
+func (c *Configuration) Indexes() []*Index {
+	out := make([]*Index, 0, c.NumIndexes())
+	for i := range c.rels {
+		out = append(out, c.rels[i].indexes...)
 	}
+	slices.SortFunc(out, func(a, b *Index) int { return strings.Compare(a.ID(), b.ID()) })
 	return out
+}
+
+// IndexesOn returns all indexes over the named table or view, sorted by
+// ID. The slice is shared with the configuration and its clones: callers
+// must not write to it.
+func (c *Configuration) IndexesOn(table string) []*Index {
+	if r := c.rel(table); r >= 0 {
+		return c.rels[r].indexes
+	}
+	return nil
 }
 
 // ClusteredOn returns the clustered index on the table/view, or nil.
 func (c *Configuration) ClusteredOn(table string) *Index {
-	for _, ix := range c.indexes {
-		if ix.Clustered && strings.EqualFold(ix.Table, table) {
-			return ix
-		}
-	}
-	return nil
+	return clusteredIn(c.IndexesOn(table))
 }
 
 // MaterializedViews returns views that have at least one index (i.e. are
@@ -187,7 +257,7 @@ func (c *Configuration) ClusteredOn(table string) *Index {
 // clustered index; this accessor guards against dangling definitions.
 func (c *Configuration) MaterializedViews() []*View {
 	var out []*View
-	for _, v := range c.Views() {
+	for _, v := range c.views {
 		if len(c.IndexesOn(v.Name)) > 0 {
 			out = append(out, v)
 		}
@@ -196,10 +266,16 @@ func (c *Configuration) MaterializedViews() []*View {
 }
 
 // NumStructures returns the count of indexes plus views.
-func (c *Configuration) NumStructures() int { return len(c.indexes) + len(c.views) }
+func (c *Configuration) NumStructures() int { return c.NumIndexes() + len(c.views) }
 
 // NumIndexes returns the number of indexes.
-func (c *Configuration) NumIndexes() int { return len(c.indexes) }
+func (c *Configuration) NumIndexes() int {
+	n := 0
+	for i := range c.rels {
+		n += len(c.rels[i].indexes)
+	}
+	return n
+}
 
 // NumViews returns the number of views.
 func (c *Configuration) NumViews() int { return len(c.views) }
@@ -207,9 +283,11 @@ func (c *Configuration) NumViews() int { return len(c.views) }
 // Fingerprint is a canonical identity for the whole configuration, used to
 // deduplicate configurations in the search pool.
 func (c *Configuration) Fingerprint() string {
-	ids := make([]string, 0, len(c.indexes)+len(c.views))
-	for id := range c.indexes {
-		ids = append(ids, id)
+	ids := make([]string, 0, c.NumStructures())
+	for i := range c.rels {
+		for _, ix := range c.rels[i].indexes {
+			ids = append(ids, ix.ID())
+		}
 	}
 	for _, v := range c.views {
 		ids = append(ids, "v:"+v.Signature())
@@ -220,23 +298,24 @@ func (c *Configuration) Fingerprint() string {
 
 // String renders a compact human-readable description.
 func (c *Configuration) String() string {
-	return fmt.Sprintf("config{%d indexes, %d views}", len(c.indexes), len(c.views))
+	return fmt.Sprintf("config{%d indexes, %d views}", c.NumIndexes(), len(c.views))
 }
 
 // Diff returns the IDs of indexes and names of views present in c but not
 // in other.
 func (c *Configuration) Diff(other *Configuration) (indexIDs, viewNames []string) {
-	for id := range c.indexes {
-		if _, ok := other.indexes[id]; !ok {
-			indexIDs = append(indexIDs, id)
+	for i := range c.rels {
+		for _, ix := range c.rels[i].indexes {
+			if id := ix.ID(); !other.HasIndex(id) {
+				indexIDs = append(indexIDs, id)
+			}
 		}
 	}
-	for name, v := range c.views {
+	for _, v := range c.views {
 		if other.ViewBySignature(v.Signature()) == nil {
-			viewNames = append(viewNames, name)
+			viewNames = append(viewNames, v.Name)
 		}
 	}
 	sort.Strings(indexIDs)
-	sort.Strings(viewNames)
 	return indexIDs, viewNames
 }

@@ -20,54 +20,90 @@ type WidthResolver interface {
 }
 
 // Sizer estimates the storage consumed by indexes, views, and whole
-// configurations following the B-tree model of §3.3.1. It caches per-index
-// sizes; the cache key includes the owning view's estimated cardinality so
-// re-estimated views are re-sized. The cache is mutex-guarded: one sizer is
-// shared by every forked optimizer in a parallel evaluation pool.
+// configurations following the B-tree model of §3.3.1. It caches each
+// index's shape — rows, leaf pages, height — beside its bytes, so no
+// accessor resolves column widths twice for one index; the cache key
+// includes the owning view's estimated cardinality so
+// re-estimated views are re-sized. One sizer is shared by every forked
+// optimizer in a parallel evaluation pool, and every what-if costing call
+// reads the cache, so hits take only the read lock.
 type Sizer struct {
 	base WidthResolver
 
-	mu    sync.Mutex
-	cache map[string]int64
+	mu    sync.RWMutex
+	cache map[shapeKey]shape
 }
+
+// shapeKey identifies an index within the configurations that size it
+// alike: its ID and, over a view, that view's estimated cardinality.
+type shapeKey struct {
+	id       string
+	onView   bool
+	viewRows int64
+}
+
+// shape is what the B-tree model says of one index.
+type shape struct {
+	rows, leafPages, bytes int64
+	height                 int
+}
+
+// unresolved is the shape of an index whose table or columns are unknown.
+var unresolved = shape{leafPages: 1}
 
 // NewSizer returns a sizer over the given base resolver.
 func NewSizer(base WidthResolver) *Sizer {
-	return &Sizer{base: base, cache: make(map[string]int64)}
+	return &Sizer{base: base, cache: make(map[shapeKey]shape)}
 }
 
-// resolve returns rows, leaf entry width, and internal entry width for an
-// index, consulting cfg for view-backed indexes.
-func (s *Sizer) resolve(ix *Index, cfg *Configuration) (rows int64, leafW, intW int, ok bool) {
-	colWidth := func(col string) (int, bool) { return s.base.ColWidth(ix.Table, col) }
-	allCols := func() []string { return s.base.TableCols(ix.Table) }
+// shapeOf returns the cached shape of ix, resolving it on first sight.
+func (s *Sizer) shapeOf(ix *Index, cfg *Configuration) shape {
+	key := shapeKey{id: ix.ID()}
+	var v *View
 	if cfg != nil {
-		if v := cfg.View(ix.Table); v != nil {
-			rows = v.EstRows
-			colWidth = func(col string) (int, bool) {
-				c := v.Column(col)
-				if c == nil {
-					return 0, false
-				}
-				return c.Width, true
-			}
-			allCols = func() []string { return v.AllColumnNames() }
-			return s.widths(ix, rows, colWidth, allCols)
+		if v = cfg.View(ix.Table); v != nil {
+			key.onView, key.viewRows = true, v.EstRows
 		}
 	}
-	r, found := s.base.TableRows(ix.Table)
-	if !found {
-		return 0, 0, 0, false
+	s.mu.RLock()
+	sh, hit := s.cache[key]
+	s.mu.RUnlock()
+	if hit {
+		return sh
 	}
-	return s.widths(ix, r, colWidth, allCols)
+	sh = s.resolve(ix, v)
+	s.mu.Lock()
+	s.cache[key] = sh
+	s.mu.Unlock()
+	return sh
 }
 
-func (s *Sizer) widths(ix *Index, rows int64, colWidth func(string) (int, bool), allCols func() []string) (int64, int, int, bool) {
+// resolve computes the shape of an index over view v, or over its base
+// table when v is nil.
+func (s *Sizer) resolve(ix *Index, v *View) shape {
+	var rows int64
+	colWidth := func(col string) (int, bool) { return s.base.ColWidth(ix.Table, col) }
+	allCols := func() []string { return s.base.TableCols(ix.Table) }
+	if v != nil {
+		rows = v.EstRows
+		colWidth = func(col string) (int, bool) {
+			c := v.Column(col)
+			if c == nil {
+				return 0, false
+			}
+			return c.Width, true
+		}
+		allCols = v.AllColumnNames
+	} else if r, found := s.base.TableRows(ix.Table); found {
+		rows = r
+	} else {
+		return unresolved
+	}
 	keyW := 0
 	for _, k := range ix.Keys {
 		w, ok := colWidth(k)
 		if !ok {
-			return 0, 0, 0, false
+			return unresolved
 		}
 		keyW += w
 	}
@@ -78,7 +114,7 @@ func (s *Sizer) widths(ix *Index, rows int64, colWidth func(string) (int, bool),
 		for _, c := range allCols() {
 			w, ok := colWidth(c)
 			if !ok {
-				return 0, 0, 0, false
+				return unresolved
 			}
 			leafW += w
 		}
@@ -86,38 +122,24 @@ func (s *Sizer) widths(ix *Index, rows int64, colWidth func(string) (int, bool),
 		for _, sc := range ix.Suffix {
 			w, ok := colWidth(sc)
 			if !ok {
-				return 0, 0, 0, false
+				return unresolved
 			}
 			leafW += w
 		}
 		leafW += storage.RidWidth // secondary leaves carry row locators
 	}
-	return rows, leafW, keyW, true
+	return shape{
+		rows:      rows,
+		leafPages: storage.BTreeLeafPages(rows, leafW),
+		height:    storage.BTreeHeight(rows, leafW, keyW),
+		bytes:     storage.BTreeBytes(rows, leafW, keyW),
+	}
 }
 
 // IndexBytes returns the estimated size in bytes of one index within cfg
 // (cfg supplies view cardinalities; it may be nil for base-table indexes).
 func (s *Sizer) IndexBytes(ix *Index, cfg *Configuration) int64 {
-	key := ix.ID()
-	if cfg != nil {
-		if v := cfg.View(ix.Table); v != nil {
-			key += "@" + itoa64(v.EstRows)
-		}
-	}
-	s.mu.Lock()
-	sz, ok := s.cache[key]
-	s.mu.Unlock()
-	if ok {
-		return sz
-	}
-	rows, leafW, intW, resolved := s.resolve(ix, cfg)
-	if resolved {
-		sz = storage.BTreeBytes(rows, leafW, intW)
-	}
-	s.mu.Lock()
-	s.cache[key] = sz
-	s.mu.Unlock()
-	return sz
+	return s.shapeOf(ix, cfg).bytes
 }
 
 // IndexPages returns the total page count of one index.
@@ -127,29 +149,17 @@ func (s *Sizer) IndexPages(ix *Index, cfg *Configuration) int64 {
 
 // IndexLeafPages returns the leaf-level page count (what scans touch).
 func (s *Sizer) IndexLeafPages(ix *Index, cfg *Configuration) int64 {
-	rows, leafW, _, ok := s.resolve(ix, cfg)
-	if !ok {
-		return 1
-	}
-	return storage.BTreeLeafPages(rows, leafW)
+	return s.shapeOf(ix, cfg).leafPages
 }
 
 // IndexHeight returns the number of B-tree levels above the leaves.
 func (s *Sizer) IndexHeight(ix *Index, cfg *Configuration) int {
-	rows, leafW, intW, ok := s.resolve(ix, cfg)
-	if !ok {
-		return 0
-	}
-	return storage.BTreeHeight(rows, leafW, intW)
+	return s.shapeOf(ix, cfg).height
 }
 
 // IndexRows returns the number of entries in the index.
 func (s *Sizer) IndexRows(ix *Index, cfg *Configuration) int64 {
-	rows, _, _, ok := s.resolve(ix, cfg)
-	if !ok {
-		return 0
-	}
-	return rows
+	return s.shapeOf(ix, cfg).rows
 }
 
 // HeapPages returns the page count of the table stored as a heap (used
@@ -176,42 +186,16 @@ func (s *Sizer) HeapPages(table string, cfg *Configuration) int64 {
 // Materialized views are counted through their indexes (a view's clustered
 // index stores the view rows), matching §3.3.1.
 func (s *Sizer) ConfigBytes(cfg *Configuration) int64 {
-	// Iterate the index map directly: integer summation is order-
+	// Walk the per-relation lists directly: integer summation is order-
 	// independent, and this accessor sits on the penalty-bound hot path
 	// where the sorted Indexes() slice would be pure allocation overhead.
 	var total int64
-	for _, ix := range cfg.indexes {
-		total += s.IndexBytes(ix, cfg)
+	for i := range cfg.rels {
+		for _, ix := range cfg.rels[i].indexes {
+			total += s.IndexBytes(ix, cfg)
+		}
 	}
 	return total
-}
-
-// DeltaBytes returns Size(c) − Size(other); positive when c is larger.
-func (s *Sizer) DeltaBytes(c, other *Configuration) int64 {
-	return s.ConfigBytes(c) - s.ConfigBytes(other)
-}
-
-func itoa64(v int64) string {
-	// small allocation-free helper
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 // BaseResolverFunc adapts plain functions to the WidthResolver interface.

@@ -63,8 +63,12 @@ func TestSizerSuffixWidensIndex(t *testing.T) {
 
 func TestSizerUnknownTable(t *testing.T) {
 	s := NewSizer(testResolver{})
-	if got := s.IndexBytes(NewIndex("missing", []string{"a"}, nil, false), nil); got != 0 {
+	ix := NewIndex("missing", []string{"a"}, nil, false)
+	if got := s.IndexBytes(ix, nil); got != 0 {
 		t.Errorf("unknown table should size to 0, got %d", got)
+	}
+	if rows, leaves, height := s.IndexRows(ix, nil), s.IndexLeafPages(ix, nil), s.IndexHeight(ix, nil); rows != 0 || leaves != 1 || height != 0 {
+		t.Errorf("unknown table has %d rows, %d leaf pages, height %d; want 0, 1, 0", rows, leaves, height)
 	}
 }
 
@@ -77,7 +81,7 @@ func TestSizerViewBackedIndex(t *testing.T) {
 		Cols:    []ViewColumn{BaseViewColumn(sqlx.ColRef{Table: "big", Column: "a"}, 4)},
 		EstRows: 50_000,
 	}
-	cfg.AddView(v)
+	v = cfg.AddView(v) // the instance the configuration holds
 	ix := NewIndex("v", []string{v.Cols[0].Name}, nil, false)
 	cfg.AddIndex(ix)
 	sz := s.IndexBytes(ix, cfg)

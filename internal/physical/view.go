@@ -182,11 +182,24 @@ type View struct {
 	Others  []sqlx.Expr  // O, conjuncts
 	GroupBy []sqlx.ColRef
 	EstRows int64
+	// sig caches Signature(). ViewNameFor seals it, where the definition is
+	// complete and its name is derived from the same string, before the
+	// view is shared; Configuration.AddView seals a copy of any view that
+	// arrives without one. Clone drops it, so editing a clone cannot leave
+	// a stale identity behind. Like Index.id it is never stored lazily.
+	sig string
 }
 
 // Signature returns the canonical identity of the view definition. Two
 // views with equal signatures are the same physical structure.
 func (v *View) Signature() string {
+	if v.sig != "" {
+		return v.sig
+	}
+	return v.buildSignature()
+}
+
+func (v *View) buildSignature() string {
 	var sb strings.Builder
 	sb.WriteString("view{S:")
 	cols := make([]string, len(v.Cols))
@@ -364,7 +377,8 @@ func (v *View) AllColumnNames() []string {
 	return out
 }
 
-// Clone returns a deep copy of the view definition.
+// Clone returns a deep copy of the view definition, without the sealed
+// signature: callers clone to edit.
 func (v *View) Clone() *View {
 	nv := &View{
 		Name:    v.Name,

@@ -139,10 +139,13 @@ func addViewCol(v *View, col ViewColumn) {
 	}
 }
 
-// ViewNameFor derives a stable short name from the view's signature.
+// ViewNameFor derives a stable short name from the view's signature, and
+// seals that signature on v: callers name a view as the last step of
+// building it, before anything else can see it.
 func ViewNameFor(v *View) string {
+	v.sig = v.buildSignature()
 	h := fnv.New64a()
-	_, _ = h.Write([]byte(v.Signature()))
+	_, _ = h.Write([]byte(v.sig))
 	return fmt.Sprintf("v_%s_%08x", strings.ToLower(strings.Join(shortTables(v.Tables), "_")), h.Sum64()&0xffffffff)
 }
 
