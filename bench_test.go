@@ -60,7 +60,10 @@ func BenchmarkTable2Inventory(b *testing.B) {
 	b.ReportAllocs()
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table2(cfg)
+		rows, err := experiments.Table2(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if i == 0 && verbose() {
 			experiments.RenderTable2(os.Stdout, rows)
 		}

@@ -53,7 +53,9 @@ func main() {
 	}
 	if run("table2") {
 		step("Table 2")
-		experiments.RenderTable2(out, experiments.Table2(cfg))
+		rows, err := experiments.Table2(cfg)
+		check(err)
+		experiments.RenderTable2(out, rows)
 		fmt.Fprintln(out)
 	}
 	if run("table3") {

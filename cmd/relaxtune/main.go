@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/datagen"
 	"repro/internal/plan"
 	"repro/tuner"
 )
@@ -51,7 +52,7 @@ func main() {
 	)
 	flag.Parse()
 
-	db, err := database(*dbName, *sf)
+	db, err := datagen.ByName(*dbName, *sf)
 	if err != nil {
 		fatal(err)
 	}
@@ -182,42 +183,12 @@ func main() {
 	}
 }
 
-func database(name string, sf float64) (*tuner.Database, error) {
-	switch strings.ToLower(name) {
-	case "tpch":
-		return tuner.TPCH(sf), nil
-	case "ds1":
-		return tuner.DS1(sf), nil
-	case "bench":
-		return tuner.Bench(sf), nil
-	default:
-		return nil, fmt.Errorf("unknown database %q (want tpch, ds1, or bench)", name)
-	}
-}
-
-// databaseData is database with materialized rows, for -replay.
-func databaseData(name string, sf float64) (*tuner.Database, *tuner.ExecStore, error) {
-	switch strings.ToLower(name) {
-	case "tpch":
-		db, store := tuner.TPCHData(sf)
-		return db, store, nil
-	case "ds1":
-		db, store := tuner.DS1Data(sf)
-		return db, store, nil
-	case "bench":
-		db, store := tuner.BenchData(sf)
-		return db, store, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown database %q (want tpch, ds1, or bench)", name)
-	}
-}
-
 // runReplay materializes the database with row data, executes the
 // workload under the tuning result's baseline, sampled lineage, and
 // recommended configurations, and prints the execution-grounded
 // calibration report.
 func runReplay(dbName string, sf float64, w *tuner.Workload, res *tuner.Result) error {
-	rdb, store, err := databaseData(dbName, sf)
+	rdb, store, err := datagen.DataByName(dbName, sf)
 	if err != nil {
 		return err
 	}

@@ -79,8 +79,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -93,7 +91,6 @@ import (
 	"repro/internal/replay"
 	"repro/internal/service"
 	"repro/internal/workloads"
-	"repro/tuner"
 )
 
 func main() {
@@ -121,9 +118,6 @@ func main() {
 		replayOn   = flag.Bool("replay", false, "enable execution-backed ground-truth replay (GET /calibration?ground_truth=1); materializes the database at -sf lazily on first use")
 		replayEach = flag.Bool("replay-each-retune", false, "run a ground-truth replay after every retune (implies -replay)")
 
-		retuneBuckets = flag.String("retune-buckets", "", "comma-separated tuner_retune_duration_seconds bucket bounds (empty = defaults)")
-		phaseBuckets  = flag.String("phase-buckets", "", "comma-separated tuner_phase_duration_seconds bucket bounds (empty = defaults)")
-
 		historyPath  = flag.String("history", "", "persist the session flight recorder to this JSONL file (empty = in-memory only)")
 		historyLimit = flag.Int("history-limit", 0, "sessions retained by the flight recorder (0 = default 256)")
 
@@ -148,14 +142,6 @@ func main() {
 	fatal := func(msg string, err error) {
 		logger.Error(msg, "error", err)
 		os.Exit(1)
-	}
-
-	var buckets obs.TunerMetricsBuckets
-	if buckets.RetuneDuration, err = parseBuckets(*retuneBuckets); err != nil {
-		fatal("tunerd: bad -retune-buckets", err)
-	}
-	if buckets.PhaseDuration, err = parseBuckets(*phaseBuckets); err != nil {
-		fatal("tunerd: bad -phase-buckets", err)
 	}
 
 	var traceSink obs.Sink
@@ -198,7 +184,6 @@ func main() {
 			logger.Warn(fmt.Sprintf(format, args...))
 		},
 		TraceSink:        traceSink,
-		MetricsBuckets:   buckets,
 		ReplayEachRetune: *replayEach,
 		Monitor: service.MonitorOptions{
 			HistoryInterval: *monInterval,
@@ -236,7 +221,7 @@ func main() {
 		}
 		fleetOpts := fleet.Options{
 			Workers:           *fleetWorkers,
-			Catalog:           database,
+			Catalog:           datagen.ByName,
 			Defaults:          baseOpts,
 			DefaultQuota:      fleet.QuotaSpec{RatePerSec: *quotaRate, Burst: *quotaBurst},
 			CostCacheCapacity: *costCacheCap,
@@ -245,7 +230,7 @@ func main() {
 			},
 		}
 		if *replayOn {
-			fleetOpts.ReplaySource = databaseData
+			fleetOpts.ReplaySource = datagen.DataByName
 		}
 		reg, err := fleet.New(fleetOpts)
 		if err != nil {
@@ -255,7 +240,7 @@ func main() {
 		shutdown = reg.Close
 		logger.Info("tunerd: fleet mode", "workers", reg.Pool().Workers(), "quota_rate", *quotaRate)
 	} else {
-		db, err := database(*dbName, *sf)
+		db, err := datagen.ByName(*dbName, *sf)
 		if err != nil {
 			fatal("tunerd: bad -db", err)
 		}
@@ -271,7 +256,7 @@ func main() {
 		if *replayOn {
 			name, scale := *dbName, *sf
 			baseOpts.Replay = &replay.Source{Build: func() (*catalog.Database, *exec.Store, error) {
-				return databaseData(name, scale)
+				return datagen.DataByName(name, scale)
 			}}
 			logger.Info("tunerd: ground-truth replay enabled", "each_retune", *replayEach)
 		}
@@ -323,30 +308,6 @@ func main() {
 	logger.Info("tunerd: bye")
 }
 
-// parseBuckets parses a comma-separated list of ascending float bucket
-// bounds; an empty string means "use the defaults" (nil).
-func parseBuckets(spec string) ([]float64, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	parts := strings.Split(spec, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bucket %q: %w", p, err)
-		}
-		if v <= 0 {
-			return nil, fmt.Errorf("bucket %q: bounds must be positive", p)
-		}
-		if n := len(out); n > 0 && v <= out[n-1] {
-			return nil, fmt.Errorf("bucket %q: bounds must be strictly increasing", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 // newLogger builds the process logger in the requested format.
 func newLogger(format string) (*slog.Logger, error) {
 	switch format {
@@ -381,33 +342,4 @@ func pprofMux() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-func database(name string, sf float64) (*catalog.Database, error) {
-	switch name {
-	case "tpch":
-		return tuner.TPCH(sf), nil
-	case "ds1":
-		return tuner.DS1(sf), nil
-	case "bench":
-		return tuner.Bench(sf), nil
-	}
-	return nil, fmt.Errorf("unknown database %q (want tpch, ds1, or bench)", name)
-}
-
-// databaseData is database with materialized row data — the replay
-// substrate builder for -replay (single-tenant and fleet tenants alike).
-func databaseData(name string, sf float64) (*catalog.Database, *exec.Store, error) {
-	switch name {
-	case "tpch":
-		db, store := datagen.TPCHData(sf)
-		return db, store, nil
-	case "ds1":
-		db, store := datagen.DS1Data(sf)
-		return db, store, nil
-	case "bench":
-		db, store := datagen.BenchData(sf)
-		return db, store, nil
-	}
-	return nil, nil, fmt.Errorf("unknown database %q (want tpch, ds1, or bench)", name)
 }

@@ -7,8 +7,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
+	"repro/internal/datagen"
 	"repro/tuner"
 )
 
@@ -23,16 +23,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var db *tuner.Database
-	switch strings.ToLower(*dbName) {
-	case "tpch":
-		db = tuner.TPCH(*sf)
-	case "ds1":
-		db = tuner.DS1(*sf)
-	case "bench":
-		db = tuner.Bench(*sf)
-	default:
-		fmt.Fprintf(os.Stderr, "wlgen: unknown database %q\n", *dbName)
+	db, err := datagen.ByName(*dbName, *sf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "wlgen:", err)
 		os.Exit(1)
 	}
 

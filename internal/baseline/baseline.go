@@ -102,11 +102,15 @@ func Tune(t *core.Tuner, opts Options) (*Result, error) {
 	// of the base configuration in isolation.
 	type scored struct {
 		c       *candidateStruct
+		ec      *core.EvaluatedConfig // the base configuration plus c
 		benefit float64
 		size    int64
 	}
 	var pool []scored
 	for _, c := range cands {
+		if c.index != nil && t.Base.HasIndex(c.index.ID()) {
+			continue // already in the base configuration: no benefit to measure
+		}
 		cfg := t.Base.Clone()
 		c.addTo(cfg)
 		ec, err := t.Evaluate(cfg)
@@ -118,7 +122,7 @@ func Tune(t *core.Tuner, opts Options) (*Result, error) {
 		if benefit <= 0 || size <= 0 {
 			continue
 		}
-		pool = append(pool, scored{c: c, benefit: benefit, size: size})
+		pool = append(pool, scored{c: c, ec: ec, benefit: benefit, size: size})
 	}
 	sort.SliceStable(pool, func(i, j int) bool {
 		return pool[i].benefit/float64(pool[i].size) > pool[j].benefit/float64(pool[j].size)
@@ -138,9 +142,13 @@ func Tune(t *core.Tuner, opts Options) (*Result, error) {
 		}
 		next := current.Clone()
 		s.c.addTo(next)
-		ec, err := t.Evaluate(next)
-		if err != nil {
-			continue
+		// Until an addition is accepted current is still the base
+		// configuration, and next is what the atomic pass evaluated.
+		ec := s.ec
+		if step > 0 {
+			if ec, err = t.Evaluate(next); err != nil {
+				continue
+			}
 		}
 		if opts.SpaceBudget > 0 && ec.SizeBytes > opts.SpaceBudget {
 			continue

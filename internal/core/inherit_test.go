@@ -123,7 +123,7 @@ func BenchmarkRankNode(b *testing.B) {
 		b.Fatalf("root ranks %d candidates: %v", len(ranked), err)
 	}
 	step := ranked[0].tr
-	stepped, ok, err := tn.evaluateIncremental(optimal, step.Apply(optCfg), step.RemovedIndexIDs(), step.RemovedViewNames(), 0)
+	stepped, ok, err := tn.evalQueries(optimal, step.Apply(optCfg), step.RemovedIndexIDs(), step.RemovedViewNames(), 0)
 	if err != nil || !ok {
 		b.Fatalf("evaluating %s: %v", step.ID(), err)
 	}

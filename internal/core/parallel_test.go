@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/obs"
-	"repro/internal/physical"
 	"repro/internal/workloads"
 )
 
@@ -83,21 +82,20 @@ func TestParallelTuneEquivalenceTPCH(t *testing.T) {
 }
 
 // requireSameEconomy asserts that a parallel session does the serial
-// session's work: the same optimizer calls and requests, the same
-// evaluation-cache traffic, the same plans reused and re-optimized, the
-// same bounds computed and inherited.
+// session's work: the same optimizer calls and requests, the same plans
+// reused and re-optimized, the same bounds computed and inherited.
 func requireSameEconomy(t *testing.T, serial, parallel *Result, serialProf, parallelProf *obs.Profiler) {
 	t.Helper()
 	type economy struct {
-		Calls, IndexRequests, ViewRequests             int64
-		EvalCacheMisses, PlansReused, PlansReoptimized int64
-		BoundsComputed, BoundsInherited                int64
+		Calls, IndexRequests, ViewRequests int64
+		PlansReused, PlansReoptimized      int64
+		BoundsComputed, BoundsInherited    int64
 	}
 	of := func(r *Result, prof *obs.Profiler) economy {
 		computed, inherited := boundCounts(prof)
 		return economy{
 			r.OptimizerCalls, r.IndexRequests, r.ViewRequests,
-			r.Economy.EvalCacheMisses, r.Economy.PlansReused, r.Economy.PlansReoptimized,
+			r.Economy.PlansReused, r.Economy.PlansReoptimized,
 			computed, inherited,
 		}
 	}
@@ -221,53 +219,6 @@ func TestSkylineSweepMatchesQuadratic(t *testing.T) {
 					trial, i, got[i].delta, want[i].delta)
 			}
 		}
-	}
-}
-
-// TestEvalCacheLRUEviction: the bounded cache evicts least-recently-used
-// evaluations and keeps honest hit/miss/eviction counters.
-func TestEvalCacheLRUEviction(t *testing.T) {
-	tn := tpchTuner(t, Options{NoViews: true, Parallelism: 1, EvalCacheCap: 2})
-	optCfg, err := tn.OptimalConfiguration()
-	if err != nil {
-		t.Fatal(err)
-	}
-	trs := physical.Enumerate(optCfg, physical.EnumerateOptions{NoViews: true, HeapTables: tn.heapTables})
-	if len(trs) == 0 {
-		t.Fatal("no transformations to build a third configuration from")
-	}
-	third := trs[0].Apply(optCfg)
-
-	if _, err := tn.Evaluate(tn.Base); err != nil { // miss, cache: [base]
-		t.Fatal(err)
-	}
-	if _, err := tn.Evaluate(optCfg); err != nil { // miss, cache: [opt base]
-		t.Fatal(err)
-	}
-	if tn.statEvalHits != 0 || tn.statEvalMisses != 2 {
-		t.Fatalf("after 2 cold evaluations: hits %d, misses %d", tn.statEvalHits, tn.statEvalMisses)
-	}
-	calls0 := tn.Opt.Stats().OptimizeCalls
-	if _, err := tn.Evaluate(tn.Base); err != nil { // hit, base becomes MRU
-		t.Fatal(err)
-	}
-	if tn.Opt.Stats().OptimizeCalls != calls0 {
-		t.Error("cache hit still called the optimizer")
-	}
-	if tn.statEvalHits != 1 {
-		t.Fatalf("hits = %d, want 1", tn.statEvalHits)
-	}
-	if _, err := tn.Evaluate(third); err != nil { // miss, evicts optCfg (LRU)
-		t.Fatal(err)
-	}
-	if tn.statEvalEvicted != 1 {
-		t.Fatalf("evictions = %d, want 1", tn.statEvalEvicted)
-	}
-	if _, ok := tn.evalCache[optCfg.Fingerprint()]; ok {
-		t.Error("least-recently-used entry (optimal config) survived eviction")
-	}
-	if _, ok := tn.evalCache[tn.Base.Fingerprint()]; !ok {
-		t.Error("recently used entry (base config) was evicted")
 	}
 }
 

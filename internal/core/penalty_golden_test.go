@@ -141,7 +141,6 @@ type sessionSummaryLine struct {
 	TransCensus                         []int
 	OptimizerCalls                      int64
 	IndexRequests, ViewRequests         int64
-	EvalCacheMisses                     int64
 	PlansReused, PlansReoptimized       int64
 	DuplicateSkips, ShortcutPrunes      int64
 	Iterations, Frontier, LineageLength int
@@ -150,16 +149,18 @@ type sessionSummaryLine struct {
 }
 
 // boundCensus bounds every transformation of the optimal configuration
-// and of each configuration along the winning lineage, on the session's
-// own evaluations (the evaluation cache hands back the ones the search
-// ranked from).
+// and of each configuration along the winning lineage, on the evaluations
+// the search ranked from: each step is replayed incrementally from the one
+// before it, starting at res.Optimal, as the search evaluated it.
 func boundCensus(t testing.TB, tn *Tuner, res *Result) []any {
 	t.Helper()
 	cfgs := []*EvaluatedConfig{res.Optimal}
 	for _, step := range res.Lineage {
-		ec, err := tn.Evaluate(step.Config)
-		if err != nil {
-			t.Fatal(err)
+		prev := cfgs[len(cfgs)-1]
+		removedIdx, removedViews := prev.Config.Diff(step.Config)
+		ec, ok, err := tn.EvaluateIncremental(prev, step.Config, removedIdx, removedViews, 0)
+		if err != nil || !ok {
+			t.Fatalf("replaying lineage step %d: ok=%v, %v", step.Iteration, ok, err)
 		}
 		cfgs = append(cfgs, ec)
 	}
@@ -201,8 +202,7 @@ func boundCensus(t testing.TB, tn *Tuner, res *Result) []any {
 	out = append(out, sessionSummaryLine{
 		TransCensus:    res.TransCensus,
 		OptimizerCalls: res.OptimizerCalls, IndexRequests: res.IndexRequests, ViewRequests: res.ViewRequests,
-		EvalCacheMisses: res.Economy.EvalCacheMisses,
-		PlansReused:     res.Economy.PlansReused, PlansReoptimized: res.Economy.PlansReoptimized,
+		PlansReused: res.Economy.PlansReused, PlansReoptimized: res.Economy.PlansReoptimized,
 		DuplicateSkips: res.Economy.DuplicateSkips, ShortcutPrunes: res.Economy.ShortcutPrunes,
 		Iterations: res.Iterations, Frontier: len(res.Frontier), LineageLength: len(res.Lineage),
 		BestCostBits: math.Float64bits(res.Best.Cost), BestSize: res.Best.SizeBytes,

@@ -137,7 +137,6 @@ func (t *Tuner) Tune() (*Result, error) {
 	start := time.Now()
 	stats0 := t.Opt.Stats()
 	reused0, reopt0 := t.statPlansReused.Load(), t.statPlansReopt.Load()
-	evalHits0, evalMisses0, evalEvicted0 := t.statEvalHits, t.statEvalMisses, t.statEvalEvicted
 	var cache0 CacheStats
 	if t.Options.Cache != nil {
 		cache0 = t.Options.Cache.Stats()
@@ -164,9 +163,6 @@ func (t *Tuner) Tune() (*Result, error) {
 	res.Economy.OptimizerCalls = res.OptimizerCalls
 	res.Economy.PlansReused = t.statPlansReused.Load() - reused0
 	res.Economy.PlansReoptimized = t.statPlansReopt.Load() - reopt0
-	res.Economy.EvalCacheHits = t.statEvalHits - evalHits0
-	res.Economy.EvalCacheMisses = t.statEvalMisses - evalMisses0
-	res.Economy.EvalCacheEvictions = t.statEvalEvicted - evalEvicted0
 	if c := t.Options.Cache; c != nil {
 		cs := c.Stats()
 		res.Economy.CacheHits = cs.Hits - cache0.Hits
@@ -175,15 +171,12 @@ func (t *Tuner) Tune() (*Result, error) {
 	res.Explain.Calibration = obs.Calibrate(res.CalibSamples, res.Economy)
 	if trace.Enabled() {
 		endTune(callFields(stats0, stats, obs.F{
-			"best_fp":              res.Best.Config.Fingerprint(),
-			"best_cost":            res.Best.Cost,
-			"best_size":            res.Best.SizeBytes,
-			"improvement_pct":      res.ImprovementPct(),
-			"iterations":           res.Iterations,
-			"parallel_workers":     res.ParallelWorkers,
-			"eval_cache_hits":      res.Economy.EvalCacheHits,
-			"eval_cache_misses":    res.Economy.EvalCacheMisses,
-			"eval_cache_evictions": res.Economy.EvalCacheEvictions,
+			"best_fp":          res.Best.Config.Fingerprint(),
+			"best_cost":        res.Best.Cost,
+			"best_size":        res.Best.SizeBytes,
+			"improvement_pct":  res.ImprovementPct(),
+			"iterations":       res.Iterations,
+			"parallel_workers": res.ParallelWorkers,
 		}))
 	}
 	return res, nil
@@ -206,6 +199,19 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 	}
 	endPhase(obs.F{"cost": initial.Cost, "size": initial.SizeBytes})
 	res.Initial = initial
+	// seen, below, is consulted before every evaluation, so the search
+	// evaluates no configuration twice. The base configuration is the one
+	// fingerprint seen is not told about up front — it is not a pool node —
+	// and the one a session can come back to: a tight budget relaxes all the
+	// way down to it, and a warm-start (or even the optimal) configuration
+	// may be it. initial already is that evaluation.
+	baseFP := t.Base.Fingerprint()
+	evalAt := func(fp string, parent *EvaluatedConfig, cfg *physical.Configuration, removedIdx, removedViews []string, cutoff float64) (*EvaluatedConfig, bool, error) {
+		if fp == baseFP {
+			return initial, true, nil
+		}
+		return t.evalQueries(parent, cfg, removedIdx, removedViews, cutoff)
+	}
 
 	endPhase = t.span("optimal-config")
 	optimalCfg, err := t.optimalConfiguration()
@@ -216,12 +222,13 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 	endPhase(obs.F{"indexes": optimalCfg.NumIndexes(), "views": optimalCfg.NumViews()})
 
 	endPhase = t.span("evaluate-optimal")
-	optimal, err := t.evaluate(optimalCfg)
+	optimalFP := optimalCfg.Fingerprint()
+	optimal, _, err := evalAt(optimalFP, nil, optimalCfg, nil, nil, 0)
 	if err != nil {
 		endPhase(obs.F{"error": err.Error()})
 		return nil, err
 	}
-	endPhase(obs.F{"cost": optimal.Cost, "size": optimal.SizeBytes, "fp": optimal.Config.Fingerprint()})
+	endPhase(obs.F{"cost": optimal.Cost, "size": optimal.SizeBytes, "fp": optimalFP})
 	res.Optimal = optimal
 
 	hasUpdates := t.hasUpdates()
@@ -255,7 +262,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 	}
 
 	pool := []*searchNode{root}
-	seen := map[string]bool{optimalCfg.Fingerprint(): true}
+	seen := map[string]bool{optimalFP: true}
 	res.Frontier = append(res.Frontier,
 		FrontierPoint{SizeBytes: optimal.SizeBytes, Cost: optimal.Cost, Fits: fits(optimal)})
 
@@ -276,7 +283,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 		if fp := warmCfg.Fingerprint(); !seen[fp] {
 			seen[fp] = true
 			removedIdx, removedViews := optimalCfg.Diff(warmCfg)
-			warm, ok, err := t.evaluateIncremental(optimal, warmCfg, removedIdx, removedViews, 0)
+			warm, ok, err := evalAt(fp, optimal, warmCfg, removedIdx, removedViews, 0)
 			if err != nil {
 				endPhase(obs.F{"error": err.Error()})
 				return nil, err
@@ -396,16 +403,24 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			})
 		}
 
-		fp := cfgNew.Fingerprint()
-		if seen[fp] {
+		// visited enters fp in seen, or ends the step in the duplicate exit
+		// when the search has been there before.
+		visited := func(fp string) bool {
+			if !seen[fp] {
+				seen[fp] = true
+				return false
+			}
 			last = node
 			res.Economy.DuplicateSkips++
 			if trace.Enabled() {
 				exit(obs.EvSkip, node.eval, obs.F{"reason": "duplicate", "fp": fp})
 			}
+			return true
+		}
+		fp := cfgNew.Fingerprint()
+		if visited(fp) {
 			continue
 		}
-		seen[fp] = true
 
 		cutoff := 0.0
 		if cbest != nil {
@@ -419,7 +434,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			cutoff = 0
 		}
 		tEval := time.Now()
-		evalNew, ok, err := t.evaluateIncremental(node.eval, cfgNew, removedIdx, removedViews, cutoff)
+		evalNew, ok, err := evalAt(fp, node.eval, cfgNew, removedIdx, removedViews, cutoff)
 		prof.Since("search/evaluate", tEval)
 		if err != nil {
 			endSearch(obs.F{"error": err.Error()})
@@ -435,14 +450,19 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 		}
 		if t.Options.ShrinkUnused {
 			tShrink := time.Now()
-			shrunk, serr := t.shrinkUnused(evalNew)
-			prof.Since("search/shrink", tShrink)
-			if serr != nil {
-				endSearch(obs.F{"error": serr.Error()})
-				return nil, serr
+			if shrunk := shrinkUnused(evalNew); shrunk != nil {
+				// The step produced shrunk, not cfgNew: it is the
+				// configuration the pool must not already hold.
+				sfp := shrunk.Fingerprint()
+				if visited(sfp) {
+					continue
+				}
+				evalNew, _, err = evalAt(sfp, evalNew, shrunk, nil, nil, 0)
 			}
-			if shrunk != nil {
-				evalNew = shrunk
+			prof.Since("search/shrink", tShrink)
+			if err != nil {
+				endSearch(obs.F{"error": err.Error()})
+				return nil, err
 			}
 		}
 		realized := realizedPenalty(node.eval, evalNew)
@@ -586,10 +606,10 @@ func (t *Tuner) selectNonConflicting(ranked []candidate) []*physical.Transformat
 	return out
 }
 
-// shrinkUnused implements the §3.5 shrinking variation: structures no
-// plan reads are dropped from the configuration. Returns nil when
-// nothing shrinks. Plans stay valid because only unused structures go.
-func (t *Tuner) shrinkUnused(ec *EvaluatedConfig) (*EvaluatedConfig, error) {
+// shrinkUnused implements the §3.5 shrinking variation: ec's configuration
+// without the structures no plan reads, or nil when nothing shrinks. Every
+// plan of ec stays valid under it, because only unused structures go.
+func shrinkUnused(ec *EvaluatedConfig) *physical.Configuration {
 	used := map[string]bool{}
 	usedViews := map[string]bool{}
 	for _, res := range ec.Results {
@@ -625,13 +645,9 @@ func (t *Tuner) shrinkUnused(ec *EvaluatedConfig) (*EvaluatedConfig, error) {
 		}
 	}
 	if !changed {
-		return nil, nil
+		return nil
 	}
-	out, ok, err := t.evaluateIncremental(ec, shrunk, nil, nil, 0)
-	if err != nil || !ok {
-		return nil, err
-	}
-	return out, nil
+	return shrunk
 }
 
 // realizedPenalty is the observed ΔT/ΔS of one relaxation step.
@@ -829,7 +845,8 @@ func (t *Tuner) rankTransformations(node *searchNode, budget int64, hasUpdates b
 // stepDiff is what separates a node's evaluation from its parent's, as far
 // as a §3.3.2 bound can tell. It is derived from the two evaluations
 // themselves, not from the transformations applied, so multi-transformation
-// steps, §3.5 shrinking and evaluation-cache hits need no case of their own.
+// steps, §3.5 shrinking and a step down to the base configuration (whose
+// evaluation is the initial one) need no case of their own.
 type stepDiff struct {
 	child *physical.Configuration
 	// relations are the tables and views whose index list differs, and the

@@ -32,7 +32,7 @@ func TestIncrementalEvaluationMatchesFull(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("%s: %v", tr, err)
 		}
-		// Fresh tuner avoids the eval cache, forcing full re-optimization.
+		// A second session re-optimizes every query from scratch.
 		tn2 := tpchTuner(t, Options{NoViews: true, FullReoptimize: true})
 		full, err := tn2.Evaluate(cfgNew)
 		if err != nil {

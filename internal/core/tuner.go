@@ -16,7 +16,6 @@
 package core
 
 import (
-	"container/list"
 	"fmt"
 	"runtime"
 	"sync"
@@ -80,10 +79,6 @@ type Options struct {
 	// queries earlier or later than the serial prefix abort — only wall
 	// time differs otherwise.
 	Parallelism int
-	// EvalCacheCap bounds the per-session evaluation cache (configuration
-	// fingerprint → evaluation) with LRU eviction. 0 means the default
-	// cap (4096 entries); negative means unbounded.
-	EvalCacheCap int
 
 	// Online/incremental retuning (the internal/service layer).
 
@@ -155,12 +150,6 @@ type Tuner struct {
 	// parallel penalty-estimation workers race for it.
 	cbvMu    sync.Mutex
 	cbvCache map[string]*cbvEntry
-	// evalCache deduplicates configuration evaluations by fingerprint,
-	// bounded by Options.EvalCacheCap with LRU eviction. Only the serial
-	// main line of the search touches it, so its state (and therefore its
-	// eviction order) is identical at every Parallelism setting.
-	evalCache map[string]*list.Element
-	evalLRU   *list.List
 	// demandedBy maps each optimal-fragment structure ("i:"+index ID or
 	// "v:"+view name) to the workload statements whose §2 instrumented
 	// optimization requested it — the provenance half of the explain
@@ -174,11 +163,6 @@ type Tuner struct {
 	// them concurrently.
 	statPlansReused atomic.Int64
 	statPlansReopt  atomic.Int64
-	// Eviction/hit accounting of the bounded evalCache; main-line only,
-	// guarded by mu.
-	statEvalHits    int64
-	statEvalMisses  int64
-	statEvalEvicted int64
 	// verifyInherited is the tests' shadow mode: every inherited delta is
 	// recomputed with boundDelta on the inheriting node and the session
 	// fails unless both components match bit for bit.
@@ -192,16 +176,6 @@ type cbvEntry struct {
 	err  error
 }
 
-// evalCacheEntry is one LRU slot of the evaluation cache.
-type evalCacheEntry struct {
-	fp string
-	ec *EvaluatedConfig
-}
-
-// defaultEvalCacheCap bounds the evaluation cache when Options leave
-// EvalCacheCap at zero.
-const defaultEvalCacheCap = 4096
-
 // NewTuner binds the workload against db and prepares a session. The base
 // configuration (required primary-key indexes) is derived from the
 // catalog.
@@ -213,8 +187,6 @@ func NewTuner(db *catalog.Database, w *workloads.Workload, opts Options) (*Tuner
 		Options:    opts,
 		heapTables: datagen.HeapTables(db),
 		cbvCache:   map[string]*cbvEntry{},
-		evalCache:  map[string]*list.Element{},
-		evalLRU:    list.New(),
 		demandedBy: map[string][]string{},
 	}
 	for _, q := range w.Queries {
@@ -249,16 +221,8 @@ func (t *Tuner) Evaluate(cfg *physical.Configuration) (*EvaluatedConfig, error) 
 }
 
 func (t *Tuner) evaluate(cfg *physical.Configuration) (*EvaluatedConfig, error) {
-	fp := cfg.Fingerprint()
-	if hit, ok := t.evalCacheGet(fp); ok {
-		return hit, nil
-	}
 	ec, _, err := t.evalQueries(nil, cfg, nil, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	t.evalCachePut(fp, ec)
-	return ec, nil
+	return ec, err
 }
 
 // EvaluateIncremental evaluates cfg reusing the parent's plans for every
@@ -270,20 +234,7 @@ func (t *Tuner) evaluate(cfg *physical.Configuration) (*EvaluatedConfig, error) 
 func (t *Tuner) EvaluateIncremental(parent *EvaluatedConfig, cfg *physical.Configuration, removedIdx, removedViews []string, cutoff float64) (*EvaluatedConfig, bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.evaluateIncremental(parent, cfg, removedIdx, removedViews, cutoff)
-}
-
-func (t *Tuner) evaluateIncremental(parent *EvaluatedConfig, cfg *physical.Configuration, removedIdx, removedViews []string, cutoff float64) (*EvaluatedConfig, bool, error) {
-	fp := cfg.Fingerprint()
-	if hit, ok := t.evalCacheGet(fp); ok {
-		return hit, true, nil
-	}
-	ec, ok, err := t.evalQueries(parent, cfg, removedIdx, removedViews, cutoff)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	t.evalCachePut(fp, ec)
-	return ec, true, nil
+	return t.evalQueries(parent, cfg, removedIdx, removedViews, cutoff)
 }
 
 // evalQueries optimizes every workload query under cfg: the shared body
@@ -361,47 +312,6 @@ func (o Options) Workers() int {
 		return o.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// evalCacheGet looks up a configuration evaluation, refreshing its LRU
-// position. Callers hold t.mu.
-func (t *Tuner) evalCacheGet(fp string) (*EvaluatedConfig, bool) {
-	if el, ok := t.evalCache[fp]; ok {
-		t.evalLRU.MoveToFront(el)
-		t.statEvalHits++
-		return el.Value.(*evalCacheEntry).ec, true
-	}
-	t.statEvalMisses++
-	return nil, false
-}
-
-// evalCachePut inserts an evaluation, evicting the least recently used
-// entries beyond the cap. Callers hold t.mu.
-func (t *Tuner) evalCachePut(fp string, ec *EvaluatedConfig) {
-	if el, ok := t.evalCache[fp]; ok {
-		el.Value.(*evalCacheEntry).ec = ec
-		t.evalLRU.MoveToFront(el)
-		return
-	}
-	t.evalCache[fp] = t.evalLRU.PushFront(&evalCacheEntry{fp: fp, ec: ec})
-	cap := t.evalCacheCap()
-	for cap > 0 && t.evalLRU.Len() > cap {
-		back := t.evalLRU.Back()
-		t.evalLRU.Remove(back)
-		delete(t.evalCache, back.Value.(*evalCacheEntry).fp)
-		t.statEvalEvicted++
-	}
-}
-
-func (t *Tuner) evalCacheCap() int {
-	switch c := t.Options.EvalCacheCap; {
-	case c == 0:
-		return defaultEvalCacheCap
-	case c < 0:
-		return 0 // unbounded
-	default:
-		return c
-	}
 }
 
 // usesAny reports whether the query result reads any of the removed

@@ -79,12 +79,13 @@ func TestShrinkUnusedRemovesOnlyUnused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shrunk, err := tn.shrinkUnused(ec)
+	shrunkCfg := shrinkUnused(ec)
+	if shrunkCfg == nil {
+		t.Fatal("planted junk should have been shrunk away")
+	}
+	shrunk, _, err := tn.EvaluateIncremental(ec, shrunkCfg, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if shrunk == nil {
-		t.Fatal("planted junk should have been shrunk away")
 	}
 	if shrunk.Config.HasIndex(planted.ID()) {
 		t.Error("unused planted index survived")

@@ -159,3 +159,41 @@ func TestSkewConcentratesMass(t *testing.T) {
 		t.Errorf("skewed column should have most mass below the midpoint: %g", s.Histogram.LtFraction(mid))
 	}
 }
+
+// TestByName: the one table of database names resolves each family to
+// what its constructor builds, ignores case, and rejects anything else
+// with one error text from both entry points.
+func TestByName(t *testing.T) {
+	const sf = 0.001
+	for _, tc := range []struct {
+		name string
+		want *catalog.Database // nil = unknown
+	}{
+		{"tpch", TPCH(sf)},
+		{"ds1", DS1(sf)},
+		{"bench", Bench(sf)},
+		{"TpcH", TPCH(sf)},
+		{"tpcds", nil},
+	} {
+		db, err := ByName(tc.name, sf)
+		ddb, store, derr := DataByName(tc.name, sf)
+		if tc.want == nil {
+			if err == nil || derr == nil || err.Error() != derr.Error() {
+				t.Errorf("%q: errors %v / %v, want the same non-nil text", tc.name, err, derr)
+			}
+			continue
+		}
+		if err != nil || derr != nil {
+			t.Fatalf("%q: %v / %v", tc.name, err, derr)
+		}
+		if db.Fingerprint() != tc.want.Fingerprint() {
+			t.Errorf("%q: ByName built %s, want %s", tc.name, db.Summary(), tc.want.Summary())
+		}
+		if ddb.Name != tc.want.Name || len(ddb.Tables()) != len(tc.want.Tables()) || store == nil {
+			t.Errorf("%q: DataByName built %s (store %v), want the rows of %s", tc.name, ddb.Summary(), store != nil, tc.want.Summary())
+		}
+	}
+	if got := Names(); len(got) != 3 || got[0] != "tpch" || got[1] != "ds1" || got[2] != "bench" {
+		t.Errorf("Names() = %v", got)
+	}
+}

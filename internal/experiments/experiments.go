@@ -45,22 +45,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// database materializes one of the three schema families by name.
-func (c Config) database(name string) *catalog.Database {
-	switch name {
-	case "tpch":
-		return datagen.TPCH(c.SF)
-	case "ds1":
-		return datagen.DS1(c.SF)
-	case "bench":
-		return datagen.Bench(c.SF)
-	default:
-		panic(fmt.Sprintf("experiments: unknown database %q", name))
-	}
-}
-
 // Families lists the three database families used across experiments.
-func Families() []string { return []string{"tpch", "ds1", "bench"} }
+func Families() []string { return datagen.Names() }
 
 // ---------------------------------------------------------------------
 // Table 1: index and view requests for the 22-query TPC-H workload.
@@ -78,7 +64,7 @@ type Table1Row struct {
 // query; the paper's point is that these counts stay small even for
 // complex queries.
 func Table1(cfg Config) ([]Table1Row, error) {
-	db := cfg.database("tpch")
+	db := datagen.TPCH(cfg.SF)
 	w, err := workloads.TPCH22()
 	if err != nil {
 		return nil, err
@@ -120,10 +106,13 @@ type Table2Row struct {
 }
 
 // Table2 reproduces the experimental-setting inventory.
-func Table2(cfg Config) []Table2Row {
+func Table2(cfg Config) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, fam := range Families() {
-		db := cfg.database(fam)
+		db, err := datagen.ByName(fam, cfg.SF)
+		if err != nil {
+			return nil, err
+		}
 		kind := "generated SPJG + update mixes"
 		if fam == "tpch" {
 			kind = "22-query TPC-H batch, refresh mixes, generated SPJG"
@@ -136,7 +125,7 @@ func Table2(cfg Config) []Table2Row {
 			Workloads: kind,
 		})
 	}
-	return rows
+	return rows, nil
 }
 
 // ---------------------------------------------------------------------
@@ -219,7 +208,10 @@ type poolItem struct {
 func workloadPool(cfg Config, withUpdates bool) ([]poolItem, error) {
 	var out []poolItem
 	for _, fam := range Families() {
-		db := cfg.database(fam)
+		db, err := datagen.ByName(fam, cfg.SF)
+		if err != nil {
+			return nil, err
+		}
 		for i := 0; i < cfg.Workloads; i++ {
 			opt := workloads.DefaultGenOptions(fmt.Sprintf("%s-w%d", fam, i+1), cfg.Seed+int64(i)*101, cfg.QueriesPerWorkload)
 			if withUpdates {
@@ -241,7 +233,7 @@ func workloadPool(cfg Config, withUpdates bool) ([]poolItem, error) {
 	}
 	// The TPC-H 22-query batch joins the pool (SELECT-only case).
 	if !withUpdates {
-		db := cfg.database("tpch")
+		db := datagen.TPCH(cfg.SF)
 		w, err := workloads.TPCH22()
 		if err != nil {
 			return nil, err

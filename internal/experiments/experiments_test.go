@@ -37,7 +37,10 @@ func TestTable1RequestsAreSmall(t *testing.T) {
 }
 
 func TestTable2Inventory(t *testing.T) {
-	rows := Table2(tinyConfig())
+	rows, err := Table2(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 3 {
 		t.Fatalf("expected 3 database families, got %d", len(rows))
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/workloads"
 )
 
@@ -25,7 +26,7 @@ type Fig3Result struct {
 // workload and reports the relaxation tuner's optimal-configuration bound
 // for comparison.
 func Figure3(cfg Config) (*Fig3Result, error) {
-	db := cfg.database("tpch")
+	db := datagen.TPCH(cfg.SF)
 	opt := workloads.DefaultGenOptions("fig3", cfg.Seed+9, 30)
 	opt.MaxJoins = 5
 	w, err := workloads.Generate(db, opt)
@@ -76,7 +77,7 @@ type Fig4Result struct {
 // Figure4 tunes the 22-query TPC-H workload for indexes under a budget of
 // about 30% of the optimal configuration's size and returns the frontier.
 func Figure4(cfg Config) (*Fig4Result, error) {
-	db := cfg.database("tpch")
+	db := datagen.TPCH(cfg.SF)
 	w, err := workloads.TPCH22()
 	if err != nil {
 		return nil, err
@@ -124,7 +125,7 @@ func Figure4(cfg Config) (*Fig4Result, error) {
 // during a TPC-H relaxation run; the paper's point is that the space is
 // far too large for exhaustive search.
 func Figure6(cfg Config) ([]int, error) {
-	db := cfg.database("tpch")
+	db := datagen.TPCH(cfg.SF)
 	w, err := workloads.TPCH22()
 	if err != nil {
 		return nil, err
@@ -245,7 +246,7 @@ type Fig10Row struct {
 // with both tools at every point. The paper's shape: PTT improves
 // monotonically with space, CTT may regress.
 func Figure10(cfg Config) ([]Fig10Row, error) {
-	db := cfg.database("tpch")
+	db := datagen.TPCH(cfg.SF)
 	w, err := workloads.TPCH22()
 	if err != nil {
 		return nil, err

@@ -133,13 +133,6 @@ func DefaultAlertRules() []AlertRule {
 			Summary: "§3.3.2 ΔT penalty bound violated more than 3x/min — penalty ranking may be misled",
 		},
 		{
-			Name: "eval-cache-collapse", Severity: SeverityWarning,
-			Metric: "tuner_eval_cache_hits_total", Per: "tuner_eval_cache_misses_total",
-			Kind: AlertKindRate, Op: "<", Value: 0.25,
-			Over: AlertDuration(5 * time.Minute), For: AlertDuration(2 * time.Minute),
-			Summary: "evaluation cache hit/miss ratio collapsed below 0.25",
-		},
-		{
 			Name: "fragment-cache-collapse", Severity: SeverityWarning,
 			Metric: "tuner_fragment_cache_hits_total", Per: "tuner_fragment_cache_misses_total",
 			Kind: AlertKindRate, Op: "<", Value: 0.25,

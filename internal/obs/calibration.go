@@ -42,12 +42,6 @@ type WhatIfEconomy struct {
 	// cache (zero unless Options.Cache is set).
 	CacheHits       int64 `json:"cache_hits,omitempty"`
 	CacheCallsSaved int64 `json:"cache_calls_saved,omitempty"`
-	// Bounded evaluation-cache accounting: full-configuration evaluations
-	// answered from the fingerprint-keyed LRU cache, the misses that had
-	// to evaluate, and the entries evicted by the cap.
-	EvalCacheHits      int64 `json:"eval_cache_hits,omitempty"`
-	EvalCacheMisses    int64 `json:"eval_cache_misses,omitempty"`
-	EvalCacheEvictions int64 `json:"eval_cache_evictions,omitempty"`
 }
 
 // ReuseRatio is the fraction of per-query evaluations that reused the

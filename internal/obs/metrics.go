@@ -37,13 +37,6 @@ type TunerMetrics struct {
 	CacheHits        *Counter
 	CacheMisses      *Counter
 
-	// Bounded evaluation-cache economy, fed from the "tune" span-end
-	// event: hits/misses of the fingerprint-keyed LRU plus entries
-	// evicted by the cap.
-	EvalCacheHits      *Counter
-	EvalCacheMisses    *Counter
-	EvalCacheEvictions *Counter
-
 	// Flight-recorder live series, fed from evaluation events:
 	// FrontierSpace is the size of the configuration the search last
 	// visited, BudgetGap is how far that configuration sits above the
@@ -65,24 +58,7 @@ type TunerMetrics struct {
 	ReplayRows      *Counter
 }
 
-// TunerMetricsBuckets overrides histogram bucket boundaries for the
-// tuner metric family. A nil field keeps that metric's default.
-// Tuning phases span microseconds to minutes, so deployments that care
-// about one end of the range can trade resolution accordingly —
-// ExpBuckets builds suitable geometric ladders.
-type TunerMetricsBuckets struct {
-	// RetuneDuration bounds tuner_retune_duration_seconds (seconds).
-	RetuneDuration []float64
-	// BoundTightness bounds tuner_penalty_bound_tightness (ratio).
-	BoundTightness []float64
-	// PhaseDuration bounds tuner_phase_duration_seconds (seconds).
-	PhaseDuration []float64
-	// ReplayDuration bounds tuner_replay_duration_seconds (seconds).
-	ReplayDuration []float64
-}
-
-// Default bucket boundaries (exported so callers can extend rather
-// than replace them).
+// Bucket boundaries of the tuner metric family's four histograms.
 var (
 	DefaultRetuneBuckets    = []float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120}
 	DefaultTightnessBuckets = []float64{0.1, 0.25, 0.5, 0.75, 0.9, 1, 1.1, 1.25, 1.5, 2, 5}
@@ -95,27 +71,8 @@ var (
 	DefaultReplayBuckets = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
 )
 
-// NewTunerMetrics registers the tuner metric family on reg with
-// default bucket boundaries.
+// NewTunerMetrics registers the tuner metric family on reg.
 func NewTunerMetrics(reg *Registry) *TunerMetrics {
-	return NewTunerMetricsWith(reg, TunerMetricsBuckets{})
-}
-
-// NewTunerMetricsWith registers the tuner metric family with custom
-// histogram buckets; zero-value fields keep the defaults.
-func NewTunerMetricsWith(reg *Registry, buckets TunerMetricsBuckets) *TunerMetrics {
-	if buckets.RetuneDuration == nil {
-		buckets.RetuneDuration = DefaultRetuneBuckets
-	}
-	if buckets.BoundTightness == nil {
-		buckets.BoundTightness = DefaultTightnessBuckets
-	}
-	if buckets.PhaseDuration == nil {
-		buckets.PhaseDuration = DefaultPhaseBuckets
-	}
-	if buckets.ReplayDuration == nil {
-		buckets.ReplayDuration = DefaultReplayBuckets
-	}
 	return &TunerMetrics{
 		OptimizerCalls: reg.NewCounter("tuner_optimizer_calls_total",
 			"What-if optimizer calls made by tuning sessions."),
@@ -123,13 +80,13 @@ func NewTunerMetricsWith(reg *Registry, buckets TunerMetricsBuckets) *TunerMetri
 			"Optimizer calls attributed to each search phase.", "phase"),
 		RetuneDuration: reg.NewHistogram("tuner_retune_duration_seconds",
 			"Wall-clock duration of tuning sessions.",
-			buckets.RetuneDuration),
+			DefaultRetuneBuckets),
 		BoundTightness: reg.NewHistogram("tuner_penalty_bound_tightness",
 			"Realized ΔT over estimated ΔT bound per accepted relaxation step (≤1 means the §3.3.2 bound held).",
-			buckets.BoundTightness),
+			DefaultTightnessBuckets),
 		PhaseDuration: reg.NewHistogramVec("tuner_phase_duration_seconds",
 			"Wall-clock distribution of tuning phases (fed by the phase profiler).", "phase",
-			buckets.PhaseDuration),
+			DefaultPhaseBuckets),
 		PhaseAllocBytes: reg.NewCounterVec("tuner_phase_alloc_bytes_total",
 			"Heap bytes allocated in each tuning phase (fed by the phase profiler).", "phase"),
 		Iterations: reg.NewCounter("tuner_search_iterations_total",
@@ -148,12 +105,6 @@ func NewTunerMetricsWith(reg *Registry, buckets TunerMetricsBuckets) *TunerMetri
 			"Per-statement optimal-fragment cache hits."),
 		CacheMisses: reg.NewCounter("tuner_fragment_cache_misses_total",
 			"Per-statement optimal-fragment cache misses."),
-		EvalCacheHits: reg.NewCounter("tuner_eval_cache_hits_total",
-			"Configuration evaluations answered from the bounded evaluation cache."),
-		EvalCacheMisses: reg.NewCounter("tuner_eval_cache_misses_total",
-			"Configuration evaluations not present in the evaluation cache."),
-		EvalCacheEvictions: reg.NewCounter("tuner_eval_cache_evictions_total",
-			"Evaluation-cache entries evicted by the LRU cap."),
 		FrontierSpace: reg.NewGauge("tuner_frontier_space_bytes",
 			"Size of the configuration the relaxation search last visited."),
 		BudgetGap: reg.NewGauge("tuner_budget_gap_bytes",
@@ -162,7 +113,7 @@ func NewTunerMetricsWith(reg *Registry, buckets TunerMetricsBuckets) *TunerMetri
 			"Accepted relaxation steps whose realized ΔT exceeded the §3.3.2 upper bound."),
 		ReplayDuration: reg.NewHistogram("tuner_replay_duration_seconds",
 			"Wall-clock duration of ground-truth replay runs (materialize + execute + score).",
-			buckets.ReplayDuration),
+			DefaultReplayBuckets),
 		ReplaySpeedup: reg.NewGauge("tuner_replay_speedup_ratio",
 			"Measured baseline/recommended wall-time ratio from the last ground-truth replay."),
 		RankCorrelation: reg.NewGauge("tuner_costmodel_rank_correlation",
@@ -236,13 +187,6 @@ func (s *metricsSink) Emit(e Event) {
 			if calls := fieldFloat(e.Fields, "optimizer_calls"); calls > 0 {
 				m.PhaseOptimizerCalls.Add(e.Phase, calls)
 			}
-		}
-		// The session-level evaluation-cache economy rides on the "tune"
-		// span's closing fields.
-		if e.Phase == "tune" {
-			m.EvalCacheHits.Add(fieldFloat(e.Fields, "eval_cache_hits"))
-			m.EvalCacheMisses.Add(fieldFloat(e.Fields, "eval_cache_misses"))
-			m.EvalCacheEvictions.Add(fieldFloat(e.Fields, "eval_cache_evictions"))
 		}
 	}
 }

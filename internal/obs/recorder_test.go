@@ -152,37 +152,50 @@ func TestRecorderSkipsCorruptLines(t *testing.T) {
 }
 
 // TestRecorderLoadsOldHistory: a -history file written by an older
-// build must survive an upgrade that removes fields. The fixture is a
-// session recorded by the daemon at -parallel 4 before the what-if
-// economy lost two counters, with those counters added where a record
-// could have carried them; unknown fields are ignored, known ones keep
-// their values.
+// build must survive an upgrade that removes fields. Each fixture is a
+// session recorded by the daemon at the commit before a change deleted
+// counters from the what-if economy — speculative evaluation, then the
+// evaluation cache — with that session's economy, as GET /calibration
+// served it, added where a record could have carried it; unknown fields
+// are ignored, known ones keep their values.
 func TestRecorderLoadsOldHistory(t *testing.T) {
-	line, err := os.ReadFile("testdata/history_pre_v8.jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "sessions.jsonl")
-	if err := os.WriteFile(path, line, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRecorder(path, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	got := r.Get("s-000001")
-	if got == nil {
-		t.Fatalf("old session did not reload (len=%d)", r.Len())
-	}
-	if got.ParallelWorkers != 4 || got.OptimizerCalls != 12 || len(got.Structures) != 1 || len(got.Frontier) != 1 {
-		t.Errorf("reloaded session lost fields: %+v", got)
-	}
-	if got.Calibration == nil || got.Calibration.Samples != 3 || got.Calibration.BoundViolations != 1 {
-		t.Errorf("reloaded calibration = %+v", got.Calibration)
-	}
-	if id := r.NewSessionID(); id != "s-000002" {
-		t.Errorf("next session ID = %q, want s-000002", id)
+	for _, fx := range []struct {
+		file, id, nextID                                   string
+		workers, structures, frontier, samples, violations int
+		calls                                              int64
+	}{
+		{"history_pre_v8.jsonl", "s-000001", "s-000002", 4, 1, 1, 3, 1, 12},
+		{"history_eval_cache.jsonl", "s-000002", "s-000003", 2, 8, 18, 17, 0, 21},
+	} {
+		t.Run(fx.file, func(t *testing.T) {
+			line, err := os.ReadFile("testdata/" + fx.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "sessions.jsonl")
+			if err := os.WriteFile(path, line, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewRecorder(path, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			got := r.Get(fx.id)
+			if got == nil {
+				t.Fatalf("old session did not reload (len=%d)", r.Len())
+			}
+			if got.ParallelWorkers != fx.workers || got.OptimizerCalls != fx.calls ||
+				len(got.Structures) != fx.structures || len(got.Frontier) != fx.frontier {
+				t.Errorf("reloaded session lost fields: %+v", got)
+			}
+			if got.Calibration == nil || got.Calibration.Samples != fx.samples || got.Calibration.BoundViolations != fx.violations {
+				t.Errorf("reloaded calibration = %+v", got.Calibration)
+			}
+			if id := r.NewSessionID(); id != fx.nextID {
+				t.Errorf("next session ID = %q, want %s", id, fx.nextID)
+			}
+		})
 	}
 }
 

@@ -442,13 +442,8 @@ func runFleetThroughput(cfg Config) (ScenarioResult, error) {
 	}
 
 	reg, err := fleet.New(fleet.Options{
-		Workers: 2,
-		Catalog: func(database string, sf float64) (*catalog.Database, error) {
-			if database != "tpch" {
-				return nil, fmt.Errorf("unknown database %q", database)
-			}
-			return datagen.TPCH(sf), nil
-		},
+		Workers:  2,
+		Catalog:  datagen.ByName,
 		Defaults: service.Options{Tuning: tuning},
 	})
 	if err != nil {

@@ -7,8 +7,8 @@ import (
 )
 
 // Metrics holds the service's activity counters. All fields are updated
-// atomically; Snapshot returns a point-in-time copy for the /metrics
-// endpoint.
+// atomically; Service.MetricsSnapshot loads them into the /metrics
+// payload.
 type Metrics struct {
 	ingestRequests     atomic.Int64
 	statementsIngested atomic.Int64
@@ -41,41 +41,6 @@ type Metrics struct {
 // retuneSeconds is the cumulative wall time spent in tuning sessions.
 func (m *Metrics) retuneSeconds() float64 {
 	return float64(m.retuneNanosTotal.Load()) / 1e9
-}
-
-// snapshot reads every atomic exactly once into a plain copy, so the
-// JSON payload is assembled from a single coherent set of loads instead
-// of interleaving loads with concurrent updates.
-type metricsLocals struct {
-	ingestRequests, statementsIngested, parseErrors int64
-	driftChecksHTTP, driftChecksScheduler           int64
-	driftEventsHTTP, driftEventsScheduler           int64
-	retunes, warmRetunes, replays                   int64
-	tuneOptimizerCalls, driftOptimizerCalls         int64
-	lastRetuneCalls, lastRetuneMillis               int64
-	lastRetuneUnix                                  int64
-	parallelWorkers                                 int64
-}
-
-func (m *Metrics) snapshot() metricsLocals {
-	return metricsLocals{
-		ingestRequests:       m.ingestRequests.Load(),
-		statementsIngested:   m.statementsIngested.Load(),
-		parseErrors:          m.parseErrors.Load(),
-		driftChecksHTTP:      m.driftChecksHTTP.Load(),
-		driftChecksScheduler: m.driftChecksScheduler.Load(),
-		driftEventsHTTP:      m.driftEventsHTTP.Load(),
-		driftEventsScheduler: m.driftEventsScheduler.Load(),
-		retunes:              m.retunes.Load(),
-		warmRetunes:          m.warmRetunes.Load(),
-		replays:              m.replays.Load(),
-		tuneOptimizerCalls:   m.tuneOptimizerCalls.Load(),
-		driftOptimizerCalls:  m.driftOptimizerCalls.Load(),
-		lastRetuneCalls:      m.lastRetuneCalls.Load(),
-		lastRetuneMillis:     m.lastRetuneMillis.Load(),
-		lastRetuneUnix:       m.lastRetuneUnix.Load(),
-		parallelWorkers:      m.parallelWorkers.Load(),
-	}
 }
 
 // MetricsSnapshot is the JSON shape served by /metrics.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -283,5 +284,60 @@ func TestMonitorRuleFiresOverHTTP(t *testing.T) {
 	}
 	if len(alerts.Transitions) != 1 || alerts.Transitions[0].To != obs.AlertStateFiring {
 		t.Fatalf("transitions: %+v", alerts.Transitions)
+	}
+}
+
+// TestDefaultRulesQuietOnHealthyDaemon: the built-in ruleset must stay
+// silent on a daemon that does nothing unusual. Three statements, a
+// retune every ten synthetic seconds for five minutes, the budget cycling
+// from unconstrained to below the base configuration's size (1.32 MB) so
+// that some sessions relax all the way down to it, the sampler and the
+// engine ticked by hand every five seconds: nothing may be pending or
+// firing at the end, and nothing may have transitioned on the way.
+func TestDefaultRulesQuietOnHealthyDaemon(t *testing.T) {
+	svc := newTestService(t, Options{
+		Tuning: core.Options{MaxIterations: 120},
+		// The worker never ticks, and the rings (window/interval + 1 slots)
+		// hold every sample the loop below takes.
+		Monitor: MonitorOptions{HistoryInterval: time.Hour, HistoryWindow: 100 * time.Hour},
+	})
+	svc.Ingest([]string{
+		`SELECT s_name, s_acctbal FROM supplier WHERE s_acctbal > 5000`,
+		`SELECT o_orderkey, o_totalprice FROM orders WHERE o_orderdate >= 9131 AND o_orderdate < 9200`,
+		`SELECT l_orderkey, l_quantity FROM lineitem WHERE l_shipdate > 10400`,
+	})
+	budgetsMB := []float64{0, 1.57, 1.48, 1.40, 1.35, 1.3}
+	relaxed, downToBase := 0, 0
+	for sec := 0; sec <= 300; sec += 5 {
+		if sec%10 == 0 {
+			rec, err := svc.RetuneWithBudget(int64(budgetsMB[sec/10%len(budgetsMB)] * (1 << 20)))
+			if err != nil {
+				t.Fatalf("retune at %ds: %v", sec, err)
+			}
+			if rec.Iterations > 0 {
+				relaxed++
+			}
+			if rec.Cost == rec.InitialCost {
+				downToBase++
+			}
+		}
+		now := monT0.Add(time.Duration(sec) * time.Second)
+		svc.History().Sample(now)
+		svc.Alerts().Evaluate(now)
+	}
+	if relaxed == 0 || downToBase == 0 {
+		t.Fatalf("%d sessions relaxed, %d down to the base configuration: the budgets exercise nothing", relaxed, downToBase)
+	}
+	st := svc.Alerts().Status()
+	if len(st.Rules) != len(obs.DefaultAlertRules()) {
+		t.Fatalf("%d rules evaluated, the default ruleset has %d", len(st.Rules), len(obs.DefaultAlertRules()))
+	}
+	if st.Firing != 0 || st.Pending != 0 || len(st.Transitions) != 0 {
+		for _, r := range st.Rules {
+			if r.State != obs.AlertStateInactive {
+				t.Errorf("rule %s is %s", r.Rule.Name, r.State)
+			}
+		}
+		t.Errorf("healthy daemon: %d firing, %d pending, transitions %+v", st.Firing, st.Pending, st.Transitions)
 	}
 }

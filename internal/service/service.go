@@ -83,9 +83,6 @@ type Options struct {
 	// every tuning session (in addition to the Prometheus metrics the
 	// service always derives from the same events).
 	TraceSink obs.Sink
-	// MetricsBuckets overrides the Prometheus histogram bucket
-	// boundaries (zero value = defaults).
-	MetricsBuckets obs.TunerMetricsBuckets
 	// Replay, when set, enables ground-truth replays: Build materializes
 	// the sampled-scale substrate (catalog + rows) on first use; the
 	// result is cached for the service's lifetime. nil disables
@@ -235,7 +232,7 @@ func New(opts Options) (*Service, error) {
 		cache = core.NewRequestCache()
 	}
 	promReg := obs.NewRegistry()
-	tm := obs.NewTunerMetricsWith(promReg, opts.MetricsBuckets)
+	tm := obs.NewTunerMetrics(promReg)
 	gauges := newServiceGauges(promReg)
 	profiler := obs.NewProfiler()
 	profiler.SetObserver(tm.PhaseDuration.Observe)
@@ -630,10 +627,13 @@ func (s *Service) retune(trigger string, budget int64, overrideBudget bool) (*Re
 	return rec, nil
 }
 
-// MetricsSnapshot assembles the /metrics payload. The atomics are read
-// once into a local copy before the struct is built.
+// MetricsSnapshot assembles the /metrics payload. Each counter is loaded
+// on its own: the payload is a set of readings taken while updates go on,
+// not one consistent cut.
 func (s *Service) MetricsSnapshot() MetricsSnapshot {
-	m := s.metrics.snapshot()
+	m := s.metrics
+	driftChecksHTTP, driftChecksScheduler := m.driftChecksHTTP.Load(), m.driftChecksScheduler.Load()
+	driftEventsHTTP, driftEventsScheduler := m.driftEventsHTTP.Load(), m.driftEventsScheduler.Load()
 	st := s.window.Stats()
 	cs := s.cache.Stats()
 	cacheHits, cacheShared := cs.Hits, cs.SharedHits
@@ -652,9 +652,9 @@ func (s *Service) MetricsSnapshot() MetricsSnapshot {
 	return MetricsSnapshot{
 		UptimeSeconds: time.Since(s.started).Seconds(),
 
-		IngestRequests:     m.ingestRequests,
-		StatementsIngested: m.statementsIngested,
-		ParseErrors:        m.parseErrors,
+		IngestRequests:     m.ingestRequests.Load(),
+		StatementsIngested: m.statementsIngested.Load(),
+		ParseErrors:        m.parseErrors.Load(),
 
 		WindowObservations:  int64(st.InWindow),
 		WindowUnique:        int64(st.Unique),
@@ -671,24 +671,24 @@ func (s *Service) MetricsSnapshot() MetricsSnapshot {
 		SketchEvictions:    st.SketchEvictions,
 		TopKWeightShare:    st.SketchWeightShare,
 
-		DriftChecks:          m.driftChecksHTTP + m.driftChecksScheduler,
-		DriftEvents:          m.driftEventsHTTP + m.driftEventsScheduler,
-		DriftChecksHTTP:      m.driftChecksHTTP,
-		DriftChecksScheduler: m.driftChecksScheduler,
-		DriftEventsHTTP:      m.driftEventsHTTP,
-		DriftEventsScheduler: m.driftEventsScheduler,
+		DriftChecks:          driftChecksHTTP + driftChecksScheduler,
+		DriftEvents:          driftEventsHTTP + driftEventsScheduler,
+		DriftChecksHTTP:      driftChecksHTTP,
+		DriftChecksScheduler: driftChecksScheduler,
+		DriftEventsHTTP:      driftEventsHTTP,
+		DriftEventsScheduler: driftEventsScheduler,
 		DriftMoverShare:      moverShare,
 
-		Retunes:            m.retunes,
-		WarmRetunes:        m.warmRetunes,
-		GroundTruthReplays: m.replays,
+		Retunes:            m.retunes.Load(),
+		WarmRetunes:        m.warmRetunes.Load(),
+		GroundTruthReplays: m.replays.Load(),
 
-		TuneOptimizerCalls:  m.tuneOptimizerCalls,
-		DriftOptimizerCalls: m.driftOptimizerCalls,
-		LastRetuneCalls:     m.lastRetuneCalls,
-		LastRetuneMillis:    m.lastRetuneMillis,
-		LastRetuneUnix:      m.lastRetuneUnix,
-		ParallelWorkers:     m.parallelWorkers,
+		TuneOptimizerCalls:  m.tuneOptimizerCalls.Load(),
+		DriftOptimizerCalls: m.driftOptimizerCalls.Load(),
+		LastRetuneCalls:     m.lastRetuneCalls.Load(),
+		LastRetuneMillis:    m.lastRetuneMillis.Load(),
+		LastRetuneUnix:      m.lastRetuneUnix.Load(),
+		ParallelWorkers:     m.parallelWorkers.Load(),
 
 		CacheEntries:        cs.Entries,
 		CacheHits:           cacheHits,

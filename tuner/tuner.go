@@ -201,8 +201,6 @@ type (
 	MetricsRegistry = obs.Registry
 	// TunerMetrics is the Prometheus metric family describing the search.
 	TunerMetrics = obs.TunerMetrics
-	// TunerMetricsBuckets overrides histogram bucket boundaries.
-	TunerMetricsBuckets = obs.TunerMetricsBuckets
 	// Profiler aggregates per-phase wall/allocation/counter profiles of
 	// a tuning session; set Options.Profile to enable. A nil Profiler is
 	// a valid no-op.
@@ -262,12 +260,6 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // NewTunerMetrics registers the tuner metric family on reg; feed it by
 // installing NewTracer(m.Sink()) as the session's Options.Trace.
 func NewTunerMetrics(reg *MetricsRegistry) *TunerMetrics { return obs.NewTunerMetrics(reg) }
-
-// NewTunerMetricsWith is NewTunerMetrics with custom histogram bucket
-// boundaries (zero-value fields keep the defaults).
-func NewTunerMetricsWith(reg *MetricsRegistry, buckets TunerMetricsBuckets) *TunerMetrics {
-	return obs.NewTunerMetricsWith(reg, buckets)
-}
 
 // NewProfiler returns an empty phase profiler; set it as
 // Options.Profile and call Snapshot after tuning.
