@@ -59,7 +59,14 @@ func (t *Tuner) boundDelta(ec *EvaluatedConfig, tr *physical.Transformation) (De
 	}
 	cfgAfter := tr.Apply(ec.Config)
 	sizer := t.Opt.Sizer()
-	d := Delta{DS: ec.SizeBytes - sizer.ConfigBytes(cfgAfter)}
+	// ΔS over the lists Apply installed: every other relation is the same
+	// list on both sides and cancels.
+	d := Delta{DS: sizer.SavedBytes(ec.Config, cfgAfter)}
+	if t.shadow {
+		if full := ec.SizeBytes - sizer.ConfigBytes(cfgAfter); d.DS != full {
+			return Delta{}, fmt.Errorf("core: ΔS of %s over the lists it touched is %d, over the whole configuration %d", tr.ID(), d.DS, full)
+		}
+	}
 
 	// Removed structures, tracked in stack-backed slices: transformations
 	// remove at most two indexes and two views directly, so the maps this
@@ -192,8 +199,9 @@ func (t *Tuner) usageBound(ec *EvaluatedConfig, cfgAfter *physical.Configuration
 func (t *Tuner) replacementCost(ec *EvaluatedConfig, cfgAfter *physical.Configuration, u *plan.IndexUsage, ir *physical.Index) float64 {
 	sizer := t.Opt.Sizer()
 	model := t.Opt.Model()
+	shR := sizer.IndexShape(ir, cfgAfter)
 	szI := float64(sizer.IndexBytes(u.Index, ec.Config))
-	szR := float64(sizer.IndexBytes(ir, cfgAfter))
+	szR := float64(shR.Bytes)
 	if szI <= 0 {
 		szI = 1
 	}
@@ -220,7 +228,7 @@ func (t *Tuner) replacementCost(ec *EvaluatedConfig, cfgAfter *physical.Configur
 	}
 	// Linear scaling misses per-access floors (B-tree descent, minimum
 	// page touches); pad the estimate so it stays an upper bound.
-	newCost = newCost*scaledEstimateMargin + float64(t.Opt.Sizer().IndexHeight(ir, cfgAfter))*model.RandPage
+	newCost = newCost*scaledEstimateMargin + float64(shR.Height)*model.RandPage
 	// Rid lookups when IR cannot provide every needed column.
 	if !ir.Clustered && !ir.Covers(u.NeededCols) {
 		rows, pages := t.primaryShape(ec, cfgAfter, ir.Table)
@@ -265,7 +273,8 @@ func (t *Tuner) primaryScanCost(ec *EvaluatedConfig, cfgAfter *physical.Configur
 func (t *Tuner) primaryShape(ec *EvaluatedConfig, cfgAfter *physical.Configuration, table string) (int64, int64) {
 	sizer := t.Opt.Sizer()
 	if cl := cfgAfter.ClusteredOn(table); cl != nil {
-		return sizer.IndexRows(cl, cfgAfter), sizer.IndexLeafPages(cl, cfgAfter)
+		sh := sizer.IndexShape(cl, cfgAfter)
+		return sh.Rows, sh.LeafPages
 	}
 	if v := cfgAfter.View(table); v != nil {
 		return v.EstRows, storage.HeapPages(v.EstRows, v.RowWidth())

@@ -69,16 +69,9 @@ func TestBoundDeltaWithViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trs := physical.Enumerate(optCfg, physical.EnumerateOptions{
-		HeapTables: tn.heapTables,
-		WidthOf:    tn.viewWidthFn(),
-	})
 	var viewTrs []*physical.Transformation
-	for _, tr := range trs {
+	for _, tr := range physical.Enumerate(optCfg, tn.enumerateOptions()) {
 		if tr.Kind == physical.TransMergeViews || tr.Kind == physical.TransRemoveView {
-			if tr.VM != nil && tr.VM.EstRows == 0 {
-				tr.VM.EstRows = tn.Opt.EstimateViewRows(tr.VM)
-			}
 			viewTrs = append(viewTrs, tr)
 		}
 	}
@@ -198,7 +191,7 @@ func TestBoundDeltaRemoveIndexAllocations(t *testing.T) {
 	}
 	const ceiling = 4
 	checked := 0
-	for _, tr := range tn.newSearchNode(ec, nil, 0).trans {
+	for _, tr := range tn.enum.Enumerate(ec.Config, nil).Trans {
 		if tr.Kind != physical.TransRemoveIndex {
 			continue
 		}

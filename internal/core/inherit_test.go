@@ -5,15 +5,27 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/physical"
 )
+
+// phaseCounts reads two counters of one profiler phase.
+func phaseCounts(prof *obs.Profiler, phase, first, second string) (int64, int64) {
+	if ph := prof.Snapshot().Phase(phase); ph != nil {
+		return int64(ph.Counters[first]), int64(ph.Counters[second])
+	}
+	return 0, 0
+}
 
 // boundCounts reads the two counters the penalty path keeps under the
 // search/rank profiler phase.
 func boundCounts(prof *obs.Profiler) (computed, inherited int64) {
-	if ph := prof.Snapshot().Phase("search/rank"); ph != nil {
-		return int64(ph.Counters["bounds_computed"]), int64(ph.Counters["bounds_inherited"])
-	}
-	return 0, 0
+	return phaseCounts(prof, "search/rank", "bounds_computed", "bounds_inherited")
+}
+
+// sharedCounts reads the two counters enumeration keeps under the
+// search/enumerate profiler phase.
+func sharedCounts(prof *obs.Profiler) (built, shared int64) {
+	return phaseCounts(prof, "search/enumerate", "transformations_built", "transformations_shared")
 }
 
 // parentBoundsUpdView is how often the update+view golden session called
@@ -21,14 +33,17 @@ func boundCounts(prof *obs.Profiler) (computed, inherited int64) {
 // ranked node bounded all of its transformations itself.
 const parentBoundsUpdView = 921
 
-// TestInheritedDeltasMatchRecomputation is the shadow test of the
-// inheritance rule: with verifyInherited set, every delta a node takes
-// from its parent is recomputed by boundDelta on the node itself and the
-// session fails on the first bit that differs. The sessions cover what
-// the rule has to get right by construction: updates with views, the
-// select-only sibling whose join plans change under steps on other
-// tables, multi-transformation steps, §3.5 shrinking, full
-// re-optimization (every plan changes) and a warm-start node (no parent).
+// TestInheritedDeltasMatchRecomputation is the shadow test of everything
+// a node takes over from its parent. With Tuner.shadow set, every inherited
+// delta is recomputed by boundDelta on the node itself, every node is
+// enumerated a second time from scratch, every ΔS is checked against the
+// sizes of both whole configurations, and the session fails on the first
+// bit that differs. The sessions cover what the rules have to get right by
+// construction: updates with views, the select-only sibling whose join
+// plans change under steps on other tables, multi-transformation steps,
+// §3.5 shrinking, full re-optimization (every plan changes, and the
+// configurations share their lists all the same) and a warm-start node (no
+// parent).
 func TestInheritedDeltasMatchRecomputation(t *testing.T) {
 	spineBudget := runSpineSession(t, 1).budget
 	_, prev, _ := runUpdViewSession(t, Options{Parallelism: 1})
@@ -60,7 +75,7 @@ func TestInheritedDeltasMatchRecomputation(t *testing.T) {
 			opts := s.opts
 			opts.Parallelism, opts.Profile = parallelism, prof
 			tn := s.tuner(opts)
-			tn.verifyInherited = true
+			tn.shadow = true
 			if _, err := tn.Tune(); err != nil {
 				t.Fatalf("%s P=%d: %v", s.name, parallelism, err)
 			}
@@ -71,6 +86,11 @@ func TestInheritedDeltasMatchRecomputation(t *testing.T) {
 			}
 			if !s.inherits && inherited != 0 {
 				t.Errorf("%s P=%d: %d deltas inherited, want 0", s.name, parallelism, inherited)
+			}
+			built, shared := sharedCounts(prof)
+			t.Logf("%s P=%d: %d transformations built, %d shared", s.name, parallelism, built, shared)
+			if shared == 0 {
+				t.Errorf("%s P=%d: no transformation shared, the shadow enumeration checked nothing", s.name, parallelism)
 			}
 		}
 	}
@@ -103,32 +123,107 @@ func TestBoundEconomyUpdView(t *testing.T) {
 	}
 }
 
+// TestEnumerationEconomy pins the accounting of shared enumeration on the
+// update+view golden session: every transformation of every node the search
+// created is counted once, as built or as shared — the two add up to what
+// enumerating each of those configurations from scratch yields — most are
+// shared, and the counts do not depend on Parallelism.
+func TestEnumerationEconomy(t *testing.T) {
+	var built, shared int64
+	for _, parallelism := range []int{1, 2, 8} {
+		prof := obs.NewProfiler()
+		tn, res, trace := runUpdViewSession(t, Options{Parallelism: parallelism, Profile: prof})
+		b, s := sharedCounts(prof)
+		if parallelism == 1 {
+			built, shared = b, s
+			_, nodes := nodeEnumerations(t, benchTuner(t, updViewSeed, 0.35, Options{}), res.Optimal, trace)
+			var scratch int64
+			for _, n := range nodes[1:] {
+				scratch += int64(len(physical.Enumerate(n.eval.Config, tn.enumerateOptions())))
+			}
+			if built+shared != scratch {
+				t.Errorf("%d built + %d shared = %d transformations, enumerating the %d non-root nodes from scratch gives %d",
+					built, shared, built+shared, len(nodes)-1, scratch)
+			}
+			if 2*built > scratch {
+				t.Errorf("%d of %d transformations still built, want at most half", built, scratch)
+			}
+		}
+		if b != built || s != shared {
+			t.Errorf("P=%d: %d built, %d shared; P=1 has %d, %d", parallelism, b, s, built, shared)
+		}
+	}
+}
+
+// TestChildEnumerationAllocations pins what a child pays one index removal
+// away from its parent: the enumeration's own tables (the list, one chunk
+// record per relation and per view, one row of merges per view) and the
+// transformations of the one relation whose list changed. Measured 195
+// where the same configuration costs 637 from scratch; the ceiling leaves
+// a few spare.
+func TestChildEnumerationAllocations(t *testing.T) {
+	tn := benchTuner(t, updViewSeed, 0.35, Options{Parallelism: 1})
+	root, _ := rootAndChild(t, tn)
+	var step *physical.Transformation
+	for _, tr := range root.enum.Trans {
+		if tr.Kind == physical.TransRemoveIndex {
+			step = tr
+			break
+		}
+	}
+	if step == nil {
+		t.Fatal("no remove-index transformation at the root")
+	}
+	cfg := step.Apply(root.eval.Config)
+	child := testing.AllocsPerRun(50, func() { enumSink = tn.enum.Enumerate(cfg, root.enum) })
+	scratch := testing.AllocsPerRun(10, func() {
+		enumSink = physical.NewEnumerator(tn.enumerateOptions()).Enumerate(cfg, nil)
+	})
+	t.Logf("after %s: %.0f allocations from the parent, %.0f from scratch", step.ID(), child, scratch)
+	const ceiling = 200
+	if child > ceiling {
+		t.Errorf("enumerating a child after %s allocates %.0f objects, ceiling %d (from scratch: %.0f)", step.ID(), child, ceiling, scratch)
+	}
+}
+
+// rootAndChild builds the first two nodes of the update+view session: the
+// root over the optimal configuration, ranked once, and the child its
+// best-ranked transformation leads to.
+func rootAndChild(tb testing.TB, tn *Tuner) (root, child *searchNode) {
+	tb.Helper()
+	optCfg, err := tn.OptimalConfiguration()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	optimal, err := tn.Evaluate(optCfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if root, err = tn.newSearchNode(optimal, optCfg.Fingerprint(), nil, 0); err != nil {
+		tb.Fatal(err)
+	}
+	ranked, _, err := tn.rankTransformations(root, tn.Options.SpaceBudget, true)
+	if err != nil || len(ranked) == 0 {
+		tb.Fatalf("root ranks %d candidates: %v", len(ranked), err)
+	}
+	step := ranked[0].tr
+	cfg := step.Apply(optCfg)
+	stepped, ok, err := tn.evalQueries(optimal, cfg, step.RemovedIndexIDs(), step.RemovedViewNames(), 0)
+	if err != nil || !ok {
+		tb.Fatalf("evaluating %s: %v", step.ID(), err)
+	}
+	if child, err = tn.newSearchNode(stepped, cfg.Fingerprint(), root, 0); err != nil {
+		tb.Fatal(err)
+	}
+	return root, child
+}
+
 // BenchmarkRankNode times one first ranking of a search node of the
 // update+view session: the root, which computes every bound, and its
 // first child, which inherits most of them from it.
 func BenchmarkRankNode(b *testing.B) {
 	tn := benchTuner(b, updViewSeed, 0.35, Options{Parallelism: 1})
-	optCfg, err := tn.OptimalConfiguration()
-	if err != nil {
-		b.Fatal(err)
-	}
-	optimal, err := tn.Evaluate(optCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	budget := tn.Options.SpaceBudget
-	root := tn.newSearchNode(optimal, nil, 0)
-	ranked, _, err := tn.rankTransformations(root, budget, true)
-	if err != nil || len(ranked) == 0 {
-		b.Fatalf("root ranks %d candidates: %v", len(ranked), err)
-	}
-	step := ranked[0].tr
-	stepped, ok, err := tn.evalQueries(optimal, step.Apply(optCfg), step.RemovedIndexIDs(), step.RemovedViewNames(), 0)
-	if err != nil || !ok {
-		b.Fatalf("evaluating %s: %v", step.ID(), err)
-	}
-	child := tn.newSearchNode(stepped, root, 0)
-
+	root, child := rootAndChild(b, tn)
 	for _, bc := range []struct {
 		name string
 		node *searchNode
@@ -137,10 +232,32 @@ func BenchmarkRankNode(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				bc.node.deltas, bc.node.ranked = map[string]Delta{}, false
-				if _, _, err := tn.rankTransformations(bc.node, budget, true); err != nil {
+				if _, _, err := tn.rankTransformations(bc.node, tn.Options.SpaceBudget, true); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+var enumSink *physical.Enumeration
+
+// BenchmarkEnumerateNode times the enumeration of the same two nodes: the
+// root by an enumerator that has seen nothing, which is what every node
+// cost before enumerations were shared, and the child from the root's.
+func BenchmarkEnumerateNode(b *testing.B) {
+	tn := benchTuner(b, updViewSeed, 0.35, Options{Parallelism: 1})
+	root, child := rootAndChild(b, tn)
+	b.Run("root", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			enumSink = physical.NewEnumerator(tn.enumerateOptions()).Enumerate(root.eval.Config, nil)
+		}
+	})
+	b.Run("child", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			enumSink = tn.enum.Enumerate(child.eval.Config, root.enum)
+		}
+	})
 }

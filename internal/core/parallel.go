@@ -184,7 +184,7 @@ func (t *Tuner) evalQueriesParallel(parent *EvaluatedConfig, cfg *physical.Confi
 // as the serial loop does.
 func (t *Tuner) precomputeDeltas(node *searchNode, workers int) (int, error) {
 	var missing []*physical.Transformation
-	for _, tr := range node.trans {
+	for _, tr := range node.enum.Trans {
 		if node.tried[tr.ID()] {
 			continue
 		}

@@ -169,7 +169,7 @@ func boundCensus(t testing.TB, tn *Tuner, res *Result) []any {
 		sum := sha256.Sum256([]byte(ec.Config.Fingerprint()))
 		line := boundCensusLine{Config: hex.EncodeToString(sum[:8]), ByKind: map[string]boundKindCount{}}
 		hashes := map[string]*bytes.Buffer{}
-		for _, tr := range tn.newSearchNode(ec, nil, 0).trans {
+		for _, tr := range tn.enum.Enumerate(ec.Config, nil).Trans {
 			d, err := tn.boundDelta(ec, tr)
 			errText := ""
 			if err != nil {

@@ -99,17 +99,21 @@ func (r *Result) ImprovementPct() float64 {
 
 // searchNode is one configuration in the pool CP of Figure 5.
 type searchNode struct {
-	eval   *EvaluatedConfig
+	eval *EvaluatedConfig
+	// fp is eval.Config's fingerprint, computed once, where seen needed it.
+	fp     string
 	parent *searchNode
 	// realizedPenalty is the actual ΔT/ΔS observed when this node was
 	// produced from its parent (heuristic 2 of §3.4).
 	realizedPenalty float64
-	trans           []*physical.Transformation
-	deltas          map[string]Delta
-	tried           map[string]bool
-	// untried counts the transformations not yet in tried (Enumerate never
-	// repeats an ID); markTried is the only writer of both. The census of
-	// Figure 6 and node selection read it every iteration.
+	// enum.Trans are the node's transformations; the rest of enum is what a
+	// child's enumeration takes over from this one.
+	enum   *physical.Enumeration
+	deltas map[string]Delta
+	tried  map[string]bool
+	// untried counts the transformations not yet in tried (an enumeration
+	// never repeats an ID); markTried is the only writer of both. The census
+	// of Figure 6 and node selection read it every iteration.
 	untried int
 	// ranked is set by the node's first ranking, which is when it takes
 	// over the deltas its parent can hand down (inheritDeltas).
@@ -250,8 +254,11 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 
 	fits := func(ec *EvaluatedConfig) bool { return ec.SizeBytes <= effBudget }
 	endEnum := prof.StartAlloc("enumerate-root")
-	root := t.newSearchNode(optimal, nil, 0)
+	root, err := t.newSearchNode(optimal, optimalFP, nil, 0)
 	endEnum()
+	if err != nil {
+		return nil, err
+	}
 	var cbest *EvaluatedConfig
 	var bestNode *searchNode
 	if fits(initial) {
@@ -291,7 +298,11 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			if ok {
 				res.Frontier = append(res.Frontier,
 					FrontierPoint{SizeBytes: warm.SizeBytes, Cost: warm.Cost, Fits: fits(warm)})
-				warmNode := t.newSearchNode(warm, nil, 0)
+				warmNode, err := t.newSearchNode(warm, fp, nil, 0)
+				if err != nil {
+					endPhase(obs.F{"error": err.Error()})
+					return nil, err
+				}
 				pool = append(pool, warmNode)
 				if fits(warm) && (cbest == nil || warm.Cost < cbest.Cost) {
 					cbest, bestNode = warm, warmNode
@@ -334,7 +345,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			trace.Emit(obs.EvIteration, obs.F{
 				"iter":        iter,
 				"pick_reason": pickReason,
-				"node_fp":     node.eval.Config.Fingerprint(),
+				"node_fp":     node.fp,
 				"node_cost":   node.eval.Cost,
 				"node_size":   node.eval.SizeBytes,
 				"pool":        len(pool),
@@ -453,11 +464,11 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			if shrunk := shrinkUnused(evalNew); shrunk != nil {
 				// The step produced shrunk, not cfgNew: it is the
 				// configuration the pool must not already hold.
-				sfp := shrunk.Fingerprint()
-				if visited(sfp) {
+				fp = shrunk.Fingerprint()
+				if visited(fp) {
 					continue
 				}
-				evalNew, _, err = evalAt(sfp, evalNew, shrunk, nil, nil, 0)
+				evalNew, _, err = evalAt(fp, evalNew, shrunk, nil, nil, 0)
 			}
 			prof.Since("search/shrink", tShrink)
 			if err != nil {
@@ -467,8 +478,16 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 		}
 		realized := realizedPenalty(node.eval, evalNew)
 		tEnum := time.Now()
-		child := t.newSearchNode(evalNew, node, realized)
+		child, err := t.newSearchNode(evalNew, fp, node, realized)
 		prof.Since("search/enumerate", tEnum)
+		if err != nil {
+			endSearch(obs.F{"error": err.Error()})
+			return nil, err
+		}
+		if prof.Enabled() {
+			prof.Add("search/enumerate", "transformations_built", float64(len(child.enum.Trans)-child.enum.Shared))
+			prof.Add("search/enumerate", "transformations_shared", float64(child.enum.Shared))
+		}
 		child.iteration = res.Iterations
 		child.applied = chosen
 		pool = append(pool, child)
@@ -490,8 +509,8 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			obs.CalibSample{Kind: kind, EstDT: estDT, RealizedDT: realizedDT})
 		if trace.Enabled() {
 			f := obs.F{
-				"fp":          evalNew.Config.Fingerprint(),
-				"parent_fp":   node.eval.Config.Fingerprint(),
+				"fp":          child.fp,
+				"parent_fp":   node.fp,
 				"fits":        fits(evalNew),
 				"est_dt":      estDT,
 				"realized_dt": realizedDT,
@@ -663,7 +682,7 @@ func realizedPenalty(parent, child *EvaluatedConfig) float64 {
 // markAllTried exhausts a node in place — its existing tried map gains
 // every transformation, without discarding entries already present.
 func markAllTried(n *searchNode) {
-	for _, tr := range n.trans {
+	for _, tr := range n.enum.Trans {
 		n.markTried(tr.ID())
 	}
 }
@@ -677,28 +696,55 @@ func poolCensus(pool []*searchNode) int {
 }
 
 // newSearchNode enumerates the node's transformations eagerly (the census
-// of Figure 6 needs them) and estimates merged-view cardinalities.
-func (t *Tuner) newSearchNode(ec *EvaluatedConfig, parent *searchNode, realized float64) *searchNode {
-	opts := physical.EnumerateOptions{
-		NoViews:    t.Options.NoViews,
-		HeapTables: t.heapTables,
-		WidthOf:    t.viewWidthFn(),
+// of Figure 6 needs them). A child's enumeration takes over from its
+// parent's whatever the step between their configurations left alone; a
+// root, a warm-start node and a step onto the base configuration have
+// nothing to take over and build everything.
+func (t *Tuner) newSearchNode(ec *EvaluatedConfig, fp string, parent *searchNode, realized float64) (*searchNode, error) {
+	var from *physical.Enumeration
+	if parent != nil {
+		from = parent.enum
 	}
-	trans := physical.Enumerate(ec.Config, opts)
-	for _, tr := range trans {
-		if tr.Kind == physical.TransMergeViews && tr.VM.EstRows == 0 {
-			tr.VM.EstRows = t.Opt.EstimateViewRows(tr.VM)
+	enum := t.enum.Enumerate(ec.Config, from)
+	if t.shadow {
+		fresh := physical.Enumerate(ec.Config, t.enumerateOptions())
+		if len(fresh) != len(enum.Trans) {
+			return nil, fmt.Errorf("core: node enumerates %d transformations, from scratch %d", len(enum.Trans), len(fresh))
+		}
+		for i, tr := range enum.Trans {
+			if got, want := transIdentity(tr), transIdentity(fresh[i]); got != want {
+				return nil, fmt.Errorf("core: transformation %d of the node is %q, from scratch %q", i, got, want)
+			}
 		}
 	}
 	return &searchNode{
 		eval:            ec,
+		fp:              fp,
 		parent:          parent,
 		realizedPenalty: realized,
-		trans:           trans,
+		enum:            enum,
 		deltas:          map[string]Delta{},
 		tried:           map[string]bool{},
-		untried:         len(trans),
+		untried:         len(enum.Trans),
+	}, nil
+}
+
+// transIdentity spells out everything of a transformation that a later
+// step reads: its ID, the indexes it adds or promotes, the merged view's
+// definition and cardinality.
+func transIdentity(tr *physical.Transformation) string {
+	var sb strings.Builder
+	sb.WriteString(tr.ID())
+	for _, ix := range tr.NewIdx {
+		sb.WriteString("\x00n:" + ix.ID())
 	}
+	for _, ix := range tr.Promoted {
+		sb.WriteString("\x00p:" + ix.ID())
+	}
+	if tr.VM != nil {
+		fmt.Fprintf(&sb, "\x00vm:%s\x00%d", tr.VM.Signature(), tr.VM.EstRows)
+	}
+	return sb.String()
 }
 
 // pickNode implements §3.4's configuration-selection heuristics (with the
@@ -769,7 +815,7 @@ func (t *Tuner) rankTransformations(node *searchNode, budget int64, hasUpdates b
 	spaceOver := node.eval.SizeBytes - budget
 	fitsAlready := spaceOver <= 0
 
-	for _, tr := range node.trans {
+	for _, tr := range node.enum.Trans {
 		id := tr.ID()
 		if node.tried[id] {
 			continue
@@ -940,13 +986,13 @@ func (t *Tuner) inheritDeltas(node *searchNode) (int, error) {
 	}
 	step := t.diffStep(node.parent.eval, node.eval)
 	inherited := 0
-	for _, tr := range node.trans {
+	for _, tr := range node.enum.Trans {
 		id := tr.ID()
 		d, ok := node.parent.deltas[id]
 		if !ok || !step.leftAlone(tr) {
 			continue
 		}
-		if t.verifyInherited {
+		if t.shadow {
 			fresh, err := t.boundDelta(node.eval, tr)
 			if err != nil || math.Float64bits(fresh.DT) != math.Float64bits(d.DT) || fresh.DS != d.DS {
 				return 0, fmt.Errorf("core: inherited bound of %s is %+v, recomputed %+v (%v)", id, d, fresh, err)

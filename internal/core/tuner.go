@@ -144,6 +144,10 @@ type Tuner struct {
 	mu sync.Mutex
 
 	heapTables map[string]bool
+	// enum builds every search node's transformations. It owns what the
+	// nodes of a session share: chunks of transformations handed from parent
+	// to child, and the merged view of every view pair it has met.
+	enum *physical.Enumerator
 	// cbvCache caches the §3.3.2 cost of computing a view from the base
 	// configuration (CBV), keyed by view signature. Entries are
 	// singleflighted so a view's CBV is optimized exactly once even when
@@ -163,10 +167,13 @@ type Tuner struct {
 	// them concurrently.
 	statPlansReused atomic.Int64
 	statPlansReopt  atomic.Int64
-	// verifyInherited is the tests' shadow mode: every inherited delta is
-	// recomputed with boundDelta on the inheriting node and the session
-	// fails unless both components match bit for bit.
-	verifyInherited bool
+	// shadow is the tests' shadow mode: everything the search takes over
+	// from a parent or computes from a difference is also computed from
+	// scratch, and the session fails on the first mismatch — every inherited
+	// delta against boundDelta on the inheriting node (bit for bit), every
+	// node's transformations against a parent-less enumeration, every ΔS
+	// against the difference of the two configurations' sizes.
+	shadow bool
 }
 
 // cbvEntry singleflights one view's CBV computation.
@@ -189,6 +196,7 @@ func NewTuner(db *catalog.Database, w *workloads.Workload, opts Options) (*Tuner
 		cbvCache:   map[string]*cbvEntry{},
 		demandedBy: map[string][]string{},
 	}
+	t.enum = physical.NewEnumerator(t.enumerateOptions())
 	for _, q := range w.Queries {
 		b, err := optimizer.Bind(db, q.Stmt)
 		if err != nil {
@@ -380,6 +388,17 @@ func callFields(before, after optimizer.Stats, extra obs.F) obs.F {
 		f[k] = v
 	}
 	return f
+}
+
+// enumerateOptions is what the catalog and the session's options say about
+// enumeration: the same for every configuration of the session.
+func (t *Tuner) enumerateOptions() physical.EnumerateOptions {
+	return physical.EnumerateOptions{
+		NoViews:      t.Options.NoViews,
+		HeapTables:   t.heapTables,
+		WidthOf:      t.viewWidthFn(),
+		EstimateRows: t.Opt.EstimateViewRows,
+	}
 }
 
 // widthOf returns the average width of a base column, for view merging.

@@ -237,7 +237,7 @@ func (o *Optimizer) residualAfter(spec *accessSpec, ix *physical.Index, used []s
 // (clustered index or heap) for rid-lookup costing.
 func (o *Optimizer) primaryPages(cfg *physical.Configuration, spec *accessSpec, clustered *physical.Index) int64 {
 	if clustered != nil {
-		return o.sizer.IndexLeafPages(clustered, cfg)
+		return o.sizer.IndexShape(clustered, cfg).LeafPages
 	}
 	return o.sizer.HeapPages(spec.table, cfg)
 }
@@ -247,8 +247,8 @@ func (o *Optimizer) seekPlan(cfg *physical.Configuration, spec *accessSpec, ix *
 	if len(info.cols) == 0 {
 		return nil
 	}
-	leafPages := o.sizer.IndexLeafPages(ix, cfg)
-	height := o.sizer.IndexHeight(ix, cfg)
+	sh := o.sizer.IndexShape(ix, cfg)
+	leafPages, height := sh.LeafPages, sh.Height
 	rowsAfterSeek := float64(spec.rows) * info.sel
 	access := plan.Cost{
 		IO:  float64(height)*o.model.RandPage + storage.FracPages(leafPages, info.sel)*o.model.SeqPage,
@@ -292,7 +292,7 @@ func (o *Optimizer) scanPlan(cfg *physical.Configuration, spec *accessSpec, ix *
 
 // fullScanPlan reads every leaf of ix and filters.
 func (o *Optimizer) fullScanPlan(cfg *physical.Configuration, spec *accessSpec, ix *physical.Index) *accessResult {
-	leafPages := o.sizer.IndexLeafPages(ix, cfg)
+	leafPages := o.sizer.IndexShape(ix, cfg).LeafPages
 	rows := float64(spec.rows)
 	access := plan.Cost{IO: float64(leafPages) * o.model.SeqPage, CPU: o.model.CPURow * rows}
 	usage := &plan.IndexUsage{
@@ -326,8 +326,8 @@ func (o *Optimizer) intersectPlan(cfg *physical.Configuration, spec *accessSpec,
 		return nil
 	}
 	mkSeek := func(ix *physical.Index, info seekInfo) (plan.Node, *plan.IndexUsage) {
-		leafPages := o.sizer.IndexLeafPages(ix, cfg)
-		height := o.sizer.IndexHeight(ix, cfg)
+		sh := o.sizer.IndexShape(ix, cfg)
+		leafPages, height := sh.LeafPages, sh.Height
 		rows := float64(spec.rows) * info.sel
 		access := plan.Cost{
 			IO:  float64(height)*o.model.RandPage + storage.FracPages(leafPages, info.sel)*o.model.SeqPage,

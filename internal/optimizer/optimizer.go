@@ -926,8 +926,8 @@ func (o *Optimizer) innerProbe(oc *optCtx, q *BoundQuery, cfg *physical.Configur
 			continue
 		}
 		matched := maxf(1e-9, float64(t.Rows)*sel)
-		height := o.sizer.IndexHeight(ix, cfg)
-		leafPages := o.sizer.IndexLeafPages(ix, cfg)
+		sh := o.sizer.IndexShape(ix, cfg)
+		height, leafPages := sh.Height, sh.LeafPages
 		perLeaf := maxf(1, matched/maxf(1, float64(t.Rows)/maxf(1, float64(leafPages))))
 		cost := plan.Cost{
 			IO:  (float64(height) + perLeaf) * o.model.RandPage,

@@ -37,10 +37,9 @@ func (o *Optimizer) IndexUpdateCost(ix *physical.Index, cfg *physical.Configurat
 	if k <= 0 {
 		return 0
 	}
-	rows := o.sizer.IndexRows(ix, cfg)
-	pages := o.sizer.IndexLeafPages(ix, cfg)
-	touched := randomPages(rows, pages, k)
-	height := float64(o.sizer.IndexHeight(ix, cfg))
+	sh := o.sizer.IndexShape(ix, cfg)
+	touched := randomPages(sh.Rows, sh.LeafPages, k)
+	height := float64(sh.Height)
 	return touched*o.model.RandPage + height*o.model.RandPage + 2*k*o.model.CPURow
 }
 

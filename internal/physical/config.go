@@ -21,8 +21,9 @@ import (
 // sees was sealed by the writer that installed it.
 type Configuration struct {
 	// rels has one entry per relation carrying at least one index, in
-	// first-added order. The slice itself belongs to this configuration:
-	// Clone copies it, one entry per relation.
+	// lower-case name order (the order enumeration lists relations in).
+	// The slice itself belongs to this configuration: Clone copies it, one
+	// entry per relation.
 	rels  []relation
 	views []*View
 }
@@ -50,6 +51,16 @@ func (c *Configuration) rel(table string) int {
 		}
 	}
 	return -1
+}
+
+// holdsList reports whether one of c's relations carries this very list.
+func (c *Configuration) holdsList(list []*Index) bool {
+	for i := range c.rels {
+		if sameList(c.rels[i].indexes, list) {
+			return true
+		}
+	}
+	return false
 }
 
 // relOfID returns the position of the relation an index ID names, or -1.
@@ -100,7 +111,10 @@ func clusteredIn(list []*Index) *Index {
 func (c *Configuration) AddIndex(ix *Index) *Index {
 	r := c.rel(ix.Table)
 	if r < 0 {
-		c.rels = append(c.rels, relation{name: ix.Table, indexes: []*Index{ix}})
+		pos, _ := slices.BinarySearchFunc(c.rels, strings.ToLower(ix.Table), func(r relation, key string) int {
+			return strings.Compare(strings.ToLower(r.name), key)
+		})
+		c.rels = slices.Insert(c.rels, pos, relation{name: ix.Table, indexes: []*Index{ix}})
 		return ix
 	}
 	list := c.rels[r].indexes

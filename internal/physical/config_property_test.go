@@ -422,7 +422,7 @@ func TestSharedListsAndSizerUnderConcurrentReaders(t *testing.T) {
 				clone := shared.Clone()
 				for _, ix := range shared.IndexesOn("t3") {
 					sizer.IndexBytes(ix, shared)
-					sizer.IndexHeight(ix, clone)
+					sizer.IndexShape(ix, clone)
 					if round%2 == w%2 {
 						clone.RemoveIndex(ix.ID())
 					}
@@ -438,4 +438,194 @@ func TestSharedListsAndSizerUnderConcurrentReaders(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestIncrementalEnumerationMatchesParentless drives random chains of
+// AddIndex, RemoveIndex, AddView, RemoveView and Apply over a population
+// of configurations that one Enumerator enumerates, each from the
+// enumeration of another member — the configuration it was derived from,
+// or, one time in four, an unrelated one. At every step the result must be
+// the parent-less enumeration of the same configuration (length, order,
+// IDs, added and promoted indexes, merged view and its cardinality), and
+// SavedBytes between the two configurations must be the difference of
+// their ConfigBytes. Two steps are there for what reuse could get wrong: a
+// relation taken out and put back with equal contents (another list, so a
+// miss, and every transformation over it is built again), and a view merge
+// whose merged view the configuration already holds under another name.
+func TestIncrementalEnumerationMatchesParentless(t *testing.T) {
+	tables := []string{"t1", "T1", "t2", "t3"} // t1 and T1 are one relation
+	cols := []string{"a", "b", "c", "d"}
+	// Views under these names replace one another in place, and indexes
+	// may name them before they exist: a list can stay what it was while
+	// the view under it arrives, changes or goes.
+	handNamed := []string{"va", "vb"}
+	opts := EnumerateOptions{
+		WidthOf:      func(sqlx.ColRef) int { return 4 },
+		EstimateRows: func(v *View) int64 { return int64(10 + len(v.Signature())) },
+		HeapTables:   map[string]bool{"t2": true, "t3": true},
+	}
+	sizer := NewSizer(BaseResolverFunc{
+		RowsFn:  func(table string) (int64, bool) { return 1000 * int64(table[1]-'0'), true },
+		WidthFn: func(string, string) (int, bool) { return 4, true },
+		ColsFn:  func(string) []string { return cols },
+	})
+	sameTrans := func(a, b *Transformation) bool {
+		return a.ID() == b.ID() && slices.Equal(indexIDs(a.NewIdx), indexIDs(b.NewIdx)) &&
+			slices.Equal(indexIDs(a.Promoted), indexIDs(b.Promoted)) && (a.VM == nil) == (b.VM == nil) &&
+			(a.VM == nil || (a.VM.Signature() == b.VM.Signature() && a.VM.EstRows == b.VM.EstRows))
+	}
+	type member struct {
+		cfg *Configuration
+		en  *Enumeration
+	}
+	var shared, built, reAdded, twinMerges int
+
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEnumerator(opts)
+		pick := func(from []string, n int) []string {
+			out := make([]string, n)
+			for i := range out {
+				out[i] = from[rng.Intn(len(from))]
+			}
+			return out
+		}
+		// enumerate checks cfg's enumeration from parent's against the
+		// parent-less one, and the ΔS between the two configurations.
+		enumerate := func(at string, parent member, cfg *Configuration) member {
+			t.Helper()
+			en := e.Enumerate(cfg, parent.en)
+			fresh := Enumerate(cfg, opts)
+			if len(en.Trans) != len(fresh) {
+				t.Fatalf("seed %d %s: %d transformations from the parent's enumeration, %d without", seed, at, len(en.Trans), len(fresh))
+			}
+			for i, tr := range en.Trans {
+				if !sameTrans(tr, fresh[i]) {
+					t.Fatalf("seed %d %s: transformation %d is %s, parent-less enumeration has %s", seed, at, i, tr.ID(), fresh[i].ID())
+				}
+			}
+			if got, want := sizer.SavedBytes(parent.cfg, cfg), sizer.ConfigBytes(parent.cfg)-sizer.ConfigBytes(cfg); got != want {
+				t.Fatalf("seed %d %s: SavedBytes %d, ConfigBytes differ by %d", seed, at, got, want)
+			}
+			shared, built = shared+en.Shared, built+len(en.Trans)-en.Shared
+			return member{cfg, en}
+		}
+
+		population := []member{enumerate("root", member{cfg: NewConfiguration()}, NewConfiguration())}
+		for step := 0; step < 300; step++ {
+			p := population[rng.Intn(len(population))]
+			from := p
+			if rng.Intn(4) == 0 {
+				from = population[rng.Intn(len(population))]
+			}
+			cfg := p.cfg.Clone()
+			at := fmt.Sprintf("step %d", step)
+			switch r := rng.Intn(12); {
+			case r < 3: // AddIndex, over a table or a view
+				rels := append(slices.Clone(tables), handNamed...)
+				for _, v := range cfg.Views() {
+					rels = append(rels, v.Name)
+				}
+				table, columns := rels[rng.Intn(len(rels))], cols
+				if v := cfg.View(table); v != nil {
+					columns = v.AllColumnNames()
+				} else if slices.Contains(handNamed, table) {
+					columns = []string{"t1_a", "t1_b", "t2_a", "t2_b"} // the view may come later
+				}
+				ix := NewIndex(table, pick(columns, 1+rng.Intn(2)), pick(columns, rng.Intn(3)), rng.Intn(5) == 0)
+				ix.Required = rng.Intn(10) == 0
+				cfg.AddIndex(ix)
+			case r < 5: // RemoveIndex
+				if all := cfg.Indexes(); len(all) > 0 {
+					cfg.RemoveIndex(all[rng.Intn(len(all))].ID())
+				}
+			case r < 7: // AddView
+				v := &View{Tables: []string{"t1", "t2"}, EstRows: int64(10 + rng.Intn(1000))}
+				if rng.Intn(2) == 0 {
+					v.Tables = []string{"t2"}
+				}
+				for _, c := range dedupKeepOrder(pick(cols, 1+rng.Intn(3))) {
+					v.Cols = append(v.Cols, BaseViewColumn(sqlx.ColRef{Table: v.Tables[0], Column: c}, 4))
+				}
+				if rng.Intn(2) == 0 {
+					v.Ranges = []RangeCond{{Col: sqlx.ColRef{Table: v.Tables[0], Column: "a"}, Iv: PointInterval(float64(rng.Intn(3)))}}
+				}
+				if v.Name = ViewNameFor(v); rng.Intn(3) == 0 {
+					v.Name = handNamed[rng.Intn(len(handNamed))]
+				}
+				cfg.AddView(v)
+			case r < 8: // RemoveView
+				if views := cfg.Views(); len(views) > 0 {
+					cfg.RemoveView(views[rng.Intn(len(views))].Name)
+				}
+			case r < 9: // one relation out and back in, index by index
+				if len(cfg.rels) == 0 {
+					continue
+				}
+				list := cfg.rels[rng.Intn(len(cfg.rels))].indexes
+				for _, ix := range list {
+					if cfg.RemoveIndex(ix.ID()) {
+						cfg.AddIndex(ix)
+					}
+				}
+				now := cfg.IndexesOn(list[0].Table)
+				if !slices.Equal(now, list) {
+					t.Fatalf("seed %d %s: the relation came back as %v, was %v", seed, at, indexIDs(now), indexIDs(list))
+				}
+				if sameList(now, list) {
+					continue // only required indexes: nothing moved
+				}
+				reAdded++
+				child := enumerate(at+" (relation re-added)", p, cfg)
+				for _, tr := range child.en.Trans {
+					if tr.I1 != nil && strings.EqualFold(tr.I1.Table, list[0].Table) && slices.Contains(p.en.Trans, tr) {
+						t.Fatalf("seed %d %s: %s was shared across a list that was replaced", seed, at, tr.ID())
+					}
+				}
+				population = append(population, child)
+				continue
+			case r < 10: // a merged view the configuration already holds under another name
+				var merge *Transformation
+				for _, tr := range p.en.Trans {
+					if tr.Kind == TransMergeViews && cfg.ViewBySignature(tr.VM.Signature()) == nil {
+						merge = tr
+						break
+					}
+				}
+				if merge == nil {
+					continue
+				}
+				twin := merge.VM.Clone()
+				twin.Name = "twin_" + twin.Name
+				cfg.AddView(twin)
+				withTwin := enumerate(at+" (twin added)", from, cfg)
+				for _, tr := range withTwin.en.Trans {
+					if tr.ID() == merge.ID() {
+						cfg = tr.Apply(cfg)
+					}
+				}
+				if cfg.View(merge.VM.Name) != nil || cfg.View(twin.Name) == nil || len(cfg.IndexesOn(twin.Name)) == 0 {
+					t.Fatalf("seed %d %s: the merge did not land on the view already there", seed, at)
+				}
+				twinMerges++
+				population = append(population, withTwin, enumerate(at+" (merged into twin)", withTwin, cfg))
+				continue
+			default: // Apply
+				if len(p.en.Trans) > 0 {
+					tr := p.en.Trans[rng.Intn(len(p.en.Trans))]
+					at += " " + tr.ID()
+					cfg = tr.Apply(p.cfg)
+				}
+			}
+			population = append(population, enumerate(at, from, cfg))
+			for len(population) > 6 {
+				drop := rng.Intn(len(population))
+				population = slices.Delete(population, drop, drop+1)
+			}
+		}
+	}
+	t.Logf("%d transformations shared, %d built; %d relations re-added, %d merges into a twin", shared, built, reAdded, twinMerges)
+	if shared == 0 || reAdded == 0 || twinMerges == 0 {
+		t.Errorf("the chains never exercised sharing (%d), a re-added relation (%d) or a twin merge (%d)", shared, reAdded, twinMerges)
+	}
 }

@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"slices"
 	"strings"
 	"sync"
 
@@ -31,7 +32,7 @@ type Sizer struct {
 	base WidthResolver
 
 	mu    sync.RWMutex
-	cache map[shapeKey]shape
+	cache map[shapeKey]IndexShape
 }
 
 // shapeKey identifies an index within the configurations that size it
@@ -42,22 +43,26 @@ type shapeKey struct {
 	viewRows int64
 }
 
-// shape is what the B-tree model says of one index.
-type shape struct {
-	rows, leafPages, bytes int64
-	height                 int
+// IndexShape is what the B-tree model says of one index: its entries, the
+// leaf-level pages (what scans touch), the total bytes, and the number of
+// levels above the leaves.
+type IndexShape struct {
+	Rows, LeafPages, Bytes int64
+	Height                 int
 }
 
 // unresolved is the shape of an index whose table or columns are unknown.
-var unresolved = shape{leafPages: 1}
+var unresolved = IndexShape{LeafPages: 1}
 
 // NewSizer returns a sizer over the given base resolver.
 func NewSizer(base WidthResolver) *Sizer {
-	return &Sizer{base: base, cache: make(map[shapeKey]shape)}
+	return &Sizer{base: base, cache: make(map[shapeKey]IndexShape)}
 }
 
-// shapeOf returns the cached shape of ix, resolving it on first sight.
-func (s *Sizer) shapeOf(ix *Index, cfg *Configuration) shape {
+// IndexShape returns the shape of one index within cfg (cfg supplies view
+// cardinalities; it may be nil for base-table indexes), resolving it on
+// first sight. A costing call that needs several of the fields asks once.
+func (s *Sizer) IndexShape(ix *Index, cfg *Configuration) IndexShape {
 	key := shapeKey{id: ix.ID()}
 	var v *View
 	if cfg != nil {
@@ -80,7 +85,7 @@ func (s *Sizer) shapeOf(ix *Index, cfg *Configuration) shape {
 
 // resolve computes the shape of an index over view v, or over its base
 // table when v is nil.
-func (s *Sizer) resolve(ix *Index, v *View) shape {
+func (s *Sizer) resolve(ix *Index, v *View) IndexShape {
 	var rows int64
 	colWidth := func(col string) (int, bool) { return s.base.ColWidth(ix.Table, col) }
 	allCols := func() []string { return s.base.TableCols(ix.Table) }
@@ -128,38 +133,17 @@ func (s *Sizer) resolve(ix *Index, v *View) shape {
 		}
 		leafW += storage.RidWidth // secondary leaves carry row locators
 	}
-	return shape{
-		rows:      rows,
-		leafPages: storage.BTreeLeafPages(rows, leafW),
-		height:    storage.BTreeHeight(rows, leafW, keyW),
-		bytes:     storage.BTreeBytes(rows, leafW, keyW),
+	return IndexShape{
+		Rows:      rows,
+		LeafPages: storage.BTreeLeafPages(rows, leafW),
+		Height:    storage.BTreeHeight(rows, leafW, keyW),
+		Bytes:     storage.BTreeBytes(rows, leafW, keyW),
 	}
 }
 
-// IndexBytes returns the estimated size in bytes of one index within cfg
-// (cfg supplies view cardinalities; it may be nil for base-table indexes).
+// IndexBytes returns the estimated size in bytes of one index within cfg.
 func (s *Sizer) IndexBytes(ix *Index, cfg *Configuration) int64 {
-	return s.shapeOf(ix, cfg).bytes
-}
-
-// IndexPages returns the total page count of one index.
-func (s *Sizer) IndexPages(ix *Index, cfg *Configuration) int64 {
-	return s.IndexBytes(ix, cfg) / storage.PageSize
-}
-
-// IndexLeafPages returns the leaf-level page count (what scans touch).
-func (s *Sizer) IndexLeafPages(ix *Index, cfg *Configuration) int64 {
-	return s.shapeOf(ix, cfg).leafPages
-}
-
-// IndexHeight returns the number of B-tree levels above the leaves.
-func (s *Sizer) IndexHeight(ix *Index, cfg *Configuration) int {
-	return s.shapeOf(ix, cfg).height
-}
-
-// IndexRows returns the number of entries in the index.
-func (s *Sizer) IndexRows(ix *Index, cfg *Configuration) int64 {
-	return s.shapeOf(ix, cfg).rows
+	return s.IndexShape(ix, cfg).Bytes
 }
 
 // HeapPages returns the page count of the table stored as a heap (used
@@ -186,14 +170,63 @@ func (s *Sizer) HeapPages(table string, cfg *Configuration) int64 {
 // Materialized views are counted through their indexes (a view's clustered
 // index stores the view rows), matching §3.3.1.
 func (s *Sizer) ConfigBytes(cfg *Configuration) int64 {
-	// Walk the per-relation lists directly: integer summation is order-
-	// independent, and this accessor sits on the penalty-bound hot path
-	// where the sorted Indexes() slice would be pure allocation overhead.
 	var total int64
 	for i := range cfg.rels {
-		for _, ix := range cfg.rels[i].indexes {
-			total += s.IndexBytes(ix, cfg)
+		total += s.listBytes(cfg.rels[i].indexes, cfg)
+	}
+	return total
+}
+
+func (s *Sizer) listBytes(list []*Index, cfg *Configuration) int64 {
+	var total int64
+	for _, ix := range list {
+		total += s.IndexBytes(ix, cfg)
+	}
+	return total
+}
+
+// SavedBytes returns ConfigBytes(before) − ConfigBytes(after), the ΔS of a
+// step from one to the other, at the cost of what the step touched: a
+// relation whose index list is one list (sameList) on both sides, over the
+// same view or over a base table, adds the same bytes to both totals and
+// is left out of both. The arithmetic is on integers, so the result is
+// that difference exactly.
+func (s *Sizer) SavedBytes(before, after *Configuration) int64 {
+	var buf [4]*View
+	apart := viewsApart(buf[:0], before.views, after.views)
+	return s.unsharedBytes(before, after, apart) - s.unsharedBytes(after, before, apart)
+}
+
+// viewsApart appends to out the views only one of two name-ordered lists
+// holds. A name both lists carry with different views yields both.
+func viewsApart(out, a, b []*View) []*View {
+	if sameList(a, b) {
+		return out
+	}
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] == b[0]:
+			a, b = a[1:], b[1:]
+		case a[0].Name <= b[0].Name:
+			out, a = append(out, a[0]), a[1:]
+		default:
+			out, b = append(out, b[0]), b[1:]
 		}
+	}
+	return append(append(out, a...), b...)
+}
+
+// unsharedBytes sums the relations of c that other does not hold as they
+// are in c: with another list, or with the same list under a view that is
+// among apart.
+func (s *Sizer) unsharedBytes(c, other *Configuration, apart []*View) int64 {
+	var total int64
+	for i := range c.rels {
+		r := &c.rels[i]
+		if other.holdsList(r.indexes) && !slices.ContainsFunc(apart, func(v *View) bool { return v.Name == r.name }) {
+			continue
+		}
+		total += s.listBytes(r.indexes, c)
 	}
 	return total
 }

@@ -67,8 +67,8 @@ func TestSizerUnknownTable(t *testing.T) {
 	if got := s.IndexBytes(ix, nil); got != 0 {
 		t.Errorf("unknown table should size to 0, got %d", got)
 	}
-	if rows, leaves, height := s.IndexRows(ix, nil), s.IndexLeafPages(ix, nil), s.IndexHeight(ix, nil); rows != 0 || leaves != 1 || height != 0 {
-		t.Errorf("unknown table has %d rows, %d leaf pages, height %d; want 0, 1, 0", rows, leaves, height)
+	if sh := s.IndexShape(ix, nil); sh != (IndexShape{LeafPages: 1}) {
+		t.Errorf("unknown table has shape %+v; want one leaf page and nothing else", sh)
 	}
 }
 
@@ -112,10 +112,11 @@ func TestConfigBytesSumsIndexes(t *testing.T) {
 func TestIndexPagesConsistentWithBytes(t *testing.T) {
 	s := NewSizer(testResolver{})
 	ix := NewIndex("big", []string{"a", "b"}, []string{"c"}, false)
-	if s.IndexPages(ix, nil)*storage.PageSize != s.IndexBytes(ix, nil) {
+	sh := s.IndexShape(ix, nil)
+	if sh.Bytes != s.IndexBytes(ix, nil) || sh.Bytes%storage.PageSize != 0 {
 		t.Error("pages and bytes disagree")
 	}
-	if s.IndexLeafPages(ix, nil) > s.IndexPages(ix, nil) {
+	if sh.LeafPages > sh.Bytes/storage.PageSize {
 		t.Error("leaf pages exceed total pages")
 	}
 }

@@ -3,8 +3,6 @@ package physical
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/sqlx"
 )
 
 // TransKind identifies one of the paper's relaxation transformations.
@@ -55,11 +53,11 @@ type Transformation struct {
 
 	// View transformations.
 	V1, V2   *View    // inputs
-	VM       *View    // merged view (EstRows estimated by the caller)
+	VM       *View    // merged view, shared by every transformation merging V1 and V2
 	Promoted []*Index // indexes promoted from V1/V2 onto VM
 
-	// id caches the canonical identity. Enumerate seals it while still
-	// single-threaded; the search then reads the ID every iteration for
+	// id caches the canonical identity. The enumerator seals it as it builds
+	// the transformation; the search then reads the ID every iteration for
 	// penalty caching and dedup without rebuilding the string. Hand-built
 	// transformations with an empty id recompute per call (no lazy store —
 	// that would race once the transformation is shared across workers).
@@ -179,155 +177,4 @@ func (t *Transformation) Apply(c *Configuration) *Configuration {
 		n.RemoveView(t.V1.Name)
 	}
 	return n
-}
-
-// EnumerateOptions tunes transformation enumeration.
-type EnumerateOptions struct {
-	// WidthOf supplies base-column widths for view merging; required when
-	// the configuration contains views.
-	WidthOf func(sqlx.ColRef) int
-	// NoViews suppresses view transformations (index-only tuning).
-	NoViews bool
-	// HeapTables lists base tables stored as heaps (promotion to
-	// clustered applies only there, since clustered-PK tables always
-	// carry a required clustered index).
-	HeapTables map[string]bool
-}
-
-// Enumerate generates every transformation applicable to c, per §3.1:
-// index merges (both orders), splits, prefixes, promotions, removals, view
-// merges, and view removals. Required (constraint) indexes are untouchable.
-// The result is deterministic: inputs are drawn from sorted accessors.
-func Enumerate(c *Configuration, opts EnumerateOptions) []*Transformation {
-	out := enumerate(c, opts)
-	// Seal the identity strings while enumeration is still single-threaded;
-	// after this the transformations may be shared read-only across workers.
-	for _, t := range out {
-		t.id = t.buildID()
-	}
-	return out
-}
-
-func enumerate(c *Configuration, opts EnumerateOptions) []*Transformation {
-	var out []*Transformation
-	indexes := c.Indexes()
-
-	// Group indexes by table for pairwise transformations.
-	byTable := map[string][]*Index{}
-	for _, ix := range indexes {
-		key := strings.ToLower(ix.Table)
-		byTable[key] = append(byTable[key], ix)
-	}
-	tables := make([]string, 0, len(byTable))
-	for t := range byTable {
-		tables = append(tables, t)
-	}
-	sortStrings(tables)
-
-	for _, t := range tables {
-		group := byTable[t]
-		for i, i1 := range group {
-			if i1.Required {
-				continue
-			}
-			// Unary: prefixes.
-			if !i1.Clustered {
-				for n := 1; n <= len(i1.Keys); n++ {
-					if p := PrefixIndex(i1, n); p != nil {
-						out = append(out, &Transformation{Kind: TransPrefixIndex, I1: i1, PrefixLen: n, NewIdx: []*Index{p}})
-					}
-				}
-			}
-			// Unary: promotion to clustered (heap tables and views only).
-			promotable := c.View(i1.Table) != nil || (opts.HeapTables != nil && opts.HeapTables[strings.ToLower(i1.Table)])
-			if !i1.Clustered && promotable && c.ClusteredOn(i1.Table) == nil {
-				if p := PromoteToClustered(i1); p != nil {
-					out = append(out, &Transformation{Kind: TransPromoteClustered, I1: i1, NewIdx: []*Index{p}})
-				}
-			}
-			// Unary: removal.
-			out = append(out, &Transformation{Kind: TransRemoveIndex, I1: i1})
-
-			// Binary: merges and splits with every later index.
-			for _, i2 := range group[i+1:] {
-				if i2.Required || i1.Clustered || i2.Clustered {
-					continue
-				}
-				addMerge(&out, i1, i2)
-				addMerge(&out, i2, i1)
-				if common, r1, r2 := SplitIndexes(i1, i2); common != nil {
-					nw := []*Index{common}
-					if r1 != nil {
-						nw = append(nw, r1)
-					}
-					if r2 != nil {
-						nw = append(nw, r2)
-					}
-					out = append(out, &Transformation{Kind: TransSplitIndexes, I1: i1, I2: i2, NewIdx: nw})
-				}
-			}
-		}
-	}
-
-	if opts.NoViews {
-		return out
-	}
-	views := c.Views()
-	for i, v1 := range views {
-		out = append(out, &Transformation{Kind: TransRemoveView, V1: v1})
-		for _, v2 := range views[i+1:] {
-			if opts.WidthOf == nil {
-				continue
-			}
-			vm := MergeViews(v1, v2, opts.WidthOf)
-			if vm == nil {
-				continue
-			}
-			tr := &Transformation{Kind: TransMergeViews, V1: v1, V2: v2, VM: vm}
-			for _, ix := range c.IndexesOn(v1.Name) {
-				if p := PromoteIndexToView(ix, v1, vm); p != nil {
-					tr.Promoted = append(tr.Promoted, p)
-				}
-			}
-			for _, ix := range c.IndexesOn(v2.Name) {
-				if p := PromoteIndexToView(ix, v2, vm); p != nil {
-					tr.Promoted = append(tr.Promoted, p)
-				}
-			}
-			// A materialized view needs a clustered index; ensure one
-			// survives promotion.
-			hasClustered := false
-			for _, p := range tr.Promoted {
-				if p.Clustered {
-					hasClustered = true
-					break
-				}
-			}
-			if !hasClustered {
-				keys := vm.AllColumnNames()
-				if len(keys) > 0 {
-					tr.Promoted = append(tr.Promoted, NewIndex(vm.Name, keys[:1], keys[1:], true))
-				}
-			}
-			out = append(out, tr)
-		}
-	}
-	return out
-}
-
-func addMerge(out *[]*Transformation, i1, i2 *Index) {
-	// A merge whose result equals one of its inputs still removes the
-	// other index, so it is kept; it relaxes differently from plain
-	// removal because the survivor is recorded as replacing both.
-	if m := MergeIndexes(i1, i2); m != nil {
-		*out = append(*out, &Transformation{Kind: TransMergeIndexes, I1: i1, I2: i2, NewIdx: []*Index{m}})
-	}
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
