@@ -58,7 +58,7 @@ func fingerprintOf(w *workloads.Workload) Fingerprint {
 	}
 	for _, q := range w.Queries {
 		if _, ok := fp.Sigs[q.SQL]; !ok {
-			fp.Sigs[q.SQL] = workloads.SignatureOf(q.Stmt)
+			fp.Sigs[q.SQL] = q.Signature()
 		}
 	}
 	return fp

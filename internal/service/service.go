@@ -320,9 +320,7 @@ func (s *Service) Ingest(sqls []string) IngestResult {
 		}
 		res.Accepted++
 	}
-	st := s.window.Stats()
-	res.WindowObservations = st.InWindow
-	res.WindowUnique = st.Unique
+	res.WindowObservations, res.WindowUnique = s.window.Size()
 	if n := s.opts.DriftCheckEvery; n > 0 && res.Accepted > 0 {
 		before := s.metrics.statementsIngested.Load() - int64(len(sqls))
 		if before/int64(n) != s.metrics.statementsIngested.Load()/int64(n) {

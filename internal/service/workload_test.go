@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/workloads"
 )
 
 // TestWorkloadReportAttribution: after a retune, the workload report must
@@ -302,4 +304,69 @@ func waitSessions(t *testing.T, s *Service, n int) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// TestReadersIgnoreCachedSignatures: /workload's attribution and /drift's
+// fingerprint and movers are the same bytes whether each query carries
+// the window's cached signature or leaves it to SignatureOf.
+func TestReadersIgnoreCachedSignatures(t *testing.T) {
+	s := newTestService(t, Options{Drift: DriftOptions{MinStatements: 3, ShapeThreshold: 0.3}})
+	s.Ingest(repeat(phase1, 3))
+	if _, err := s.Retune(); err != nil {
+		t.Fatalf("retune: %v", err)
+	}
+	s.Ingest(repeat(phase2, 12))
+
+	s.mu.Lock()
+	tuned, res, explain := s.lastSnap, s.lastResult, s.explain
+	s.mu.Unlock()
+	live := s.window.Snapshot()
+	for _, w := range []*workloads.Workload{tuned, live} {
+		for _, q := range w.Queries {
+			if q.Sig == "" {
+				t.Fatalf("%s: window snapshot query %s carries no signature", w.Name, q.ID)
+			}
+		}
+	}
+	bare := func(w *workloads.Workload) *workloads.Workload {
+		out := &workloads.Workload{Name: w.Name, Database: w.Database}
+		for _, q := range w.Queries {
+			c := *q
+			c.Sig = ""
+			out.Queries = append(out.Queries, &c)
+		}
+		return out
+	}
+	same := func(what string, cached, computed any) {
+		t.Helper()
+		a, err := json.Marshal(cached)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(computed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(a) != string(b) {
+			t.Errorf("%s differs with cached signatures:\n cached   %s\n computed %s", what, a, b)
+		}
+	}
+
+	costs := make([]float64, len(tuned.Queries))
+	for i := range costs {
+		costs[i] = res.Best.Results[i].TotalCost()
+	}
+	demanded := demandedStructures(explain, res)
+	same("live attribution", workloads.AttributeSignatures(live, nil, nil), workloads.AttributeSignatures(bare(live), nil, nil))
+	same("tuned attribution", workloads.AttributeSignatures(tuned, costs, demanded), workloads.AttributeSignatures(bare(tuned), costs, demanded))
+
+	base, cur := fingerprintOf(tuned), fingerprintOf(live)
+	bareBase, bareCur := fingerprintOf(bare(tuned)), fingerprintOf(bare(live))
+	same("baseline fingerprint", base.Sigs, bareBase.Sigs)
+	same("current fingerprint", cur.Sigs, bareCur.Sigs)
+	rep := assess(s.opts.Drift, &base, cur, int64(len(live.Queries)))
+	if len(rep.Movers) == 0 {
+		t.Fatal("no movers to compare")
+	}
+	same("drift report", rep, assess(s.opts.Drift, &bareBase, bareCur, int64(len(live.Queries))))
 }

@@ -41,7 +41,7 @@ func AttributeSignatures(w *Workload, costs []float64, demanded map[string][]str
 	exampleWeight := map[string]float64{}
 	structSeen := map[string]map[string]bool{}
 	for i, q := range w.Queries {
-		sig := SignatureOf(q.Stmt)
+		sig := q.Signature()
 		g := groups[sig]
 		if g == nil {
 			g = &SignatureGroup{Signature: sig}

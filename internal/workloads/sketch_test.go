@@ -258,8 +258,8 @@ func TestWindowChurnEvictionInvariants(t *testing.T) {
 }
 
 // The duplicate-observation path must not allocate: introspection disabled
-// or enabled, re-observing an already-tracked statement is pinned at zero
-// allocations (ring capacity pre-warmed so append never grows mid-run).
+// or enabled, re-observing a text the window already holds is pinned at
+// zero allocations (ring capacity pre-warmed so append never grows mid-run).
 func TestObserveDuplicateZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -274,15 +274,13 @@ func TestObserveDuplicateZeroAlloc(t *testing.T) {
 				HalfLife:        64,
 				SketchSize:      tc.sketch,
 			})
-			stmt, err := sqlx.Parse(winStmtA)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for i := 0; i < 8192; i++ { // grow ring capacity past the measured runs
-				w.ObserveStatement(stmt)
+				if err := w.Observe(winStmtA); err != nil {
+					t.Fatal(err)
+				}
 			}
 			allocs := testing.AllocsPerRun(1000, func() {
-				w.ObserveStatement(stmt)
+				_ = w.Observe(winStmtA)
 			})
 			if allocs != 0 {
 				t.Errorf("duplicate observe: %v allocs/run, want 0", allocs)

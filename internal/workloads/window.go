@@ -1,8 +1,10 @@
 package workloads
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/sqlx"
@@ -86,6 +88,11 @@ type windowEntry struct {
 	weight  float64
 	lastUpd int64
 	firstAt int64 // arrival order, for stable snapshots
+	// aliases are the raw texts byText resolves to this entry, oldest
+	// first; never more than count of them. Last, so the fields
+	// evictLightest reads for every entry (count through firstAt) stay
+	// adjacent.
+	aliases []string
 }
 
 // observation is one arrival in the ring: which entry, at which sequence.
@@ -106,16 +113,15 @@ type SlidingWindow struct {
 
 	mu      sync.Mutex
 	entries map[string]*windowEntry // keyed by canonical SQL
-	ring    []observation           // FIFO of in-window observations
-	head    int                     // index of the oldest observation
-	seq     int64                   // arrival counter
-	sketch  *TopKSketch             // nil when disabled
-
-	// lastStmt/lastEntry memoize the most recent observation so hot loops
-	// re-observing the same parsed statement skip the SQL re-rendering —
-	// the property the zero-alloc duplicate path is pinned on.
-	lastStmt  sqlx.Statement
-	lastEntry *windowEntry
+	// byText indexes live entries by raw statement text, so a text seen
+	// before skips parse and render. Every alias points at a live entry
+	// whose key is Parse(text).SQL(), leaves with its entry, and an entry
+	// holds at most count aliases — so len(byText) ≤ InWindow.
+	byText map[string]*windowEntry
+	ring   []observation // FIFO of in-window observations
+	head   int           // index of the oldest observation
+	seq    int64         // arrival counter
+	sketch *TopKSketch   // nil when disabled
 
 	observed        int64
 	parseErrors     int64
@@ -133,6 +139,7 @@ func NewSlidingWindow(database string, opts WindowOptions) *SlidingWindow {
 		opts:     o,
 		decay:    o.decayFactor(),
 		entries:  map[string]*windowEntry{},
+		byText:   map[string]*windowEntry{},
 	}
 	if o.SketchSize > 0 {
 		w.sketch = NewTopKSketch(o.SketchSize, w.decay)
@@ -140,8 +147,21 @@ func NewSlidingWindow(database string, opts WindowOptions) *SlidingWindow {
 	return w
 }
 
-// Observe parses one SQL statement and adds it to the window.
+// Observe adds one SQL statement to the window. A text the window already
+// holds is found in byText and recorded without parsing or rendering it; a
+// new text is parsed outside the lock and becomes an alias of the entry it
+// resolves to. Malformed text is never cached, so every copy of it is
+// parsed and counted as a parse error.
 func (w *SlidingWindow) Observe(sql string) error {
+	w.mu.Lock()
+	if e, ok := w.byText[sql]; ok {
+		w.arrive()
+		w.record(e)
+		w.mu.Unlock()
+		return nil
+	}
+	w.mu.Unlock()
+
 	stmt, err := sqlx.Parse(sql)
 	if err != nil {
 		w.mu.Lock()
@@ -150,7 +170,18 @@ func (w *SlidingWindow) Observe(sql string) error {
 		w.mu.Unlock()
 		return fmt.Errorf("workloads: window observe: %w", err)
 	}
-	w.ObserveStatement(stmt)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.arrive()
+	e := w.entryFor(stmt)
+	// Another goroutine may have aliased the text since the lookup above;
+	// it resolved to this same entry. The alias goes in before record so
+	// that record's evictions trim e's aliases against its final count.
+	if _, ok := w.byText[sql]; !ok {
+		w.byText[sql] = e
+		e.aliases = append(e.aliases, sql)
+	}
+	w.record(e)
 	return nil
 }
 
@@ -160,36 +191,39 @@ func (w *SlidingWindow) Observe(sql string) error {
 func (w *SlidingWindow) ObserveStatement(stmt sqlx.Statement) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.arrive()
+	w.record(w.entryFor(stmt))
+}
+
+// arrive counts one accepted arrival (mu held).
+func (w *SlidingWindow) arrive() {
 	w.observed++
 	w.seq++
+}
 
-	// Identity fast path: the same parsed statement re-observed back to
-	// back (replay loops, benchmarks) skips the canonical-SQL re-render.
-	// All Statement implementations are pointers, so the comparison is a
-	// cheap identity check and never panics.
-	var e *windowEntry
-	if stmt == w.lastStmt && w.lastEntry != nil && w.lastEntry.count > 0 &&
-		w.entries[w.lastEntry.sql] == w.lastEntry {
-		e = w.lastEntry
-	} else {
-		key := stmt.SQL()
-		var ok bool
-		e, ok = w.entries[key]
-		if !ok {
-			if len(w.entries) >= w.opts.MaxUnique {
-				w.evictLightest()
-			}
-			e = &windowEntry{stmt: stmt, sql: key, firstAt: w.seq}
-			e.update = stmt.Kind() != sqlx.StmtSelect
-			if w.sketch != nil {
-				e.sig = SignatureOf(stmt)
-			}
-			e.lastUpd = w.seq
-			w.entries[key] = e
-		}
+// entryFor returns the live entry keyed by stmt's canonical SQL, inserting
+// one (and evicting the lightest at MaxUnique) when there is none (mu
+// held).
+func (w *SlidingWindow) entryFor(stmt sqlx.Statement) *windowEntry {
+	key := stmt.SQL()
+	if e, ok := w.entries[key]; ok {
+		return e
 	}
-	w.lastStmt, w.lastEntry = stmt, e
+	if len(w.entries) >= w.opts.MaxUnique {
+		w.evictLightest()
+	}
+	e := &windowEntry{stmt: stmt, sql: key, firstAt: w.seq, lastUpd: w.seq}
+	e.update = stmt.Kind() != sqlx.StmtSelect
+	if w.sketch != nil {
+		e.sig = SignatureOf(stmt)
+	}
+	w.entries[key] = e
+	return e
+}
 
+// record adds the current arrival to e and evicts the oldest observations
+// past MaxObservations (mu held).
+func (w *SlidingWindow) record(e *windowEntry) {
 	if e.update {
 		w.observedUpdates++
 	} else {
@@ -244,8 +278,19 @@ func (w *SlidingWindow) evictOldest() {
 	}
 	e.count--
 	w.evictedOldest++
+	w.trimAliases(e, e.count)
 	if e.count == 0 {
 		delete(w.entries, e.sql)
+	}
+}
+
+// trimAliases forgets e's newest aliases until at most keep remain (mu
+// held).
+func (w *SlidingWindow) trimAliases(e *windowEntry, keep int) {
+	for n := len(e.aliases); n > keep; n-- {
+		delete(w.byText, e.aliases[n-1])
+		e.aliases[n-1] = ""
+		e.aliases = e.aliases[:n-1]
 	}
 }
 
@@ -267,6 +312,7 @@ func (w *SlidingWindow) evictLightest() {
 		return
 	}
 	victim.count = 0
+	w.trimAliases(victim, 0)
 	delete(w.entries, victim.sql)
 	w.evictedUnique++
 }
@@ -292,12 +338,9 @@ func (w *SlidingWindow) Snapshot() *Workload {
 			entries = append(entries, e)
 		}
 	}
-	// Sort by first observation for deterministic output.
-	for i := 1; i < len(entries); i++ {
-		for j := i; j > 0 && entries[j].firstAt < entries[j-1].firstAt; j-- {
-			entries[j], entries[j-1] = entries[j-1], entries[j]
-		}
-	}
+	// Sort by first observation for deterministic output (firstAt is
+	// unique: one arrival inserts at most one entry).
+	slices.SortFunc(entries, func(a, b *windowEntry) int { return cmp.Compare(a.firstAt, b.firstAt) })
 	out := &Workload{Name: "window", Database: w.database}
 	for i, e := range entries {
 		weight := e.weightAt(w.seq, w.decay)
@@ -308,10 +351,19 @@ func (w *SlidingWindow) Snapshot() *Workload {
 			ID:     fmt.Sprintf("win-q%d", i+1),
 			SQL:    e.sql,
 			Stmt:   e.stmt,
+			Sig:    e.sig,
 			Weight: weight,
 		})
 	}
 	return out
+}
+
+// Size returns the observations and distinct statements currently in the
+// window: Stats' InWindow and Unique without its walk over the entries.
+func (w *SlidingWindow) Size() (observations, unique int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.inWindow(), len(w.entries)
 }
 
 // Stats returns a snapshot of the window counters.

@@ -13,14 +13,26 @@ import (
 
 // Query is one workload statement with an execution weight (frequency).
 type Query struct {
-	ID     string
-	SQL    string
-	Stmt   sqlx.Statement
+	ID   string
+	SQL  string
+	Stmt sqlx.Statement
+	// Sig caches the statement's canonical signature when its producer
+	// already computed it (a window snapshot does); empty means unknown.
+	Sig    string
 	Weight float64
 }
 
 // IsUpdate reports whether the statement modifies data.
 func (q *Query) IsUpdate() bool { return q.Stmt.Kind() != sqlx.StmtSelect }
+
+// Signature returns the statement's canonical signature, computing it only
+// when Sig is empty.
+func (q *Query) Signature() string {
+	if q.Sig != "" {
+		return q.Sig
+	}
+	return SignatureOf(q.Stmt)
+}
 
 // Workload is a weighted set of statements over one database.
 type Workload struct {
@@ -92,7 +104,7 @@ func Compress(w *Workload) *Workload {
 			prev.Weight += q.Weight
 			continue
 		}
-		nq := &Query{ID: q.ID, SQL: q.SQL, Stmt: q.Stmt, Weight: q.Weight}
+		nq := &Query{ID: q.ID, SQL: q.SQL, Stmt: q.Stmt, Sig: q.Sig, Weight: q.Weight}
 		index[q.SQL] = nq
 		out.Queries = append(out.Queries, nq)
 	}
