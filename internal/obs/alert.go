@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -171,32 +172,50 @@ func DefaultAlertRules() []AlertRule {
 }
 
 // ParseAlertRules decodes a rule file: either a bare JSON array of
-// rules or an object {"rules": [...]}. Every rule is validated.
+// rules or an object {"rules": [...]}, told apart by the first non-space
+// byte so a decode error names what is wrong in the form used. Every
+// rule is validated.
 func ParseAlertRules(data []byte) ([]AlertRule, error) {
 	var rules []AlertRule
-	if err := json.Unmarshal(data, &rules); err != nil {
+	var err error
+	if trimmed := bytes.TrimLeft(data, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '{' {
 		var wrapped struct {
 			Rules []AlertRule `json:"rules"`
 		}
-		if err2 := json.Unmarshal(data, &wrapped); err2 != nil {
-			return nil, fmt.Errorf("obs: alert rules: %w", err)
-		}
+		err = json.Unmarshal(data, &wrapped)
 		rules = wrapped.Rules
+	} else {
+		err = json.Unmarshal(data, &rules)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("obs: alert rules: %w", err)
 	}
 	if len(rules) == 0 {
 		return nil, errors.New("obs: alert rules: no rules defined")
 	}
-	seen := map[string]bool{}
-	for i := range rules {
-		if _, err := compileRule(rules[i]); err != nil {
-			return nil, err
-		}
-		if seen[rules[i].Name] {
-			return nil, fmt.Errorf("obs: alert rules: duplicate rule %q", rules[i].Name)
-		}
-		seen[rules[i].Name] = true
+	if _, err := compileRules(rules); err != nil {
+		return nil, err
 	}
 	return rules, nil
+}
+
+// compileRules validates a ruleset: every rule compiles and no two share
+// a name.
+func compileRules(rules []AlertRule) ([]*compiledRule, error) {
+	out := make([]*compiledRule, 0, len(rules))
+	seen := make(map[string]bool, len(rules))
+	for _, r := range rules {
+		cr, err := compileRule(r)
+		if err != nil {
+			return nil, err
+		}
+		if seen[r.Name] {
+			return nil, fmt.Errorf("obs: alert rules: duplicate rule %q", r.Name)
+		}
+		seen[r.Name] = true
+		out = append(out, cr)
+	}
+	return out, nil
 }
 
 // compiledRule is a validated rule with its selectors pre-parsed.
@@ -243,6 +262,10 @@ func compileRule(r AlertRule) (*compiledRule, error) {
 	}
 	if r.Per != "" && r.Kind == AlertKindAbsent {
 		return nil, fmt.Errorf("obs: alert rule %s: per does not apply to absent rules", r.Name)
+	}
+	if r.For < 0 || r.Over < 0 {
+		return nil, fmt.Errorf("obs: alert rule %s: negative duration (for %s, over %s)",
+			r.Name, time.Duration(r.For), time.Duration(r.Over))
 	}
 	cr := &compiledRule{rule: r, forDur: time.Duration(r.For), over: time.Duration(r.Over)}
 	var err error
@@ -292,8 +315,8 @@ func (cr *compiledRule) compare(v float64) bool {
 // AlertTransition is one state change worth reporting: an alert started
 // firing or resolved. Transitions are surfaced in GET /alerts, counted
 // in the tuner_alert_transitions_total meta-series, handed to the
-// OnTransition hook (the service logs them), and — with an AlertLog
-// attached — persisted as JSONL so firings survive restarts.
+// OnTransition hook (the service logs them), and — with a log path set —
+// persisted as JSONL so firings survive restarts.
 type AlertTransition struct {
 	Time      time.Time `json:"time"`
 	Origin    string    `json:"origin,omitempty"` // tenant ID in fleet mode
@@ -313,43 +336,45 @@ type AlertEngineOptions struct {
 	// built-in SLOs). Invalid rules fail NewAlertEngine.
 	Rules []AlertRule
 	// Registry, when set, receives the meta-series
-	// <prefix>_alerts_firing{rule,severity} and
-	// <prefix>_alert_transitions_total{rule,to}.
+	// tuner_alerts_firing{rule,severity} and
+	// tuner_alert_transitions_total{rule,to}.
 	Registry *Registry
-	// MetricPrefix defaults to "tuner".
-	MetricPrefix string
 	// Origin stamps transitions (the tenant ID in fleet mode).
 	Origin string
 	// OnTransition receives each firing/resolved transition after the
 	// evaluation tick completes (never called re-entrantly under the
 	// engine lock).
 	OnTransition func(AlertTransition)
-	// Log, when set, persists transitions and seeds the recent-
-	// transitions buffer from its tail on startup.
-	Log *AlertLog
-	// MaxTransitions bounds the in-memory recent-transitions buffer
-	// (default 128).
-	MaxTransitions int
+	// LogPath, when set, persists transitions as JSONL (creating the
+	// file and its directory), so the transitions of an earlier process
+	// stay visible in Status. Empty keeps them in memory only.
+	LogPath string
 }
+
+const (
+	// alertLogLimit bounds the transitions an engine retains, in memory
+	// and in its log file.
+	alertLogLimit = 512
+	// recentTransitions is how many of them Status reports.
+	recentTransitions = 128
+)
 
 // AlertEngine evaluates declarative SLO rules over a metrics History.
 // Evaluation is single-threaded by contract (the monitor worker ticks
 // it); the public read surface is concurrency-safe. A nil *AlertEngine
 // is a valid no-op engine.
 type AlertEngine struct {
-	hist     *History
-	rules    []*compiledRule
-	origin   string
-	maxTrans int
-	onTrans  func(AlertTransition)
-	log      *AlertLog
+	hist    *History
+	rules   []*compiledRule
+	origin  string
+	onTrans func(AlertTransition)
 
 	firingVec *GaugeVec2
 	transVec  *CounterVec2
 
 	mu          sync.Mutex
 	states      map[string]*alertState
-	transitions []AlertTransition
+	log         *jsonlStore[AlertTransition] // every retained transition
 	evaluatedAt time.Time
 	evals       int64
 }
@@ -363,38 +388,29 @@ type alertState struct {
 	lastValue  float64
 }
 
-// NewAlertEngine validates rules and builds an engine reading hist.
+// NewAlertEngine validates rules, opens the transition log, and builds
+// an engine reading hist.
 func NewAlertEngine(hist *History, opts AlertEngineOptions) (*AlertEngine, error) {
-	if opts.MetricPrefix == "" {
-		opts.MetricPrefix = "tuner"
+	rules, err := compileRules(opts.Rules)
+	if err != nil {
+		return nil, err
 	}
-	if opts.MaxTransitions <= 0 {
-		opts.MaxTransitions = 128
+	log, err := openStore[AlertTransition](opts.LogPath, alertLogLimit, nil)
+	if err != nil {
+		return nil, err
 	}
 	e := &AlertEngine{
-		hist:     hist,
-		origin:   opts.Origin,
-		maxTrans: opts.MaxTransitions,
-		onTrans:  opts.OnTransition,
-		log:      opts.Log,
-		states:   map[string]*alertState{},
-	}
-	seen := map[string]bool{}
-	for _, r := range opts.Rules {
-		cr, err := compileRule(r)
-		if err != nil {
-			return nil, err
-		}
-		if seen[cr.rule.Name] {
-			return nil, fmt.Errorf("obs: alert rules: duplicate rule %q", cr.rule.Name)
-		}
-		seen[cr.rule.Name] = true
-		e.rules = append(e.rules, cr)
+		hist:    hist,
+		rules:   rules,
+		origin:  opts.Origin,
+		onTrans: opts.OnTransition,
+		states:  map[string]*alertState{},
+		log:     log,
 	}
 	if opts.Registry != nil {
-		e.firingVec = opts.Registry.NewGaugeVec2(opts.MetricPrefix+"_alerts_firing",
+		e.firingVec = opts.Registry.NewGaugeVec2("tuner_alerts_firing",
 			"Alert instances currently firing, by rule and severity (0 = healthy).", "rule", "severity")
-		e.transVec = opts.Registry.NewCounterVec2(opts.MetricPrefix+"_alert_transitions_total",
+		e.transVec = opts.Registry.NewCounterVec2("tuner_alert_transitions_total",
 			"Alert state transitions since start, by rule and destination state.", "rule", "to")
 		// Seed every rule at zero so the series exist before anything
 		// fires — dashboards and the fleet's tenant-labeled merge see a
@@ -405,12 +421,18 @@ func NewAlertEngine(hist *History, opts AlertEngineOptions) (*AlertEngine, error
 			e.transVec.Add(cr.rule.Name, "resolved", 0)
 		}
 	}
-	if opts.Log != nil {
-		// Restart persistence: the previous process's transitions stay
-		// visible in GET /alerts.
-		e.transitions = opts.Log.Recent(opts.MaxTransitions)
-	}
 	return e, nil
+}
+
+// Close closes the transition log. An engine evaluated after Close
+// keeps alerting and retains its transitions in memory only.
+func (e *AlertEngine) Close() error {
+	if e == nil {
+		return nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.log.close()
 }
 
 // Enabled reports whether the engine exists.
@@ -514,22 +536,20 @@ func (e *AlertEngine) Evaluate(now time.Time) {
 			e.firingVec.Set(cr.rule.Name, cr.rule.Severity, float64(counts[cr.rule.Name]))
 		}
 	}
-	for _, tr := range fired {
-		e.transitions = append(e.transitions, tr)
+	for i := range fired {
+		// Persistence is best-effort: a write error never stops alerting,
+		// and the transition stays retained in memory either way.
+		_ = e.log.append(&fired[i])
 		if e.transVec != nil {
-			e.transVec.Add(tr.Rule, tr.To, 1)
+			e.transVec.Add(fired[i].Rule, fired[i].To, 1)
 		}
-	}
-	if over := len(e.transitions) - e.maxTrans; over > 0 {
-		e.transitions = append([]AlertTransition(nil), e.transitions[over:]...)
 	}
 	e.mu.Unlock()
 
-	// Hooks and persistence run outside the lock: they may scrape the
-	// engine (slog handlers, recorders) without deadlocking.
-	for _, tr := range fired {
-		e.log.Append(tr)
-		if e.onTrans != nil {
+	// The hook runs outside the lock: it may scrape the engine (slog
+	// handlers, recorders) without deadlocking.
+	if e.onTrans != nil {
+		for _, tr := range fired {
 			e.onTrans(tr)
 		}
 	}
@@ -721,11 +741,15 @@ func (e *AlertEngine) Status() AlertStatus {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	recent := e.log.newest(recentTransitions)
 	st := AlertStatus{
 		EvaluatedAt: e.evaluatedAt,
 		Evaluations: e.evals,
 		Rules:       make([]AlertRuleStatus, 0, len(e.rules)),
-		Transitions: append([]AlertTransition{}, e.transitions...),
+		Transitions: make([]AlertTransition, len(recent)),
+	}
+	for i, tr := range recent {
+		st.Transitions[i] = *tr
 	}
 	for _, cr := range e.rules {
 		row := AlertRuleStatus{Rule: cr.rule, State: AlertStateInactive}

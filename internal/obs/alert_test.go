@@ -383,19 +383,40 @@ func TestParseAlertRulesForms(t *testing.T) {
 		`[{"name":"r","metric":"t_x"},{"name":"r","metric":"t_y"}]`, // dupe
 		`[{"name":"r","metric":"t_x","kind":"absent","per":"t_y"}]`, // per on absent
 		`[{"name":"r","metric":"t_x","for":"soon"}]`,                // bad duration
+		`[{"name":"r","metric":"t_x","for":"-1m"}]`,                 // negative for
+		`[{"name":"r","metric":"t_x","kind":"rate","over":"-5m"}]`,  // negative over
 	}
 	for _, src := range bad {
 		if _, err := ParseAlertRules([]byte(src)); err == nil {
 			t.Errorf("ParseAlertRules(%s) accepted invalid input", src)
 		}
 	}
+	if _, err := ParseAlertRules([]byte(`[{"name":"neg","metric":"t_x","for":"-1m","over":"-5m"}]`)); err == nil ||
+		!strings.Contains(err.Error(), "neg") {
+		t.Errorf("negative durations: error %v does not name the rule", err)
+	}
+
+	// An object-form file reports the object form's error, naming the
+	// field at fault — not the bare-array attempt's.
+	for _, src := range []string{
+		`{"rules":[{"name":"r","metric":"m","value":"x"}]}`,
+		" \n\t" + `{"rules":[{"name":"r","metric":"m","value":"x"}]}`,
+	} {
+		_, err := ParseAlertRules([]byte(src))
+		if err == nil || !strings.Contains(err.Error(), "value") {
+			t.Errorf("ParseAlertRules(%q) error = %v, want it to name value", src, err)
+		}
+	}
 }
 
+// TestAlertLogPersistence: transitions written to the log reload in a
+// new process — from the store and through an engine, which also keeps
+// appending to the file it was handed. The log's directory need not
+// exist yet.
 func TestAlertLogPersistence(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "alerts.jsonl")
+	path := filepath.Join(t.TempDir(), "state", "alerts.jsonl")
 
-	log1, err := NewAlertLog(path, 16)
+	log1, err := openStore[AlertTransition](path, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,28 +424,41 @@ func TestAlertLogPersistence(t *testing.T) {
 		Time: histT0, Rule: "depth-high", Severity: SeverityWarning,
 		From: AlertStatePending, To: AlertStateFiring, Value: 9, Threshold: 5,
 	}
-	log1.Append(tr)
-	log1.Append(AlertTransition{Time: histT0.Add(time.Minute), Rule: "depth-high", To: "resolved"})
-	if err := log1.Close(); err != nil {
+	log1.append(&tr)
+	log1.append(&AlertTransition{Time: histT0.Add(time.Minute), Rule: "depth-high", To: "resolved"})
+	if err := log1.close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// A new process sees the previous transitions…
-	log2, err := NewAlertLog(path, 16)
+	log2, err := openStore[AlertTransition](path, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer log2.Close()
-	got := log2.Recent(0)
+	got := log2.newest(0)
+	log2.close()
 	if len(got) != 2 || got[0].Rule != "depth-high" || got[0].To != AlertStateFiring || got[1].To != "resolved" {
 		t.Fatalf("reloaded transitions = %+v", got)
 	}
 
-	// …and an engine seeded with the log exposes them in Status.
-	_, _, eng := newAlertFixture(t, []AlertRule{{Name: "depth-high", Metric: "t_d", Value: 5}},
-		AlertEngineOptions{Log: log2})
+	// …and an engine logging to the file exposes them in Status, then
+	// appends its own.
+	rules := []AlertRule{{Name: "depth-high", Metric: "t_d", Value: 5}}
+	reg, hist, eng := newAlertFixture(t, rules, AlertEngineOptions{LogPath: path})
 	if trs := eng.Status().Transitions; len(trs) != 2 {
 		t.Fatalf("engine seeded %d transitions from log, want 2", len(trs))
+	}
+	reg.NewGauge("t_d", "D.").Set(9)
+	hist.Sample(histT0.Add(2 * time.Minute))
+	eng.Evaluate(histT0.Add(2 * time.Minute))
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, eng2 := newAlertFixture(t, rules, AlertEngineOptions{LogPath: path})
+	defer eng2.Close()
+	trs := eng2.Status().Transitions
+	if len(trs) != 3 || trs[2].From != AlertStateInactive || trs[2].To != AlertStateFiring || trs[2].Value != 9 {
+		t.Fatalf("restarted engine transitions = %+v, want the two logged plus its predecessor's firing", trs)
 	}
 }
 
@@ -438,19 +472,25 @@ func TestAlertLogCorruptLineAndCompaction(t *testing.T) {
 	if err := os.WriteFile(path, []byte(seed), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	log, err := NewAlertLog(path, 4)
+	_, _, eng := newAlertFixture(t, []AlertRule{{Name: "ok", Metric: "t_ok"}}, AlertEngineOptions{LogPath: path})
+	if trs := eng.Status().Transitions; len(trs) != 2 {
+		t.Fatalf("engine over a corrupt line serves %d transitions, want 2", len(trs))
+	}
+	eng.Close()
+
+	log, err := openStore[AlertTransition](path, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if log.Len() != 2 {
-		t.Fatalf("corrupt-line load kept %d entries, want 2", log.Len())
+	if len(log.recs) != 2 {
+		t.Fatalf("corrupt-line load kept %d entries, want 2", len(log.recs))
 	}
 
 	// Push past 2x the limit to force a compaction.
 	for i := 0; i < 20; i++ {
-		log.Append(AlertTransition{Time: histT0.Add(time.Duration(i) * time.Second), Rule: "flood", To: "firing"})
+		log.append(&AlertTransition{Time: histT0.Add(time.Duration(i) * time.Second), Rule: "flood", To: "firing"})
 	}
-	log.Close()
+	log.close()
 
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -460,17 +500,19 @@ func TestAlertLogCorruptLineAndCompaction(t *testing.T) {
 	if lines > 8 {
 		t.Fatalf("compaction left %d lines for limit 4", lines)
 	}
-	log2, err := NewAlertLog(path, 4)
+	log2, err := openStore[AlertTransition](path, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer log2.Close()
-	recent := log2.Recent(0)
+	defer log2.close()
+	recent := log2.newest(0)
 	if len(recent) != 4 || recent[3].Rule != "flood" {
 		t.Fatalf("post-compaction tail = %+v", recent)
 	}
 }
 
+// TestNilAlertEngineAndLog: a nil engine is a no-op, and a log without a
+// path keeps its records in memory and touches no file.
 func TestNilAlertEngineAndLog(t *testing.T) {
 	var e *AlertEngine
 	e.Evaluate(histT0)
@@ -480,10 +522,20 @@ func TestNilAlertEngineAndLog(t *testing.T) {
 	if st := e.Status(); len(st.Rules) != 0 || len(st.Transitions) != 0 {
 		t.Error("nil engine status should be empty, not nil-panicking")
 	}
-	var l *AlertLog
-	l.Append(AlertTransition{})
-	if l.Len() != 0 || l.Recent(0) != nil || l.Close() != nil {
-		t.Error("nil alert log should be a no-op")
+	if e.Close() != nil {
+		t.Error("nil engine Close should be a no-op")
+	}
+	l, err := openStore[AlertTransition]("", 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := l.append(&AlertTransition{Rule: "r"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(l.newest(0)) != 2 || l.enc != nil || l.close() != nil {
+		t.Error("memory-only log should retain its limit, encode nothing, and close cleanly")
 	}
 }
 

@@ -1,12 +1,7 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -189,31 +184,18 @@ func (r *SessionRecord) measuredSpeedup() float64 {
 // the caller doesn't choose a limit.
 const DefaultRecorderLimit = 256
 
-// Recorder is the bounded session history store. With a path it
-// persists each record as one JSONL line and reloads the retained tail
-// on construction, so the history survives daemon restarts; with an
-// empty path it is memory-only. A nil *Recorder is a valid no-op, the
-// same contract as Tracer/Profiler.
-//
-// Retention is simple and predictable: the newest `limit` sessions are
-// kept in memory and served; the on-disk file is compacted (rewritten
-// to exactly the retained tail) whenever it grows past 2×limit lines,
-// so the file stays O(limit) without rewriting on every record.
+// Recorder is the bounded session history. With a path it persists
+// each record as one JSONL line and reloads the retained tail on
+// construction, so the history survives daemon restarts; with an empty
+// path it is memory-only. Retention, torn-line tolerance and compaction
+// are the store's (see jsonlStore): the newest `limit` sessions are kept
+// and served. A nil *Recorder is a valid no-op, the same contract as
+// Tracer/Profiler.
 type Recorder struct {
-	mu        sync.Mutex
-	path      string
-	limit     int
-	idPrefix  string
-	sessions  []*SessionRecord
-	nextSeq   int
-	f         *os.File
-	fileLines int
-	// encBuf/enc are the reused JSONL encode buffer for appends: session
-	// records marshal to kilobytes, so the buffer warms up once and
-	// subsequent Record calls encode without re-allocating a line each
-	// time. Guarded by mu like everything else.
-	encBuf bytes.Buffer
-	enc    *json.Encoder
+	mu       sync.Mutex
+	idPrefix string
+	nextSeq  int
+	log      *jsonlStore[SessionRecord]
 }
 
 // NewRecorder opens (or creates) a session history. path == "" keeps
@@ -234,68 +216,27 @@ func NewRecorderPrefix(path string, limit int, idPrefix string) (*Recorder, erro
 	if limit <= 0 {
 		limit = DefaultRecorderLimit
 	}
-	r := &Recorder{path: path, limit: limit, idPrefix: idPrefix, nextSeq: 1}
-	if path == "" {
-		return r, nil
-	}
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("obs: recorder dir: %w", err)
-		}
-	}
-	if err := r.load(); err != nil {
+	r := &Recorder{idPrefix: idPrefix, nextSeq: 1}
+	log, err := openStore(path, limit, r.recoverSeq)
+	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("obs: recorder open: %w", err)
-	}
-	r.f = f
+	r.log = log
 	return r, nil
 }
 
-// load reads the retained tail of an existing history file.
-func (r *Recorder) load() error {
-	f, err := os.Open(r.path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("obs: recorder load: %w", err)
+// recoverSeq moves the ID sequence past a persisted session's, so IDs
+// stay monotonic across restarts.
+func (r *Recorder) recoverSeq(rec *SessionRecord) {
+	var seq int
+	id, hasPrefix := strings.CutPrefix(rec.ID, r.idPrefix)
+	if _, err := fmt.Sscanf(id, "s-%d", &seq); hasPrefix && err == nil && seq >= r.nextSeq {
+		r.nextSeq = seq + 1
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		r.fileLines++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec SessionRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			continue // skip corrupt lines
-		}
-		r.sessions = append(r.sessions, &rec)
-		var seq int
-		id, hasPrefix := strings.CutPrefix(rec.ID, r.idPrefix)
-		if _, err := fmt.Sscanf(id, "s-%d", &seq); hasPrefix && err == nil && seq >= r.nextSeq {
-			r.nextSeq = seq + 1
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("obs: recorder load: %w", err)
-	}
-	if len(r.sessions) > r.limit {
-		r.sessions = append([]*SessionRecord(nil), r.sessions[len(r.sessions)-r.limit:]...)
-	}
-	return nil
 }
 
 // NewSessionID reserves the next session identifier ("s-000001", ...,
 // with the recorder's ID prefix prepended when one was configured).
-// IDs stay monotonic across restarts because load recovers the highest
-// persisted sequence number.
 func (r *Recorder) NewSessionID() string {
 	if r == nil {
 		return ""
@@ -317,28 +258,7 @@ func (r *Recorder) Record(rec *SessionRecord) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	cp := *rec
-	r.sessions = append(r.sessions, &cp)
-	if len(r.sessions) > r.limit {
-		r.sessions = append([]*SessionRecord(nil), r.sessions[len(r.sessions)-r.limit:]...)
-	}
-	if r.f == nil {
-		return nil
-	}
-	if r.enc == nil {
-		r.enc = json.NewEncoder(&r.encBuf)
-	}
-	r.encBuf.Reset()
-	if err := r.enc.Encode(&cp); err != nil {
-		return fmt.Errorf("obs: recorder marshal: %w", err)
-	}
-	if _, err := r.f.Write(r.encBuf.Bytes()); err != nil {
-		return fmt.Errorf("obs: recorder append: %w", err)
-	}
-	r.fileLines++
-	if r.fileLines > 2*r.limit {
-		return r.compactLocked()
-	}
-	return nil
+	return r.log.append(&cp)
 }
 
 // Amend replaces the retained record with the given ID by a copy fn has
@@ -353,62 +273,16 @@ func (r *Recorder) Amend(id string, fn func(*SessionRecord)) (bool, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i, rec := range r.sessions {
+	for i, rec := range r.log.recs {
 		if rec.ID != id {
 			continue
 		}
 		cp := *rec
 		fn(&cp)
-		r.sessions[i] = &cp
-		if r.f == nil {
-			return true, nil
-		}
-		return true, r.compactLocked()
+		r.log.recs[i] = &cp
+		return true, r.log.rewrite()
 	}
 	return false, nil
-}
-
-// compactLocked rewrites the history file to exactly the retained tail.
-// Callers hold r.mu.
-func (r *Recorder) compactLocked() error {
-	tmp := r.path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("obs: recorder compact: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
-	for _, rec := range r.sessions {
-		// Encode appends the JSONL newline itself and streams into the
-		// buffered writer, so compaction allocates no per-record line.
-		if err := enc.Encode(rec); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("obs: recorder compact: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("obs: recorder compact: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("obs: recorder compact: %w", err)
-	}
-	if err := os.Rename(tmp, r.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("obs: recorder compact: %w", err)
-	}
-	r.f.Close()
-	nf, err := os.OpenFile(r.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		r.f = nil
-		return fmt.Errorf("obs: recorder reopen: %w", err)
-	}
-	r.f = nf
-	r.fileLines = len(r.sessions)
-	return nil
 }
 
 // Get returns the record with the given ID, or nil.
@@ -418,9 +292,10 @@ func (r *Recorder) Get(id string) *SessionRecord {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := len(r.sessions) - 1; i >= 0; i-- {
-		if r.sessions[i].ID == id {
-			return r.sessions[i]
+	recs := r.log.recs
+	for i := len(recs) - 1; i >= 0; i-- {
+		if recs[i].ID == id {
+			return recs[i]
 		}
 	}
 	return nil
@@ -433,7 +308,7 @@ func (r *Recorder) Sessions() []*SessionRecord {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]*SessionRecord(nil), r.sessions...)
+	return r.log.newest(0)
 }
 
 // Summaries returns the retained records' list views, oldest first.
@@ -443,8 +318,8 @@ func (r *Recorder) Summaries() []SessionSummary {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]SessionSummary, len(r.sessions))
-	for i, rec := range r.sessions {
+	out := make([]SessionSummary, len(r.log.recs))
+	for i, rec := range r.log.recs {
 		out[i] = rec.Summary()
 	}
 	return out
@@ -457,7 +332,7 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.sessions)
+	return len(r.log.recs)
 }
 
 // Close releases the underlying file, if any.
@@ -467,10 +342,5 @@ func (r *Recorder) Close() error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.f == nil {
-		return nil
-	}
-	err := r.f.Close()
-	r.f = nil
-	return err
+	return r.log.close()
 }

@@ -152,12 +152,14 @@ func TestRecorderSkipsCorruptLines(t *testing.T) {
 }
 
 // TestRecorderLoadsOldHistory: a -history file written by an older
-// build must survive an upgrade that removes fields. Each fixture is a
-// session recorded by the daemon at the commit before a change deleted
-// counters from the what-if economy — speculative evaluation, then the
-// evaluation cache — with that session's economy, as GET /calibration
-// served it, added where a record could have carried it; unknown fields
-// are ignored, known ones keep their values.
+// build must survive an upgrade that removes fields. The first two
+// fixtures are sessions recorded by the daemon at the commit before a
+// change deleted counters from the what-if economy — speculative
+// evaluation, then the evaluation cache — with that session's economy,
+// as GET /calibration served it, added where a record could have carried
+// it; unknown fields are ignored, known ones keep their values. The
+// third was written before the history and the alert log shared one
+// store.
 func TestRecorderLoadsOldHistory(t *testing.T) {
 	for _, fx := range []struct {
 		file, id, nextID                                   string
@@ -166,6 +168,7 @@ func TestRecorderLoadsOldHistory(t *testing.T) {
 	}{
 		{"history_pre_v8.jsonl", "s-000001", "s-000002", 4, 1, 1, 3, 1, 12},
 		{"history_eval_cache.jsonl", "s-000002", "s-000003", 2, 8, 18, 17, 0, 21},
+		{"history_pre_store.jsonl", "s-000001", "s-000002", 2, 9, 1, 0, 0, 3},
 	} {
 		t.Run(fx.file, func(t *testing.T) {
 			line, err := os.ReadFile("testdata/" + fx.file)

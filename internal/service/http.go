@@ -451,10 +451,12 @@ func serveProgress(s *Service, w http.ResponseWriter, r *http.Request) {
 	}
 	maxEvents := 0
 	if v := r.URL.Query().Get("max"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &maxEvents); err != nil || maxEvents <= 0 {
+		n, err := strconv.Atoi(v)
+		if err != nil || n <= 0 {
 			WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "invalid max: " + v})
 			return
 		}
+		maxEvents = n
 	}
 
 	sub := s.Progress().Subscribe(progressSubscribeBuf)

@@ -237,6 +237,13 @@ func TestHandlerMethodsAndErrors(t *testing.T) {
 	if code := postJSON(t, srv.URL+"/ingest", IngestRequest{}, nil); code != http.StatusBadRequest {
 		t.Errorf("empty ingest: status %d, want 400", code)
 	}
+	// A progress bound that is not a whole positive number; the timeout
+	// ends the stream should one open anyway.
+	for _, bound := range []string{"5x", "0"} {
+		if code := getJSON(t, srv.URL+"/progress?timeout=1s&max="+bound, nil); code != http.StatusBadRequest {
+			t.Errorf("GET /progress?max=%s: status %d, want 400", bound, code)
+		}
+	}
 	// Unknown path.
 	resp, err = http.Get(srv.URL + "/nope")
 	if err != nil {

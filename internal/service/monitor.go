@@ -23,12 +23,11 @@ type MonitorOptions struct {
 	// Rules is the evaluated alert ruleset (nil = obs.DefaultAlertRules).
 	// An explicitly empty non-nil slice runs the sampler without alerts.
 	Rules []obs.AlertRule
-	// AlertLogPath, when set, persists alert transitions as JSONL so
-	// "what fired last night" survives a restart; the engine's recent-
-	// transitions buffer is seeded from its tail on startup.
+	// AlertLogPath, when set, persists alert transitions as JSONL
+	// (creating the file and its directory) so "what fired last night"
+	// survives a restart: GET /alerts serves the logged transitions
+	// from boot.
 	AlertLogPath string
-	// AlertLogLimit bounds the retained transitions (0 = 512).
-	AlertLogLimit int
 }
 
 // HealthStatus is the shared GET /healthz payload — the same shape in
@@ -47,20 +46,14 @@ type HealthStatus struct {
 	AlertsFiring  int     `json:"alerts_firing"`
 }
 
-// initMonitor wires the history sampler, alert engine, and transition
-// log according to opts.Monitor. Called from New after the registry and
-// gauges exist; a zero HistoryInterval leaves every field nil.
+// initMonitor wires the history sampler and the alert engine, with its
+// transition log, according to opts.Monitor. Called from New after the
+// registry and gauges exist; a zero HistoryInterval leaves every field
+// nil.
 func (s *Service) initMonitor() error {
 	m := s.opts.Monitor
 	if m.HistoryInterval <= 0 {
 		return nil
-	}
-	if m.AlertLogPath != "" {
-		log, err := obs.NewAlertLog(m.AlertLogPath, m.AlertLogLimit)
-		if err != nil {
-			return fmt.Errorf("service: %w", err)
-		}
-		s.alertLog = log
 	}
 	s.history = obs.NewHistory(s.promReg, obs.HistoryOptions{
 		Window:   m.HistoryWindow,
@@ -80,10 +73,10 @@ func (s *Service) initMonitor() error {
 			Registry:     s.promReg,
 			Origin:       s.opts.Tenant,
 			OnTransition: s.onAlertTransition,
-			Log:          s.alertLog,
+			LogPath:      m.AlertLogPath,
 		})
 		if err != nil {
-			return err
+			return fmt.Errorf("service: %w", err)
 		}
 		s.alerts = eng
 	}
@@ -92,7 +85,7 @@ func (s *Service) initMonitor() error {
 
 // onAlertTransition surfaces each firing/resolution as a log line —
 // firings through the alertable Warnf channel, resolutions through the
-// ordinary log. Persistence happens in the engine's AlertLog.
+// ordinary log. Persistence happens in the engine's transition log.
 func (s *Service) onAlertTransition(tr obs.AlertTransition) {
 	series := ""
 	if tr.Series != "" {

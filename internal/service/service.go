@@ -165,11 +165,10 @@ type Service struct {
 	recorder *obs.Recorder
 	progress *obs.Progress
 	// Self-monitoring (Options.Monitor): history samples the registry on
-	// an interval, alerts evaluates SLO rules over it, alertLog persists
-	// the transitions. All nil when disabled — every use is nil-safe.
-	history  *obs.History
-	alerts   *obs.AlertEngine
-	alertLog *obs.AlertLog
+	// an interval, alerts evaluates SLO rules over it and persists the
+	// transitions. Both nil when disabled — every use is nil-safe.
+	history *obs.History
+	alerts  *obs.AlertEngine
 
 	// mu guards the recommendation state, drift baseline, and the
 	// drift-probe optimizer + per-statement cost cache.
@@ -764,7 +763,7 @@ func (s *Service) Close() error {
 		s.wg.Wait()
 		_ = s.trace.Close()    // flushes the TraceSink, if any
 		_ = s.recorder.Close() // flushes the session history file, if any
-		_ = s.alertLog.Close() // flushes the alert transition log, if any
+		_ = s.alerts.Close()   // closes the alert transition log, if any
 	})
 	return nil
 }
