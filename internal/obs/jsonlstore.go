@@ -17,7 +17,8 @@ const maxLineBytes = 16 << 20
 // (Recorder) and the alert transition log (AlertEngine): the newest
 // limit records in memory, oldest first, and one JSON line per record
 // on disk. Loading skips lines that do not parse, so a torn or corrupt
-// line costs that line, not the whole log. The file is rewritten to
+// line costs that line, not the whole log, and opening ends a last line
+// that lacks its newline. The file is rewritten to
 // exactly the retained records once it grows past 2×limit lines, which
 // keeps it O(limit) without a rewrite per record. With an empty path
 // the records live in memory only and nothing is encoded.
@@ -46,24 +47,35 @@ func openStore[V any](path string, limit int, onLoad func(*V)) (*jsonlStore[V], 
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("obs: %w", err)
 	}
-	if err := s.load(onLoad); err != nil {
+	torn, err := s.load(onLoad)
+	if err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("obs: %w", err)
 	}
+	// A last line without its newline would swallow the next append: end
+	// it here, so it stays the one line load already counted.
+	if torn {
+		if _, err := f.Write([]byte{'\n'}); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("obs: %w", err)
+		}
+	}
 	s.f = f
 	return s, nil
 }
 
-func (s *jsonlStore[V]) load(onLoad func(*V)) error {
+// load reads the file's records and reports whether its last byte is
+// not a newline.
+func (s *jsonlStore[V]) load(onLoad func(*V)) (torn bool, err error) {
 	f, err := os.Open(s.path)
 	if os.IsNotExist(err) {
-		return nil
+		return false, nil
 	}
 	if err != nil {
-		return fmt.Errorf("obs: %w", err)
+		return false, fmt.Errorf("obs: %w", err)
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
@@ -80,10 +92,21 @@ func (s *jsonlStore[V]) load(onLoad func(*V)) error {
 		s.recs = append(s.recs, rec)
 	}
 	if err := sc.Err(); err != nil {
-		return fmt.Errorf("obs: reading %s: %w", s.path, err)
+		return false, fmt.Errorf("obs: reading %s: %w", s.path, err)
 	}
 	s.trim()
-	return nil
+	if s.lines == 0 {
+		return false, nil
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return false, fmt.Errorf("obs: %w", err)
+	}
+	var last [1]byte
+	if _, err := f.ReadAt(last[:], fi.Size()-1); err != nil {
+		return false, fmt.Errorf("obs: %w", err)
+	}
+	return last[0] != '\n', nil
 }
 
 // trim drops the oldest records past the limit.

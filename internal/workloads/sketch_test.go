@@ -163,8 +163,9 @@ func TestWindowSketchDisabled(t *testing.T) {
 
 // Satellite: evictLightest + compactRing interaction under heavy duplicate
 // churn. Total weight stays conserved against an exact recount, the ring
-// head stays valid, and the sketch agrees with exact per-signature counts
-// at small k.
+// head stays valid, the eviction heap keeps its invariants and evicts
+// the scan's victim, and the sketch agrees with exact per-signature
+// counts at small k.
 func TestWindowChurnEvictionInvariants(t *testing.T) {
 	const (
 		maxObs    = 64
@@ -184,12 +185,16 @@ func TestWindowChurnEvictionInvariants(t *testing.T) {
 		`SELECT l_quantity FROM lineitem WHERE l_suppkey > %d`,
 		`UPDATE lineitem SET l_quantity = %d WHERE l_orderkey = 2`,
 	}
+	var oracle evictionOracle
 	for i := 0; i < churn; i++ {
 		shape := shapes[i%len(shapes)]
 		lit := (i * i) % 8 // duplicates: only 8 literals per shape
-		if err := w.Observe(fmt.Sprintf(shape, lit)); err != nil {
-			t.Fatal(err)
-		}
+		oracle.arrive(t, w, func() {
+			if err := w.Observe(fmt.Sprintf(shape, lit)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		checkHeap(t, w)
 
 		if i%97 == 0 {
 			stats := w.Stats()
@@ -215,6 +220,9 @@ func TestWindowChurnEvictionInvariants(t *testing.T) {
 					i, stats.SelectsInWindow, stats.UpdatesInWindow, stats.InWindow)
 			}
 		}
+	}
+	if oracle.evictions == 0 {
+		t.Fatal("churn never evicted a statement wholesale")
 	}
 
 	// Ring head validity: every live observation must point at a live entry

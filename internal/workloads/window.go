@@ -87,11 +87,13 @@ type windowEntry struct {
 	// later sequence number multiplies by decay^(now-lastUpd).
 	weight  float64
 	lastUpd int64
-	firstAt int64 // arrival order, for stable snapshots
+	firstAt int64 // arrival order, for stable snapshots and eviction ties
+	// key orders the entry in the eviction heap (see heapKey); hidx is
+	// its position there.
+	key  float64
+	hidx int
 	// aliases are the raw texts byText resolves to this entry, oldest
-	// first; never more than count of them. Last, so the fields
-	// evictLightest reads for every entry (count through firstAt) stay
-	// adjacent.
+	// first; never more than count of them.
 	aliases []string
 }
 
@@ -118,6 +120,9 @@ type SlidingWindow struct {
 	// whose key is Parse(text).SQL(), leaves with its entry, and an entry
 	// holds at most count aliases — so len(byText) ≤ InWindow.
 	byText map[string]*windowEntry
+	// heap holds every live entry as a binary min-heap under entryLess, so
+	// the unique-eviction victim is heap[0].
+	heap   []*windowEntry
 	ring   []observation // FIFO of in-window observations
 	head   int           // index of the oldest observation
 	seq    int64         // arrival counter
@@ -218,6 +223,7 @@ func (w *SlidingWindow) entryFor(stmt sqlx.Statement) *windowEntry {
 		e.sig = SignatureOf(stmt)
 	}
 	w.entries[key] = e
+	w.heapPush(e)
 	return e
 }
 
@@ -232,6 +238,7 @@ func (w *SlidingWindow) record(e *windowEntry) {
 	e.weight = e.weightAt(w.seq, w.decay) + 1
 	e.lastUpd = w.seq
 	e.count++
+	w.heapFix(e)
 	w.ring = append(w.ring, observation{entry: e, seq: w.seq})
 	if w.sketch != nil {
 		w.sketch.Observe(e.sig, w.seq)
@@ -281,6 +288,9 @@ func (w *SlidingWindow) evictOldest() {
 	w.trimAliases(e, e.count)
 	if e.count == 0 {
 		delete(w.entries, e.sql)
+		w.heapRemove(e)
+	} else {
+		w.heapFix(e)
 	}
 }
 
@@ -295,26 +305,99 @@ func (w *SlidingWindow) trimAliases(e *windowEntry, keep int) {
 }
 
 // evictLightest drops the distinct statement with the smallest current
-// weight to make room for a new one (mu held).
+// weight, the first observed among equals, to make room for a new one
+// (mu held; the window is full, so the heap is not empty).
 func (w *SlidingWindow) evictLightest() {
-	var victim *windowEntry
-	for _, e := range w.entries {
-		if e.count == 0 {
-			continue
-		}
-		ew := e.weightAt(w.seq, w.decay)
-		if victim == nil || ew < victim.weightAt(w.seq, w.decay) ||
-			(ew == victim.weightAt(w.seq, w.decay) && e.firstAt < victim.firstAt) {
-			victim = e
-		}
-	}
-	if victim == nil {
-		return
-	}
+	victim := w.heap[0]
+	w.heapRemove(victim)
 	victim.count = 0
 	w.trimAliases(victim, 0)
 	delete(w.entries, victim.sql)
 	w.evictedUnique++
+}
+
+// heapKey is e's eviction key. Without decay it is the weight, an exact
+// integer. With decay it is log2 of the weight decayed back to sequence
+// 0, log2(weight) + lastUpd/HalfLife: e weighs 2^(key - now/HalfLife) at
+// any sequence now, so now cancels between two entries and keys order
+// them as their current weights do, neither one re-decayed. A weight
+// clamped to 0 keys at -Inf.
+func (w *SlidingWindow) heapKey(e *windowEntry) float64 {
+	if w.opts.HalfLife <= 0 {
+		return e.weight
+	}
+	return math.Log2(e.weight) + float64(e.lastUpd)/float64(w.opts.HalfLife)
+}
+
+// entryLess orders the eviction heap: the lighter entry first and, among
+// equal keys, the one observed first.
+func entryLess(a, b *windowEntry) bool {
+	return a.key < b.key || (a.key == b.key && a.firstAt < b.firstAt)
+}
+
+// heapPush adds a new entry to the eviction heap (mu held).
+func (w *SlidingWindow) heapPush(e *windowEntry) {
+	e.key = w.heapKey(e)
+	e.hidx = len(w.heap)
+	w.heap = append(w.heap, e)
+	w.heapUp(e.hidx)
+}
+
+// heapFix rekeys e after its weight or lastUpd changed (mu held).
+func (w *SlidingWindow) heapFix(e *windowEntry) {
+	e.key = w.heapKey(e)
+	if !w.heapDown(e.hidx) {
+		w.heapUp(e.hidx)
+	}
+}
+
+// heapRemove takes e out of the eviction heap (mu held).
+func (w *SlidingWindow) heapRemove(e *windowEntry) {
+	i, last := e.hidx, len(w.heap)-1
+	w.heapSwap(i, last)
+	w.heap[last] = nil
+	w.heap = w.heap[:last]
+	if i < last && !w.heapDown(i) {
+		w.heapUp(i)
+	}
+}
+
+func (w *SlidingWindow) heapUp(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !entryLess(w.heap[i], w.heap[parent]) {
+			return
+		}
+		w.heapSwap(i, parent)
+		i = parent
+	}
+}
+
+// heapDown sifts the entry at i toward the leaves and reports whether it
+// moved.
+func (w *SlidingWindow) heapDown(i int) bool {
+	start := i
+	for {
+		child := 2*i + 1
+		if child >= len(w.heap) {
+			break
+		}
+		if r := child + 1; r < len(w.heap) && entryLess(w.heap[r], w.heap[child]) {
+			child = r
+		}
+		if !entryLess(w.heap[child], w.heap[i]) {
+			break
+		}
+		w.heapSwap(i, child)
+		i = child
+	}
+	return i > start
+}
+
+func (w *SlidingWindow) heapSwap(i, j int) {
+	w.heap[i], w.heap[j] = w.heap[j], w.heap[i]
+	w.heap[i].hidx = i
+	w.heap[j].hidx = j
 }
 
 // compactRing drops the leading evicted prefix once it dominates the

@@ -47,11 +47,13 @@ func randomText(rng *rand.Rand, corpus []string) string {
 
 // windowPair feeds one stream to a window through Observe (the text
 // index) and to a reference window through sqlx.Parse + ObserveStatement,
-// which never consults the index.
+// which never consults the index. Both windows' unique-evictions are
+// checked against the scan.
 type windowPair struct {
 	cached, ref *SlidingWindow
 	refErrors   int64             // parse errors the reference path saw
 	canonical   map[string]string // text -> Parse(text).SQL(), for the alias check
+	oracle      evictionOracle
 }
 
 func newWindowPair(opts WindowOptions) *windowPair {
@@ -68,17 +70,19 @@ func (p *windowPair) observe(t testing.TB, text string) {
 	if perr != nil {
 		p.refErrors++
 	} else {
-		p.ref.ObserveStatement(stmt)
+		p.oracle.arrive(t, p.ref, func() { p.ref.ObserveStatement(stmt) })
 		p.canonical[text] = stmt.SQL()
 	}
-	if err := p.cached.Observe(text); (err != nil) != (perr != nil) {
-		t.Fatalf("Observe(%q) error %v, Parse error %v", text, err, perr)
-	}
+	p.oracle.arrive(t, p.cached, func() {
+		if err := p.cached.Observe(text); (err != nil) != (perr != nil) {
+			t.Fatalf("Observe(%q) error %v, Parse error %v", text, err, perr)
+		}
+	})
 }
 
 // check asserts that both windows agree on every counter, snapshot entry
 // and sketch item, that Size agrees with Stats, and that the text index
-// keeps its invariants.
+// and both eviction heaps keep their invariants.
 func (p *windowPair) check(t testing.TB, step int) {
 	t.Helper()
 	got, want := p.cached.Stats(), p.ref.Stats()
@@ -117,6 +121,8 @@ func (p *windowPair) check(t testing.TB, step int) {
 		t.Fatalf("step %d: sketch items\n got  %+v\n want %+v", step, gi, wi)
 	}
 	checkTextIndex(t, p.cached, p.canonical)
+	checkHeap(t, p.cached)
+	checkHeap(t, p.ref)
 }
 
 // checkTextIndex asserts the text index's invariants: at most one alias
@@ -157,9 +163,13 @@ func checkTextIndex(t testing.TB, w *SlidingWindow, canonical map[string]string)
 // Observing through the text index is the same function as parse +
 // ObserveStatement: every counter, weight, eviction victim, snapshot and
 // sketch item agrees after every step, over tiny windows that make every
-// eviction path fire.
+// eviction path fire; every unique-eviction is the scan's.
 func TestWindowTextIndexMatchesReference(t *testing.T) {
 	corpus := textCorpus()
+	var total evictionOracle
+	defer func() {
+		t.Logf("%d unique-evictions matched the scan, %d of them a near-tie under decay", total.evictions, total.nearTies)
+	}()
 	for _, maxObs := range []int{1, 3, 16, 64} {
 		for _, maxUnique := range []int{1, 2, 5} {
 			for _, halfLife := range []int{0, 3} {
@@ -172,6 +182,8 @@ func TestWindowTextIndexMatchesReference(t *testing.T) {
 							p.observe(t, randomText(rng, corpus))
 							p.check(t, step)
 						}
+						total.evictions += p.oracle.evictions
+						total.nearTies += p.oracle.nearTies
 					})
 				}
 			}
@@ -327,17 +339,16 @@ func FuzzWindowObserve(f *testing.F) {
 // Zipf-distributed from 200 texts the window holds after warm-up, so
 // nearly every arrival is one text-index lookup; distinct cycles 4096
 // texts through a 512-entry window, so every arrival is new and pays
-// parse, render, signature and the unique-eviction scan.
+// parse, render, signature and a unique-eviction; distinct-wide cycles
+// 16384 texts through a 4096-entry window, eight times the entries for
+// the eviction heap's logarithm.
 func BenchmarkWindowObserve(b *testing.B) {
-	text := func(i int) string {
-		return fmt.Sprintf("SELECT l_quantity, l_extendedprice FROM lineitem WHERE l_partkey = %d AND l_shipdate > 9131", i)
-	}
 	b.Run("repeat", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(7))
 		zipf := rand.NewZipf(rng, 1.1, 1, 199)
 		texts := make([]string, 4096)
 		for i := range texts {
-			texts[i] = text(int(zipf.Uint64()))
+			texts[i] = benchText(int(zipf.Uint64()))
 		}
 		w := NewSlidingWindow("tpch", WindowOptions{})
 		for _, s := range texts {
@@ -349,19 +360,35 @@ func BenchmarkWindowObserve(b *testing.B) {
 			_ = w.Observe(texts[i%len(texts)])
 		}
 	})
-	b.Run("distinct", func(b *testing.B) {
-		texts := make([]string, 4096)
-		for i := range texts {
-			texts[i] = text(i)
+	distinct := func(n, maxUnique int) func(*testing.B) {
+		return func(b *testing.B) {
+			w, texts := warmDistinct(n, WindowOptions{MaxUnique: maxUnique})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = w.Observe(texts[i%len(texts)])
+			}
 		}
-		w := NewSlidingWindow("tpch", WindowOptions{})
-		for _, s := range texts {
-			_ = w.Observe(s)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = w.Observe(texts[i%len(texts)])
-		}
-	})
+	}
+	b.Run("distinct", distinct(4096, 0))
+	b.Run("distinct-wide", distinct(16384, 4096))
+}
+
+func benchText(i int) string {
+	return fmt.Sprintf("SELECT l_quantity, l_extendedprice FROM lineitem WHERE l_partkey = %d AND l_shipdate > 9131", i)
+}
+
+// warmDistinct returns a window that has observed n distinct texts once
+// each, and the texts: cycling them again from the first makes every
+// arrival new once n exceeds the window's MaxUnique.
+func warmDistinct(n int, opts WindowOptions) (*SlidingWindow, []string) {
+	texts := make([]string, n)
+	for i := range texts {
+		texts[i] = benchText(i)
+	}
+	w := NewSlidingWindow("tpch", opts)
+	for _, s := range texts {
+		_ = w.Observe(s)
+	}
+	return w, texts
 }
