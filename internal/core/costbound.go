@@ -122,13 +122,16 @@ func (t *Tuner) boundDelta(ec *EvaluatedConfig, tr *physical.Transformation) (De
 				d.DT += w * inc
 			}
 		}
-		// Update-shell deltas are exact and optimizer-free. A statement
-		// whose table tr cannot reach is skipped: its shell under cfgAfter
-		// sums the terms of res.UpdateCost in the same order, so the
-		// difference is exactly 0 and adding w·0 leaves ΔT's bits alone.
+		// The update-shell term is optimizer-free and taken over the index
+		// lists tr changes (UpdateShellDelta), so it reads nothing a step
+		// on other lists can move. A statement whose table tr cannot reach
+		// has none of those lists in its shell and is skipped.
 		if tq.Bound.IsUpdate() && reachesTable(ec.Config, tr, tq.Bound.UpdateTable) {
-			newShell := t.Opt.UpdateShellCost(tq.Bound, cfgAfter, res.AffectedRows)
-			d.DT += w * (newShell - res.UpdateCost)
+			shell := t.Opt.UpdateShellDelta(tq.Bound, ec.Config, cfgAfter, res.AffectedRows)
+			if t.fullShell != nil {
+				shell = t.fullShell(tq.Bound, cfgAfter, res)
+			}
+			d.DT += w * shell
 		}
 	}
 	return d, nil
@@ -138,7 +141,8 @@ func (t *Tuner) boundDelta(ec *EvaluatedConfig, tr *physical.Transformation) (De
 // statements modifying table: the shell reads the indexes on the table and
 // on every view referencing it, so tr reaches the table when the indexes it
 // adds and removes sit on it or on such a view (cfg resolves the view), or
-// when a view it removes or creates references it.
+// when a view it removes or creates references it. Where it does not, no
+// list tr changes is in that shell and UpdateShellDelta is exactly 0.
 func reachesTable(cfg *physical.Configuration, tr *physical.Transformation, table string) bool {
 	if tr.I1 != nil {
 		if v := cfg.View(tr.I1.Table); v != nil {

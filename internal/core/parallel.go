@@ -188,7 +188,7 @@ func (t *Tuner) precomputeDeltas(node *searchNode, workers int) (int, error) {
 		if node.tried[tr.ID()] {
 			continue
 		}
-		if _, ok := node.deltas[tr.ID()]; ok {
+		if _, ok := node.deltas[tr]; ok {
 			continue
 		}
 		missing = append(missing, tr)
@@ -210,7 +210,7 @@ func (t *Tuner) precomputeDeltas(node *searchNode, workers int) (int, error) {
 			node.markTried(tr.ID())
 			continue
 		}
-		node.deltas[tr.ID()] = deltas[i]
+		node.deltas[tr] = deltas[i]
 	}
 	return len(missing), nil
 }

@@ -108,8 +108,11 @@ type searchNode struct {
 	realizedPenalty float64
 	// enum.Trans are the node's transformations; the rest of enum is what a
 	// child's enumeration takes over from this one.
-	enum   *physical.Enumeration
-	deltas map[string]Delta
+	enum *physical.Enumeration
+	// deltas is keyed by the transformation itself: enumeration hands a
+	// child the parent's objects for everything it shares, and a
+	// transformation built anew is a miss that is bounded again.
+	deltas map[*physical.Transformation]Delta
 	tried  map[string]bool
 	// untried counts the transformations not yet in tried (an enumeration
 	// never repeats an ID); markTried is the only writer of both. The census
@@ -400,7 +403,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			cfgNew = tf.Apply(cfgNew)
 			removedIdx = append(removedIdx, tf.RemovedIndexIDs()...)
 			removedViews = append(removedViews, tf.RemovedViewNames()...)
-			if d, ok := node.deltas[tf.ID()]; ok {
+			if d, ok := node.deltas[tf]; ok {
 				estDT += d.DT
 				estDS += d.DS
 			}
@@ -723,7 +726,7 @@ func (t *Tuner) newSearchNode(ec *EvaluatedConfig, fp string, parent *searchNode
 		parent:          parent,
 		realizedPenalty: realized,
 		enum:            enum,
-		deltas:          map[string]Delta{},
+		deltas:          map[*physical.Transformation]Delta{},
 		tried:           map[string]bool{},
 		untried:         len(enum.Trans),
 	}, nil
@@ -820,7 +823,7 @@ func (t *Tuner) rankTransformations(node *searchNode, budget int64, hasUpdates b
 		if node.tried[id] {
 			continue
 		}
-		d, ok := node.deltas[id]
+		d, ok := node.deltas[tr]
 		if !ok {
 			d, err = t.boundDelta(node.eval, tr)
 			computed++
@@ -828,7 +831,7 @@ func (t *Tuner) rankTransformations(node *searchNode, budget int64, hasUpdates b
 				node.markTried(id)
 				continue
 			}
-			node.deltas[id] = d
+			node.deltas[tr] = d
 		}
 		// Useless moves: no space saved and no cost benefit.
 		if d.DS <= 0 && d.DT >= 0 {
@@ -904,28 +907,21 @@ type stepDiff struct {
 	// appear, vanish or change.
 	usedIdx  map[string]bool
 	usedRels []string
-	// updateTables are the tables of update statements whose shell term can
-	// differ: such a statement changed, or its table is among relations
-	// widened through the views there to their base tables.
+	// updateTables are the tables of update statements whose affected-row
+	// estimate changed. A shell term reads the lists the transformation
+	// changes (UpdateShellDelta), which relations already covers, and that
+	// estimate; nothing else.
 	updateTables []string
 }
 
 func (t *Tuner) diffStep(parent, child *EvaluatedConfig) *stepDiff {
 	s := &stepDiff{child: child.Config, usedIdx: map[string]bool{}}
-	var widened []string
 	for _, side := range [2][2]*physical.Configuration{{parent.Config, child.Config}, {child.Config, parent.Config}} {
 		ids, views := side[0].Diff(side[1])
 		for _, id := range ids {
 			s.relations = append(s.relations, side[0].Index(id).Table)
 		}
 		s.relations = append(s.relations, views...)
-	}
-	for _, r := range s.relations {
-		for _, cfg := range [2]*physical.Configuration{parent.Config, child.Config} {
-			if v := cfg.View(r); v != nil {
-				widened = append(widened, v.Tables...)
-			}
-		}
 	}
 	for i, tq := range t.Queries {
 		old, now := parent.Results[i], child.Results[i]
@@ -942,9 +938,8 @@ func (t *Tuner) diffStep(parent, child *EvaluatedConfig) *stepDiff {
 				s.usedRels = append(s.usedRels, p.UsedViews...)
 			}
 		}
-		if tb := tq.Bound.UpdateTable; tq.Bound.IsUpdate() &&
-			(changed || containsFold(s.relations, tb) || containsFold(widened, tb)) {
-			s.updateTables = append(s.updateTables, tb)
+		if tq.Bound.IsUpdate() && old.AffectedRows != now.AffectedRows {
+			s.updateTables = append(s.updateTables, tq.Bound.UpdateTable)
 		}
 	}
 	return s
@@ -954,7 +949,7 @@ func (t *Tuner) diffStep(parent, child *EvaluatedConfig) *stepDiff {
 // both sides of the step, so that boundDelta on the child would add the
 // parent's terms in the parent's order: the index lists and views tr
 // reads and rewrites, the plans that use what it removes, and the
-// update shells it can reach.
+// affected-row estimates of the update statements it can reach.
 func (s *stepDiff) leftAlone(tr *physical.Transformation) bool {
 	if tr.I1 != nil {
 		if containsFold(s.relations, tr.I1.Table) || s.usedIdx[tr.I1.ID()] || (tr.I2 != nil && s.usedIdx[tr.I2.ID()]) {
@@ -975,11 +970,11 @@ func (s *stepDiff) leftAlone(tr *physical.Transformation) bool {
 }
 
 // inheritDeltas gives node the (ΔT, ΔS) its parent holds for every
-// transformation both enumerate whose inputs the step between them left
-// alone, and returns how many. It runs at the node's first ranking rather
-// than at its creation, so a pool node the search never ranks pays
-// nothing and keeps no delta table alive. Roots and warm-start nodes
-// have no parent and inherit nothing.
+// transformation both enumerations share whose inputs the step between
+// them left alone, and returns how many. It runs at the node's first
+// ranking rather than at its creation, so a pool node the search never
+// ranks pays nothing and keeps no delta table alive. Roots and warm-start
+// nodes have no parent and inherit nothing.
 func (t *Tuner) inheritDeltas(node *searchNode) (int, error) {
 	if node.parent == nil || len(node.parent.deltas) == 0 {
 		return 0, nil
@@ -987,18 +982,17 @@ func (t *Tuner) inheritDeltas(node *searchNode) (int, error) {
 	step := t.diffStep(node.parent.eval, node.eval)
 	inherited := 0
 	for _, tr := range node.enum.Trans {
-		id := tr.ID()
-		d, ok := node.parent.deltas[id]
+		d, ok := node.parent.deltas[tr]
 		if !ok || !step.leftAlone(tr) {
 			continue
 		}
 		if t.shadow {
 			fresh, err := t.boundDelta(node.eval, tr)
 			if err != nil || math.Float64bits(fresh.DT) != math.Float64bits(d.DT) || fresh.DS != d.DS {
-				return 0, fmt.Errorf("core: inherited bound of %s is %+v, recomputed %+v (%v)", id, d, fresh, err)
+				return 0, fmt.Errorf("core: inherited bound of %s is %+v, recomputed %+v (%v)", tr.ID(), d, fresh, err)
 			}
 		}
-		node.deltas[id] = d
+		node.deltas[tr] = d
 		inherited++
 	}
 	return inherited, nil

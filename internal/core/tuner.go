@@ -174,6 +174,9 @@ type Tuner struct {
 	// node's transformations against a parent-less enumeration, every ΔS
 	// against the difference of the two configurations' sizes.
 	shadow bool
+	// fullShell, set only by tests, replaces a statement's update-shell term
+	// of ΔT: the oracle the term is checked against.
+	fullShell func(q *optimizer.BoundQuery, cfgAfter *physical.Configuration, res *optimizer.QueryResult) float64
 }
 
 // cbvEntry singleflights one view's CBV computation.

@@ -99,6 +99,51 @@ func (o *Optimizer) UpdateShellCost(q *BoundQuery, cfg *physical.Configuration, 
 	return total
 }
 
+// UpdateShellDelta is UpdateShellCost(q, after, k) − UpdateShellCost(q,
+// before, k) over what differs between the two: the upkeep of every index
+// list after holds and before does not hold as it is
+// (physical.RelationsApart), minus the upkeep of every list before holds
+// and after does not. A list both hold as it is adds the same terms to
+// both shells and is read on neither side, so the result is the
+// difference of the two shells up to the rounding of summing in another
+// order.
+func (o *Optimizer) UpdateShellDelta(q *BoundQuery, before, after *physical.Configuration, k float64) float64 {
+	if q.Kind == sqlx.StmtSelect || q.UpdateTable == "" || k <= 0 {
+		return 0
+	}
+	delta := 0.0
+	physical.RelationsApart(before, after, func(name string, list []*physical.Index, in *physical.Configuration) {
+		if in == after {
+			delta += o.listUpkeep(q, name, list, in, k)
+		} else {
+			delta -= o.listUpkeep(q, name, list, in, k)
+		}
+	})
+	return delta
+}
+
+// listUpkeep is what one index list of cfg adds to q's update shell for k
+// affected rows: its affected indexes when it is over the updated table,
+// all of its indexes at the view's share of the rows when it is over a
+// view referencing that table, nothing otherwise.
+func (o *Optimizer) listUpkeep(q *BoundQuery, name string, list []*physical.Index, cfg *physical.Configuration, k float64) float64 {
+	total := 0.0
+	if strings.EqualFold(name, q.UpdateTable) {
+		for _, ix := range list {
+			if IndexAffectedByUpdate(q, ix) {
+				total += o.IndexUpdateCost(ix, cfg, k)
+			}
+		}
+	}
+	if v := cfg.View(name); v != nil && physical.EqualFoldAny(q.UpdateTable, v.Tables...) {
+		kv := o.viewMaintenanceRows(v, q.UpdateTable, k)
+		for _, ix := range list {
+			total += o.IndexUpdateCost(ix, cfg, kv)
+		}
+	}
+	return total
+}
+
 // QueryResult couples the optimized select-part plan with the update-shell
 // cost under a configuration.
 type QueryResult struct {

@@ -53,14 +53,65 @@ func (c *Configuration) rel(table string) int {
 	return -1
 }
 
-// holdsList reports whether one of c's relations carries this very list.
-func (c *Configuration) holdsList(list []*Index) bool {
-	for i := range c.rels {
-		if sameList(c.rels[i].indexes, list) {
-			return true
+// RelationsApart calls fn for every index list, over a table or a view,
+// that one of two configurations holds and the other does not hold as it
+// is: with another list (sameList), or with the same list under a view
+// only one of them holds as it is. fn gets the relation's name, its list
+// and the configuration holding it; a relation the two hold each its own
+// way comes from before first. Both configurations keep their relations
+// in lower-case name order, so one merge walk pairs them.
+func RelationsApart(before, after *Configuration, fn func(name string, list []*Index, in *Configuration)) {
+	var buf [4]*View
+	views := viewsApart(buf[:0], before.views, after.views)
+	viewApart := func(r *relation) bool {
+		return slices.ContainsFunc(views, func(v *View) bool { return v.Name == r.name })
+	}
+	a, b := before.rels, after.rels
+	for len(a) > 0 || len(b) > 0 {
+		// order < 0: a[0] is before's alone; > 0: b[0] is after's alone.
+		var order int
+		switch {
+		case len(b) == 0:
+			order = -1
+		case len(a) == 0:
+			order = 1
+		case a[0].name != b[0].name:
+			order = strings.Compare(strings.ToLower(a[0].name), strings.ToLower(b[0].name))
+		}
+		switch {
+		case order < 0:
+			fn(a[0].name, a[0].indexes, before)
+			a = a[1:]
+		case order > 0:
+			fn(b[0].name, b[0].indexes, after)
+			b = b[1:]
+		default:
+			if !sameList(a[0].indexes, b[0].indexes) || viewApart(&a[0]) || viewApart(&b[0]) {
+				fn(a[0].name, a[0].indexes, before)
+				fn(b[0].name, b[0].indexes, after)
+			}
+			a, b = a[1:], b[1:]
 		}
 	}
-	return false
+}
+
+// viewsApart appends to out the views only one of two name-ordered lists
+// holds. A name both lists carry with different views yields both.
+func viewsApart(out, a, b []*View) []*View {
+	if sameList(a, b) {
+		return out
+	}
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] == b[0]:
+			a, b = a[1:], b[1:]
+		case a[0].Name <= b[0].Name:
+			out, a = append(out, a[0]), a[1:]
+		default:
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // relOfID returns the position of the relation an index ID names, or -1.

@@ -1,7 +1,6 @@
 package physical
 
 import (
-	"slices"
 	"strings"
 	"sync"
 
@@ -189,46 +188,18 @@ func (s *Sizer) listBytes(list []*Index, cfg *Configuration) int64 {
 // step from one to the other, at the cost of what the step touched: a
 // relation whose index list is one list (sameList) on both sides, over the
 // same view or over a base table, adds the same bytes to both totals and
-// is left out of both. The arithmetic is on integers, so the result is
-// that difference exactly.
+// is left out of both (RelationsApart). The arithmetic is on integers, so
+// the result is that difference exactly.
 func (s *Sizer) SavedBytes(before, after *Configuration) int64 {
-	var buf [4]*View
-	apart := viewsApart(buf[:0], before.views, after.views)
-	return s.unsharedBytes(before, after, apart) - s.unsharedBytes(after, before, apart)
-}
-
-// viewsApart appends to out the views only one of two name-ordered lists
-// holds. A name both lists carry with different views yields both.
-func viewsApart(out, a, b []*View) []*View {
-	if sameList(a, b) {
-		return out
-	}
-	for len(a) > 0 && len(b) > 0 {
-		switch {
-		case a[0] == b[0]:
-			a, b = a[1:], b[1:]
-		case a[0].Name <= b[0].Name:
-			out, a = append(out, a[0]), a[1:]
-		default:
-			out, b = append(out, b[0]), b[1:]
+	var saved int64
+	RelationsApart(before, after, func(_ string, list []*Index, in *Configuration) {
+		if in == before {
+			saved += s.listBytes(list, in)
+		} else {
+			saved -= s.listBytes(list, in)
 		}
-	}
-	return append(append(out, a...), b...)
-}
-
-// unsharedBytes sums the relations of c that other does not hold as they
-// are in c: with another list, or with the same list under a view that is
-// among apart.
-func (s *Sizer) unsharedBytes(c, other *Configuration, apart []*View) int64 {
-	var total int64
-	for i := range c.rels {
-		r := &c.rels[i]
-		if other.holdsList(r.indexes) && !slices.ContainsFunc(apart, func(v *View) bool { return v.Name == r.name }) {
-			continue
-		}
-		total += s.listBytes(r.indexes, c)
-	}
-	return total
+	})
+	return saved
 }
 
 // BaseResolverFunc adapts plain functions to the WidthResolver interface.
