@@ -15,8 +15,8 @@
 package baseline
 
 import (
+	"slices"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -198,7 +198,7 @@ func (c *candidateStruct) addTo(cfg *physical.Configuration) {
 	if c.view != nil {
 		v := cfg.AddView(c.view)
 		for _, ix := range c.vidx {
-			if !strings.EqualFold(ix.Table, v.Name) {
+			if ix.Table != v.Name {
 				// Rebuild instead of clone-and-mutate so the re-targeted
 				// index carries a sealed identity cache.
 				ix = physical.NewIndex(v.Name, ix.Keys, ix.Suffix, ix.Clustered)
@@ -275,21 +275,21 @@ func candidatesForQuery(t *core.Tuner, tq *core.TunedQuery, opts Options) []*can
 		}
 		var joinCols []string
 		for _, j := range q.Joins {
-			if strings.EqualFold(j.L.Table, table) {
+			if j.L.Table == table {
 				joinCols = append(joinCols, j.L.Column)
 			}
-			if strings.EqualFold(j.R.Table, table) {
+			if j.R.Table == table {
 				joinCols = append(joinCols, j.R.Column)
 			}
 		}
 		var groupCols, orderCols []string
 		for _, g := range q.GroupBy {
-			if strings.EqualFold(g.Table, table) {
+			if g.Table == table {
 				groupCols = append(groupCols, g.Column)
 			}
 		}
 		for _, o := range q.OrderBy {
-			if strings.EqualFold(o.Table, table) {
+			if o.Table == table {
 				orderCols = append(orderCols, o.Column)
 			}
 		}
@@ -431,14 +431,7 @@ func mergeRound(t *core.Tuner, cands []*candidateStruct) []*candidateStruct {
 func subtractStrings(a, b []string) []string {
 	var out []string
 	for _, s := range a {
-		found := false
-		for _, x := range b {
-			if strings.EqualFold(s, x) {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(b, s) {
 			out = append(out, s)
 		}
 	}

@@ -69,9 +69,9 @@ type Table struct {
 	Name    string
 	Columns []Column
 	Rows    int64
-	// PrimaryKey lists the key column names; the base configuration always
-	// contains a primary-key index (it enforces the constraint and cannot
-	// be dropped by the tuner).
+	// PrimaryKey lists the key column names, spelled as Columns spells
+	// them; the base configuration always contains a primary-key index
+	// (it enforces the constraint and cannot be dropped by the tuner).
 	PrimaryKey []string
 	// Heap marks tables stored as heaps: their primary-key index is
 	// non-clustered and the tuner may promote a secondary index to
@@ -83,7 +83,7 @@ type Table struct {
 
 // NewTable builds a table and indexes its columns by name.
 func NewTable(name string, rows int64, cols []Column, pk []string) (*Table, error) {
-	t := &Table{Name: name, Columns: cols, Rows: rows, PrimaryKey: pk}
+	t := &Table{Name: name, Columns: cols, Rows: rows}
 	t.byName = make(map[string]int, len(cols))
 	for i, c := range cols {
 		lower := strings.ToLower(c.Name)
@@ -93,9 +93,11 @@ func NewTable(name string, rows int64, cols []Column, pk []string) (*Table, erro
 		t.byName[lower] = i
 	}
 	for _, k := range pk {
-		if _, ok := t.byName[strings.ToLower(k)]; !ok {
+		c := t.Column(k)
+		if c == nil {
 			return nil, fmt.Errorf("catalog: primary key column %s.%s does not exist", name, k)
 		}
+		t.PrimaryKey = append(t.PrimaryKey, c.Name)
 	}
 	return t, nil
 }

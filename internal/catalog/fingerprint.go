@@ -100,13 +100,3 @@ func writeBool(w io.Writer, b bool) {
 		io.WriteString(w, "0")
 	}
 }
-
-// ShortFingerprint is the first 8 hex digits of Fingerprint, for log
-// lines and status payloads.
-func (db *Database) ShortFingerprint() string {
-	fp := db.Fingerprint()
-	if len(fp) > 8 {
-		return fp[:8]
-	}
-	return fp
-}

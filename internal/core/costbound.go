@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 	"time"
 
 	"repro/internal/optimizer"
@@ -146,12 +146,12 @@ func (t *Tuner) boundDelta(ec *EvaluatedConfig, tr *physical.Transformation) (De
 func reachesTable(cfg *physical.Configuration, tr *physical.Transformation, table string) bool {
 	if tr.I1 != nil {
 		if v := cfg.View(tr.I1.Table); v != nil {
-			return containsFold(v.Tables, table)
+			return slices.Contains(v.Tables, table)
 		}
-		return strings.EqualFold(tr.I1.Table, table)
+		return tr.I1.Table == table
 	}
 	for _, v := range [...]*physical.View{tr.V1, tr.V2, tr.VM} {
-		if v != nil && containsFold(v.Tables, table) {
+		if v != nil && slices.Contains(v.Tables, table) {
 			return true
 		}
 	}
@@ -217,7 +217,7 @@ func (t *Tuner) replacementCost(ec *EvaluatedConfig, cfgAfter *physical.Configur
 		// Longest common column prefix between the seek columns used on I
 		// and IR's keys.
 		n := 0
-		for n < len(u.SeekCols) && n < len(ir.Keys) && strings.EqualFold(u.SeekCols[n], ir.Keys[n]) {
+		for n < len(u.SeekCols) && n < len(ir.Keys) && u.SeekCols[n] == ir.Keys[n] {
 			n++
 		}
 		sIR := 1.0

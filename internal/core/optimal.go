@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/optimizer"
@@ -62,7 +62,7 @@ func OptimalIndexesForRequest(req *optimizer.IndexRequest) []*physical.Index {
 		oKeys := append([]string(nil), req.O...)
 		if isSubset(req.O, sCols) {
 			for _, s := range sCols {
-				if !containsFold(oKeys, s) {
+				if !slices.Contains(oKeys, s) {
 					oKeys = append(oKeys, s)
 				}
 			}
@@ -320,25 +320,16 @@ func (t *Tuner) RequestCounts() (indexReqs, viewReqs int64, err error) {
 func subtract(a, b []string) []string {
 	var out []string
 	for _, c := range a {
-		if !containsFold(b, c) {
+		if !slices.Contains(b, c) {
 			out = append(out, c)
 		}
 	}
 	return out
 }
 
-func containsFold(list []string, s string) bool {
-	for _, x := range list {
-		if strings.EqualFold(x, s) {
-			return true
-		}
-	}
-	return false
-}
-
 func isSubset(a, b []string) bool {
 	for _, c := range a {
-		if !containsFold(b, c) {
+		if !slices.Contains(b, c) {
 			return false
 		}
 	}

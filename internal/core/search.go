@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -952,12 +953,12 @@ func (t *Tuner) diffStep(parent, child *EvaluatedConfig) *stepDiff {
 // affected-row estimates of the update statements it can reach.
 func (s *stepDiff) leftAlone(tr *physical.Transformation) bool {
 	if tr.I1 != nil {
-		if containsFold(s.relations, tr.I1.Table) || s.usedIdx[tr.I1.ID()] || (tr.I2 != nil && s.usedIdx[tr.I2.ID()]) {
+		if slices.Contains(s.relations, tr.I1.Table) || s.usedIdx[tr.I1.ID()] || (tr.I2 != nil && s.usedIdx[tr.I2.ID()]) {
 			return false
 		}
 	}
 	for _, v := range [...]*physical.View{tr.V1, tr.V2, tr.VM} {
-		if v != nil && (containsFold(s.relations, v.Name) || containsFold(s.usedRels, v.Name)) {
+		if v != nil && (slices.Contains(s.relations, v.Name) || slices.Contains(s.usedRels, v.Name)) {
 			return false
 		}
 	}

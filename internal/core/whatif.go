@@ -62,15 +62,13 @@ func (t *Tuner) ParseConfigurationScript(script string) (*physical.Configuration
 }
 
 // buildWhatIfIndex validates column references against a base table or a
-// view already present in cfg. View indexes may name columns either by
-// the view-local name or by the base "table.column" the view exposes.
+// view already present in cfg and spells them as the catalog or the view
+// does. View indexes may name columns either by the view-local name or by
+// the base "table.column" the view exposes; like every identifier in the
+// script, either is matched case-insensitively.
 func (t *Tuner) buildWhatIfIndex(cfg *physical.Configuration, target string, s *sqlx.CreateIndexStmt) (*physical.Index, error) {
 	if v := cfg.View(target); v != nil {
 		mapCol := func(name string) (string, error) {
-			if v.Column(name) != nil {
-				return v.Column(name).Name, nil
-			}
-			// Accept base-style names like lineitem_l_shipdate too.
 			for _, c := range v.Cols {
 				if strings.EqualFold(c.Name, strings.ReplaceAll(name, ".", "_")) {
 					return c.Name, nil

@@ -175,26 +175,16 @@ func BaseConfiguration(db *catalog.Database) *physical.Configuration {
 	return cfg
 }
 
-// HeapTables returns the lower-cased names of heap tables, as consumed by
+// HeapTables returns the names of heap tables, as consumed by
 // physical.EnumerateOptions.
 func HeapTables(db *catalog.Database) map[string]bool {
 	out := map[string]bool{}
 	for _, t := range db.Tables() {
 		if t.Heap {
-			out[lower(t.Name)] = true
+			out[t.Name] = true
 		}
 	}
 	return out
-}
-
-func lower(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			b[i] = c + 32
-		}
-	}
-	return string(b)
 }
 
 // Date helpers: dates are stored as days since 1970-01-01; the TPC-H

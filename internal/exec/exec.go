@@ -94,7 +94,7 @@ func executeBlock(store *Store, b *block) (*Relation, ExecStats, error) {
 		for _, row := range path.rows {
 			keep := true
 			for _, rc := range b.ranges {
-				if !strings.EqualFold(rc.Col.Table, t) {
+				if rc.Col.Table != t {
 					continue
 				}
 				v, err := EvalExpr(base, row, rc.Col)
@@ -117,7 +117,7 @@ func executeBlock(store *Store, b *block) (*Relation, ExecStats, error) {
 				out.Append(row)
 			}
 		}
-		filtered[strings.ToLower(t)] = out
+		filtered[t] = out
 	}
 
 	// 2. Join along the equi-join edges (hash joins), cartesian fallback.
@@ -158,7 +158,7 @@ func exprWithinTable(e sqlx.Expr, table string) bool {
 		return true
 	}
 	for _, c := range cols {
-		if !strings.EqualFold(c.Table, table) {
+		if c.Table != table {
 			return false
 		}
 	}
@@ -168,8 +168,8 @@ func exprWithinTable(e sqlx.Expr, table string) bool {
 // joinAll hash-joins the filtered tables along the block's join edges.
 func joinAll(b *block, filtered map[string]*Relation) (*Relation, error) {
 	remaining := append([]string(nil), b.tables...)
-	cur := filtered[strings.ToLower(remaining[0])]
-	joinedSet := map[string]bool{strings.ToLower(remaining[0]): true}
+	cur := filtered[remaining[0]]
+	joinedSet := map[string]bool{remaining[0]: true}
 	remaining = remaining[1:]
 
 	for len(remaining) > 0 {
@@ -179,10 +179,10 @@ func joinAll(b *block, filtered map[string]*Relation) (*Relation, error) {
 		for i, t := range remaining {
 			edges = edges[:0]
 			for _, j := range b.joins {
-				lIn := joinedSet[strings.ToLower(j.L.Table)]
-				rIn := joinedSet[strings.ToLower(j.R.Table)]
-				tIsL := strings.EqualFold(j.L.Table, t)
-				tIsR := strings.EqualFold(j.R.Table, t)
+				lIn := joinedSet[j.L.Table]
+				rIn := joinedSet[j.R.Table]
+				tIsL := j.L.Table == t
+				tIsR := j.R.Table == t
 				if (lIn && tIsR) || (rIn && tIsL) {
 					edges = append(edges, j)
 				}
@@ -196,13 +196,13 @@ func joinAll(b *block, filtered map[string]*Relation) (*Relation, error) {
 			pick = 0 // cartesian product fallback
 			edges = nil
 		}
-		next := filtered[strings.ToLower(remaining[pick])]
+		next := filtered[remaining[pick]]
 		var err error
 		cur, err = hashJoin(cur, next, remaining[pick], edges, joinedSet)
 		if err != nil {
 			return nil, err
 		}
-		joinedSet[strings.ToLower(remaining[pick])] = true
+		joinedSet[remaining[pick]] = true
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
 	}
 	return cur, nil
@@ -224,7 +224,7 @@ func hashJoin(l, r *Relation, rTable string, edges []physical.JoinPred, joinedSe
 	var pairs []pair
 	for _, e := range edges {
 		lc, rc := e.L, e.R
-		if strings.EqualFold(lc.Table, rTable) {
+		if lc.Table == rTable {
 			lc, rc = rc, lc
 		}
 		li := l.ColIndex(lc.Table + "." + lc.Column)

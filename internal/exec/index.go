@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/physical"
 	"repro/internal/storage"
@@ -82,8 +81,7 @@ func (s *Store) AddIndex(id, table string, keyCols []string) error {
 	if s.indexes == nil {
 		s.indexes = map[string][]*tableIndex{}
 	}
-	key := strings.ToLower(table)
-	s.indexes[key] = append(s.indexes[key], &tableIndex{id: id, keys: keys, rows: sorted})
+	s.indexes[table] = append(s.indexes[table], &tableIndex{id: id, keys: keys, rows: sorted})
 	return nil
 }
 
@@ -136,10 +134,10 @@ func (s *Store) chooseAccessPath(t string, base *Relation, ranges []physical.Ran
 		scanned: int64(len(base.Rows)),
 		pages:   storage.HeapPages(int64(len(base.Rows)), rowWidth),
 	}
-	for _, ix := range s.indexes[strings.ToLower(t)] {
+	for _, ix := range s.indexes[t] {
 		lead := ix.keys[0]
 		for _, rc := range ranges {
-			if !strings.EqualFold(rc.Col.Table, t) {
+			if rc.Col.Table != t {
 				continue
 			}
 			ci := base.ColIndex(rc.Col.Table + "." + rc.Col.Column)

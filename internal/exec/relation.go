@@ -85,7 +85,7 @@ func NewRelation(cols []string) *Relation {
 func (r *Relation) buildIndex() {
 	r.colIdx = make(map[string]int, len(r.Cols))
 	for i, c := range r.Cols {
-		r.colIdx[strings.ToLower(c)] = i
+		r.colIdx[c] = i
 	}
 }
 
@@ -94,7 +94,7 @@ func (r *Relation) ColIndex(name string) int {
 	if r.colIdx == nil {
 		r.buildIndex()
 	}
-	if i, ok := r.colIdx[strings.ToLower(name)]; ok {
+	if i, ok := r.colIdx[name]; ok {
 		return i
 	}
 	return -1
@@ -173,7 +173,7 @@ func (r *Relation) Fingerprint() string {
 }
 
 // Store holds the materialized contents of a database's tables (keyed by
-// lower-case table name, columns qualified as "table.column"), plus any
+// the catalog's table name, columns qualified as "table.column"), plus any
 // in-memory secondary indexes registered with AddIndex.
 type Store struct {
 	relations map[string]*Relation
@@ -186,13 +186,13 @@ func NewStore() *Store { return &Store{relations: map[string]*Relation{}} }
 // Put registers a relation under a name. Replacing a table's data drops
 // any indexes registered over the previous contents.
 func (s *Store) Put(name string, r *Relation) {
-	s.relations[strings.ToLower(name)] = r
-	delete(s.indexes, strings.ToLower(name))
+	s.relations[name] = r
+	delete(s.indexes, name)
 }
 
 // Get returns a relation, or nil.
 func (s *Store) Get(name string) *Relation {
-	return s.relations[strings.ToLower(name)]
+	return s.relations[name]
 }
 
 // Tables lists stored relation names, sorted.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"strings"
 )
 
 // RenderTable1 prints Table 1 rows.
@@ -125,30 +124,4 @@ func mb(bytes int64) string {
 	default:
 		return fmt.Sprintf("%.0fKB", float64(bytes)/(1<<10))
 	}
-}
-
-// Sparkline renders a tiny ASCII trend of values (for logs).
-func Sparkline(values []float64) string {
-	if len(values) == 0 {
-		return ""
-	}
-	marks := []rune("▁▂▃▄▅▆▇█")
-	lo, hi := values[0], values[0]
-	for _, v := range values {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	var sb strings.Builder
-	for _, v := range values {
-		i := 0
-		if hi > lo {
-			i = int((v - lo) / (hi - lo) * float64(len(marks)-1))
-		}
-		sb.WriteRune(marks[i])
-	}
-	return sb.String()
 }

@@ -392,17 +392,6 @@ func (r *ProfileReport) CoveragePct() float64 {
 	return 100 * r.TopLevelSeconds / r.WallSeconds
 }
 
-// TopLevelPhaseSeconds maps each top-level phase to its total seconds.
-func (r *ProfileReport) TopLevelPhaseSeconds() map[string]float64 {
-	out := map[string]float64{}
-	for _, pp := range r.Phases {
-		if pp.Depth() == 0 {
-			out[pp.Phase] = pp.TotalSeconds
-		}
-	}
-	return out
-}
-
 // WriteText renders the report as an indented table: top-level phases
 // in execution order, each followed by its sub-phases.
 func (r *ProfileReport) WriteText(w io.Writer) {

@@ -1,7 +1,7 @@
 package optimizer
 
 import (
-	"strings"
+	"slices"
 
 	"repro/internal/physical"
 	"repro/internal/plan"
@@ -37,7 +37,7 @@ type accessSpec struct {
 // findSarg returns the first sargable condition on col, or nil.
 func (s *accessSpec) findSarg(col string) *SargCond {
 	for i := range s.sargs {
-		if strings.EqualFold(s.sargs[i].Col, col) {
+		if s.sargs[i].Col == col {
 			return &s.sargs[i]
 		}
 	}
@@ -67,7 +67,7 @@ func (s *accessSpec) eqBoundCols() map[string]bool {
 		out := map[string]bool{}
 		for _, c := range s.sargs {
 			if c.Iv.IsPoint() {
-				out[strings.ToLower(s.qual+"."+c.Col)] = true
+				out[s.qual+"."+c.Col] = true
 			}
 		}
 		s.eqBound = out
@@ -142,7 +142,7 @@ func (o *Optimizer) bestAccess(oc *optCtx, cfg *physical.Configuration, spec *ac
 
 // seekInfo is the outcome of matching sargable predicates to a key
 // prefix. The consumed sargable columns are exactly the matched prefix,
-// so no separate "used" set is tracked; prefixUses answers membership.
+// so no separate "used" set is tracked; membership in cols answers it.
 type seekInfo struct {
 	cols    []string // matched key prefix (aliases the index's Keys)
 	colSels []float64
@@ -187,17 +187,6 @@ func (o *Optimizer) seekPrefix(spec *accessSpec, ix *physical.Index) seekInfo {
 	return info
 }
 
-// prefixUses reports whether the matched key prefix consumed a sargable
-// predicate on col (the consumed columns are exactly the prefix).
-func prefixUses(prefix []string, col string) bool {
-	for _, c := range prefix {
-		if strings.EqualFold(c, col) {
-			return true
-		}
-	}
-	return false
-}
-
 // residualAfter splits the predicates not consumed by a seek into those
 // evaluable on the index (before any lookup) and those requiring fetched
 // columns, returning the combined selectivities. used is the seek's
@@ -205,7 +194,7 @@ func prefixUses(prefix []string, col string) bool {
 func (o *Optimizer) residualAfter(spec *accessSpec, ix *physical.Index, used []string) (onSel, offSel float64, any bool) {
 	onSel, offSel = 1, 1
 	for _, c := range spec.sargs {
-		if prefixUses(used, c.Col) {
+		if slices.Contains(used, c.Col) {
 			continue
 		}
 		any = true
@@ -354,7 +343,7 @@ func (o *Optimizer) intersectPlan(cfg *physical.Configuration, spec *accessSpec,
 	node = plan.NewRidLookup(node, spec.table, node.TotalCost().Add(lk))
 	residSel := 1.0
 	for _, c := range spec.sargs {
-		if !prefixUses(s1.cols, c.Col) && !prefixUses(s2.cols, c.Col) {
+		if !slices.Contains(s1.cols, c.Col) && !slices.Contains(s2.cols, c.Col) {
 			residSel *= c.Sel
 		}
 	}

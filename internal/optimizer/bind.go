@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -100,6 +101,10 @@ type BoundQuery struct {
 // Bind resolves and classifies a parsed statement against db. Statements
 // referencing unknown tables or columns, or joining a table with itself,
 // are rejected.
+//
+// Bind is where identifiers are matched case-insensitively: every table
+// and column name in the result is spelled as the catalog spells it, so
+// code downstream of Bind compares names with ==.
 func Bind(db *catalog.Database, stmt sqlx.Statement) (*BoundQuery, error) {
 	b := &binder{db: db, q: &BoundQuery{
 		SQL:    stmt.SQL(),
@@ -125,7 +130,7 @@ func Bind(db *catalog.Database, stmt sqlx.Statement) (*BoundQuery, error) {
 type binder struct {
 	db      *catalog.Database
 	q       *BoundQuery
-	binding map[string]string // alias/name (lower) -> real table name
+	binding map[string]string // aliasKey(alias or name) -> real table name
 }
 
 func (b *binder) bindSelect(s *sqlx.SelectStmt) (*BoundQuery, error) {
@@ -228,30 +233,32 @@ func (b *binder) bindDelete(s *sqlx.DeleteStmt) (*BoundQuery, error) {
 
 func (b *binder) bindFrom(from []sqlx.TableRef) error {
 	b.binding = map[string]string{}
-	seen := map[string]bool{}
 	for _, tr := range from {
 		t := b.db.Table(tr.Name)
 		if t == nil {
 			return fmt.Errorf("optimizer: unknown table %q", tr.Name)
 		}
-		lower := strings.ToLower(t.Name)
-		if seen[lower] {
+		if _, dup := b.q.Preds[t.Name]; dup {
 			return fmt.Errorf("optimizer: self-joins are not supported (table %s referenced twice)", t.Name)
 		}
-		seen[lower] = true
-		b.binding[strings.ToLower(tr.Binding())] = t.Name
-		b.binding[lower] = t.Name
+		b.binding[aliasKey(tr.Binding())] = t.Name
+		b.binding[aliasKey(t.Name)] = t.Name
 		b.q.Tables = append(b.q.Tables, t.Name)
 		b.q.Preds[t.Name] = &TablePreds{}
 	}
 	return nil
 }
 
+// aliasKey is the key an alias or table name binds under: SQL identifiers
+// are case-insensitive, and this is the one place a query's spelling of a
+// table is matched.
+func aliasKey(name string) string { return strings.ToLower(name) }
+
 // resolveCol maps an AST column reference to a canonical one whose Table
 // field is the real catalog table name.
 func (b *binder) resolveCol(c sqlx.ColRef) (sqlx.ColRef, error) {
 	if c.Table != "" {
-		real, ok := b.binding[strings.ToLower(c.Table)]
+		real, ok := b.binding[aliasKey(c.Table)]
 		if !ok {
 			return sqlx.ColRef{}, fmt.Errorf("optimizer: unknown table or alias %q", c.Table)
 		}
@@ -451,22 +458,15 @@ func (b *binder) classifyConjunct(e sqlx.Expr) error {
 	cols := e.Columns(nil)
 	tables := map[string]bool{}
 	for _, c := range cols {
-		tables[strings.ToLower(c.Table)] = true
+		tables[c.Table] = true
 	}
 	oc := OtherCond{Expr: e, Sel: b.estimateOtherSel(e), Cols: cols}
 	if len(tables) == 1 && len(cols) > 0 {
-		b.q.Preds[b.realName(cols[0].Table)].Others = append(b.q.Preds[b.realName(cols[0].Table)].Others, oc)
+		b.q.Preds[cols[0].Table].Others = append(b.q.Preds[cols[0].Table].Others, oc)
 	} else {
 		b.q.CrossOthers = append(b.q.CrossOthers, oc)
 	}
 	return nil
-}
-
-func (b *binder) realName(t string) string {
-	if real, ok := b.binding[strings.ToLower(t)]; ok {
-		return real
-	}
-	return t
 }
 
 func (b *binder) addSargOrOther(col sqlx.ColRef, op sqlx.CmpOp, c sqlx.Const, orig sqlx.Expr) error {
@@ -594,11 +594,10 @@ func mergeSargs(sargs []SargCond, b *binder, table string) []SargCond {
 	byCol := map[string][]SargCond{}
 	var order []string
 	for _, s := range sargs {
-		key := strings.ToLower(s.Col)
-		if _, ok := byCol[key]; !ok {
-			order = append(order, key)
+		if _, ok := byCol[s.Col]; !ok {
+			order = append(order, s.Col)
 		}
-		byCol[key] = append(byCol[key], s)
+		byCol[s.Col] = append(byCol[s.Col], s)
 	}
 	var out []SargCond
 	for _, key := range order {
@@ -666,11 +665,8 @@ func (b *binder) computeNeeded() {
 		if c == (sqlx.ColRef{}) {
 			return
 		}
-		cols := b.q.Needed[c.Table]
-		for _, x := range cols {
-			if strings.EqualFold(x, c.Column) {
-				return
-			}
+		if slices.Contains(b.q.Needed[c.Table], c.Column) {
+			return
 		}
 		b.q.Needed[c.Table] = append(b.q.Needed[c.Table], c.Column)
 	}

@@ -15,7 +15,6 @@ package optimizer
 
 import (
 	"math"
-	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/physical"
@@ -100,8 +99,8 @@ func randomPages(rows, pages int64, k float64) float64 {
 type Resolver struct {
 	DB *catalog.Database
 
-	// cols caches each base table's column-name slice (keyed by lowercased
-	// table name): the sizer asks for it on every index resolve, and
+	// cols caches each base table's column-name slice (keyed by table
+	// name): the sizer asks for it on every index resolve, and
 	// rebuilding the slice per call dominated resolve-path allocations.
 	cols map[string][]string
 }
@@ -111,7 +110,7 @@ type Resolver struct {
 func NewResolver(db *catalog.Database) Resolver {
 	r := Resolver{DB: db, cols: make(map[string][]string)}
 	for _, t := range db.Tables() {
-		r.cols[strings.ToLower(t.Name)] = t.ColumnNames()
+		r.cols[t.Name] = t.ColumnNames()
 	}
 	return r
 }
@@ -139,15 +138,6 @@ func (r Resolver) ColWidth(table, col string) (int, bool) {
 }
 
 // TableCols implements physical.WidthResolver.
-func (r Resolver) TableCols(table string) []string {
-	if cols, ok := r.cols[strings.ToLower(table)]; ok {
-		return cols
-	}
-	t := r.DB.Table(table)
-	if t == nil {
-		return nil
-	}
-	return t.ColumnNames()
-}
+func (r Resolver) TableCols(table string) []string { return r.cols[table] }
 
 var _ physical.WidthResolver = Resolver{}

@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -360,7 +361,7 @@ func (q *BoundQuery) eqBoundQualified() map[string]bool {
 	for table, tp := range q.Preds {
 		for _, s := range tp.Sargs {
 			if s.Iv.IsPoint() {
-				out[strings.ToLower(table+"."+s.Col)] = true
+				out[table+"."+s.Col] = true
 			}
 		}
 	}
@@ -513,20 +514,11 @@ func appendRequestKey(key []byte, spec *accessSpec) []byte {
 // sargable, non-sargable, or order column sets (the request's S/N/O);
 // the remaining needed columns form the request's A set.
 func specReferences(spec *accessSpec, col string) bool {
-	for i := range spec.sargs {
-		if strings.EqualFold(spec.sargs[i].Col, col) {
-			return true
-		}
+	if spec.findSarg(col) != nil || slices.Contains(spec.order, col) {
+		return true
 	}
 	for _, rc := range spec.others {
-		for _, c := range rc.cols {
-			if strings.EqualFold(c, col) {
-				return true
-			}
-		}
-	}
-	for _, c := range spec.order {
-		if strings.EqualFold(c, col) {
+		if slices.Contains(rc.cols, col) {
 			return true
 		}
 	}
@@ -549,18 +541,18 @@ func (o *Optimizer) buildIndexRequest(spec *accessSpec) *IndexRequest {
 	// A = referenced columns not already in S, N, or O.
 	inSNO := map[string]bool{}
 	for _, s := range req.S {
-		inSNO[strings.ToLower(s.Col)] = true
+		inSNO[s.Col] = true
 	}
 	for _, n := range req.N {
 		for _, c := range n {
-			inSNO[strings.ToLower(c)] = true
+			inSNO[c] = true
 		}
 	}
 	for _, c := range req.O {
-		inSNO[strings.ToLower(c)] = true
+		inSNO[c] = true
 	}
 	for _, c := range spec.needed {
-		if !inSNO[strings.ToLower(c)] {
+		if !inSNO[c] {
 			req.A = append(req.A, c)
 		}
 	}
@@ -917,7 +909,7 @@ func (o *Optimizer) innerProbe(oc *optCtx, q *BoundQuery, cfg *physical.Configur
 		k, sel := o.seekPrefixLen(spec, ix)
 		usesProbe := false
 		for _, pc := range probeCols {
-			if prefixUses(ix.Keys[:k], pc) {
+			if slices.Contains(ix.Keys[:k], pc) {
 				usesProbe = true
 				break
 			}

@@ -37,9 +37,8 @@ func (r *IndexRequest) AllColumns() []string {
 	var out []string
 	seen := map[string]bool{}
 	add := func(c string) {
-		k := strings.ToLower(c)
-		if !seen[k] {
-			seen[k] = true
+		if !seen[c] {
+			seen[c] = true
 			out = append(out, c)
 		}
 	}

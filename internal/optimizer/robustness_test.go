@@ -94,7 +94,7 @@ func TestHooksSuspendAndResume(t *testing.T) {
 	cfg := baseCfg(db)
 	injected := physical.NewIndex("r", []string{"b"}, []string{"a"}, false)
 	o.SetHooks(&Hooks{OnIndexRequest: func(req *IndexRequest) {
-		if strings.EqualFold(req.Table, "r") {
+		if req.Table == "r" {
 			cfg.AddIndex(injected)
 		}
 	}})
@@ -114,7 +114,7 @@ func TestIndexRequestShape(t *testing.T) {
 	cfg := baseCfg(db)
 	var got *IndexRequest
 	o.SetHooks(&Hooks{OnIndexRequest: func(req *IndexRequest) {
-		if strings.EqualFold(req.Table, "r") && got == nil {
+		if req.Table == "r" && got == nil {
 			got = req
 		}
 	}})

@@ -1,7 +1,7 @@
 package optimizer
 
 import (
-	"strings"
+	"slices"
 
 	"repro/internal/physical"
 	"repro/internal/plan"
@@ -16,7 +16,7 @@ func IndexAffectedByUpdate(q *BoundQuery, ix *physical.Index) bool {
 	if q.Kind == sqlx.StmtSelect {
 		return false
 	}
-	if !strings.EqualFold(ix.Table, q.UpdateTable) {
+	if ix.Table != q.UpdateTable {
 		return false
 	}
 	if q.Kind != sqlx.StmtUpdate || ix.Clustered {
@@ -81,14 +81,7 @@ func (o *Optimizer) UpdateShellCost(q *BoundQuery, cfg *physical.Configuration, 
 		}
 	}
 	for _, v := range cfg.Views() {
-		refs := false
-		for _, t := range v.Tables {
-			if strings.EqualFold(t, q.UpdateTable) {
-				refs = true
-				break
-			}
-		}
-		if !refs {
+		if !slices.Contains(v.Tables, q.UpdateTable) {
 			continue
 		}
 		kv := o.viewMaintenanceRows(v, q.UpdateTable, k)
@@ -128,14 +121,14 @@ func (o *Optimizer) UpdateShellDelta(q *BoundQuery, before, after *physical.Conf
 // view referencing that table, nothing otherwise.
 func (o *Optimizer) listUpkeep(q *BoundQuery, name string, list []*physical.Index, cfg *physical.Configuration, k float64) float64 {
 	total := 0.0
-	if strings.EqualFold(name, q.UpdateTable) {
+	if name == q.UpdateTable {
 		for _, ix := range list {
 			if IndexAffectedByUpdate(q, ix) {
 				total += o.IndexUpdateCost(ix, cfg, k)
 			}
 		}
 	}
-	if v := cfg.View(name); v != nil && physical.EqualFoldAny(q.UpdateTable, v.Tables...) {
+	if v := cfg.View(name); v != nil && slices.Contains(v.Tables, q.UpdateTable) {
 		kv := o.viewMaintenanceRows(v, q.UpdateTable, k)
 		for _, ix := range list {
 			total += o.IndexUpdateCost(ix, cfg, kv)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"strings"
 
 	"repro/internal/physical"
 	"repro/internal/plan"
@@ -269,9 +268,8 @@ func (o *Optimizer) viewAccessPlan(oc *optCtx, q *BoundQuery, cfg *physical.Conf
 	// Needed columns over the view.
 	neededSet := map[string]bool{}
 	addNeeded := func(name string) {
-		k := strings.ToLower(name)
-		if name != "" && !neededSet[k] {
-			neededSet[k] = true
+		if name != "" && !neededSet[name] {
+			neededSet[name] = true
 			spec.needed = append(spec.needed, name)
 		}
 	}

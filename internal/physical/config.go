@@ -21,7 +21,7 @@ import (
 // sees was sealed by the writer that installed it.
 type Configuration struct {
 	// rels has one entry per relation carrying at least one index, in
-	// lower-case name order (the order enumeration lists relations in).
+	// name order (the order enumeration lists relations in).
 	// The slice itself belongs to this configuration: Clone copies it, one
 	// entry per relation.
 	rels  []relation
@@ -30,7 +30,7 @@ type Configuration struct {
 
 // relation is the index list of one base table or view.
 type relation struct {
-	name    string // Table of the first index added; matched case-insensitively
+	name    string // the indexes' Table
 	indexes []*Index
 }
 
@@ -43,14 +43,21 @@ func (c *Configuration) Clone() *Configuration {
 	return &Configuration{rels: slices.Clone(c.rels), views: c.views}
 }
 
-// rel returns the position of the named relation in c.rels, or -1.
-func (c *Configuration) rel(table string) int {
-	for i := range c.rels {
-		if strings.EqualFold(c.rels[i].name, table) {
-			return i
+// rel returns the position the named relation has, or would take, in
+// c.rels, and whether it is there. It is on every costing call's path,
+// hence a plain loop: slices.BinarySearchFunc would call a closure on a
+// copy of the relation per probe.
+func (c *Configuration) rel(table string) (int, bool) {
+	lo, hi := 0, len(c.rels)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c.rels[mid].name < table {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return -1
+	return lo, lo < len(c.rels) && c.rels[lo].name == table
 }
 
 // RelationsApart calls fn for every index list, over a table or a view,
@@ -59,7 +66,7 @@ func (c *Configuration) rel(table string) int {
 // only one of them holds as it is. fn gets the relation's name, its list
 // and the configuration holding it; a relation the two hold each its own
 // way comes from before first. Both configurations keep their relations
-// in lower-case name order, so one merge walk pairs them.
+// in name order, so one merge walk pairs them.
 func RelationsApart(before, after *Configuration, fn func(name string, list []*Index, in *Configuration)) {
 	var buf [4]*View
 	views := viewsApart(buf[:0], before.views, after.views)
@@ -76,7 +83,7 @@ func RelationsApart(before, after *Configuration, fn func(name string, list []*I
 		case len(a) == 0:
 			order = 1
 		case a[0].name != b[0].name:
-			order = strings.Compare(strings.ToLower(a[0].name), strings.ToLower(b[0].name))
+			order = strings.Compare(a[0].name, b[0].name)
 		}
 		switch {
 		case order < 0:
@@ -114,17 +121,17 @@ func viewsApart(out, a, b []*View) []*View {
 	return append(append(out, a...), b...)
 }
 
-// relOfID returns the position of the relation an index ID names, or -1.
-// Index.buildID writes the table between the first ':' and the first '('
-// after it, and identifiers contain neither.
-func (c *Configuration) relOfID(id string) int {
+// relOfID returns the position of the relation an index ID names, and
+// whether it is there. Index.buildID writes the table between the first
+// ':' and the first '(' after it, and identifiers contain neither.
+func (c *Configuration) relOfID(id string) (int, bool) {
 	colon := strings.IndexByte(id, ':')
 	if colon < 0 {
-		return -1
+		return 0, false
 	}
 	paren := strings.IndexByte(id[colon+1:], '(')
 	if paren < 0 {
-		return -1
+		return 0, false
 	}
 	return c.rel(id[colon+1 : colon+1+paren])
 }
@@ -160,12 +167,9 @@ func clusteredIn(list []*Index) *Index {
 // clustered index when the table already has one demotes the new index to
 // non-clustered (two clustered indexes per table are impossible).
 func (c *Configuration) AddIndex(ix *Index) *Index {
-	r := c.rel(ix.Table)
-	if r < 0 {
-		pos, _ := slices.BinarySearchFunc(c.rels, strings.ToLower(ix.Table), func(r relation, key string) int {
-			return strings.Compare(strings.ToLower(r.name), key)
-		})
-		c.rels = slices.Insert(c.rels, pos, relation{name: ix.Table, indexes: []*Index{ix}})
+	r, found := c.rel(ix.Table)
+	if !found {
+		c.rels = slices.Insert(c.rels, r, relation{name: ix.Table, indexes: []*Index{ix}})
 		return ix
 	}
 	list := c.rels[r].indexes
@@ -195,8 +199,8 @@ func (c *Configuration) AddIndex(ix *Index) *Index {
 // RemoveIndex deletes the index with the given ID; required indexes are
 // never removed. Reports whether a removal happened.
 func (c *Configuration) RemoveIndex(id string) bool {
-	r := c.relOfID(id)
-	if r < 0 {
+	r, found := c.relOfID(id)
+	if !found {
 		return false
 	}
 	list := c.rels[r].indexes
@@ -217,7 +221,7 @@ func (c *Configuration) HasIndex(id string) bool { return c.Index(id) != nil }
 
 // Index returns the index with the given ID, or nil.
 func (c *Configuration) Index(id string) *Index {
-	if r := c.relOfID(id); r >= 0 {
+	if r, found := c.relOfID(id); found {
 		if pos, found := findIndex(c.rels[r].indexes, id); found {
 			return c.rels[r].indexes[pos]
 		}
@@ -264,7 +268,7 @@ func (c *Configuration) RemoveView(name string) bool {
 		return false
 	}
 	c.views = removeAt(c.views, pos)
-	if r := c.rel(name); r >= 0 {
+	if r, found := c.rel(name); found {
 		c.rels = slices.Delete(c.rels, r, r+1)
 	}
 	return true
@@ -306,7 +310,7 @@ func (c *Configuration) Indexes() []*Index {
 // ID. The slice is shared with the configuration and its clones: callers
 // must not write to it.
 func (c *Configuration) IndexesOn(table string) []*Index {
-	if r := c.rel(table); r >= 0 {
+	if r, found := c.rel(table); found {
 		return c.rels[r].indexes
 	}
 	return nil

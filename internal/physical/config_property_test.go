@@ -86,7 +86,7 @@ func (c *refConfig) removeView(name string) bool {
 	delete(c.views, name)
 	delete(c.viewSigs, v.buildSignature())
 	for id, ix := range c.indexes {
-		if strings.EqualFold(ix.Table, name) {
+		if ix.Table == name {
 			delete(c.indexes, id)
 		}
 	}
@@ -96,7 +96,7 @@ func (c *refConfig) removeView(name string) bool {
 func (c *refConfig) indexesOn(table string) []string {
 	var ids []string
 	for id, ix := range c.indexes {
-		if strings.EqualFold(ix.Table, table) {
+		if ix.Table == table {
 			ids = append(ids, id)
 		}
 	}
@@ -106,7 +106,7 @@ func (c *refConfig) indexesOn(table string) []string {
 
 func (c *refConfig) clusteredOn(table string) *Index {
 	for _, ix := range c.indexes {
-		if ix.Clustered && strings.EqualFold(ix.Table, table) {
+		if ix.Clustered && ix.Table == table {
 			return ix
 		}
 	}
@@ -175,7 +175,7 @@ func (c *refConfig) apply(t *Transformation) *refConfig {
 		n.removeView(t.V2.Name)
 		vm := n.addView(t.VM)
 		for _, ix := range t.Promoted {
-			if !strings.EqualFold(ix.Table, vm.Name) {
+			if ix.Table != vm.Name {
 				ix = ix.Clone()
 				ix.Table = vm.Name
 			}
@@ -203,7 +203,7 @@ func indexIDs(list []*Index) []string {
 // that every view inside a configuration carries a signature equal to one
 // rebuilt from its parts.
 func TestConfigurationMatchesFlatMapReference(t *testing.T) {
-	tables := []string{"t1", "T1", "t2", "t3"} // t1 and T1 are one relation
+	tables := []string{"t1", "T1", "t2", "t3"} // t1 and T1 are two relations
 	cols := []string{"a", "b", "c", "d"}
 	width := func(sqlx.ColRef) int { return 4 }
 	opts := EnumerateOptions{WidthOf: width, HeapTables: map[string]bool{"t2": true, "t3": true}}
@@ -453,7 +453,7 @@ func TestSharedListsAndSizerUnderConcurrentReaders(t *testing.T) {
 // miss, and every transformation over it is built again), and a view merge
 // whose merged view the configuration already holds under another name.
 func TestIncrementalEnumerationMatchesParentless(t *testing.T) {
-	tables := []string{"t1", "T1", "t2", "t3"} // t1 and T1 are one relation
+	tables := []string{"t1", "T1", "t2", "t3"} // t1 and T1 are two relations
 	cols := []string{"a", "b", "c", "d"}
 	// Views under these names replace one another in place, and indexes
 	// may name them before they exist: a list can stay what it was while
@@ -578,7 +578,7 @@ func TestIncrementalEnumerationMatchesParentless(t *testing.T) {
 				reAdded++
 				child := enumerate(at+" (relation re-added)", p, cfg)
 				for _, tr := range child.en.Trans {
-					if tr.I1 != nil && strings.EqualFold(tr.I1.Table, list[0].Table) && slices.Contains(p.en.Trans, tr) {
+					if tr.I1 != nil && tr.I1.Table == list[0].Table && slices.Contains(p.en.Trans, tr) {
 						t.Fatalf("seed %d %s: %s was shared across a list that was replaced", seed, at, tr.ID())
 					}
 				}

@@ -50,9 +50,6 @@ func TestConfigurationSingleClusteredPerTable(t *testing.T) {
 	if c.ClusteredOn("t") == nil {
 		t.Error("clustered index lookup failed")
 	}
-	if c.ClusteredOn("T") == nil {
-		t.Error("clustered lookup should be case-insensitive")
-	}
 }
 
 func TestConfigurationCloneIsolation(t *testing.T) {

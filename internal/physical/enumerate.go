@@ -1,8 +1,6 @@
 package physical
 
 import (
-	"strings"
-
 	"repro/internal/sqlx"
 )
 
@@ -59,10 +57,10 @@ func NewEnumerator(opts EnumerateOptions) *Enumerator {
 
 // Enumeration is every transformation applicable to one configuration.
 type Enumeration struct {
-	// Trans lists them in a deterministic order: relations in lower-case
-	// name order, each relation's unary and pairwise index transformations
-	// in the ID order of its list; then, per view in name order, its
-	// removal and its merges with every later view. Every ID is sealed.
+	// Trans lists them in a deterministic order: relations in name order,
+	// each relation's unary and pairwise index transformations in the ID
+	// order of its list; then, per view in name order, its removal and its
+	// merges with every later view. Every ID is sealed.
 	Trans []*Transformation
 	// Shared counts the transformations of Trans that were taken from the
 	// parent enumeration; the other len(Trans) − Shared were built.
@@ -204,7 +202,7 @@ func sealed(t *Transformation) *Transformation {
 func (e *Enumerator) indexTransformations(out []*Transformation, r relation, isView bool) []*Transformation {
 	// Promotion to clustered applies to views and heap tables that have no
 	// clustered index yet.
-	promotable := (isView || e.opts.HeapTables[strings.ToLower(r.name)]) && clusteredIn(r.indexes) == nil
+	promotable := (isView || e.opts.HeapTables[r.name]) && clusteredIn(r.indexes) == nil
 	for i, i1 := range r.indexes {
 		if i1.Required {
 			continue

@@ -6,7 +6,7 @@
 package physical
 
 import (
-	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -78,17 +78,7 @@ func (ix *Index) Columns() []string {
 
 // HasColumn reports whether the index stores the named column.
 func (ix *Index) HasColumn(col string) bool {
-	for _, k := range ix.Keys {
-		if strings.EqualFold(k, col) {
-			return true
-		}
-	}
-	for _, s := range ix.Suffix {
-		if strings.EqualFold(s, col) {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(ix.Keys, col) || slices.Contains(ix.Suffix, col)
 }
 
 // Covers reports whether the index stores every column in cols. A
@@ -109,7 +99,7 @@ func (ix *Index) Covers(cols []string) bool {
 func (ix *Index) KeyPrefixLen(cols []string) int {
 	n := 0
 	for _, k := range ix.Keys {
-		if !containsFold(cols, k) {
+		if !slices.Contains(cols, k) {
 			break
 		}
 		n++
@@ -121,7 +111,7 @@ func (ix *Index) KeyPrefixLen(cols []string) int {
 // this index's keys and other's keys (exact order match).
 func (ix *Index) SharedKeyPrefixLen(other *Index) int {
 	n := 0
-	for n < len(ix.Keys) && n < len(other.Keys) && strings.EqualFold(ix.Keys[n], other.Keys[n]) {
+	for n < len(ix.Keys) && n < len(other.Keys) && ix.Keys[n] == other.Keys[n] {
 		n++
 	}
 	return n
@@ -150,7 +140,7 @@ func (ix *Index) Clone() *Index {
 // sought wherever I1 can. Merging is defined only for indexes over the
 // same table or view; nil is returned otherwise.
 func MergeIndexes(i1, i2 *Index) *Index {
-	if !strings.EqualFold(i1.Table, i2.Table) {
+	if i1.Table != i2.Table {
 		return nil
 	}
 	if isKeyPrefix(i1.Keys, i2.Keys) {
@@ -172,7 +162,7 @@ func MergeIndexes(i1, i2 *Index) *Index {
 // Split is undefined (returns nil common index) when the key intersection
 // is empty or the indexes live on different tables. Residuals may be nil.
 func SplitIndexes(i1, i2 *Index) (common, r1, r2 *Index) {
-	if !strings.EqualFold(i1.Table, i2.Table) {
+	if i1.Table != i2.Table {
 		return nil, nil, nil
 	}
 	kc := intersectOrdered(i1.Keys, i2.Keys)
@@ -220,22 +210,13 @@ func PromoteToClustered(ix *Index) *Index {
 	return p
 }
 
-// --- column-sequence helpers (case-insensitive, order-preserving) ---
-
-func containsFold(cols []string, c string) bool {
-	for _, x := range cols {
-		if strings.EqualFold(x, c) {
-			return true
-		}
-	}
-	return false
-}
+// --- column-sequence helpers (order-preserving) ---
 
 // unionCols returns a ∪ b keeping a's order then b's unseen elements.
 func unionCols(a, b []string) []string {
 	out := append([]string(nil), a...)
 	for _, c := range b {
-		if !containsFold(out, c) {
+		if !slices.Contains(out, c) {
 			out = append(out, c)
 		}
 	}
@@ -246,7 +227,7 @@ func unionCols(a, b []string) []string {
 func subtractCols(a, b []string) []string {
 	var out []string
 	for _, c := range a {
-		if !containsFold(b, c) {
+		if !slices.Contains(b, c) {
 			out = append(out, c)
 		}
 	}
@@ -257,7 +238,7 @@ func subtractCols(a, b []string) []string {
 func intersectOrdered(a, b []string) []string {
 	var out []string
 	for _, c := range a {
-		if containsFold(b, c) {
+		if slices.Contains(b, c) {
 			out = append(out, c)
 		}
 	}
@@ -267,7 +248,7 @@ func intersectOrdered(a, b []string) []string {
 func dedupKeepOrder(a []string) []string {
 	var out []string
 	for _, c := range a {
-		if !containsFold(out, c) {
+		if !slices.Contains(out, c) {
 			out = append(out, c)
 		}
 	}
@@ -276,18 +257,5 @@ func dedupKeepOrder(a []string) []string {
 
 // isKeyPrefix reports whether a is a (possibly equal) ordered prefix of b.
 func isKeyPrefix(a, b []string) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	for i := range a {
-		if !strings.EqualFold(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// FormatCols renders a column list for diagnostics.
-func FormatCols(cols []string) string {
-	return fmt.Sprintf("[%s]", strings.Join(cols, ","))
+	return len(a) <= len(b) && slices.Equal(a, b[:len(a)])
 }

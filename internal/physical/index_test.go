@@ -3,13 +3,14 @@ package physical
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func TestNewIndexNormalizes(t *testing.T) {
-	ix := NewIndex("t", []string{"a", "b", "a"}, []string{"b", "c", "c", "A"}, false)
+	ix := NewIndex("t", []string{"a", "b", "a"}, []string{"b", "c", "c", "a"}, false)
 	if len(ix.Keys) != 2 {
 		t.Errorf("keys should dedup: %v", ix.Keys)
 	}
@@ -157,7 +158,7 @@ func TestSplitCoversKeysProperty(t *testing.T) {
 			have = unionCols(have, r2.Columns())
 		}
 		for _, c := range unionCols(i1.Keys, i2.Keys) {
-			if !containsFold(have, c) {
+			if !slices.Contains(have, c) {
 				return false
 			}
 		}
@@ -203,8 +204,8 @@ func TestPromoteToClustered(t *testing.T) {
 
 func TestCoversAndPrefixLen(t *testing.T) {
 	ix := NewIndex("t", []string{"a", "b"}, []string{"c"}, false)
-	if !ix.Covers([]string{"A", "c"}) {
-		t.Error("Covers should be case-insensitive")
+	if !ix.Covers([]string{"a", "c"}) {
+		t.Error("key and suffix columns should be covered")
 	}
 	if ix.Covers([]string{"d"}) {
 		t.Error("missing column should not be covered")

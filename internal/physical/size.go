@@ -1,7 +1,6 @@
 package physical
 
 import (
-	"strings"
 	"sync"
 
 	"repro/internal/storage"
@@ -217,13 +216,3 @@ func (f BaseResolverFunc) ColWidth(table, col string) (int, bool) { return f.Wid
 
 // TableCols implements WidthResolver.
 func (f BaseResolverFunc) TableCols(table string) []string { return f.ColsFn(table) }
-
-// EqualFoldAny reports whether name equals any candidate, ignoring case.
-func EqualFoldAny(name string, candidates ...string) bool {
-	for _, c := range candidates {
-		if strings.EqualFold(name, c) {
-			return true
-		}
-	}
-	return false
-}

@@ -166,7 +166,7 @@ func (t *Transformation) Apply(c *Configuration) *Configuration {
 		vm := n.AddView(t.VM)
 		for _, ix := range t.Promoted {
 			// Re-target in case signature dedup picked an existing name.
-			if !strings.EqualFold(ix.Table, vm.Name) {
+			if ix.Table != vm.Name {
 				ix = ix.Clone()
 				ix.Table = vm.Name
 				ix.id = ix.buildID()

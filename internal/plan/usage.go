@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/physical"
@@ -78,12 +79,7 @@ func (p *QueryPlan) UsesIndex(id string) bool {
 
 // UsesView reports whether the plan reads the named view.
 func (p *QueryPlan) UsesView(name string) bool {
-	for _, v := range p.UsedViews {
-		if strings.EqualFold(v, name) {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(p.UsedViews, name)
 }
 
 // UsedIndexIDs returns the distinct IDs of all indexes the plan reads.

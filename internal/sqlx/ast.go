@@ -216,7 +216,7 @@ func (l *LikeExpr) String() string {
 	if l.Negated {
 		not = "NOT "
 	}
-	return fmt.Sprintf("%s %sLIKE '%s'", l.Col, not, l.Pattern)
+	return fmt.Sprintf("%s %sLIKE %s", l.Col, not, Str(l.Pattern))
 }
 
 // Columns implements Expr.
@@ -303,6 +303,66 @@ func parenthesize(e Expr) string {
 	default:
 		return e.String()
 	}
+}
+
+// predicateSQL renders a statement's WHERE condition as String does, but
+// with every comparison's left operand written so that it does not open
+// with "(": the parser reads a condition that opens with "(" as a
+// parenthesized condition, so (a + b) > 3, as String writes it, does not
+// parse back. Expression signatures and view definitions keep String.
+func predicateSQL(e Expr) string {
+	switch x := e.(type) {
+	case *CmpExpr:
+		return fmt.Sprintf("%s %s %s", leadingOperand(x.L), x.Op, parenthesize(x.R))
+	case *BoolExpr:
+		if x.Op == "NOT" {
+			return "NOT " + parenthesizePredicate(x.L)
+		}
+		return fmt.Sprintf("%s %s %s", parenthesizePredicate(x.L), x.Op, parenthesizePredicate(x.R))
+	default:
+		return e.String()
+	}
+}
+
+func parenthesizePredicate(e Expr) string {
+	switch e.(type) {
+	case *BoolExpr, *CmpExpr, *BinExpr:
+		return "(" + predicateSQL(e) + ")"
+	default:
+		return e.String()
+	}
+}
+
+// leadingOperand renders a comparison's left operand for predicateSQL:
+// along the left spine a child of the same or higher precedence goes
+// without parentheses, which the left-associative grammar reads back as
+// the same tree, and 0 − x, which is what the parser makes of −x, renders
+// as −x.
+func leadingOperand(e Expr) string {
+	b, ok := e.(*BinExpr)
+	switch {
+	case !ok:
+		return e.String()
+	case isNegation(b):
+		return "-" + parenthesize(b.R)
+	}
+	if l, ok := b.L.(*BinExpr); ok && isAdditive(l) && !isAdditive(b) {
+		return parenthesize(l) + " " + b.Op + " " + parenthesize(b.R)
+	}
+	return leadingOperand(b.L) + " " + b.Op + " " + parenthesize(b.R)
+}
+
+// isNegation reports whether b is 0 − x for an x the parser does not fold
+// into a constant, which is what it makes of −x.
+func isNegation(b *BinExpr) bool {
+	_, constant := b.R.(Const)
+	return b.Op == "-" && b.L == Expr(Number(0)) && !constant
+}
+
+// isAdditive reports whether b is a binary + or −, the operators that bind
+// looser than *, / and %.
+func isAdditive(b *BinExpr) bool {
+	return (b.Op == "+" || b.Op == "-") && !isNegation(b)
 }
 
 // SelectItem is one entry in a select list: an optional aggregate applied to
@@ -416,7 +476,7 @@ func (s *SelectStmt) SQL() string {
 	}
 	if s.Where != nil {
 		sb.WriteString(" WHERE ")
-		sb.WriteString(s.Where.String())
+		sb.WriteString(predicateSQL(s.Where))
 	}
 	if len(s.GroupBy) > 0 {
 		sb.WriteString(" GROUP BY ")
@@ -475,7 +535,7 @@ func (u *UpdateStmt) SQL() string {
 	}
 	if u.Where != nil {
 		sb.WriteString(" WHERE ")
-		sb.WriteString(u.Where.String())
+		sb.WriteString(predicateSQL(u.Where))
 	}
 	return sb.String()
 }
@@ -507,7 +567,7 @@ func (d *DeleteStmt) Kind() StmtKind { return StmtDelete }
 func (d *DeleteStmt) SQL() string {
 	s := "DELETE FROM " + d.Table.String()
 	if d.Where != nil {
-		s += " WHERE " + d.Where.String()
+		s += " WHERE " + predicateSQL(d.Where)
 	}
 	return s
 }

@@ -184,37 +184,35 @@ func (p *Parser) parseSelectItem() (SelectItem, error) {
 			if err := p.expectSymbolErr(")"); err != nil {
 				return SelectItem{}, err
 			}
-			item := SelectItem{Agg: agg, Expr: inner}
-			item.Alias = p.parseOptionalAlias()
-			return item, nil
+			alias, err := p.parseOptionalAlias()
+			return SelectItem{Agg: agg, Expr: inner, Alias: alias}, err
 		}
 	}
 	e, err := p.parseArith()
 	if err != nil {
 		return SelectItem{}, err
 	}
-	return SelectItem{Expr: e, Alias: p.parseOptionalAlias()}, nil
+	alias, err := p.parseOptionalAlias()
+	return SelectItem{Expr: e, Alias: alias}, err
 }
 
-func (p *Parser) parseOptionalAlias() string {
+// parseOptionalAlias parses "AS name", a bare name, or nothing; AS must be
+// followed by a name.
+func (p *Parser) parseOptionalAlias() (string, error) {
 	if p.acceptKeyword("AS") {
-		if t := p.peek(); t.Kind == TokIdent {
-			p.next()
-			return t.Text
+		a := p.peek()
+		if a.Kind != TokIdent {
+			return "", fmt.Errorf("sqlx: expected alias after AS, got %s", a)
 		}
-		return ""
-	}
-	if t := p.peek(); t.Kind == TokIdent && !p.aliasWouldAmbiguate() {
 		p.next()
-		return t.Text
+		return a.Text, nil
 	}
-	return ""
+	if a := p.peek(); a.Kind == TokIdent {
+		p.next()
+		return a.Text, nil
+	}
+	return "", nil
 }
-
-// aliasWouldAmbiguate reports whether treating the next identifier as an
-// alias would be wrong; in this grammar a bare identifier after an
-// expression is always an alias, so this is reserved for future use.
-func (p *Parser) aliasWouldAmbiguate() bool { return false }
 
 func (p *Parser) parseTableRef() (TableRef, error) {
 	t := p.peek()
@@ -222,19 +220,11 @@ func (p *Parser) parseTableRef() (TableRef, error) {
 		return TableRef{}, fmt.Errorf("sqlx: expected table name, got %s", t)
 	}
 	p.next()
-	tr := TableRef{Name: t.Text}
-	if p.acceptKeyword("AS") {
-		a := p.peek()
-		if a.Kind != TokIdent {
-			return TableRef{}, fmt.Errorf("sqlx: expected alias after AS, got %s", a)
-		}
-		p.next()
-		tr.Alias = a.Text
-	} else if a := p.peek(); a.Kind == TokIdent {
-		p.next()
-		tr.Alias = a.Text
+	alias, err := p.parseOptionalAlias()
+	if err != nil {
+		return TableRef{}, err
 	}
-	return tr, nil
+	return TableRef{Name: t.Text, Alias: alias}, nil
 }
 
 func (p *Parser) parseUpdate() (*UpdateStmt, error) {

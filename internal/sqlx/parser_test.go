@@ -203,6 +203,9 @@ func TestParseErrors(t *testing.T) {
 		"SELECT a FROM t WHERE a BETWEEN 1",
 		"SELECT a FROM t WHERE a IN ()",
 		"SELECT SUM(*) FROM t",
+		"SELECT a AS FROM t",
+		"SELECT COUNT(*) AS FROM t",
+		"SELECT a FROM t AS WHERE a = 1",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
@@ -219,6 +222,11 @@ func TestParseRoundTrip(t *testing.T) {
 		"SELECT t1.a FROM t1, t2 WHERE t1.x = t2.y AND (t1.a < t1.b OR t1.c < 8)",
 		"UPDATE r SET a = b + 1 WHERE a < 10",
 		"DELETE FROM r WHERE a >= 3 AND b LIKE 'x%'",
+		// A comparison renders its left operand without the parentheses
+		// a leading "(" would need; numbers may render with an exponent;
+		// a pattern keeps its quotes escaped.
+		"SELECT a FROM t WHERE a + b * c - d > 3 AND (a * b % 7 = 0 OR -a * b <= 0 - 5)",
+		"SELECT a FROM t WHERE -(a + b) >= c AND a < 1200000 AND b > 0.00001 AND c LIKE 'it''s%'",
 	}
 	for _, src := range srcs {
 		s1, err := Parse(src)

@@ -98,6 +98,19 @@ func (l *Lexer) Next() (Token, error) {
 			}
 			l.pos++
 		}
+		// An exponent, as Const.String writes one for 1e6 and beyond.
+		if e := l.pos; e < len(l.src) && (l.src[e] == 'e' || l.src[e] == 'E') {
+			e++
+			if e < len(l.src) && (l.src[e] == '+' || l.src[e] == '-') {
+				e++
+			}
+			if e < len(l.src) && '0' <= l.src[e] && l.src[e] <= '9' {
+				l.pos = e
+				for l.pos < len(l.src) && '0' <= l.src[l.pos] && l.src[l.pos] <= '9' {
+					l.pos++
+				}
+			}
+		}
 		return Token{Kind: TokNumber, Text: l.src[start:l.pos], Pos: start}, nil
 	case c == '\'':
 		l.pos++
