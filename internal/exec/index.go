@@ -153,7 +153,7 @@ func (s *Store) chooseAccessPath(t string, base *Relation, ranges []physical.Ran
 				best = accessPath{
 					rows:    ix.rows[lo:hi],
 					scanned: span,
-					pages:   int64(height) + storage.BTreeLeafPages(max64(span, 1), entryWidth),
+					pages:   int64(height) + storage.BTreeLeafPages(max(span, 1), entryWidth),
 					indexed: true,
 				}
 			}
@@ -262,11 +262,4 @@ func valueWidth(v Value) int {
 		return len(v.S)
 	}
 	return 8
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

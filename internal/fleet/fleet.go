@@ -419,47 +419,52 @@ func (r *Registry) Status() Status {
 		RetunesCompleted: r.pool.Completed(),
 		FragmentCache:    fragStats,
 		CostCache:        r.costs.Stats(),
+		// Empty and nil maps encode alike under omitempty.
+		Alerts: AlertRollup{BySeverity: map[string]int{}, ByTenant: map[string]int{}},
 	}
 	for _, d := range depths {
 		st.QueueDepth += d.Queued
 	}
 	for _, t := range r.List() {
-		snap := t.Service.MetricsSnapshot()
-		d := depths[t.Spec.ID]
-		firing := 0
-		for sev, n := range t.Service.Alerts().FiringBySeverity() {
-			firing += n
-			if st.Alerts.BySeverity == nil {
-				st.Alerts.BySeverity = map[string]int{}
-			}
+		row, bySeverity := tenantRow(t, depths[t.Spec.ID])
+		for sev, n := range bySeverity {
 			st.Alerts.BySeverity[sev] += n
 		}
-		if firing > 0 {
-			if st.Alerts.ByTenant == nil {
-				st.Alerts.ByTenant = map[string]int{}
-			}
-			st.Alerts.ByTenant[t.Spec.ID] = firing
+		if row.AlertsFiring > 0 {
+			st.Alerts.ByTenant[t.Spec.ID] = row.AlertsFiring
 		}
-		st.Alerts.Firing += firing
-		st.Tenants = append(st.Tenants, TenantStatus{
-			ID:                 t.Spec.ID,
-			Database:           t.Spec.Database,
-			ScaleFactor:        t.Spec.ScaleFactor,
-			CreatedAt:          t.CreatedAt,
-			QueueDepth:         d.Queued,
-			InFlight:           d.InFlight,
-			Retunes:            snap.Retunes,
-			Sessions:           snap.RecordedSessions,
-			WindowObservations: snap.WindowObservations,
-			StatementsIngested: snap.StatementsIngested,
-			QuotaRejections:    t.quotaRejections(),
-			CacheHits:          snap.CacheHits,
-			CacheSharedHits:    snap.CacheSharedHits,
-			HasRecommendation:  t.Service.Recommendation() != nil,
-			AlertsFiring:       firing,
-		})
+		st.Alerts.Firing += row.AlertsFiring
+		st.Tenants = append(st.Tenants, row)
 	}
 	return st
+}
+
+// tenantRow builds t's row in Status, with d its retune queue depth, and
+// returns its firing alerts by severity for the fleet rollup.
+func tenantRow(t *Tenant, d QueueDepth) (TenantStatus, map[string]int) {
+	snap := t.Service.MetricsSnapshot()
+	bySeverity := t.Service.Alerts().FiringBySeverity()
+	firing := 0
+	for _, n := range bySeverity {
+		firing += n
+	}
+	return TenantStatus{
+		ID:                 t.Spec.ID,
+		Database:           t.Spec.Database,
+		ScaleFactor:        t.Spec.ScaleFactor,
+		CreatedAt:          t.CreatedAt,
+		QueueDepth:         d.Queued,
+		InFlight:           d.InFlight,
+		Retunes:            snap.Retunes,
+		Sessions:           snap.RecordedSessions,
+		WindowObservations: snap.WindowObservations,
+		StatementsIngested: snap.StatementsIngested,
+		QuotaRejections:    t.quotaRejections(),
+		CacheHits:          snap.CacheHits,
+		CacheSharedHits:    snap.CacheSharedHits,
+		HasRecommendation:  t.Service.Recommendation() != nil,
+		AlertsFiring:       firing,
+	}, bySeverity
 }
 
 // readyQueueFactor bounds the retune backlog readiness tolerates: the

@@ -174,15 +174,10 @@ func NewHandler(r *Registry) http.Handler {
 	return mux
 }
 
-// tenantStatus builds one tenant's status row.
+// tenantStatus builds t's row of Status alone.
 func (r *Registry) tenantStatus(t *Tenant) TenantStatus {
-	for _, row := range r.Status().Tenants {
-		if row.ID == t.Spec.ID {
-			return row
-		}
-	}
-	// Raced with removal; report the identity fields only.
-	return TenantStatus{ID: t.Spec.ID, Database: t.Spec.Database, ScaleFactor: t.Spec.ScaleFactor, CreatedAt: t.CreatedAt}
+	row, _ := tenantRow(t, r.pool.Depths()[t.Spec.ID])
+	return row
 }
 
 // serveIngest is the quota-gated tenant ingest: the whole batch is

@@ -318,3 +318,38 @@ func findLine(text, prefix string) string {
 	}
 	return ""
 }
+
+// TestTenantStatusIsItsFleetRow: POST /tenants and GET /tenants/{id}
+// answer with exactly the tenant's row of GET /fleet, built alone.
+func TestTenantStatusIsItsFleetRow(t *testing.T) {
+	r, srv := newTestServer(t, Options{Workers: 1})
+	resp, created := doJSON(t, "POST", srv.URL+"/tenants", TenantSpec{ID: "fresh", Database: "tpch"})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /tenants = %d: %s", resp.StatusCode, created)
+	}
+	for _, id := range []string{"a", "b"} {
+		if _, err := r.Add(TenantSpec{ID: id, Database: "tpch"}); err != nil {
+			t.Fatal(err)
+		}
+		r.Get(id).Service.Ingest(append(append([]string{}, sharedShapes...), "SELECT nope FROM"))
+		retuneTenant(t, r, id)
+	}
+	r.noteQuotaRejection(r.Get("b"))
+	rows := r.Status().Tenants
+	if len(rows) != 3 {
+		t.Fatalf("GET /fleet has %d tenant rows, want 3", len(rows))
+	}
+	for _, row := range rows {
+		want, err := json.Marshal(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, got := doJSON(t, "GET", srv.URL+"/tenants/"+row.ID, nil)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(bytes.TrimSpace(got), want) {
+			t.Errorf("GET /tenants/%s = %d\n%s\nwant its fleet row\n%s", row.ID, resp.StatusCode, got, want)
+		}
+		if row.ID == "fresh" && !bytes.Equal(bytes.TrimSpace(created), want) {
+			t.Errorf("POST /tenants answered\n%s\nwant its fleet row\n%s", created, want)
+		}
+	}
+}

@@ -207,19 +207,15 @@ func scoreKind(kind string, samples []CalibSample) KindCalibration {
 		}
 		est = append(est, s.EstDT)
 		realized = append(realized, s.RealizedDT)
-		if s.EstDT <= 0 {
-			continue
-		}
-		r := s.RealizedDT / s.EstDT
-		if math.IsNaN(r) || math.IsInf(r, 0) {
-			// A denormal-tiny estimate can overflow the ratio even though
-			// both inputs are finite; keep it out of the quantile math so
-			// mean/p50/p90 (and the JSON encoding) stay well-defined.
-			kc.NonFinite++
+		r, rated, violated := rateBound(s.EstDT, s.RealizedDT)
+		if !rated {
+			if s.EstDT > 0 {
+				kc.NonFinite++ // the ratio overflowed
+			}
 			continue
 		}
 		ratios = append(ratios, r)
-		if s.RealizedDT > s.EstDT*(1+1e-9) {
+		if violated {
 			kc.BoundViolations++
 		}
 	}
@@ -241,6 +237,18 @@ func scoreKind(kind string, samples []CalibSample) KindCalibration {
 	}
 	kc.RankCorrelation = Spearman(est, realized)
 	return kc
+}
+
+// rateBound is the §3.3.2 rule Calibrate and the metrics sink share: a
+// sample is rated when est is positive and finite and realized/est is
+// finite (a denormal-tiny est can overflow it), and a rated sample
+// violates its bound when realized exceeds est·(1+1e-9).
+func rateBound(est, realized float64) (ratio float64, rated, violated bool) {
+	ratio = realized / est
+	if !(est > 0) || math.IsInf(est, 1) || math.IsNaN(ratio) || math.IsInf(ratio, 0) {
+		return 0, false, false
+	}
+	return ratio, true, realized > est*(1+1e-9)
 }
 
 // quantileSorted returns the q-quantile of an ascending slice using

@@ -241,3 +241,29 @@ func TestGroundTruthEndpointLookups(t *testing.T) {
 		t.Error("empty report lookups must be nil")
 	}
 }
+
+// TestBoundRuleSharedBySinkAndCalibrate: the metrics sink and Calibrate
+// rate a §3.3.2 sample by one rule. An estimate so small that
+// realized/estimated overflows is rated by neither, so it neither counts
+// as a violation nor turns the tightness sum infinite.
+func TestBoundRuleSharedBySinkAndCalibrate(t *testing.T) {
+	for _, c := range []struct{ est, realized float64 }{
+		{5e-324, 1}, {1, 2}, {2, 1}, {0, 1}, {-1, 1}, {1, 1 + 1e-10}, {1, math.NaN()}, {math.Inf(1), 1},
+	} {
+		reg := NewRegistry()
+		m := NewTunerMetrics(reg)
+		m.Sink().Emit(Event{Type: EvEval, Fields: F{"est_dt": c.est, "realized_dt": c.realized}})
+		kc := Calibrate([]CalibSample{{Kind: "k", EstDT: c.est, RealizedDT: c.realized}}, WhatIfEconomy{}).Overall
+		if got := m.BoundViolations.Value(); got != float64(kc.BoundViolations) {
+			t.Errorf("est %g realized %g: sink counts %g violations, Calibrate %d", c.est, c.realized, got, kc.BoundViolations)
+		}
+		if got := m.BoundTightness.Count(); got != uint64(kc.Rated) {
+			t.Errorf("est %g realized %g: sink observes %d ratios, Calibrate rates %d", c.est, c.realized, got, kc.Rated)
+		}
+		reg.VisitSamples(func(name, _ string, v float64) {
+			if name == "tuner_penalty_bound_tightness_sum" && (math.IsInf(v, 0) || math.IsNaN(v)) {
+				t.Errorf("est %g realized %g: tightness sum %g", c.est, c.realized, v)
+			}
+		})
+	}
+}

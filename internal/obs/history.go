@@ -16,10 +16,6 @@ type HistoryOptions struct {
 	// ring (Window/Interval points) and is reported to clients so they
 	// can render sparklines with the right time step (default 10s).
 	Interval time.Duration
-	// MaxSeries caps the number of distinct series tracked; series first
-	// seen past the cap are counted as dropped, never stored (default
-	// 1024).
-	MaxSeries int
 	// BeforeSample, when set, runs before each scrape — the service
 	// installs RefreshPromGauges here so scrape-time gauges are current.
 	BeforeSample func()
@@ -28,7 +24,10 @@ type HistoryOptions struct {
 const (
 	defaultHistoryWindow   = 15 * time.Minute
 	defaultHistoryInterval = 10 * time.Second
-	defaultHistoryMax      = 1024
+	// maxHistorySeries caps the distinct series a History tracks;
+	// series first seen past the cap are counted as dropped, never
+	// stored.
+	maxHistorySeries = 1024
 )
 
 // History is a bounded ring-buffer sampler over a Prometheus registry:
@@ -71,9 +70,6 @@ func NewHistory(reg *Registry, opts HistoryOptions) *History {
 	}
 	if opts.Interval <= 0 {
 		opts.Interval = defaultHistoryInterval
-	}
-	if opts.MaxSeries <= 0 {
-		opts.MaxSeries = defaultHistoryMax
 	}
 	capacity := int(opts.Window/opts.Interval) + 1
 	if capacity < 2 {
@@ -126,17 +122,6 @@ func (h *History) SeriesCount() int {
 	return len(h.series)
 }
 
-// DroppedSeries returns how many samples were discarded because the
-// series cap was reached.
-func (h *History) DroppedSeries() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.dropped
-}
-
 // Sample scrapes the registry once, stamping every sample with now.
 // Points older than the retention window fall out of each ring by
 // capacity; callers sampling faster than Interval simply see a shorter
@@ -158,7 +143,7 @@ func (h *History) Sample(now time.Time) {
 		}
 		r, ok := h.series[key]
 		if !ok {
-			if len(h.series) >= h.opts.MaxSeries {
+			if len(h.series) >= maxHistorySeries {
 				h.dropped++
 				return
 			}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -101,15 +102,17 @@ func TestHistoryRingEviction(t *testing.T) {
 
 func TestHistoryMaxSeries(t *testing.T) {
 	reg := NewRegistry()
-	reg.NewGauge("t_a", "A.")
-	reg.NewGauge("t_b", "B.")
-	hist := NewHistory(reg, HistoryOptions{Window: time.Minute, Interval: time.Second, MaxSeries: 1})
-	hist.Sample(histT0)
-	if got := hist.SeriesCount(); got != 1 {
-		t.Fatalf("SeriesCount = %d, want 1 (capped)", got)
+	gv := reg.NewGaugeVec("t_a", "A.", "i")
+	for i := 0; i <= maxHistorySeries; i++ {
+		gv.Set(strconv.Itoa(i), 1)
 	}
-	if hist.DroppedSeries() == 0 {
-		t.Error("expected dropped-series accounting at the cap")
+	hist := NewHistory(reg, HistoryOptions{Window: time.Minute, Interval: time.Second})
+	hist.Sample(histT0)
+	if got := hist.SeriesCount(); got != maxHistorySeries {
+		t.Fatalf("SeriesCount = %d, want %d (capped)", got, maxHistorySeries)
+	}
+	if got := hist.Query(HistoryQuery{}).DroppedSeries; got != 1 {
+		t.Errorf("DroppedSeries = %d, want 1 at the cap", got)
 	}
 }
 

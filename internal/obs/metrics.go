@@ -160,10 +160,9 @@ func (s *metricsSink) Emit(e Event) {
 		if _, ok := e.Fields["budget_gap"]; ok {
 			m.BudgetGap.Set(fieldFloat(e.Fields, "budget_gap"))
 		}
-		if est := fieldFloat(e.Fields, "est_dt"); est > 0 {
-			tightness := fieldFloat(e.Fields, "realized_dt") / est
-			m.BoundTightness.Observe(tightness)
-			if tightness > 1+1e-9 {
+		if r, rated, violated := rateBound(fieldFloat(e.Fields, "est_dt"), fieldFloat(e.Fields, "realized_dt")); rated {
+			m.BoundTightness.Observe(r)
+			if violated {
 				m.BoundViolations.Inc()
 			}
 		}

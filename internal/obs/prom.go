@@ -300,6 +300,9 @@ func (r *Registry) NewGaugeVec(name, help, label string) *GaugeVec {
 // Set replaces the value of the series with the given label value.
 func (v *GaugeVec) Set(labelValue string, x float64) { v.set(x, labelValue) }
 
+// Add adjusts the series with the given label value by d.
+func (v *GaugeVec) Add(labelValue string, d float64) { v.add(d, labelValue) }
+
 // Delete removes one series (e.g. a deregistered tenant).
 func (v *GaugeVec) Delete(labelValue string) { v.del(labelValue) }
 
@@ -359,75 +362,6 @@ func (r *Registry) VisitSamples(f func(name, labels string, value float64)) {
 	}
 }
 
-func (h *Histogram) sample(f sampleFunc) {
-	h.mu.Lock()
-	sum, total := h.sum, h.total
-	p50 := h.quantileLocked(0.50)
-	p95 := h.quantileLocked(0.95)
-	p99 := h.quantileLocked(0.99)
-	h.mu.Unlock()
-	f(h.name+"_sum", "", sum)
-	f(h.name+"_count", "", float64(total))
-	if total > 0 {
-		f(h.name+"_p50", "", p50)
-		f(h.name+"_p95", "", p95)
-		f(h.name+"_p99", "", p99)
-	}
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) from the cumulative
-// buckets, interpolating linearly within the bucket that crosses the
-// rank — the in-process analogue of PromQL's histogram_quantile.
-// Observations in the +Inf overflow bucket clamp to the highest finite
-// bound. Returns 0 before any observation.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
-}
-
-func (h *Histogram) quantileLocked(q float64) float64 {
-	if h.total == 0 || len(h.bounds) == 0 {
-		return 0
-	}
-	rank := q * float64(h.total)
-	cum := uint64(0)
-	lower := 0.0
-	for i, b := range h.bounds {
-		prev := cum
-		cum += h.counts[i]
-		if float64(cum) >= rank {
-			if h.counts[i] == 0 {
-				return b
-			}
-			frac := (rank - float64(prev)) / float64(h.counts[i])
-			return lower + frac*(b-lower)
-		}
-		lower = b
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-func (v *HistogramVec) sample(f sampleFunc) {
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	sums := make(map[string]float64, len(v.children))
-	totals := make(map[string]uint64, len(v.children))
-	for k, s := range v.children {
-		sums[k], totals[k] = s.sum, s.total
-	}
-	v.mu.Unlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		lbl := fmt.Sprintf("%s=%q", v.label, escapeLabel(k))
-		f(v.name+"_sum", lbl, sums[k])
-		f(v.name+"_count", lbl, float64(totals[k]))
-	}
-}
-
 // prefixLabel renders the injected label pair as a leading list element
 // ("" stays empty; `tenant="t1"` becomes `tenant="t1",`).
 func prefixLabel(extra string) string {
@@ -460,24 +394,140 @@ func ExpBuckets(start, factor float64, count int) []float64 {
 	return out
 }
 
-// Histogram is a cumulative-bucket histogram.
-type Histogram struct {
-	name, help string
-	bounds     []float64 // strictly increasing upper bounds, +Inf implicit
+// histFamily is the one histogram behind Histogram and HistogramVec:
+// cumulative-bucket series over shared bounds, keyed by the value of at
+// most one label. An unlabelled family holds its one series from
+// registration on, so it renders even when empty, and it also samples
+// the derived _p50/_p95/_p99 series; a labelled family holds only the
+// series that have been observed.
+type histFamily struct {
+	name, help, label string
+	bounds            []float64 // strictly increasing upper bounds, +Inf implicit
 
 	mu     sync.Mutex
+	series map[string]*histSeries
+}
+
+type histSeries struct {
 	counts []uint64 // one per bound, plus the +Inf overflow at the end
 	sum    float64
 	total  uint64
 }
 
+func (h *histFamily) init(name, help, label string, bounds []float64) {
+	h.name, h.help, h.label = name, help, label
+	h.bounds = append([]float64(nil), bounds...)
+	sort.Float64s(h.bounds)
+	h.series = map[string]*histSeries{}
+}
+
+// observe records one sample in s (mu held).
+func (h *histFamily) observe(s *histSeries, v float64) {
+	s.counts[sort.SearchFloat64s(h.bounds, v)]++ // first bound >= v
+	s.sum += v
+	s.total++
+}
+
+// quantile estimates the q-quantile of s; see Histogram.Quantile.
+func (h *histFamily) quantile(s *histSeries, q float64) float64 {
+	if s.total == 0 || len(h.bounds) == 0 {
+		return 0
+	}
+	rank := q * float64(s.total)
+	cum := uint64(0)
+	lower := 0.0
+	for i, b := range h.bounds {
+		prev := cum
+		cum += s.counts[i]
+		if float64(cum) >= rank {
+			if s.counts[i] == 0 {
+				return b
+			}
+			frac := (rank - float64(prev)) / float64(s.counts[i])
+			return lower + frac*(b-lower)
+		}
+		lower = b
+	}
+	return h.bounds[len(h.bounds)-1]
+}
+
+// snapshot copies the series in label-value order, so rendering runs
+// outside the lock.
+func (h *histFamily) snapshot() (keys []string, series []histSeries) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	keys = make([]string, 0, len(h.series))
+	for k := range h.series {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	series = make([]histSeries, len(keys))
+	for i, k := range keys {
+		s := h.series[k]
+		series[i] = histSeries{counts: append([]uint64(nil), s.counts...), sum: s.sum, total: s.total}
+	}
+	return keys, series
+}
+
+// labels renders the label pair of the series with label value k (""
+// when the family is unlabelled).
+func (h *histFamily) labels(k string) string {
+	if h.label == "" {
+		return ""
+	}
+	return fmt.Sprintf("%s=%q", h.label, escapeLabel(k))
+}
+
+func (h *histFamily) meta() (string, string, string) { return h.name, h.help, "histogram" }
+
+// write renders each series' cumulative buckets, sum and count.
+func (h *histFamily) write(w io.Writer, extra string) {
+	keys, series := h.snapshot()
+	for i, k := range keys {
+		labels := extra
+		if l := h.labels(k); l != "" {
+			labels = prefixLabel(extra) + l
+		}
+		pre, s := prefixLabel(labels), series[i]
+		cum := uint64(0)
+		for j, b := range h.bounds {
+			cum += s.counts[j]
+			fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", h.name, pre, formatFloat(b), cum)
+		}
+		fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", h.name, pre, s.total)
+		writeSample(w, h.name+"_sum", labels, formatFloat(s.sum))
+		writeSample(w, h.name+"_count", labels, strconv.FormatUint(s.total, 10))
+	}
+}
+
+func (h *histFamily) sample(f sampleFunc) {
+	keys, series := h.snapshot()
+	for i, k := range keys {
+		s, labels := &series[i], h.labels(k)
+		f(h.name+"_sum", labels, s.sum)
+		f(h.name+"_count", labels, float64(s.total))
+		if h.label == "" && s.total > 0 {
+			f(h.name+"_p50", "", h.quantile(s, 0.50))
+			f(h.name+"_p95", "", h.quantile(s, 0.95))
+			f(h.name+"_p99", "", h.quantile(s, 0.99))
+		}
+	}
+}
+
+// Histogram is a cumulative-bucket histogram.
+type Histogram struct {
+	histFamily
+	one histSeries
+}
+
 // NewHistogram registers a histogram with the given upper bounds (the
 // +Inf bucket is implicit).
 func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram {
-	sorted := append([]float64(nil), bounds...)
-	sort.Float64s(sorted)
-	h := &Histogram{name: name, help: help, bounds: sorted, counts: make([]uint64, len(sorted)+1)}
-	r.register(h)
+	h := &Histogram{}
+	h.init(name, help, "", bounds)
+	h.one.counts = make([]uint64, len(h.bounds)+1)
+	h.series[""] = &h.one
+	r.register(&h.histFamily)
 	return h
 }
 
@@ -485,68 +535,38 @@ func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram 
 func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i]++
-	h.sum += v
-	h.total++
+	h.observe(&h.one, v)
 }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.total
+	return h.one.total
 }
 
-func (h *Histogram) meta() (string, string, string) { return h.name, h.help, "histogram" }
-func (h *Histogram) write(w io.Writer, extra string) {
+// Quantile estimates the q-quantile (0 < q <= 1) from the cumulative
+// buckets, interpolating linearly within the bucket that crosses the
+// rank — the in-process analogue of PromQL's histogram_quantile.
+// Observations in the +Inf overflow bucket clamp to the highest finite
+// bound. Returns 0 before any observation.
+func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	writeHistogram(w, h.name, extra, h.bounds, histSeries{h.counts, h.sum, h.total})
-}
-
-// writeHistogram renders one histogram series — cumulative buckets,
-// sum, count — under the given rendered label list.
-func writeHistogram(w io.Writer, name, labels string, bounds []float64, s histSeries) {
-	pre := prefixLabel(labels)
-	cum := uint64(0)
-	for i, b := range bounds {
-		cum += s.counts[i]
-		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, pre, formatFloat(b), cum)
-	}
-	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, pre, s.total)
-	writeSample(w, name+"_sum", labels, formatFloat(s.sum))
-	writeSample(w, name+"_count", labels, strconv.FormatUint(s.total, 10))
+	return h.quantile(&h.one, q)
 }
 
 // HistogramVec is a histogram family partitioned by one label (enough
 // for per-phase latency distributions without a full label model).
 // Every series shares the same bucket bounds.
-type HistogramVec struct {
-	name, help, label string
-	bounds            []float64
-
-	mu       sync.Mutex
-	children map[string]*histSeries
-}
-
-type histSeries struct {
-	counts []uint64
-	sum    float64
-	total  uint64
-}
+type HistogramVec struct{ histFamily }
 
 // NewHistogramVec registers a one-label histogram family with the given
 // upper bounds (the +Inf bucket is implicit).
 func (r *Registry) NewHistogramVec(name, help, label string, bounds []float64) *HistogramVec {
-	sorted := append([]float64(nil), bounds...)
-	sort.Float64s(sorted)
-	v := &HistogramVec{
-		name: name, help: help, label: label,
-		bounds:   sorted,
-		children: map[string]*histSeries{},
-	}
-	r.register(v)
+	v := &HistogramVec{}
+	v.init(name, help, label, bounds)
+	r.register(&v.histFamily)
 	return v
 }
 
@@ -554,41 +574,20 @@ func (r *Registry) NewHistogramVec(name, help, label string, bounds []float64) *
 func (v *HistogramVec) Observe(labelValue string, x float64) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	s, ok := v.children[labelValue]
+	s, ok := v.series[labelValue]
 	if !ok {
 		s = &histSeries{counts: make([]uint64, len(v.bounds)+1)}
-		v.children[labelValue] = s
+		v.series[labelValue] = s
 	}
-	s.counts[sort.SearchFloat64s(v.bounds, x)]++
-	s.sum += x
-	s.total++
+	v.observe(s, x)
 }
 
 // Count returns the number of observations for one label value.
 func (v *HistogramVec) Count(labelValue string) uint64 {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if s, ok := v.children[labelValue]; ok {
+	if s, ok := v.series[labelValue]; ok {
 		return s.total
 	}
 	return 0
-}
-
-func (v *HistogramVec) meta() (string, string, string) { return v.name, v.help, "histogram" }
-func (v *HistogramVec) write(w io.Writer, extra string) {
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	copies := make(map[string]histSeries, len(v.children))
-	for k, s := range v.children {
-		copies[k] = histSeries{counts: append([]uint64(nil), s.counts...), sum: s.sum, total: s.total}
-	}
-	v.mu.Unlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		labels := fmt.Sprintf("%s%s=%q", prefixLabel(extra), v.label, escapeLabel(k))
-		writeHistogram(w, v.name, labels, v.bounds, copies[k])
-	}
 }

@@ -19,6 +19,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/physical"
 	"repro/internal/plan"
+	"repro/internal/storage"
 )
 
 // CostModel holds the coefficients of the execution cost model. One cost
@@ -72,26 +73,8 @@ func (m CostModel) StreamAggCost(rows float64) plan.Cost {
 // RidLookupCost returns the cost of k random row fetches into a primary
 // structure with rows rows over pages pages.
 func (m CostModel) RidLookupCost(rows, pages int64, k float64) plan.Cost {
-	touched := randomPages(rows, pages, k)
+	touched := storage.RandomPages(rows, pages, k)
 	return plan.Cost{IO: touched * m.RandPage, CPU: m.CPURow * k}
-}
-
-func randomPages(rows, pages int64, k float64) float64 {
-	if k <= 0 || pages <= 0 {
-		return 0
-	}
-	p := float64(pages)
-	if k >= float64(rows) {
-		return p
-	}
-	touched := p * (1 - math.Pow(1-1/p, k))
-	if touched > p {
-		touched = p
-	}
-	if touched < 1 {
-		touched = 1
-	}
-	return touched
 }
 
 // Resolver adapts a catalog database to physical.WidthResolver so the

@@ -753,7 +753,7 @@ func (o *Optimizer) mergeJoinCost(l, r *dpEntry, lKeys, rKeys []string) plan.Cos
 func (o *Optimizer) nlJoinCost(outer, inner *dpEntry, rows float64) plan.Cost {
 	outerRows := outer.node.OutRows()
 	innerCost := inner.node.TotalCost()
-	return outer.node.TotalCost().Add(innerCost.Scale(maxf(1, outerRows))).
+	return outer.node.TotalCost().Add(innerCost.Scale(max(1, outerRows))).
 		Add(plan.Cost{CPU: o.model.CPURow * rows})
 }
 
@@ -805,7 +805,7 @@ func (o *Optimizer) mergeJoin(q *BoundQuery, idx map[string]int, lMask uint64, l
 func (o *Optimizer) nlJoin(outer, inner *dpEntry, on string, rows float64) plan.Node {
 	outerRows := outer.node.OutRows()
 	innerCost := inner.node.TotalCost()
-	cost := outer.node.TotalCost().Add(innerCost.Scale(maxf(1, outerRows))).
+	cost := outer.node.TotalCost().Add(innerCost.Scale(max(1, outerRows))).
 		Add(plan.Cost{CPU: o.model.CPURow * rows})
 	return plan.NewJoin(plan.JoinNestedLoop, outer.node, inner.node, on, rows, outer.node.OutOrder(), cost)
 }
@@ -851,7 +851,7 @@ func (o *Optimizer) indexNLCost(oc *optCtx, q *BoundQuery, cfg *physical.Configu
 		return none, nil, plan.Cost{}, false
 	}
 	outerRows := outer.node.OutRows()
-	total := outer.node.TotalCost().Add(pr.cost.Scale(maxf(1, outerRows))).
+	total := outer.node.TotalCost().Add(pr.cost.Scale(max(1, outerRows))).
 		Add(plan.Cost{CPU: o.model.CPURow * rows})
 	return pr, probeCols, total, true
 }
@@ -860,12 +860,12 @@ func (o *Optimizer) indexNLCost(oc *optCtx, q *BoundQuery, cfg *physical.Configu
 // cost arithmetic must stay in lockstep with indexNLCost.
 func (o *Optimizer) buildIndexNL(pr probeResult, outer *dpEntry, probeCols []string, on string, rows float64) (plan.Node, *plan.IndexUsage) {
 	outerRows := outer.node.OutRows()
-	total := outer.node.TotalCost().Add(pr.cost.Scale(maxf(1, outerRows))).
+	total := outer.node.TotalCost().Add(pr.cost.Scale(max(1, outerRows))).
 		Add(plan.Cost{CPU: o.model.CPURow * rows})
 	// The usage reflects the accumulated access over all probes.
 	usage := &plan.IndexUsage{
 		Index: pr.ix, Seek: true, SeekCols: pr.cols, SeekColSels: pr.colSels, Selectivity: pr.sel,
-		Rows: pr.rows * maxf(1, outerRows), AccessCost: pr.cost.Scale(maxf(1, outerRows)), NeededCols: pr.needed,
+		Rows: pr.rows * max(1, outerRows), AccessCost: pr.cost.Scale(max(1, outerRows)), NeededCols: pr.needed,
 		LookedUp: pr.lookedUp,
 	}
 	node := plan.NewJoin(plan.JoinIndexNL, outer.node, plan.NewIndexSeek(usage.Index, probeCols, usage.Selectivity, usage.Rows, usage.AccessCost, nil), on, rows, outer.node.OutOrder(), total)
@@ -890,7 +890,7 @@ func (o *Optimizer) innerProbe(oc *optCtx, q *BoundQuery, cfg *physical.Configur
 	for _, pc := range probeCols {
 		dv := o.columnDistinct(sqlx.ColRef{Table: table, Column: pc})
 		sargs = append(sargs, SargCond{
-			Col: pc, Iv: physical.PointInterval(0), Sel: 1 / maxf(1, dv),
+			Col: pc, Iv: physical.PointInterval(0), Sel: 1 / max(1, dv),
 		})
 	}
 	sargs = append(sargs, tp.Sargs...)
@@ -917,10 +917,10 @@ func (o *Optimizer) innerProbe(oc *optCtx, q *BoundQuery, cfg *physical.Configur
 		if !usesProbe {
 			continue
 		}
-		matched := maxf(1e-9, float64(t.Rows)*sel)
+		matched := max(1e-9, float64(t.Rows)*sel)
 		sh := o.sizer.IndexShape(ix, cfg)
 		height, leafPages := sh.Height, sh.LeafPages
-		perLeaf := maxf(1, matched/maxf(1, float64(t.Rows)/maxf(1, float64(leafPages))))
+		perLeaf := max(1, matched/max(1, float64(t.Rows)/max(1, float64(leafPages))))
 		cost := plan.Cost{
 			IO:  (float64(height) + perLeaf) * o.model.RandPage,
 			CPU: o.model.CPURow * matched,
@@ -946,11 +946,4 @@ func (o *Optimizer) innerProbe(oc *optCtx, q *BoundQuery, cfg *physical.Configur
 		}
 	}
 	return best, found
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/physical"
 	"repro/internal/plan"
 	"repro/internal/sqlx"
+	"repro/internal/storage"
 )
 
 // IndexAffectedByUpdate reports whether maintaining ix is required when q
@@ -38,7 +39,7 @@ func (o *Optimizer) IndexUpdateCost(ix *physical.Index, cfg *physical.Configurat
 		return 0
 	}
 	sh := o.sizer.IndexShape(ix, cfg)
-	touched := randomPages(sh.Rows, sh.LeafPages, k)
+	touched := storage.RandomPages(sh.Rows, sh.LeafPages, k)
 	height := float64(sh.Height)
 	return touched*o.model.RandPage + height*o.model.RandPage + 2*k*o.model.CPURow
 }

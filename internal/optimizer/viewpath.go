@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/physical"
@@ -56,7 +57,7 @@ func (o *Optimizer) subsetBlock(q *BoundQuery, idx map[string]int, mask uint64, 
 			addBlockCol(block, physical.BaseViewColumn(g, o.colWidth(g)))
 		}
 		for _, ob := range q.OrderBy {
-			if len(q.GroupBy) == 0 || containsRef(q.GroupBy, ob) {
+			if len(q.GroupBy) == 0 || slices.Contains(q.GroupBy, ob) {
 				addBlockCol(block, physical.BaseViewColumn(ob, o.colWidth(ob)))
 			}
 		}
@@ -81,15 +82,6 @@ func addBlockCol(v *physical.View, col physical.ViewColumn) {
 	if v.Column(col.Name) == nil {
 		v.Cols = append(v.Cols, col)
 	}
-}
-
-func containsRef(list []sqlx.ColRef, c sqlx.ColRef) bool {
-	for _, x := range list {
-		if x == c {
-			return true
-		}
-	}
-	return false
 }
 
 func (o *Optimizer) colWidth(c sqlx.ColRef) int {

@@ -3,6 +3,7 @@ package physical
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 
@@ -36,12 +37,12 @@ func MergeViews(v1, v2 *View, widthOf func(sqlx.ColRef) int) *View {
 	// for compensating filters.
 	var extraCols []sqlx.ColRef
 	for _, j := range v1.Joins {
-		if containsJoin(v2.Joins, j) {
+		if slices.Contains(v2.Joins, j) {
 			vm.Joins = append(vm.Joins, j)
 		}
 	}
 	for _, j := range append(append([]JoinPred(nil), v1.Joins...), v2.Joins...) {
-		if !containsJoin(vm.Joins, j) {
+		if !slices.Contains(vm.Joins, j) {
 			extraCols = append(extraCols, j.L, j.R)
 		}
 	}
@@ -103,7 +104,7 @@ func MergeViews(v1, v2 *View, widthOf func(sqlx.ColRef) int) *View {
 			addViewCol(vm, BaseViewColumn(col, widthOf(col)))
 		}
 		for _, c := range vm.Cols {
-			if c.Agg == sqlx.AggNone && !containsColRef(vm.GroupBy, c.Source) {
+			if c.Agg == sqlx.AggNone && !slices.Contains(vm.GroupBy, c.Source) {
 				vm.GroupBy = append(vm.GroupBy, c.Source)
 			}
 		}
@@ -201,15 +202,6 @@ func PromoteIndexToView(ix *Index, src, vm *View) *Index {
 
 // --- small helpers over view components ---
 
-func containsJoin(list []JoinPred, j JoinPred) bool {
-	for _, x := range list {
-		if x == j {
-			return true
-		}
-	}
-	return false
-}
-
 func containsExpr(list []sqlx.Expr, e sqlx.Expr) bool {
 	for _, x := range list {
 		if x.EqualExpr(e) {
@@ -219,19 +211,10 @@ func containsExpr(list []sqlx.Expr, e sqlx.Expr) bool {
 	return false
 }
 
-func containsColRef(list []sqlx.ColRef, c sqlx.ColRef) bool {
-	for _, x := range list {
-		if x == c {
-			return true
-		}
-	}
-	return false
-}
-
 func unionColRefs(a, b []sqlx.ColRef) []sqlx.ColRef {
 	out := append([]sqlx.ColRef(nil), a...)
 	for _, c := range b {
-		if !containsColRef(out, c) {
+		if !slices.Contains(out, c) {
 			out = append(out, c)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -46,7 +47,7 @@ func randomViewOver(r *rand.Rand) *View {
 		v.GroupBy = []sqlx.ColRef{cols[r.Intn(2)]}
 		// Keep the view well-formed: every output base column grouped.
 		for _, c := range v.Cols {
-			if !containsColRef(v.GroupBy, c.Source) {
+			if !slices.Contains(v.GroupBy, c.Source) {
 				v.GroupBy = append(v.GroupBy, c.Source)
 			}
 		}

@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/workloads"
@@ -82,7 +83,7 @@ func shapeHistogram(w *workloads.Workload) map[string]float64 {
 func shapeDistance(a, b map[string]float64) float64 {
 	d := 0.0
 	for k, av := range a {
-		d += abs(av - b[k])
+		d += math.Abs(av - b[k])
 	}
 	for k, bv := range b {
 		if _, ok := a[k]; !ok {
@@ -90,13 +91,6 @@ func shapeDistance(a, b map[string]float64) float64 {
 		}
 	}
 	return d
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // DriftReport is the outcome of one drift assessment.
@@ -172,7 +166,7 @@ func computeMovers(baseline, cur Fingerprint, distance float64) ([]DriftMover, f
 	for sql, cv := range cur.Shares {
 		g := group(sigOf(sql))
 		g.cur += cv
-		g.abs += abs(cv - baseline.Shares[sql])
+		g.abs += math.Abs(cv - baseline.Shares[sql])
 	}
 	for sql, bv := range baseline.Shares {
 		g := group(sigOf(sql))

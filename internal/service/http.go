@@ -179,7 +179,7 @@ func NewHandler(s *Service) http.Handler {
 	})
 
 	mux.HandleFunc("GET /profile", func(w http.ResponseWriter, r *http.Request) {
-		if s.metrics.retunes.Load() == 0 {
+		if s.promGauges.retunes.Value() == 0 {
 			writeNoData(w, "no profile yet; ingest a workload and POST /retune")
 			return
 		}

@@ -6,33 +6,15 @@ import (
 	"repro/internal/obs"
 )
 
-// Metrics holds the service's activity counters. All fields are updated
-// atomically; Service.MetricsSnapshot loads them into the /metrics
-// payload.
+// Metrics holds the service's activity counters that neither the window
+// nor the Prometheus registry keeps. All fields are updated atomically;
+// Service.MetricsSnapshot loads them, with the window's and the
+// registry's readings, into the /metrics payload.
 type Metrics struct {
-	ingestRequests     atomic.Int64
-	statementsIngested atomic.Int64
-	parseErrors        atomic.Int64
-
-	// Drift counters split by origin: "http" covers explicit GET /drift
-	// polling, "scheduler" the background worker and ingest-boundary
-	// checks — so dashboard polling never inflates the counters the
-	// auto-retune path is judged by.
-	driftChecksHTTP      atomic.Int64
-	driftChecksScheduler atomic.Int64
-	driftEventsHTTP      atomic.Int64
-	driftEventsScheduler atomic.Int64
-
-	retunes     atomic.Int64
-	warmRetunes atomic.Int64
-	replays     atomic.Int64
-
-	tuneOptimizerCalls  atomic.Int64
+	ingestRequests      atomic.Int64
 	driftOptimizerCalls atomic.Int64
 	lastRetuneCalls     atomic.Int64
 	lastRetuneMillis    atomic.Int64
-	lastRetuneUnix      atomic.Int64
-	parallelWorkers     atomic.Int64
 	// retuneNanosTotal accumulates the wall time of every retune — the
 	// outer clock the phase profile's coverage is computed against.
 	retuneNanosTotal atomic.Int64
@@ -122,9 +104,15 @@ type MetricsSnapshot struct {
 	ProgressDropped     int64 `json:"progress_events_dropped,omitempty"`
 }
 
-// serviceGauges mirrors the service-level counters into the Prometheus
-// registry. Values are refreshed from a MetricsSnapshot on each scrape
-// (the tuner_* search metrics are event-driven and always current).
+// serviceGauges exports the service-level counters in the Prometheus
+// registry. retunes, warmRetunes, lastRetuneUnix and parallelWorkers are
+// set by each retune, and driftChecksVec and driftEventsVec by each drift
+// check, and are the only copy of those values; the rest are refreshed
+// from a MetricsSnapshot on each scrape (the tuner_* search metrics are
+// event-driven and always current). The drift vectors split by origin:
+// "http" covers explicit GET /drift polling, "scheduler" the background
+// worker and ingest-boundary checks, so dashboard polling never inflates
+// the counts the auto-retune path is judged by.
 type serviceGauges struct {
 	uptime           *obs.Gauge
 	ingested         *obs.Gauge
@@ -148,7 +136,7 @@ type serviceGauges struct {
 }
 
 func newServiceGauges(reg *obs.Registry) *serviceGauges {
-	return &serviceGauges{
+	g := &serviceGauges{
 		uptime:           reg.NewGauge("tuner_uptime_seconds", "Seconds since the service started."),
 		ingested:         reg.NewGauge("tuner_statements_ingested", "Statements ingested since start."),
 		windowObs:        reg.NewGauge("tuner_window_observations", "Statement observations in the sliding window."),
@@ -169,6 +157,13 @@ func newServiceGauges(reg *obs.Registry) *serviceGauges {
 		recordedSessions: reg.NewGauge("tuner_recorded_sessions", "Tuning sessions retained by the flight recorder."),
 		progressDropped:  reg.NewGauge("tuner_progress_events_dropped", "Live progress events dropped because a subscriber's buffer was full."),
 	}
+	// Both origins render from the start, as they did when every scrape
+	// set them.
+	for _, origin := range []string{driftOriginHTTP, driftOriginScheduler} {
+		g.driftChecksVec.Set(origin, 0)
+		g.driftEventsVec.Set(origin, 0)
+	}
+	return g
 }
 
 func (g *serviceGauges) update(snap MetricsSnapshot) {
@@ -178,20 +173,12 @@ func (g *serviceGauges) update(snap MetricsSnapshot) {
 	g.windowUnique.Set(float64(snap.WindowUnique))
 	g.windowByKind.Set("select", float64(snap.WindowSelects))
 	g.windowByKind.Set("update", float64(snap.WindowUpdates))
-	g.retunes.Set(float64(snap.Retunes))
-	g.warmRetunes.Set(float64(snap.WarmRetunes))
 	g.driftEvents.Set(float64(snap.DriftEvents))
-	g.driftChecksVec.Set("http", float64(snap.DriftChecksHTTP))
-	g.driftChecksVec.Set("scheduler", float64(snap.DriftChecksScheduler))
-	g.driftEventsVec.Set("http", float64(snap.DriftEventsHTTP))
-	g.driftEventsVec.Set("scheduler", float64(snap.DriftEventsScheduler))
 	g.driftMoverShare.Set(snap.DriftMoverShare)
 	g.sketchSignatures.Set(float64(snap.WorkloadSignatures))
 	g.sketchShare.Set(snap.TopKWeightShare)
 	g.sketchEvictions.Set(float64(snap.SketchEvictions))
 	g.cacheEntries.Set(float64(snap.CacheEntries))
-	g.lastRetuneUnix.Set(float64(snap.LastRetuneUnix))
-	g.parallelWorkers.Set(float64(snap.ParallelWorkers))
 	g.recordedSessions.Set(float64(snap.RecordedSessions))
 	g.progressDropped.Set(float64(snap.ProgressDropped))
 }

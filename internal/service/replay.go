@@ -91,15 +91,12 @@ func (s *Service) runReplay(res *core.Result, snap *workloads.Workload) (*obs.Gr
 		}
 		s.replayDB, s.replayStore = db, store
 	}
-	ropts := s.opts.ReplayOptions
-	ropts.Trace = s.trace
-	return replay.Run(s.replayDB, s.replayStore, snap.Queries, res, ropts)
+	return replay.Run(s.replayDB, s.replayStore, snap.Queries, res, replay.Options{Trace: s.trace})
 }
 
 // observeReplay feeds a completed replay into the metric surfaces.
 func (s *Service) observeReplay(gt *obs.GroundTruthReport) {
 	s.tunerMetrics.ObserveReplay(gt)
-	s.metrics.replays.Add(1)
 	s.logf("service: ground truth: measured speedup %.2fx (estimated %.2fx), rank correlation %.3f over %d configs",
 		gt.SpeedupMeasured, gt.SpeedupEstimated, gt.RankCorrelation, len(gt.Configs))
 }

@@ -27,9 +27,8 @@ func tpchSource(builds *int) *replay.Source {
 func TestCalibrationEndpointAndGroundTruth(t *testing.T) {
 	builds := 0
 	svc := newTestService(t, Options{
-		DB:            datagen.TPCH(0.001),
-		Replay:        tpchSource(&builds),
-		ReplayOptions: replay.Options{Repetitions: 1, MaxLineageSteps: 2},
+		DB:     datagen.TPCH(0.001),
+		Replay: tpchSource(&builds),
 	})
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
@@ -144,7 +143,6 @@ func TestReplayEachRetune(t *testing.T) {
 	svc := newTestService(t, Options{
 		DB:               datagen.TPCH(0.001),
 		Replay:           tpchSource(&builds),
-		ReplayOptions:    replay.Options{Repetitions: 1, MaxLineageSteps: 1},
 		ReplayEachRetune: true,
 	})
 	svc.Ingest(repeat(phase1, 5))

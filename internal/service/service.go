@@ -88,8 +88,6 @@ type Options struct {
 	// result is cached for the service's lifetime. nil disables
 	// GET /calibration?ground_truth=1 and ReplayEachRetune at zero cost.
 	Replay *replay.Source
-	// ReplayOptions tune ground-truth replay runs (zero = defaults).
-	ReplayOptions replay.Options
 	// ReplayEachRetune runs a ground-truth replay after every successful
 	// retune, attaching the measurements to the session record and the
 	// calibration report. Requires Replay.
@@ -264,8 +262,10 @@ func New(opts Options) (*Service, error) {
 		_ = recorder.Close()
 		return nil, err
 	}
-	s.wg.Add(1)
-	go s.retuneWorker()
+	if opts.RetuneScheduler == nil {
+		s.wg.Add(1)
+		go s.retuneWorker()
+	}
 	if opts.DriftCheckInterval > 0 {
 		s.wg.Add(1)
 		go s.driftWorker()
@@ -311,18 +311,16 @@ func (s *Service) Ingest(sqls []string) IngestResult {
 	s.metrics.ingestRequests.Add(1)
 	res := IngestResult{}
 	for _, sql := range sqls {
-		s.metrics.statementsIngested.Add(1)
 		if err := s.window.Observe(sql); err != nil {
-			s.metrics.parseErrors.Add(1)
 			res.Rejected++
 			continue
 		}
 		res.Accepted++
 	}
-	res.WindowObservations, res.WindowUnique = s.window.Size()
-	if n := s.opts.DriftCheckEvery; n > 0 && res.Accepted > 0 {
-		before := s.metrics.statementsIngested.Load() - int64(len(sqls))
-		if before/int64(n) != s.metrics.statementsIngested.Load()/int64(n) {
+	var ingested int64
+	res.WindowObservations, res.WindowUnique, ingested = s.window.Size()
+	if n := int64(s.opts.DriftCheckEvery); n > 0 && res.Accepted > 0 {
+		if before := ingested - int64(len(sqls)); before/n != ingested/n {
 			rep := s.checkDrift(driftOriginScheduler)
 			res.Drift = &rep
 		}
@@ -354,11 +352,7 @@ func (s *Service) CheckDrift() DriftReport {
 }
 
 func (s *Service) checkDrift(origin string) DriftReport {
-	if origin == driftOriginScheduler {
-		s.metrics.driftChecksScheduler.Add(1)
-	} else {
-		s.metrics.driftChecksHTTP.Add(1)
-	}
+	s.promGauges.driftChecksVec.Add(origin, 1)
 	snap := s.window.Snapshot()
 	st := s.window.Stats()
 
@@ -379,11 +373,7 @@ func (s *Service) checkDrift(origin string) DriftReport {
 	}
 	s.mu.Unlock()
 	if rep.Drifted {
-		if origin == driftOriginScheduler {
-			s.metrics.driftEventsScheduler.Add(1)
-		} else {
-			s.metrics.driftEventsHTTP.Add(1)
-		}
+		s.promGauges.driftEventsVec.Add(origin, 1)
 		s.warnf("service: drift detected: %s", rep.Reason)
 		if s.opts.AutoRetune {
 			s.TriggerRetune()
@@ -578,15 +568,15 @@ func (s *Service) retune(trigger string, budget int64, overrideBudget bool) (*Re
 			sessionID, cal.BoundViolations, cal.Samples, cal.MeanTightness)
 	}
 
-	s.metrics.retunes.Add(1)
+	g := s.promGauges
+	g.retunes.Add(1)
 	if warm {
-		s.metrics.warmRetunes.Add(1)
+		g.warmRetunes.Add(1)
 	}
-	s.metrics.tuneOptimizerCalls.Add(res.OptimizerCalls)
+	g.lastRetuneUnix.Set(float64(time.Now().Unix()))
+	g.parallelWorkers.Set(float64(res.ParallelWorkers))
 	s.metrics.lastRetuneCalls.Store(res.OptimizerCalls)
 	s.metrics.lastRetuneMillis.Store(res.Elapsed.Milliseconds())
-	s.metrics.lastRetuneUnix.Store(time.Now().Unix())
-	s.metrics.parallelWorkers.Store(int64(res.ParallelWorkers))
 	s.metrics.retuneNanosTotal.Add(res.Elapsed.Nanoseconds())
 	// Session-level Prometheus metrics; the search-internal ones were
 	// already fed from trace events during Tune.
@@ -628,9 +618,11 @@ func (s *Service) retune(trigger string, budget int64, overrideBudget bool) (*Re
 // on its own: the payload is a set of readings taken while updates go on,
 // not one consistent cut.
 func (s *Service) MetricsSnapshot() MetricsSnapshot {
-	m := s.metrics
-	driftChecksHTTP, driftChecksScheduler := m.driftChecksHTTP.Load(), m.driftChecksScheduler.Load()
-	driftEventsHTTP, driftEventsScheduler := m.driftEventsHTTP.Load(), m.driftEventsScheduler.Load()
+	m, g := s.metrics, s.promGauges
+	driftChecksHTTP := int64(g.driftChecksVec.Value(driftOriginHTTP))
+	driftChecksScheduler := int64(g.driftChecksVec.Value(driftOriginScheduler))
+	driftEventsHTTP := int64(g.driftEventsVec.Value(driftOriginHTTP))
+	driftEventsScheduler := int64(g.driftEventsVec.Value(driftOriginScheduler))
 	st := s.window.Stats()
 	cs := s.cache.Stats()
 	cacheHits, cacheShared := cs.Hits, cs.SharedHits
@@ -650,8 +642,8 @@ func (s *Service) MetricsSnapshot() MetricsSnapshot {
 		UptimeSeconds: time.Since(s.started).Seconds(),
 
 		IngestRequests:     m.ingestRequests.Load(),
-		StatementsIngested: m.statementsIngested.Load(),
-		ParseErrors:        m.parseErrors.Load(),
+		StatementsIngested: st.Observed,
+		ParseErrors:        st.ParseErrors,
 
 		WindowObservations:  int64(st.InWindow),
 		WindowUnique:        int64(st.Unique),
@@ -676,16 +668,16 @@ func (s *Service) MetricsSnapshot() MetricsSnapshot {
 		DriftEventsScheduler: driftEventsScheduler,
 		DriftMoverShare:      moverShare,
 
-		Retunes:            m.retunes.Load(),
-		WarmRetunes:        m.warmRetunes.Load(),
-		GroundTruthReplays: m.replays.Load(),
+		Retunes:            int64(g.retunes.Value()),
+		WarmRetunes:        int64(g.warmRetunes.Value()),
+		GroundTruthReplays: int64(s.tunerMetrics.ReplayDuration.Count()),
 
-		TuneOptimizerCalls:  m.tuneOptimizerCalls.Load(),
+		TuneOptimizerCalls:  int64(s.tunerMetrics.OptimizerCalls.Value()),
 		DriftOptimizerCalls: m.driftOptimizerCalls.Load(),
 		LastRetuneCalls:     m.lastRetuneCalls.Load(),
 		LastRetuneMillis:    m.lastRetuneMillis.Load(),
-		LastRetuneUnix:      m.lastRetuneUnix.Load(),
-		ParallelWorkers:     m.parallelWorkers.Load(),
+		LastRetuneUnix:      int64(g.lastRetuneUnix.Value()),
+		ParallelWorkers:     int64(g.parallelWorkers.Value()),
 
 		CacheEntries:        cs.Entries,
 		CacheHits:           cacheHits,
@@ -725,7 +717,9 @@ func (s *Service) PromRegistry() *obs.Registry { return s.promReg }
 // exposition) call it before reading PromRegistry.
 func (s *Service) RefreshPromGauges() { s.promGauges.update(s.MetricsSnapshot()) }
 
-// retuneWorker runs triggered retunes until the service closes.
+// retuneWorker runs triggered retunes until the service closes. It runs
+// only without a RetuneScheduler: with one, TriggerRetune never sends on
+// retuneCh.
 func (s *Service) retuneWorker() {
 	defer s.wg.Done()
 	for {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -285,4 +286,36 @@ func TestRetunePanicBecomesError(t *testing.T) {
 	if res := s.Ingest(phase2); res.Accepted != len(phase2) {
 		t.Errorf("ingest after the recovered panic accepted %d of %d", res.Accepted, len(phase2))
 	}
+}
+
+// TestRetuneWorkerOnlyWithoutScheduler: a service whose retunes an
+// outside scheduler runs (a fleet tenant) parks no retune worker of its
+// own; one that schedules itself runs exactly one until Close.
+func TestRetuneWorkerOnlyWithoutScheduler(t *testing.T) {
+	// expectWorkers waits for the number of live retune workers to be
+	// want: a worker that has signalled Close's WaitGroup may still be
+	// unwinding for a moment.
+	expectWorkers := func(want int, what string) {
+		t.Helper()
+		got := -1
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			buf := make([]byte, 1<<20)
+			if got = strings.Count(string(buf[:runtime.Stack(buf, true)]), "service.(*Service).retuneWorker("); got == want {
+				return
+			}
+		}
+		t.Fatalf("%s: %d retune workers, want %d", what, got, want)
+	}
+	expectWorkers(0, "before any service")
+	scheduled := 0
+	fleetTenant := newTestService(t, Options{RetuneScheduler: func(string) { scheduled++ }})
+	expectWorkers(0, "a service with a RetuneScheduler")
+	fleetTenant.TriggerRetune()
+	if scheduled != 1 {
+		t.Fatalf("TriggerRetune reached the scheduler %d times, want 1", scheduled)
+	}
+	own := newTestService(t, Options{})
+	expectWorkers(1, "a self-scheduling service")
+	own.Close()
+	expectWorkers(0, "after Close")
 }

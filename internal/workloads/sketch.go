@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // TopKSketch is a space-saving heavy-hitters sketch over statement
 // signatures with the window's exponential decay semantics. It holds at
@@ -38,13 +35,6 @@ type sketchCounter struct {
 	firstAt  int64
 }
 
-func (c *sketchCounter) weightAt(now int64, decay float64) float64 {
-	if decay >= 1 || now <= c.lastUpd {
-		return c.weight
-	}
-	return c.weight * math.Pow(decay, float64(now-c.lastUpd))
-}
-
 // NewTopKSketch returns an empty sketch holding at most k counters with the
 // given per-arrival decay factor (1 = no decay).
 func NewTopKSketch(k int, decay float64) *TopKSketch {
@@ -59,15 +49,13 @@ func NewTopKSketch(k int, decay float64) *TopKSketch {
 
 // Observe credits one arrival of sig at sequence now.
 func (s *TopKSketch) Observe(sig string, now int64) {
-	if s.decay < 1 && now > s.totalUpd {
-		s.total *= math.Pow(s.decay, float64(now-s.totalUpd))
-	}
+	s.total = decayed(s.total, s.decay, now-s.totalUpd)
 	s.totalUpd = now
 	s.total++
 
 	if c, ok := s.entries[sig]; ok {
-		c.weight = c.weightAt(now, s.decay) + 1
-		c.errBound = decayedErr(c, now, s.decay)
+		c.weight = decayed(c.weight, s.decay, now-c.lastUpd) + 1
+		c.errBound = decayed(c.errBound, s.decay, now-c.lastUpd)
 		c.lastUpd = now
 		return
 	}
@@ -81,7 +69,7 @@ func (s *TopKSketch) Observe(sig string, now int64) {
 	var victim *sketchCounter
 	var victimW float64
 	for _, c := range s.entries {
-		w := c.weightAt(now, s.decay)
+		w := decayed(c.weight, s.decay, now-c.lastUpd)
 		if victim == nil || w < victimW || (w == victimW && c.firstAt < victim.firstAt) {
 			victim, victimW = c, w
 		}
@@ -94,13 +82,6 @@ func (s *TopKSketch) Observe(sig string, now int64) {
 	victim.lastUpd = now
 	victim.firstAt = now
 	s.entries[sig] = victim
-}
-
-func decayedErr(c *sketchCounter, now int64, decay float64) float64 {
-	if decay >= 1 || now <= c.lastUpd {
-		return c.errBound
-	}
-	return c.errBound * math.Pow(decay, float64(now-c.lastUpd))
 }
 
 // SketchItem is one tracked signature with its decayed weight and the
@@ -119,8 +100,8 @@ func (s *TopKSketch) Items(now int64) []SketchItem {
 	for _, c := range s.entries {
 		out = append(out, SketchItem{
 			Signature: c.sig,
-			Weight:    c.weightAt(now, s.decay),
-			Error:     decayedErr(c, now, s.decay),
+			Weight:    decayed(c.weight, s.decay, now-c.lastUpd),
+			Error:     decayed(c.errBound, s.decay, now-c.lastUpd),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -143,16 +124,13 @@ func (s *TopKSketch) Evictions() int64 { return s.evictions }
 // saw every signature; space-saving overestimation can push the raw ratio
 // slightly above 1, so it is clamped.
 func (s *TopKSketch) WeightShare(now int64) float64 {
-	total := s.total
-	if s.decay < 1 && now > s.totalUpd {
-		total *= math.Pow(s.decay, float64(now-s.totalUpd))
-	}
+	total := decayed(s.total, s.decay, now-s.totalUpd)
 	if total <= 0 {
 		return 0
 	}
 	sum := 0.0
 	for _, c := range s.entries {
-		sum += c.weightAt(now, s.decay)
+		sum += decayed(c.weight, s.decay, now-c.lastUpd)
 	}
 	if share := sum / total; share < 1 {
 		return share

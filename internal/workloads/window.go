@@ -52,6 +52,16 @@ func (o WindowOptions) decayFactor() float64 {
 	return math.Exp2(-1 / float64(o.HalfLife))
 }
 
+// decayed returns v, last written age arrivals ago, as it weighs now under
+// the per-arrival factor decay (1 = no decay). Window entries, evicted
+// observations and the sketch's counters and total all decay through it.
+func decayed(v, decay float64, age int64) float64 {
+	if decay >= 1 || age <= 0 {
+		return v
+	}
+	return v * math.Pow(decay, float64(age))
+}
+
 // WindowStats is a point-in-time summary of window activity.
 type WindowStats struct {
 	Observed      int64 // statements ever observed
@@ -252,10 +262,7 @@ func (w *SlidingWindow) record(e *windowEntry) {
 
 // weightAt returns the entry's decayed weight as of sequence now.
 func (e *windowEntry) weightAt(now int64, decay float64) float64 {
-	if decay >= 1 || now <= e.lastUpd {
-		return e.weight
-	}
-	return e.weight * math.Pow(decay, float64(now-e.lastUpd))
+	return decayed(e.weight, decay, now-e.lastUpd)
 }
 
 // inWindow returns the number of live observations (mu held).
@@ -274,11 +281,7 @@ func (w *SlidingWindow) evictOldest() {
 		return // entry already evicted wholesale by evictLightest
 	}
 	// Subtract this observation's decayed contribution.
-	contribution := 1.0
-	if w.decay < 1 {
-		contribution = math.Pow(w.decay, float64(w.seq-obs.seq))
-	}
-	e.weight = e.weightAt(w.seq, w.decay) - contribution
+	e.weight = e.weightAt(w.seq, w.decay) - decayed(1, w.decay, w.seq-obs.seq)
 	e.lastUpd = w.seq
 	if e.weight < 0 {
 		e.weight = 0
@@ -442,11 +445,12 @@ func (w *SlidingWindow) Snapshot() *Workload {
 }
 
 // Size returns the observations and distinct statements currently in the
-// window: Stats' InWindow and Unique without its walk over the entries.
-func (w *SlidingWindow) Size() (observations, unique int) {
+// window and the statements offered to it so far: Stats' InWindow, Unique
+// and Observed without its walk over the entries.
+func (w *SlidingWindow) Size() (observations, unique int, observed int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.inWindow(), len(w.entries)
+	return w.inWindow(), len(w.entries), w.observed
 }
 
 // Stats returns a snapshot of the window counters.

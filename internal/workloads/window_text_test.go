@@ -102,7 +102,7 @@ func (p *windowPair) check(t testing.TB, step int) {
 	if got != want {
 		t.Fatalf("step %d: stats\n got  %+v\n want %+v", step, got, want)
 	}
-	if obs, unique := p.cached.Size(); obs != got.InWindow || unique != got.Unique {
+	if obs, unique, _ := p.cached.Size(); obs != got.InWindow || unique != got.Unique {
 		t.Fatalf("step %d: Size %d/%d, Stats %d/%d", step, obs, unique, got.InWindow, got.Unique)
 	}
 
@@ -260,7 +260,7 @@ func TestWindowTextIndexConcurrent(t *testing.T) {
 				case 1:
 					_ = w.Stats()
 				case 2:
-					_, _ = w.Size()
+					_, _, _ = w.Size()
 				}
 			}
 			mu.Lock()
