@@ -130,7 +130,6 @@ func main() {
 		fleetWorkers = flag.Int("fleet-workers", 0, "retune worker pool size in fleet mode (0 = half of GOMAXPROCS)")
 		quotaRate    = flag.Float64("quota-rate", 0, "default per-tenant ingestion quota in statements/sec (0 = unlimited)")
 		quotaBurst   = flag.Int("quota-burst", 0, "default per-tenant ingestion burst (0 = ceil of -quota-rate)")
-		costCacheCap = flag.Int("cost-cache-cap", 0, "shared cross-tenant what-if cost cache capacity in fleet mode (0 = default)")
 	)
 	flag.Parse()
 
@@ -220,11 +219,10 @@ func main() {
 			baseOpts.Monitor.AlertLogPath = ""
 		}
 		fleetOpts := fleet.Options{
-			Workers:           *fleetWorkers,
-			Catalog:           datagen.ByName,
-			Defaults:          baseOpts,
-			DefaultQuota:      fleet.QuotaSpec{RatePerSec: *quotaRate, Burst: *quotaBurst},
-			CostCacheCapacity: *costCacheCap,
+			Workers:      *fleetWorkers,
+			Catalog:      datagen.ByName,
+			Defaults:     baseOpts,
+			DefaultQuota: fleet.QuotaSpec{RatePerSec: *quotaRate, Burst: *quotaBurst},
 			Logf: func(format string, args ...any) {
 				logger.Info(fmt.Sprintf(format, args...))
 			},

@@ -98,21 +98,12 @@ func (t *Tuner) boundDelta(ec *EvaluatedConfig, tr *physical.Transformation) (De
 	if len(removedIdx) == 0 && len(removedViews) == 0 {
 		return d, nil
 	}
-	contains := func(list []string, s string) bool {
-		for _, x := range list {
-			if x == s {
-				return true
-			}
-		}
-		return false
-	}
-
 	for i, tq := range t.Queries {
 		res := ec.Results[i]
 		w := tq.Query.Weight
 		if res.Plan != nil {
 			for _, u := range res.Plan.Usages {
-				if !contains(removedIdx, u.Index.ID()) && !(u.ViewName != "" && contains(removedViews, u.ViewName)) {
+				if !slices.Contains(removedIdx, u.Index.ID()) && !(u.ViewName != "" && slices.Contains(removedViews, u.ViewName)) {
 					continue
 				}
 				inc, err := t.usageBound(ec, cfgAfter, tr, u)

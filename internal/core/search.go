@@ -871,7 +871,7 @@ func (t *Tuner) rankTransformations(node *searchNode, budget int64, hasUpdates b
 	if len(cands) == 0 {
 		return nil, nil, nil
 	}
-	if hasUpdates && !t.Options.DisableSkyline {
+	if hasUpdates {
 		tSky := time.Now()
 		kept := skyline(cands)
 		t.Options.Profile.Since("search/skyline", tSky)

@@ -44,9 +44,6 @@ type Options struct {
 
 	// Ablation switches (all false = the paper's algorithm).
 
-	// DisableSkyline turns off the §3.6 transformation skyline for update
-	// workloads.
-	DisableSkyline bool
 	// DisableShortcut turns off §3.5 shortcut evaluation.
 	DisableShortcut bool
 	// PlainPenalty uses ΔT/ΔS without the min(Space(C)−B, ΔS) clamp.

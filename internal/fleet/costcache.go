@@ -7,8 +7,8 @@ import (
 	"repro/internal/core"
 )
 
-// DefaultCostCacheCapacity bounds the shared drift-cost cache when the
-// registry options don't say otherwise.
+// DefaultCostCacheCapacity bounds the registry's shared drift-cost
+// cache.
 const DefaultCostCacheCapacity = 65536
 
 // SharedCostCache is a bounded LRU implementation of service.CostCache:

@@ -88,9 +88,6 @@ type Options struct {
 	// DefaultQuota applies to tenants whose spec leaves Quota zero
 	// (zero value = unlimited).
 	DefaultQuota QuotaSpec
-	// CostCacheCapacity bounds the shared drift-cost LRU
-	// (0 = DefaultCostCacheCapacity).
-	CostCacheCapacity int
 	// Logf receives fleet log lines (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -139,7 +136,7 @@ func New(opts Options) (*Registry, error) {
 	r := &Registry{
 		opts:    opts,
 		frags:   core.NewRequestCache(),
-		costs:   NewSharedCostCache(opts.CostCacheCapacity),
+		costs:   NewSharedCostCache(DefaultCostCacheCapacity),
 		metrics: newFleetMetrics(),
 		started: time.Now(),
 		tenants: map[string]*Tenant{},

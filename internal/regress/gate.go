@@ -7,58 +7,107 @@ import (
 	"os"
 )
 
-// Tolerance bounds how far a run may drift from the baseline before
-// the gate fails. Deterministic counters (optimizer calls, iterations)
-// get tight factors; allocations get a looser one plus an absolute
-// slack. Wall time is not gated: at 0.03–0.3 s per scenario it flips by
-// run on unchanged code, and bench/ measures time at a scale where it
-// is signal. Zero-valued fields take the defaults below.
-type Tolerance struct {
-	// AllocFactor caps heap allocations at baseline×factor (+1 MiB).
-	// Allocation counts are deterministic up to GC timing, so the
-	// default is tight (1.10×): the what-if hot path is allocation-
-	// disciplined and a 10% creep is already a real regression.
-	AllocFactor float64
-	// CallsFactor caps optimizer calls and iterations — both
-	// deterministic for a fixed seed — at baseline×factor (+2).
-	CallsFactor float64
-	// QualityPoints is the allowed drop in improvement (and rise in
-	// quality gap), in absolute percentage points.
-	QualityPoints float64
-	// CoverageFloorPct is the minimum profile coverage; checked only
-	// when the baseline recorded a non-zero coverage.
-	CoverageFloorPct float64
+// kind says how a rule bounds its metric. Every bound but notAboveRun's
+// is limit = baseline×factor + add.
+type kind int
+
+const (
+	info              kind = iota // recorded for the reader, never gated
+	ceiling                       // current ≤ limit
+	floor                         // current ≥ limit
+	floorWhenPositive             // current ≥ limit, when the baseline is positive
+	notAboveRun                   // current ≤ the run's own value of rule.of
+)
+
+// rule is one row of the gate: the metric it reads, how it bounds the
+// metric against the baseline, and what a violation means.
+type rule struct {
+	metric      string
+	kind        kind
+	factor, add float64
+	of          string
+	detail      string
 }
 
-// DefaultTolerance returns the gate defaults (alloc 1.10×, calls 1.05×,
-// quality ±0.5 points, coverage floor 80%).
-func DefaultTolerance() Tolerance {
-	return Tolerance{
-		AllocFactor:      1.10,
-		CallsFactor:      1.05,
-		QualityPoints:    0.5,
-		CoverageFloorPct: 80,
-	}
+// rules is the whole gate, in report order; it is the one place a
+// tolerance lives. A scenario records only the metrics it measures, and
+// a rule applies to a scenario whose baseline recorded its metric; a
+// metric the baseline gates but the run lacks is a violation.
+//
+// Optimizer calls and iterations are deterministic for the fixed seed
+// and bounded tightly. Allocations are deterministic up to GC timing;
+// the what-if hot path is allocation-disciplined, so 10% creep is
+// already a real regression. Wall time is not gated: at 0.03–0.3 s per
+// scenario it flips by run on unchanged code, and bench/ measures time
+// at a scale where it is signal. The lower bounds catch a part of the
+// system going quiet — frontier capture, the flight recorder, fleet
+// cache sharing, the sketch, the history sampler, the alert engine —
+// which every upper bound would miss, since a silent component only
+// makes the other metrics look better.
+var rules = []rule{
+	{metric: "wall_seconds", kind: info},
+	{metric: "alloc_bytes", kind: ceiling, factor: 1.10, add: 1 << 20,
+		detail: "heap allocations regressed"},
+	{metric: "optimizer_calls", kind: ceiling, factor: 1.05, add: 2,
+		detail: "the search spends more optimizer calls than the baseline"},
+	{metric: "iterations", kind: ceiling, factor: 1.05, add: 2,
+		detail: "the search needs more relaxation iterations than the baseline"},
+	// The paper's quality metric: 100 × (1 − cost(recommended)/cost(initial)).
+	{metric: "improvement_pct", kind: floor, factor: 1, add: -0.5,
+		detail: "recommendation quality dropped below the baseline"},
+	// 100 × (cost(best) − cost(optimal)) / cost(optimal), against the
+	// unconstrained §2 optimum.
+	{metric: "quality_gap_pct", kind: ceiling, factor: 1, add: 0.5,
+		detail: "the recommendation landed farther from the unconstrained optimum"},
+	// The calibration summary of the §3.3.2 ΔT bounds (obs.Calibrate),
+	// and the share of incremental evaluations answered by plan reuse.
+	{metric: "calib_samples", kind: info},
+	{metric: "mean_tightness", kind: info},
+	{metric: "rank_correlation", kind: info},
+	{metric: "bound_violations", kind: ceiling, factor: 1,
+		detail: "new §3.3.2 ΔT bound violations (realized cost above the proved upper bound)"},
+	{metric: "plans_reused_pct", kind: info},
+	// The share of wall time attributed to named profiler phases.
+	{metric: "profile_coverage_pct", kind: floorWhenPositive, add: 80,
+		detail: "profiler phases no longer account for the scenario's wall time"},
+	// The length of the recorded (space, cost) search trajectory and the
+	// flight recorder's session count.
+	{metric: "frontier_points", kind: floorWhenPositive, add: 1,
+		detail: "the search no longer records its (space, cost) frontier trajectory"},
+	{metric: "recorded_sessions", kind: floor, factor: 1,
+		detail: "the flight recorder retained fewer sessions than the baseline"},
+	{metric: "fleet_tenants", kind: info},
+	// Cross-tenant fragment-cache hits: tenants still get correct
+	// recommendations without them, just without the savings.
+	{metric: "shared_cache_hits", kind: floorWhenPositive, add: 1,
+		detail: "the fleet no longer shares cached fragments across tenants"},
+	// Ground truth from executing the workload: baseline wall time over
+	// recommended wall time. A ratio of two wall times, so it gets a
+	// loose factor; the rows-scanned counters are deterministic, and the
+	// recommended configuration scanning more rows than the unindexed
+	// one means its structures went unused.
+	{metric: "measured_speedup", kind: floor, factor: 0.75,
+		detail: "the recommendation measures materially slower than the baseline record when actually executed"},
+	{metric: "replay_rows_baseline", kind: info},
+	{metric: "replay_rows_recommended", kind: notAboveRun, of: "replay_rows_baseline",
+		detail: "the recommended configuration scans more rows than the unindexed baseline"},
+	// The top-k sketch's distinct statement signatures, and the share of
+	// the window's decayed weight they cover (5% slack for decay timing).
+	{metric: "workload_signatures", kind: floor, factor: 1,
+		detail: "the sketch tracks fewer distinct statement signatures than the baseline"},
+	{metric: "topk_weight_share", kind: floor, factor: 0.95,
+		detail: "the top-k sketch covers less of the window's weight than the baseline"},
+	// Self-monitoring: series the history sampler retains, alerts a
+	// synthetic retune-completed rule left firing, transitions logged.
+	{metric: "history_series", kind: floorWhenPositive, add: 1,
+		detail: "the metrics-history sampler retained no series"},
+	{metric: "alerts_fired", kind: floorWhenPositive, add: 1,
+		detail: "the synthetic retune-completed rule no longer fires"},
+	{metric: "alert_transitions", kind: floorWhenPositive, add: 1,
+		detail: "the alert engine logged no state transitions"},
 }
 
-func (t Tolerance) withDefaults() Tolerance {
-	d := DefaultTolerance()
-	if t.AllocFactor <= 0 {
-		t.AllocFactor = d.AllocFactor
-	}
-	if t.CallsFactor <= 0 {
-		t.CallsFactor = d.CallsFactor
-	}
-	if t.QualityPoints <= 0 {
-		t.QualityPoints = d.QualityPoints
-	}
-	if t.CoverageFloorPct <= 0 {
-		t.CoverageFloorPct = d.CoverageFloorPct
-	}
-	return t
-}
-
-// Violation is one gate failure: a metric that crossed its tolerance.
+// Violation is one gate failure: a metric that crossed its limit.
 type Violation struct {
 	Scenario string  `json:"scenario"`
 	Metric   string  `json:"metric"`
@@ -70,16 +119,18 @@ type Violation struct {
 }
 
 func (v Violation) String() string {
-	return fmt.Sprintf("%s: %s: %s (current %.4g, baseline %.4g, limit %.4g)",
+	s := fmt.Sprintf("%s: %s: %s (current %.4g, baseline %.4g, limit %.4g",
 		v.Scenario, v.Metric, v.Detail, v.Current, v.Baseline, v.Limit)
+	if v.Baseline > 0 {
+		s += fmt.Sprintf(", %.2fx baseline", v.Current/v.Baseline)
+	}
+	return s + ")"
 }
 
-// Gate compares a run against the baseline and returns every tolerance
-// violation, grouped by scenario in baseline order. An empty slice
-// means the run passes.
-func Gate(baseline, current *Bench, tol Tolerance) []Violation {
-	tol = tol.withDefaults()
-	var vs []Violation
+// Gate compares a run against the baseline and returns every violation:
+// the baseline's scenarios in its order, then any scenario the baseline
+// lacks. An empty slice means the run passes.
+func Gate(baseline, current *Bench) []Violation {
 	if baseline.SchemaVersion != current.SchemaVersion {
 		return []Violation{{
 			Scenario: "-", Metric: "schema_version",
@@ -93,6 +144,7 @@ func Gate(baseline, current *Bench, tol Tolerance) []Violation {
 	for _, sr := range current.Scenarios {
 		cur[sr.Name] = sr
 	}
+	var vs []Violation
 	for _, base := range baseline.Scenarios {
 		c, ok := cur[base.Name]
 		if !ok {
@@ -102,126 +154,50 @@ func Gate(baseline, current *Bench, tol Tolerance) []Violation {
 			})
 			continue
 		}
-		vs = append(vs, gateScenario(base, c, tol)...)
+		delete(cur, base.Name)
+		vs = append(vs, gateScenario(base, c)...)
+	}
+	for _, sr := range current.Scenarios {
+		if _, ungated := cur[sr.Name]; ungated {
+			vs = append(vs, Violation{
+				Scenario: sr.Name, Metric: "scenario",
+				Detail: "scenario produced by this run but missing from the baseline; regenerate the baseline",
+			})
+		}
 	}
 	return vs
 }
 
-func gateScenario(base, c ScenarioResult, tol Tolerance) []Violation {
+func gateScenario(base, cur ScenarioResult) []Violation {
 	var vs []Violation
-	check := func(metric string, baseline, current, limit float64, detail string) {
-		vs = append(vs, Violation{
-			Scenario: base.Name, Metric: metric,
-			Baseline: baseline, Current: current, Limit: limit,
-			Detail: detail,
-		})
-	}
-
-	if limit := float64(base.AllocBytes)*tol.AllocFactor + float64(1<<20); float64(c.AllocBytes) > limit {
-		check("alloc_bytes", float64(base.AllocBytes), float64(c.AllocBytes), limit,
-			fmt.Sprintf("heap allocations regressed %.2fx", float64(c.AllocBytes)/float64(base.AllocBytes)))
-	}
-	if limit := float64(base.OptimizerCalls)*tol.CallsFactor + 2; float64(c.OptimizerCalls) > limit {
-		check("optimizer_calls", float64(base.OptimizerCalls), float64(c.OptimizerCalls), limit,
-			"the search spends more optimizer calls than the baseline")
-	}
-	if limit := float64(base.Iterations)*tol.CallsFactor + 2; float64(c.Iterations) > limit {
-		check("iterations", float64(base.Iterations), float64(c.Iterations), limit,
-			"the search needs more relaxation iterations than the baseline")
-	}
-	if floor := base.ImprovementPct - tol.QualityPoints; c.ImprovementPct < floor {
-		check("improvement_pct", base.ImprovementPct, c.ImprovementPct, floor,
-			"recommendation quality dropped below the baseline")
-	}
-	if limit := base.QualityGapPct + tol.QualityPoints; c.QualityGapPct > limit {
-		check("quality_gap_pct", base.QualityGapPct, c.QualityGapPct, limit,
-			"the recommendation landed farther from the unconstrained optimum")
-	}
-	if c.BoundViolations > base.BoundViolations {
-		check("bound_violations", float64(base.BoundViolations), float64(c.BoundViolations),
-			float64(base.BoundViolations),
-			"new §3.3.2 ΔT bound violations (realized cost above the proved upper bound)")
-	}
-	if base.ProfileCoveragePct > 0 && c.ProfileCoveragePct < tol.CoverageFloorPct {
-		check("profile_coverage_pct", base.ProfileCoveragePct, c.ProfileCoveragePct, tol.CoverageFloorPct,
-			"profiler phases no longer account for the scenario's wall time")
-	}
-	// Flight-recorder lower bounds: these counters are deterministic for
-	// a fixed seed, and dropping to zero means the observability surface
-	// silently broke (frontier capture or session recording), which no
-	// upper-bound check would catch.
-	if base.FrontierPoints > 0 && c.FrontierPoints == 0 {
-		check("frontier_points", float64(base.FrontierPoints), 0, 1,
-			"the search no longer records its (space, cost) frontier trajectory")
-	}
-	if c.RecordedSessions < base.RecordedSessions {
-		check("recorded_sessions", float64(base.RecordedSessions), float64(c.RecordedSessions),
-			float64(base.RecordedSessions),
-			"the flight recorder retained fewer sessions than the baseline")
-	}
-	// Fleet lower bound: cross-tenant fragment reuse is the point of the
-	// fleet-throughput scenario. Shared hits dropping to zero while the
-	// baseline recorded some means multi-tenant cache sharing silently
-	// broke (tenants still get correct recommendations — just without
-	// the optimizer-call savings — so only this gate would catch it).
-	if base.SharedCacheHits > 0 && c.SharedCacheHits == 0 {
-		check("shared_cache_hits", float64(base.SharedCacheHits), 0, 1,
-			"the fleet no longer shares cached fragments across tenants")
-	}
-	// Ground-truth lower bounds, from the execution-backed replay.
-	// MeasuredSpeedup is a ratio of two wall-time measurements, so noise
-	// compounds; gate it against the committed baseline (recorded ≥ 1)
-	// with a loose factor rather than an absolute floor. A recommendation
-	// that executes materially slower than the record — the regression
-	// every estimate-based metric above is blind to — still fails. The
-	// rows-scanned comparison is deterministic: the recommended
-	// configuration scanning more rows than the baseline means its
-	// structures went unused.
-	if base.MeasuredSpeedup > 0 {
-		if floor := base.MeasuredSpeedup * 0.75; c.MeasuredSpeedup < floor {
-			check("measured_speedup", base.MeasuredSpeedup, c.MeasuredSpeedup, floor,
-				"the recommendation measures materially slower than the baseline record when actually executed")
+	for _, r := range rules {
+		b, gated := base.Metrics[r.metric]
+		if !gated || r.kind == info {
+			continue
 		}
-	}
-	if base.ReplayRowsBaseline > 0 && c.ReplayRowsRecommended > c.ReplayRowsBaseline {
-		check("replay_rows", float64(base.ReplayRowsRecommended), float64(c.ReplayRowsRecommended),
-			float64(c.ReplayRowsBaseline),
-			"the recommended configuration scans more rows than the unindexed baseline")
-	}
-	// Workload-introspection lower bounds (online-drift). The signature
-	// count is deterministic for a fixed seed: fewer distinct signatures
-	// than the baseline means canonicalization started merging shapes it
-	// should keep apart, or the sketch lost streams. The top-k weight
-	// coverage dropping below the baseline (less 5% slack for decay
-	// timing) means the sketch evicts live traffic it used to track.
-	if base.WorkloadSignatures > 0 && c.WorkloadSignatures < base.WorkloadSignatures {
-		check("workload_signatures", float64(base.WorkloadSignatures), float64(c.WorkloadSignatures),
-			float64(base.WorkloadSignatures),
-			"the sketch tracks fewer distinct statement signatures than the baseline")
-	}
-	if base.TopKWeightShare > 0 {
-		if floor := base.TopKWeightShare * 0.95; c.TopKWeightShare < floor {
-			check("topk_weight_share", base.TopKWeightShare, c.TopKWeightShare, floor,
-				"the top-k sketch covers less of the window's weight than the baseline")
+		v := Violation{Scenario: base.Name, Metric: r.metric, Baseline: b, Detail: r.detail}
+		c, ok := cur.Metrics[r.metric]
+		if !ok {
+			v.Detail = "the baseline gates this metric but the run did not record it"
+			vs = append(vs, v)
+			continue
 		}
-	}
-	// Self-monitoring lower bounds (online-drift). The baseline records
-	// a populated metrics history and a synthetic rule left firing with
-	// at least one logged transition; any of them collapsing to zero
-	// means the sampler stopped capturing series or the alert engine
-	// stopped evaluating — observability regressions no quality metric
-	// would catch.
-	if base.HistorySeries > 0 && c.HistorySeries == 0 {
-		check("history_series", float64(base.HistorySeries), 0, 1,
-			"the metrics-history sampler retained no series")
-	}
-	if base.AlertsFired > 0 && c.AlertsFired == 0 {
-		check("alerts_fired", float64(base.AlertsFired), 0, 1,
-			"the synthetic retune-completed rule no longer fires")
-	}
-	if base.AlertTransitions > 0 && c.AlertTransitions == 0 {
-		check("alert_transitions", float64(base.AlertTransitions), 0, 1,
-			"the alert engine logged no state transitions")
+		v.Current, v.Limit = c, b*r.factor+r.add
+		var fail bool
+		switch r.kind {
+		case ceiling:
+			fail = c > v.Limit
+		case floor:
+			fail = c < v.Limit
+		case floorWhenPositive:
+			fail = b > 0 && c < v.Limit
+		case notAboveRun:
+			v.Limit = cur.Metrics[r.of]
+			fail = c > v.Limit
+		}
+		if fail {
+			vs = append(vs, v)
+		}
 	}
 	return vs
 }

@@ -1,6 +1,7 @@
 package regress
 
 import (
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -9,45 +10,52 @@ import (
 func baselineBench() *Bench {
 	return &Bench{
 		SchemaVersion: SchemaVersion,
-		Suite:         "smoke",
 		Scenarios: []ScenarioResult{
-			{
-				Name:               "batch-tpch",
-				WallSeconds:        0.500,
-				AllocBytes:         200 << 20,
-				OptimizerCalls:     150,
-				Iterations:         40,
-				ImprovementPct:     56.6,
-				QualityGapPct:      73.4,
-				CalibSamples:       39,
-				MeanTightness:      0.49,
-				RankCorrelation:    0.76,
-				BoundViolations:    1,
-				PlansReusedPct:     89.9,
-				ProfileCoveragePct: 99.9,
-
-				MeasuredSpeedup:       1.25,
-				ReplayRowsBaseline:    119420,
-				ReplayRowsRecommended: 74197,
-			},
-			{
-				Name:               "online-drift",
-				WallSeconds:        1.200,
-				AllocBytes:         550 << 20,
-				OptimizerCalls:     293,
-				ImprovementPct:     59.9,
-				BoundViolations:    1,
-				ProfileCoveragePct: 99.9,
-				FrontierPoints:     6,
-				RecordedSessions:   2,
-				WorkloadSignatures: 14,
-				TopKWeightShare:    1.0,
-				HistorySeries:      40,
-				AlertsFired:        1,
-				AlertTransitions:   1,
-			},
+			{Name: "batch-tpch", Metrics: map[string]float64{
+				"wall_seconds":            0.500,
+				"alloc_bytes":             200 << 20,
+				"optimizer_calls":         150,
+				"iterations":              40,
+				"improvement_pct":         56.6,
+				"quality_gap_pct":         73.4,
+				"calib_samples":           39,
+				"mean_tightness":          0.49,
+				"rank_correlation":        0.76,
+				"bound_violations":        1,
+				"plans_reused_pct":        89.9,
+				"profile_coverage_pct":    99.9,
+				"frontier_points":         40,
+				"measured_speedup":        1.25,
+				"replay_rows_baseline":    119420,
+				"replay_rows_recommended": 74197,
+			}},
+			{Name: "online-drift", Metrics: map[string]float64{
+				"wall_seconds":         1.200,
+				"alloc_bytes":          550 << 20,
+				"optimizer_calls":      293,
+				"improvement_pct":      59.9,
+				"bound_violations":     1,
+				"profile_coverage_pct": 99.9,
+				"frontier_points":      6,
+				"recorded_sessions":    2,
+				"workload_signatures":  14,
+				"topk_weight_share":    1.0,
+				"history_series":       40,
+				"alerts_fired":         1,
+				"alert_transitions":    1,
+			}},
 		},
 	}
+}
+
+// ruleFor returns the rule table's row for metric.
+func ruleFor(metric string) (rule, bool) {
+	for _, r := range rules {
+		if r.metric == metric {
+			return r, true
+		}
+	}
+	return rule{}, false
 }
 
 func TestGateWithinTolerancePasses(t *testing.T) {
@@ -55,11 +63,11 @@ func TestGateWithinTolerancePasses(t *testing.T) {
 	cur := baselineBench()
 	// Ordinary run-to-run noise: slightly slower, slightly more
 	// allocation, identical deterministic counters.
-	cur.Scenarios[0].WallSeconds *= 1.2
-	cur.Scenarios[0].AllocBytes += 10 << 20
-	cur.Scenarios[1].WallSeconds *= 0.9
+	cur.Scenarios[0].Metrics["wall_seconds"] *= 1.2
+	cur.Scenarios[0].Metrics["alloc_bytes"] += 10 << 20
+	cur.Scenarios[1].Metrics["wall_seconds"] *= 0.9
 
-	if vs := Gate(base, cur, Tolerance{}); len(vs) != 0 {
+	if vs := Gate(base, cur); len(vs) != 0 {
 		t.Fatalf("within-tolerance run failed the gate: %v", vs)
 	}
 }
@@ -69,9 +77,9 @@ func TestGateWithinTolerancePasses(t *testing.T) {
 func TestGateDoesNotGateWallTime(t *testing.T) {
 	base := baselineBench()
 	cur := baselineBench()
-	cur.Scenarios[0].WallSeconds = base.Scenarios[0].WallSeconds * 10
+	cur.Scenarios[0].Metrics["wall_seconds"] *= 10
 
-	if vs := Gate(base, cur, Tolerance{}); len(vs) != 0 {
+	if vs := Gate(base, cur); len(vs) != 0 {
 		t.Fatalf("wall time is gated again: %v", vs)
 	}
 }
@@ -81,9 +89,9 @@ func TestGateDoesNotGateWallTime(t *testing.T) {
 func TestGateViolationIsReadable(t *testing.T) {
 	base := baselineBench()
 	cur := baselineBench()
-	cur.Scenarios[0].AllocBytes = base.Scenarios[0].AllocBytes * 2
+	cur.Scenarios[0].Metrics["alloc_bytes"] *= 2
 
-	vs := Gate(base, cur, Tolerance{})
+	vs := Gate(base, cur)
 	if len(vs) != 1 {
 		t.Fatalf("want exactly one violation, got %v", vs)
 	}
@@ -95,187 +103,127 @@ func TestGateViolationIsReadable(t *testing.T) {
 	}
 }
 
-func TestGateDeterministicCountersAreTight(t *testing.T) {
-	base := baselineBench()
-	cur := baselineBench()
-	// +20% optimizer calls is a real search regression even though the
-	// wall clock may absorb it.
-	cur.Scenarios[0].OptimizerCalls = 180
-
-	vs := Gate(base, cur, Tolerance{})
-	if len(vs) != 1 || vs[0].Metric != "optimizer_calls" {
-		t.Fatalf("want one optimizer_calls violation, got %v", vs)
-	}
-}
-
-func TestGateQualityDrop(t *testing.T) {
-	base := baselineBench()
-	cur := baselineBench()
-	cur.Scenarios[0].ImprovementPct -= 2 // two points of recommendation quality
-
-	vs := Gate(base, cur, Tolerance{})
-	if len(vs) != 1 || vs[0].Metric != "improvement_pct" {
-		t.Fatalf("want one improvement_pct violation, got %v", vs)
-	}
-	// Within the ±0.5-point default it must pass.
-	cur.Scenarios[0].ImprovementPct = base.Scenarios[0].ImprovementPct - 0.3
-	if vs := Gate(base, cur, Tolerance{}); len(vs) != 0 {
-		t.Fatalf("0.3-point wobble should pass: %v", vs)
-	}
-}
-
-func TestGateNewBoundViolationsFail(t *testing.T) {
-	base := baselineBench()
-	cur := baselineBench()
-	cur.Scenarios[0].BoundViolations = base.Scenarios[0].BoundViolations + 3
-
-	vs := Gate(base, cur, Tolerance{})
-	if len(vs) != 1 || vs[0].Metric != "bound_violations" {
-		t.Fatalf("want one bound_violations violation, got %v", vs)
-	}
-}
-
-// TestGateFlightRecorderLowerBounds: losing the frontier trajectory or
-// recorded sessions is a regression even though every other metric only
-// improves when observability silently turns off.
-func TestGateFlightRecorderLowerBounds(t *testing.T) {
-	base := baselineBench()
-	cur := baselineBench()
-	cur.Scenarios[1].FrontierPoints = 0
-
-	vs := Gate(base, cur, Tolerance{})
-	if len(vs) != 1 || vs[0].Metric != "frontier_points" {
-		t.Fatalf("lost frontier not flagged: %v", vs)
-	}
-
-	cur = baselineBench()
-	cur.Scenarios[1].RecordedSessions = 1
-	vs = Gate(base, cur, Tolerance{})
-	if len(vs) != 1 || vs[0].Metric != "recorded_sessions" {
-		t.Fatalf("lost session not flagged: %v", vs)
-	}
-
-	// A longer frontier or more sessions is not a violation.
-	cur = baselineBench()
-	cur.Scenarios[1].FrontierPoints = 9
-	cur.Scenarios[1].RecordedSessions = 3
-	if vs := Gate(base, cur, Tolerance{}); len(vs) != 0 {
-		t.Fatalf("growth flagged: %v", vs)
-	}
-}
-
-// TestGateGroundTruthLowerBounds: the replay gates are lower bounds on
-// measured reality — a recommendation that executes materially slower
-// than the committed record, or scans more rows than the unindexed
-// baseline, fails even when every estimate-based metric looks fine.
-func TestGateGroundTruthLowerBounds(t *testing.T) {
-	base := baselineBench()
-	cur := baselineBench()
-	cur.Scenarios[0].MeasuredSpeedup = 0.85 // below 0.75 × the 1.25 record
-
-	vs := Gate(base, cur, Tolerance{})
-	if len(vs) != 1 || vs[0].Metric != "measured_speedup" {
-		t.Fatalf("sub-1 measured speedup not flagged: %v", vs)
-	}
-
-	cur = baselineBench()
-	cur.Scenarios[0].ReplayRowsRecommended = cur.Scenarios[0].ReplayRowsBaseline + 1
-	vs = Gate(base, cur, Tolerance{})
-	if len(vs) != 1 || vs[0].Metric != "replay_rows" {
-		t.Fatalf("rows-scanned regression not flagged: %v", vs)
-	}
-
-	// Fewer rows or a larger speedup is improvement, not violation; and a
-	// baseline without replay data (pre-v4 regeneration) gates nothing.
-	cur = baselineBench()
-	cur.Scenarios[0].MeasuredSpeedup = 2.0
-	cur.Scenarios[0].ReplayRowsRecommended = 50000
-	if vs := Gate(base, cur, Tolerance{}); len(vs) != 0 {
-		t.Fatalf("improvement flagged: %v", vs)
-	}
-	base.Scenarios[0].MeasuredSpeedup = 0
-	base.Scenarios[0].ReplayRowsBaseline = 0
-	cur.Scenarios[0].MeasuredSpeedup = 0.5
-	cur.Scenarios[0].ReplayRowsRecommended = 1 << 40
-	if vs := Gate(base, cur, Tolerance{}); len(vs) != 0 {
-		t.Fatalf("gates fired without baseline replay data: %v", vs)
-	}
-}
-
-// TestGateWorkloadIntrospectionLowerBounds: the signature count and the
-// top-k weight coverage are lower bounds — losing tracked signatures or
-// sketch coverage is a regression of the introspection surface even
-// though tuning results stay identical.
-func TestGateWorkloadIntrospectionLowerBounds(t *testing.T) {
-	base := baselineBench()
-	cur := baselineBench()
-	cur.Scenarios[1].WorkloadSignatures = base.Scenarios[1].WorkloadSignatures - 2
-
-	vs := Gate(base, cur, Tolerance{})
-	if len(vs) != 1 || vs[0].Metric != "workload_signatures" {
-		t.Fatalf("lost signatures not flagged: %v", vs)
-	}
-
-	cur = baselineBench()
-	cur.Scenarios[1].TopKWeightShare = 0.80 // below 0.95 × the 1.0 record
-	vs = Gate(base, cur, Tolerance{})
-	if len(vs) != 1 || vs[0].Metric != "topk_weight_share" {
-		t.Fatalf("lost sketch coverage not flagged: %v", vs)
-	}
-
-	// Within the 5% decay slack it must pass, as must a run tracking more
-	// signatures than the baseline.
-	cur = baselineBench()
-	cur.Scenarios[1].TopKWeightShare = 0.96
-	cur.Scenarios[1].WorkloadSignatures = base.Scenarios[1].WorkloadSignatures + 3
-	if vs := Gate(base, cur, Tolerance{}); len(vs) != 0 {
-		t.Fatalf("within-slack run flagged: %v", vs)
-	}
-	// A pre-v5 baseline without introspection counters gates nothing.
-	base.Scenarios[1].WorkloadSignatures = 0
-	base.Scenarios[1].TopKWeightShare = 0
-	cur.Scenarios[1].WorkloadSignatures = 0
-	cur.Scenarios[1].TopKWeightShare = 0
-	if vs := Gate(base, cur, Tolerance{}); len(vs) != 0 {
-		t.Fatalf("gates fired without baseline introspection data: %v", vs)
-	}
-}
-
-func TestGateSelfMonitoringLowerBounds(t *testing.T) {
-	for _, tc := range []struct {
-		metric string
-		zero   func(sr *ScenarioResult)
+// TestGateRules pins every gated row of the rule table at its bound: a
+// run at the limit passes, one float step past it fails naming the
+// metric and the limit, a run far past it fails the same way, and a run
+// that does not record the metric fails too. The limits are the ones
+// the gate has always had; informational rows never fire.
+func TestGateRules(t *testing.T) {
+	cases := []struct {
+		metric      string
+		base, limit float64
+		ceiling     bool // the limit is an upper bound
 	}{
-		{"history_series", func(sr *ScenarioResult) { sr.HistorySeries = 0 }},
-		{"alerts_fired", func(sr *ScenarioResult) { sr.AlertsFired = 0 }},
-		{"alert_transitions", func(sr *ScenarioResult) { sr.AlertTransitions = 0 }},
-	} {
-		base := baselineBench()
-		cur := baselineBench()
-		tc.zero(&cur.Scenarios[1])
-		vs := Gate(base, cur, Tolerance{})
-		if len(vs) != 1 || vs[0].Metric != tc.metric {
-			t.Fatalf("zeroed %s not flagged: %v", tc.metric, vs)
+		{"alloc_bytes", 128 << 20, 128<<20*1.10 + 1<<20, true},
+		{"optimizer_calls", 150, 150*1.05 + 2, true},
+		{"iterations", 40, 40*1.05 + 2, true},
+		{"improvement_pct", 56.6, 56.6 - 0.5, false},
+		{"quality_gap_pct", 73.4, 73.4 + 0.5, true},
+		{"bound_violations", 1, 1, true},
+		{"profile_coverage_pct", 99.9, 80, false},
+		{"frontier_points", 40, 1, false},
+		{"recorded_sessions", 2, 2, false},
+		{"shared_cache_hits", 16, 1, false},
+		{"measured_speedup", 1.25, 1.25 * 0.75, false},
+		{"replay_rows_recommended", 80666, 119420, true}, // ≤ the run's replay_rows_baseline
+		{"workload_signatures", 16, 16, false},
+		{"topk_weight_share", 1, 0.95, false},
+		{"history_series", 97, 1, false},
+		{"alerts_fired", 1, 1, false},
+		{"alert_transitions", 1, 1, false},
+	}
+	baseMetrics := map[string]float64{
+		"wall_seconds":         0.5,
+		"calib_samples":        39,
+		"mean_tightness":       0.49,
+		"rank_correlation":     0.76,
+		"plans_reused_pct":     89.9,
+		"fleet_tenants":        3,
+		"replay_rows_baseline": 119420,
+	}
+	tested := map[string]bool{}
+	for _, tc := range cases {
+		baseMetrics[tc.metric] = tc.base
+		tested[tc.metric] = true
+	}
+	gate := func(base, cur map[string]float64) []Violation {
+		return Gate(
+			&Bench{SchemaVersion: SchemaVersion, Scenarios: []ScenarioResult{{Name: "s", Metrics: base}}},
+			&Bench{SchemaVersion: SchemaVersion, Scenarios: []ScenarioResult{{Name: "s", Metrics: cur}}})
+	}
+	with := func(metric string, v float64) map[string]float64 {
+		m := map[string]float64{metric: v}
+		for k, b := range baseMetrics {
+			if k != metric {
+				m[k] = b
+			}
+		}
+		return m
+	}
+	if vs := gate(baseMetrics, baseMetrics); len(vs) != 0 {
+		t.Fatalf("the baseline fails against itself: %v", vs)
+	}
+
+	for _, tc := range cases {
+		t.Run(tc.metric, func(t *testing.T) {
+			far, past := tc.limit+10+math.Abs(tc.limit), math.Inf(1)
+			if !tc.ceiling {
+				far, past = tc.limit-10-math.Abs(tc.limit), math.Inf(-1)
+			}
+			vs := gate(baseMetrics, with(tc.metric, far))
+			if len(vs) != 1 || vs[0].Metric != tc.metric || vs[0].Baseline != tc.base ||
+				math.Abs(vs[0].Limit-tc.limit) > 1e-9*math.Abs(tc.limit) {
+				t.Fatalf("value %g: want one %s violation at limit %g, got %v", far, tc.metric, tc.limit, vs)
+			}
+			at := vs[0].Limit
+			if vs := gate(baseMetrics, with(tc.metric, at)); len(vs) != 0 {
+				t.Fatalf("value at the limit %g fails: %v", at, vs)
+			}
+			step := math.Nextafter(at, past)
+			if vs := gate(baseMetrics, with(tc.metric, step)); len(vs) != 1 || vs[0].Limit != at {
+				t.Fatalf("value %g one step past the limit %g passes: %v", step, at, vs)
+			}
+			missing := with(tc.metric, 0)
+			delete(missing, tc.metric)
+			if vs := gate(baseMetrics, missing); len(vs) != 1 || vs[0].Metric != tc.metric {
+				t.Fatalf("a run without %s passes: %v", tc.metric, vs)
+			}
+			// A positive-baseline floor does not apply to a zero baseline.
+			if r, _ := ruleFor(tc.metric); r.kind == floorWhenPositive {
+				if vs := gate(with(tc.metric, 0), with(tc.metric, 0)); len(vs) != 0 {
+					t.Fatalf("floor fired on a zero baseline: %v", vs)
+				}
+			}
+		})
+	}
+	for _, r := range rules {
+		if r.kind != info {
+			if !tested[r.metric] {
+				t.Errorf("gated rule %s has no test case", r.metric)
+			}
+			continue
+		}
+		for _, v := range []float64{-1e12, 1e12} {
+			for _, viol := range gate(baseMetrics, with(r.metric, v)) {
+				if viol.Metric == r.metric {
+					t.Errorf("informational %s = %g is gated: %v", r.metric, v, viol)
+				}
+			}
 		}
 	}
+}
 
-	// More series / transitions than the record is fine, and a pre-v7
-	// baseline without the counters gates nothing.
+// TestGateSkipsMetricsTheBaselineLacks: a scenario records only what it
+// measures, so a rule applies only where the baseline recorded its
+// metric, and a metric the baseline never recorded is not gated.
+func TestGateSkipsMetricsTheBaselineLacks(t *testing.T) {
 	base := baselineBench()
 	cur := baselineBench()
-	cur.Scenarios[1].HistorySeries = base.Scenarios[1].HistorySeries + 5
-	cur.Scenarios[1].AlertTransitions = 3
-	if vs := Gate(base, cur, Tolerance{}); len(vs) != 0 {
-		t.Fatalf("healthier run flagged: %v", vs)
-	}
-	base.Scenarios[1].HistorySeries = 0
-	base.Scenarios[1].AlertsFired = 0
-	base.Scenarios[1].AlertTransitions = 0
-	cur.Scenarios[1].HistorySeries = 0
-	cur.Scenarios[1].AlertsFired = 0
-	cur.Scenarios[1].AlertTransitions = 0
-	if vs := Gate(base, cur, Tolerance{}); len(vs) != 0 {
-		t.Fatalf("gates fired without baseline monitor data: %v", vs)
+	delete(base.Scenarios[0].Metrics, "measured_speedup")
+	cur.Scenarios[0].Metrics["measured_speedup"] = 0.01
+	cur.Scenarios[1].Metrics["iterations"] = 1e6
+	if vs := Gate(base, cur); len(vs) != 0 {
+		t.Fatalf("metrics absent from the baseline were gated: %v", vs)
 	}
 }
 
@@ -284,16 +232,23 @@ func TestGateMissingScenario(t *testing.T) {
 	cur := baselineBench()
 	cur.Scenarios = cur.Scenarios[:1] // drop online-drift
 
-	vs := Gate(base, cur, Tolerance{})
+	vs := Gate(base, cur)
 	if len(vs) != 1 || vs[0].Scenario != "online-drift" || vs[0].Metric != "scenario" {
 		t.Fatalf("missing scenario not flagged: %v", vs)
 	}
-	// A scenario that is new in the current run is not a violation: it
-	// joins the baseline when the baseline is next regenerated.
-	cur2 := baselineBench()
-	cur2.Scenarios = append(cur2.Scenarios, ScenarioResult{Name: "brand-new"})
-	if vs := Gate(base, cur2, Tolerance{}); len(vs) != 0 {
-		t.Fatalf("new scenario flagged: %v", vs)
+}
+
+// TestGateScenarioMissingFromBaseline: a scenario the run produces but
+// the baseline lacks would otherwise pass ungated.
+func TestGateScenarioMissingFromBaseline(t *testing.T) {
+	base := baselineBench()
+	cur := baselineBench()
+	cur.Scenarios = append(cur.Scenarios, ScenarioResult{Name: "brand-new", Metrics: map[string]float64{"optimizer_calls": 1e9}})
+
+	vs := Gate(base, cur)
+	if len(vs) != 1 || vs[0].Scenario != "brand-new" || vs[0].Metric != "scenario" ||
+		!strings.Contains(vs[0].Detail, "regenerate the baseline") {
+		t.Fatalf("scenario missing from the baseline not flagged: %v", vs)
 	}
 }
 
@@ -302,26 +257,40 @@ func TestGateSchemaVersionMismatch(t *testing.T) {
 	cur := baselineBench()
 	cur.SchemaVersion = base.SchemaVersion + 1
 
-	vs := Gate(base, cur, Tolerance{})
+	vs := Gate(base, cur)
 	if len(vs) != 1 || vs[0].Metric != "schema_version" {
 		t.Fatalf("schema mismatch not flagged: %v", vs)
 	}
 }
 
-func TestGateCustomToleranceLoosens(t *testing.T) {
-	base := baselineBench()
-	cur := baselineBench()
-	cur.Scenarios[0].AllocBytes = base.Scenarios[0].AllocBytes * 3
-
-	// A CI override (-alloc-tolerance 4) must absorb the 3× growth...
-	if vs := Gate(base, cur, Tolerance{AllocFactor: 4}); len(vs) != 0 {
-		t.Fatalf("loosened gate still failed: %v", vs)
+// TestCommittedBaselineIsGated: metric names are string keys, so a
+// misspelled one would be silently ungated. Every metric of the
+// committed record has a row in the rule table, and every scenario of
+// the suite has a record.
+func TestCommittedBaselineIsGated(t *testing.T) {
+	b, err := ReadFile(filepath.Join("..", "..", "BENCH_tuner.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// ...while zero-valued fields keep their defaults.
-	cur.Scenarios[0].OptimizerCalls *= 2
-	vs := Gate(base, cur, Tolerance{AllocFactor: 4})
-	if len(vs) != 1 || vs[0].Metric != "optimizer_calls" {
-		t.Fatalf("defaults not preserved under partial override: %v", vs)
+	if b.SchemaVersion != SchemaVersion {
+		t.Fatalf("committed baseline is schema %d, the suite writes %d", b.SchemaVersion, SchemaVersion)
+	}
+	recorded := map[string]bool{}
+	for _, sr := range b.Scenarios {
+		recorded[sr.Name] = true
+		if len(sr.Metrics) == 0 {
+			t.Errorf("%s: no metrics", sr.Name)
+		}
+		for m := range sr.Metrics {
+			if _, ok := ruleFor(m); !ok {
+				t.Errorf("%s: metric %q has no row in the rule table", sr.Name, m)
+			}
+		}
+	}
+	for _, sc := range Scenarios() {
+		if !recorded[sc.Name] {
+			t.Errorf("scenario %s is missing from BENCH_tuner.json", sc.Name)
+		}
 	}
 }
 
@@ -338,10 +307,10 @@ func TestBenchFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.SchemaVersion != SchemaVersion || len(got.Scenarios) != 2 ||
-		got.Scenarios[0].Name != "batch-tpch" || got.Scenarios[0].OptimizerCalls != 150 {
+		got.Scenarios[0].Name != "batch-tpch" || got.Scenarios[0].Metrics["optimizer_calls"] != 150 {
 		t.Fatalf("round trip mangled the record: %+v", got)
 	}
-	if vs := Gate(base, got, Tolerance{}); len(vs) != 0 {
+	if vs := Gate(base, got); len(vs) != 0 {
 		t.Fatalf("record fails gate against itself after round trip: %v", vs)
 	}
 }
@@ -349,7 +318,7 @@ func TestBenchFileRoundTrip(t *testing.T) {
 func TestReadFileRejectsUnversioned(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "old.json")
-	if err := WriteFile(path, &Bench{Suite: "smoke"}); err != nil {
+	if err := WriteFile(path, &Bench{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), "schema_version") {

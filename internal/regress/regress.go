@@ -1,13 +1,13 @@
 // Package regress is the tuner's performance-regression harness. It
 // runs standardized tuning scenarios (batch TPC-H-style, an update
 // workload, an online drift replay through the service layer, and a
-// multi-tenant fleet throughput scenario),
-// captures a schema-versioned benchmark record per scenario — wall
-// time, allocations, optimizer calls, recommendation quality against
-// the unconstrained §2 optimum, and the §3.3.2 calibration score — and
-// gates the record against a committed baseline with per-metric
-// tolerances (see gate.go). Command tunerbench is the CLI front end;
-// the emitted BENCH_tuner.json is the trajectory artifact CI uploads.
+// multi-tenant fleet throughput scenario), records per scenario the
+// metrics it measures — allocations, optimizer calls, recommendation
+// quality against the unconstrained §2 optimum, the §3.3.2 calibration
+// score and so on — in a schema-versioned record, and gates the record
+// against a committed baseline with one rule table (gate.go). Command
+// tunerbench is the CLI front end; the emitted BENCH_tuner.json is the
+// trajectory artifact CI uploads.
 package regress
 
 import (
@@ -25,307 +25,199 @@ import (
 )
 
 // SchemaVersion identifies the BENCH_tuner.json layout. Bump it when a
-// field is added, removed or changes meaning; the gate refuses to
+// metric is added, removed or changes meaning; the gate refuses to
 // compare across versions.
-const SchemaVersion = 8
+const SchemaVersion = 9
+
+// The suite's one setting. The committed baseline was recorded with
+// these values, so a run with any other could not be gated against it.
+const (
+	scaleFactor   = 0.001
+	seed          = 42 // drives batch-updates' workload generator
+	maxIterations = 40
+)
 
 // Bench is the schema-versioned payload written to BENCH_tuner.json.
 type Bench struct {
-	SchemaVersion int    `json:"schema_version"`
-	Suite         string `json:"suite"`
+	SchemaVersion int `json:"schema_version"`
 	// GeneratedAt is stamped by the CLI (RFC 3339, UTC); the library
 	// leaves it empty so runs stay deterministic under test.
 	GeneratedAt string           `json:"generated_at,omitempty"`
 	Scenarios   []ScenarioResult `json:"scenarios"`
 }
 
-// ScenarioResult is one scenario's benchmark record. Optimizer calls,
-// iterations, improvement, and quality gap are deterministic for a
-// fixed seed and code version; allocations are deterministic up to GC
-// timing and gated with a looser factor; wall time is recorded as
-// information only (bench/ is where time is measured).
+// ScenarioResult is one scenario's record: the metrics it measures,
+// by name, and nothing else. Every name has a row in the gate's rule
+// table (gate.go), which says what it means and how it is gated.
 type ScenarioResult struct {
-	Name           string  `json:"name"`
-	WallSeconds    float64 `json:"wall_seconds"`
-	AllocBytes     uint64  `json:"alloc_bytes"`
-	OptimizerCalls int64   `json:"optimizer_calls"`
-	Iterations     int     `json:"iterations"`
-	// ImprovementPct is the paper's quality metric:
-	// 100 × (1 − cost(recommended)/cost(initial)).
-	ImprovementPct float64 `json:"improvement_pct"`
-	// QualityGapPct measures how far the budget-constrained
-	// recommendation lands from the unconstrained §2 optimum:
-	// 100 × (cost(best) − cost(optimal)) / cost(optimal).
-	QualityGapPct float64 `json:"quality_gap_pct"`
-	// Calibration summary of the §3.3.2 ΔT bounds (see obs.Calibrate).
-	CalibSamples    int     `json:"calib_samples"`
-	MeanTightness   float64 `json:"mean_tightness"`
-	RankCorrelation float64 `json:"rank_correlation"`
-	BoundViolations int     `json:"bound_violations"`
-	// PlansReusedPct is the optimality-principle economy: the share of
-	// incremental evaluations answered by plan reuse instead of a fresh
-	// optimizer call.
-	PlansReusedPct float64 `json:"plans_reused_pct"`
-	// ProfileCoveragePct is the share of scenario wall time attributed
-	// to named profiler phases (the self-observability health check).
-	ProfileCoveragePct float64 `json:"profile_coverage_pct"`
-	// FrontierPoints is the length of the recorded (space, cost) search
-	// trajectory — deterministic for a fixed seed, and zero exactly when
-	// frontier capture broke. RecordedSessions is the flight-recorder
-	// session count after the scenario (online-drift only: two retunes
-	// must record two sessions).
-	FrontierPoints   int `json:"frontier_points,omitempty"`
-	RecordedSessions int `json:"recorded_sessions,omitempty"`
-	// MeasuredSpeedup is the execution-grounded quality metric from the
-	// batch-tpch replay: baseline wall time over recommended wall time,
-	// measured by actually running the workload in the storage engine at
-	// sampled scale. The committed baseline records it ≥ 1 and the gate
-	// lower-bounds new runs against that record — a recommendation that
-	// measures materially slower than no structures at all is a
-	// regression no estimate-based metric would catch. Being a ratio of
-	// two wall times it is gated with a loose factor (wall-clock noise
-	// compounds). ReplayRowsBaseline and
-	// ReplayRowsRecommended are the rows-scanned counters of the two
-	// endpoint configurations; deterministic for a fixed seed, and the
-	// recommended count exceeding the baseline means the recommended
-	// structures went unused.
-	MeasuredSpeedup       float64 `json:"measured_speedup,omitempty"`
-	ReplayRowsBaseline    int64   `json:"replay_rows_baseline,omitempty"`
-	ReplayRowsRecommended int64   `json:"replay_rows_recommended,omitempty"`
-	// FleetTenants and SharedCacheHits record the fleet-throughput
-	// scenario: the tenant count and the number of cross-tenant
-	// fragment-cache hits (a tenant reusing a per-statement optimal
-	// fragment another tenant computed). Shared hits dropping to zero
-	// means multi-tenant cache sharing silently broke; the gate treats
-	// that as a violation.
-	FleetTenants    int   `json:"fleet_tenants,omitempty"`
-	SharedCacheHits int64 `json:"shared_cache_hits,omitempty"`
-	// WorkloadSignatures and TopKWeightShare record the introspection
-	// layer's view of the online-drift stream: the number of distinct
-	// statement signatures the top-k sketch tracks after both phases, and
-	// the fraction of the window's decayed weight those tracked signatures
-	// cover. Deterministic for a fixed seed. Signatures dropping below the
-	// baseline means signature canonicalization started merging distinct
-	// shapes (or the sketch lost streams); coverage dropping means the
-	// sketch is evicting live traffic. The gate lower-bounds both.
-	WorkloadSignatures int     `json:"workload_signatures,omitempty"`
-	TopKWeightShare    float64 `json:"topk_weight_share,omitempty"`
-	// HistorySeries, AlertsFired, and AlertTransitions record the
-	// self-monitoring layer's view of the online-drift scenario: the
-	// number of distinct metric series the history sampler retains after
-	// both retunes, how many alert instances a synthetic
-	// retune-completed rule left firing, and how many state transitions
-	// the engine logged. Deterministic for a fixed seed (the scenario
-	// drives the sampler with fixed instants). Any of them dropping to
-	// zero means the sampler stopped capturing or the engine stopped
-	// evaluating; the gate treats that as a violation.
-	HistorySeries    int `json:"history_series,omitempty"`
-	AlertsFired      int `json:"alerts_fired,omitempty"`
-	AlertTransitions int `json:"alert_transitions,omitempty"`
-}
-
-// Config parameterizes a suite run.
-type Config struct {
-	// SF is the synthetic database scale factor.
-	SF float64
-	// Seed drives workload generation for the update scenario.
-	Seed int64
-	// MaxIterations bounds each tuning session.
-	MaxIterations int
-	// Logf, when set, receives per-scenario progress lines.
-	Logf func(format string, args ...any)
-}
-
-// DefaultConfig is the smoke suite: small enough for CI (a few seconds
-// end to end) yet budget-constrained so relaxation actually runs and
-// calibration samples are non-empty.
-func DefaultConfig() Config {
-	return Config{SF: 0.001, Seed: 42, MaxIterations: 40}
-}
-
-func (c Config) logf(format string, args ...any) {
-	if c.Logf != nil {
-		c.Logf(format, args...)
-	}
+	Name    string             `json:"name"`
+	Metrics map[string]float64 `json:"metrics"`
 }
 
 // Scenario is one standardized benchmark scenario.
 type Scenario struct {
 	Name string
-	Desc string
-	Run  func(cfg Config) (ScenarioResult, error)
+	Run  func() (map[string]float64, error)
 }
 
 // Scenarios returns the standard suite in execution order.
 func Scenarios() []Scenario {
 	return []Scenario{
-		{
-			Name: "batch-tpch",
-			Desc: "TPC-H 22-query batch, index-only, budget = optimal/3",
-			Run:  runBatchTPCH,
-		},
-		{
-			Name: "batch-updates",
-			Desc: "generated SELECT+UPDATE mix on the bench schema, budget = optimal/3",
-			Run:  runBatchUpdates,
-		},
-		{
-			Name: "online-drift",
-			Desc: "two-phase workload replay through the online service (warm retune)",
-			Run:  runOnlineDrift,
-		},
-		{
-			Name: "fleet-throughput",
-			Desc: "3-tenant fleet with overlapping shapes (shared-cache reuse + single-tenant parity)",
-			Run:  runFleetThroughput,
-		},
+		// TPC-H 22-query batch, index-only, budget = optimal/3.
+		{Name: "batch-tpch", Run: runBatchTPCH},
+		// Generated SELECT+UPDATE mix on the bench schema, budget = optimal/3.
+		{Name: "batch-updates", Run: runBatchUpdates},
+		// Two-phase workload replay through the online service (warm retune).
+		{Name: "online-drift", Run: runOnlineDrift},
+		// 3-tenant fleet with overlapping shapes (shared-cache reuse +
+		// single-tenant parity).
+		{Name: "fleet-throughput", Run: runFleetThroughput},
 	}
 }
 
 // RunSuite executes every scenario and assembles the Bench record.
-func RunSuite(cfg Config) (*Bench, error) {
-	b := &Bench{SchemaVersion: SchemaVersion, Suite: "smoke"}
+func RunSuite() (*Bench, error) {
+	b := &Bench{SchemaVersion: SchemaVersion}
 	for _, sc := range Scenarios() {
-		cfg.logf("running %s (%s)...", sc.Name, sc.Desc)
-		sr, err := sc.Run(cfg)
+		m, err := sc.Run()
 		if err != nil {
 			return nil, fmt.Errorf("regress: scenario %s: %w", sc.Name, err)
 		}
-		cfg.logf("  %s: wall %.3fs, %d optimizer calls, %d iterations, improvement %.1f%%, coverage %.1f%%",
-			sr.Name, sr.WallSeconds, sr.OptimizerCalls, sr.Iterations, sr.ImprovementPct, sr.ProfileCoveragePct)
-		b.Scenarios = append(b.Scenarios, sr)
+		b.Scenarios = append(b.Scenarios, ScenarioResult{Name: sc.Name, Metrics: m})
 	}
 	return b, nil
 }
 
-func runBatchTPCH(cfg Config) (ScenarioResult, error) {
-	db := datagen.TPCH(cfg.SF)
-	w, err := workloads.TPCH22()
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	// Index-only: with views enabled the 40-iteration smoke cap exhausts
-	// before the search shrinks under the budget, yielding a degenerate
-	// (improvement 0) record with no regression signal.
-	sr, res, err := runBatch("batch-tpch", db, w, core.Options{NoViews: true, MaxIterations: cfg.MaxIterations, Parallelism: 1})
-	if err != nil {
-		return sr, err
-	}
-	// Execution-grounded replay: materialize the database at the same
-	// scale, run the workload under the baseline and recommended
-	// configurations, and record the measured speedup (gated ≥ 1) and
-	// rows-scanned counters. Replay wall time is deliberately outside
-	// WallSeconds, which measures the tuning session alone.
-	// Seven repetitions (min-of-reps): the speedup gate sits right at 1,
-	// so the wall-time estimator needs to be noise-resistant on shared
-	// CI runners. The substrate scale matches the tuning scale — the
-	// catalog statistics the recommendation was optimized for are the
-	// row distribution it is measured against.
-	rdb, store := datagen.TPCHData(cfg.SF)
-	gt, err := replay.Run(rdb, store, w.Queries, res, replay.Options{MaxLineageSteps: 2, Repetitions: 7})
-	if err != nil {
-		return ScenarioResult{}, fmt.Errorf("ground-truth replay: %w", err)
-	}
-	sr.MeasuredSpeedup = gt.SpeedupMeasured
-	if b, r := gt.Baseline(), gt.Recommended(); b != nil && r != nil {
-		sr.ReplayRowsBaseline, sr.ReplayRowsRecommended = b.RowsScanned, r.RowsScanned
-	}
-	return sr, nil
-}
-
-func runBatchUpdates(cfg Config) (ScenarioResult, error) {
-	db := datagen.Bench(cfg.SF)
-	// Same generator defaults as the paper experiments (Table 3 /
-	// Figures 8-9 pool), plus an update mix to exercise the skyline and
-	// update-cost machinery.
-	gen := workloads.DefaultGenOptions("bench-updates", cfg.Seed, 12)
-	gen.UpdateFraction = 0.3
-	w, err := workloads.Generate(db, gen)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	sr, _, err := runBatch("batch-updates", db, w, core.Options{NoViews: true, MaxIterations: cfg.MaxIterations, Parallelism: 1})
-	return sr, err
-}
-
-// runBatch probes the unconstrained optimal configuration to derive a
-// budget that forces real relaxation work (optimal/3), then tunes with
-// the profiler attached and distills the scenario record. The raw
-// tuning result comes back too: batch-tpch replays it against real data.
-func runBatch(name string, db *catalog.Database, w *workloads.Workload, opts core.Options) (ScenarioResult, *core.Result, error) {
+// budgetFor probes the unconstrained §2 optimum of w and returns its
+// size divided by div: a space budget that forces the search to relax.
+func budgetFor(db *catalog.Database, w *workloads.Workload, opts core.Options, div int64) (int64, error) {
 	probe, err := core.NewTuner(db, w, opts)
 	if err != nil {
-		return ScenarioResult{}, nil, err
+		return 0, err
 	}
 	optCfg, err := probe.OptimalConfiguration()
 	if err != nil {
-		return ScenarioResult{}, nil, err
+		return 0, err
 	}
-	opts.SpaceBudget = probe.Opt.Sizer().ConfigBytes(optCfg) / 3
+	return probe.Opt.Sizer().ConfigBytes(optCfg) / div, nil
+}
+
+func runBatchTPCH() (map[string]float64, error) {
+	db := datagen.TPCH(scaleFactor)
+	w, err := workloads.TPCH22()
+	if err != nil {
+		return nil, err
+	}
+	m, res, err := runBatch(db, w)
+	if err != nil {
+		return nil, err
+	}
+	// Execution-grounded replay: materialize the database at the same
+	// scale, run the workload under the baseline and recommended
+	// configurations, and record the measured speedup and rows-scanned
+	// counters. Replay wall time is deliberately outside wall_seconds,
+	// which measures the tuning session alone.
+	// Seven repetitions (min-of-reps): the speedup is a ratio of two
+	// wall times, so the estimator needs to be noise-resistant on shared
+	// CI runners. The substrate scale matches the tuning scale — the
+	// catalog statistics the recommendation was optimized for are the
+	// row distribution it is measured against.
+	rdb, store := datagen.TPCHData(scaleFactor)
+	gt, err := replay.Run(rdb, store, w.Queries, res, replay.Options{MaxLineageSteps: 2, Repetitions: 7})
+	if err != nil {
+		return nil, fmt.Errorf("ground-truth replay: %w", err)
+	}
+	m["measured_speedup"] = gt.SpeedupMeasured
+	if b, r := gt.Baseline(), gt.Recommended(); b != nil && r != nil {
+		m["replay_rows_baseline"] = float64(b.RowsScanned)
+		m["replay_rows_recommended"] = float64(r.RowsScanned)
+	}
+	return m, nil
+}
+
+func runBatchUpdates() (map[string]float64, error) {
+	db := datagen.Bench(scaleFactor)
+	// Same generator defaults as the paper experiments (Table 3 /
+	// Figures 8-9 pool), plus an update mix to exercise the skyline and
+	// update-cost machinery.
+	gen := workloads.DefaultGenOptions("bench-updates", seed, 12)
+	gen.UpdateFraction = 0.3
+	w, err := workloads.Generate(db, gen)
+	if err != nil {
+		return nil, err
+	}
+	m, _, err := runBatch(db, w)
+	return m, err
+}
+
+// runBatch tunes w index-only under a budget of a third of the optimal
+// configuration's size, with the profiler attached, and distills the
+// scenario's metrics. The raw tuning result comes back too: batch-tpch
+// replays it against real data.
+func runBatch(db *catalog.Database, w *workloads.Workload) (map[string]float64, *core.Result, error) {
+	// Index-only: with views enabled the 40-iteration cap exhausts on
+	// TPC-H before the search shrinks under the budget, yielding a
+	// degenerate (improvement 0) record with no regression signal.
+	opts := core.Options{NoViews: true, MaxIterations: maxIterations, Parallelism: 1}
+	budget, err := budgetFor(db, w, opts, 3)
+	if err != nil {
+		return nil, nil, err
+	}
+	opts.SpaceBudget = budget
 	prof := obs.NewProfiler()
 	opts.Profile = prof
 
 	tn, err := core.NewTuner(db, w, opts)
 	if err != nil {
-		return ScenarioResult{}, nil, err
+		return nil, nil, err
 	}
 	alloc0 := obs.HeapAllocBytes()
 	res, err := tn.Tune()
 	if err != nil {
-		return ScenarioResult{}, nil, err
+		return nil, nil, err
 	}
 	rep := prof.Snapshot()
 	rep.WallSeconds = res.Elapsed.Seconds()
+	allocBytes := obs.HeapAllocBytes() - alloc0
 
-	sr := ScenarioResult{
-		Name:               name,
-		WallSeconds:        res.Elapsed.Seconds(),
-		AllocBytes:         obs.HeapAllocBytes() - alloc0,
-		OptimizerCalls:     res.OptimizerCalls,
-		Iterations:         res.Iterations,
-		ImprovementPct:     res.ImprovementPct(),
-		QualityGapPct:      qualityGap(res),
-		ProfileCoveragePct: rep.CoveragePct(),
-		FrontierPoints:     len(res.Frontier),
+	m := map[string]float64{
+		"wall_seconds":         res.Elapsed.Seconds(),
+		"alloc_bytes":          float64(allocBytes),
+		"optimizer_calls":      float64(res.OptimizerCalls),
+		"iterations":           float64(res.Iterations),
+		"improvement_pct":      res.ImprovementPct(),
+		"quality_gap_pct":      qualityGap(res),
+		"profile_coverage_pct": rep.CoveragePct(),
+		"frontier_points":      float64(len(res.Frontier)),
 	}
-	fillCalibration(&sr, res.Explain)
-	return sr, res, nil
+	addCalibration(m, res.Explain)
+	return m, res, nil
 }
 
 // runOnlineDrift replays a two-phase workload through the service: a
 // cold retune on the first half of the TPC-H batch, then a drifted
 // second half and a warm retune that should reuse cached fragments.
-func runOnlineDrift(cfg Config) (ScenarioResult, error) {
-	db := datagen.TPCH(cfg.SF)
+func runOnlineDrift() (map[string]float64, error) {
+	db := datagen.TPCH(scaleFactor)
 	sqls := workloads.TPCH22SQL()
 	if len(sqls) < 16 {
-		return ScenarioResult{}, fmt.Errorf("TPC-H batch too small: %d statements", len(sqls))
+		return nil, fmt.Errorf("TPC-H batch too small: %d statements", len(sqls))
 	}
 	phaseA, phaseB := sqls[:8], sqls[4:16] // overlap: half the warm window is repeat work
 
 	// Budget from the phase-A optimum so both retunes must relax.
 	wA, err := workloads.FromStatements("drift-a", db.Name, phaseA)
 	if err != nil {
-		return ScenarioResult{}, err
+		return nil, err
 	}
-	probe, err := core.NewTuner(db, wA, core.Options{NoViews: true})
-	if err != nil {
-		return ScenarioResult{}, err
+	tuning := core.Options{NoViews: true, MaxIterations: maxIterations, Parallelism: 1}
+	if tuning.SpaceBudget, err = budgetFor(db, wA, tuning, 2); err != nil {
+		return nil, err
 	}
-	optCfg, err := probe.OptimalConfiguration()
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	budget := probe.Opt.Sizer().ConfigBytes(optCfg) / 2
 
 	svc, err := service.New(service.Options{
-		DB: db,
-		Tuning: core.Options{
-			NoViews:       true,
-			MaxIterations: cfg.MaxIterations,
-			SpaceBudget:   budget,
-			Parallelism:   1,
-		},
+		DB:     db,
+		Tuning: tuning,
 		// Self-monitoring rides the scenario: a quiescent (one-hour
 		// interval) sampler the scenario ticks by hand at fixed instants,
 		// plus one synthetic rule that must fire once retunes complete.
@@ -343,7 +235,7 @@ func runOnlineDrift(cfg Config) (ScenarioResult, error) {
 		},
 	})
 	if err != nil {
-		return ScenarioResult{}, err
+		return nil, err
 	}
 	defer svc.Close()
 
@@ -351,13 +243,13 @@ func runOnlineDrift(cfg Config) (ScenarioResult, error) {
 	t0 := time.Now()
 	svc.Ingest(phaseA)
 	if _, err := svc.Retune(); err != nil {
-		return ScenarioResult{}, fmt.Errorf("cold retune: %w", err)
+		return nil, fmt.Errorf("cold retune: %w", err)
 	}
 	svc.Ingest(phaseB)
 	svc.CheckDrift()
 	rec, err := svc.Retune()
 	if err != nil {
-		return ScenarioResult{}, fmt.Errorf("warm retune: %w", err)
+		return nil, fmt.Errorf("warm retune: %w", err)
 	}
 	wall := time.Since(t0)
 
@@ -372,31 +264,30 @@ func runOnlineDrift(cfg Config) (ScenarioResult, error) {
 	}
 	alerts := svc.Alerts().Status()
 
-	m := svc.MetricsSnapshot()
+	sm := svc.MetricsSnapshot()
 	rep := svc.Profile()
-	sr := ScenarioResult{
-		Name:               "online-drift",
-		WallSeconds:        wall.Seconds(),
-		AllocBytes:         obs.HeapAllocBytes() - alloc0,
-		OptimizerCalls:     m.TuneOptimizerCalls,
-		ImprovementPct:     rec.ImprovementPct,
-		ProfileCoveragePct: rep.CoveragePct(),
-		RecordedSessions:   int(m.RecordedSessions),
-		WorkloadSignatures: int(m.WorkloadSignatures),
-		TopKWeightShare:    m.TopKWeightShare,
-		HistorySeries:      svc.History().SeriesCount(),
-		AlertsFired:        alerts.Firing,
-		AlertTransitions:   len(alerts.Transitions),
+	m := map[string]float64{
+		"wall_seconds":         wall.Seconds(),
+		"alloc_bytes":          float64(obs.HeapAllocBytes() - alloc0),
+		"optimizer_calls":      float64(sm.TuneOptimizerCalls),
+		"improvement_pct":      rec.ImprovementPct,
+		"profile_coverage_pct": rep.CoveragePct(),
+		"recorded_sessions":    float64(sm.RecordedSessions),
+		"workload_signatures":  float64(sm.WorkloadSignatures),
+		"topk_weight_share":    sm.TopKWeightShare,
+		"history_series":       float64(svc.History().SeriesCount()),
+		"alerts_fired":         float64(alerts.Firing),
+		"alert_transitions":    float64(len(alerts.Transitions)),
 	}
 	// The warm retune's frontier, read back from the flight recorder —
 	// proves recording survives the full service path, not just core.
 	if sums := svc.Sessions(); len(sums) > 0 {
 		if last := svc.Session(sums[len(sums)-1].ID); last != nil {
-			sr.FrontierPoints = len(last.Frontier)
+			m["frontier_points"] = float64(len(last.Frontier))
 		}
 	}
-	fillCalibration(&sr, svc.Explain())
-	return sr, nil
+	addCalibration(m, svc.Explain())
+	return m, nil
 }
 
 // runFleetThroughput registers three tenants with identical catalogs
@@ -407,12 +298,12 @@ func runOnlineDrift(cfg Config) (ScenarioResult, error) {
 // single-tenant process computes for the same workload. The record
 // carries the fleet's total optimizer calls — the metric cache sharing
 // exists to reduce — and the shared-hit count the gate lower-bounds.
-func runFleetThroughput(cfg Config) (ScenarioResult, error) {
+func runFleetThroughput() (map[string]float64, error) {
 	const tenants = 3
-	db := datagen.TPCH(cfg.SF)
+	db := datagen.TPCH(scaleFactor)
 	sqls := workloads.TPCH22SQL()
 	if len(sqls) < 8+tenants {
-		return ScenarioResult{}, fmt.Errorf("TPC-H batch too small: %d statements", len(sqls))
+		return nil, fmt.Errorf("TPC-H batch too small: %d statements", len(sqls))
 	}
 	// Eight shapes shared by every tenant plus one tenant-specific shape
 	// each, so reuse is real but no two windows are identical.
@@ -424,21 +315,11 @@ func runFleetThroughput(cfg Config) (ScenarioResult, error) {
 	// Budget from the shared-shape optimum so every retune must relax.
 	wS, err := workloads.FromStatements("fleet-shared", db.Name, shared)
 	if err != nil {
-		return ScenarioResult{}, err
+		return nil, err
 	}
-	probe, err := core.NewTuner(db, wS, core.Options{NoViews: true})
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	optCfg, err := probe.OptimalConfiguration()
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	tuning := core.Options{
-		NoViews:       true,
-		MaxIterations: cfg.MaxIterations,
-		SpaceBudget:   probe.Opt.Sizer().ConfigBytes(optCfg) / 2,
-		Parallelism:   1,
+	tuning := core.Options{NoViews: true, MaxIterations: maxIterations, Parallelism: 1}
+	if tuning.SpaceBudget, err = budgetFor(db, wS, tuning, 2); err != nil {
+		return nil, err
 	}
 
 	reg, err := fleet.New(fleet.Options{
@@ -447,7 +328,7 @@ func runFleetThroughput(cfg Config) (ScenarioResult, error) {
 		Defaults: service.Options{Tuning: tuning},
 	})
 	if err != nil {
-		return ScenarioResult{}, err
+		return nil, err
 	}
 	defer reg.Close()
 
@@ -455,11 +336,11 @@ func runFleetThroughput(cfg Config) (ScenarioResult, error) {
 	t0 := time.Now()
 	for i := 0; i < tenants; i++ {
 		id := fmt.Sprintf("tenant-%d", i)
-		if _, err := reg.Add(fleet.TenantSpec{ID: id, Database: "tpch", ScaleFactor: cfg.SF}); err != nil {
-			return ScenarioResult{}, err
+		if _, err := reg.Add(fleet.TenantSpec{ID: id, Database: "tpch", ScaleFactor: scaleFactor}); err != nil {
+			return nil, err
 		}
 		if res := reg.Get(id).Service.Ingest(workloadFor(i)); res.Rejected != 0 {
-			return ScenarioResult{}, fmt.Errorf("%s: %d statements rejected", id, res.Rejected)
+			return nil, fmt.Errorf("%s: %d statements rejected", id, res.Rejected)
 		}
 	}
 	fleetRecs := make([]*service.Recommendation, tenants)
@@ -467,7 +348,7 @@ func runFleetThroughput(cfg Config) (ScenarioResult, error) {
 		id := fmt.Sprintf("tenant-%d", i)
 		rec, err := reg.Retune(id, "manual")
 		if err != nil {
-			return ScenarioResult{}, fmt.Errorf("%s retune: %w", id, err)
+			return nil, fmt.Errorf("%s retune: %w", id, err)
 		}
 		fleetRecs[i] = rec
 	}
@@ -477,45 +358,44 @@ func runFleetThroughput(cfg Config) (ScenarioResult, error) {
 	var calls, sessions int64
 	var improvement float64
 	for i := 0; i < tenants; i++ {
-		m := reg.Get(fmt.Sprintf("tenant-%d", i)).Service.MetricsSnapshot()
-		calls += m.TuneOptimizerCalls
-		sessions += m.RecordedSessions
+		sm := reg.Get(fmt.Sprintf("tenant-%d", i)).Service.MetricsSnapshot()
+		calls += sm.TuneOptimizerCalls
+		sessions += sm.RecordedSessions
 		improvement += fleetRecs[i].ImprovementPct
 	}
 	stats := reg.FragmentCache().Stats()
 	if stats.SharedHits == 0 {
-		return ScenarioResult{}, fmt.Errorf("no cross-tenant shared-cache hits across %d tenants with overlapping shapes", tenants)
+		return nil, fmt.Errorf("no cross-tenant shared-cache hits across %d tenants with overlapping shapes", tenants)
 	}
 
 	// Parity: an isolated single-tenant service over the same catalog and
 	// workload must produce the same recommendation (outside the timed
 	// window — the record measures the fleet, not the reference runs).
 	for i := 0; i < tenants; i++ {
-		solo, err := service.New(service.Options{DB: datagen.TPCH(cfg.SF), Tuning: tuning})
+		solo, err := service.New(service.Options{DB: datagen.TPCH(scaleFactor), Tuning: tuning})
 		if err != nil {
-			return ScenarioResult{}, err
+			return nil, err
 		}
 		solo.Ingest(workloadFor(i))
 		soloRec, err := solo.Retune()
 		solo.Close()
 		if err != nil {
-			return ScenarioResult{}, fmt.Errorf("solo retune %d: %w", i, err)
+			return nil, fmt.Errorf("solo retune %d: %w", i, err)
 		}
 		if soloRec.DDL != fleetRecs[i].DDL || soloRec.Cost != fleetRecs[i].Cost {
-			return ScenarioResult{}, fmt.Errorf("tenant-%d: fleet recommendation diverged from single-tenant run (cost %v vs %v)",
+			return nil, fmt.Errorf("tenant-%d: fleet recommendation diverged from single-tenant run (cost %v vs %v)",
 				i, fleetRecs[i].Cost, soloRec.Cost)
 		}
 	}
 
-	return ScenarioResult{
-		Name:             "fleet-throughput",
-		WallSeconds:      wall.Seconds(),
-		AllocBytes:       allocBytes,
-		OptimizerCalls:   calls,
-		ImprovementPct:   improvement / tenants,
-		RecordedSessions: int(sessions),
-		FleetTenants:     tenants,
-		SharedCacheHits:  stats.SharedHits,
+	return map[string]float64{
+		"wall_seconds":      wall.Seconds(),
+		"alloc_bytes":       float64(allocBytes),
+		"optimizer_calls":   float64(calls),
+		"improvement_pct":   improvement / tenants,
+		"recorded_sessions": float64(sessions),
+		"fleet_tenants":     tenants,
+		"shared_cache_hits": float64(stats.SharedHits),
 	}, nil
 }
 
@@ -528,16 +408,16 @@ func qualityGap(res *core.Result) float64 {
 	return 100 * (res.Best.Cost - res.Optimal.Cost) / res.Optimal.Cost
 }
 
-// fillCalibration copies the calibration summary out of the decision
-// log, when the session produced one.
-func fillCalibration(sr *ScenarioResult, rep *core.ExplainReport) {
+// addCalibration records the calibration summary of the decision log,
+// when the session produced one.
+func addCalibration(m map[string]float64, rep *core.ExplainReport) {
 	if rep == nil || rep.Calibration == nil {
 		return
 	}
 	cal := rep.Calibration
-	sr.CalibSamples = cal.Overall.Samples
-	sr.MeanTightness = cal.Overall.MeanRatio
-	sr.RankCorrelation = cal.Overall.RankCorrelation
-	sr.BoundViolations = cal.Overall.BoundViolations
-	sr.PlansReusedPct = 100 * cal.Economy.ReuseRatio()
+	m["calib_samples"] = float64(cal.Overall.Samples)
+	m["mean_tightness"] = cal.Overall.MeanRatio
+	m["rank_correlation"] = cal.Overall.RankCorrelation
+	m["bound_violations"] = float64(cal.Overall.BoundViolations)
+	m["plans_reused_pct"] = 100 * cal.Economy.ReuseRatio()
 }
