@@ -329,14 +329,7 @@ func sameGrouping(a, b *physical.View) bool {
 		return false
 	}
 	for _, g := range a.GroupBy {
-		found := false
-		for _, h := range b.GroupBy {
-			if g == h {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(b.GroupBy, g) {
 			return false
 		}
 	}

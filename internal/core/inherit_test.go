@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -157,11 +160,11 @@ func TestEnumerationEconomy(t *testing.T) {
 }
 
 // TestChildEnumerationAllocations pins what a child pays one index removal
-// away from its parent: the enumeration's own tables (the list, one chunk
-// record per relation and per view, one row of merges per view) and the
-// transformations of the one relation whose list changed. Measured 195
-// where the same configuration costs 637 from scratch; the ceiling leaves
-// a few spare.
+// away from its parent: the enumeration's own tables (the list and its
+// From, one chunk record per relation and per view, one row of merges per
+// view) and the transformations of the one relation whose list changed.
+// Measured 184 where the same configuration costs 636 from scratch; the
+// ceiling leaves a few spare.
 func TestChildEnumerationAllocations(t *testing.T) {
 	tn := benchTuner(t, updViewSeed, 0.35, Options{Parallelism: 1})
 	root, _ := rootAndChild(t, tn)
@@ -221,23 +224,101 @@ func rootAndChild(tb testing.TB, tn *Tuner) (root, child *searchNode) {
 
 // BenchmarkRankNode times one first ranking of a search node of the
 // update+view session: the root, which computes every bound, and its
-// first child, which inherits most of them from it.
+// first child, which inherits most of them from it; and a later ranking
+// of the root, which has every bound already.
 func BenchmarkRankNode(b *testing.B) {
 	tn := benchTuner(b, updViewSeed, 0.35, Options{Parallelism: 1})
 	root, child := rootAndChild(b, tn)
 	for _, bc := range []struct {
-		name string
-		node *searchNode
-	}{{"root", root}, {"child", child}} {
+		name  string
+		node  *searchNode
+		first bool
+	}{{"root", root, true}, {"child", child, true}, {"rerank", root, false}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				bc.node.deltas, bc.node.ranked = map[*physical.Transformation]Delta{}, false
+				if bc.first {
+					bc.node.deltas, bc.node.ranked = nil, false
+				}
 				if _, _, err := tn.rankTransformations(bc.node, tn.Options.SpaceBudget, true); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestRerankAllocatesNothing pins that ranking a node whose bounds are all
+// known, as the search does whenever it comes back to a node, allocates
+// nothing with tracing off: the node's state is indexed by position and
+// the candidate list and the skyline's scratch are the tuner's. While each
+// ranking allocated its own, re-ranking the root cost 23 objects.
+func TestRerankAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates, so the count is not the build's")
+	}
+	tn := benchTuner(t, updViewSeed, 0.35, Options{Parallelism: 1})
+	root, child := rootAndChild(t, tn)
+	for _, n := range []struct {
+		name string
+		node *searchNode
+	}{{"root", root}, {"child", child}} {
+		if _, _, err := tn.rankTransformations(n.node, tn.Options.SpaceBudget, true); err != nil {
+			t.Fatal(err)
+		}
+		var ranked []candidate
+		allocs := testing.AllocsPerRun(20, func() {
+			ranked, _, _ = tn.rankTransformations(n.node, tn.Options.SpaceBudget, true)
+		})
+		if len(ranked) == 0 {
+			t.Fatalf("%s: re-ranking returns no candidates", n.name)
+		}
+		if allocs != 0 {
+			t.Errorf("re-ranking the %s allocates %.0f objects, want 0", n.name, allocs)
+		}
+	}
+}
+
+// TestTracingLeavesRankingAlone runs the update+view session traced and
+// untraced: the skyline keeps what it discards only for the trace, and
+// every ranked list of the two runs must be the same, candidate for
+// candidate: transformation, position, deltas and penalty.
+func TestTracingLeavesRankingAlone(t *testing.T) {
+	var lists [2][][]string
+	mem := obs.NewMemorySink()
+	for i, trace := range []*obs.Tracer{nil, obs.NewTracer(mem)} {
+		tn := benchTuner(t, updViewSeed, 0.35, Options{Parallelism: 1, MaxIterations: 60, Trace: trace})
+		tn.onRank = func(ranked []candidate) {
+			list := make([]string, len(ranked))
+			for k, c := range ranked {
+				list[k] = fmt.Sprint(c.tr.ID(), c.at, c.delta, math.Float64bits(c.penalty))
+			}
+			lists[i] = append(lists[i], list)
+		}
+		if _, err := tn.Tune(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	untraced, traced := lists[0], lists[1]
+	if len(untraced) != len(traced) {
+		t.Fatalf("%d rankings untraced, %d traced", len(untraced), len(traced))
+	}
+	for iter := range untraced {
+		if !slices.Equal(untraced[iter], traced[iter]) {
+			t.Fatalf("iteration %d ranks %d candidates untraced and %d traced, or ranks them differently", iter, len(untraced[iter]), len(traced[iter]))
+		}
+	}
+	pruned := 0
+	for _, e := range mem.Events() {
+		if e.Type == obs.EvCandidates {
+			pruned += e.Fields["skyline_pruned"].(int)
+		}
+	}
+	if pruned == 0 {
+		t.Error("the skyline pruned nothing, so the two runs differ in nothing")
 	}
 }
 

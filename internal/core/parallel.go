@@ -180,37 +180,35 @@ func (t *Tuner) evalQueriesParallel(parent *EvaluatedConfig, cfg *physical.Confi
 
 // precomputeDeltas bounds every untried candidate of node that does not
 // yet carry a (ΔT, ΔS) estimate, spread across workers, and returns how
-// many it bounded. Candidates whose bound fails are marked tried, exactly
-// as the serial loop does.
+// many it bounded. Each worker writes the entries of node.deltas it
+// bounds, and no two the same one. Candidates whose bound fails are marked
+// tried, exactly as the serial loop does.
 func (t *Tuner) precomputeDeltas(node *searchNode, workers int) (int, error) {
-	var missing []*physical.Transformation
-	for _, tr := range node.enum.Trans {
-		if node.tried[tr.ID()] {
-			continue
+	var missing []int
+	for i := range node.enum.Trans {
+		if !node.tried[i] && !node.deltas[i].known {
+			missing = append(missing, i)
 		}
-		if _, ok := node.deltas[tr]; ok {
-			continue
-		}
-		missing = append(missing, tr)
 	}
 	if len(missing) < 2 {
 		return 0, nil
 	}
-	deltas := make([]Delta, len(missing))
 	errs := make([]error, len(missing))
-	err := fanOut(t.Options.Profile, "search/penalty", workers, len(missing), func(_, i int) bool {
-		deltas[i], errs[i] = t.boundDelta(node.eval, missing[i])
+	err := fanOut(t.Options.Profile, "search/penalty", workers, len(missing), func(_, k int) bool {
+		i := missing[k]
+		d, err := t.boundDelta(node.eval, node.enum.Trans[i])
+		if errs[k] = err; err == nil {
+			node.deltas[i] = nodeDelta{d, true}
+		}
 		return true
 	})
 	if err != nil {
 		return 0, err
 	}
-	for i, tr := range missing {
-		if errs[i] != nil {
-			node.markTried(tr.ID())
-			continue
+	for k, i := range missing {
+		if errs[k] != nil {
+			node.markTried(i)
 		}
-		node.deltas[tr] = deltas[i]
 	}
 	return len(missing), nil
 }

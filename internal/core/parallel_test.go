@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -197,6 +198,7 @@ func skylineQuadratic(cands []candidate) []candidate {
 // produce identical survivors in identical order from both filters.
 func TestSkylineSweepMatchesQuadratic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var buf rankBuffers // reused across trials, as the search reuses it
 	for trial := 0; trial < 500; trial++ {
 		n := rng.Intn(40)
 		cands := make([]candidate, n)
@@ -208,10 +210,13 @@ func TestSkylineSweepMatchesQuadratic(t *testing.T) {
 			}
 		}
 		want := skylineQuadratic(cands)
-		got := skyline(cands)
+		got, pruned := buf.skyline(slices.Clone(cands), true)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: sweep kept %d, quadratic kept %d\ncands: %+v",
 				trial, len(got), len(want), cands)
+		}
+		if len(got)+len(pruned) != n {
+			t.Fatalf("trial %d: sweep kept %d and pruned %d of %d", trial, len(got), len(pruned), n)
 		}
 		for i := range want {
 			if got[i].delta != want[i].delta {

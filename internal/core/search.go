@@ -1,10 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -110,17 +110,19 @@ type searchNode struct {
 	// enum.Trans are the node's transformations; the rest of enum is what a
 	// child's enumeration takes over from this one.
 	enum *physical.Enumeration
-	// deltas is keyed by the transformation itself: enumeration hands a
-	// child the parent's objects for everything it shares, and a
-	// transformation built anew is a miss that is bounded again.
-	deltas map[*physical.Transformation]Delta
-	tried  map[string]bool
-	// untried counts the transformations not yet in tried (an enumeration
-	// never repeats an ID); markTried is the only writer of both. The census
-	// of Figure 6 and node selection read it every iteration.
+	// deltas and tried are aligned with enum.Trans: deltas[i] is the bound
+	// of enum.Trans[i] once known, tried[i] whether the search tried it.
+	// enum.From says where the parent's enumeration has the very same
+	// transformation, so that is where a bound is inherited from.
+	deltas []nodeDelta
+	tried  []bool
+	// untried counts the false entries of tried; markTried is the only
+	// writer of both. The census of Figure 6 and node selection read it
+	// every iteration.
 	untried int
-	// ranked is set by the node's first ranking, which is when it takes
-	// over the deltas its parent can hand down (inheritDeltas).
+	// ranked is set by the node's first ranking, which is when deltas is
+	// allocated and takes over what the parent can hand down
+	// (inheritDeltas).
 	ranked bool
 	// iteration and applied record the node's provenance (the
 	// transformations that produced it from its parent, and when) so
@@ -129,9 +131,15 @@ type searchNode struct {
 	applied   []*physical.Transformation
 }
 
-func (n *searchNode) markTried(id string) {
-	if !n.tried[id] {
-		n.tried[id] = true
+// nodeDelta is a node's (ΔT, ΔS) of one transformation, valid once known.
+type nodeDelta struct {
+	Delta
+	known bool
+}
+
+func (n *searchNode) markTried(i int) {
+	if !n.tried[i] {
+		n.tried[i] = true
 		n.untried--
 	}
 }
@@ -364,6 +372,9 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			endSearch(obs.F{"error": err.Error()})
 			return nil, err
 		}
+		if t.onRank != nil {
+			t.onRank(ranked)
+		}
 		if trace.Enabled() {
 			trace.Emit(obs.EvCandidates, candidateFields(iter, ranked, skyPruned))
 		}
@@ -398,17 +409,17 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 		chosen := t.selectNonConflicting(ranked)
 		cfgNew := node.eval.Config
 		var removedIdx, removedViews []string
+		var applied []*physical.Transformation
 		estDT, estDS := 0.0, int64(0)
-		for _, tf := range chosen {
-			node.markTried(tf.ID())
-			cfgNew = tf.Apply(cfgNew)
-			removedIdx = append(removedIdx, tf.RemovedIndexIDs()...)
-			removedViews = append(removedViews, tf.RemovedViewNames()...)
-			if d, ok := node.deltas[tf]; ok {
-				estDT += d.DT
-				estDS += d.DS
-			}
-			chosenIDs = append(chosenIDs, tf.ID())
+		for _, c := range chosen {
+			node.markTried(c.at)
+			cfgNew = c.tr.Apply(cfgNew)
+			removedIdx = append(removedIdx, c.tr.RemovedIndexIDs()...)
+			removedViews = append(removedViews, c.tr.RemovedViewNames()...)
+			estDT += c.delta.DT
+			estDS += c.delta.DS
+			applied = append(applied, c.tr)
+			chosenIDs = append(chosenIDs, c.tr.ID())
 		}
 		res.Iterations++
 		if trace.Enabled() {
@@ -493,7 +504,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			prof.Add("search/enumerate", "transformations_shared", float64(child.enum.Shared))
 		}
 		child.iteration = res.Iterations
-		child.applied = chosen
+		child.applied = applied
 		pool = append(pool, child)
 		res.Frontier = append(res.Frontier, FrontierPoint{
 			Iteration: res.Iterations, SizeBytes: evalNew.SizeBytes,
@@ -507,7 +518,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 		realizedDT := evalNew.Cost - node.eval.Cost
 		kind := "multi"
 		if len(chosen) == 1 {
-			kind = chosen[0].Kind.String()
+			kind = chosen[0].tr.Kind.String()
 		}
 		res.CalibSamples = append(res.CalibSamples,
 			obs.CalibSample{Kind: kind, EstDT: estDT, RealizedDT: realizedDT})
@@ -583,14 +594,14 @@ func candidateFields(iter int, ranked, skyPruned []candidate) obs.F {
 	return f
 }
 
-// selectNonConflicting picks the minimal-penalty transformation plus, in
-// the §3.5 multiple-transformations variation, further low-penalty
-// transformations whose inputs are disjoint from everything already
-// chosen (merging I1 and I2 after removing I1 would be contradictory).
-func (t *Tuner) selectNonConflicting(ranked []candidate) []*physical.Transformation {
+// selectNonConflicting picks the minimal-penalty candidate plus, in the
+// §3.5 multiple-transformations variation, further low-penalty candidates
+// whose inputs are disjoint from everything already chosen (merging I1 and
+// I2 after removing I1 would be contradictory).
+func (t *Tuner) selectNonConflicting(ranked []candidate) []candidate {
 	limit := t.Options.MultiTransform
 	if limit < 2 {
-		return []*physical.Transformation{ranked[0].tr}
+		return ranked[:1]
 	}
 	touched := map[string]bool{}
 	note := func(tr *physical.Transformation) {
@@ -614,7 +625,7 @@ func (t *Tuner) selectNonConflicting(ranked []candidate) []*physical.Transformat
 		}
 		return false
 	}
-	out := []*physical.Transformation{ranked[0].tr}
+	out := []candidate{ranked[0]}
 	note(ranked[0].tr)
 	for _, c := range ranked[1:] {
 		if len(out) >= limit {
@@ -623,7 +634,7 @@ func (t *Tuner) selectNonConflicting(ranked []candidate) []*physical.Transformat
 		if conflicts(c.tr) {
 			continue
 		}
-		out = append(out, c.tr)
+		out = append(out, c)
 		note(c.tr)
 	}
 	return out
@@ -683,11 +694,11 @@ func realizedPenalty(parent, child *EvaluatedConfig) float64 {
 	return dT / dS
 }
 
-// markAllTried exhausts a node in place — its existing tried map gains
-// every transformation, without discarding entries already present.
+// markAllTried exhausts a node in place: every transformation is marked
+// tried.
 func markAllTried(n *searchNode) {
-	for _, tr := range n.enum.Trans {
-		n.markTried(tr.ID())
+	for i := range n.tried {
+		n.markTried(i)
 	}
 }
 
@@ -727,8 +738,7 @@ func (t *Tuner) newSearchNode(ec *EvaluatedConfig, fp string, parent *searchNode
 		parent:          parent,
 		realizedPenalty: realized,
 		enum:            enum,
-		deltas:          map[*physical.Transformation]Delta{},
-		tried:           map[string]bool{},
+		tried:           make([]bool, len(enum.Trans)),
 		untried:         len(enum.Trans),
 	}, nil
 }
@@ -796,16 +806,18 @@ func (t *Tuner) pickNode(pool []*searchNode, last *searchNode, budget int64, has
 }
 
 // rankTransformations returns the node's untried transformations sorted
-// by increasing penalty, plus the candidates the §3.6 skyline filter
-// discarded (for the trace; empty unless the workload has updates). A
+// by increasing penalty, plus, when tracing, the candidates the §3.6
+// skyline filter discarded (empty unless the workload has updates). A
 // node's first ranking inherits what its parent can hand down; this and
 // every later one compute exactly the deltas the node still lacks. The
-// error is a panic captured in a penalty-estimation worker.
+// ranked list lives in t.rank and is good until the next ranking. The error
+// is a panic captured in a penalty-estimation worker.
 func (t *Tuner) rankTransformations(node *searchNode, budget int64, hasUpdates bool) (ranked, skyPruned []candidate, _ error) {
 	var computed, inherited int
 	var err error
 	if !node.ranked {
 		node.ranked = true
+		node.deltas = make([]nodeDelta, len(node.enum.Trans))
 		if inherited, err = t.inheritDeltas(node); err != nil {
 			return nil, nil, err
 		}
@@ -815,25 +827,25 @@ func (t *Tuner) rankTransformations(node *searchNode, budget int64, hasUpdates b
 			return nil, nil, err
 		}
 	}
-	var cands []candidate
+	cands := t.rank.cands[:0]
 	spaceOver := node.eval.SizeBytes - budget
 	fitsAlready := spaceOver <= 0
 
-	for _, tr := range node.enum.Trans {
-		id := tr.ID()
-		if node.tried[id] {
+	for i, tr := range node.enum.Trans {
+		if node.tried[i] {
 			continue
 		}
-		d, ok := node.deltas[tr]
-		if !ok {
-			d, err = t.boundDelta(node.eval, tr)
+		nd := &node.deltas[i]
+		if !nd.known {
+			d, err := t.boundDelta(node.eval, tr)
 			computed++
 			if err != nil {
-				node.markTried(id)
+				node.markTried(i)
 				continue
 			}
-			node.deltas[tr] = d
+			*nd = nodeDelta{d, true}
 		}
+		d := nd.Delta
 		// Useless moves: no space saved and no cost benefit.
 		if d.DS <= 0 && d.DT >= 0 {
 			continue
@@ -862,8 +874,9 @@ func (t *Tuner) rankTransformations(node *searchNode, budget int64, hasUpdates b
 			}
 			pen = d.DT / denom
 		}
-		cands = append(cands, candidate{tr: tr, delta: d, penalty: pen})
+		cands = append(cands, candidate{tr: tr, at: i, delta: d, penalty: pen})
 	}
+	t.rank.cands = cands
 	if prof := t.Options.Profile; prof.Enabled() && computed+inherited > 0 {
 		prof.Add("search/rank", "bounds_computed", float64(computed))
 		prof.Add("search/rank", "bounds_inherited", float64(inherited))
@@ -873,22 +886,10 @@ func (t *Tuner) rankTransformations(node *searchNode, budget int64, hasUpdates b
 	}
 	if hasUpdates {
 		tSky := time.Now()
-		kept := skyline(cands)
+		cands, skyPruned = t.rank.skyline(cands, t.Options.Trace.Enabled())
 		t.Options.Profile.Since("search/skyline", tSky)
-		if len(kept) < len(cands) {
-			keptIDs := make(map[string]bool, len(kept))
-			for _, c := range kept {
-				keptIDs[c.tr.ID()] = true
-			}
-			for _, c := range cands {
-				if !keptIDs[c.tr.ID()] {
-					skyPruned = append(skyPruned, c)
-				}
-			}
-		}
-		cands = kept
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].penalty < cands[j].penalty })
+	slices.SortStableFunc(cands, func(a, b candidate) int { return compareLess(a.penalty, b.penalty) })
 	return cands, skyPruned, nil
 }
 
@@ -972,19 +973,25 @@ func (s *stepDiff) leftAlone(tr *physical.Transformation) bool {
 
 // inheritDeltas gives node the (ΔT, ΔS) its parent holds for every
 // transformation both enumerations share whose inputs the step between
-// them left alone, and returns how many. It runs at the node's first
+// them left alone, and returns how many. A shared transformation is the
+// parent's very object, at the parent position its enumeration records in
+// From; one built anew is bounded again. It runs at the node's first
 // ranking rather than at its creation, so a pool node the search never
 // ranks pays nothing and keeps no delta table alive. Roots and warm-start
 // nodes have no parent and inherit nothing.
 func (t *Tuner) inheritDeltas(node *searchNode) (int, error) {
-	if node.parent == nil || len(node.parent.deltas) == 0 {
+	parent := node.parent
+	if parent == nil || len(parent.deltas) == 0 {
 		return 0, nil
 	}
-	step := t.diffStep(node.parent.eval, node.eval)
+	step := t.diffStep(parent.eval, node.eval)
 	inherited := 0
-	for _, tr := range node.enum.Trans {
-		d, ok := node.parent.deltas[tr]
-		if !ok || !step.leftAlone(tr) {
+	for i, p := range node.enum.From {
+		if p < 0 || !parent.deltas[p].known {
+			continue
+		}
+		tr, d := node.enum.Trans[i], parent.deltas[p].Delta
+		if !step.leftAlone(tr) {
 			continue
 		}
 		if t.shadow {
@@ -993,17 +1000,48 @@ func (t *Tuner) inheritDeltas(node *searchNode) (int, error) {
 				return 0, fmt.Errorf("core: inherited bound of %s is %+v, recomputed %+v (%v)", tr.ID(), d, fresh, err)
 			}
 		}
-		node.deltas[tr] = d
+		node.deltas[i] = nodeDelta{d, true}
 		inherited++
 	}
 	return inherited, nil
 }
 
-// candidate pairs a transformation with its estimated deltas and penalty.
+// candidate pairs a transformation, at position at of its node's
+// enumeration, with its estimated deltas and penalty.
 type candidate struct {
 	tr      *physical.Transformation
+	at      int
 	delta   Delta
 	penalty float64
+}
+
+// rankBuffers are what one ranking uses and the next reuses: the
+// candidate list it returns and the skyline's scratch. Tune holds t.mu, so
+// one ranking runs at a time.
+type rankBuffers struct {
+	cands     []candidate
+	perm      []int
+	dominated []bool
+}
+
+// resized returns buf with length n, allocating only when it is too small.
+func resized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// compareLess orders a before b exactly when a < b: the order a less
+// function with < gives, which cmp.Compare departs from only at NaN.
+func compareLess(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 // skyline keeps only non-dominated candidates: tr2 dominates tr1 when it
@@ -1016,21 +1054,25 @@ type candidate struct {
 // strictly-larger-ΔS candidate has ΔT ≤ its own (prevMin), or an
 // equal-ΔS candidate has strictly smaller ΔT (groupMin). Exact
 // duplicates never dominate each other, matching the strictness clause.
-// Survivors keep their input order.
-func skyline(cands []candidate) []candidate {
+// The survivors are moved to the front of cands in their input order and
+// returned; with withPruned, the dominated ones are returned too, in input
+// order, in a list of their own.
+func (b *rankBuffers) skyline(cands []candidate, withPruned bool) (kept, pruned []candidate) {
 	n := len(cands)
-	perm := make([]int, n)
+	perm := resized(b.perm, n)
 	for i := range perm {
 		perm[i] = i
 	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		ca, cb := &cands[perm[a]].delta, &cands[perm[b]].delta
-		if ca.DS != cb.DS {
-			return ca.DS > cb.DS
+	slices.SortStableFunc(perm, func(x, y int) int {
+		cx, cy := &cands[x].delta, &cands[y].delta
+		if c := cmp.Compare(cy.DS, cx.DS); c != 0 {
+			return c
 		}
-		return ca.DT < cb.DT
+		return compareLess(cx.DT, cy.DT)
 	})
-	dominated := make([]bool, n)
+	dominated := resized(b.dominated, n)
+	clear(dominated)
+	b.perm, b.dominated = perm, dominated
 	prevMin := math.Inf(1) // min ΔT over all strictly-larger-ΔS candidates
 	for i := 0; i < n; {
 		ds := cands[perm[i]].delta.DS
@@ -1050,16 +1092,19 @@ func skyline(cands []candidate) []candidate {
 		}
 		i = j
 	}
-	var out []candidate
+	if !slices.Contains(dominated, false) {
+		return cands, nil
+	}
+	kept = cands[:0]
 	for i, c := range cands {
-		if !dominated[i] {
-			out = append(out, c)
+		switch {
+		case !dominated[i]:
+			kept = append(kept, c)
+		case withPruned:
+			pruned = append(pruned, c)
 		}
 	}
-	if len(out) == 0 {
-		return cands
-	}
-	return out
+	return kept, pruned
 }
 
 // hasUpdates reports whether the workload modifies data.

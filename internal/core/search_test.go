@@ -240,7 +240,7 @@ func TestSkylineFiltersDominated(t *testing.T) {
 		{penalty: -0.66, delta: Delta{DT: -20, DS: 30}}, // dominates the first
 		{penalty: 5, delta: Delta{DT: 50, DS: 10}},      // dominated by the second
 	}
-	out := skyline(cands)
+	out, _ := new(rankBuffers).skyline(cands, false)
 	if len(out) != 1 || out[0].delta.DT != -20 {
 		t.Errorf("skyline: %+v", out)
 	}
@@ -251,7 +251,7 @@ func TestSkylineKeepsIncomparable(t *testing.T) {
 		{delta: Delta{DT: -10, DS: 10}},
 		{delta: Delta{DT: -5, DS: 20}},
 	}
-	if got := skyline(cands); len(got) != 2 {
+	if got, _ := new(rankBuffers).skyline(cands, false); len(got) != 2 {
 		t.Errorf("incomparable candidates must survive: %+v", got)
 	}
 }

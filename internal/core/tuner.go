@@ -145,6 +145,8 @@ type Tuner struct {
 	// nodes of a session share: chunks of transformations handed from parent
 	// to child, and the merged view of every view pair it has met.
 	enum *physical.Enumerator
+	// rank holds the buffers every ranking of the search reuses.
+	rank rankBuffers
 	// cbvCache caches the §3.3.2 cost of computing a view from the base
 	// configuration (CBV), keyed by view signature. Entries are
 	// singleflighted so a view's CBV is optimized exactly once even when
@@ -174,6 +176,9 @@ type Tuner struct {
 	// fullShell, set only by tests, replaces a statement's update-shell term
 	// of ΔT: the oracle the term is checked against.
 	fullShell func(q *optimizer.BoundQuery, cfgAfter *physical.Configuration, res *optimizer.QueryResult) float64
+	// onRank, set only by tests, sees every ranked list of the search loop
+	// before a step is chosen from it.
+	onRank func(ranked []candidate)
 }
 
 // cbvEntry singleflights one view's CBV computation.

@@ -127,7 +127,7 @@ func TestSelectNonConflicting(t *testing.T) {
 	if len(out) != 2 {
 		t.Fatalf("expected 2 non-conflicting transformations, got %d", len(out))
 	}
-	if out[1].I1.ID() != i3.ID() {
+	if out[1].tr.I1.ID() != i3.ID() {
 		t.Errorf("conflicting merge should have been skipped: %v", out[1])
 	}
 }

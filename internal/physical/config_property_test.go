@@ -440,49 +440,42 @@ func TestSharedListsAndSizerUnderConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestIncrementalEnumerationMatchesParentless drives random chains of
-// AddIndex, RemoveIndex, AddView, RemoveView and Apply over a population
-// of configurations that one Enumerator enumerates, each from the
-// enumeration of another member — the configuration it was derived from,
-// or, one time in four, an unrelated one. At every step the result must be
-// the parent-less enumeration of the same configuration (length, order,
-// IDs, added and promoted indexes, merged view and its cardinality), and
-// SavedBytes between the two configurations must be the difference of
-// their ConfigBytes. Two steps are there for what reuse could get wrong: a
-// relation taken out and put back with equal contents (another list, so a
+// enumOptions are the options every enumeration of the random chains runs
+// with.
+var enumOptions = EnumerateOptions{
+	WidthOf:      func(sqlx.ColRef) int { return 4 },
+	EstimateRows: func(v *View) int64 { return int64(10 + len(v.Signature())) },
+	HeapTables:   map[string]bool{"t2": true, "t3": true},
+}
+
+// member is one configuration of a chain's population with its enumeration.
+type member struct {
+	cfg *Configuration
+	en  *Enumeration
+}
+
+// walkEnumerationChains drives random chains of AddIndex, RemoveIndex,
+// AddView, RemoveView and Apply over a population of configurations that
+// one Enumerator enumerates, each from the enumeration of another member —
+// the configuration it was derived from, or, one time in four, an
+// unrelated one — and hands every enumeration to visit with the member it
+// was enumerated from. Two steps are there for what reuse could get wrong:
+// a relation taken out and put back with equal contents (another list, so a
 // miss, and every transformation over it is built again), and a view merge
 // whose merged view the configuration already holds under another name.
-func TestIncrementalEnumerationMatchesParentless(t *testing.T) {
+// It returns how often each of the two ran.
+func walkEnumerationChains(t *testing.T, visit func(at string, parent, child member)) (reAdded, twinMerges int) {
+	t.Helper()
 	tables := []string{"t1", "T1", "t2", "t3"} // t1 and T1 are two relations
 	cols := []string{"a", "b", "c", "d"}
 	// Views under these names replace one another in place, and indexes
 	// may name them before they exist: a list can stay what it was while
 	// the view under it arrives, changes or goes.
 	handNamed := []string{"va", "vb"}
-	opts := EnumerateOptions{
-		WidthOf:      func(sqlx.ColRef) int { return 4 },
-		EstimateRows: func(v *View) int64 { return int64(10 + len(v.Signature())) },
-		HeapTables:   map[string]bool{"t2": true, "t3": true},
-	}
-	sizer := NewSizer(BaseResolverFunc{
-		RowsFn:  func(table string) (int64, bool) { return 1000 * int64(table[1]-'0'), true },
-		WidthFn: func(string, string) (int, bool) { return 4, true },
-		ColsFn:  func(string) []string { return cols },
-	})
-	sameTrans := func(a, b *Transformation) bool {
-		return a.ID() == b.ID() && slices.Equal(indexIDs(a.NewIdx), indexIDs(b.NewIdx)) &&
-			slices.Equal(indexIDs(a.Promoted), indexIDs(b.Promoted)) && (a.VM == nil) == (b.VM == nil) &&
-			(a.VM == nil || (a.VM.Signature() == b.VM.Signature() && a.VM.EstRows == b.VM.EstRows))
-	}
-	type member struct {
-		cfg *Configuration
-		en  *Enumeration
-	}
-	var shared, built, reAdded, twinMerges int
 
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		e := NewEnumerator(opts)
+		e := NewEnumerator(enumOptions)
 		pick := func(from []string, n int) []string {
 			out := make([]string, n)
 			for i := range out {
@@ -490,25 +483,10 @@ func TestIncrementalEnumerationMatchesParentless(t *testing.T) {
 			}
 			return out
 		}
-		// enumerate checks cfg's enumeration from parent's against the
-		// parent-less one, and the ΔS between the two configurations.
 		enumerate := func(at string, parent member, cfg *Configuration) member {
-			t.Helper()
-			en := e.Enumerate(cfg, parent.en)
-			fresh := Enumerate(cfg, opts)
-			if len(en.Trans) != len(fresh) {
-				t.Fatalf("seed %d %s: %d transformations from the parent's enumeration, %d without", seed, at, len(en.Trans), len(fresh))
-			}
-			for i, tr := range en.Trans {
-				if !sameTrans(tr, fresh[i]) {
-					t.Fatalf("seed %d %s: transformation %d is %s, parent-less enumeration has %s", seed, at, i, tr.ID(), fresh[i].ID())
-				}
-			}
-			if got, want := sizer.SavedBytes(parent.cfg, cfg), sizer.ConfigBytes(parent.cfg)-sizer.ConfigBytes(cfg); got != want {
-				t.Fatalf("seed %d %s: SavedBytes %d, ConfigBytes differ by %d", seed, at, got, want)
-			}
-			shared, built = shared+en.Shared, built+len(en.Trans)-en.Shared
-			return member{cfg, en}
+			child := member{cfg, e.Enumerate(cfg, parent.en)}
+			visit(fmt.Sprintf("seed %d %s", seed, at), parent, child)
+			return child
 		}
 
 		population := []member{enumerate("root", member{cfg: NewConfiguration()}, NewConfiguration())}
@@ -624,8 +602,84 @@ func TestIncrementalEnumerationMatchesParentless(t *testing.T) {
 			}
 		}
 	}
+	return reAdded, twinMerges
+}
+
+// TestIncrementalEnumerationMatchesParentless walks the random chains: at
+// every step the enumeration from another member must be the parent-less
+// enumeration of the same configuration (length, order, IDs, added and
+// promoted indexes, merged view and its cardinality), and SavedBytes
+// between the two configurations must be the difference of their
+// ConfigBytes.
+func TestIncrementalEnumerationMatchesParentless(t *testing.T) {
+	sizer := NewSizer(BaseResolverFunc{
+		RowsFn:  func(table string) (int64, bool) { return 1000 * int64(table[1]-'0'), true },
+		WidthFn: func(string, string) (int, bool) { return 4, true },
+		ColsFn:  func(string) []string { return []string{"a", "b", "c", "d"} },
+	})
+	sameTrans := func(a, b *Transformation) bool {
+		return a.ID() == b.ID() && slices.Equal(indexIDs(a.NewIdx), indexIDs(b.NewIdx)) &&
+			slices.Equal(indexIDs(a.Promoted), indexIDs(b.Promoted)) && (a.VM == nil) == (b.VM == nil) &&
+			(a.VM == nil || (a.VM.Signature() == b.VM.Signature() && a.VM.EstRows == b.VM.EstRows))
+	}
+	var shared, built int
+	reAdded, twinMerges := walkEnumerationChains(t, func(at string, parent, child member) {
+		en, fresh := child.en, Enumerate(child.cfg, enumOptions)
+		if len(en.Trans) != len(fresh) {
+			t.Fatalf("%s: %d transformations from the parent's enumeration, %d without", at, len(en.Trans), len(fresh))
+		}
+		for i, tr := range en.Trans {
+			if !sameTrans(tr, fresh[i]) {
+				t.Fatalf("%s: transformation %d is %s, parent-less enumeration has %s", at, i, tr.ID(), fresh[i].ID())
+			}
+		}
+		if got, want := sizer.SavedBytes(parent.cfg, child.cfg), sizer.ConfigBytes(parent.cfg)-sizer.ConfigBytes(child.cfg); got != want {
+			t.Fatalf("%s: SavedBytes %d, ConfigBytes differ by %d", at, got, want)
+		}
+		shared, built = shared+en.Shared, built+len(en.Trans)-en.Shared
+	})
 	t.Logf("%d transformations shared, %d built; %d relations re-added, %d merges into a twin", shared, built, reAdded, twinMerges)
 	if shared == 0 || reAdded == 0 || twinMerges == 0 {
 		t.Errorf("the chains never exercised sharing (%d), a re-added relation (%d) or a twin merge (%d)", shared, reAdded, twinMerges)
+	}
+}
+
+// TestEnumerationFromIsParentPosition walks the random chains and checks
+// what lets a search node take over its parent's state by position: From
+// has an entry per transformation, an entry other than −1 points at the
+// very transformation in the parent's list, a transformation marked built
+// is none of the parent's, and Shared counts the entries taken.
+func TestEnumerationFromIsParentPosition(t *testing.T) {
+	taken := 0
+	walkEnumerationChains(t, func(at string, parent, child member) {
+		en := child.en
+		var parentTrans []*Transformation
+		if parent.en != nil {
+			parentTrans = parent.en.Trans
+		}
+		if len(en.From) != len(en.Trans) {
+			t.Fatalf("%s: From has %d entries for %d transformations", at, len(en.From), len(en.Trans))
+		}
+		n := 0
+		for i, tr := range en.Trans {
+			switch p := en.From[i]; {
+			case p >= 0:
+				if int(p) >= len(parentTrans) || parentTrans[p] != tr {
+					t.Fatalf("%s: transformation %d (%s) is not the parent's at %d", at, i, tr.ID(), p)
+				}
+				n++
+			case p != -1:
+				t.Fatalf("%s: From[%d] is %d", at, i, p)
+			case slices.Contains(parentTrans, tr):
+				t.Fatalf("%s: transformation %d (%s) is marked built but is the parent's", at, i, tr.ID())
+			}
+		}
+		if n != en.Shared {
+			t.Fatalf("%s: %d transformations taken from the parent, Shared is %d", at, n, en.Shared)
+		}
+		taken += n
+	})
+	if taken == 0 {
+		t.Error("the chains took no transformation from a parent")
 	}
 }

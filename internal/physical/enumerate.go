@@ -1,6 +1,8 @@
 package physical
 
 import (
+	"slices"
+
 	"repro/internal/sqlx"
 )
 
@@ -48,6 +50,9 @@ type Enumerator struct {
 	// view enters the memo complete (named, signature sealed, EstRows
 	// estimated) and is never written afterwards.
 	merged map[[2]*View]*View
+	// from is the From of the enumeration under way, copied out once its
+	// length is known so that each enumeration allocates one.
+	from []int32
 }
 
 // NewEnumerator returns an enumerator with an empty memo.
@@ -65,6 +70,10 @@ type Enumeration struct {
 	// Shared counts the transformations of Trans that were taken from the
 	// parent enumeration; the other len(Trans) − Shared were built.
 	Shared int
+	// From is aligned with Trans: From[i] is the position in the parent
+	// enumeration's Trans of the very transformation Trans[i], or −1 where
+	// Trans[i] was built. Exactly Shared entries are not −1.
+	From []int32
 
 	rels  []relChunk
 	views []viewChunk
@@ -81,12 +90,13 @@ type relChunk struct {
 // viewChunk is the view transformations led by one view, with the inputs
 // they were built from.
 type viewChunk struct {
-	v      *View
-	list   []*Index // the indexes over v
-	remove *Transformation
-	// merges has one entry per later view of the configuration, in name
-	// order: the merge of v with it, or nil where the two do not merge.
-	merges []*Transformation
+	v    *View
+	list []*Index // the indexes over v
+	// at is the position in Trans of v's removal. merges has one entry per
+	// later view of the configuration, in name order: the position in Trans
+	// of the merge of v with it, or −1 where the two do not merge.
+	at     int32
+	merges []int32
 }
 
 // sameList reports whether a and b are one list: the same length over the
@@ -111,6 +121,16 @@ func (e *Enumerator) Enumerate(c *Configuration, parent *Enumeration) *Enumerati
 		parent = &Enumeration{}
 	}
 	en.Trans = make([]*Transformation, 0, len(parent.Trans))
+	from := e.from[:0]
+	take := func(p int32) {
+		en.Trans = append(en.Trans, parent.Trans[p])
+		from = append(from, p)
+		en.Shared++
+	}
+	build := func(tr *Transformation) {
+		en.Trans = append(en.Trans, tr)
+		from = append(from, -1)
+	}
 
 	views := c.Views()
 	if e.opts.NoViews {
@@ -125,19 +145,23 @@ func (e *Enumerator) Enumerate(c *Configuration, parent *Enumeration) *Enumerati
 		}
 		ch := &en.rels[i]
 		*ch = relChunk{list: r.indexes, isView: isView, lo: len(en.Trans)}
-		if from := parent.chunkOver(ch.list, isView); from != nil {
-			en.Trans = append(en.Trans, parent.Trans[from.lo:from.hi]...)
-			en.Shared += from.hi - from.lo
+		if pc := parent.chunkOver(ch.list, isView); pc != nil {
+			for p := pc.lo; p < pc.hi; p++ {
+				take(int32(p))
+			}
 		} else {
 			en.Trans = e.indexTransformations(en.Trans, r, isView)
+			for len(from) < len(en.Trans) {
+				from = append(from, -1)
+			}
 		}
 		ch.hi = len(en.Trans)
 	}
 
-	// from[i] is where parent.views has c's i-th view with the index list it
+	// same[i] is where parent.views has c's i-th view with the index list it
 	// has in c, or -1. Both view lists are in name order.
-	from := make([]int, len(views))
-	merges := make([]*Transformation, len(views)*(len(views)-1)/2)
+	same := make([]int, len(views))
+	merges := make([]int32, len(views)*(len(views)-1)/2)
 	p := 0
 	for i, v := range views {
 		ch := &en.views[i]
@@ -147,38 +171,40 @@ func (e *Enumerator) Enumerate(c *Configuration, parent *Enumeration) *Enumerati
 		for p < len(parent.views) && parent.views[p].v.Name < v.Name {
 			p++
 		}
-		from[i] = -1
+		same[i] = -1
 		if p < len(parent.views) && parent.views[p].v == v && sameList(parent.views[p].list, ch.list) {
-			from[i] = p
+			same[i] = p
 		}
 	}
 	for i := range en.views {
 		ch := &en.views[i]
-		if from[i] >= 0 {
-			ch.remove = parent.views[from[i]].remove
-			en.Shared++
+		ch.at = int32(len(en.Trans))
+		var pv *viewChunk
+		if same[i] >= 0 {
+			pv = &parent.views[same[i]]
+			take(pv.at)
 		} else {
-			ch.remove = sealed(&Transformation{Kind: TransRemoveView, V1: ch.v})
+			build(sealed(&Transformation{Kind: TransRemoveView, V1: ch.v}))
 		}
-		en.Trans = append(en.Trans, ch.remove)
 		if e.opts.WidthOf == nil {
 			continue
 		}
 		ch.merges, merges = merges[:len(views)-i-1], merges[len(views)-i-1:]
 		for k := range ch.merges {
 			j := i + 1 + k
-			if from[i] >= 0 && from[j] >= 0 {
-				if ch.merges[k] = parent.views[from[i]].merges[from[j]-from[i]-1]; ch.merges[k] != nil {
-					en.Shared++
+			ch.merges[k] = -1
+			if pv != nil && same[j] >= 0 {
+				if at := pv.merges[same[j]-same[i]-1]; at >= 0 {
+					ch.merges[k] = int32(len(en.Trans))
+					take(at)
 				}
-			} else {
-				ch.merges[k] = e.mergeTransformation(ch, &en.views[j])
-			}
-			if ch.merges[k] != nil {
-				en.Trans = append(en.Trans, ch.merges[k])
+			} else if m := e.mergeTransformation(ch, &en.views[j]); m != nil {
+				ch.merges[k] = int32(len(en.Trans))
+				build(m)
 			}
 		}
 	}
+	en.From, e.from = slices.Clone(from), from
 	return en
 }
 
