@@ -89,13 +89,9 @@ func (t *Tuner) buildExplain(res *Result, bestNode *searchNode, source string) *
 
 	res.Lineage = res.Lineage[:0]
 	for _, n := range lineage {
-		kind := "multi"
-		if len(n.applied) == 1 {
-			kind = n.applied[0].Kind.String()
-		}
 		res.Lineage = append(res.Lineage, LineageStep{
 			Iteration: n.iteration,
-			Kind:      kind,
+			Kind:      n.applied.Kind.String(),
 			EstCost:   n.eval.Cost,
 			SizeBytes: n.eval.SizeBytes,
 			Config:    n.eval.Config,
@@ -127,48 +123,47 @@ func (t *Tuner) buildExplain(res *Result, bestNode *searchNode, source string) *
 		}
 	}
 	for _, n := range lineage {
-		for _, tf := range n.applied {
-			ev := DecisionEvent{
-				Iteration:       n.iteration,
-				Action:          tf.Kind.String(),
-				Detail:          tf.String(),
-				RealizedPenalty: n.realizedPenalty,
+		tf := n.applied
+		ev := DecisionEvent{
+			Iteration:       n.iteration,
+			Action:          tf.Kind.String(),
+			Detail:          tf.String(),
+			RealizedPenalty: n.realizedPenalty,
+		}
+		// A transformation's product can be identical to one of its
+		// inputs (e.g. merging a narrow index into a wider one whose
+		// key already covers it). Such a structure is neither removed
+		// nor created — it survived as the transformation target.
+		produced := map[string]bool{}
+		for _, ix := range tf.NewIdx {
+			produced["i:"+ix.ID()] = true
+		}
+		for _, ix := range tf.Promoted {
+			produced["i:"+ix.ID()] = true
+		}
+		if tf.VM != nil {
+			produced["v:"+tf.VM.Name] = true
+		}
+		for _, id := range tf.RemovedIndexIDs() {
+			key := "i:" + id
+			if produced[key] {
+				delete(produced, key)
+				touched[key] = append(touched[key], ev)
+				continue
 			}
-			// A transformation's product can be identical to one of its
-			// inputs (e.g. merging a narrow index into a wider one whose
-			// key already covers it). Such a structure is neither removed
-			// nor created — it survived as the transformation target.
-			produced := map[string]bool{}
-			for _, ix := range tf.NewIdx {
-				produced["i:"+ix.ID()] = true
+			record(key, ev, removal)
+		}
+		for _, vn := range tf.RemovedViewNames() {
+			key := "v:" + vn
+			if produced[key] {
+				delete(produced, key)
+				touched[key] = append(touched[key], ev)
+				continue
 			}
-			for _, ix := range tf.Promoted {
-				produced["i:"+ix.ID()] = true
-			}
-			if tf.VM != nil {
-				produced["v:"+tf.VM.Name] = true
-			}
-			for _, id := range tf.RemovedIndexIDs() {
-				key := "i:" + id
-				if produced[key] {
-					delete(produced, key)
-					touched[key] = append(touched[key], ev)
-					continue
-				}
-				record(key, ev, removal)
-			}
-			for _, vn := range tf.RemovedViewNames() {
-				key := "v:" + vn
-				if produced[key] {
-					delete(produced, key)
-					touched[key] = append(touched[key], ev)
-					continue
-				}
-				record(key, ev, removal)
-			}
-			for key := range produced {
-				record(key, ev, creation)
-			}
+			record(key, ev, removal)
+		}
+		for key := range produced {
+			record(key, ev, creation)
 		}
 	}
 
@@ -183,7 +178,7 @@ func (t *Tuner) buildExplain(res *Result, bestNode *searchNode, source string) *
 			DemandedBy: t.demandedBy[key],
 			Events:     touched[key],
 		}
-		t.decideOutcome(&sd, key, inOptimal, best.HasIndex(ix.ID()), ix.Required,
+		decideOutcome(&sd, key, inOptimal, best.HasIndex(ix.ID()), ix.Required,
 			len(lineage), removal, creation, source)
 		rep.Structures = append(rep.Structures, sd)
 	}
@@ -195,7 +190,7 @@ func (t *Tuner) buildExplain(res *Result, bestNode *searchNode, source string) *
 			DemandedBy: t.demandedBy[key],
 			Events:     touched[key],
 		}
-		t.decideOutcome(&sd, key, inOptimal, best.View(name) != nil, false,
+		decideOutcome(&sd, key, inOptimal, best.View(name) != nil, false,
 			len(lineage), removal, creation, source)
 		rep.Structures = append(rep.Structures, sd)
 	}
@@ -233,7 +228,7 @@ func (t *Tuner) buildExplain(res *Result, bestNode *searchNode, source string) *
 
 // decideOutcome classifies one structure given where it appears and
 // which lineage transformations touched it.
-func (t *Tuner) decideOutcome(sd *StructureDecision, key string, inOptimal, inBest, required bool,
+func decideOutcome(sd *StructureDecision, key string, inOptimal, inBest, required bool,
 	steps int, removal, creation map[string]DecisionEvent, source string) {
 	switch {
 	case required:
@@ -256,8 +251,6 @@ func (t *Tuner) decideOutcome(sd *StructureDecision, key string, inOptimal, inBe
 		} else {
 			sd.Outcome = "dropped"
 			switch {
-			case t.Options.ShrinkUnused:
-				sd.Detail = "dropped as unused by any plan after relaxation (shrink-unused)"
 			case source == explainSourceWarmStart:
 				sd.Detail = "not part of the selected warm-start configuration"
 			case source == explainSourceInitial:

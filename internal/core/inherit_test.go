@@ -43,10 +43,10 @@ const parentBoundsUpdView = 921
 // sizes of both whole configurations, and the session fails on the first
 // bit that differs. The sessions cover what the rules have to get right by
 // construction: updates with views, the select-only sibling whose join
-// plans change under steps on other tables, multi-transformation steps,
-// §3.5 shrinking, full re-optimization (every plan changes, so only
-// transformations no plan reads from inherit, and the configurations share
-// their lists all the same) and a warm-start node (no parent).
+// plans change under steps on other tables, full re-optimization (every
+// plan changes, so only transformations no plan reads from inherit, and
+// the configurations share their lists all the same) and a warm-start node
+// (no parent).
 func TestInheritedDeltasMatchRecomputation(t *testing.T) {
 	spineBudget := runSpineSession(t, 1).budget
 	_, prev, _ := runUpdViewSession(t, Options{Parallelism: 1})
@@ -61,10 +61,6 @@ func TestInheritedDeltasMatchRecomputation(t *testing.T) {
 			Options{MaxIterations: 60}},
 		{"select-only", func(o Options) *Tuner { return benchTuner(t, updViewSeed, 0, o) },
 			Options{MaxIterations: 60}},
-		{"multi-transform", func(o Options) *Tuner { return benchTuner(t, updViewSeed, 0.35, o) },
-			Options{MaxIterations: 60, MultiTransform: 3}},
-		{"shrink-unused", func(o Options) *Tuner { return benchTuner(t, updViewSeed, 0.35, o) },
-			Options{MaxIterations: 60, ShrinkUnused: true}},
 		{"full-reoptimize", func(o Options) *Tuner { return benchTuner(t, updViewSeed, 0.35, o) },
 			Options{MaxIterations: 60, FullReoptimize: true}},
 		{"warm-start", func(o Options) *Tuner { return benchTuner(t, updViewSeed, 0.35, o) },

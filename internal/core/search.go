@@ -78,8 +78,7 @@ type Result struct {
 type LineageStep struct {
 	// Iteration is the search iteration that accepted the step.
 	Iteration int
-	// Kind is the transformation kind that produced it ("multi" when a
-	// §3.4 multi-transformation step applied several at once).
+	// Kind is the kind of the one transformation that produced it.
 	Kind string
 	// EstCost / SizeBytes are the step's evaluated workload cost and
 	// configuration size.
@@ -125,10 +124,10 @@ type searchNode struct {
 	// (inheritDeltas).
 	ranked bool
 	// iteration and applied record the node's provenance (the
-	// transformations that produced it from its parent, and when) so
+	// transformation that produced it from its parent, and when) so
 	// the winning lineage can be replayed and explained.
 	iteration int
-	applied   []*physical.Transformation
+	applied   *physical.Transformation
 }
 
 // nodeDelta is a node's (ΔT, ΔS) of one transformation, valid once known.
@@ -383,7 +382,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 		// it started from, or the eval of the configuration it produced —
 		// completed with the facts every exit shares: the step count, the
 		// configuration reported, the pool, skyline accounting, the chosen
-		// transformations with the winning penalty, and the incumbent. The
+		// transformation with its penalty, and the incumbent. The
 		// progress sink publishes one live event per exit.
 		exit := func(typ string, at *EvaluatedConfig, f obs.F) {
 			f["iter"], f["step"] = iter, res.Iterations
@@ -406,47 +405,29 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			}
 			continue
 		}
-		chosen := t.selectNonConflicting(ranked)
-		cfgNew := node.eval.Config
-		var removedIdx, removedViews []string
-		var applied []*physical.Transformation
-		estDT, estDS := 0.0, int64(0)
-		for _, c := range chosen {
-			node.markTried(c.at)
-			cfgNew = c.tr.Apply(cfgNew)
-			removedIdx = append(removedIdx, c.tr.RemovedIndexIDs()...)
-			removedViews = append(removedViews, c.tr.RemovedViewNames()...)
-			estDT += c.delta.DT
-			estDS += c.delta.DS
-			applied = append(applied, c.tr)
-			chosenIDs = append(chosenIDs, c.tr.ID())
-		}
+		chosen := ranked[0]
+		node.markTried(chosen.at)
+		cfgNew := chosen.tr.Apply(node.eval.Config)
+		estDT := chosen.delta.DT
+		chosenIDs = []string{chosen.tr.ID()}
 		res.Iterations++
 		if trace.Enabled() {
 			trace.Emit(obs.EvApply, obs.F{
 				"iter": iter, "trans": chosenIDs,
-				"est_dt": estDT, "est_ds": estDS, "penalty": ranked[0].penalty,
+				"est_dt": estDT, "est_ds": chosen.delta.DS, "penalty": chosen.penalty,
 			})
 		}
 
-		// visited enters fp in seen, or ends the step in the duplicate exit
-		// when the search has been there before.
-		visited := func(fp string) bool {
-			if !seen[fp] {
-				seen[fp] = true
-				return false
-			}
+		fp := cfgNew.Fingerprint()
+		if seen[fp] {
 			last = node
 			res.Economy.DuplicateSkips++
 			if trace.Enabled() {
 				exit(obs.EvSkip, node.eval, obs.F{"reason": "duplicate", "fp": fp})
 			}
-			return true
-		}
-		fp := cfgNew.Fingerprint()
-		if visited(fp) {
 			continue
 		}
+		seen[fp] = true
 
 		cutoff := 0.0
 		if cbest != nil {
@@ -460,7 +441,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			cutoff = 0
 		}
 		tEval := time.Now()
-		evalNew, ok, err := evalAt(fp, node.eval, cfgNew, removedIdx, removedViews, cutoff)
+		evalNew, ok, err := evalAt(fp, node.eval, cfgNew, chosen.tr.RemovedIndexIDs(), chosen.tr.RemovedViewNames(), cutoff)
 		prof.Since("search/evaluate", tEval)
 		if err != nil {
 			endSearch(obs.F{"error": err.Error()})
@@ -473,23 +454,6 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 				exit(obs.EvSkip, node.eval, obs.F{"reason": "shortcut", "fp": fp, "cutoff": cutoff})
 			}
 			continue
-		}
-		if t.Options.ShrinkUnused {
-			tShrink := time.Now()
-			if shrunk := shrinkUnused(evalNew); shrunk != nil {
-				// The step produced shrunk, not cfgNew: it is the
-				// configuration the pool must not already hold.
-				fp = shrunk.Fingerprint()
-				if visited(fp) {
-					continue
-				}
-				evalNew, _, err = evalAt(fp, evalNew, shrunk, nil, nil, 0)
-			}
-			prof.Since("search/shrink", tShrink)
-			if err != nil {
-				endSearch(obs.F{"error": err.Error()})
-				return nil, err
-			}
 		}
 		realized := realizedPenalty(node.eval, evalNew)
 		tEnum := time.Now()
@@ -504,24 +468,20 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			prof.Add("search/enumerate", "transformations_shared", float64(child.enum.Shared))
 		}
 		child.iteration = res.Iterations
-		child.applied = applied
+		child.applied = chosen.tr
 		pool = append(pool, child)
 		res.Frontier = append(res.Frontier, FrontierPoint{
 			Iteration: res.Iterations, SizeBytes: evalNew.SizeBytes,
 			Cost: evalNew.Cost, Fits: fits(evalNew),
-			Transformation: strings.Join(chosenIDs, " + "), Penalty: ranked[0].penalty,
+			Transformation: chosenIDs[0], Penalty: chosen.penalty,
 		})
 		newBest := fits(evalNew) && (cbest == nil || evalNew.Cost < cbest.Cost)
 		if newBest {
 			cbest, bestNode = evalNew, child
 		}
 		realizedDT := evalNew.Cost - node.eval.Cost
-		kind := "multi"
-		if len(chosen) == 1 {
-			kind = chosen[0].tr.Kind.String()
-		}
 		res.CalibSamples = append(res.CalibSamples,
-			obs.CalibSample{Kind: kind, EstDT: estDT, RealizedDT: realizedDT})
+			obs.CalibSample{Kind: chosen.tr.Kind.String(), EstDT: estDT, RealizedDT: realizedDT})
 		if trace.Enabled() {
 			f := obs.F{
 				"fp":          child.fp,
@@ -592,96 +552,6 @@ func candidateFields(iter int, ranked, skyPruned []candidate) obs.F {
 		f["truncated"] = true
 	}
 	return f
-}
-
-// selectNonConflicting picks the minimal-penalty candidate plus, in the
-// §3.5 multiple-transformations variation, further low-penalty candidates
-// whose inputs are disjoint from everything already chosen (merging I1 and
-// I2 after removing I1 would be contradictory).
-func (t *Tuner) selectNonConflicting(ranked []candidate) []candidate {
-	limit := t.Options.MultiTransform
-	if limit < 2 {
-		return ranked[:1]
-	}
-	touched := map[string]bool{}
-	note := func(tr *physical.Transformation) {
-		for _, id := range tr.RemovedIndexIDs() {
-			touched[id] = true
-		}
-		for _, vn := range tr.RemovedViewNames() {
-			touched["v:"+vn] = true
-		}
-	}
-	conflicts := func(tr *physical.Transformation) bool {
-		for _, id := range tr.RemovedIndexIDs() {
-			if touched[id] {
-				return true
-			}
-		}
-		for _, vn := range tr.RemovedViewNames() {
-			if touched["v:"+vn] {
-				return true
-			}
-		}
-		return false
-	}
-	out := []candidate{ranked[0]}
-	note(ranked[0].tr)
-	for _, c := range ranked[1:] {
-		if len(out) >= limit {
-			break
-		}
-		if conflicts(c.tr) {
-			continue
-		}
-		out = append(out, c)
-		note(c.tr)
-	}
-	return out
-}
-
-// shrinkUnused implements the §3.5 shrinking variation: ec's configuration
-// without the structures no plan reads, or nil when nothing shrinks. Every
-// plan of ec stays valid under it, because only unused structures go.
-func shrinkUnused(ec *EvaluatedConfig) *physical.Configuration {
-	used := map[string]bool{}
-	usedViews := map[string]bool{}
-	for _, res := range ec.Results {
-		if res.Plan == nil {
-			continue
-		}
-		for _, id := range res.Plan.UsedIndexIDs() {
-			used[id] = true
-		}
-		for _, vn := range res.Plan.UsedViews {
-			usedViews[vn] = true
-		}
-	}
-	shrunk := ec.Config.Clone()
-	changed := false
-	for _, v := range ec.Config.Views() {
-		if !usedViews[v.Name] {
-			shrunk.RemoveView(v.Name)
-			changed = true
-		}
-	}
-	for _, ix := range ec.Config.Indexes() {
-		if ix.Required || used[ix.ID()] {
-			continue
-		}
-		// Keep the clustered index of a surviving view (it stores the
-		// view's rows even when plans read a secondary view index).
-		if ix.Clustered && shrunk.View(ix.Table) != nil {
-			continue
-		}
-		if shrunk.RemoveIndex(ix.ID()) {
-			changed = true
-		}
-	}
-	if !changed {
-		return nil
-	}
-	return shrunk
 }
 
 // realizedPenalty is the observed ΔT/ΔS of one relaxation step.
@@ -895,9 +765,9 @@ func (t *Tuner) rankTransformations(node *searchNode, budget int64, hasUpdates b
 
 // stepDiff is what separates a node's evaluation from its parent's, as far
 // as a §3.3.2 bound can tell. It is derived from the two evaluations
-// themselves, not from the transformations applied, so multi-transformation
-// steps, §3.5 shrinking and a step down to the base configuration (whose
-// evaluation is the initial one) need no case of their own.
+// themselves, not from the transformation applied, so a step down to the
+// base configuration (whose evaluation is the initial one) needs no case
+// of its own.
 type stepDiff struct {
 	child *physical.Configuration
 	// relations are the tables and views whose index list differs, and the

@@ -1,11 +1,52 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/obs"
 )
+
+// seenEconomy is the part of a session's Result that seen decides: how many
+// configurations were evaluated, how many steps were skipped as duplicates,
+// and what that did to the iterations and the frontier.
+type seenEconomy struct {
+	Calls, PlansReused, PlansReoptimized, DuplicateSkips int64
+	Iterations, Frontier                                 int
+}
+
+// tuneEvaluatingEachOnce runs a traced session and fails t when two of its
+// eval events carry the same fingerprint: seen knows every configuration a
+// step produces, so no configuration is evaluated twice.
+func tuneEvaluatingEachOnce(t *testing.T, label string, tuner func(Options) *Tuner, opts Options) (*Result, seenEconomy) {
+	t.Helper()
+	mem := obs.NewMemorySink()
+	opts.Trace = obs.NewTracer(mem)
+	res, err := tuner(opts).Tune()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fps := map[string]bool{}
+	evals := 0
+	for _, ev := range mem.Events() {
+		if ev.Type == obs.EvEval {
+			evals++
+			fps[ev.Fields["fp"].(string)] = true
+		}
+	}
+	if evals == 0 {
+		t.Errorf("%s: the session evaluated nothing", label)
+	}
+	if evals != len(fps) {
+		t.Errorf("%s: %d eval events over %d distinct configurations: %d duplicate nodes",
+			label, evals, len(fps), evals-len(fps))
+	}
+	return res, seenEconomy{
+		res.OptimizerCalls, res.Economy.PlansReused, res.Economy.PlansReoptimized, res.Economy.DuplicateSkips,
+		res.Iterations, len(res.Frontier),
+	}
+}
 
 // TestBaseConfigurationIsNotReevaluated pins the economy of the two fresh
 // sessions that come back to the base configuration — one whose budget
@@ -22,37 +63,29 @@ func TestBaseConfigurationIsNotReevaluated(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseBytes := probe.Opt.Sizer().ConfigBytes(probe.Base)
-
-	type economy struct {
-		Calls, PlansReused, PlansReoptimized, DuplicateSkips int64
-		Iterations, Frontier                                 int
+	updateTuner := func(o Options) *Tuner {
+		tn, err := NewTuner(db, w, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tn
 	}
+
 	sessions := []struct {
 		name string
 		opts Options
-		want economy
+		want seenEconomy
 	}{
 		{"relaxes down to base", Options{SpaceBudget: baseBytes, MaxIterations: 200},
-			economy{90, 225, 75, 101, 177, 77}},
+			seenEconomy{90, 225, 75, 101, 177, 77}},
 		{"warm start is base", Options{SpaceBudget: thirdBudget(t, db, w, false), MaxIterations: 40, WarmStart: probe.Base},
-			economy{40, 79, 25, 11, 37, 28}},
+			seenEconomy{40, 79, 25, 11, 37, 28}},
 	}
 	for _, s := range sessions {
 		for _, parallelism := range []int{1, 8} {
 			opts := s.opts
 			opts.Parallelism = parallelism
-			tn, err := NewTuner(db, w, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := tn.Tune()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := economy{
-				res.OptimizerCalls, res.Economy.PlansReused, res.Economy.PlansReoptimized, res.Economy.DuplicateSkips,
-				res.Iterations, len(res.Frontier),
-			}
+			res, got := tuneEvaluatingEachOnce(t, fmt.Sprintf("%s, P=%d", s.name, parallelism), updateTuner, opts)
 			if got != s.want {
 				t.Errorf("%s, P=%d:\n got  %+v\n want %+v", s.name, parallelism, got, s.want)
 			}
@@ -63,33 +96,19 @@ func TestBaseConfigurationIsNotReevaluated(t *testing.T) {
 	}
 }
 
-// TestShrinkUnusedVisitsEachConfigurationOnce: under §3.5 shrinking the
-// configuration a step produces is the shrunk one, and seen has to know
-// it — no two pool nodes may hold the same configuration. Before seen was
-// told, the update+view session entered 15 of its 52 nodes twice and
-// spent an iteration of MaxIterations on each.
-func TestShrinkUnusedVisitsEachConfigurationOnce(t *testing.T) {
-	mem := obs.NewMemorySink()
-	tn := benchTuner(t, updViewSeed, 0.35, Options{
-		MaxIterations: 60, ShrinkUnused: true, Parallelism: 1, Trace: obs.NewTracer(mem),
-	})
-	res, err := tn.Tune()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fps := map[string]bool{}
-	evals := 0
-	for _, ev := range mem.Events() {
-		if ev.Type == obs.EvEval {
-			evals++
-			fps[ev.Fields["fp"].(string)] = true
+// TestEachConfigurationIsEvaluatedOnce: the update+view golden session
+// revisits configurations often (ten duplicate skips), and seen has to catch
+// every one of them — no two eval events of the session may carry the same
+// fingerprint, at any parallelism. Its economy is the parent's at P = 1 and
+// P = 8.
+func TestEachConfigurationIsEvaluatedOnce(t *testing.T) {
+	updView := func(o Options) *Tuner { return benchTuner(t, updViewSeed, 0.35, o) }
+	want := seenEconomy{114, 874, 46, 10, 56, 47}
+	for _, parallelism := range []int{1, 8} {
+		label := fmt.Sprintf("update+view, P=%d", parallelism)
+		_, got := tuneEvaluatingEachOnce(t, label, updView, Options{MaxIterations: 60, Parallelism: parallelism})
+		if got != want {
+			t.Errorf("%s:\n got  %+v\n want %+v", label, got, want)
 		}
-	}
-	if evals == 0 {
-		t.Fatal("the session evaluated nothing")
-	}
-	if evals != len(fps) {
-		t.Errorf("%d iterations ended in %d eval events over %d distinct configurations: %d duplicate nodes",
-			res.Iterations, evals, len(fps), evals-len(fps))
 	}
 }

@@ -56,16 +56,6 @@ type Options struct {
 	// optimality-principle optimization).
 	FullReoptimize bool
 
-	// Variations of §3.5 (off by default, like the paper's main runs).
-
-	// MultiTransform applies up to this many non-conflicting minimal-
-	// penalty transformations per iteration (0 or 1 = single
-	// transformation). Converges faster but compounds estimation error.
-	MultiTransform int
-	// ShrinkUnused drops structures no query plan reads after each
-	// relaxation step, pruning the search space at some quality risk.
-	ShrinkUnused bool
-
 	// Parallelism is the worker count of the parallel evaluation engine:
 	// the §2 per-query derivation, per-query what-if optimization and
 	// §3.3.2 penalty estimation fan out across this many goroutines.

@@ -292,7 +292,10 @@ func parseMetricSelector(s string) (string, map[string]string, error) {
 	}
 	name := s[:open]
 	body := s[open+1 : len(s)-1]
-	sel := parseLabelPairs(body)
+	sel, err := parseLabelPairs(body)
+	if err != nil {
+		return "", nil, fmt.Errorf("bad metric selector %q: %w", s, err)
+	}
 	if len(sel) == 0 {
 		return "", nil, fmt.Errorf("bad metric selector %q", s)
 	}
@@ -437,14 +440,6 @@ func (e *AlertEngine) Close() error {
 
 // Enabled reports whether the engine exists.
 func (e *AlertEngine) Enabled() bool { return e != nil }
-
-// RuleCount returns the number of configured rules.
-func (e *AlertEngine) RuleCount() int {
-	if e == nil {
-		return 0
-	}
-	return len(e.rules)
-}
 
 // Rules returns the configured ruleset.
 func (e *AlertEngine) Rules() []AlertRule {

@@ -317,8 +317,8 @@ func TestDefaultAlertRulesCompile(t *testing.T) {
 		t.Fatalf("default ruleset has %d rules, want >= 7", len(rules))
 	}
 	_, _, eng := newAlertFixture(t, rules, AlertEngineOptions{})
-	if eng.RuleCount() != len(rules) {
-		t.Fatalf("engine kept %d of %d default rules", eng.RuleCount(), len(rules))
+	if n := len(eng.Rules()); n != len(rules) {
+		t.Fatalf("engine kept %d of %d default rules", n, len(rules))
 	}
 	// Inert over an empty history: evaluating must not fire anything
 	// except rules that are absent-kind (the defaults have none).
@@ -516,7 +516,7 @@ func TestAlertLogCorruptLineAndCompaction(t *testing.T) {
 func TestNilAlertEngineAndLog(t *testing.T) {
 	var e *AlertEngine
 	e.Evaluate(histT0)
-	if e.Enabled() || e.RuleCount() != 0 || e.Rules() != nil || e.Evaluations() != 0 || e.FiringBySeverity() != nil {
+	if e.Enabled() || e.Rules() != nil || e.Evaluations() != 0 || e.FiringBySeverity() != nil {
 		t.Error("nil engine should report zero values")
 	}
 	if st := e.Status(); len(st.Rules) != 0 || len(st.Transitions) != 0 {

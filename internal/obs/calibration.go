@@ -15,8 +15,9 @@ const CalibrationSchemaVersion = 2
 
 // CalibSample pairs one accepted relaxation step's §3.3.2 estimated ΔT
 // upper bound with the ΔT the evaluation then realized. Kind labels the
-// transformation that produced the step (merge-indexes, remove-view,
-// ...; "multi" when several transformations were applied at once).
+// one transformation that produced the step (merge-indexes, remove-view,
+// ...). "multi" labels only the replay's execution-grounded pairs of
+// configurations that are not lineage-adjacent, which span several steps.
 type CalibSample struct {
 	Kind       string  `json:"kind"`
 	EstDT      float64 `json:"est_dt"`

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 )
@@ -147,10 +146,14 @@ func (h *History) Sample(now time.Time) {
 				h.dropped++
 				return
 			}
+			// labels is the registry's own rendering; only a value
+			// that is not UTF-8 fails to parse, and then no selector
+			// names the series.
+			labelv, _ := parseLabelPairs(labels)
 			r = &seriesRing{
 				name:   name,
 				labels: labels,
-				labelv: parseLabelPairs(labels),
+				labelv: labelv,
 				t:      make([]int64, h.cap),
 				v:      make([]float64, h.cap),
 			}
@@ -186,54 +189,6 @@ func (r *seriesRing) last() (int64, float64, bool) {
 	}
 	t, v := r.at(r.n - 1)
 	return t, v, true
-}
-
-// parseLabelPairs splits a rendered pair list (`a="x",b="y"`) back into
-// a map — rings keep both forms so rule selectors match without
-// re-parsing on every evaluation. Escapes are rare in practice
-// (tenant/phase/rule names are identifier-like); values keep their
-// unescaped form best-effort.
-func parseLabelPairs(labels string) map[string]string {
-	if labels == "" {
-		return nil
-	}
-	out := map[string]string{}
-	for _, part := range splitLabelPairs(labels) {
-		eq := strings.IndexByte(part, '=')
-		if eq < 0 {
-			continue
-		}
-		k := part[:eq]
-		v := strings.TrimSuffix(strings.TrimPrefix(part[eq+1:], `"`), `"`)
-		v = strings.ReplaceAll(v, `\n`, "\n")
-		v = strings.ReplaceAll(v, `\\`, `\`)
-		out[k] = v
-	}
-	return out
-}
-
-// splitLabelPairs splits on commas outside quotes.
-func splitLabelPairs(s string) []string {
-	var out []string
-	depth := false // inside quotes
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			i++
-		case '"':
-			depth = !depth
-		case ',':
-			if !depth {
-				out = append(out, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
 }
 
 // HistoryPoint is one retained sample; it marshals as a compact

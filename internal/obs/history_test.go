@@ -136,7 +136,7 @@ func TestDisabledMonitorPathZeroAlloc(t *testing.T) {
 		h.Sample(histT0)
 		e.Evaluate(histT0)
 		_ = h.Rounds()
-		_ = e.RuleCount()
+		_ = e.Rules()
 		_ = e.FiringBySeverity()
 	})
 	if allocs != 0 {

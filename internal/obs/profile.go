@@ -184,17 +184,9 @@ func (p *Profiler) SetAllocObserver(fn func(phase string, bytes uint64)) {
 	p.mu.Unlock()
 }
 
-// Start begins timing one execution of phase and returns the closure
-// that records it. Safe on a nil profiler.
-func (p *Profiler) Start(phase string) func() {
-	if p == nil {
-		return profNop
-	}
-	t0 := time.Now()
-	return func() { p.observe(phase, time.Since(t0).Seconds(), 0) }
-}
-
-// StartAlloc is Start plus the heap-allocation delta across the phase.
+// StartAlloc begins timing one execution of phase and returns the
+// closure that records it with the heap-allocation delta across the
+// phase. Safe on a nil profiler.
 // Reading the runtime allocation counter costs ~100ns per boundary, so
 // reserve it for coarse phases.
 func (p *Profiler) StartAlloc(phase string) func() {

@@ -179,16 +179,6 @@ func (p *Progress) send(ch chan ProgressEvent, ev ProgressEvent) {
 	}
 }
 
-// Last returns the most recently published event, if any.
-func (p *Progress) Last() (ProgressEvent, bool) {
-	if p == nil {
-		return ProgressEvent{}, false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.last, p.hasLast
-}
-
 // Dropped is the total number of events discarded across all
 // subscribers because their buffers were full.
 func (p *Progress) Dropped() int64 {

@@ -16,9 +16,6 @@ func stepEvent(step int) Event {
 func TestProgressNilIsNoOp(t *testing.T) {
 	var p *Progress
 	// Every subscriber-side method must be callable on nil.
-	if _, ok := p.Last(); ok {
-		t.Fatal("nil Progress has a last event")
-	}
 	if p.Dropped() != 0 || p.Subscribers() != 0 {
 		t.Fatal("nil Progress has state")
 	}
@@ -51,8 +48,11 @@ func TestProgressStampsAndDelivers(t *testing.T) {
 	if ev2.Seq != 2 || ev2.Session != "s-000043" || ev2.Iteration != 1 {
 		t.Fatalf("second event not stamped: %+v", ev2)
 	}
-	if last, ok := p.Last(); !ok || last.Seq != 2 {
-		t.Fatalf("Last() = %+v, %v", last, ok)
+	// A late subscriber starts from the last event published.
+	late := p.Subscribe(1)
+	defer late.Close()
+	if last := <-late.C; last.Seq != 2 {
+		t.Fatalf("late subscriber starts at %+v, want seq 2", last)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // Registry is a minimal, dependency-free Prometheus metrics registry:
@@ -67,7 +68,7 @@ func (r *Registry) Render(w io.Writer) { r.RenderLabeled(w, "", "") }
 func (r *Registry) RenderLabeled(w io.Writer, label, value string) {
 	extra := ""
 	if label != "" {
-		extra = fmt.Sprintf("%s=%q", label, escapeLabel(value))
+		extra = labelPair(label, value)
 	}
 	for _, m := range r.snapshot() {
 		name, help, typ := m.meta()
@@ -101,7 +102,7 @@ func RenderMerged(w io.Writer, label string, regs []LabeledRegistry) {
 		if lr.Registry == nil {
 			continue
 		}
-		extra := fmt.Sprintf("%s=%q", label, escapeLabel(lr.Value))
+		extra := labelPair(label, lr.Value)
 		for _, m := range lr.Registry.snapshot() {
 			name, _, _ := m.meta()
 			if _, ok := families[name]; !ok {
@@ -220,7 +221,7 @@ func (m *family) sample(f sampleFunc) {
 	for _, k := range keys {
 		pairs := make([]string, len(m.labels))
 		for i, l := range m.labels {
-			pairs[i] = fmt.Sprintf("%s=%q", l, escapeLabel(k[i]))
+			pairs[i] = labelPair(l, k[i])
 		}
 		f(m.name, strings.Join(pairs, ","), vals[k])
 	}
@@ -371,10 +372,81 @@ func prefixLabel(extra string) string {
 	return extra + ","
 }
 
-func escapeLabel(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, "\n", `\n`)
-	return s
+// labelEscaper escapes a label value as the text format does: a
+// backslash, a double quote and a newline are the only escapes.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// labelPair renders name="value" with value escaped once, by
+// labelEscaper; parseLabelPairs is its exact inverse.
+func labelPair(name, value string) string {
+	return name + `="` + labelEscaper.Replace(value) + `"`
+}
+
+// parseLabelPairs parses a label list as the text format writes it
+// (`a="x",b="y"`, an optional trailing comma) into a map, undoing the
+// three escapes of labelPair in one pass. It fails on anything else: a
+// bad label name, a repeated one, an unquoted or unterminated value, an
+// unknown escape, a raw newline or a value that is not UTF-8. History
+// keeps both forms of a series' labels, so rule selectors, which are
+// written in the same escaping, match without re-parsing every round.
+func parseLabelPairs(s string) (map[string]string, error) {
+	if s == "" {
+		return nil, nil
+	}
+	out := map[string]string{}
+	for s != "" {
+		name, rest, ok := strings.Cut(s, "=")
+		if !ok || !validLabelName(name) {
+			return nil, fmt.Errorf("bad label name in %q", s)
+		}
+		if _, dup := out[name]; dup {
+			return nil, fmt.Errorf("label %q repeated", name)
+		}
+		if !strings.HasPrefix(rest, `"`) {
+			return nil, fmt.Errorf("label %q has an unquoted value", name)
+		}
+		var v strings.Builder
+		i := 1
+		for ; i < len(rest) && rest[i] != '"'; i++ {
+			c := rest[i]
+			if c == '\n' {
+				return nil, fmt.Errorf("label %q has a raw newline", name)
+			}
+			if c == '\\' {
+				if i++; i == len(rest) {
+					break
+				}
+				switch c = rest[i]; c {
+				case '\\', '"':
+				case 'n':
+					c = '\n'
+				default:
+					return nil, fmt.Errorf("label %q has the unknown escape \\%c", name, c)
+				}
+			}
+			v.WriteByte(c)
+		}
+		if i >= len(rest) {
+			return nil, fmt.Errorf("label %q has an unterminated value", name)
+		}
+		if !utf8.ValidString(v.String()) {
+			return nil, fmt.Errorf("label %q has a value that is not UTF-8", name)
+		}
+		out[name] = v.String()
+		s = rest[i+1:]
+		if s != "" {
+			if s[0] != ',' {
+				return nil, fmt.Errorf("label %q is not followed by a comma", name)
+			}
+			s = s[1:]
+		}
+	}
+	return out, nil
+}
+
+// validLabelName reports whether name matches [a-zA-Z_][a-zA-Z0-9_]*.
+func validLabelName(name string) bool {
+	return validMetricName(name) && !strings.ContainsRune(name, ':')
 }
 
 // ExpBuckets returns count exponentially growing histogram bounds
@@ -475,7 +547,7 @@ func (h *histFamily) labels(k string) string {
 	if h.label == "" {
 		return ""
 	}
-	return fmt.Sprintf("%s=%q", h.label, escapeLabel(k))
+	return labelPair(h.label, k)
 }
 
 func (h *histFamily) meta() (string, string, string) { return h.name, h.help, "histogram" }

@@ -10,8 +10,9 @@ import (
 // LintExposition statically checks a Prometheus text exposition
 // (version 0.0.4) for the structural mistakes a hand-rolled registry can
 // make: samples without a declared family, duplicate or conflicting
-// HELP/TYPE headers, invalid metric names or types, duplicate series,
-// and counter samples with negative values. It returns one message per
+// HELP/TYPE headers, invalid metric names or types, malformed label
+// lists (names, quoting, escapes, UTF-8), duplicate series, and counter
+// samples with negative values. It returns one message per
 // problem; an empty slice means the exposition is clean.
 //
 // The checks mirror what promtool's `check metrics` would reject, so CI
@@ -70,6 +71,9 @@ func LintExposition(r io.Reader) []string {
 			if err != nil {
 				problems = append(problems, fmt.Sprintf("line %d: %v", lineNo, err))
 				continue
+			}
+			if _, err := parseLabelPairs(labels); err != nil {
+				problems = append(problems, fmt.Sprintf("line %d: %v", lineNo, err))
 			}
 			fam, typ := sampleFamily(name, families)
 			if fam == "" {

@@ -3,6 +3,7 @@ package obs
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // lintTestRegistry builds a registry exercising every metric type.
@@ -131,5 +132,49 @@ func TestLintAllowsHistogramComponents(t *testing.T) {
 		"demo_seconds_sum 0.3\ndemo_seconds_count 2\n"
 	if probs := LintExposition(strings.NewReader(exp)); len(probs) != 0 {
 		t.Fatalf("histogram components flagged: %v", probs)
+	}
+}
+
+// labelTestValues are label values the text format has to escape: a
+// backslash, a double quote, a newline, and a backslash before an n.
+var labelTestValues = []string{`a\b`, `a"b`, "a\nb", `a\nb`}
+
+// TestLabelValuesEscapeOnce: a label value is escaped once, as the text
+// format escapes it, and History unescapes it once, so a selector
+// written in the same escaping finds the series.
+func TestLabelValuesEscapeOnce(t *testing.T) {
+	reg := NewRegistry()
+	g := reg.NewGaugeVec2("demo_firing", "Per-rule firing state.", "rule", "severity")
+	for i, v := range labelTestValues {
+		g.Set(v, "critical", float64(i))
+	}
+	var b strings.Builder
+	reg.Render(&b)
+	for _, want := range []string{
+		`demo_firing{rule="a\\b",severity="critical"} 0`,
+		`demo_firing{rule="a\"b",severity="critical"} 1`,
+		`demo_firing{rule="a\nb",severity="critical"} 2`,
+		`demo_firing{rule="a\\nb",severity="critical"} 3`,
+	} {
+		if !strings.Contains(b.String(), want+"\n") {
+			t.Errorf("exposition lacks %s:\n%s", want, b.String())
+		}
+	}
+	if probs := LintExposition(strings.NewReader(b.String())); len(probs) != 0 {
+		t.Fatalf("exposition flagged: %v\n%s", probs, b.String())
+	}
+
+	hist := NewHistory(reg, HistoryOptions{Window: time.Minute, Interval: time.Second})
+	hist.Sample(histT0)
+	for _, sel := range []string{`rule="a\\b"`, `rule="a\"b"`, `rule="a\nb"`, `rule="a\\nb"`} {
+		name, want, err := parseMetricSelector("demo_firing{" + sel + "}")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		hist.lockedView(name, want, func(r *seriesRing) { got = append(got, r.labels) })
+		if len(got) != 1 {
+			t.Errorf("selector {%s} matched %d series, want 1: %q", sel, len(got), got)
+		}
 	}
 }

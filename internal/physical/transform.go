@@ -114,9 +114,10 @@ func (t *Transformation) String() string {
 	}
 }
 
-// RemovedIndexIDs returns the IDs of indexes the transformation removes
-// from its source configuration (directly or by view-removal cascade,
-// given that cascade is resolved at Apply time).
+// RemovedIndexIDs returns the IDs of the indexes the transformation takes
+// as inputs (I1, I2). It leaves out the indexes of a removed or merged
+// view: Apply drops those in the §3.1.2 cascade, and RemovedViewNames
+// names their views.
 func (t *Transformation) RemovedIndexIDs() []string {
 	var out []string
 	if t.I1 != nil {

@@ -195,7 +195,7 @@ func TestMonitorDisabledSurface(t *testing.T) {
 		svc.History().Sample(monT0)
 		svc.History().Rounds()
 		svc.Alerts().Evaluate(monT0)
-		svc.Alerts().RuleCount()
+		svc.Alerts().Rules()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled monitor path allocates: %v allocs/op", allocs)
