@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // AggFunc identifies an aggregate function in a select list.
@@ -102,9 +101,16 @@ type ColRef struct {
 
 func (c ColRef) String() string {
 	if c.Table == "" {
-		return c.Column
+		return c.Column // what appendTo writes, without the copy
 	}
-	return c.Table + "." + c.Column
+	return exprString(c)
+}
+
+func (c ColRef) appendTo(dst []byte) []byte {
+	if c.Table != "" {
+		dst = append(append(dst, c.Table...), '.')
+	}
+	return append(dst, c.Column...)
 }
 
 // Columns implements Expr.
@@ -146,11 +152,22 @@ func Number(v float64) Const { return Const{Kind: ConstNumber, Num: v} }
 // Str returns a string constant expression.
 func Str(s string) Const { return Const{Kind: ConstString, Str: s} }
 
-func (c Const) String() string {
-	if c.Kind == ConstString {
-		return "'" + strings.ReplaceAll(c.Str, "'", "''") + "'"
+func (c Const) String() string { return exprString(c) }
+
+// appendTo writes a number in the shortest form that reads back exactly,
+// and a string quoted, with each quote doubled.
+func (c Const) appendTo(dst []byte) []byte {
+	if c.Kind != ConstString {
+		return strconv.AppendFloat(dst, c.Num, 'g', -1, 64)
 	}
-	return strconv.FormatFloat(c.Num, 'g', -1, 64)
+	dst = append(dst, '\'')
+	for i := 0; i < len(c.Str); i++ {
+		if c.Str[i] == '\'' {
+			dst = append(dst, '\'')
+		}
+		dst = append(dst, c.Str[i])
+	}
+	return append(dst, '\'')
 }
 
 // Columns implements Expr.
@@ -168,9 +185,7 @@ type BinExpr struct {
 	L, R Expr
 }
 
-func (b *BinExpr) String() string {
-	return fmt.Sprintf("%s %s %s", parenthesize(b.L), b.Op, parenthesize(b.R))
-}
+func (b *BinExpr) String() string { return exprString(b) }
 
 // Columns implements Expr.
 func (b *BinExpr) Columns(dst []ColRef) []ColRef {
@@ -189,9 +204,7 @@ type CmpExpr struct {
 	L, R Expr
 }
 
-func (c *CmpExpr) String() string {
-	return fmt.Sprintf("%s %s %s", parenthesize(c.L), c.Op, parenthesize(c.R))
-}
+func (c *CmpExpr) String() string { return exprString(c) }
 
 // Columns implements Expr.
 func (c *CmpExpr) Columns(dst []ColRef) []ColRef {
@@ -211,12 +224,14 @@ type LikeExpr struct {
 	Negated bool
 }
 
-func (l *LikeExpr) String() string {
-	not := ""
+func (l *LikeExpr) String() string { return exprString(l) }
+
+func (l *LikeExpr) appendTo(dst []byte) []byte {
+	dst = append(l.Col.appendTo(dst), ' ')
 	if l.Negated {
-		not = "NOT "
+		dst = append(dst, "NOT "...)
 	}
-	return fmt.Sprintf("%s %sLIKE %s", l.Col, not, Str(l.Pattern))
+	return Str(l.Pattern).appendTo(append(dst, "LIKE "...))
 }
 
 // Columns implements Expr.
@@ -234,12 +249,17 @@ type InExpr struct {
 	Values []Const
 }
 
-func (in *InExpr) String() string {
-	parts := make([]string, len(in.Values))
+func (in *InExpr) String() string { return exprString(in) }
+
+func (in *InExpr) appendTo(dst []byte) []byte {
+	dst = append(in.Col.appendTo(dst), " IN ("...)
 	for i, v := range in.Values {
-		parts[i] = v.String()
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = v.appendTo(dst)
 	}
-	return fmt.Sprintf("%s IN (%s)", in.Col, strings.Join(parts, ", "))
+	return append(dst, ')')
 }
 
 // Columns implements Expr.
@@ -265,12 +285,7 @@ type BoolExpr struct {
 	L, R Expr
 }
 
-func (b *BoolExpr) String() string {
-	if b.Op == "NOT" {
-		return "NOT " + parenthesize(b.L)
-	}
-	return fmt.Sprintf("%s %s %s", parenthesize(b.L), b.Op, parenthesize(b.R))
-}
+func (b *BoolExpr) String() string { return exprString(b) }
 
 // Columns implements Expr.
 func (b *BoolExpr) Columns(dst []ColRef) []ColRef {
@@ -296,60 +311,100 @@ func (b *BoolExpr) EqualExpr(other Expr) bool {
 	return o.R != nil && b.R.EqualExpr(o.R)
 }
 
-func parenthesize(e Expr) string {
-	switch e.(type) {
-	case *BoolExpr, *CmpExpr, *BinExpr:
-		return "(" + e.String() + ")"
-	default:
-		return e.String()
-	}
+// exprString renders e through appendExpr; an expression of up to 128
+// bytes costs one allocation, the string.
+func exprString(e Expr) string {
+	var buf [128]byte
+	return string(appendExpr(buf[:0], e, false))
 }
 
-// predicateSQL renders a statement's WHERE condition as String does, but
-// with every comparison's left operand written so that it does not open
-// with "(": the parser reads a condition that opens with "(" as a
-// parenthesized condition, so (a + b) > 3, as String writes it, does not
-// parse back. Expression signatures and view definitions keep String.
-func predicateSQL(e Expr) string {
+// compound reports whether e is a binary, comparison or boolean node, the
+// nodes written in parentheses as an operand.
+func compound(e Expr) bool {
+	switch e.(type) {
+	case *BoolExpr, *CmpExpr, *BinExpr:
+		return true
+	}
+	return false
+}
+
+// appendExpr appends e as String writes it, in parentheses when paren is
+// set and e is compound: a compound node is its operands around its
+// operator, each compound operand in parentheses. The renderers recurse
+// only into themselves, so a caller's stack buffer stays on its stack.
+func appendExpr(dst []byte, e Expr, paren bool) []byte {
+	if paren && compound(e) {
+		return append(appendExpr(append(dst, '('), e, false), ')')
+	}
 	switch x := e.(type) {
+	case ColRef:
+		return x.appendTo(dst)
+	case Const:
+		return x.appendTo(dst)
+	case *LikeExpr:
+		return x.appendTo(dst)
+	case *InExpr:
+		return x.appendTo(dst)
+	case *BinExpr:
+		return appendExpr(appendOp(appendExpr(dst, x.L, true), x.Op), x.R, true)
 	case *CmpExpr:
-		return fmt.Sprintf("%s %s %s", leadingOperand(x.L), x.Op, parenthesize(x.R))
+		return appendExpr(appendOp(appendExpr(dst, x.L, true), x.Op.String()), x.R, true)
 	case *BoolExpr:
 		if x.Op == "NOT" {
-			return "NOT " + parenthesizePredicate(x.L)
+			return appendExpr(append(dst, "NOT "...), x.L, true)
 		}
-		return fmt.Sprintf("%s %s %s", parenthesizePredicate(x.L), x.Op, parenthesizePredicate(x.R))
+		return appendExpr(appendOp(appendExpr(dst, x.L, true), x.Op), x.R, true)
 	default:
-		return e.String()
+		return append(dst, e.String()...)
 	}
 }
 
-func parenthesizePredicate(e Expr) string {
-	switch e.(type) {
-	case *BoolExpr, *CmpExpr, *BinExpr:
-		return "(" + predicateSQL(e) + ")"
+// appendOp appends op with a space on each side.
+func appendOp(dst []byte, op string) []byte {
+	return append(append(append(dst, ' '), op...), ' ')
+}
+
+// appendPredicate appends a statement's WHERE condition as appendExpr
+// does, but with every comparison's left operand written so that it does
+// not open with "(": the parser reads a condition that opens with "(" as
+// a parenthesized condition, so (a + b) > 3, as String writes it, does
+// not parse back. Expression signatures and view definitions keep String.
+func appendPredicate(dst []byte, e Expr, paren bool) []byte {
+	if paren && compound(e) {
+		return append(appendPredicate(append(dst, '('), e, false), ')')
+	}
+	switch x := e.(type) {
+	case *CmpExpr:
+		return appendExpr(appendOp(appendLeadingOperand(dst, x.L), x.Op.String()), x.R, true)
+	case *BoolExpr:
+		if x.Op == "NOT" {
+			return appendPredicate(append(dst, "NOT "...), x.L, true)
+		}
+		return appendPredicate(appendOp(appendPredicate(dst, x.L, true), x.Op), x.R, true)
 	default:
-		return e.String()
+		return appendExpr(dst, e, false)
 	}
 }
 
-// leadingOperand renders a comparison's left operand for predicateSQL:
-// along the left spine a child of the same or higher precedence goes
-// without parentheses, which the left-associative grammar reads back as
-// the same tree, and 0 − x, which is what the parser makes of −x, renders
-// as −x.
-func leadingOperand(e Expr) string {
+// appendLeadingOperand appends a comparison's left operand for
+// appendPredicate: along the left spine a child of the same or higher
+// precedence goes without parentheses, which the left-associative grammar
+// reads back as the same tree, and 0 − x, which is what the parser makes
+// of −x, renders as −x.
+func appendLeadingOperand(dst []byte, e Expr) []byte {
 	b, ok := e.(*BinExpr)
 	switch {
 	case !ok:
-		return e.String()
+		return appendExpr(dst, e, false)
 	case isNegation(b):
-		return "-" + parenthesize(b.R)
+		return appendExpr(append(dst, '-'), b.R, true)
 	}
 	if l, ok := b.L.(*BinExpr); ok && isAdditive(l) && !isAdditive(b) {
-		return parenthesize(l) + " " + b.Op + " " + parenthesize(b.R)
+		dst = appendExpr(dst, l, true)
+	} else {
+		dst = appendLeadingOperand(dst, b.L)
 	}
-	return leadingOperand(b.L) + " " + b.Op + " " + parenthesize(b.R)
+	return appendExpr(appendOp(dst, b.Op), b.R, true)
 }
 
 // isNegation reports whether b is 0 − x for an x the parser does not fold
@@ -373,21 +428,24 @@ type SelectItem struct {
 	Alias string
 }
 
-func (s SelectItem) String() string {
-	var core string
+func (s SelectItem) String() string { return string(s.appendTo(nil)) }
+
+func (s SelectItem) appendTo(dst []byte) []byte {
 	if s.Agg != AggNone {
-		arg := "*"
+		dst = append(append(dst, s.Agg.String()...), '(')
 		if s.Expr != nil {
-			arg = s.Expr.String()
+			dst = appendExpr(dst, s.Expr, false)
+		} else {
+			dst = append(dst, '*')
 		}
-		core = fmt.Sprintf("%s(%s)", s.Agg, arg)
+		dst = append(dst, ')')
 	} else {
-		core = s.Expr.String()
+		dst = appendExpr(dst, s.Expr, false)
 	}
 	if s.Alias != "" {
-		core += " AS " + s.Alias
+		dst = append(append(dst, " AS "...), s.Alias...)
 	}
-	return core
+	return dst
 }
 
 // TableRef is a table in a FROM clause with an optional alias.
@@ -405,10 +463,19 @@ func (t TableRef) Binding() string {
 }
 
 func (t TableRef) String() string {
-	if t.Alias != "" && t.Alias != t.Name {
-		return t.Name + " " + t.Alias
+	if t.Alias == "" || t.Alias == t.Name {
+		return t.Name // what appendTo writes, without the copy
 	}
-	return t.Name
+	return string(t.appendTo(nil))
+}
+
+// appendTo writes the name, then the alias when it differs from the name.
+func (t TableRef) appendTo(dst []byte) []byte {
+	dst = append(dst, t.Name...)
+	if t.Alias != "" && t.Alias != t.Name {
+		dst = append(append(dst, ' '), t.Alias...)
+	}
+	return dst
 }
 
 // OrderItem is one entry of an ORDER BY clause.
@@ -417,11 +484,14 @@ type OrderItem struct {
 	Desc bool
 }
 
-func (o OrderItem) String() string {
+func (o OrderItem) String() string { return string(o.appendTo(nil)) }
+
+func (o OrderItem) appendTo(dst []byte) []byte {
+	dst = o.Col.appendTo(dst)
 	if o.Desc {
-		return o.Col.String() + " DESC"
+		dst = append(dst, " DESC"...)
 	}
-	return o.Col.String()
+	return dst
 }
 
 // StmtKind distinguishes statement types.
@@ -456,47 +526,61 @@ func (s *SelectStmt) Kind() StmtKind { return StmtSelect }
 
 // SQL implements Statement.
 func (s *SelectStmt) SQL() string {
-	var sb strings.Builder
-	sb.WriteString("SELECT ")
-	if s.Top > 0 {
-		fmt.Fprintf(&sb, "TOP(%d) ", s.Top)
-	}
+	var buf [stmtBuf]byte
+	dst := appendTop(append(buf[:0], "SELECT "...), s.Top)
 	for i, it := range s.Items {
 		if i > 0 {
-			sb.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		sb.WriteString(it.String())
+		dst = it.appendTo(dst)
 	}
-	sb.WriteString(" FROM ")
+	dst = append(dst, " FROM "...)
 	for i, t := range s.From {
 		if i > 0 {
-			sb.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		sb.WriteString(t.String())
+		dst = t.appendTo(dst)
 	}
-	if s.Where != nil {
-		sb.WriteString(" WHERE ")
-		sb.WriteString(predicateSQL(s.Where))
-	}
+	dst = appendWhere(dst, s.Where)
 	if len(s.GroupBy) > 0 {
-		sb.WriteString(" GROUP BY ")
+		dst = append(dst, " GROUP BY "...)
 		for i, c := range s.GroupBy {
 			if i > 0 {
-				sb.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			sb.WriteString(c.String())
+			dst = c.appendTo(dst)
 		}
 	}
 	if len(s.OrderBy) > 0 {
-		sb.WriteString(" ORDER BY ")
+		dst = append(dst, " ORDER BY "...)
 		for i, o := range s.OrderBy {
 			if i > 0 {
-				sb.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			sb.WriteString(o.String())
+			dst = o.appendTo(dst)
 		}
 	}
-	return sb.String()
+	return string(dst)
+}
+
+// stmtBuf is the size of the stack buffer a statement renders into: one
+// of up to this many bytes costs one allocation, its string.
+const stmtBuf = 512
+
+// appendTop appends "TOP(n) " when n is positive.
+func appendTop(dst []byte, n int) []byte {
+	if n <= 0 {
+		return dst
+	}
+	return append(strconv.AppendInt(append(dst, "TOP("...), int64(n), 10), ") "...)
+}
+
+// appendWhere appends " WHERE " and the condition when there is one.
+func appendWhere(dst []byte, where Expr) []byte {
+	if where == nil {
+		return dst
+	}
+	return appendPredicate(append(dst, " WHERE "...), where, false)
 }
 
 // SetClause is one assignment in an UPDATE statement.
@@ -518,26 +602,17 @@ func (u *UpdateStmt) Kind() StmtKind { return StmtUpdate }
 
 // SQL implements Statement.
 func (u *UpdateStmt) SQL() string {
-	var sb strings.Builder
-	sb.WriteString("UPDATE ")
-	if u.Top > 0 {
-		fmt.Fprintf(&sb, "TOP(%d) ", u.Top)
-	}
-	sb.WriteString(u.Table.String())
-	sb.WriteString(" SET ")
+	var buf [stmtBuf]byte
+	dst := u.Table.appendTo(appendTop(append(buf[:0], "UPDATE "...), u.Top))
+	dst = append(dst, " SET "...)
 	for i, set := range u.Sets {
 		if i > 0 {
-			sb.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		sb.WriteString(set.Column)
-		sb.WriteString(" = ")
-		sb.WriteString(set.Value.String())
+		dst = append(append(dst, set.Column...), " = "...)
+		dst = appendExpr(dst, set.Value, false)
 	}
-	if u.Where != nil {
-		sb.WriteString(" WHERE ")
-		sb.WriteString(predicateSQL(u.Where))
-	}
-	return sb.String()
+	return string(appendWhere(dst, u.Where))
 }
 
 // InsertStmt is INSERT INTO table VALUES (...), possibly multi-row.
@@ -551,7 +626,10 @@ func (i *InsertStmt) Kind() StmtKind { return StmtInsert }
 
 // SQL implements Statement.
 func (i *InsertStmt) SQL() string {
-	return fmt.Sprintf("INSERT INTO %s VALUES <%d rows>", i.Table, i.Rows)
+	var buf [stmtBuf]byte
+	dst := i.Table.appendTo(append(buf[:0], "INSERT INTO "...))
+	dst = strconv.AppendInt(append(dst, " VALUES <"...), int64(i.Rows), 10)
+	return string(append(dst, " rows>"...))
 }
 
 // DeleteStmt is DELETE FROM table WHERE pred.
@@ -565,11 +643,9 @@ func (d *DeleteStmt) Kind() StmtKind { return StmtDelete }
 
 // SQL implements Statement.
 func (d *DeleteStmt) SQL() string {
-	s := "DELETE FROM " + d.Table.String()
-	if d.Where != nil {
-		s += " WHERE " + predicateSQL(d.Where)
-	}
-	return s
+	var buf [stmtBuf]byte
+	dst := d.Table.appendTo(append(buf[:0], "DELETE FROM "...))
+	return string(appendWhere(dst, d.Where))
 }
 
 // Conjuncts splits a predicate tree into its top-level AND conjuncts.

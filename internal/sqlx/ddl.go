@@ -107,6 +107,10 @@ func (p *Parser) parseCreate() (Statement, error) {
 		if err := p.expectKeywordErr("AS"); err != nil {
 			return nil, err
 		}
+		// parseSelect assumes its SELECT, as parseStatement checks it.
+		if !p.peekKeyword("SELECT") {
+			return nil, fmt.Errorf("sqlx: expected SELECT, got %s", p.peek())
+		}
 		sel, err := p.parseSelect()
 		if err != nil {
 			return nil, err

@@ -68,6 +68,8 @@ func TestParseCreateErrors(t *testing.T) {
 		"CREATE INDEX i ON t ()",
 		"CREATE CLUSTERED VIEW v AS SELECT a FROM t",
 		"CREATE VIEW v SELECT a FROM t",
+		"CREATE VIEW v AS",
+		"CREATE VIEW v AS UPDATE t SET a = 1",
 	} {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) should fail", src)

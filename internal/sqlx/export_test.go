@@ -1,0 +1,14 @@
+package sqlx
+
+// The reference lexer and renderer (reference_test.go) and parseTokens,
+// for the external test package, whose seeds come from packages that
+// import sqlx.
+var (
+	RefTokenize   = refTokenize
+	RefSQL        = refSQL
+	RefString     = refString
+	RefSelectItem = refSelectItem
+	RefTableRef   = refTableRef
+	RefOrderItem  = refOrderItem
+	ParseTokens   = parseTokens
+)

@@ -18,6 +18,12 @@ func Parse(src string) (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseTokens(toks)
+}
+
+// parseTokens parses a single statement from toks, as Parse does from the
+// tokens of its text.
+func parseTokens(toks []Token) (Statement, error) {
 	p := &Parser{toks: toks}
 	stmt, err := p.parseStatement()
 	if err != nil {
@@ -161,10 +167,8 @@ func (p *Parser) parseSelect() (*SelectStmt, error) {
 }
 
 func (p *Parser) parseSelectItem() (SelectItem, error) {
-	for agg, name := range map[AggFunc]string{
-		AggSum: "SUM", AggCount: "COUNT", AggAvg: "AVG", AggMin: "MIN", AggMax: "MAX",
-	} {
-		if p.peekKeyword(name) {
+	for agg := AggSum; agg <= AggMax; agg++ {
+		if name := agg.String(); p.peekKeyword(name) {
 			p.next()
 			if err := p.expectSymbolErr("("); err != nil {
 				return SelectItem{}, err
@@ -483,14 +487,13 @@ func (p *Parser) parseCmpOp() (CmpOp, bool) {
 	if t.Kind != TokSymbol {
 		return 0, false
 	}
-	ops := map[string]CmpOp{
-		"=": CmpEQ, "<>": CmpNE, "<": CmpLT, "<=": CmpLE, ">": CmpGT, ">=": CmpGE,
+	for op := CmpEQ; op <= CmpGE; op++ {
+		if t.Text == op.String() {
+			p.next()
+			return op, true
+		}
 	}
-	op, ok := ops[t.Text]
-	if ok {
-		p.next()
-	}
-	return op, ok
+	return 0, false
 }
 
 // parseArith parses additive expressions over multiplicative terms.

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokenKind identifies the lexical class of a token.
@@ -45,18 +46,50 @@ func (t Token) String() string {
 	}
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"ORDER": true, "ASC": true, "DESC": true, "AND": true, "OR": true,
-	"NOT": true, "AS": true, "UPDATE": true, "SET": true, "INSERT": true,
-	"INTO": true, "VALUES": true, "DELETE": true, "BETWEEN": true, "IN": true,
-	"SUM": true, "COUNT": true, "AVG": true, "MIN": true, "MAX": true,
-	"TOP": true, "LIKE": true,
-	"CREATE": true, "CLUSTERED": true, "INDEX": true, "ON": true,
-	"INCLUDE": true, "VIEW": true,
+// keywordsByLen lists the keywords, upper-cased, by length: the lexer
+// compares a word only with the keywords as long as it, and returns the
+// listed text, so a keyword token allocates nothing.
+var keywordsByLen [maxKeywordLen + 1][]string
+
+// maxKeywordLen is the length of the longest keyword, CLUSTERED.
+const maxKeywordLen = 9
+
+func init() {
+	for _, kw := range []string{
+		"SELECT", "FROM", "WHERE", "GROUP", "BY", "ORDER", "ASC", "DESC",
+		"AND", "OR", "NOT", "AS", "UPDATE", "SET", "INSERT", "INTO", "VALUES",
+		"DELETE", "BETWEEN", "IN", "SUM", "COUNT", "AVG", "MIN", "MAX", "TOP",
+		"LIKE", "CREATE", "CLUSTERED", "INDEX", "ON", "INCLUDE", "VIEW",
+	} {
+		keywordsByLen[len(kw)] = append(keywordsByLen[len(kw)], kw)
+	}
 }
 
-// Lexer splits an input string into tokens.
+// keyword returns the canonical text of the keyword text spells, matching
+// ASCII letters case-insensitively and nothing else.
+func keyword(text string) (string, bool) {
+	if len(text) > maxKeywordLen {
+		return "", false
+	}
+next:
+	for _, kw := range keywordsByLen[len(text)] {
+		for i := 0; i < len(text); i++ {
+			c := text[i]
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			if c != kw[i] {
+				continue next
+			}
+		}
+		return kw, true
+	}
+	return "", false
+}
+
+// Lexer splits an input string into tokens. It reads the input as UTF-8:
+// identifiers are Unicode letters, digits and '_', and any Unicode space
+// separates tokens. ASCII takes a byte-wise path.
 type Lexer struct {
 	src string
 	pos int
@@ -75,15 +108,8 @@ func (l *Lexer) Next() (Token, error) {
 	start := l.pos
 	c := l.src[l.pos]
 	switch {
-	case isIdentStart(rune(c)):
-		for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-			l.pos++
-		}
-		text := l.src[start:l.pos]
-		if keywords[strings.ToUpper(text)] {
-			return Token{Kind: TokKeyword, Text: strings.ToUpper(text), Pos: start}, nil
-		}
-		return Token{Kind: TokIdent, Text: text, Pos: start}, nil
+	case isASCIILetter(c) || c == '_' || c >= utf8.RuneSelf && unicode.IsLetter(l.runeAt()):
+		return l.identifier(), nil
 	case c >= '0' && c <= '9':
 		seenDot := false
 		for l.pos < len(l.src) {
@@ -113,75 +139,120 @@ func (l *Lexer) Next() (Token, error) {
 		}
 		return Token{Kind: TokNumber, Text: l.src[start:l.pos], Pos: start}, nil
 	case c == '\'':
-		l.pos++
-		var sb strings.Builder
-		for {
-			if l.pos >= len(l.src) {
-				return Token{}, fmt.Errorf("sqlx: unterminated string literal at offset %d", start)
+		return l.stringLiteral()
+	}
+	// Two-character operators first; != is spelled <>.
+	if l.pos+1 < len(l.src) {
+		switch op := l.src[l.pos : l.pos+2]; op {
+		case "<=", ">=", "<>", "!=":
+			l.pos += 2
+			if op == "!=" {
+				op = "<>"
 			}
-			ch := l.src[l.pos]
-			if ch == '\'' {
-				// '' escapes a single quote inside a string literal.
-				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-					sb.WriteByte('\'')
-					l.pos += 2
-					continue
-				}
-				l.pos++
+			return Token{Kind: TokSymbol, Text: op, Pos: start}, nil
+		}
+	}
+	switch c {
+	case '(', ')', ',', '.', '*', '=', '<', '>', '+', '-', '/', ';', '%':
+		l.pos++
+		return Token{Kind: TokSymbol, Text: l.src[start:l.pos], Pos: start}, nil
+	}
+	return Token{}, fmt.Errorf("sqlx: unexpected character %q at offset %d", l.runeAt(), l.pos)
+}
+
+// runeAt returns the rune at l.pos, utf8.RuneError for an invalid byte.
+func (l *Lexer) runeAt() rune {
+	r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
+	return r
+}
+
+// identifier scans an identifier or keyword starting at l.pos, which holds
+// a letter or '_'. keyword folds ASCII letters only, so a word with any
+// other letter, such as ſelect, is never a keyword.
+func (l *Lexer) identifier() Token {
+	start := l.pos
+	for l.pos < len(l.src) {
+		if c := l.src[l.pos]; c < utf8.RuneSelf {
+			if !isASCIILetter(c) && !('0' <= c && c <= '9') && c != '_' {
 				break
 			}
-			sb.WriteByte(ch)
 			l.pos++
+			continue
 		}
-		return Token{Kind: TokString, Text: sb.String(), Pos: start}, nil
-	default:
-		// Multi-character operators first.
-		for _, op := range []string{"<=", ">=", "<>", "!="} {
-			if strings.HasPrefix(l.src[l.pos:], op) {
-				l.pos += len(op)
-				if op == "!=" {
-					op = "<>"
-				}
-				return Token{Kind: TokSymbol, Text: op, Pos: start}, nil
-			}
+		r, w := utf8.DecodeRuneInString(l.src[l.pos:])
+		if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+			break
 		}
-		if strings.ContainsRune("(),.*=<>+-/;%", rune(c)) {
-			l.pos++
-			return Token{Kind: TokSymbol, Text: string(c), Pos: start}, nil
+		l.pos += w
+	}
+	text := l.src[start:l.pos]
+	if kw, ok := keyword(text); ok {
+		return Token{Kind: TokKeyword, Text: kw, Pos: start}
+	}
+	return Token{Kind: TokIdent, Text: text, Pos: start}
+}
+
+// stringLiteral scans a quoted literal starting at l.pos. A doubled
+// quote escapes a quote; a literal without one is a substring of the
+// input.
+func (l *Lexer) stringLiteral() (Token, error) {
+	start := l.pos
+	escaped := false
+	for i := start + 1; ; {
+		q := strings.IndexByte(l.src[i:], '\'')
+		if q < 0 {
+			return Token{}, fmt.Errorf("sqlx: unterminated string literal at offset %d", start)
 		}
-		return Token{}, fmt.Errorf("sqlx: unexpected character %q at offset %d", c, l.pos)
+		i += q
+		if i+1 < len(l.src) && l.src[i+1] == '\'' {
+			escaped = true
+			i += 2
+			continue
+		}
+		l.pos = i + 1
+		text := l.src[start+1 : i]
+		if escaped {
+			text = strings.ReplaceAll(text, "''", "'")
+		}
+		return Token{Kind: TokString, Text: text, Pos: start}, nil
 	}
 }
 
 func (l *Lexer) skipSpace() {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
-		if c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '-' {
+		switch {
+		case c == ' ' || '\t' <= c && c <= '\r':
+			l.pos++
+		case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '-':
 			// line comment
 			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
 				l.pos++
 			}
-			continue
+		case c >= utf8.RuneSelf:
+			r, w := utf8.DecodeRuneInString(l.src[l.pos:])
+			if !unicode.IsSpace(r) {
+				return
+			}
+			l.pos += w
+		default:
+			return
 		}
-		if !unicode.IsSpace(rune(c)) {
-			break
-		}
-		l.pos++
 	}
 }
 
-func isIdentStart(c rune) bool {
-	return c == '_' || unicode.IsLetter(c)
-}
-
-func isIdentPart(c rune) bool {
-	return c == '_' || unicode.IsLetter(c) || unicode.IsDigit(c)
+func isASCIILetter(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
 }
 
 // Tokenize returns all tokens in src, excluding the trailing EOF token.
 func Tokenize(src string) ([]Token, error) {
 	lx := NewLexer(src)
-	var out []Token
+	// Workload statements run five to seven bytes per token, so a fourth
+	// of the length holds their tokens without regrowing. The cap keeps a
+	// long text of few tokens, such as one big literal, from reserving
+	// room for tokens it does not have.
+	out := make([]Token, 0, min(len(src)/4+1, 1024))
 	for {
 		t, err := lx.Next()
 		if err != nil {

@@ -77,3 +77,38 @@ func TestTokenizeUnderscoreIdents(t *testing.T) {
 		}
 	}
 }
+
+// The lexer reads UTF-8: a non-ASCII letter is part of an identifier, a
+// non-ASCII space separates tokens, keywords match ASCII letters only, and
+// a lexical error names the rune at its byte offset.
+func TestLexUTF8(t *testing.T) {
+	for _, tc := range []struct {
+		src, sql, err string
+	}{
+		{src: "SELECT à FROM t", sql: "SELECT à FROM t"},
+		{src: "SELECT é FROM t", sql: "SELECT é FROM t"},
+		{src: "SELECT a\u0085b FROM t", sql: "SELECT a AS b FROM t"},
+		{src: "SELECT a FROM　t", sql: "SELECT a FROM t"},
+		{src: "SELECT x٣, Ωmega FROM tæble WHERE x٣ = 'ü'", sql: "SELECT x٣, Ωmega FROM tæble WHERE x٣ = 'ü'"},
+		{src: "SELECT ſelect FROM t", sql: "SELECT ſelect FROM t"},
+		{src: "ſelect a FROM t", err: "sqlx: expected statement, got ſelect"},
+		{src: "SELECT a © b FROM t", err: "sqlx: unexpected character '©' at offset 9"},
+		{src: "SELECT a\u00a0FROM\u3000t", sql: "SELECT a FROM t"},
+	} {
+		stmt, err := Parse(tc.src)
+		switch {
+		case tc.err != "":
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("Parse(%q): error %v, want %q", tc.src, err, tc.err)
+			}
+		case err != nil:
+			t.Errorf("Parse(%q): %v", tc.src, err)
+		case stmt.SQL() != tc.sql:
+			t.Errorf("Parse(%q).SQL() = %q, want %q", tc.src, stmt.SQL(), tc.sql)
+		}
+	}
+	toks, err := Tokenize("ſelect SELECT")
+	if err != nil || len(toks) != 2 || toks[0].Kind != TokIdent || toks[1].Kind != TokKeyword {
+		t.Errorf("Tokenize: keywords must match ASCII only: %v %v", toks, err)
+	}
+}

@@ -1,7 +1,7 @@
 package workloads
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/sqlx"
@@ -19,96 +19,167 @@ import (
 // The extraction is static (AST only, no optimizer round trip) so the
 // sliding window can compute it once per distinct statement at ingest.
 func SignatureOf(stmt sqlx.Statement) string {
+	b := &sigBuilder{}
+	b.bindings, b.tables, b.cols = b.bindingBuf[:0], b.tableBuf[:0], b.colBuf[:0]
 	switch s := stmt.(type) {
 	case *sqlx.SelectStmt:
-		return selectSignature(s)
-	case *sqlx.UpdateStmt:
-		return updateSignature(s)
-	case *sqlx.DeleteStmt:
-		b := newSigBuilder("del")
-		b.bind(s.Table)
+		b.start("sel", s.From...)
+		for _, ref := range s.From {
+			b.table(ref.Binding())
+		}
 		b.classifyWhere(s.Where)
-		return b.String()
+		if len(s.OrderBy) > 0 {
+			for _, o := range s.OrderBy {
+				b.order(o.Col, o.Desc)
+			}
+		} else {
+			// No explicit order: a GROUP BY still induces an interesting
+			// order the optimizer can satisfy with an index, so it fills O.
+			for _, g := range s.GroupBy {
+				b.order(g, false)
+			}
+		}
+		for _, g := range s.GroupBy {
+			b.add(g, 'A')
+		}
+		for _, item := range s.Items {
+			if item.Expr != nil {
+				b.addColumns(item.Expr, 'A')
+			}
+		}
+	case *sqlx.UpdateStmt:
+		b.start("upd", s.Table)
+		b.table(s.Table.Binding())
+		b.classifyWhere(s.Where)
+		for _, set := range s.Sets {
+			b.add(sqlx.ColRef{Column: set.Column}, 'A')
+			b.addColumns(set.Value, 'A')
+		}
+	case *sqlx.DeleteStmt:
+		b.start("del", s.Table)
+		b.classifyWhere(s.Where)
 	case *sqlx.InsertStmt:
-		b := newSigBuilder("ins")
-		b.bind(s.Table)
-		b.touch(s.Table.Binding())
-		return b.String()
+		b.start("ins", s.Table)
+		b.table(s.Table.Binding())
 	default:
 		return "unknown"
 	}
+	return b.render()
 }
 
-// sigTable accumulates the per-table column classes before rendering.
-type sigTable struct {
-	s map[string]string // column -> operator class ("=", "~", "like", "in")
-	n map[string]bool   // non-sargable / join columns
-	o []string          // ordered: order-by then group-by columns
-	a map[string]bool   // additional referenced columns
+// sigBinding maps a FROM binding, an alias or a table name, to its table.
+type sigBinding struct{ binding, table string }
+
+// sigCol is one column the signature records for one table: in class S
+// with its operator class as op ("=", "~", "like", "in" or "?"), in N, in
+// O with op "-" when descending, or in A.
+type sigCol struct {
+	table  string
+	class  byte // 'S', 'N', 'O' or 'A'
+	column string
+	op     string
 }
 
+// sigBuilder accumulates a statement's tables and column classes in small
+// slices: a statement names a handful of each, so a linear scan dedupes
+// them faster than a map is built. The slices start in the builder's own
+// arrays, so a statement that fits them costs one allocation for the
+// builder.
 type sigBuilder struct {
 	kind     string
-	bindings map[string]string // alias -> table name
-	single   string            // sole binding, for unqualified columns
-	tables   map[string]*sigTable
+	bindings []sigBinding
+	single   string   // sole binding, for unqualified columns
+	tables   []string // distinct table names
+	cols     []sigCol
+	refs     []sqlx.ColRef // scratch for Expr.Columns
+
+	bindingBuf [8]sigBinding
+	tableBuf   [8]string
+	colBuf     [32]sigCol
 }
 
-func newSigBuilder(kind string) *sigBuilder {
-	return &sigBuilder{kind: kind, bindings: map[string]string{}, tables: map[string]*sigTable{}}
-}
-
-func (b *sigBuilder) bind(refs ...sqlx.TableRef) {
+// start sets the statement kind and binds its FROM tables.
+func (b *sigBuilder) start(kind string, refs ...sqlx.TableRef) {
+	b.kind = kind
 	for _, r := range refs {
-		b.bindings[r.Binding()] = r.Name
-	}
-	if len(b.bindings) == 1 {
-		for k := range b.bindings {
-			b.single = k
+		if i := b.bindingOf(r.Binding()); i >= 0 {
+			b.bindings[i].table = r.Name
+		} else {
+			b.bindings = append(b.bindings, sigBinding{r.Binding(), r.Name})
 		}
-	} else {
-		b.single = ""
+	}
+	b.single = ""
+	if len(b.bindings) == 1 {
+		b.single = b.bindings[0].binding
 	}
 }
 
-// table resolves a column's binding to its sigTable, creating it on demand.
-// Unqualified columns resolve to the sole table when there is one;
+func (b *sigBuilder) bindingOf(binding string) int {
+	for i, x := range b.bindings {
+		if x.binding == binding {
+			return i
+		}
+	}
+	return -1
+}
+
+// table resolves a column's binding to its table name, recording the
+// table. Unqualified columns resolve to the sole table when there is one;
 // otherwise they share a "?" bucket — static extraction has no catalog to
 // attribute them with, and a stable bucket keeps the signature canonical.
-func (b *sigBuilder) table(binding string) *sigTable {
+func (b *sigBuilder) table(binding string) string {
 	if binding == "" {
 		binding = b.single
 	}
-	name, ok := b.bindings[binding]
-	if !ok {
-		name = binding // unresolvable alias: keep it, the signature stays stable
-		if name == "" {
-			name = "?"
+	name := binding // unresolvable alias: keep it, the signature stays stable
+	if i := b.bindingOf(binding); i >= 0 {
+		name = b.bindings[i].table
+	} else if name == "" {
+		name = "?"
+	}
+	for _, t := range b.tables {
+		if t == name {
+			return name
 		}
 	}
-	t := b.tables[name]
-	if t == nil {
-		t = &sigTable{s: map[string]string{}, n: map[string]bool{}, a: map[string]bool{}}
-		b.tables[name] = t
-	}
-	return t
+	b.tables = append(b.tables, name)
+	return name
 }
 
-// touch ensures a table appears in the signature even with no columns.
-func (b *sigBuilder) touch(binding string) { b.table(binding) }
+// find returns the position of table's column in class, or -1.
+func (b *sigBuilder) find(table string, class byte, column string) int {
+	for i, c := range b.cols {
+		if c.class == class && c.column == column && c.table == table {
+			return i
+		}
+	}
+	return -1
+}
 
-func (b *sigBuilder) sarg(col sqlx.ColRef, class string) {
+// add records a column in class N or A unless it is there already.
+func (b *sigBuilder) add(col sqlx.ColRef, class byte) {
 	t := b.table(col.Table)
-	// Equality dominates range dominates the rest when a column appears in
-	// several conjuncts, matching how the request builder merges conditions.
-	if prev, ok := t.s[col.Column]; ok && sargRank(prev) >= sargRank(class) {
-		return
+	if b.find(t, class, col.Column) < 0 {
+		b.cols = append(b.cols, sigCol{table: t, class: class, column: col.Column})
 	}
-	t.s[col.Column] = class
 }
 
-func sargRank(class string) int {
-	switch class {
+func (b *sigBuilder) sarg(col sqlx.ColRef, op string) {
+	t := b.table(col.Table)
+	i := b.find(t, 'S', col.Column)
+	switch {
+	case i < 0:
+		b.cols = append(b.cols, sigCol{table: t, class: 'S', column: col.Column, op: op})
+	// Equality dominates range dominates the rest when a column appears in
+	// several conjuncts, matching how the request builder merges
+	// conditions.
+	case sargRank(b.cols[i].op) < sargRank(op):
+		b.cols[i].op = op
+	}
+}
+
+func sargRank(op string) int {
+	switch op {
 	case "=":
 		return 3
 	case "~":
@@ -118,56 +189,63 @@ func sargRank(class string) int {
 	}
 }
 
-func (b *sigBuilder) nonSarg(cols []sqlx.ColRef) {
-	for _, c := range cols {
-		b.table(c.Table).n[c.Column] = true
+// addColumns records the columns of e in class N or A.
+func (b *sigBuilder) addColumns(e sqlx.Expr, class byte) {
+	b.refs = e.Columns(b.refs[:0])
+	for _, c := range b.refs {
+		b.add(c, class)
 	}
 }
 
 func (b *sigBuilder) order(col sqlx.ColRef, desc bool) {
-	t := b.table(col.Table)
-	entry := col.Column
+	c := sigCol{table: b.table(col.Table), class: 'O', column: col.Column}
 	if desc {
-		entry += "-"
+		c.op = "-"
 	}
-	t.o = append(t.o, entry)
+	b.cols = append(b.cols, c)
 }
 
-func (b *sigBuilder) additional(cols []sqlx.ColRef) {
-	for _, c := range cols {
-		b.table(c.Table).a[c.Column] = true
-	}
+// hasColumns reports whether e references a column.
+func (b *sigBuilder) hasColumns(e sqlx.Expr) bool {
+	b.refs = e.Columns(b.refs[:0])
+	return len(b.refs) > 0
 }
 
-// classifyWhere splits the predicate into conjuncts and classifies each the
-// way the request builder does: single-column comparisons against
-// column-free expressions are sargable (S); everything else — join
-// predicates, arithmetic over columns, OR trees — contributes its columns
-// to the non-sargable set (N).
+// classifyWhere walks the predicate's top-level conjuncts in order and
+// classifies each the way the request builder does: single-column
+// comparisons against column-free expressions are sargable (S); everything
+// else — join predicates, arithmetic over columns, OR trees — contributes
+// its columns to the non-sargable set (N).
 func (b *sigBuilder) classifyWhere(where sqlx.Expr) {
-	for _, conj := range sqlx.Conjuncts(where) {
-		switch e := conj.(type) {
-		case *sqlx.CmpExpr:
-			if col, ok := e.L.(sqlx.ColRef); ok && len(e.R.Columns(nil)) == 0 {
-				b.sarg(col, cmpClass(e.Op))
-				continue
-			}
-			if col, ok := e.R.(sqlx.ColRef); ok && len(e.L.Columns(nil)) == 0 {
-				b.sarg(col, cmpClass(e.Op.Flip()))
-				continue
-			}
-			b.nonSarg(conj.Columns(nil))
-		case *sqlx.LikeExpr:
-			if e.Negated {
-				b.nonSarg(conj.Columns(nil))
-				continue
-			}
-			b.sarg(e.Col, "like")
-		case *sqlx.InExpr:
-			b.sarg(e.Col, "in")
-		default:
-			b.nonSarg(conj.Columns(nil))
+	switch e := where.(type) {
+	case nil:
+	case *sqlx.BoolExpr:
+		if e.Op == "AND" {
+			b.classifyWhere(e.L)
+			b.classifyWhere(e.R)
+			return
 		}
+		b.addColumns(e, 'N')
+	case *sqlx.CmpExpr:
+		if col, ok := e.L.(sqlx.ColRef); ok && !b.hasColumns(e.R) {
+			b.sarg(col, cmpClass(e.Op))
+			return
+		}
+		if col, ok := e.R.(sqlx.ColRef); ok && !b.hasColumns(e.L) {
+			b.sarg(col, cmpClass(e.Op.Flip()))
+			return
+		}
+		b.addColumns(e, 'N')
+	case *sqlx.LikeExpr:
+		if e.Negated {
+			b.addColumns(e, 'N')
+			return
+		}
+		b.sarg(e.Col, "like")
+	case *sqlx.InExpr:
+		b.sarg(e.Col, "in")
+	default:
+		b.addColumns(e, 'N')
 	}
 }
 
@@ -182,113 +260,90 @@ func cmpClass(op sqlx.CmpOp) string {
 	}
 }
 
-func selectSignature(s *sqlx.SelectStmt) string {
-	b := newSigBuilder("sel")
-	b.bind(s.From...)
-	for _, ref := range s.From {
-		b.touch(ref.Binding())
-	}
-	b.classifyWhere(s.Where)
-	if len(s.OrderBy) > 0 {
-		for _, o := range s.OrderBy {
-			b.order(o.Col, o.Desc)
+// render writes the canonical form: kind, then each table sorted by name
+// with its S/N/O/A classes; within S, N, and A the columns sort (S by
+// column and operator class written together); O keeps clause order.
+// Columns already captured by a stronger class are dropped from the weaker
+// ones so reformatted statements converge.
+func (b *sigBuilder) render() string {
+	slices.Sort(b.tables)
+	// One stable sort groups the columns by table, then class in S, N, O,
+	// A order, then sorts each class but O, which keeps clause order.
+	slices.SortStableFunc(b.cols, func(x, y sigCol) int {
+		if c := strings.Compare(x.table, y.table); c != 0 {
+			return c
 		}
-	} else {
-		// No explicit order: a GROUP BY still induces an interesting order
-		// the optimizer can satisfy with an index, so it fills O.
-		for _, g := range s.GroupBy {
-			b.order(g, false)
+		if c := classRank(x.class) - classRank(y.class); c != 0 || x.class == 'O' {
+			return c
 		}
-	}
-	for _, g := range s.GroupBy {
-		b.additional([]sqlx.ColRef{g})
-	}
-	for _, item := range s.Items {
-		if item.Expr != nil {
-			b.additional(item.Expr.Columns(nil))
+		return compareJoined(x.column, x.op, y.column, y.op)
+	})
+	var buf [512]byte
+	out := append(buf[:0], b.kind...)
+	cols := b.cols
+	for _, t := range b.tables {
+		out = append(append(append(out, ' '), t...), '{')
+		n := 0
+		for n < len(cols) && cols[n].table == t {
+			n++
 		}
+		out = appendClasses(out, cols[:n])
+		cols = cols[n:]
+		out = append(out, '}')
 	}
-	return b.String()
+	return string(out)
 }
 
-func updateSignature(u *sqlx.UpdateStmt) string {
-	b := newSigBuilder("upd")
-	b.bind(u.Table)
-	b.touch(u.Table.Binding())
-	b.classifyWhere(u.Where)
-	for _, set := range u.Sets {
-		b.additional([]sqlx.ColRef{{Column: set.Column}})
-		b.additional(set.Value.Columns(nil))
-	}
-	return b.String()
-}
+func classRank(class byte) int { return strings.IndexByte("SNOA", class) }
 
-// String renders the canonical form: kind, then each table sorted by name
-// with its S/N/O/A classes; within S, N, and A the columns sort; O keeps
-// clause order. Columns already captured by a stronger class are dropped
-// from the weaker ones so reformatted statements converge.
-func (b *sigBuilder) String() string {
-	names := make([]string, 0, len(b.tables))
-	for name := range b.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	var sb strings.Builder
-	sb.WriteString(b.kind)
-	for _, name := range names {
-		t := b.tables[name]
-		sb.WriteByte(' ')
-		sb.WriteString(name)
-		sb.WriteByte('{')
-		first := true
-		part := func(tag, body string) {
-			if body == "" {
-				return
+// appendClasses appends one table's classes, sorted as render sorts them,
+// as "S:a=,b~;N:c;O:d-;A:e": an empty class is left out, N drops the
+// columns of S, and A those of S, N and O.
+func appendClasses(dst []byte, cols []sigCol) []byte {
+	in := func(class byte, column string) bool {
+		for _, c := range cols {
+			if c.class == class && c.column == column {
+				return true
 			}
-			if !first {
-				sb.WriteByte(';')
-			}
-			first = false
-			sb.WriteString(tag)
-			sb.WriteByte(':')
-			sb.WriteString(body)
 		}
-		part("S", renderSarg(t.s))
-		part("N", renderSet(t.n, t.s, nil))
-		part("O", strings.Join(t.o, ","))
-		inOrder := map[string]bool{}
-		for _, o := range t.o {
-			inOrder[strings.TrimSuffix(o, "-")] = true
-		}
-		part("A", renderSet(t.a, t.s, func(col string) bool { return t.n[col] || inOrder[col] }))
-		sb.WriteByte('}')
+		return false
 	}
-	return sb.String()
-}
-
-func renderSarg(s map[string]string) string {
-	cols := make([]string, 0, len(s))
-	for col, class := range s {
-		cols = append(cols, col+class)
-	}
-	sort.Strings(cols)
-	return strings.Join(cols, ",")
-}
-
-// renderSet renders a column set, skipping columns already in the sargable
-// set or matched by the extra filter.
-func renderSet(set map[string]bool, sarg map[string]string, skip func(string) bool) string {
-	cols := make([]string, 0, len(set))
-	for col := range set {
-		if _, ok := sarg[col]; ok {
+	var last byte
+	for _, c := range cols {
+		switch {
+		case c.class == 'N' && in('S', c.column):
+			continue
+		case c.class == 'A' && (in('S', c.column) || in('N', c.column) || in('O', c.column)):
 			continue
 		}
-		if skip != nil && skip(col) {
-			continue
+		switch {
+		case c.class == last:
+			dst = append(dst, ',')
+		case last != 0:
+			dst = append(dst, ';')
+			fallthrough
+		default:
+			dst = append(dst, c.class, ':')
+			last = c.class
 		}
-		cols = append(cols, col)
+		dst = append(append(dst, c.column...), c.op...)
 	}
-	sort.Strings(cols)
-	return strings.Join(cols, ",")
+	return dst
+}
+
+// compareJoined compares a1+a2 with b1+b2 without building either.
+func compareJoined(a1, a2, b1, b2 string) int {
+	at := func(s1, s2 string, i int) byte {
+		if i < len(s1) {
+			return s1[i]
+		}
+		return s2[i-len(s1)]
+	}
+	la, lb := len(a1)+len(a2), len(b1)+len(b2)
+	for i := 0; i < la && i < lb; i++ {
+		if x, y := at(a1, a2, i), at(b1, b2, i); x != y {
+			return int(x) - int(y)
+		}
+	}
+	return la - lb
 }

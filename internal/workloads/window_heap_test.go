@@ -107,10 +107,11 @@ func (o *evictionOracle) arrive(t testing.TB, w *SlidingWindow, observe func()) 
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 
-// A new statement allocates no more with the eviction heap than it did
-// under the scan: 49 allocations with the sketch off and 75 with it on,
-// measured before the heap, on a full default window, with and without
-// decay. A repeated one stays at zero (TestObserveDuplicateZeroAlloc).
+// A new statement costs one lex, one render and one map-free signature on
+// top of the window's own work: 17 allocations with the sketch off and 20
+// with it on, the other three the signature's, on a full default window,
+// with and without decay. A repeated statement stays at zero
+// (TestObserveDuplicateZeroAlloc).
 func TestObserveDistinctAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race sync.Pool drops items at random, so fmt's printers are reallocated and the count is not the build's")
@@ -119,7 +120,7 @@ func TestObserveDistinctAllocs(t *testing.T) {
 		sketch   int
 		halfLife int
 		max      float64
-	}{{-1, 0, 49}, {-1, 64, 49}, {0, 0, 75}, {0, 64, 75}} {
+	}{{-1, 0, 17}, {-1, 64, 17}, {0, 0, 20}, {0, 64, 20}} {
 		t.Run(fmt.Sprintf("sk%d-hl%d", tc.sketch, tc.halfLife), func(t *testing.T) {
 			w, texts := warmDistinct(4096, WindowOptions{HalfLife: tc.halfLife, SketchSize: tc.sketch})
 			i := 0

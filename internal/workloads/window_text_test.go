@@ -123,6 +123,22 @@ func (p *windowPair) check(t testing.TB, step int) {
 	checkTextIndex(t, p.cached, p.canonical)
 	checkHeap(t, p.cached)
 	checkHeap(t, p.ref)
+	checkSignatures(t, p.cached)
+	checkSignatures(t, p.ref)
+}
+
+// checkSignatures asserts that every entry of a sketching window carries
+// the signature the map-based reference builder gives its statement.
+func checkSignatures(t testing.TB, w *SlidingWindow) {
+	t.Helper()
+	if w.sketch == nil {
+		return
+	}
+	for _, e := range w.entries {
+		if want := refSignatureOf(e.stmt); e.sig != want {
+			t.Fatalf("entry %q: signature %q, reference %q", e.sql, e.sig, want)
+		}
+	}
 }
 
 // checkTextIndex asserts the text index's invariants: at most one alias
