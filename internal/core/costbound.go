@@ -8,7 +8,6 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/physical"
 	"repro/internal/plan"
-	"repro/internal/sqlx"
 	"repro/internal/storage"
 )
 
@@ -175,7 +174,8 @@ func (t *Tuner) usageBound(ec *EvaluatedConfig, cfgAfter *physical.Configuration
 	case physical.TransRemoveIndex:
 		return t.removalBound(ec, cfgAfter, u) - old, nil
 	case physical.TransMergeViews:
-		return t.viewMergeBound(ec, cfgAfter, tr, u) - old, nil
+		b, err := t.viewMergeBound(ec, cfgAfter, tr, u)
+		return b - old, err
 	case physical.TransRemoveView:
 		cbv, err := t.costFromBase(tr.V1)
 		if err != nil {
@@ -284,7 +284,7 @@ func (t *Tuner) primaryShape(ec *EvaluatedConfig, cfgAfter *physical.Configurati
 // viewMergeBound bounds the cost of answering u (an access to an index on
 // V1 or V2) with the corresponding promoted index on VM, adding the
 // compensating filter and group-by operations the rewriting needs.
-func (t *Tuner) viewMergeBound(ec *EvaluatedConfig, cfgAfter *physical.Configuration, tr *physical.Transformation, u *plan.IndexUsage) float64 {
+func (t *Tuner) viewMergeBound(ec *EvaluatedConfig, cfgAfter *physical.Configuration, tr *physical.Transformation, u *plan.IndexUsage) (float64, error) {
 	model := t.Opt.Model()
 	src := tr.V1
 	if u.ViewName == tr.V2.Name {
@@ -299,10 +299,7 @@ func (t *Tuner) viewMergeBound(ec *EvaluatedConfig, cfgAfter *physical.Configura
 		} else {
 			// Worst case: treat like view removal.
 			cbv, err := t.costFromBase(src)
-			if err != nil {
-				cbv = u.AccessCost.Total() * 10
-			}
-			return cbv + t.viewScanCost(src)
+			return cbv + t.viewScanCost(src), err
 		}
 	}
 	newCost := t.replacementCost(ec, cfgAfter, u, ir)
@@ -321,7 +318,7 @@ func (t *Tuner) viewMergeBound(ec *EvaluatedConfig, cfgAfter *physical.Configura
 	if !sameGrouping(src, tr.VM) {
 		newCost += model.HashAggCost(scaledRows).Total()
 	}
-	return newCost
+	return newCost, nil
 }
 
 func sameGrouping(a, b *physical.View) bool {
@@ -365,11 +362,7 @@ func (t *Tuner) costFromBase(v *physical.View) (float64, error) {
 
 // computeCBV optimizes the view's definition under the base configuration.
 func (t *Tuner) computeCBV(v *physical.View) (float64, error) {
-	stmt, err := sqlx.Parse(v.SQL())
-	if err != nil {
-		return 0, fmt.Errorf("core: rendering view %s for CBV: %w", v.Name, err)
-	}
-	bound, err := optimizer.Bind(t.DB, stmt)
+	bound, err := optimizer.Bind(t.DB, v.Select())
 	if err != nil {
 		return 0, fmt.Errorf("core: binding view %s for CBV: %w", v.Name, err)
 	}

@@ -93,13 +93,16 @@ func TestInheritedDeltasMatchRecomputation(t *testing.T) {
 // computedBoundsUpdView is how many of them the session computes now that
 // a shell term reads only the lists its transformation changes: a step
 // that touched an update statement's table leaves the other bounds over
-// that table inheritable (367 while the term summed whole shells).
-const computedBoundsUpdView = 217
+// that table inheritable (367 while the term summed whole shells), and
+// every view's CBV exists, so no failed bound is recomputed node after
+// node (217 while CBV parsed the view's text back, which failed for five
+// view removals).
+const computedBoundsUpdView = 112
 
 // TestBoundEconomyUpdView pins what inheritance saves on the update+view
 // golden session: every bound the parent commit computed is now either
 // computed or inherited — nothing is inherited that no ranking uses —
-// and 217 of the 921 are computed.
+// and 112 of the 921 are computed.
 func TestBoundEconomyUpdView(t *testing.T) {
 	prof := obs.NewProfiler()
 	runUpdViewSession(t, Options{Parallelism: 1, Profile: prof})

@@ -104,15 +104,7 @@ func TestConfigurationDDLRoundTrips(t *testing.T) {
 	if !strings.Contains(ddl, "CREATE INDEX") {
 		t.Fatalf("no index DDL:\n%s", ddl)
 	}
-	// Strip comment lines (existing constraint indexes) and re-parse.
-	var keep []string
-	for _, line := range strings.Split(ddl, "\n") {
-		if line == "" || strings.HasPrefix(line, "--") {
-			continue
-		}
-		keep = append(keep, line)
-	}
-	reparsed, err := tn.ParseConfigurationScript(strings.Join(keep, "\n"))
+	reparsed, err := tn.ParseConfigurationScript(withoutComments(ddl))
 	if err != nil {
 		t.Fatalf("DDL does not round-trip: %v", err)
 	}

@@ -348,15 +348,18 @@ func (b *binder) resolveExpr(e sqlx.Expr) (sqlx.Expr, error) {
 
 func (b *binder) bindSelectItem(it sqlx.SelectItem) (physical.ViewColumn, error) {
 	if it.Agg != sqlx.AggNone {
-		if it.Expr == nil {
-			return physical.AggViewColumn(sqlx.AggCount, sqlx.ColRef{}, 8), nil
-		}
 		// Aggregates over single columns keep the column identity;
 		// aggregates over compound expressions track their source columns
 		// through the first referenced column (others land in Needed).
-		cols := it.Expr.Columns(nil)
+		// An aggregate over no column, COUNT(*) or one over a constant, is
+		// answered from COUNT(*): SUM(k) is k·COUNT(*), and MIN, MAX and
+		// AVG of k are k.
+		var cols []sqlx.ColRef
+		if it.Expr != nil {
+			cols = it.Expr.Columns(nil)
+		}
 		if len(cols) == 0 {
-			return physical.AggViewColumn(it.Agg, sqlx.ColRef{}, 8), nil
+			return physical.AggViewColumn(sqlx.AggCount, sqlx.ColRef{}, 8), nil
 		}
 		first, err := b.resolveCol(cols[0])
 		if err != nil {

@@ -109,10 +109,15 @@ func boundNames(t *testing.T, db *catalog.Database, q *optimizer.BoundQuery) []s
 
 // FuzzBindCanonical drives parse → render → parse → bind. Rendering is a
 // fixed point; every name a bound statement carries is the catalog's
-// spelling; and the text with its identifiers upper-cased binds, or fails
-// to, as the text does, to the same names.
+// spelling; the text with its identifiers upper-cased binds, or fails to,
+// as the text does, to the same names; and a SELECT that defines a view
+// defines it again from the view's own statement.
 func FuzzBindCanonical(f *testing.F) {
 	dbs := []*catalog.Database{datagen.TPCH(0.001), datagen.Bench(0.001), datagen.DS1(0.001)}
+	opts := make([]*optimizer.Optimizer, len(dbs))
+	for i, db := range dbs {
+		opts[i] = optimizer.New(db)
+	}
 	for _, q := range append(workloads.TPCH22SQL(), workloads.TPCHRefresh()...) {
 		f.Add(q)
 	}
@@ -152,7 +157,7 @@ func FuzzBindCanonical(f *testing.F) {
 		if err != nil {
 			t.Fatalf("upper-cased text does not parse: %v\n%s", err, upperSrc)
 		}
-		for _, db := range dbs {
+		for i, db := range dbs {
 			q, err := optimizer.Bind(db, stmt)
 			qu, errU := optimizer.Bind(db, upper)
 			if (err == nil) != (errU == nil) {
@@ -164,6 +169,59 @@ func FuzzBindCanonical(f *testing.F) {
 			if a, b := boundNames(t, db, q), boundNames(t, db, qu); !slices.Equal(a, b) {
 				t.Fatalf("%s: upper-cased text binds other names\n%v\n%v", db.Name, a, b)
 			}
+			if stmt.Kind() == sqlx.StmtSelect {
+				checkViewRoundTrip(t, opts[i], db, q)
+			}
 		}
 	})
+}
+
+// checkViewRoundTrip fails t unless the view q defines, if it defines
+// one, defines itself again from its own statement.
+func checkViewRoundTrip(t *testing.T, o *optimizer.Optimizer, db *catalog.Database, q *optimizer.BoundQuery) {
+	t.Helper()
+	v, err := o.ViewDefinition(q)
+	if err != nil {
+		return
+	}
+	qv, err := optimizer.Bind(db, v.Select())
+	if err != nil {
+		t.Fatalf("%s: view %s does not bind: %v", db.Name, v.SQL(), err)
+	}
+	back, err := o.ViewDefinition(qv)
+	if err != nil {
+		t.Fatalf("%s: view %s defines no view: %v", db.Name, v.SQL(), err)
+	}
+	if back.Signature() != v.Signature() {
+		t.Fatalf("%s: view %s defines another view\n%s\n%s", db.Name, v.SQL(), v.Signature(), back.Signature())
+	}
+}
+
+// TestBindAggregateOverConstant: an aggregate over no column binds as
+// COUNT(*)'s view column, since SUM(k) is k·COUNT(*) and MIN, MAX and AVG
+// of k are k, and the view such a statement defines binds back as itself.
+func TestBindAggregateOverConstant(t *testing.T) {
+	db := datagen.TPCH(0.001)
+	o := optimizer.New(db)
+	for _, src := range []string{
+		"SELECT SUM(1) FROM lineitem",
+		"SELECT COUNT(1) FROM lineitem",
+		"SELECT l_quantity, AVG(0) FROM lineitem",
+		"SELECT l_returnflag, MIN(2), MAX(3), COUNT(*) FROM lineitem GROUP BY l_returnflag",
+	} {
+		stmt, err := sqlx.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		q, err := optimizer.Bind(db, stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		for _, c := range q.SelectCols {
+			if c.Agg != sqlx.AggNone && (c.Agg != sqlx.AggCount || c.Source != (sqlx.ColRef{})) {
+				t.Errorf("%s: bound %s, want COUNT(*)", src, c.Name)
+			}
+		}
+		checkViewRoundTrip(t, o, db, q)
+	}
 }

@@ -4,29 +4,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strings"
+
+	"repro/internal/sqlx"
 )
 
 // IndexDDL renders the index as a CREATE INDEX statement with a derived
 // name. The output round-trips through the sqlx parser.
 func IndexDDL(ix *Index) string {
-	var sb strings.Builder
-	sb.WriteString("CREATE ")
-	if ix.Clustered {
-		sb.WriteString("CLUSTERED ")
-	}
-	sb.WriteString("INDEX ")
-	sb.WriteString(IndexName(ix))
-	sb.WriteString(" ON ")
-	sb.WriteString(ix.Table)
-	sb.WriteString(" (")
-	sb.WriteString(strings.Join(ix.Keys, ", "))
-	sb.WriteString(")")
-	if len(ix.Suffix) > 0 {
-		sb.WriteString(" INCLUDE (")
-		sb.WriteString(strings.Join(ix.Suffix, ", "))
-		sb.WriteString(")")
-	}
-	return sb.String()
+	return (&sqlx.CreateIndexStmt{Name: IndexName(ix), Table: ix.Table, Keys: ix.Keys, Include: ix.Suffix, Clustered: ix.Clustered}).SQL()
 }
 
 // IndexName derives a stable human-readable name for an index. A short
@@ -48,7 +33,7 @@ func IndexName(ix *Index) string {
 
 // ViewDDL renders the view as a CREATE VIEW statement.
 func ViewDDL(v *View) string {
-	return "CREATE VIEW " + v.Name + " AS " + v.SQL()
+	return (&sqlx.CreateViewStmt{Name: v.Name, Select: v.Select()}).SQL()
 }
 
 // MigrationDDL renders the script that turns configuration `from` into

@@ -160,16 +160,6 @@ func viewColName(agg sqlx.AggFunc, src sqlx.ColRef) string {
 	return strings.ToLower(agg.String()) + "_" + base
 }
 
-func (vc ViewColumn) String() string {
-	if vc.Agg == sqlx.AggNone {
-		return vc.Source.String()
-	}
-	if vc.Source == (sqlx.ColRef{}) {
-		return vc.Agg.String() + "(*)"
-	}
-	return fmt.Sprintf("%s(%s)", vc.Agg, vc.Source)
-}
-
 // View is the 6-tuple V = (S, F, J, R, O, G) of §3.1.2. A view becomes a
 // materialized view when a clustered index over it appears in a
 // configuration. EstRows is the optimizer-estimated cardinality
@@ -243,73 +233,68 @@ func (v *View) buildSignature() string {
 	return sb.String()
 }
 
-// SQL renders the view definition as its SELECT statement.
-func (v *View) SQL() string {
-	var sb strings.Builder
-	sb.WriteString("SELECT ")
-	for i, c := range v.Cols {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(c.String())
-		sb.WriteString(" AS ")
-		sb.WriteString(c.Name)
+// Select returns the view definition as a SELECT statement: one item per
+// column, aliased by its name; the tables; a WHERE of the joins, each
+// range's comparisons and the other conjuncts, in that order; and the
+// grouping columns. The statement is what CBV binds and what SQL renders;
+// it shares the view's slices, so it is read, not edited.
+func (v *View) Select() *sqlx.SelectStmt {
+	s := &sqlx.SelectStmt{
+		Items:   make([]sqlx.SelectItem, len(v.Cols)),
+		From:    make([]sqlx.TableRef, len(v.Tables)),
+		GroupBy: v.GroupBy,
 	}
-	sb.WriteString(" FROM ")
-	sb.WriteString(strings.Join(v.Tables, ", "))
-	var preds []string
+	for i, c := range v.Cols {
+		s.Items[i] = sqlx.SelectItem{Agg: c.Agg, Alias: c.Name}
+		if c.Source != (sqlx.ColRef{}) {
+			s.Items[i].Expr = c.Source
+		}
+	}
+	for i, t := range v.Tables {
+		s.From[i] = sqlx.TableRef{Name: t}
+	}
+	var conj []sqlx.Expr
 	for _, j := range v.Joins {
-		preds = append(preds, j.String())
+		conj = append(conj, &sqlx.CmpExpr{Op: sqlx.CmpEQ, L: j.L, R: j.R})
 	}
 	for _, r := range v.Ranges {
-		preds = append(preds, rangeSQL(r))
+		conj = r.appendConjuncts(conj)
 	}
-	for _, o := range v.Others {
-		preds = append(preds, o.String())
-	}
-	if len(preds) > 0 {
-		sb.WriteString(" WHERE ")
-		sb.WriteString(strings.Join(preds, " AND "))
-	}
-	if len(v.GroupBy) > 0 {
-		sb.WriteString(" GROUP BY ")
-		gs := make([]string, len(v.GroupBy))
-		for i, g := range v.GroupBy {
-			gs[i] = g.String()
-		}
-		sb.WriteString(strings.Join(gs, ", "))
-	}
-	return sb.String()
+	s.Where = sqlx.And(append(conj, v.Others...)...)
+	return s
 }
 
-func rangeSQL(r RangeCond) string {
+// appendConjuncts appends the comparisons that restrict r.Col to r.Iv: one
+// equality for a point, otherwise one per finite bound, none for the full
+// interval.
+func (r RangeCond) appendConjuncts(dst []sqlx.Expr) []sqlx.Expr {
+	cmp := func(op sqlx.CmpOp, c sqlx.Const) sqlx.Expr { return &sqlx.CmpExpr{Op: op, L: r.Col, R: c} }
 	iv := r.Iv
-	if iv.IsString {
-		return fmt.Sprintf("%s = '%s'", r.Col, iv.StrVal)
+	switch {
+	case iv.IsString:
+		return append(dst, cmp(sqlx.CmpEQ, sqlx.Str(iv.StrVal)))
+	case iv.IsPoint():
+		return append(dst, cmp(sqlx.CmpEQ, sqlx.Number(iv.Lo)))
 	}
-	if iv.IsPoint() {
-		return fmt.Sprintf("%s = %g", r.Col, iv.Lo)
-	}
-	var parts []string
 	if !math.IsInf(iv.Lo, -1) {
-		op := ">"
+		op := sqlx.CmpGT
 		if iv.LoIncl {
-			op = ">="
+			op = sqlx.CmpGE
 		}
-		parts = append(parts, fmt.Sprintf("%s %s %g", r.Col, op, iv.Lo))
+		dst = append(dst, cmp(op, sqlx.Number(iv.Lo)))
 	}
 	if !math.IsInf(iv.Hi, 1) {
-		op := "<"
+		op := sqlx.CmpLT
 		if iv.HiIncl {
-			op = "<="
+			op = sqlx.CmpLE
 		}
-		parts = append(parts, fmt.Sprintf("%s %s %g", r.Col, op, iv.Hi))
+		dst = append(dst, cmp(op, sqlx.Number(iv.Hi)))
 	}
-	if len(parts) == 0 {
-		return "1 = 1"
-	}
-	return strings.Join(parts, " AND ")
+	return dst
 }
+
+// SQL renders the view definition as its SELECT statement.
+func (v *View) SQL() string { return v.Select().SQL() }
 
 // RowWidth returns the average width in bytes of one view row.
 func (v *View) RowWidth() int {

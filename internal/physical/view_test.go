@@ -133,14 +133,42 @@ func TestViewColumnLookups(t *testing.T) {
 }
 
 func TestViewSQLRendersParseable(t *testing.T) {
-	v := simpleView("v", true)
-	sql := v.SQL()
-	if _, err := sqlx.Parse(sql); err != nil {
-		t.Errorf("view SQL %q does not parse: %v", sql, err)
+	withRanges := func(rs ...RangeCond) *View {
+		v := simpleView("v", false)
+		v.Ranges = rs
+		return v
 	}
-	for _, frag := range []string{"GROUP BY", "SUM(", "r.x = s.y", "< 10"} {
-		if !strings.Contains(sql, frag) {
-			t.Errorf("view SQL missing %q: %s", frag, sql)
+	arith := simpleView("v", false)
+	arith.Others = []sqlx.Expr{&sqlx.CmpExpr{Op: sqlx.CmpGT,
+		L: &sqlx.BinExpr{Op: "+", L: col("r", "a"), R: col("s", "b")}, R: sqlx.Number(3)}}
+	count := simpleView("v", true)
+	count.Cols = append(count.Cols, AggViewColumn(sqlx.AggCount, sqlx.ColRef{}, 8))
+	for _, c := range []struct {
+		name  string
+		v     *View
+		frags []string
+	}{
+		{"grouped", simpleView("v", true), []string{"GROUP BY", "SUM(", "r.x = s.y", "< 10"}},
+		{"string with a quote", withRanges(RangeCond{Col: col("r", "a"), Iv: StringPoint("O'Brien")}), []string{"r.a = 'O''Brien'"}},
+		{"arithmetic other", arith, []string{"r.a + s.b > 3"}},
+		{"point", withRanges(RangeCond{Col: col("r", "a"), Iv: PointInterval(7)}), []string{"r.a = 7"}},
+		{"half-open", withRanges(RangeCond{Col: col("r", "a"), Iv: Interval{Lo: 5, Hi: math.Inf(1)}}), []string{"r.a > 5"}},
+		{"two-sided", withRanges(RangeCond{Col: col("r", "a"), Iv: Interval{Lo: 5, Hi: 9, LoIncl: true}}), []string{"r.a >= 5", "r.a < 9"}},
+		{"count star", count, []string{"COUNT(*) AS count_star"}},
+	} {
+		sql := c.v.SQL()
+		stmt, err := sqlx.Parse(sql)
+		if err != nil {
+			t.Errorf("%s: view SQL %q does not parse: %v", c.name, sql, err)
+			continue
+		}
+		if again := stmt.SQL(); again != sql {
+			t.Errorf("%s: view SQL %q parses as %q", c.name, sql, again)
+		}
+		for _, frag := range c.frags {
+			if !strings.Contains(sql, frag) {
+				t.Errorf("%s: view SQL missing %q: %s", c.name, frag, sql)
+			}
 		}
 	}
 }

@@ -368,7 +368,8 @@ func appendOp(dst []byte, op string) []byte {
 // does, but with every comparison's left operand written so that it does
 // not open with "(": the parser reads a condition that opens with "(" as
 // a parenthesized condition, so (a + b) > 3, as String writes it, does
-// not parse back. Expression signatures and view definitions keep String.
+// not parse back. Every statement's text, a view definition's included,
+// goes through here; expression signatures keep String.
 func appendPredicate(dst []byte, e Expr, paren bool) []byte {
 	if paren && compound(e) {
 		return append(appendPredicate(append(dst, '('), e, false), ')')
