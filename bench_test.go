@@ -227,13 +227,20 @@ func BenchmarkAblationFullReoptimize(b *testing.B) {
 
 // --- observability overhead guard ---
 //
-// Tracing must be effectively free when disabled (nil Options.Trace
-// costs one pointer check per emission site; measured well under the
-// 5% budget) and cheap when enabled. Compare:
+// Tracing costs one pointer check per emission site when disabled (nil
+// Options.Trace). Enabled, its cost depends on the sinks: the two tunerd
+// always runs (search metrics and /progress, "Daemon") read the step
+// events' typed payloads and build no field map, while a memory sink
+// ("On") renders every event's map. Compare:
 //
-//	go test -bench='BenchmarkTune(TracingOff|TracingOn)' -benchtime=5x
+//	go test -run XXX -bench 'BenchmarkTuneTracing' -benchmem -benchtime 5x
+//
+// Measured on a 2-core x86-64 container (-benchtime 5x, medians of 3;
+// timings spread by about 10 % run to run, allocation counts by less
+// than 0.01 %): Off 153 ms and 378.3k allocs/op, Daemon 163 ms and
+// 378.6k, On 186 ms and 384.3k.
 
-func benchTuneTracing(b *testing.B, trace bool) {
+func benchTuneTracing(b *testing.B, sink func() obs.Sink) {
 	b.ReportAllocs()
 	db := datagen.TPCH(0.001)
 	w, err := workloads.TPCH22()
@@ -255,8 +262,8 @@ func benchTuneTracing(b *testing.B, trace bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if trace {
-			opts.Trace = obs.NewTracer(obs.NewMemorySink())
+		if sink != nil {
+			opts.Trace = obs.NewTracer(sink())
 		}
 		tn, err := core.NewTuner(db, w, opts)
 		if err != nil {
@@ -272,8 +279,15 @@ func benchTuneTracing(b *testing.B, trace bool) {
 	}
 }
 
-func BenchmarkTuneTracingOff(b *testing.B) { benchTuneTracing(b, false) }
-func BenchmarkTuneTracingOn(b *testing.B)  { benchTuneTracing(b, true) }
+func BenchmarkTuneTracingOff(b *testing.B) { benchTuneTracing(b, nil) }
+func BenchmarkTuneTracingOn(b *testing.B) {
+	benchTuneTracing(b, func() obs.Sink { return obs.NewMemorySink() })
+}
+func BenchmarkTuneTracingDaemon(b *testing.B) {
+	benchTuneTracing(b, func() obs.Sink {
+		return obs.MultiSink(obs.NewTunerMetrics(obs.NewRegistry()).Sink(), obs.NewProgress())
+	})
+}
 
 // --- micro-benchmarks of the hot paths ---
 

@@ -269,14 +269,12 @@ func (t *Tuner) optimalConfiguration() (*physical.Configuration, error) {
 			return nil, o.err
 		}
 		if cache != nil && trace.Enabled() {
-			trace.Emit(obs.EvCache, obs.F{"hit": o.cached, "query": tq.Query.ID})
+			trace.Emit(obs.EvCache, &obs.Cache{Hit: o.cached, Query: tq.Query.ID})
 		}
 		if trace.Enabled() {
-			trace.Emit(obs.EvFragment, obs.F{
-				"query":   tq.Query.ID,
-				"cached":  o.cached,
-				"indexes": o.frag.NumIndexes(),
-				"views":   o.frag.NumViews(),
+			trace.Emit(obs.EvFragment, &obs.Fragment{
+				Query: tq.Query.ID, Cached: o.cached,
+				Indexes: o.frag.NumIndexes(), Views: o.frag.NumViews(),
 			})
 		}
 		for _, v := range o.frag.Views() {

@@ -338,6 +338,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 	last := root
 
 	endSearch := t.span("search")
+	var listed obs.Candidates // the candidates event's payload, reused
 	for iter := 0; iter < maxIter; iter++ {
 		if t.Options.TimeBudget > 0 && time.Since(start) > t.Options.TimeBudget {
 			if trace.Enabled() {
@@ -353,14 +354,10 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 		}
 		res.TransCensus = append(res.TransCensus, poolCensus(pool))
 		if trace.Enabled() {
-			trace.Emit(obs.EvIteration, obs.F{
-				"iter":        iter,
-				"pick_reason": pickReason,
-				"node_fp":     node.fp,
-				"node_cost":   node.eval.Cost,
-				"node_size":   node.eval.SizeBytes,
-				"pool":        len(pool),
-				"untried":     node.untried,
+			trace.Emit(obs.EvIteration, &obs.Iteration{
+				Iter: iter, PickReason: pickReason,
+				NodeFP: node.fp, NodeCost: node.eval.Cost, NodeSize: node.eval.SizeBytes,
+				Pool: len(pool), Untried: node.untried,
 			})
 		}
 
@@ -375,33 +372,35 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			t.onRank(ranked)
 		}
 		if trace.Enabled() {
-			trace.Emit(obs.EvCandidates, candidateFields(iter, ranked, skyPruned))
+			trace.Emit(obs.EvCandidates, candidatesPayload(&listed, iter, ranked, skyPruned))
 		}
 		var chosenIDs []string
-		// exit emits the event this iteration ends in — a skip at the node
-		// it started from, or the eval of the configuration it produced —
-		// completed with the facts every exit shares: the step count, the
-		// configuration reported, the pool, skyline accounting, the chosen
-		// transformation with its penalty, and the incumbent. The
-		// progress sink publishes one live event per exit.
-		exit := func(typ string, at *EvaluatedConfig, f obs.F) {
-			f["iter"], f["step"] = iter, res.Iterations
-			f["size"], f["cost"] = at.SizeBytes, at.Cost
-			f["pool"], f["skyline_pruned"] = len(pool), len(skyPruned)
+		// stepEnd is what the event this iteration ends in carries — a
+		// skip at the node it started from, or the eval of the
+		// configuration it produced: the step count, the configuration
+		// reported, the pool, skyline accounting, the chosen transformation
+		// with its penalty, and the incumbent. The progress sink publishes
+		// one live event per step end.
+		stepEnd := func(at *EvaluatedConfig) obs.StepEnd {
+			x := obs.StepEnd{
+				Iter: iter, Step: res.Iterations,
+				Size: at.SizeBytes, Cost: at.Cost,
+				Pool: len(pool), SkylinePruned: len(skyPruned),
+			}
 			if len(chosenIDs) > 0 {
-				f["chosen"], f["penalty"] = chosenIDs, ranked[0].penalty
+				x.Chosen, x.Penalty = chosenIDs, ranked[0].penalty
 			}
 			if cbest != nil {
-				f["best_cost"] = cbest.Cost
+				x.BestCost, x.HasBest = cbest.Cost, true
 			}
-			trace.Emit(typ, f)
+			return x
 		}
 		if len(ranked) == 0 {
 			// Exhausted this node; try another next iteration.
 			markAllTried(node)
 			last = nil
 			if trace.Enabled() {
-				exit(obs.EvSkip, node.eval, obs.F{"reason": "exhausted"})
+				trace.Emit(obs.EvSkip, &obs.Skip{StepEnd: stepEnd(node.eval), Reason: "exhausted"})
 			}
 			continue
 		}
@@ -412,9 +411,9 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 		chosenIDs = []string{chosen.tr.ID()}
 		res.Iterations++
 		if trace.Enabled() {
-			trace.Emit(obs.EvApply, obs.F{
-				"iter": iter, "trans": chosenIDs,
-				"est_dt": estDT, "est_ds": chosen.delta.DS, "penalty": chosen.penalty,
+			trace.Emit(obs.EvApply, &obs.Apply{
+				Iter: iter, Trans: chosenIDs,
+				EstDT: estDT, EstDS: chosen.delta.DS, Penalty: chosen.penalty,
 			})
 		}
 
@@ -423,7 +422,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			last = node
 			res.Economy.DuplicateSkips++
 			if trace.Enabled() {
-				exit(obs.EvSkip, node.eval, obs.F{"reason": "duplicate", "fp": fp})
+				trace.Emit(obs.EvSkip, &obs.Skip{StepEnd: stepEnd(node.eval), Reason: "duplicate", FP: fp})
 			}
 			continue
 		}
@@ -451,7 +450,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			last = node
 			res.Economy.ShortcutPrunes++
 			if trace.Enabled() {
-				exit(obs.EvSkip, node.eval, obs.F{"reason": "shortcut", "fp": fp, "cutoff": cutoff})
+				trace.Emit(obs.EvSkip, &obs.Skip{StepEnd: stepEnd(node.eval), Reason: "shortcut", FP: fp, Cutoff: cutoff})
 			}
 			continue
 		}
@@ -483,23 +482,13 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 		res.CalibSamples = append(res.CalibSamples,
 			obs.CalibSample{Kind: chosen.tr.Kind.String(), EstDT: estDT, RealizedDT: realizedDT})
 		if trace.Enabled() {
-			f := obs.F{
-				"fp":          child.fp,
-				"parent_fp":   node.fp,
-				"fits":        fits(evalNew),
-				"est_dt":      estDT,
-				"realized_dt": realizedDT,
-				"new_best":    newBest,
-			}
-			if !unconstrained {
-				f["budget_gap"] = evalNew.SizeBytes - budget
-			}
-			if estDT > 0 {
-				// Bound tightness: the §3.3.2 estimate is an upper
-				// bound, so values ≤ 1 mean the bound held.
-				f["tightness"] = realizedDT / estDT
-			}
-			exit(obs.EvEval, evalNew, f)
+			trace.Emit(obs.EvEval, &obs.Eval{
+				StepEnd: stepEnd(evalNew),
+				FP:      child.fp, ParentFP: node.fp,
+				Fits: fits(evalNew), NewBest: newBest,
+				EstDT: estDT, RealizedDT: realizedDT,
+				BudgetGap: evalNew.SizeBytes - budget, Budgeted: !unconstrained,
+			})
 		}
 		last = child
 	}
@@ -523,35 +512,23 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 	return res, nil
 }
 
-// candidateFields renders the ranked-candidate trace payload: the
-// penalty components of the top candidates plus skyline accounting.
-// The list is capped so traces of transformation-rich nodes stay small.
-func candidateFields(iter int, ranked, skyPruned []candidate) obs.F {
-	const maxList = 16
-	top := make([]obs.F, 0, min(len(ranked), maxList))
-	for _, c := range ranked[:cap(top)] {
-		top = append(top, obs.F{
-			"id": c.tr.ID(), "kind": c.tr.Kind.String(),
-			"dt": c.delta.DT, "ds": c.delta.DS, "penalty": c.penalty,
+// candidatesPayload fills the candidates event's payload from the ranked
+// list and the skyline's prunes: the counts, and the penalty components
+// of the head of each list. The payload reuses buf's lists, which a sink
+// renders before the next iteration refills them.
+func candidatesPayload(buf *obs.Candidates, iter int, ranked, skyPruned []candidate) *obs.Candidates {
+	top, pruned := buf.Top[:0], buf.Pruned[:0]
+	for _, c := range ranked[:min(len(ranked), obs.MaxListed)] {
+		top = append(top, obs.Candidate{
+			ID: c.tr.ID(), Kind: c.tr.Kind.String(),
+			DT: c.delta.DT, DS: c.delta.DS, Penalty: c.penalty,
 		})
 	}
-	f := obs.F{
-		"iter":           iter,
-		"survivors":      len(ranked),
-		"skyline_pruned": len(skyPruned),
-		"top":            top,
+	for _, c := range skyPruned[:min(len(skyPruned), obs.MaxListed)] {
+		pruned = append(pruned, c.tr.ID())
 	}
-	if len(skyPruned) > 0 {
-		ids := make([]string, 0, min(len(skyPruned), maxList))
-		for _, c := range skyPruned[:cap(ids)] {
-			ids = append(ids, c.tr.ID())
-		}
-		f["pruned"] = ids
-	}
-	if len(ranked) > maxList || len(skyPruned) > maxList {
-		f["truncated"] = true
-	}
-	return f
+	*buf = obs.Candidates{Iter: iter, Survivors: len(ranked), SkylinePruned: len(skyPruned), Top: top, Pruned: pruned}
+	return buf
 }
 
 // realizedPenalty is the observed ΔT/ΔS of one relaxation step.
@@ -892,6 +869,7 @@ type rankBuffers struct {
 	cands     []candidate
 	perm      []int
 	dominated []bool
+	pruned    []candidate
 }
 
 // resized returns buf with length n, allocating only when it is too small.
@@ -926,7 +904,7 @@ func compareLess(a, b float64) int {
 // duplicates never dominate each other, matching the strictness clause.
 // The survivors are moved to the front of cands in their input order and
 // returned; with withPruned, the dominated ones are returned too, in input
-// order, in a list of their own.
+// order, in a list of their own that the next call reuses.
 func (b *rankBuffers) skyline(cands []candidate, withPruned bool) (kept, pruned []candidate) {
 	n := len(cands)
 	perm := resized(b.perm, n)
@@ -965,7 +943,7 @@ func (b *rankBuffers) skyline(cands []candidate, withPruned bool) (kept, pruned 
 	if !slices.Contains(dominated, false) {
 		return cands, nil
 	}
-	kept = cands[:0]
+	kept, pruned = cands[:0], b.pruned[:0]
 	for i, c := range cands {
 		switch {
 		case !dominated[i]:
@@ -974,6 +952,7 @@ func (b *rankBuffers) skyline(cands []candidate, withPruned bool) (kept, pruned 
 			pruned = append(pruned, c)
 		}
 	}
+	b.pruned = pruned
 	return kept, pruned
 }
 

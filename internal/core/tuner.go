@@ -180,8 +180,19 @@ type cbvEntry struct {
 
 // NewTuner binds the workload against db and prepares a session. The base
 // configuration (required primary-key indexes) is derived from the
-// catalog.
+// catalog. A statement that does not bind fails it.
 func NewTuner(db *catalog.Database, w *workloads.Workload, opts Options) (*Tuner, error) {
+	t, unbound := NewTunerSkipping(db, w, opts)
+	if len(unbound) > 0 {
+		return nil, unbound[0]
+	}
+	return t, nil
+}
+
+// NewTunerSkipping is NewTuner over the statements of w that bind: it
+// prepares a session over those, in workload order, and returns one
+// error per statement it left out. Its Queries may be empty.
+func NewTunerSkipping(db *catalog.Database, w *workloads.Workload, opts Options) (*Tuner, []error) {
 	t := &Tuner{
 		DB:         db,
 		Opt:        optimizer.New(db),
@@ -192,14 +203,16 @@ func NewTuner(db *catalog.Database, w *workloads.Workload, opts Options) (*Tuner
 		demandedBy: map[string][]string{},
 	}
 	t.enum = physical.NewEnumerator(t.enumerateOptions())
+	var unbound []error
 	for _, q := range w.Queries {
 		b, err := optimizer.Bind(db, q.Stmt)
 		if err != nil {
-			return nil, fmt.Errorf("core: binding %s: %w", q.ID, err)
+			unbound = append(unbound, fmt.Errorf("core: binding %s: %w", q.ID, err))
+			continue
 		}
 		t.Queries = append(t.Queries, &TunedQuery{Query: q, Bound: b})
 	}
-	return t, nil
+	return t, unbound
 }
 
 // EvaluatedConfig is a configuration together with its per-query results

@@ -151,41 +151,43 @@ func (s *metricsSink) Emit(e Event) {
 	switch e.Type {
 	case EvIteration:
 		m.Iterations.Inc()
-	case EvCandidates:
-		m.CandidatesRanked.Add(fieldFloat(e.Fields, "survivors"))
-		m.SkylinePruned.Add(fieldFloat(e.Fields, "skyline_pruned"))
-	case EvEval:
-		m.Evaluations.Inc()
-		m.FrontierSpace.Set(fieldFloat(e.Fields, "size"))
-		if _, ok := e.Fields["budget_gap"]; ok {
-			m.BudgetGap.Set(fieldFloat(e.Fields, "budget_gap"))
+	case EvSpanEnd:
+		// Attribute phase-level optimizer calls; the "tune" span is the
+		// sum of its children and would double-count.
+		if f, _ := e.payload().(F); e.Phase != "" && e.Phase != "tune" {
+			if calls := fieldFloat(f, "optimizer_calls"); calls > 0 {
+				m.PhaseOptimizerCalls.Add(e.Phase, calls)
+			}
 		}
-		if r, rated, violated := rateBound(fieldFloat(e.Fields, "est_dt"), fieldFloat(e.Fields, "realized_dt")); rated {
+	}
+	switch p := e.typed().(type) {
+	case *Candidates:
+		m.CandidatesRanked.Add(float64(p.Survivors))
+		m.SkylinePruned.Add(float64(p.SkylinePruned))
+	case *Eval:
+		m.Evaluations.Inc()
+		m.FrontierSpace.Set(float64(p.Size))
+		if p.Budgeted {
+			m.BudgetGap.Set(float64(p.BudgetGap))
+		}
+		if r, rated, violated := rateBound(p.EstDT, p.RealizedDT); rated {
 			m.BoundTightness.Observe(r)
 			if violated {
 				m.BoundViolations.Inc()
 			}
 		}
-	case EvSkip:
-		switch e.Fields["reason"] {
+	case *Skip:
+		switch p.Reason {
 		case "shortcut":
 			m.ShortcutPrunes.Inc()
 		case "duplicate":
 			m.DuplicateSkips.Inc()
 		}
-	case EvCache:
-		if hit, _ := e.Fields["hit"].(bool); hit {
+	case *Cache:
+		if p.Hit {
 			m.CacheHits.Inc()
 		} else {
 			m.CacheMisses.Inc()
-		}
-	case EvSpanEnd:
-		// Attribute phase-level optimizer calls; the "tune" span is the
-		// sum of its children and would double-count.
-		if e.Phase != "" && e.Phase != "tune" {
-			if calls := fieldFloat(e.Fields, "optimizer_calls"); calls > 0 {
-				m.PhaseOptimizerCalls.Add(e.Phase, calls)
-			}
 		}
 	}
 }

@@ -5,24 +5,23 @@
 //
 // The tracer is nil-safe by design: a nil *Tracer is a valid no-op
 // tracer, so instrumented hot paths pay a single pointer comparison
-// when tracing is disabled. Callers guard expensive field construction
-// with Enabled():
+// when tracing is disabled. Callers guard payload construction with
+// Enabled():
 //
 //	if tr.Enabled() {
-//		tr.Emit(obs.EvIteration, obs.F{"iter": i, "cost": c})
+//		tr.Emit(obs.EvCache, &obs.Cache{Hit: hit, Query: id})
 //	}
 //
 // Events flow into a Sink (JSONL file, in-memory buffer, Prometheus
-// metrics, or any fan-out of those).
+// metrics, or any fan-out of those). The relaxation step's events carry
+// typed payloads (payload.go): the counting sinks read their fields, and
+// only a sink that keeps or writes an event renders its field map.
 package obs
 
 import (
 	"sync"
 	"time"
 )
-
-// F is shorthand for an event's field map.
-type F = map[string]any
 
 // Event types emitted by the relaxation search instrumentation.
 const (
@@ -56,10 +55,11 @@ const (
 	EvFragment = "fragment"
 )
 
-// Event is one trace record. Fields hold event-specific payload; Phase
-// is the innermost open span at emission time; Session is the tuning
-// session the tracer was labeled with (Tracer.SetSession) — the key
-// that joins an event to /sessions/{id}.
+// Event is one trace record. Payload is the event-specific body as
+// emitted, and Fields its field map once rendered (Render) or decoded
+// from a trace line; Phase is the innermost open span at emission time;
+// Session is the tuning session the tracer was labeled with
+// (Tracer.SetSession) — the key that joins an event to /sessions/{id}.
 type Event struct {
 	Seq     int64     `json:"seq"`
 	Time    time.Time `json:"time"`
@@ -67,6 +67,16 @@ type Event struct {
 	Type    string    `json:"type"`
 	Phase   string    `json:"phase,omitempty"`
 	Fields  F         `json:"fields,omitempty"`
+	Payload Payload   `json:"-"`
+}
+
+// Render sets Fields from Payload and drops Payload, so the event no
+// longer references the emitter's buffers. A sink that keeps or writes
+// events renders each one in Emit. Rendering twice is a no-op.
+func (e *Event) Render() {
+	if e.Payload != nil {
+		e.Fields, e.Payload = e.Payload.Fields(), nil
+	}
 }
 
 // Tracer stamps events with a sequence number and the current phase and
@@ -107,13 +117,13 @@ func (t *Tracer) SetSession(id string) {
 }
 
 // Emit sends one event to the sink. Safe on a nil tracer.
-func (t *Tracer) Emit(typ string, fields F) {
+func (t *Tracer) Emit(typ string, p Payload) {
 	if !t.Enabled() {
 		return
 	}
 	t.mu.Lock()
 	t.seq++
-	e := Event{Seq: t.seq, Time: t.now(), Session: t.session, Type: typ, Fields: fields}
+	e := Event{Seq: t.seq, Time: t.now(), Session: t.session, Type: typ, Payload: p}
 	if n := len(t.phases); n > 0 {
 		e.Phase = t.phases[n-1]
 	}
@@ -135,7 +145,8 @@ func (t *Tracer) Span(phase string, fields F) func(extra F) {
 	start := time.Now()
 	t.Emit(EvSpanStart, fields)
 	return func(extra F) {
-		f := F{"elapsed_ms": float64(time.Since(start).Microseconds()) / 1e3}
+		f := make(F, len(extra)+1)
+		f["elapsed_ms"] = float64(time.Since(start).Microseconds()) / 1e3
 		for k, v := range extra {
 			f[k] = v
 		}

@@ -98,40 +98,54 @@ func NewProgress() *Progress {
 // skip event the step ended in. Everything else on the stream, and any
 // span that ended in an error, publishes nothing.
 func (p *Progress) Emit(e Event) {
-	f := e.Fields
 	ev := ProgressEvent{Time: e.Time, Session: e.Session, Phase: "search"}
-	size, cost, step := "size", "cost", "step"
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	switch {
-	case e.Type == EvSpanStart && e.Phase == "tune":
-		p.budget, p.started, p.searched = int64(fieldFloat(f, "budget")), e.Time, false
-		return
-	case e.Type == EvSpanStart && e.Phase == "search":
-		p.searched = true
-		return
-	case e.Type == EvSpanEnd && e.Phase == "tune" && f["best_cost"] != nil:
-		ev.Phase, ev.Done = "done", true
-		size, cost, step = "best_size", "best_cost", "iterations"
-		if !p.searched {
-			ev.Outcome = "evaluated"
+	switch e.Type {
+	case EvEval, EvSkip:
+		if f, ok := e.payload().(F); ok && f["step"] == nil {
+			return // not a relaxation step's end (a time-budget stop)
 		}
-	case e.Type == EvSpanEnd && f["cost"] != nil &&
-		(e.Phase == "evaluate-initial" || e.Phase == "evaluate-optimal" || e.Phase == "warm-start"):
-		ev.Phase = strings.TrimPrefix(e.Phase, "evaluate-")
-	case e.Type == EvEval && f["step"] != nil:
-		ev.Outcome = "evaluated"
-	case e.Type == EvSkip && f["step"] != nil:
-		ev.Outcome, _ = f["reason"].(string)
+		var x *StepEnd
+		switch q := e.typed().(type) {
+		case *Eval:
+			x, ev.Outcome = &q.StepEnd, "evaluated"
+		case *Skip:
+			x, ev.Outcome = &q.StepEnd, q.Reason
+		default:
+			return
+		}
+		ev.Iteration, ev.SizeBytes, ev.Cost = x.Step, x.Size, x.Cost
+		ev.BestCost, ev.PoolSize = x.BestCost, x.Pool
+		ev.Penalty, ev.CandidatesPruned = x.Penalty, x.SkylinePruned
+		ev.Transformation = strings.Join(x.Chosen, " + ")
+	case EvSpanStart, EvSpanEnd:
+		f, _ := e.payload().(F)
+		size, cost, step := "size", "cost", "step"
+		switch {
+		case e.Type == EvSpanStart && e.Phase == "tune":
+			p.budget, p.started, p.searched = int64(fieldFloat(f, "budget")), e.Time, false
+			return
+		case e.Type == EvSpanStart && e.Phase == "search":
+			p.searched = true
+			return
+		case e.Type == EvSpanEnd && e.Phase == "tune" && f["best_cost"] != nil:
+			ev.Phase, ev.Done = "done", true
+			size, cost, step = "best_size", "best_cost", "iterations"
+			if !p.searched {
+				ev.Outcome = "evaluated"
+			}
+		case e.Type == EvSpanEnd && f["cost"] != nil &&
+			(e.Phase == "evaluate-initial" || e.Phase == "evaluate-optimal" || e.Phase == "warm-start"):
+			ev.Phase = strings.TrimPrefix(e.Phase, "evaluate-")
+		default:
+			return
+		}
+		ev.Iteration = int(fieldFloat(f, step))
+		ev.SizeBytes, ev.Cost = int64(fieldFloat(f, size)), fieldFloat(f, cost)
+		ev.BestCost, ev.PoolSize = fieldFloat(f, "best_cost"), int(fieldFloat(f, "pool"))
 	default:
 		return
-	}
-	ev.Iteration = int(fieldFloat(f, step))
-	ev.SizeBytes, ev.Cost = int64(fieldFloat(f, size)), fieldFloat(f, cost)
-	ev.BestCost, ev.PoolSize = fieldFloat(f, "best_cost"), int(fieldFloat(f, "pool"))
-	ev.Penalty, ev.CandidatesPruned = fieldFloat(f, "penalty"), int(fieldFloat(f, "skyline_pruned"))
-	if ids, _ := f["chosen"].([]string); len(ids) > 0 {
-		ev.Transformation = strings.Join(ids, " + ")
 	}
 	ev.Fits = p.budget <= 0 || ev.SizeBytes <= p.budget
 	if p.budget > 0 {

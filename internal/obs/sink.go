@@ -8,7 +8,8 @@ import (
 )
 
 // Sink consumes trace events. Implementations must be safe for
-// concurrent use.
+// concurrent use. An event's Payload is valid only during Emit: a sink
+// that keeps or writes the event calls Render first.
 type Sink interface {
 	Emit(e Event)
 	Close() error
@@ -37,6 +38,7 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 // Emit writes the event as one JSON line. Encoding errors are dropped:
 // tracing must never fail a tuning session.
 func (s *JSONLSink) Emit(e Event) {
+	e.Render()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_ = s.enc.Encode(e)
@@ -66,8 +68,9 @@ type MemorySink struct {
 // NewMemorySink returns an empty in-memory sink.
 func NewMemorySink() *MemorySink { return &MemorySink{} }
 
-// Emit appends the event.
+// Emit appends the event, rendered.
 func (s *MemorySink) Emit(e Event) {
+	e.Render()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.events = append(s.events, e)

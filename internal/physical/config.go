@@ -350,20 +350,61 @@ func (c *Configuration) NumIndexes() int {
 func (c *Configuration) NumViews() int { return len(c.views) }
 
 // Fingerprint is a canonical identity for the whole configuration, used to
-// deduplicate configurations in the search pool.
+// deduplicate configurations in the search pool: the sorted IDs of its
+// indexes and "v:" plus the signatures of its views, joined by "|".
+//
+// It is written in one pass into one buffer of the exact size, in sorted
+// order without a sort over the indexes: every "cix:" ID sorts before
+// every "ix:" ID and both before "v:", relations are kept in name order
+// and each relation's list in ID order, and an ID is "ix:<table>(" (or
+// "cix:") followed by its columns, where "(" sorts below every byte of an
+// identifier, so walking the relations in order writes each kind's IDs in
+// order. Only the views' signatures need sorting.
 func (c *Configuration) Fingerprint() string {
-	ids := make([]string, 0, c.NumStructures())
+	n := 3 * len(c.views)
 	for i := range c.rels {
 		for _, ix := range c.rels[i].indexes {
-			ids = append(ids, ix.ID())
+			n += len(ix.ID()) + 1
 		}
 	}
 	for _, v := range c.views {
-		ids = append(ids, "v:"+v.Signature())
+		n += len(v.Signature())
 	}
-	sort.Strings(ids)
-	return strings.Join(ids, "|")
+	if n == 0 {
+		return ""
+	}
+	var buf [8]*View
+	views := c.views
+	if !slices.IsSortedFunc(views, compareSignatures) {
+		views = append(buf[:0], views...)
+		slices.SortFunc(views, compareSignatures)
+	}
+	var b strings.Builder
+	b.Grow(n - 1)
+	sep := func() {
+		if b.Len() > 0 {
+			b.WriteByte('|')
+		}
+	}
+	for _, clustered := range [2]bool{true, false} {
+		for i := range c.rels {
+			for _, ix := range c.rels[i].indexes {
+				if ix.Clustered == clustered {
+					sep()
+					b.WriteString(ix.ID())
+				}
+			}
+		}
+	}
+	for _, v := range views {
+		sep()
+		b.WriteString("v:")
+		b.WriteString(v.Signature())
+	}
+	return b.String()
 }
+
+func compareSignatures(a, b *View) int { return strings.Compare(a.Signature(), b.Signature()) }
 
 // String renders a compact human-readable description.
 func (c *Configuration) String() string {

@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -132,7 +133,9 @@ type Recommendation struct {
 	Config *physical.Configuration `json:"-"`
 }
 
-// ErrEmptyWindow is returned by Retune when nothing has been ingested.
+// ErrEmptyWindow is returned by Retune when nothing has been ingested,
+// and wrapped when none of the window's statements binds: either way
+// there is nothing to tune.
 var ErrEmptyWindow = errors.New("service: workload window is empty")
 
 // Service is a running online tuning service. All methods are safe for
@@ -488,6 +491,16 @@ func tuneRecovered(t *core.Tuner) (res *core.Result, err error) {
 	return t.Tune()
 }
 
+// tunedWorkload is snap cut down to the statements t tunes.
+func tunedWorkload(snap *workloads.Workload, t *core.Tuner) *workloads.Workload {
+	w := *snap
+	w.Queries = make([]*workloads.Query, len(t.Queries))
+	for i, tq := range t.Queries {
+		w.Queries[i] = tq.Query
+	}
+	return &w
+}
+
 func (s *Service) retune(trigger string, budget int64, overrideBudget bool) (*Recommendation, error) {
 	s.tuneMu.Lock()
 	defer s.tuneMu.Unlock()
@@ -517,9 +530,17 @@ func (s *Service) retune(trigger string, budget int64, overrideBudget bool) (*Re
 	s.trace.SetSession(sessionID)
 	startedAt := time.Now()
 
-	t, err := core.NewTuner(s.db, snap, opts)
-	if err != nil {
-		return nil, fmt.Errorf("service: retune: %w", err)
+	t, unbound := core.NewTunerSkipping(s.db, snap, opts)
+	if len(unbound) > 0 {
+		if len(t.Queries) == 0 {
+			return nil, fmt.Errorf("%w: none of its %d statements binds (%v)", ErrEmptyWindow, len(snap.Queries), unbound[0])
+		}
+		snap = tunedWorkload(snap, t)
+		skipped := make([]string, len(unbound))
+		for i, err := range unbound {
+			skipped[i] = err.Error()
+		}
+		s.warnf("service: retune: skipping %d statement(s) that do not bind: %s", len(unbound), strings.Join(skipped, "; "))
 	}
 	res, err := tuneRecovered(t)
 	if err != nil {
