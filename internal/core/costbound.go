@@ -58,9 +58,13 @@ func (t *Tuner) boundDelta(ec *EvaluatedConfig, tr *physical.Transformation) (De
 	}
 	cfgAfter := tr.Apply(ec.Config)
 	sizer := t.Opt.Sizer()
-	// ΔS over the lists Apply installed: every other relation is the same
-	// list on both sides and cancels.
-	d := Delta{DS: sizer.SavedBytes(ec.Config, cfgAfter)}
+	// The lists Apply installed, and the lists they replace, collected in
+	// one walk: every other relation is the same list on both sides and
+	// cancels in ΔS and in every update statement's shell term, which
+	// read these in the same order.
+	var apartBuf [8]physical.ListApart
+	apart := physical.RelationsApart(apartBuf[:0], ec.Config, cfgAfter)
+	d := Delta{DS: sizer.SavedBytes(apart)}
 	if t.shadow {
 		if full := ec.SizeBytes - sizer.ConfigBytes(cfgAfter); d.DS != full {
 			return Delta{}, fmt.Errorf("core: ΔS of %s over the lists it touched is %d, over the whole configuration %d", tr.ID(), d.DS, full)
@@ -117,7 +121,7 @@ func (t *Tuner) boundDelta(ec *EvaluatedConfig, tr *physical.Transformation) (De
 		// on other lists can move. A statement whose table tr cannot reach
 		// has none of those lists in its shell and is skipped.
 		if tq.Bound.IsUpdate() && reachesTable(ec.Config, tr, tq.Bound.UpdateTable) {
-			shell := t.Opt.UpdateShellDelta(tq.Bound, ec.Config, cfgAfter, res.AffectedRows)
+			shell := t.Opt.UpdateShellDelta(tq.Bound, apart, res.AffectedRows)
 			if t.fullShell != nil {
 				shell = t.fullShell(tq.Bound, cfgAfter, res)
 			}
@@ -156,10 +160,7 @@ func (t *Tuner) usageBound(ec *EvaluatedConfig, cfgAfter *physical.Configuration
 	case physical.TransMergeIndexes, physical.TransPrefixIndex, physical.TransPromoteClustered:
 		return t.replacementCost(ec, cfgAfter, u, tr.NewIdx[0]) - old, nil
 	case physical.TransSplitIndexes:
-		common, r1, r2 := physical.SplitIndexes(tr.I1, tr.I2)
-		if common == nil {
-			return 0, nil
-		}
+		common, r1, r2 := tr.SplitParts()
 		resid := r1
 		if u.Index.ID() == tr.I2.ID() {
 			resid = r2
@@ -291,6 +292,14 @@ func (t *Tuner) viewMergeBound(ec *EvaluatedConfig, cfgAfter *physical.Configura
 		src = tr.V2
 	}
 	ir := physical.PromoteIndexToView(u.Index, src, tr.VM)
+	if ir != nil {
+		// Size tr's own promotion of the index, whose shape stays on it from
+		// one bound to the next; ir is built anew for this bound.
+		id := ir.ID()
+		if at := slices.IndexFunc(tr.Promoted, func(p *physical.Index) bool { return p.ID() == id }); at >= 0 {
+			ir = tr.Promoted[at]
+		}
+	}
 	if ir == nil {
 		// The index could not be promoted: fall back to the clustered
 		// index of the merged view.

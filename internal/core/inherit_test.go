@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -278,6 +279,83 @@ func TestRerankAllocatesNothing(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("re-ranking the %s allocates %.0f objects, want 0", n.name, allocs)
 		}
+	}
+}
+
+// TestFirstRankingAllocs pins what the first ranking of the update+view
+// session's root allocates at Parallelism 1, where every bound is
+// computed: 303 objects and 62,328 bytes when the pin was set, down from
+// 305 objects while ΔS and every update statement's shell term each walked
+// the two configurations and the sizer kept its shapes in a map.
+func TestFirstRankingAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates, so the count is not the build's")
+	}
+	tn := benchTuner(t, updViewSeed, 0.35, Options{Parallelism: 1})
+	root, _ := rootAndChild(t, tn)
+	const runs = 20
+	rank := func() {
+		root.deltas, root.ranked = nil, false
+		if _, _, err := tn.rankTransformations(root, tn.Options.SpaceBudget, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(runs, rank)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		rank()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("first ranking of the root: %.0f objects, %d bytes", allocs, bytes)
+	const maxObjects, maxBytes = 303, 62 << 10
+	if allocs > maxObjects || bytes > maxBytes {
+		t.Errorf("the first ranking of the root allocates %.0f objects and %d bytes, ceiling %d and %d", allocs, bytes, maxObjects, maxBytes)
+	}
+}
+
+// TestBoundTermsOverApartListsAllocateNothing pins that, once the lists
+// apart are collected, ΔS and the shell term of every update statement
+// allocate nothing, for every transformation of the update+view session's
+// optimal configuration; nor does the walk that collects them into a
+// buffer large enough for them.
+func TestBoundTermsOverApartListsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates, so the count is not the build's")
+	}
+	tn := benchTuner(t, updViewSeed, 0.35, Options{Parallelism: 1})
+	optCfg, err := tn.OptimalConfiguration()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ec, err := tn.Evaluate(optCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizer, buf := tn.Opt.Sizer(), make([]physical.ListApart, 0, 64)
+	var sink float64
+	terms := 0
+	for _, tr := range physical.Enumerate(optCfg, tn.enumerateOptions()) {
+		after := tr.Apply(optCfg)
+		apart := physical.RelationsApart(buf, optCfg, after)
+		bound := func() {
+			sink += float64(sizer.SavedBytes(apart))
+			for i, tq := range tn.Queries {
+				sink += tn.Opt.UpdateShellDelta(tq.Bound, apart, ec.Results[i].AffectedRows)
+			}
+		}
+		bound() // the first sight of a new index resolves and keeps its shape
+		if allocs := testing.AllocsPerRun(10, bound); allocs != 0 {
+			t.Errorf("%s: ΔS and the shell terms over %d lists apart allocate %.1f objects, want 0", tr.ID(), len(apart), allocs)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { apart = physical.RelationsApart(buf, optCfg, after) }); allocs != 0 {
+			t.Errorf("%s: collecting %d lists apart allocates %.1f objects, want 0", tr.ID(), len(apart), allocs)
+		}
+		terms++
+	}
+	if terms == 0 || sink == 0 {
+		t.Fatal("no transformation bounded")
 	}
 }
 

@@ -904,7 +904,8 @@ func compareLess(a, b float64) int {
 // duplicates never dominate each other, matching the strictness clause.
 // The survivors are moved to the front of cands in their input order and
 // returned; with withPruned, the dominated ones are returned too, in input
-// order, in a list of their own that the next call reuses.
+// order, in a list of their own that the next call reuses. When nothing is
+// dominated, cands comes back as it is and the pruned list is nil.
 func (b *rankBuffers) skyline(cands []candidate, withPruned bool) (kept, pruned []candidate) {
 	n := len(cands)
 	perm := resized(b.perm, n)
@@ -940,7 +941,7 @@ func (b *rankBuffers) skyline(cands []candidate, withPruned bool) (kept, pruned 
 		}
 		i = j
 	}
-	if !slices.Contains(dominated, false) {
+	if !slices.Contains(dominated, true) {
 		return cands, nil
 	}
 	kept, pruned = cands[:0], b.pruned[:0]

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
@@ -285,5 +286,85 @@ func TestPromotedClusteredIndexKeepsTableReachable(t *testing.T) {
 	}
 	if res.Best.Cost >= res.Initial.Cost {
 		t.Errorf("cost %g is not below initial %g", res.Best.Cost, res.Initial.Cost)
+	}
+}
+
+// skylineReference is the §3.6 skyline by its definition: a candidate is
+// dominated when another costs no more and saves at least as much space,
+// strictly better in one. It returns the survivors and the dominated, each
+// in input order.
+func skylineReference(cands []candidate) (kept, pruned []string) {
+	for i, c := range cands {
+		dominated := false
+		for j, o := range cands {
+			if j != i && o.delta.DT <= c.delta.DT && o.delta.DS >= c.delta.DS &&
+				(o.delta.DT < c.delta.DT || o.delta.DS > c.delta.DS) {
+				dominated = true
+				break
+			}
+		}
+		if dominated {
+			pruned = append(pruned, c.tr.ID())
+		} else {
+			kept = append(kept, c.tr.ID())
+		}
+	}
+	return kept, pruned
+}
+
+func candidateIDs(cands []candidate) []string {
+	var ids []string
+	for _, c := range cands {
+		ids = append(ids, c.tr.ID())
+	}
+	return ids
+}
+
+// TestSkylineKeepsWhatNothingDominates runs the skyline on a mixed ranking
+// and then, with the same buffers, on rankings in which nothing is
+// dominated. The mixed one keeps and prunes what the definition says, in
+// input order; the others come back as they went in, in place, with no
+// pruned list, even where an earlier call left one to reuse.
+func TestSkylineKeepsWhatNothingDominates(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	build := func(deltas [][2]float64) []candidate {
+		cands := make([]candidate, len(deltas))
+		for i, d := range deltas {
+			tr := &physical.Transformation{Kind: physical.TransRemoveIndex, I1: physical.NewIndex("t", []string{string(rune('a' + i))}, nil, false)}
+			cands[i] = candidate{tr: tr, at: i, delta: Delta{DT: d[1], DS: int64(d[0])}}
+		}
+		rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+		return cands
+	}
+	var b rankBuffers
+	mixed := build([][2]float64{{10, 5}, {5, 6}, {5, 1}, {1, -1}, {1, -1}, {0, 2}, {10, 5}, {3, 1}})
+	wantKept, wantPruned := skylineReference(mixed)
+	kept, pruned := b.skyline(slices.Clone(mixed), true)
+	if got := candidateIDs(kept); !slices.Equal(got, wantKept) {
+		t.Errorf("mixed ranking keeps %v, want %v", got, wantKept)
+	}
+	if got := candidateIDs(pruned); len(wantPruned) == 0 || !slices.Equal(got, wantPruned) {
+		t.Errorf("mixed ranking prunes %v, want %v", got, wantPruned)
+	}
+
+	for _, deltas := range [][][2]float64{
+		{{10, 5}, {5, 1}, {1, -1}, {20, 9}},
+		{{4, 2}, {4, 2}, {2, 1}},
+		{{7, -3}},
+	} {
+		front := build(deltas)
+		if _, p := skylineReference(front); len(p) != 0 {
+			t.Fatalf("fixture %v has dominated candidates", deltas)
+		}
+		in := slices.Clone(front)
+		for _, withPruned := range []bool{true, false} {
+			kept, pruned := b.skyline(in, withPruned)
+			if !slices.Equal(candidateIDs(kept), candidateIDs(front)) || &kept[0] != &in[0] {
+				t.Errorf("nothing dominated in %v, yet the skyline returned %v", candidateIDs(front), candidateIDs(kept))
+			}
+			if pruned != nil {
+				t.Errorf("nothing dominated in %v, yet the skyline returned a pruned list %v", candidateIDs(front), candidateIDs(pruned))
+			}
+		}
 	}
 }

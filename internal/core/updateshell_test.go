@@ -100,7 +100,7 @@ func TestUpdateShellDeltaMatchesFullSum(t *testing.T) {
 				}
 			}
 			for _, k := range []float64{0, 1, 37.5, 2500} {
-				got := o.UpdateShellDelta(q, before, after, k)
+				got := o.UpdateShellDelta(q, physical.RelationsApart(nil, before, after), k)
 				sb, sa := o.UpdateShellCost(q, before, k), o.UpdateShellCost(q, after, k)
 				if tr != nil && !reachesTable(before, tr, q.UpdateTable) {
 					if math.Float64bits(got) != 0 || sa != sb {
@@ -310,7 +310,8 @@ var shellSink float64
 // BenchmarkUpdateShell times one update-shell term of ΔT, over every pair
 // of an update statement and a transformation that reaches its table on
 // the update+view session's optimal configuration: the full-sum formula
-// and the difference over the lists the transformation changes.
+// and the difference over the lists the transformation changes, collected
+// once per transformation as its bound collects them.
 func BenchmarkUpdateShell(b *testing.B) {
 	tn := benchTuner(b, updViewSeed, 0.35, Options{Parallelism: 1})
 	optCfg, err := tn.OptimalConfiguration()
@@ -324,14 +325,16 @@ func BenchmarkUpdateShell(b *testing.B) {
 	type term struct {
 		q     *optimizer.BoundQuery
 		after *physical.Configuration
+		apart []physical.ListApart
 		res   *optimizer.QueryResult
 	}
 	var terms []term
 	for _, tr := range physical.Enumerate(optCfg, tn.enumerateOptions()) {
 		after := tr.Apply(optCfg)
+		apart := physical.RelationsApart(nil, optCfg, after)
 		for i, tq := range tn.Queries {
 			if tq.Bound.IsUpdate() && reachesTable(optCfg, tr, tq.Bound.UpdateTable) {
-				terms = append(terms, term{tq.Bound, after, ec.Results[i]})
+				terms = append(terms, term{tq.Bound, after, apart, ec.Results[i]})
 			}
 		}
 	}
@@ -350,7 +353,7 @@ func BenchmarkUpdateShell(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			tm := terms[i%len(terms)]
-			shellSink = tn.Opt.UpdateShellDelta(tm.q, optCfg, tm.after, tm.res.AffectedRows)
+			shellSink = tn.Opt.UpdateShellDelta(tm.q, tm.apart, tm.res.AffectedRows)
 		}
 	})
 }

@@ -31,14 +31,14 @@ func IndexAffectedByUpdate(q *BoundQuery, ix *physical.Index) bool {
 	return false
 }
 
-// IndexUpdateCost estimates the cost of applying k row modifications to
-// one index: the distinct leaf pages touched (random I/O) plus per-row
-// delete/insert CPU work.
-func (o *Optimizer) IndexUpdateCost(ix *physical.Index, cfg *physical.Configuration, k float64) float64 {
+// indexUpkeep estimates the cost of applying k row modifications to one
+// index over view v (nil over a base table): the distinct leaf pages
+// touched (random I/O) plus per-row delete/insert CPU work.
+func (o *Optimizer) indexUpkeep(ix *physical.Index, v *physical.View, k float64) float64 {
 	if k <= 0 {
 		return 0
 	}
-	sh := o.sizer.IndexShape(ix, cfg)
+	sh := o.sizer.ShapeOn(ix, v)
 	touched := storage.RandomPages(sh.Rows, sh.LeafPages, k)
 	height := float64(sh.Height)
 	return touched*o.model.RandPage + height*o.model.RandPage + 2*k*o.model.CPURow
@@ -76,9 +76,10 @@ func (o *Optimizer) UpdateShellCost(q *BoundQuery, cfg *physical.Configuration, 
 		return 0
 	}
 	total := 0.0
+	onTable := cfg.View(q.UpdateTable)
 	for _, ix := range cfg.IndexesOn(q.UpdateTable) {
 		if IndexAffectedByUpdate(q, ix) {
-			total += o.IndexUpdateCost(ix, cfg, k)
+			total += o.indexUpkeep(ix, onTable, k)
 		}
 	}
 	for _, v := range cfg.Views() {
@@ -87,52 +88,52 @@ func (o *Optimizer) UpdateShellCost(q *BoundQuery, cfg *physical.Configuration, 
 		}
 		kv := o.viewMaintenanceRows(v, q.UpdateTable, k)
 		for _, ix := range cfg.IndexesOn(v.Name) {
-			total += o.IndexUpdateCost(ix, cfg, kv)
+			total += o.indexUpkeep(ix, v, kv)
 		}
 	}
 	return total
 }
 
 // UpdateShellDelta is UpdateShellCost(q, after, k) − UpdateShellCost(q,
-// before, k) over what differs between the two: the upkeep of every index
-// list after holds and before does not hold as it is
-// (physical.RelationsApart), minus the upkeep of every list before holds
-// and after does not. A list both hold as it is adds the same terms to
-// both shells and is read on neither side, so the result is the
-// difference of the two shells up to the rounding of summing in another
-// order.
-func (o *Optimizer) UpdateShellDelta(q *BoundQuery, before, after *physical.Configuration, k float64) float64 {
+// before, k) from the lists physical.RelationsApart collected for the
+// step: the upkeep of every index list after holds and before does not
+// hold as it is, minus the upkeep of every list before holds and after
+// does not. A list both hold as it is adds the same terms to both shells
+// and is in neither, so the result is the difference of the two shells up
+// to the rounding of summing in another order.
+func (o *Optimizer) UpdateShellDelta(q *BoundQuery, apart []physical.ListApart, k float64) float64 {
 	if q.Kind == sqlx.StmtSelect || q.UpdateTable == "" || k <= 0 {
 		return 0
 	}
 	delta := 0.0
-	physical.RelationsApart(before, after, func(name string, list []*physical.Index, in *physical.Configuration) {
-		if in == after {
-			delta += o.listUpkeep(q, name, list, in, k)
+	for i := range apart {
+		a := &apart[i]
+		if up := o.listUpkeep(q, a, k); a.Before {
+			delta -= up
 		} else {
-			delta -= o.listUpkeep(q, name, list, in, k)
+			delta += up
 		}
-	})
+	}
 	return delta
 }
 
-// listUpkeep is what one index list of cfg adds to q's update shell for k
+// listUpkeep is what one index list adds to q's update shell for k
 // affected rows: its affected indexes when it is over the updated table,
 // all of its indexes at the view's share of the rows when it is over a
 // view referencing that table, nothing otherwise.
-func (o *Optimizer) listUpkeep(q *BoundQuery, name string, list []*physical.Index, cfg *physical.Configuration, k float64) float64 {
+func (o *Optimizer) listUpkeep(q *BoundQuery, a *physical.ListApart, k float64) float64 {
 	total := 0.0
-	if name == q.UpdateTable {
-		for _, ix := range list {
+	if a.Name == q.UpdateTable {
+		for _, ix := range a.List {
 			if IndexAffectedByUpdate(q, ix) {
-				total += o.IndexUpdateCost(ix, cfg, k)
+				total += o.indexUpkeep(ix, a.View, k)
 			}
 		}
 	}
-	if v := cfg.View(name); v != nil && slices.Contains(v.Tables, q.UpdateTable) {
+	if v := a.View; v != nil && slices.Contains(v.Tables, q.UpdateTable) {
 		kv := o.viewMaintenanceRows(v, q.UpdateTable, k)
-		for _, ix := range list {
-			total += o.IndexUpdateCost(ix, cfg, kv)
+		for _, ix := range a.List {
+			total += o.indexUpkeep(ix, v, kv)
 		}
 	}
 	return total

@@ -60,18 +60,33 @@ func (c *Configuration) rel(table string) (int, bool) {
 	return lo, lo < len(c.rels) && c.rels[lo].name == table
 }
 
-// RelationsApart calls fn for every index list, over a table or a view,
+// ListApart is one index list that two configurations do not hold alike
+// (RelationsApart): the relation's name, its list, the view it is over in
+// the configuration holding it (nil over a base table), and whether that
+// configuration is the step's before side.
+type ListApart struct {
+	Name   string
+	List   []*Index
+	View   *View
+	Before bool
+}
+
+// RelationsApart appends to out every index list, over a table or a view,
 // that one of two configurations holds and the other does not hold as it
 // is: with another list (sameList), or with the same list under a view
-// only one of them holds as it is. fn gets the relation's name, its list
-// and the configuration holding it; a relation the two hold each its own
+// only one of them holds as it is. A relation the two hold each their own
 // way comes from before first. Both configurations keep their relations
-// in name order, so one merge walk pairs them.
-func RelationsApart(before, after *Configuration, fn func(name string, list []*Index, in *Configuration)) {
+// in name order, so one merge walk pairs them, and every reader of the
+// result (SavedBytes, an update statement's shell term) reads the lists
+// in that order.
+func RelationsApart(out []ListApart, before, after *Configuration) []ListApart {
 	var buf [4]*View
 	views := viewsApart(buf[:0], before.views, after.views)
 	viewApart := func(r *relation) bool {
 		return slices.ContainsFunc(views, func(v *View) bool { return v.Name == r.name })
+	}
+	held := func(r *relation, in *Configuration) ListApart {
+		return ListApart{Name: r.name, List: r.indexes, View: in.View(r.name), Before: in == before}
 	}
 	a, b := before.rels, after.rels
 	for len(a) > 0 || len(b) > 0 {
@@ -87,19 +102,19 @@ func RelationsApart(before, after *Configuration, fn func(name string, list []*I
 		}
 		switch {
 		case order < 0:
-			fn(a[0].name, a[0].indexes, before)
+			out = append(out, held(&a[0], before))
 			a = a[1:]
 		case order > 0:
-			fn(b[0].name, b[0].indexes, after)
+			out = append(out, held(&b[0], after))
 			b = b[1:]
 		default:
 			if !sameList(a[0].indexes, b[0].indexes) || viewApart(&a[0]) || viewApart(&b[0]) {
-				fn(a[0].name, a[0].indexes, before)
-				fn(b[0].name, b[0].indexes, after)
+				out = append(out, held(&a[0], before), held(&b[0], after))
 			}
 			a, b = a[1:], b[1:]
 		}
 	}
+	return out
 }
 
 // viewsApart appends to out the views only one of two name-ordered lists
@@ -412,18 +427,35 @@ func (c *Configuration) String() string {
 }
 
 // Diff returns the IDs of indexes and names of views present in c but not
-// in other.
+// in other. It reads only what the two hold apart: a relation whose index
+// list is the same list in both is skipped whole, and the views only when
+// the view lists differ.
 func (c *Configuration) Diff(other *Configuration) (indexIDs, viewNames []string) {
+	theirs := other.rels
 	for i := range c.rels {
-		for _, ix := range c.rels[i].indexes {
-			if id := ix.ID(); !other.HasIndex(id) {
+		r := &c.rels[i]
+		for len(theirs) > 0 && theirs[0].name < r.name {
+			theirs = theirs[1:]
+		}
+		var list []*Index
+		if len(theirs) > 0 && theirs[0].name == r.name {
+			list = theirs[0].indexes
+		}
+		if sameList(r.indexes, list) {
+			continue
+		}
+		for _, ix := range r.indexes {
+			id := ix.ID()
+			if _, found := findIndex(list, id); !found {
 				indexIDs = append(indexIDs, id)
 			}
 		}
 	}
-	for _, v := range c.views {
-		if other.ViewBySignature(v.Signature()) == nil {
-			viewNames = append(viewNames, v.Name)
+	if !sameList(c.views, other.views) {
+		for _, v := range c.views {
+			if other.ViewBySignature(v.Signature()) == nil {
+				viewNames = append(viewNames, v.Name)
+			}
 		}
 	}
 	sort.Strings(indexIDs)

@@ -633,7 +633,7 @@ func TestIncrementalEnumerationMatchesParentless(t *testing.T) {
 				t.Fatalf("%s: transformation %d is %s, parent-less enumeration has %s", at, i, tr.ID(), fresh[i].ID())
 			}
 		}
-		if got, want := sizer.SavedBytes(parent.cfg, child.cfg), sizer.ConfigBytes(parent.cfg)-sizer.ConfigBytes(child.cfg); got != want {
+		if got, want := sizer.SavedBytes(RelationsApart(nil, parent.cfg, child.cfg)), sizer.ConfigBytes(parent.cfg)-sizer.ConfigBytes(child.cfg); got != want {
 			t.Fatalf("%s: SavedBytes %d, ConfigBytes differ by %d", at, got, want)
 		}
 		shared, built = shared+en.Shared, built+len(en.Trans)-en.Shared
@@ -681,5 +681,85 @@ func TestEnumerationFromIsParentPosition(t *testing.T) {
 	})
 	if taken == 0 {
 		t.Error("the chains took no transformation from a parent")
+	}
+}
+
+// refDiff is Configuration.Diff as it was before it skipped what two
+// configurations share: every index probed with HasIndex, every view
+// looked up by signature.
+func refDiff(c, other *Configuration) (indexIDs, viewNames []string) {
+	for i := range c.rels {
+		for _, ix := range c.rels[i].indexes {
+			if id := ix.ID(); !other.HasIndex(id) {
+				indexIDs = append(indexIDs, id)
+			}
+		}
+	}
+	for _, v := range c.views {
+		if other.ViewBySignature(v.Signature()) == nil {
+			viewNames = append(viewNames, v.Name)
+		}
+	}
+	sort.Strings(indexIDs)
+	return indexIDs, viewNames
+}
+
+// TestDiffMatchesFullScan walks the random chains, whose members share
+// lists with the members they were derived from: Diff must return what
+// refDiff returns, both ways between every configuration and the member
+// it was enumerated from, nil where refDiff returns nil.
+func TestDiffMatchesFullScan(t *testing.T) {
+	var pairs, shared, differ int
+	walkEnumerationChains(t, func(at string, parent, child member) {
+		if parent.cfg == nil {
+			return
+		}
+		for _, side := range [2][2]*Configuration{{parent.cfg, child.cfg}, {child.cfg, parent.cfg}} {
+			gotIdx, gotViews := side[0].Diff(side[1])
+			wantIdx, wantViews := refDiff(side[0], side[1])
+			if !slices.Equal(gotIdx, wantIdx) || !slices.Equal(gotViews, wantViews) ||
+				(gotIdx == nil) != (wantIdx == nil) || (gotViews == nil) != (wantViews == nil) {
+				t.Fatalf("%s: Diff (%v, %v), full scan (%v, %v)", at, gotIdx, gotViews, wantIdx, wantViews)
+			}
+			pairs++
+			if len(wantIdx)+len(wantViews) > 0 {
+				differ++
+			}
+		}
+		for i := range child.cfg.rels {
+			if sameList(child.cfg.rels[i].indexes, parent.cfg.IndexesOn(child.cfg.rels[i].name)) {
+				shared++
+			}
+		}
+	})
+	t.Logf("%d ordered pairs, %d apart, %d relations shared", pairs, differ, shared)
+	if differ == 0 || shared == 0 {
+		t.Errorf("the chains never produced pairs that differ (%d) or share a list (%d)", differ, shared)
+	}
+}
+
+// TestSplitPartsAreSplitIndexes walks the random chains: for every split
+// enumerated, SplitParts names what SplitIndexes builds from the split's
+// two indexes, each part one of the transformation's own NewIdx.
+func TestSplitPartsAreSplitIndexes(t *testing.T) {
+	splits := 0
+	walkEnumerationChains(t, func(at string, _, child member) {
+		for _, tr := range child.en.Trans {
+			if tr.Kind != TransSplitIndexes {
+				continue
+			}
+			common, r1, r2 := tr.SplitParts()
+			wc, w1, w2 := SplitIndexes(tr.I1, tr.I2)
+			for k, p := range [3][2]*Index{{common, wc}, {r1, w1}, {r2, w2}} {
+				got, want := p[0], p[1]
+				if (got == nil) != (want == nil) || (got != nil && (got.ID() != want.ID() || !slices.Contains(tr.NewIdx, got))) {
+					t.Fatalf("%s: %s part %d is %v, SplitIndexes gives %v", at, tr.ID(), k, got, want)
+				}
+			}
+			splits++
+		}
+	})
+	if splits == 0 {
+		t.Error("the chains enumerated no split")
 	}
 }

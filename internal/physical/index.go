@@ -8,6 +8,7 @@ package physical
 import (
 	"slices"
 	"strings"
+	"sync/atomic"
 )
 
 // Index is a B-tree index I = (K; S) with ordered key columns K and a set
@@ -29,6 +30,11 @@ type Index struct {
 	// cloned values with an empty id recompute on every ID() call rather
 	// than cache lazily — a lazy store would race under parallel workers.
 	id string
+	// shape is the B-tree shape a sizer last gave this index, with what it
+	// was computed for (Sizer.ShapeOn). It is published whole, so a sizer
+	// on another goroutine reads the last value written or an older one,
+	// never part of one, and recomputes when the value is not for it.
+	shape atomic.Pointer[shapeMemo]
 }
 
 // NewIndex builds an index, deduplicating key columns (first occurrence

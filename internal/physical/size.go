@@ -1,8 +1,6 @@
 package physical
 
 import (
-	"sync"
-
 	"repro/internal/storage"
 )
 
@@ -19,26 +17,15 @@ type WidthResolver interface {
 }
 
 // Sizer estimates the storage consumed by indexes, views, and whole
-// configurations following the B-tree model of §3.3.1. It caches each
-// index's shape — rows, leaf pages, height — beside its bytes, so no
-// accessor resolves column widths twice for one index; the cache key
-// includes the owning view's estimated cardinality so
-// re-estimated views are re-sized. One sizer is shared by every forked
-// optimizer in a parallel evaluation pool, and every what-if costing call
-// reads the cache, so hits take only the read lock.
+// configurations following the B-tree model of §3.3.1. Each index keeps
+// the shape — rows, leaf pages, height — it was last given beside its
+// bytes, with the sizer and the owning view's estimated cardinality it was
+// computed for, so no accessor resolves column widths twice for one index
+// while those stay the same and re-estimated views are re-sized. One
+// sizer is shared by every forked optimizer in a parallel evaluation
+// pool; it holds nothing but its resolver, so it needs no lock.
 type Sizer struct {
 	base WidthResolver
-
-	mu    sync.RWMutex
-	cache map[shapeKey]IndexShape
-}
-
-// shapeKey identifies an index within the configurations that size it
-// alike: its ID and, over a view, that view's estimated cardinality.
-type shapeKey struct {
-	id       string
-	onView   bool
-	viewRows int64
 }
 
 // IndexShape is what the B-tree model says of one index: its entries, the
@@ -49,35 +36,45 @@ type IndexShape struct {
 	Height                 int
 }
 
+// shapeMemo is an index's shape as a sizer computed it over a base table
+// (onView false) or over a view of viewRows estimated rows.
+type shapeMemo struct {
+	sizer    *Sizer
+	onView   bool
+	viewRows int64
+	shape    IndexShape
+}
+
 // unresolved is the shape of an index whose table or columns are unknown.
 var unresolved = IndexShape{LeafPages: 1}
 
 // NewSizer returns a sizer over the given base resolver.
-func NewSizer(base WidthResolver) *Sizer {
-	return &Sizer{base: base, cache: make(map[shapeKey]IndexShape)}
-}
+func NewSizer(base WidthResolver) *Sizer { return &Sizer{base: base} }
 
 // IndexShape returns the shape of one index within cfg (cfg supplies view
-// cardinalities; it may be nil for base-table indexes), resolving it on
-// first sight. A costing call that needs several of the fields asks once.
+// cardinalities; it may be nil for base-table indexes). A costing call
+// that needs several of the fields asks once.
 func (s *Sizer) IndexShape(ix *Index, cfg *Configuration) IndexShape {
-	key := shapeKey{id: ix.ID()}
 	var v *View
 	if cfg != nil {
-		if v = cfg.View(ix.Table); v != nil {
-			key.onView, key.viewRows = true, v.EstRows
-		}
+		v = cfg.View(ix.Table)
 	}
-	s.mu.RLock()
-	sh, hit := s.cache[key]
-	s.mu.RUnlock()
-	if hit {
-		return sh
+	return s.ShapeOn(ix, v)
+}
+
+// ShapeOn is IndexShape with the index's view already resolved: v is the
+// view ix is over, nil over a base table. A caller walking one relation's
+// list resolves its view once for the list.
+func (s *Sizer) ShapeOn(ix *Index, v *View) IndexShape {
+	var rows int64
+	if v != nil {
+		rows = v.EstRows
 	}
-	sh = s.resolve(ix, v)
-	s.mu.Lock()
-	s.cache[key] = sh
-	s.mu.Unlock()
+	if m := ix.shape.Load(); m != nil && m.sizer == s && m.onView == (v != nil) && m.viewRows == rows {
+		return m.shape
+	}
+	sh := s.resolve(ix, v)
+	ix.shape.Store(&shapeMemo{sizer: s, onView: v != nil, viewRows: rows, shape: sh})
 	return sh
 }
 
@@ -170,34 +167,37 @@ func (s *Sizer) HeapPages(table string, cfg *Configuration) int64 {
 func (s *Sizer) ConfigBytes(cfg *Configuration) int64 {
 	var total int64
 	for i := range cfg.rels {
-		total += s.listBytes(cfg.rels[i].indexes, cfg)
+		total += s.listBytes(cfg.rels[i].indexes, cfg.View(cfg.rels[i].name))
 	}
 	return total
 }
 
-func (s *Sizer) listBytes(list []*Index, cfg *Configuration) int64 {
+// listBytes is the size of one relation's index list over view v (nil
+// over a base table).
+func (s *Sizer) listBytes(list []*Index, v *View) int64 {
 	var total int64
 	for _, ix := range list {
-		total += s.IndexBytes(ix, cfg)
+		total += s.ShapeOn(ix, v).Bytes
 	}
 	return total
 }
 
 // SavedBytes returns ConfigBytes(before) − ConfigBytes(after), the ΔS of a
-// step from one to the other, at the cost of what the step touched: a
-// relation whose index list is one list (sameList) on both sides, over the
-// same view or over a base table, adds the same bytes to both totals and
-// is left out of both (RelationsApart). The arithmetic is on integers, so
-// the result is that difference exactly.
-func (s *Sizer) SavedBytes(before, after *Configuration) int64 {
+// step from one to the other, from the lists RelationsApart collected for
+// the step: a relation whose index list is one list on both sides, over
+// the same view or over a base table, adds the same bytes to both totals
+// and is in neither. The arithmetic is on integers, so the result is that
+// difference exactly.
+func (s *Sizer) SavedBytes(apart []ListApart) int64 {
 	var saved int64
-	RelationsApart(before, after, func(_ string, list []*Index, in *Configuration) {
-		if in == before {
-			saved += s.listBytes(list, in)
+	for i := range apart {
+		a := &apart[i]
+		if b := s.listBytes(a.List, a.View); a.Before {
+			saved += b
 		} else {
-			saved -= s.listBytes(list, in)
+			saved -= b
 		}
-	})
+	}
 	return saved
 }
 

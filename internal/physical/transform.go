@@ -93,6 +93,22 @@ func (t *Transformation) buildID() string {
 	return sb.String()
 }
 
+// SplitParts returns what SplitIndexes(I1, I2) returns for a split the
+// enumeration built: the common index and the residuals, each the very
+// index NewIdx holds. NewIdx is the common index followed by each residual
+// that exists, and a residual exists where the common key is shorter than
+// its index's.
+func (t *Transformation) SplitParts() (common, r1, r2 *Index) {
+	common, rest := t.NewIdx[0], t.NewIdx[1:]
+	if len(common.Keys) != len(t.I1.Keys) {
+		r1, rest = rest[0], rest[1:]
+	}
+	if len(common.Keys) != len(t.I2.Keys) {
+		r2 = rest[0]
+	}
+	return common, r1, r2
+}
+
 func (t *Transformation) String() string {
 	switch t.Kind {
 	case TransMergeIndexes:
