@@ -33,7 +33,7 @@ type Delta struct {
 func (t *Tuner) BoundDelta(ec *EvaluatedConfig, tr *physical.Transformation) (Delta, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.boundDelta(ec, tr)
+	return t.boundDelta(0, ec, tr)
 }
 
 // penaltyPhase maps a transformation kind to its profiler phase name,
@@ -52,13 +52,16 @@ func penaltyPhaseName(k physical.TransKind) string {
 	return "search/penalty/" + k.String()
 }
 
-func (t *Tuner) boundDelta(ec *EvaluatedConfig, tr *physical.Transformation) (Delta, error) {
+// boundDelta is BoundDelta on penalty-estimation worker w, which applies
+// tr into its own scratch configuration (Tuner.scratch): nothing the bound
+// returns keeps cfgAfter, so the next bound on w writes over it.
+func (t *Tuner) boundDelta(w int, ec *EvaluatedConfig, tr *physical.Transformation) (Delta, error) {
 	if p := t.Options.Profile; p.Enabled() {
 		defer p.Since(penaltyPhaseName(tr.Kind), time.Now())
 	}
-	cfgAfter := tr.Apply(ec.Config)
+	cfgAfter := tr.ApplyTo(t.scratch[w], ec.Config)
 	sizer := t.Opt.Sizer()
-	// The lists Apply installed, and the lists they replace, collected in
+	// The lists ApplyTo installed, and the lists they replace, collected in
 	// one walk: every other relation is the same list on both sides and
 	// cancels in ΔS and in every update statement's shell term, which
 	// read these in the same order.
@@ -291,15 +294,9 @@ func (t *Tuner) viewMergeBound(ec *EvaluatedConfig, cfgAfter *physical.Configura
 	if u.ViewName == tr.V2.Name {
 		src = tr.V2
 	}
-	ir := physical.PromoteIndexToView(u.Index, src, tr.VM)
-	if ir != nil {
-		// Size tr's own promotion of the index, whose shape stays on it from
-		// one bound to the next; ir is built anew for this bound.
-		id := ir.ID()
-		if at := slices.IndexFunc(tr.Promoted, func(p *physical.Index) bool { return p.ID() == id }); at >= 0 {
-			ir = tr.Promoted[at]
-		}
-	}
+	// tr's own promotion of the index, whose shape stays on it from one
+	// bound to the next.
+	ir := tr.PromotionOf(u.Index)
 	if ir == nil {
 		// The index could not be promoted: fall back to the clustered
 		// index of the merged view.

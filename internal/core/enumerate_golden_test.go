@@ -38,7 +38,7 @@ func enumLine(i int, n *searchNode) enumGoldenLine {
 func nodeEnumerations(t testing.TB, tn *Tuner, optimal *EvaluatedConfig, trace []obs.Event) (lines []any, nodes []*searchNode) {
 	t.Helper()
 	fp := optimal.Config.Fingerprint()
-	root, err := tn.newSearchNode(optimal, fp, nil, 0)
+	root, err := tn.newSearchNode(optimal, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func nodeEnumerations(t testing.TB, tn *Tuner, optimal *EvaluatedConfig, trace [
 		if fp = cfg.Fingerprint(); fp != ev.Fields["fp"].(string) {
 			t.Fatal("a replayed step reaches another configuration than the session did")
 		}
-		child, err := tn.newSearchNode(&EvaluatedConfig{Config: cfg}, fp, parent, 0)
+		child, err := tn.newSearchNode(&EvaluatedConfig{Config: cfg}, parent, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

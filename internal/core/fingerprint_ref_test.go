@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -67,6 +68,24 @@ func TestFingerprintMatchesReference(t *testing.T) {
 	views.AddView(&physical.View{Name: "v1", Tables: []string{"t1"}, Cols: []physical.ViewColumn{col("t1", "z")}})
 	check("views only", views)
 
+	for _, c := range sessionConfigurations(t) {
+		check(c.label, c.cfg)
+	}
+}
+
+// labelledConfig is a configuration with where it came from.
+type labelledConfig struct {
+	label string
+	cfg   *physical.Configuration
+}
+
+// sessionConfigurations returns every configuration the spine and
+// update+view sessions evaluate and every configuration one
+// transformation away from those, each group of one node and its steps
+// in a row.
+func sessionConfigurations(t *testing.T) []labelledConfig {
+	t.Helper()
+	var out []labelledConfig
 	spine := runSpineSession(t, 1)
 	_, updView, updViewTrace := runUpdViewSession(t, Options{Parallelism: 1})
 	for _, s := range []struct {
@@ -78,14 +97,71 @@ func TestFingerprintMatchesReference(t *testing.T) {
 		{"spine", tpchTuner(t, Options{NoViews: true}), spine.res, spine.trace},
 		{"update+view", benchTuner(t, updViewSeed, 0.35, Options{}), updView, updViewTrace},
 	} {
-		check(s.name+" initial", s.res.Initial.Config)
-		check(s.name+" best", s.res.Best.Config)
+		out = append(out,
+			labelledConfig{s.name + " initial", s.res.Initial.Config},
+			labelledConfig{s.name + " best", s.res.Best.Config})
 		_, nodes := nodeEnumerations(t, s.tuner, s.res.Optimal, s.trace)
 		for i, n := range nodes {
-			check(fmt.Sprintf("%s node %d", s.name, i), n.eval.Config)
+			out = append(out, labelledConfig{fmt.Sprintf("%s node %d", s.name, i), n.eval.Config})
 			for _, tr := range n.enum.Trans {
-				check(fmt.Sprintf("%s node %d after %s", s.name, i, tr.ID()), tr.Apply(n.eval.Config))
+				out = append(out, labelledConfig{fmt.Sprintf("%s node %d after %s", s.name, i, tr.ID()), tr.Apply(n.eval.Config)})
 			}
 		}
+	}
+	return out
+}
+
+// TestEqualFollowsFingerprintOnSessions holds Equal and Digest to the
+// fingerprint over the sessions' configurations: Equal holds exactly when
+// two fingerprints are equal, and equal configurations have equal digests.
+// It compares every configuration with the one before it (a node with its
+// first step, a step with the next step of the same node), every two that
+// share a fingerprint or a digest, and random pairs.
+func TestEqualFollowsFingerprintOnSessions(t *testing.T) {
+	configs := sessionConfigurations(t)
+	fps := make([]string, len(configs))
+	for i, c := range configs {
+		fps[i] = c.cfg.Fingerprint()
+	}
+	var equal, apart int
+	check := func(i, j int) {
+		t.Helper()
+		a, b := configs[i].cfg, configs[j].cfg
+		same := fps[i] == fps[j]
+		if a.Equal(b) != same || b.Equal(a) != same {
+			t.Fatalf("%s and %s: Equal %v, fingerprints equal %v", configs[i].label, configs[j].label, a.Equal(b), same)
+		}
+		if same && a.Digest() != b.Digest() {
+			t.Fatalf("%s and %s: equal configurations with digests %x and %x", configs[i].label, configs[j].label, a.Digest(), b.Digest())
+		}
+		if same {
+			equal++
+		} else {
+			apart++
+		}
+	}
+	byFP := map[string]int{}
+	byDigest := map[uint64]int{}
+	for i := range configs {
+		if i > 0 {
+			check(i-1, i)
+		}
+		if j, ok := byFP[fps[i]]; ok {
+			check(j, i)
+		}
+		byFP[fps[i]] = i
+		d := configs[i].cfg.Digest()
+		if j, ok := byDigest[d]; ok {
+			check(j, i)
+		}
+		byDigest[d] = i
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 5000 {
+		check(rng.Intn(len(configs)), rng.Intn(len(configs)))
+	}
+	t.Logf("%d configurations, %d distinct; %d pairs equal, %d apart", len(configs), len(byFP), equal, apart)
+	if equal == 0 || apart == 0 {
+		t.Errorf("the sessions gave no pair that is equal (%d) or apart (%d)", equal, apart)
 	}
 }

@@ -203,7 +203,7 @@ func rootAndChild(tb testing.TB, tn *Tuner) (root, child *searchNode) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if root, err = tn.newSearchNode(optimal, optCfg.Fingerprint(), nil, 0); err != nil {
+	if root, err = tn.newSearchNode(optimal, nil, 0); err != nil {
 		tb.Fatal(err)
 	}
 	ranked, _, err := tn.rankTransformations(root, tn.Options.SpaceBudget, true)
@@ -216,7 +216,7 @@ func rootAndChild(tb testing.TB, tn *Tuner) (root, child *searchNode) {
 	if err != nil || !ok {
 		tb.Fatalf("evaluating %s: %v", step.ID(), err)
 	}
-	if child, err = tn.newSearchNode(stepped, cfg.Fingerprint(), root, 0); err != nil {
+	if child, err = tn.newSearchNode(stepped, root, 0); err != nil {
 		tb.Fatal(err)
 	}
 	return root, child

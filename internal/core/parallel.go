@@ -45,15 +45,15 @@ import (
 // fanOut calls fn(worker, i) once for every i in [0, n). Indices are
 // claimed from a shared counter, so a worker that finishes early takes
 // the next unclaimed index instead of idling behind a fixed chunk. At
-// most min(workers, n) goroutines run and fanOut returns when all have
-// exited; with one worker or fewer fn runs inline on the calling
-// goroutine, in index order. fn returns false to stop the fan-out: no
-// further index is claimed, calls already in flight finish. A panic in
-// fn stops the fan-out the same way and comes back as the error — a
-// caller-side recover cannot catch a panic on another goroutine, so
-// without this one bad statement would take the whole process down.
-// label names the phase in that error and, when profiling, in the
-// per-worker "<label>/worker-<w>" phases.
+// most min(workers, n) workers run: worker 0 on the calling goroutine and
+// each other on a goroutine of its own, and fanOut returns when all have
+// finished; with one worker or fewer fn runs in index order. fn returns
+// false to stop the fan-out: no further index is claimed, calls already
+// in flight finish. A panic in fn stops the fan-out the same way and
+// comes back as the error — a caller-side recover cannot catch a panic on
+// another goroutine, so without this one bad statement would take the
+// whole process down. label names the phase in that error and, when
+// profiling, in the per-worker "<label>/worker-<w>" phases.
 func fanOut(prof *obs.Profiler, label string, workers, n int, fn func(worker, i int) bool) error {
 	if workers > n {
 		workers = n
@@ -85,17 +85,21 @@ func fanOut(prof *obs.Profiler, label string, workers, n int, fn func(worker, i 
 		run(0)
 		return err
 	}
+	profiled := func(w int) {
+		if prof.Enabled() {
+			defer prof.Since(label+"/worker-"+strconv.Itoa(w), time.Now())
+		}
+		run(w)
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if prof.Enabled() {
-				defer prof.Since(label+"/worker-"+strconv.Itoa(w), time.Now())
-			}
-			run(w)
+			profiled(w)
 		}(w)
 	}
+	profiled(0)
 	wg.Wait()
 	return err
 }
@@ -193,10 +197,13 @@ func (t *Tuner) precomputeDeltas(node *searchNode, workers int) (int, error) {
 	if len(missing) < 2 {
 		return 0, nil
 	}
+	for len(t.scratch) < min(workers, len(missing)) {
+		t.scratch = append(t.scratch, physical.NewConfiguration())
+	}
 	errs := make([]error, len(missing))
-	err := fanOut(t.Options.Profile, "search/penalty", workers, len(missing), func(_, k int) bool {
+	err := fanOut(t.Options.Profile, "search/penalty", workers, len(missing), func(w, k int) bool {
 		i := missing[k]
-		d, err := t.boundDelta(node.eval, node.enum.Trans[i])
+		d, err := t.boundDelta(w, node.eval, node.enum.Trans[i])
 		if errs[k] = err; err == nil {
 			node.deltas[i] = nodeDelta{d, true}
 		}

@@ -5,8 +5,10 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/datagen"
 	"repro/internal/obs"
@@ -307,15 +309,29 @@ func TestFanOutInlineAtOneWorker(t *testing.T) {
 			t.Errorf("workers=%d: %d calls, err %v", workers, calls, err)
 		}
 	}
-	// Several workers do leave the calling goroutine.
-	var offCaller atomic.Bool
-	if err := fanOut(nil, "test", 4, 50, func(_, _ int) bool {
-		if goroutineID() != caller {
-			offCaller.Store(true)
+	// Several workers do leave the calling goroutine: worker 0 runs on it,
+	// every other worker on a goroutine of its own. Worker 0 waits in its
+	// calls until another worker has made one, which the caller would
+	// otherwise race through all 50 indexes before.
+	offCaller := make(chan struct{})
+	var seen sync.Once
+	if err := fanOut(nil, "test", 4, 50, func(w, _ int) bool {
+		if on := goroutineID() == caller; on != (w == 0) {
+			t.Errorf("4 workers: worker %d ran on the caller: %v", w, on)
+		}
+		if w != 0 {
+			seen.Do(func() { close(offCaller) })
+			return true
+		}
+		select {
+		case <-offCaller:
+		case <-time.After(10 * time.Second):
+			t.Error("4 workers: no call left the calling goroutine")
+			return false
 		}
 		return true
-	}); err != nil || !offCaller.Load() {
-		t.Errorf("4 workers: ran on the caller only (err %v)", err)
+	}); err != nil {
+		t.Errorf("4 workers: %v", err)
 	}
 }
 

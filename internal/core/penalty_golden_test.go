@@ -160,7 +160,7 @@ func boundCensus(t testing.TB, tn *Tuner, res *Result) []any {
 		line := boundCensusLine{Config: hex.EncodeToString(sum[:8]), ByKind: map[string]boundKindCount{}}
 		hashes := map[string]*bytes.Buffer{}
 		for _, tr := range tn.enum.Enumerate(ec.Config, nil).Trans {
-			d, err := tn.boundDelta(ec, tr)
+			d, err := tn.boundDelta(0, ec, tr)
 			errText := ""
 			if err != nil {
 				errText = err.Error()

@@ -99,9 +99,7 @@ func (r *Result) ImprovementPct() float64 {
 
 // searchNode is one configuration in the pool CP of Figure 5.
 type searchNode struct {
-	eval *EvaluatedConfig
-	// fp is eval.Config's fingerprint, computed once, where seen needed it.
-	fp     string
+	eval   *EvaluatedConfig
 	parent *searchNode
 	// realizedPenalty is the actual ΔT/ΔS observed when this node was
 	// produced from its parent (heuristic 2 of §3.4).
@@ -216,13 +214,13 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 	res.Initial = initial
 	// seen, below, is consulted before every evaluation, so the search
 	// evaluates no configuration twice. The base configuration is the one
-	// fingerprint seen is not told about up front — it is not a pool node —
-	// and the one a session can come back to: a tight budget relaxes all the
-	// way down to it, and a warm-start (or even the optimal) configuration
-	// may be it. initial already is that evaluation.
-	baseFP := t.Base.Fingerprint()
-	evalAt := func(fp string, parent *EvaluatedConfig, cfg *physical.Configuration, removedIdx, removedViews []string, cutoff float64) (*EvaluatedConfig, bool, error) {
-		if fp == baseFP {
+	// configuration seen is not told about up front — it is not a pool node
+	// — and the one a session can come back to: a tight budget relaxes all
+	// the way down to it, and a warm-start (or even the optimal)
+	// configuration may be it. initial already is that evaluation.
+	baseDigest := t.Base.Digest()
+	evalAt := func(digest uint64, parent *EvaluatedConfig, cfg *physical.Configuration, removedIdx, removedViews []string, cutoff float64) (*EvaluatedConfig, bool, error) {
+		if digest == baseDigest && cfg.Equal(t.Base) {
 			return initial, true, nil
 		}
 		return t.evalQueries(parent, cfg, removedIdx, removedViews, cutoff)
@@ -237,13 +235,13 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 	endPhase(obs.F{"indexes": optimalCfg.NumIndexes(), "views": optimalCfg.NumViews()})
 
 	endPhase = t.span("evaluate-optimal")
-	optimalFP := optimalCfg.Fingerprint()
-	optimal, _, err := evalAt(optimalFP, nil, optimalCfg, nil, nil, 0)
+	optimalDigest := optimalCfg.Digest()
+	optimal, _, err := evalAt(optimalDigest, nil, optimalCfg, nil, nil, 0)
 	if err != nil {
 		endPhase(obs.F{"error": err.Error()})
 		return nil, err
 	}
-	endPhase(obs.F{"cost": optimal.Cost, "size": optimal.SizeBytes, "fp": optimalFP})
+	endPhase(obs.F{"cost": optimal.Cost, "size": optimal.SizeBytes, "fp": optimalCfg.Fingerprint()})
 	res.Optimal = optimal
 
 	hasUpdates := t.hasUpdates()
@@ -265,7 +263,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 
 	fits := func(ec *EvaluatedConfig) bool { return ec.SizeBytes <= effBudget }
 	endEnum := prof.StartAlloc("enumerate-root")
-	root, err := t.newSearchNode(optimal, optimalFP, nil, 0)
+	root, err := t.newSearchNode(optimal, nil, 0)
 	endEnum()
 	if err != nil {
 		return nil, err
@@ -280,7 +278,8 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 	}
 
 	pool := []*searchNode{root}
-	seen := map[string]bool{optimalFP: true}
+	seen := configSet{}
+	seen.add(optimalCfg, optimalDigest)
 	res.Frontier = append(res.Frontier,
 		FrontierPoint{SizeBytes: optimal.SizeBytes, Cost: optimal.Cost, Fits: fits(optimal)})
 
@@ -298,10 +297,9 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 		for _, ix := range t.Base.Indexes() {
 			warmCfg.AddIndex(ix)
 		}
-		if fp := warmCfg.Fingerprint(); !seen[fp] {
-			seen[fp] = true
+		if digest := warmCfg.Digest(); seen.add(warmCfg, digest) {
 			removedIdx, removedViews := optimalCfg.Diff(warmCfg)
-			warm, ok, err := evalAt(fp, optimal, warmCfg, removedIdx, removedViews, 0)
+			warm, ok, err := evalAt(digest, optimal, warmCfg, removedIdx, removedViews, 0)
 			if err != nil {
 				endPhase(obs.F{"error": err.Error()})
 				return nil, err
@@ -309,7 +307,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			if ok {
 				res.Frontier = append(res.Frontier,
 					FrontierPoint{SizeBytes: warm.SizeBytes, Cost: warm.Cost, Fits: fits(warm)})
-				warmNode, err := t.newSearchNode(warm, fp, nil, 0)
+				warmNode, err := t.newSearchNode(warm, nil, 0)
 				if err != nil {
 					endPhase(obs.F{"error": err.Error()})
 					return nil, err
@@ -356,7 +354,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 		if trace.Enabled() {
 			trace.Emit(obs.EvIteration, &obs.Iteration{
 				Iter: iter, PickReason: pickReason,
-				NodeFP: node.fp, NodeCost: node.eval.Cost, NodeSize: node.eval.SizeBytes,
+				NodeFP: node.eval.Config, NodeCost: node.eval.Cost, NodeSize: node.eval.SizeBytes,
 				Pool: len(pool), Untried: node.untried,
 			})
 		}
@@ -417,16 +415,15 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			})
 		}
 
-		fp := cfgNew.Fingerprint()
-		if seen[fp] {
+		digest := cfgNew.Digest()
+		if !seen.add(cfgNew, digest) {
 			last = node
 			res.Economy.DuplicateSkips++
 			if trace.Enabled() {
-				trace.Emit(obs.EvSkip, &obs.Skip{StepEnd: stepEnd(node.eval), Reason: "duplicate", FP: fp})
+				trace.Emit(obs.EvSkip, &obs.Skip{StepEnd: stepEnd(node.eval), Reason: "duplicate", FP: cfgNew})
 			}
 			continue
 		}
-		seen[fp] = true
 
 		cutoff := 0.0
 		if cbest != nil {
@@ -440,7 +437,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			cutoff = 0
 		}
 		tEval := time.Now()
-		evalNew, ok, err := evalAt(fp, node.eval, cfgNew, chosen.tr.RemovedIndexIDs(), chosen.tr.RemovedViewNames(), cutoff)
+		evalNew, ok, err := evalAt(digest, node.eval, cfgNew, chosen.tr.RemovedIndexIDs(), chosen.tr.RemovedViewNames(), cutoff)
 		prof.Since("search/evaluate", tEval)
 		if err != nil {
 			endSearch(obs.F{"error": err.Error()})
@@ -450,13 +447,13 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			last = node
 			res.Economy.ShortcutPrunes++
 			if trace.Enabled() {
-				trace.Emit(obs.EvSkip, &obs.Skip{StepEnd: stepEnd(node.eval), Reason: "shortcut", FP: fp, Cutoff: cutoff})
+				trace.Emit(obs.EvSkip, &obs.Skip{StepEnd: stepEnd(node.eval), Reason: "shortcut", FP: cfgNew, Cutoff: cutoff})
 			}
 			continue
 		}
 		realized := realizedPenalty(node.eval, evalNew)
 		tEnum := time.Now()
-		child, err := t.newSearchNode(evalNew, fp, node, realized)
+		child, err := t.newSearchNode(evalNew, node, realized)
 		prof.Since("search/enumerate", tEnum)
 		if err != nil {
 			endSearch(obs.F{"error": err.Error()})
@@ -484,7 +481,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 		if trace.Enabled() {
 			trace.Emit(obs.EvEval, &obs.Eval{
 				StepEnd: stepEnd(evalNew),
-				FP:      child.fp, ParentFP: node.fp,
+				FP:      evalNew.Config, ParentFP: node.eval.Config,
 				Fits: fits(evalNew), NewBest: newBest,
 				EstDT: estDT, RealizedDT: realizedDT,
 				BudgetGap: evalNew.SizeBytes - budget, Budgeted: !unconstrained,
@@ -531,6 +528,23 @@ func candidatesPayload(buf *obs.Candidates, iter int, ranked, skyPruned []candid
 	return buf
 }
 
+// configSet is the configurations a search has met, by digest. A digest
+// hit is confirmed with Equal, so two configurations whose digests collide
+// are still told apart and "evaluated once" holds whatever the hash.
+type configSet map[uint64][]*physical.Configuration
+
+// add puts c, whose digest is digest, in the set and reports whether it
+// was not there yet.
+func (s configSet) add(c *physical.Configuration, digest uint64) bool {
+	for _, o := range s[digest] {
+		if o.Equal(c) {
+			return false
+		}
+	}
+	s[digest] = append(s[digest], c)
+	return true
+}
+
 // realizedPenalty is the observed ΔT/ΔS of one relaxation step.
 func realizedPenalty(parent, child *EvaluatedConfig) float64 {
 	dT := child.Cost - parent.Cost
@@ -562,7 +576,7 @@ func poolCensus(pool []*searchNode) int {
 // parent's whatever the step between their configurations left alone; a
 // root, a warm-start node and a step onto the base configuration have
 // nothing to take over and build everything.
-func (t *Tuner) newSearchNode(ec *EvaluatedConfig, fp string, parent *searchNode, realized float64) (*searchNode, error) {
+func (t *Tuner) newSearchNode(ec *EvaluatedConfig, parent *searchNode, realized float64) (*searchNode, error) {
 	var from *physical.Enumeration
 	if parent != nil {
 		from = parent.enum
@@ -581,7 +595,6 @@ func (t *Tuner) newSearchNode(ec *EvaluatedConfig, fp string, parent *searchNode
 	}
 	return &searchNode{
 		eval:            ec,
-		fp:              fp,
 		parent:          parent,
 		realizedPenalty: realized,
 		enum:            enum,
@@ -684,7 +697,7 @@ func (t *Tuner) rankTransformations(node *searchNode, budget int64, hasUpdates b
 		}
 		nd := &node.deltas[i]
 		if !nd.known {
-			d, err := t.boundDelta(node.eval, tr)
+			d, err := t.boundDelta(0, node.eval, tr)
 			computed++
 			if err != nil {
 				node.markTried(i)
@@ -842,7 +855,7 @@ func (t *Tuner) inheritDeltas(node *searchNode) (int, error) {
 			continue
 		}
 		if t.shadow {
-			fresh, err := t.boundDelta(node.eval, tr)
+			fresh, err := t.boundDelta(0, node.eval, tr)
 			if err != nil || math.Float64bits(fresh.DT) != math.Float64bits(d.DT) || fresh.DS != d.DS {
 				return 0, fmt.Errorf("core: inherited bound of %s is %+v, recomputed %+v (%v)", tr.ID(), d, fresh, err)
 			}

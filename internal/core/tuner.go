@@ -137,6 +137,10 @@ type Tuner struct {
 	enum *physical.Enumerator
 	// rank holds the buffers every ranking of the search reuses.
 	rank rankBuffers
+	// scratch holds one configuration per penalty-estimation worker, which
+	// each §3.3.2 bound on that worker applies its transformation into; the
+	// serial ranking loop and BoundDelta use worker 0's.
+	scratch []*physical.Configuration
 	// cbvCache caches the §3.3.2 cost of computing a view from the base
 	// configuration (CBV), keyed by view signature. Entries are
 	// singleflighted so a view's CBV is optimized exactly once even when
@@ -201,6 +205,7 @@ func NewTunerSkipping(db *catalog.Database, w *workloads.Workload, opts Options)
 		heapTables: datagen.HeapTables(db),
 		cbvCache:   map[string]*cbvEntry{},
 		demandedBy: map[string][]string{},
+		scratch:    []*physical.Configuration{physical.NewConfiguration()},
 	}
 	t.enum = physical.NewEnumerator(t.enumerateOptions())
 	var unbound []error

@@ -270,9 +270,9 @@ func TestUpdateShellDeltaCensus(t *testing.T) {
 	kinds := map[string]*kindCount{}
 	for _, ec := range lineageEvaluations(t, tn, res) {
 		for _, tr := range tn.enum.Enumerate(ec.Config, nil).Trans {
-			d, err := tn.boundDelta(ec, tr)
+			d, err := tn.boundDelta(0, ec, tr)
 			tn.fullShell = oracle
-			o, oerr := tn.boundDelta(ec, tr)
+			o, oerr := tn.boundDelta(0, ec, tr)
 			tn.fullShell = nil
 			if (err == nil) != (oerr == nil) {
 				t.Fatalf("%s: error %v, the oracle's %v", tr.ID(), err, oerr)

@@ -19,12 +19,18 @@ type F map[string]any
 // Fields returns f itself.
 func (f F) Fields() F { return f }
 
+// Fingerprinted is what a payload carries of a configuration: a value
+// that renders the configuration's fingerprint. Fields renders it; a
+// counting sink never does, so a step traced only into those builds no
+// fingerprint.
+type Fingerprinted interface{ Fingerprint() string }
+
 // Iteration is EvIteration's payload: the node a relaxation step
 // selected, why, and the pool it was selected from.
 type Iteration struct {
 	Iter       int
 	PickReason string
-	NodeFP     string
+	NodeFP     Fingerprinted
 	NodeCost   float64
 	NodeSize   int64
 	Pool       int
@@ -36,7 +42,7 @@ func (p *Iteration) Fields() F {
 	return F{
 		"iter":        p.Iter,
 		"pick_reason": p.PickReason,
-		"node_fp":     p.NodeFP,
+		"node_fp":     p.NodeFP.Fingerprint(),
 		"node_cost":   p.NodeCost,
 		"node_size":   p.NodeSize,
 		"pool":        p.Pool,
@@ -144,7 +150,7 @@ func (s *StepEnd) fill(f F) {
 // realized ΔT.
 type Eval struct {
 	StepEnd
-	FP, ParentFP      string
+	FP, ParentFP      Fingerprinted
 	Fits, NewBest     bool
 	EstDT, RealizedDT float64
 	// BudgetGap is Size minus the space budget, when the session has
@@ -157,7 +163,7 @@ type Eval struct {
 // estimated ΔT: ≤ 1 means the bound held) when the estimate is positive.
 func (p *Eval) Fields() F {
 	f := make(F, stepEndFields+8)
-	f["fp"], f["parent_fp"] = p.FP, p.ParentFP
+	f["fp"], f["parent_fp"] = p.FP.Fingerprint(), p.ParentFP.Fingerprint()
 	f["fits"], f["new_best"] = p.Fits, p.NewBest
 	f["est_dt"], f["realized_dt"] = p.EstDT, p.RealizedDT
 	if p.Budgeted {
@@ -177,17 +183,20 @@ func (p *Eval) Fields() F {
 type Skip struct {
 	StepEnd
 	Reason string
-	FP     string
+	// FP is nil when the step produced no configuration.
+	FP     Fingerprinted
 	Cutoff float64
 }
 
-// Fields renders the skip: "fp" when the step produced a configuration,
-// "cutoff" for a shortcut.
+// Fields renders the skip: "fp" when the step produced a configuration
+// with a non-empty fingerprint, "cutoff" for a shortcut.
 func (p *Skip) Fields() F {
 	f := make(F, stepEndFields+3)
 	f["reason"] = p.Reason
-	if p.FP != "" {
-		f["fp"] = p.FP
+	if p.FP != nil {
+		if fp := p.FP.Fingerprint(); fp != "" {
+			f["fp"] = fp
+		}
 	}
 	if p.Reason == "shortcut" {
 		f["cutoff"] = p.Cutoff

@@ -2,6 +2,7 @@ package physical
 
 import (
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"sort"
 	"strings"
@@ -364,17 +365,13 @@ func (c *Configuration) NumIndexes() int {
 // NumViews returns the number of views.
 func (c *Configuration) NumViews() int { return len(c.views) }
 
-// Fingerprint is a canonical identity for the whole configuration, used to
-// deduplicate configurations in the search pool: the sorted IDs of its
-// indexes and "v:" plus the signatures of its views, joined by "|".
+// Fingerprint is a canonical identity for the whole configuration: the
+// sorted IDs of its indexes and "v:" plus the signatures of its views,
+// joined by "|". The search knows a configuration by its Digest and
+// confirms a match with Equal; the string is what trace sinks record.
 //
 // It is written in one pass into one buffer of the exact size, in sorted
-// order without a sort over the indexes: every "cix:" ID sorts before
-// every "ix:" ID and both before "v:", relations are kept in name order
-// and each relation's list in ID order, and an ID is "ix:<table>(" (or
-// "cix:") followed by its columns, where "(" sorts below every byte of an
-// identifier, so walking the relations in order writes each kind's IDs in
-// order. Only the views' signatures need sorting.
+// order without a sort over the indexes (fingerprintParts).
 func (c *Configuration) Fingerprint() string {
 	n := 3 * len(c.views)
 	for i := range c.rels {
@@ -388,38 +385,104 @@ func (c *Configuration) Fingerprint() string {
 	if n == 0 {
 		return ""
 	}
-	var buf [8]*View
-	views := c.views
-	if !slices.IsSortedFunc(views, compareSignatures) {
-		views = append(buf[:0], views...)
-		slices.SortFunc(views, compareSignatures)
-	}
 	var b strings.Builder
 	b.Grow(n - 1)
+	var buf [16]*View
+	c.fingerprintParts(buf[:0], func(s string) { b.WriteString(s) })
+	return b.String()
+}
+
+// Digest is a hash of the bytes Fingerprint writes, computed without
+// building the string: configurations with equal fingerprints have equal
+// digests, and Equal tells apart the rare two that share a digest but not
+// a fingerprint. The seed is the process's, so a digest is not stable
+// across runs and must never be recorded.
+func (c *Configuration) Digest() uint64 {
+	var h maphash.Hash
+	h.SetSeed(digestSeed)
+	var buf [16]*View
+	c.fingerprintParts(buf[:0], func(s string) { h.WriteString(s) })
+	return h.Sum64()
+}
+
+var digestSeed = maphash.MakeSeed()
+
+// fingerprintParts hands write the pieces of the fingerprint in order:
+// every "cix:" ID sorts before every "ix:" ID and both before "v:",
+// relations are kept in name order and each relation's list in ID order,
+// and an ID is "ix:<table>(" (or "cix:") followed by its columns, where
+// "(" sorts below every byte of an identifier, so walking the relations
+// in order hands each kind's IDs over in order. Only the views'
+// signatures need sorting, into buf when the name order is not already
+// theirs.
+func (c *Configuration) fingerprintParts(buf []*View, write func(string)) {
+	views := c.views
+	if !slices.IsSortedFunc(views, compareSignatures) {
+		views = append(buf, views...)
+		slices.SortFunc(views, compareSignatures)
+	}
+	wrote := false
 	sep := func() {
-		if b.Len() > 0 {
-			b.WriteByte('|')
+		if wrote {
+			write("|")
 		}
+		wrote = true
 	}
 	for _, clustered := range [2]bool{true, false} {
 		for i := range c.rels {
 			for _, ix := range c.rels[i].indexes {
 				if ix.Clustered == clustered {
 					sep()
-					b.WriteString(ix.ID())
+					write(ix.ID())
 				}
 			}
 		}
 	}
 	for _, v := range views {
 		sep()
-		b.WriteString("v:")
-		b.WriteString(v.Signature())
+		write("v:")
+		write(v.Signature())
 	}
-	return b.String()
 }
 
 func compareSignatures(a, b *View) int { return strings.Compare(a.Signature(), b.Signature()) }
+
+// Equal reports whether c and o have the same fingerprint: the same index
+// IDs over every relation and the same view signatures. A relation whose
+// list is one list on both sides is equal without a look at its indexes.
+func (c *Configuration) Equal(o *Configuration) bool {
+	if c == o {
+		return true
+	}
+	if len(c.rels) != len(o.rels) || len(c.views) != len(o.views) {
+		return false
+	}
+	for i := range c.rels {
+		a, b := c.rels[i].indexes, o.rels[i].indexes
+		if c.rels[i].name != o.rels[i].name || len(a) != len(b) {
+			return false
+		}
+		if sameList(a, b) {
+			continue
+		}
+		for k := range a {
+			if a[k] != b[k] && a[k].ID() != b[k].ID() {
+				return false
+			}
+		}
+	}
+	if sameList(c.views, o.views) {
+		return true
+	}
+	// Signatures are unique within a configuration (AddView), so with as
+	// many views on both sides, finding each of c's in o is set equality.
+	for _, v := range c.views {
+		if o.ViewBySignature(v.Signature()) == nil {
+			return false
+		}
+	}
+	return true
+}
 
 // String renders a compact human-readable description.
 func (c *Configuration) String() string {

@@ -2,6 +2,7 @@ package physical
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"slices"
 	"sort"
@@ -762,4 +763,168 @@ func TestSplitPartsAreSplitIndexes(t *testing.T) {
 	if splits == 0 {
 		t.Error("the chains enumerated no split")
 	}
+}
+
+// rebuilt is c built again structure by structure, views in reverse name
+// order: a configuration equal to c that shares none of its lists.
+func rebuilt(c *Configuration) *Configuration {
+	out := NewConfiguration()
+	for i := len(c.views) - 1; i >= 0; i-- {
+		out.AddView(c.views[i])
+	}
+	for _, ix := range c.Indexes() {
+		out.AddIndex(ix)
+	}
+	return out
+}
+
+// TestEqualAndDigestFollowFingerprint walks the random chains. Between
+// every configuration and the member it was enumerated from, each
+// configuration one transformation away from it, and the configuration
+// rebuilt from it with lists of its own, Equal holds exactly when the
+// fingerprints are equal, and equal configurations have equal digests.
+// Every digest is the hash of the fingerprint.
+func TestEqualAndDigestFollowFingerprint(t *testing.T) {
+	var equal, apart int
+	check := func(at string, a, b *Configuration) {
+		t.Helper()
+		same := a.Fingerprint() == b.Fingerprint()
+		if a.Equal(b) != same || b.Equal(a) != same {
+			t.Fatalf("%s: Equal %v, fingerprints equal %v\n %s\n %s", at, a.Equal(b), same, a.Fingerprint(), b.Fingerprint())
+		}
+		if same && a.Digest() != b.Digest() {
+			t.Fatalf("%s: equal configurations with digests %x and %x", at, a.Digest(), b.Digest())
+		}
+		if same {
+			equal++
+		} else {
+			apart++
+		}
+	}
+	walkEnumerationChains(t, func(at string, parent, child member) {
+		if got, want := child.cfg.Digest(), maphash.String(digestSeed, child.cfg.Fingerprint()); got != want {
+			t.Fatalf("%s: Digest %x, hash of the fingerprint %x", at, got, want)
+		}
+		check(at+" (rebuilt)", child.cfg, rebuilt(child.cfg))
+		if parent.cfg != nil {
+			check(at+" (from)", parent.cfg, child.cfg)
+		}
+		for _, tr := range child.en.Trans {
+			check(at+" "+tr.ID(), child.cfg, tr.Apply(child.cfg))
+		}
+	})
+	t.Logf("%d pairs equal, %d apart", equal, apart)
+}
+
+// TestApplyToMatchesApply walks the random chains: every transformation of
+// every configuration, applied into one configuration reused across all of
+// them, gives what Apply gives, and leaves the source as it was.
+func TestApplyToMatchesApply(t *testing.T) {
+	dst := NewConfiguration()
+	walkEnumerationChains(t, func(at string, _, child member) {
+		before := child.cfg.Fingerprint()
+		for _, tr := range child.en.Trans {
+			want := tr.Apply(child.cfg).Fingerprint()
+			if got := tr.ApplyTo(dst, child.cfg).Fingerprint(); got != want {
+				t.Fatalf("%s %s: ApplyTo gives\n %s\nApply\n %s", at, tr.ID(), got, want)
+			}
+		}
+		if after := child.cfg.Fingerprint(); after != before {
+			t.Fatalf("%s: applying changed the source from\n %s\nto\n %s", at, before, after)
+		}
+	})
+}
+
+// TestTwinMergeResolvesPromotedShapesOnce walks the random chains to every
+// view merge whose merged view the configuration already holds under
+// another name, where each application re-targets the promoted indexes to
+// that name. Two bounds of such a merge, each applying it into one reused
+// configuration and sizing the result, install the same re-targeted
+// indexes, and the second finds each one's shape where the first left it.
+func TestTwinMergeResolvesPromotedShapesOnce(t *testing.T) {
+	sizer := NewSizer(BaseResolverFunc{
+		RowsFn:  func(table string) (int64, bool) { return 1000 * int64(table[1]-'0'), true },
+		WidthFn: func(string, string) (int, bool) { return 4, true },
+		ColsFn:  func(string) []string { return []string{"a", "b", "c", "d"} },
+	})
+	dst := NewConfiguration()
+	checked := 0
+	walkEnumerationChains(t, func(at string, _, child member) {
+		for _, tr := range child.en.Trans {
+			if tr.Kind != TransMergeViews {
+				continue
+			}
+			twin := child.cfg.ViewBySignature(tr.VM.Signature())
+			if twin == nil || twin.Name == tr.VM.Name {
+				continue
+			}
+			bound := func() []*shapeMemo {
+				sizer.ConfigBytes(tr.ApplyTo(dst, child.cfg))
+				var memos []*shapeMemo
+				for _, ix := range tr.promotedOnto(twin.Name) {
+					if ix.Table != twin.Name {
+						t.Fatalf("%s %s: promoted index %s is not on %s", at, tr.ID(), ix.ID(), twin.Name)
+					}
+					if in := dst.Index(ix.ID()); in == ix {
+						memos = append(memos, ix.shape.Load())
+					}
+				}
+				return memos
+			}
+			first, second := bound(), bound()
+			if !slices.Equal(first, second) || slices.Contains(first, nil) {
+				t.Fatalf("%s %s: the second bound resolved the promoted indexes' shapes again", at, tr.ID())
+			}
+			checked += len(first)
+		}
+	})
+	if checked == 0 {
+		t.Fatal("the chains sized no index re-targeted onto a view already held")
+	}
+	t.Logf("%d re-targeted indexes sized", checked)
+}
+
+// TestTwinMergeUnderConcurrentWorkers is the race detector's view of
+// penalty-estimation workers bounding view merges that land on a view
+// held under another name: each applies every such merge into a scratch
+// configuration of its own and sizes it, so the merges' re-targeted
+// indexes and their shapes are published from several goroutines at once.
+// Every worker must reach the configuration Apply reaches.
+func TestTwinMergeUnderConcurrentWorkers(t *testing.T) {
+	type twinMerge struct {
+		tr   *Transformation
+		cfg  *Configuration
+		want string
+	}
+	var merges []twinMerge
+	walkEnumerationChains(t, func(_ string, _, child member) {
+		for _, tr := range child.en.Trans {
+			if tr.Kind != TransMergeViews {
+				continue
+			}
+			if v := child.cfg.ViewBySignature(tr.VM.Signature()); v != nil && v.Name != tr.VM.Name {
+				merges = append(merges, twinMerge{tr, child.cfg, tr.Apply(child.cfg).Fingerprint()})
+			}
+		}
+	})
+	if len(merges) == 0 {
+		t.Fatal("the chains enumerated no merge onto a view already held")
+	}
+	sizer := NewSizer(testResolver{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst := NewConfiguration()
+			for _, m := range merges {
+				if got := m.tr.ApplyTo(dst, m.cfg).Fingerprint(); got != m.want {
+					t.Errorf("%s: a worker reached\n %s\nApply\n %s", m.tr.ID(), got, m.want)
+					return
+				}
+				sizer.ConfigBytes(dst)
+			}
+		}()
+	}
+	wg.Wait()
 }

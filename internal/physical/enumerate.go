@@ -295,6 +295,7 @@ func (e *Enumerator) mergeTransformation(a, b *viewChunk) *Transformation {
 		for _, ix := range src.list {
 			if p := PromoteIndexToView(ix, src.v, vm); p != nil {
 				tr.Promoted = append(tr.Promoted, p)
+				tr.promotedFrom = append(tr.promotedFrom, ix)
 				hasClustered = hasClustered || p.Clustered
 			}
 		}
@@ -303,6 +304,7 @@ func (e *Enumerator) mergeTransformation(a, b *viewChunk) *Transformation {
 	// promotion.
 	if keys := vm.AllColumnNames(); !hasClustered && len(keys) > 0 {
 		tr.Promoted = append(tr.Promoted, NewIndex(vm.Name, keys[:1], keys[1:], true))
+		tr.promotedFrom = append(tr.promotedFrom, nil)
 	}
 	return sealed(tr)
 }

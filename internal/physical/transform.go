@@ -3,6 +3,7 @@ package physical
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // TransKind identifies one of the paper's relaxation transformations.
@@ -55,6 +56,10 @@ type Transformation struct {
 	V1, V2   *View    // inputs
 	VM       *View    // merged view, shared by every transformation merging V1 and V2
 	Promoted []*Index // indexes promoted from V1/V2 onto VM
+	// promotedFrom is aligned with Promoted: the index of V1 or V2 each
+	// was promoted from, nil for the clustered index the merge adds when
+	// no promoted index is clustered (PromotionOf).
+	promotedFrom []*Index
 
 	// id caches the canonical identity. The enumerator seals it as it builds
 	// the transformation; the search then reads the ID every iteration for
@@ -62,6 +67,11 @@ type Transformation struct {
 	// transformations with an empty id recompute per call (no lazy store —
 	// that would race once the transformation is shared across workers).
 	id string
+	// retarget holds the promoted indexes of the last application whose
+	// merged view landed on a view under another name (promotedOnto). It
+	// is published whole, as Index.shape is, since a transformation is
+	// applied on every penalty-estimation worker.
+	retarget atomic.Pointer[retargeted]
 }
 
 // ID is a stable identity for caching penalties across iterations.
@@ -157,41 +167,86 @@ func (t *Transformation) RemovedViewNames() []string {
 	return out
 }
 
-// Apply produces the relaxed configuration. For view transformations the
-// affected views' indexes cascade per §3.1.2.
+// Apply produces the relaxed configuration in a configuration of its own.
+// For view transformations the affected views' indexes cascade per
+// §3.1.2.
 func (t *Transformation) Apply(c *Configuration) *Configuration {
-	n := c.Clone()
+	return t.ApplyTo(&Configuration{rels: make([]relation, 0, len(c.rels))}, c)
+}
+
+// ApplyTo writes c relaxed by t into dst and returns dst. It reuses dst's
+// relation slice and keeps nothing else dst held; c is left as it was. A
+// caller that relaxes many configurations it reads and drops (a §3.3.2
+// bound) applies each into one dst.
+func (t *Transformation) ApplyTo(dst, c *Configuration) *Configuration {
+	dst.rels = append(dst.rels[:0], c.rels...)
+	dst.views = c.views
 	switch t.Kind {
 	case TransMergeIndexes, TransSplitIndexes, TransPrefixIndex:
-		n.RemoveIndex(t.I1.ID())
+		dst.RemoveIndex(t.I1.ID())
 		if t.I2 != nil {
-			n.RemoveIndex(t.I2.ID())
+			dst.RemoveIndex(t.I2.ID())
 		}
 		for _, ix := range t.NewIdx {
-			n.AddIndex(ix)
+			dst.AddIndex(ix)
 		}
 	case TransPromoteClustered:
-		n.RemoveIndex(t.I1.ID())
+		dst.RemoveIndex(t.I1.ID())
 		for _, ix := range t.NewIdx {
-			n.AddIndex(ix)
+			dst.AddIndex(ix)
 		}
 	case TransRemoveIndex:
-		n.RemoveIndex(t.I1.ID())
+		dst.RemoveIndex(t.I1.ID())
 	case TransMergeViews:
-		n.RemoveView(t.V1.Name)
-		n.RemoveView(t.V2.Name)
-		vm := n.AddView(t.VM)
-		for _, ix := range t.Promoted {
-			// Re-target in case signature dedup picked an existing name.
-			if ix.Table != vm.Name {
-				ix = ix.Clone()
-				ix.Table = vm.Name
-				ix.id = ix.buildID()
-			}
-			n.AddIndex(ix)
+		dst.RemoveView(t.V1.Name)
+		dst.RemoveView(t.V2.Name)
+		vm := dst.AddView(t.VM)
+		for _, ix := range t.promotedOnto(vm.Name) {
+			dst.AddIndex(ix)
 		}
 	case TransRemoveView:
-		n.RemoveView(t.V1.Name)
+		dst.RemoveView(t.V1.Name)
 	}
-	return n
+	return dst
+}
+
+// PromotionOf returns the index of Promoted that the enumeration promoted
+// from ix, an index of V1 or V2, or nil when ix did not promote onto VM.
+func (t *Transformation) PromotionOf(ix *Index) *Index {
+	id := ix.ID()
+	for k, from := range t.promotedFrom {
+		if from != nil && (from == ix || from.ID() == id) {
+			return t.Promoted[k]
+		}
+	}
+	return nil
+}
+
+// retargeted is a view merge's promoted indexes moved onto the view a
+// configuration already held under another name when the merged view
+// landed there (AddView deduplicates by signature).
+type retargeted struct {
+	view    string
+	indexes []*Index
+}
+
+// promotedOnto returns the merge's promoted indexes over the named view:
+// Promoted itself over VM, and over another name copies re-targeted to it,
+// built once per name in a row, so each copy keeps the shape a sizer gave
+// it from one application of t to the next.
+func (t *Transformation) promotedOnto(view string) []*Index {
+	if view == t.VM.Name {
+		return t.Promoted
+	}
+	if r := t.retarget.Load(); r != nil && r.view == view {
+		return r.indexes
+	}
+	out := make([]*Index, len(t.Promoted))
+	for i, ix := range t.Promoted {
+		out[i] = ix.Clone()
+		out[i].Table = view
+		out[i].id = out[i].buildID()
+	}
+	t.retarget.Store(&retargeted{view: view, indexes: out})
+	return out
 }

@@ -339,13 +339,25 @@ func (v *View) AggColumnFor(agg sqlx.AggFunc, src sqlx.ColRef) *ViewColumn {
 	return nil
 }
 
-// HasTableSet reports whether the view's FROM set equals tables.
+// maxTableSet is the longest table set HasTableSet sorts on the stack:
+// optimizer.MaxJoinTables, the most tables a statement the optimizer
+// accepts may join. A longer set is sorted in a copy on the heap.
+const maxTableSet = 16
+
+// HasTableSet reports whether the view's FROM set equals tables. It is on
+// the optimizer's view-matching path, so it sorts a copy of tables on the
+// stack rather than allocate one.
 func (v *View) HasTableSet(tables []string) bool {
 	if len(tables) != len(v.Tables) {
 		return false
 	}
-	sorted := append([]string(nil), tables...)
-	sort.Strings(sorted)
+	var buf [maxTableSet]string
+	sorted := buf[:0]
+	if len(tables) > len(buf) {
+		sorted = make([]string, 0, len(tables))
+	}
+	sorted = append(sorted, tables...)
+	slices.Sort(sorted)
 	return slices.Equal(sorted, v.Tables)
 }
 

@@ -1,9 +1,11 @@
 package physical
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -295,5 +297,43 @@ func TestPromoteIndexAggToBase(t *testing.T) {
 	}
 	if vm.Column(p.Keys[0]) == nil {
 		t.Errorf("mapped key %s missing from merged view", p.Keys[0])
+	}
+}
+
+// TestHasTableSet compares a view's FROM set, held sorted, with table
+// sets in any order, on the stack up to maxTableSet tables and past it.
+func TestHasTableSet(t *testing.T) {
+	many := make([]string, maxTableSet+1)
+	for i := range many {
+		many[i] = fmt.Sprintf("t%02d", i)
+	}
+	reversed := slices.Clone(many)
+	slices.Reverse(reversed)
+	for _, c := range []struct {
+		name   string
+		view   []string
+		tables []string
+		want   bool
+	}{
+		{"equal", []string{"lineitem", "orders"}, []string{"lineitem", "orders"}, true},
+		{"permuted", []string{"customer", "lineitem", "orders"}, []string{"orders", "customer", "lineitem"}, true},
+		{"duplicate", []string{"lineitem", "orders"}, []string{"orders", "orders"}, false},
+		{"duplicate in the view", []string{"orders", "orders"}, []string{"lineitem", "orders"}, false},
+		{"different", []string{"lineitem", "orders"}, []string{"lineitem", "part"}, false},
+		{"shorter", []string{"lineitem", "orders"}, []string{"orders"}, false},
+		{"longer", []string{"orders"}, []string{"orders", "lineitem"}, false},
+		{"empty", nil, nil, true},
+		{"past the stack, permuted", many, reversed, true},
+		{"past the stack, different", many, append(slices.Clone(reversed[1:]), "zz"), false},
+	} {
+		v := &View{Tables: c.view}
+		if got := v.HasTableSet(c.tables); got != c.want {
+			t.Errorf("%s: HasTableSet(%v) over %v = %v, want %v", c.name, c.tables, c.view, got, c.want)
+		}
+	}
+	v := &View{Tables: []string{"customer", "lineitem", "orders"}}
+	tables := []string{"orders", "customer", "lineitem"}
+	if allocs := testing.AllocsPerRun(100, func() { v.HasTableSet(tables) }); allocs != 0 {
+		t.Errorf("HasTableSet allocates %.1f objects, want 0", allocs)
 	}
 }
