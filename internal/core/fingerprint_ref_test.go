@@ -17,7 +17,7 @@ import (
 // verbatim but for reading the indexes through Indexes(), the relations
 // being private to the physical package.
 func refFingerprint(c *physical.Configuration) string {
-	ids := make([]string, 0, c.NumStructures())
+	ids := make([]string, 0, c.NumIndexes()+c.NumViews())
 	for _, ix := range c.Indexes() {
 		ids = append(ids, ix.ID())
 	}

@@ -112,12 +112,3 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
 }
-
-// ReadReport decodes a report written by WriteJSON.
-func ReadReport(r io.Reader) (*Report, error) {
-	var out Report
-	if err := json.NewDecoder(r).Decode(&out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}

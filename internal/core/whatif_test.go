@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -139,8 +140,8 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadReport(&buf)
-	if err != nil {
+	back := new(Report)
+	if err := json.NewDecoder(&buf).Decode(back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Database != rep.Database || back.ImprovementPct != rep.ImprovementPct {

@@ -201,9 +201,7 @@ func (p *Pool) worker() {
 		p.mu.Unlock()
 
 		rec, err := p.run(j.tenant, j.trigger, j.budget, j.overrideBudget)
-		if j.done != nil {
-			j.done <- jobResult{rec: rec, err: err}
-		} else if err != nil {
+		if j.done == nil && err != nil {
 			p.logf("fleet: tenant %s: %s retune failed: %v", j.tenant, j.trigger, err)
 		}
 
@@ -215,6 +213,11 @@ func (p *Pool) worker() {
 		}
 		p.cond.Broadcast()
 		p.mu.Unlock()
+		// The result goes out once the job no longer counts as in flight,
+		// so a submitter that reads the pool after it sees the job done.
+		if j.done != nil {
+			j.done <- jobResult{rec: rec, err: err}
+		}
 	}
 }
 

@@ -12,6 +12,27 @@ import (
 // join enumeration, and the interesting-order machinery.
 const allocQuery = "SELECT r.b, u.x FROM r, u WHERE r.a = u.fk AND r.b < 100 ORDER BY r.b"
 
+// allocJoin3 adds a third table to allocQuery's join, so the DP prices
+// several splits per subset and the pins and benchmarks see join
+// enumeration's per-split work, not only its one two-table split.
+const allocJoin3 = "SELECT r.b, u.x, w.y FROM r, u, w WHERE r.a = u.fk AND u.id = w.uid AND r.b < 100 ORDER BY r.b"
+
+// allocCases are the pinned queries with their allocation ceilings per
+// Optimize call, without and with the §2 request hooks, each about twice
+// what was measured: headroom for GC emptying the optCtx pool
+// mid-measurement. Re-costing calls build the returned plan's nodes but
+// no request objects and no per-call maps; hooked calls additionally
+// materialize one IndexRequest (plus its S/N/O/A slices) per first-seen
+// request.
+var allocCases = []struct {
+	name          string
+	sql           string
+	plain, hooked float64
+}{
+	{name: "join2", sql: allocQuery, plain: 56, hooked: 80},   // 28 and 40 measured
+	{name: "join3", sql: allocJoin3, plain: 106, hooked: 166}, // 53 and 83 measured
+}
+
 // TestOptimizeAllocsPinned pins the allocation count of a single
 // what-if Optimize call. The batch scenarios make tens of thousands of
 // these calls, so a per-call creep multiplies into the regression the
@@ -22,54 +43,43 @@ const allocQuery = "SELECT r.b, u.x FROM r, u WHERE r.a = u.fk AND r.b < 100 ORD
 // look.
 func TestOptimizeAllocsPinned(t *testing.T) {
 	db := testDB(t)
-	o := New(db)
 	cfg := baseCfg(db)
-	q := mustBind(t, db, allocQuery)
-	mustPlan(t, o, q, cfg) // warm the pool and the per-query block memo
-
-	t.Run("no-hooks", func(t *testing.T) {
-		avg := testing.AllocsPerRun(100, func() {
-			if _, err := o.Optimize(q, cfg); err != nil {
-				t.Fatal(err)
+	for _, hooked := range []bool{false, true} {
+		name := "no-hooks"
+		if hooked {
+			name = "with-hooks"
+		}
+		t.Run(name, func(t *testing.T) {
+			for _, c := range allocCases {
+				t.Run(c.name, func(t *testing.T) {
+					o := New(db)
+					var requests int
+					ceiling := c.plain
+					if hooked {
+						o.SetHooks(&Hooks{
+							OnIndexRequest: func(req *IndexRequest) { requests++ },
+							OnViewRequest:  func(req *ViewRequest) { requests++ },
+						})
+						ceiling = c.hooked
+					}
+					q := mustBind(t, db, c.sql)
+					mustPlan(t, o, q, cfg) // warm the pool and the per-query block memo
+					avg := testing.AllocsPerRun(100, func() {
+						if _, err := o.Optimize(q, cfg); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if hooked && requests == 0 {
+						t.Fatal("hooks installed but no requests fired; the pin is measuring the wrong path")
+					}
+					if avg > ceiling {
+						t.Errorf("Optimize %s allocates %.1f objects per call, ceiling %.0f", name, avg, ceiling)
+					}
+					t.Logf("Optimize %s: %.1f allocs/call", name, avg)
+				})
 			}
 		})
-		// Re-costing calls build plan nodes for the winning candidates
-		// but no request objects and no per-call maps: ~37 allocations
-		// measured, pinned at 2× for pool-eviction headroom.
-		const ceiling = 80
-		if avg > ceiling {
-			t.Errorf("Optimize without hooks allocates %.1f objects per call, ceiling %d", avg, ceiling)
-		}
-		t.Logf("Optimize without hooks: %.1f allocs/call", avg)
-	})
-
-	t.Run("with-hooks", func(t *testing.T) {
-		var requests int
-		o.SetHooks(&Hooks{
-			OnIndexRequest: func(req *IndexRequest) { requests++ },
-			OnViewRequest:  func(req *ViewRequest) { requests++ },
-		})
-		defer o.SetHooks(nil)
-		if _, err := o.Optimize(q, cfg); err != nil { // warm again with hooks
-			t.Fatal(err)
-		}
-		avg := testing.AllocsPerRun(100, func() {
-			if _, err := o.Optimize(q, cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if requests == 0 {
-			t.Fatal("hooks installed but no requests fired; the pin is measuring the wrong path")
-		}
-		// Hooked calls additionally materialize one IndexRequest (plus
-		// its S/N/O/A slices) per first-seen request: ~53 allocations
-		// measured, pinned at 2× for pool-eviction headroom.
-		const ceiling = 120
-		if avg > ceiling {
-			t.Errorf("Optimize with hooks allocates %.1f objects per call, ceiling %d", avg, ceiling)
-		}
-		t.Logf("Optimize with hooks: %.1f allocs/call", avg)
-	})
+	}
 }
 
 // TestForkPoolSharing proves pooled optimization state never leaks
@@ -124,45 +134,41 @@ func TestForkPoolSharing(t *testing.T) {
 	}
 }
 
-// BenchmarkOptimize measures one what-if call on the two-table join —
-// the unit of work the batch scenarios repeat thousands of times. CI
-// runs it with -benchmem; the allocation figures are the per-call view
-// of the alloc_bytes scenario gate.
-func BenchmarkOptimize(b *testing.B) {
+// benchOptimize measures one what-if call per allocCases query — the
+// unit of work the batch scenarios repeat thousands of times — with hooks
+// installed when h is not nil. CI runs it with -benchmem; the allocation
+// figures are the per-call view of the alloc_bytes scenario gate.
+func benchOptimize(b *testing.B, h *Hooks) {
 	db := testDB(b)
-	o := New(db)
 	cfg := baseCfg(db)
-	q := mustBind(b, db, allocQuery)
-	mustPlan(b, o, q, cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := o.Optimize(q, cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range allocCases {
+		b.Run(c.name, func(b *testing.B) {
+			o := New(db)
+			o.SetHooks(h)
+			q := mustBind(b, db, c.sql)
+			mustPlan(b, o, q, cfg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := o.Optimize(q, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
+
+// BenchmarkOptimize measures plain re-costing calls.
+func BenchmarkOptimize(b *testing.B) { benchOptimize(b, nil) }
 
 // BenchmarkOptimizeHooked is BenchmarkOptimize with the §2 request
 // hooks installed, covering the request-materialization path the
 // tuner's instrumented calls take.
 func BenchmarkOptimizeHooked(b *testing.B) {
-	db := testDB(b)
-	o := New(db)
-	cfg := baseCfg(db)
-	o.SetHooks(&Hooks{
+	benchOptimize(b, &Hooks{
 		OnIndexRequest: func(*IndexRequest) {},
 		OnViewRequest:  func(*ViewRequest) {},
 	})
-	q := mustBind(b, db, allocQuery)
-	mustPlan(b, o, q, cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := o.Optimize(q, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkOptimizeParallel exercises the pooled scratch contexts under

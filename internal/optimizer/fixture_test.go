@@ -10,12 +10,13 @@ import (
 	"repro/internal/sqlx"
 )
 
-// testDB builds a small two-table database with precisely known
+// testDB builds a small three-table database with precisely known
 // statistics:
 //
 //	r: 100_000 rows — id (unique), a (100 dv), b (1000 dv), c (10 dv),
 //	   s (varchar, 50 dv), pad (wide varchar)
 //	u: 2_000 rows — id (unique), fk (joins r.a domain), x (20 dv)
+//	w: 500 rows — id (unique), uid (joins u.id domain), y (50 dv)
 func testDB(t testing.TB) *catalog.Database {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))
@@ -54,8 +55,17 @@ func testDB(t testing.TB) *catalog.Database {
 	if err != nil {
 		t.Fatalf("table u: %v", err)
 	}
+	w, err := catalog.NewTable("w", 500, []catalog.Column{
+		{Name: "id", Type: catalog.TypeInt, AvgWidth: 4, Stats: uniform(0, 1, 500, 500)},
+		{Name: "uid", Type: catalog.TypeInt, AvgWidth: 4, Stats: uniform(0, 1, 2000, 400)},
+		{Name: "y", Type: catalog.TypeInt, AvgWidth: 4, Stats: uniform(0, 0, 49, 50)},
+	}, []string{"id"})
+	if err != nil {
+		t.Fatalf("table w: %v", err)
+	}
 	db.MustAddTable(r)
 	db.MustAddTable(u)
+	db.MustAddTable(w)
 	return db
 }
 

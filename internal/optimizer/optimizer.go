@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -58,7 +57,8 @@ type optCtx struct {
 	arena   []dpEntry       // bump arena backing the dpEntries of one call
 
 	edges        []physical.JoinPred // join-edge scratch (one split live at a time)
-	lKeys, rKeys []string            // merge-join key scratch (cost phase only)
+	lKeys, rKeys []string            // merge-join key scratch (one split live at a time)
+	probeCols    []string            // index-NL probe-column scratch (one candidate live at a time)
 
 	probeSpec   accessSpec // inner-probe spec scratch (innerProbe)
 	probeSargs  []SargCond
@@ -155,13 +155,6 @@ func (o *Optimizer) AddStats(d Stats) {
 	o.stats.viewRequests.Add(d.ViewRequests)
 }
 
-// ResetStats zeroes the activity counters.
-func (o *Optimizer) ResetStats() {
-	o.stats.optimizeCalls.Store(0)
-	o.stats.indexRequests.Store(0)
-	o.stats.viewRequests.Store(0)
-}
-
 // Sizer exposes the shared size estimator.
 func (o *Optimizer) Sizer() *physical.Sizer { return o.sizer }
 
@@ -171,16 +164,22 @@ func (o *Optimizer) Model() CostModel { return o.model }
 // DB exposes the catalog database.
 func (o *Optimizer) DB() *catalog.Database { return o.db }
 
-// dpEntry is the best plan found for one table subset. Join entries link
-// their inputs through left/right instead of concatenating usage and view
-// lists per split (which allocated quadratically); the winning tree is
-// flattened once by collectEntryLists. An entry's own usages/views hold
-// only the records it adds itself (leaf access, INL probe, view scan).
+// dpEntry is the best plan found for one table subset, priced: total,
+// rows and order are what its plan costs, returns and is sorted by. Leaf
+// and view entries hold the access plan they priced (node) with its usage
+// and view records. Join entries hold no node: they record the decision
+// joinPlans priced and link their inputs through left/right, and
+// treeBuilder makes the nodes, the index-NL usage records and the usage
+// and view lists of the winning tree only, once, when Optimize returns.
 type dpEntry struct {
-	node        plan.Node
-	usages      []*plan.IndexUsage
-	views       []string
-	left, right *dpEntry
+	mask  uint64 // the table subset
+	total plan.Cost
+	rows  float64
+	order []string
+
+	node   plan.Node
+	usages []*plan.IndexUsage
+	views  []string
 	// grouped reports that the sub-plan already produced the query's
 	// aggregation (view-based plans may embed it).
 	grouped bool
@@ -188,13 +187,26 @@ type dpEntry struct {
 	// presentation order (view-based plans track it explicitly because
 	// their order properties use view-local column names).
 	ordered bool
+
+	left, right *dpEntry
+	method      plan.JoinMethod
+	swap        bool // the join node's first input is right (hash probe, NL or index-NL outer)
+	joinCost    plan.Cost
+	joinRows    float64
+	filterSel   float64     // the cross-table filter above the join; 1 when none
+	probe       probeResult // index-NL: the inner side's probe index
+}
+
+// setNode makes e a leaf or view entry priced by its access plan n.
+func (e *dpEntry) setNode(n plan.Node) {
+	e.node, e.total, e.rows, e.order = n, n.TotalCost(), n.OutRows(), n.OutOrder()
 }
 
 func (e *dpEntry) cost() float64 {
-	if e == nil || e.node == nil {
+	if e == nil {
 		return inf
 	}
-	return e.node.TotalCost().Total()
+	return e.total.Total()
 }
 
 // Optimize finds the cheapest plan for the query's select part under cfg.
@@ -227,7 +239,8 @@ func (o *Optimizer) Optimize(q *BoundQuery, cfg *physical.Configuration) (*plan.
 			return nil, fmt.Errorf("optimizer: no access path for table %s", t)
 		}
 		e := oc.newEntry()
-		e.node, e.usages = res.node, res.usages
+		e.setNode(res.node)
+		e.usages = res.usages
 		dp[1<<uint(i)] = e
 	}
 
@@ -240,7 +253,8 @@ func (o *Optimizer) Optimize(q *BoundQuery, cfg *physical.Configuration) (*plan.
 	// Join levels in increasing subset size, plus view-based alternatives.
 	for mask := uint64(1); mask <= full; mask++ {
 		size := bits.OnesCount64(mask)
-		best := dp[mask] // leaf access for singletons, nil above
+		best := dp[mask]    // leaf access for singletons, nil above
+		var joined *dpEntry // the mask's best join so far, overwritten by a better split
 
 		if size >= 2 {
 			// Joins of two disjoint sub-plans.
@@ -258,16 +272,22 @@ func (o *Optimizer) Optimize(q *BoundQuery, cfg *physical.Configuration) (*plan.
 				if len(edges) == 0 && o.hasAnyEdge(q, idx, mask) {
 					continue // avoid cross products when the mask is joinable
 				}
-				cand := o.joinPlans(oc, q, cfg, idx, mask, sub, other, l, r, edges)
-				if cand != nil && cand.cost() < bestCost(best) {
-					best = cand
+				if cand, ok := o.joinPlans(oc, q, cfg, idx, mask, sub, other, l, r, edges); ok && cand.cost() < best.cost() {
+					if joined == nil {
+						joined = oc.newEntry()
+					}
+					*joined = cand
+					best = joined
 				}
 			}
 		}
 		if size >= 2 || mask == full {
-			if vcand := o.viewPlans(oc, q, cfg, idx, mask, mask == full); vcand != nil && vcand.cost() < bestCost(best) {
+			if vcand := o.viewPlans(oc, q, cfg, idx, mask, mask == full); vcand != nil && vcand.cost() < best.cost() {
 				best = vcand
 			}
+		}
+		if best != nil {
+			best.mask = mask
 		}
 		dp[mask] = best
 	}
@@ -277,52 +297,35 @@ func (o *Optimizer) Optimize(q *BoundQuery, cfg *physical.Configuration) (*plan.
 		return nil, fmt.Errorf("optimizer: join enumeration produced no plan (disconnected join graph?)")
 	}
 
-	usages, views := collectEntryLists(final)
-	root := o.finishRoot(q, final.node, rootState{grouped: final.grouped, ordered: final.ordered})
+	b := treeBuilder{o: o, oc: oc, q: q}
+	nu, nv := countEntry(final)
+	if nu > 0 {
+		b.usages = make([]*plan.IndexUsage, 0, nu)
+	}
+	if nv > 0 {
+		b.views = make([]string, 0, nv)
+	}
+	root := o.finishRoot(q, b.build(final), rootState{grouped: final.grouped, ordered: final.ordered})
 	return &plan.QueryPlan{
 		Root:      root,
 		Cost:      root.TotalCost(),
-		Usages:    usages,
-		UsedViews: views,
+		Usages:    b.usages,
+		UsedViews: b.views,
 	}, nil
 }
 
-// collectEntryLists flattens the winning DP tree's deferred usage and
-// view lists. The order — left subtree, right subtree, then the entry's
-// own records — reproduces exactly what eager per-split concatenation
-// (l.usages ++ r.usages ++ extras) used to build.
-func collectEntryLists(e *dpEntry) ([]*plan.IndexUsage, []string) {
-	nu, nv := countEntry(e)
-	var us []*plan.IndexUsage
-	var vs []string
-	if nu > 0 {
-		us = make([]*plan.IndexUsage, 0, nu)
-	}
-	if nv > 0 {
-		vs = make([]string, 0, nv)
-	}
-	return appendEntry(e, us, vs)
-}
-
+// countEntry counts the usage and view records of the winning tree under
+// e: each leaf's and view's own, and one per index-NL join.
 func countEntry(e *dpEntry) (nu, nv int) {
-	nu, nv = len(e.usages), len(e.views)
-	if e.left != nil {
-		a, b := countEntry(e.left)
-		nu += a
-		nv += b
-		a, b = countEntry(e.right)
-		nu += a
-		nv += b
+	if e.left == nil {
+		return len(e.usages), len(e.views)
 	}
-	return nu, nv
-}
-
-func appendEntry(e *dpEntry, us []*plan.IndexUsage, vs []string) ([]*plan.IndexUsage, []string) {
-	if e.left != nil {
-		us, vs = appendEntry(e.left, us, vs)
-		us, vs = appendEntry(e.right, us, vs)
+	nu, nv = countEntry(e.left)
+	a, b := countEntry(e.right)
+	if e.method == plan.JoinIndexNL {
+		nu++
 	}
-	return append(us, e.usages...), append(vs, e.views...)
+	return nu + a, nv + b
 }
 
 // rootState tracks what compensation the chosen subplan already performed.
@@ -376,13 +379,6 @@ func qualifyRefs(refs []sqlx.ColRef) []string {
 	return out
 }
 
-func bestCost(e *dpEntry) float64 {
-	if e == nil {
-		return inf
-	}
-	return e.cost()
-}
-
 // tableSpec builds the access spec for one base table.
 func (o *Optimizer) tableSpec(q *BoundQuery, table string, root bool) *accessSpec {
 	t := o.db.Table(table)
@@ -407,9 +403,9 @@ func (o *Optimizer) tableSpec(q *BoundQuery, table string, root bool) *accessSpe
 		// an explicit sort), so the leaf must not force a sort.
 		spec.orderOptional = true
 		if len(q.GroupBy) > 0 {
-			spec.order = localRefs(q.GroupBy)
+			spec.order = localCols(q.GroupBy)
 		} else if !q.HasAggregates() && len(q.OrderBy) > 0 {
-			spec.order = localRefs(q.OrderBy)
+			spec.order = localCols(q.OrderBy)
 		}
 	}
 	return spec
@@ -422,8 +418,6 @@ func localCols(cols []sqlx.ColRef) []string {
 	}
 	return out
 }
-
-func localRefs(refs []sqlx.ColRef) []string { return localCols(refs) }
 
 func (o *Optimizer) neededWidth(table string, cols []string) int {
 	t := o.db.Table(table)
@@ -588,32 +582,24 @@ func (o *Optimizer) hasAnyEdge(q *BoundQuery, idx map[string]int, mask uint64) b
 	return false
 }
 
-// join candidate tags, in the evaluation order of the node-per-candidate
-// enumeration this replaces (ties keep the earliest candidate).
-const (
-	candNone = iota
-	candHashLR
-	candHashRL
-	candMerge
-	candINLInnerR // inner side = other mask, outer = l
-	candINLInnerL // inner side = sub mask, outer = r
-	candNLLR
-	candNLRL
-)
+// crossAt reports whether a cross-table predicate over cols first becomes
+// evaluable when sub and other join.
+func crossAt(idx map[string]int, sub, other uint64, cols []sqlx.ColRef) bool {
+	return maskHasAll(idx, sub|other, cols) && !maskHasAll(idx, sub, cols) && !maskHasAll(idx, other, cols)
+}
 
-// joinPlans builds the cheapest join of two sub-plans, considering hash
+// joinPlans prices the cheapest join of two sub-plans, considering hash
 // join (both build directions), merge join, index nested loops
-// (single-table inner), and plain nested loops as the universal fallback.
-// Cross-table filters that become evaluable at this mask are applied on
-// top. Candidates are priced first with plain cost arithmetic — mirroring
-// the build functions exactly — and only the winner materializes plan
-// nodes; losing candidates used to dominate what-if-path allocation.
-func (o *Optimizer) joinPlans(oc *optCtx, q *BoundQuery, cfg *physical.Configuration, idx map[string]int, mask, sub, other uint64, l, r *dpEntry, edges []physical.JoinPred) *dpEntry {
+// (single-table inner), and plain nested loops as the universal fallback,
+// with the cross-table filters that become evaluable at this mask on top.
+// The entry records the winner's decision and price; treeBuilder makes
+// its node only if it lands in the plan Optimize returns.
+func (o *Optimizer) joinPlans(oc *optCtx, q *BoundQuery, cfg *physical.Configuration, idx map[string]int, mask, sub, other uint64, l, r *dpEntry, edges []physical.JoinPred) (dpEntry, bool) {
 	outRows := o.selRows(q, idx, mask)
 	// Filters newly evaluable at this mask.
 	extraSel := 1.0
 	for _, c := range q.CrossOthers {
-		if maskHasAll(idx, mask, c.Cols) && !maskHasAll(idx, sub, c.Cols) && !maskHasAll(idx, other, c.Cols) {
+		if crossAt(idx, sub, other, c.Cols) {
 			extraSel *= c.Sel
 		}
 	}
@@ -624,92 +610,62 @@ func (o *Optimizer) joinPlans(oc *optCtx, q *BoundQuery, cfg *physical.Configura
 		joinRows = outRows / extraSel
 	}
 
-	cand := candNone
+	// Candidates in pricing order; ties keep the earliest.
+	e := dpEntry{left: l, right: r, joinRows: joinRows, filterSel: extraSel}
 	bestTotal := inf
-	consider := func(kind int, c plan.Cost) {
+	consider := func(m plan.JoinMethod, swap bool, c plan.Cost) bool {
 		if t := c.Total(); t < bestTotal {
-			cand, bestTotal = kind, t
+			bestTotal, e.method, e.swap, e.joinCost = t, m, swap, c
+			return true
 		}
+		return false
 	}
-	var probeR, probeL probeResult
-	var colsR, colsL []string
+	var sortL bool
 	if len(edges) > 0 {
-		consider(candHashLR, o.hashJoinCost(l, r))
-		consider(candHashRL, o.hashJoinCost(r, l))
+		consider(plan.JoinHash, false, o.hashJoinCost(l, r))
+		consider(plan.JoinHash, true, o.hashJoinCost(r, l))
 		lk, rk := oc.mergeKeys(idx, sub, edges)
-		consider(candMerge, o.mergeJoinCost(l, r, lk, rk))
+		lc, sorted := o.mergePrep(l, lk)
+		rc, _ := o.mergePrep(r, rk)
+		if consider(plan.JoinMerge, false, lc.Add(rc).Add(plan.Cost{CPU: o.model.CPURow * (l.rows + r.rows)})) {
+			sortL = sorted
+		}
 		// Index nested loops: inner side must be a single base table.
-		if pr, pc, total, ok := o.indexNLCost(oc, q, cfg, other, l, edges, joinRows); ok {
-			probeR, colsR = pr, pc
-			consider(candINLInnerR, total)
+		if pr, total, ok := o.indexNLCost(oc, q, cfg, other, l, edges, joinRows); ok && consider(plan.JoinIndexNL, false, total) {
+			e.probe = pr
 		}
-		if pr, pc, total, ok := o.indexNLCost(oc, q, cfg, sub, r, edges, joinRows); ok {
-			probeL, colsL = pr, pc
-			consider(candINLInnerL, total)
+		if pr, total, ok := o.indexNLCost(oc, q, cfg, sub, r, edges, joinRows); ok && consider(plan.JoinIndexNL, true, total) {
+			e.probe = pr
 		}
 	}
-	consider(candNLLR, o.nlJoinCost(l, r, joinRows))
-	consider(candNLRL, o.nlJoinCost(r, l, joinRows))
-	if cand == candNone {
-		return nil
+	consider(plan.JoinNestedLoop, false, o.nlJoinCost(l, r, joinRows))
+	consider(plan.JoinNestedLoop, true, o.nlJoinCost(r, l, joinRows))
+	if bestTotal == inf {
+		return dpEntry{}, false
 	}
 
-	on := joinDesc(edges)
-	var node plan.Node
-	var extra *plan.IndexUsage
-	switch cand {
-	case candHashLR:
-		node = o.hashJoin(l, r, on, joinRows)
-	case candHashRL:
-		node = o.hashJoin(r, l, on, joinRows)
-	case candMerge:
-		node = o.mergeJoin(q, idx, sub, l, r, edges, on, joinRows)
-	case candINLInnerR:
-		node, extra = o.buildIndexNL(probeR, l, colsR, on, joinRows)
-	case candINLInnerL:
-		node, extra = o.buildIndexNL(probeL, r, colsL, on, joinRows)
-	case candNLLR:
-		node = o.nlJoin(l, r, on, joinRows)
-	case candNLRL:
-		node = o.nlJoin(r, l, on, joinRows)
+	// The join delivers its first input's order; a merge join's left
+	// input is sorted on the join keys when it was not already.
+	e.order = l.order
+	if e.swap {
+		e.order = r.order
+	} else if e.method == plan.JoinMerge && sortL {
+		e.order = slices.Clone(oc.lKeys)
 	}
+	e.total, e.rows = e.joinCost, joinRows
 	if extraSel < 1 {
-		var descs []string
-		for _, c := range q.CrossOthers {
-			if maskHasAll(idx, mask, c.Cols) && !maskHasAll(idx, sub, c.Cols) && !maskHasAll(idx, other, c.Cols) {
-				descs = append(descs, c.Expr.String())
-			}
-		}
-		node = plan.NewFilter(node, extraSel, strings.Join(descs, " AND "), node.TotalCost().Add(plan.Cost{CPU: o.model.CPURow * node.OutRows()}))
+		e.total, e.rows = e.joinCost.Add(plan.Cost{CPU: o.model.CPURow * joinRows}), joinRows*extraSel
 	}
-	e := oc.newEntry()
-	e.node, e.left, e.right = node, l, r
-	if extra != nil {
-		e.usages = []*plan.IndexUsage{extra}
-	}
-	return e
+	return e, true
 }
 
-func joinDesc(edges []physical.JoinPred) string {
-	if len(edges) == 0 {
-		return "cross"
-	}
-	parts := make([]string, len(edges))
-	for i, e := range edges {
-		parts[i] = e.String()
-	}
-	return strings.Join(parts, " AND ")
-}
-
-// hashJoinCost prices hashJoin without building its node; the arithmetic
-// must stay in lockstep with hashJoin.
+// hashJoinCost prices a hash join that builds on build and probes with
+// probe.
 func (o *Optimizer) hashJoinCost(probe, build *dpEntry) plan.Cost {
-	buildRows := build.node.OutRows()
-	probeRows := probe.node.OutRows()
-	cost := probe.node.TotalCost().Add(build.node.TotalCost()).
-		Add(plan.Cost{CPU: o.model.CPUHash * (buildRows + probeRows)})
-	buildPages := buildRows * 64 / 8192
-	if buildPages > float64(o.model.SortMemory) {
+	cost := probe.total.Add(build.total).
+		Add(plan.Cost{CPU: o.model.CPUHash * (build.rows + probe.rows)})
+	// Spill when the build side exceeds memory.
+	if buildPages := build.rows * 64 / 8192; buildPages > float64(o.model.SortMemory) {
 		cost = cost.Add(plan.Cost{IO: 2 * buildPages * o.model.SeqPage})
 	}
 	return cost
@@ -717,8 +673,7 @@ func (o *Optimizer) hashJoinCost(probe, build *dpEntry) plan.Cost {
 
 // mergeKeys resolves each join edge's columns onto the left/right input
 // (left = the tables in lMask) as qualified names. The returned slices
-// are cost-phase scratch: mergeJoin rebuilds its own copies for the
-// winner because sort nodes retain their key slices.
+// are the call's scratch, valid until the next mergeKeys call.
 func (oc *optCtx) mergeKeys(idx map[string]int, lMask uint64, edges []physical.JoinPred) ([]string, []string) {
 	lk, rk := oc.lKeys[:0], oc.rKeys[:0]
 	for _, e := range edges {
@@ -733,81 +688,23 @@ func (oc *optCtx) mergeKeys(idx map[string]int, lMask uint64, edges []physical.J
 	return lk, rk
 }
 
-// mergeJoinCost prices mergeJoin without building nodes; the arithmetic
-// must stay in lockstep with mergeJoin (sorts preserve cardinality, so
-// the post-prep row counts equal the input row counts).
-func (o *Optimizer) mergeJoinCost(l, r *dpEntry, lKeys, rKeys []string) plan.Cost {
-	prepCost := func(n plan.Node, keys []string) plan.Cost {
-		if plan.OrderSatisfies(n.OutOrder(), keys, nil) {
-			return n.TotalCost()
-		}
-		pages := n.OutRows() * 64 / 8192
-		return n.TotalCost().Add(o.model.SortCost(n.OutRows(), pages))
+// mergePrep is the cost of one merge-join input delivered in keys order,
+// and whether that takes a sort: the input already sorted on keys costs
+// what it costs. Sorts preserve cardinality.
+func (o *Optimizer) mergePrep(e *dpEntry, keys []string) (plan.Cost, bool) {
+	if plan.OrderSatisfies(e.order, keys, nil) {
+		return e.total, false
 	}
-	return prepCost(l.node, lKeys).Add(prepCost(r.node, rKeys)).
-		Add(plan.Cost{CPU: o.model.CPURow * (l.node.OutRows() + r.node.OutRows())})
+	pages := e.rows * 64 / 8192
+	return e.total.Add(o.model.SortCost(e.rows, pages)), true
 }
 
-// nlJoinCost prices nlJoin without building its node; the arithmetic must
-// stay in lockstep with nlJoin.
+// nlJoinCost prices a nested-loops join that scans the inner input once
+// per outer row (the universal fallback, also the only method for cross
+// products).
 func (o *Optimizer) nlJoinCost(outer, inner *dpEntry, rows float64) plan.Cost {
-	outerRows := outer.node.OutRows()
-	innerCost := inner.node.TotalCost()
-	return outer.node.TotalCost().Add(innerCost.Scale(max(1, outerRows))).
+	return outer.total.Add(inner.total.Scale(max(1, outer.rows))).
 		Add(plan.Cost{CPU: o.model.CPURow * rows})
-}
-
-// hashJoin builds on build and probes with probe; probe-side order is
-// preserved.
-func (o *Optimizer) hashJoin(probe, build *dpEntry, on string, rows float64) plan.Node {
-	buildRows := build.node.OutRows()
-	probeRows := probe.node.OutRows()
-	cost := probe.node.TotalCost().Add(build.node.TotalCost()).
-		Add(plan.Cost{CPU: o.model.CPUHash * (buildRows + probeRows)})
-	// Spill when the build side exceeds memory.
-	buildPages := buildRows * 64 / 8192
-	if buildPages > float64(o.model.SortMemory) {
-		cost = cost.Add(plan.Cost{IO: 2 * buildPages * o.model.SeqPage})
-	}
-	return plan.NewJoin(plan.JoinHash, probe.node, build.node, on, rows, probe.node.OutOrder(), cost)
-}
-
-// mergeJoin sorts both inputs on the join keys (skipping sorts an input
-// already provides) and merges linearly; output carries the left input's
-// join-key order. lMask identifies which tables feed the left input so
-// each edge column lands on its own side.
-func (o *Optimizer) mergeJoin(q *BoundQuery, idx map[string]int, lMask uint64, l, r *dpEntry, edges []physical.JoinPred, on string, rows float64) plan.Node {
-	var lKeys, rKeys []string
-	for _, e := range edges {
-		lc, rc := e.L, e.R
-		if !maskHasCol(idx, lMask, lc) {
-			lc, rc = rc, lc
-		}
-		lKeys = append(lKeys, lc.Table+"."+lc.Column)
-		rKeys = append(rKeys, rc.Table+"."+rc.Column)
-	}
-	prep := func(n plan.Node, keys []string) plan.Node {
-		if plan.OrderSatisfies(n.OutOrder(), keys, nil) {
-			return n
-		}
-		pages := n.OutRows() * 64 / 8192
-		return plan.NewSort(n, keys, n.TotalCost().Add(o.model.SortCost(n.OutRows(), pages)))
-	}
-	ln := prep(l.node, lKeys)
-	rn := prep(r.node, rKeys)
-	cost := ln.TotalCost().Add(rn.TotalCost()).
-		Add(plan.Cost{CPU: o.model.CPURow * (ln.OutRows() + rn.OutRows())})
-	return plan.NewJoin(plan.JoinMerge, ln, rn, on, rows, ln.OutOrder(), cost)
-}
-
-// nlJoin scans the inner input once per outer row (universal fallback,
-// also the only method for cross products).
-func (o *Optimizer) nlJoin(outer, inner *dpEntry, on string, rows float64) plan.Node {
-	outerRows := outer.node.OutRows()
-	innerCost := inner.node.TotalCost()
-	cost := outer.node.TotalCost().Add(innerCost.Scale(max(1, outerRows))).
-		Add(plan.Cost{CPU: o.model.CPURow * rows})
-	return plan.NewJoin(plan.JoinNestedLoop, outer.node, inner.node, on, rows, outer.node.OutOrder(), cost)
 }
 
 // probeResult captures the winning inner-side index of an index
@@ -824,52 +721,101 @@ type probeResult struct {
 	needed   []string
 }
 
-// indexNLCost prices an index nested-loops join whose inner side is
-// innerMask (which must be a single base table). It issues the
-// inner-side index request (§2) and selects the best probe index without
-// building plan nodes; ok reports whether the candidate applies.
-func (o *Optimizer) indexNLCost(oc *optCtx, q *BoundQuery, cfg *physical.Configuration, innerMask uint64, outer *dpEntry, edges []physical.JoinPred, rows float64) (probeResult, []string, plan.Cost, bool) {
-	var none probeResult
-	if bits.OnesCount64(innerMask) != 1 {
-		return none, nil, plan.Cost{}, false
-	}
-	innerTable := q.Tables[bits.TrailingZeros64(innerMask)]
-	// Join columns on the inner side.
-	var probeCols []string
+// appendProbeCols appends the inner table's columns of the join edges:
+// the columns an index nested-loops join probes the inner side on.
+func appendProbeCols(dst []string, edges []physical.JoinPred, innerTable string) []string {
 	for _, e := range edges {
 		if e.L.Table == innerTable {
-			probeCols = append(probeCols, e.L.Column)
+			dst = append(dst, e.L.Column)
 		} else if e.R.Table == innerTable {
-			probeCols = append(probeCols, e.R.Column)
+			dst = append(dst, e.R.Column)
 		}
 	}
-	if len(probeCols) == 0 {
-		return none, nil, plan.Cost{}, false
-	}
-	pr, ok := o.innerProbe(oc, q, cfg, innerTable, probeCols)
-	if !ok {
-		return none, nil, plan.Cost{}, false
-	}
-	outerRows := outer.node.OutRows()
-	total := outer.node.TotalCost().Add(pr.cost.Scale(max(1, outerRows))).
-		Add(plan.Cost{CPU: o.model.CPURow * rows})
-	return pr, probeCols, total, true
+	return dst
 }
 
-// buildIndexNL materializes the winning index nested-loops candidate; the
-// cost arithmetic must stay in lockstep with indexNLCost.
-func (o *Optimizer) buildIndexNL(pr probeResult, outer *dpEntry, probeCols []string, on string, rows float64) (plan.Node, *plan.IndexUsage) {
-	outerRows := outer.node.OutRows()
-	total := outer.node.TotalCost().Add(pr.cost.Scale(max(1, outerRows))).
-		Add(plan.Cost{CPU: o.model.CPURow * rows})
-	// The usage reflects the accumulated access over all probes.
-	usage := &plan.IndexUsage{
-		Index: pr.ix, Seek: true, SeekCols: pr.cols, SeekColSels: pr.colSels, Selectivity: pr.sel,
-		Rows: pr.rows * max(1, outerRows), AccessCost: pr.cost.Scale(max(1, outerRows)), NeededCols: pr.needed,
-		LookedUp: pr.lookedUp,
+// indexNLCost prices an index nested-loops join whose inner side is
+// innerMask (which must be a single base table). It issues the
+// inner-side index request (§2) and selects the best probe index; ok
+// reports whether the candidate applies.
+func (o *Optimizer) indexNLCost(oc *optCtx, q *BoundQuery, cfg *physical.Configuration, innerMask uint64, outer *dpEntry, edges []physical.JoinPred, rows float64) (probeResult, plan.Cost, bool) {
+	if bits.OnesCount64(innerMask) != 1 {
+		return probeResult{}, plan.Cost{}, false
 	}
-	node := plan.NewJoin(plan.JoinIndexNL, outer.node, plan.NewIndexSeek(usage.Index, probeCols, usage.Selectivity, usage.Rows, usage.AccessCost, nil), on, rows, outer.node.OutOrder(), total)
-	return node, usage
+	innerTable := q.Tables[bits.TrailingZeros64(innerMask)]
+	oc.probeCols = appendProbeCols(oc.probeCols[:0], edges, innerTable)
+	if len(oc.probeCols) == 0 {
+		return probeResult{}, plan.Cost{}, false
+	}
+	pr, ok := o.innerProbe(oc, q, cfg, innerTable, oc.probeCols)
+	if !ok {
+		return probeResult{}, plan.Cost{}, false
+	}
+	total := outer.total.Add(pr.cost.Scale(max(1, outer.rows))).
+		Add(plan.Cost{CPU: o.model.CPURow * rows})
+	return pr, total, true
+}
+
+// treeBuilder makes the plan Optimize returns from the winning DP tree,
+// and on the same walk flattens its usage and view lists in the order
+// left subtree, right subtree, then the entry's own records.
+type treeBuilder struct {
+	o      *Optimizer
+	oc     *optCtx
+	q      *BoundQuery
+	usages []*plan.IndexUsage
+	views  []string
+}
+
+// build returns e's plan. A join entry's node takes its recorded cost,
+// rows and order; only a merge join's sorts are priced again, by the
+// helper that priced them in the DP.
+func (b *treeBuilder) build(e *dpEntry) plan.Node {
+	if e.left == nil {
+		b.usages = append(b.usages, e.usages...)
+		b.views = append(b.views, e.views...)
+		return e.node
+	}
+	o, oc, idx := b.o, b.oc, b.oc.idx
+	ln, rn := b.build(e.left), b.build(e.right)
+	outer, inner := e.left, e.right
+	if e.swap {
+		ln, rn = rn, ln
+		outer, inner = inner, outer
+	}
+	edges := slices.Clone(o.joinEdges(oc, b.q, idx, e.left.mask, e.right.mask))
+	switch e.method {
+	case plan.JoinMerge:
+		lk, rk := oc.mergeKeys(idx, e.left.mask, edges)
+		if c, sorted := o.mergePrep(e.left, lk); sorted {
+			ln = plan.NewSort(ln, e.order, c)
+		}
+		if c, sorted := o.mergePrep(e.right, rk); sorted {
+			rn = plan.NewSort(rn, slices.Clone(rk), c)
+		}
+	case plan.JoinIndexNL:
+		// The usage reflects the accumulated access over all probes.
+		pr, probes := e.probe, max(1, outer.rows)
+		u := &plan.IndexUsage{
+			Index: pr.ix, Seek: true, SeekCols: pr.cols, SeekColSels: pr.colSels, Selectivity: pr.sel,
+			Rows: pr.rows * probes, AccessCost: pr.cost.Scale(probes), NeededCols: pr.needed,
+			LookedUp: pr.lookedUp,
+		}
+		b.usages = append(b.usages, u)
+		probeCols := appendProbeCols(nil, edges, b.q.Tables[bits.TrailingZeros64(inner.mask)])
+		rn = plan.NewIndexSeek(u.Index, probeCols, u.Selectivity, u.Rows, u.AccessCost, nil)
+	}
+	var node plan.Node = plan.NewJoin(e.method, ln, rn, edges, e.joinRows, e.order, e.joinCost)
+	if e.filterSel < 1 {
+		var preds []sqlx.Expr
+		for _, c := range b.q.CrossOthers {
+			if crossAt(idx, e.left.mask, e.right.mask, c.Cols) {
+				preds = append(preds, c.Expr)
+			}
+		}
+		node = plan.NewPredFilter(node, e.filterSel, preds, e.total)
+	}
+	return node
 }
 
 // innerProbe finds the best index to look up one join binding on the

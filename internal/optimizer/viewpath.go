@@ -353,7 +353,7 @@ func (o *Optimizer) viewAccessPlan(oc *optCtx, q *BoundQuery, cfg *physical.Conf
 	} else if groupedMatch {
 		entry.grouped = true
 	}
-	entry.node = node
+	entry.setNode(node)
 	return entry
 }
 

@@ -337,22 +337,6 @@ func (c *Configuration) ClusteredOn(table string) *Index {
 	return clusteredIn(c.IndexesOn(table))
 }
 
-// MaterializedViews returns views that have at least one index (i.e. are
-// actually materialized). In well-formed configurations every view has a
-// clustered index; this accessor guards against dangling definitions.
-func (c *Configuration) MaterializedViews() []*View {
-	var out []*View
-	for _, v := range c.views {
-		if len(c.IndexesOn(v.Name)) > 0 {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// NumStructures returns the count of indexes plus views.
-func (c *Configuration) NumStructures() int { return c.NumIndexes() + len(c.views) }
-
 // NumIndexes returns the number of indexes.
 func (c *Configuration) NumIndexes() int {
 	n := 0

@@ -251,8 +251,7 @@ func TestConfigurationMatchesFlatMapReference(t *testing.T) {
 				if got, want := indexIDs(p.cfg.Indexes()), p.ref.indexIDs(); !slices.Equal(got, want) {
 					t.Fatalf("%s: Indexes %v, reference %v", at, got, want)
 				}
-				if p.cfg.NumIndexes() != len(p.ref.indexes) || p.cfg.NumViews() != len(p.ref.views) ||
-					p.cfg.NumStructures() != len(p.ref.indexes)+len(p.ref.views) {
+				if p.cfg.NumIndexes() != len(p.ref.indexes) || p.cfg.NumViews() != len(p.ref.views) {
 					t.Fatalf("%s: %d indexes + %d views, reference %d + %d", at,
 						p.cfg.NumIndexes(), p.cfg.NumViews(), len(p.ref.indexes), len(p.ref.views))
 				}

@@ -128,19 +128,6 @@ func TestDiff(t *testing.T) {
 	}
 }
 
-func TestMaterializedViews(t *testing.T) {
-	c := NewConfiguration()
-	v := &View{Name: "v", Tables: []string{"t"}, Cols: []ViewColumn{BaseViewColumn(sqlx.ColRef{Table: "t", Column: "a"}, 4)}}
-	c.AddView(v)
-	if len(c.MaterializedViews()) != 0 {
-		t.Error("a view without indexes is not materialized")
-	}
-	c.AddIndex(NewIndex("v", []string{v.Cols[0].Name}, nil, true))
-	if len(c.MaterializedViews()) != 1 {
-		t.Error("indexed view should be materialized")
-	}
-}
-
 func TestIndexesOnSorted(t *testing.T) {
 	c := NewConfiguration()
 	c.AddIndex(NewIndex("t", []string{"b"}, nil, false))

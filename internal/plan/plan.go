@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/physical"
+	"repro/internal/sqlx"
 )
 
 // Cost is a two-component cost vector. Units are abstract "time units":
@@ -152,15 +153,19 @@ func (n *RidIntersect) Children() []Node { return []Node{n.L, n.R} }
 // Label implements Node.
 func (n *RidIntersect) Label() string { return "RidIntersect" }
 
-// Filter applies residual (non-sargable) predicates.
+// Filter applies residual (non-sargable) predicates: Preds when the
+// filter holds them, otherwise the residual of an access path that Desc
+// names.
 type Filter struct {
 	base
 	Child       Node
 	Selectivity float64
 	Desc        string
+	Preds       []sqlx.Expr
 }
 
-// NewFilter constructs a filter node; cost must include the child's cost.
+// NewFilter constructs a filter node for an access path's residual;
+// cost must include the child's cost.
 func NewFilter(child Node, sel float64, desc string, cost Cost) *Filter {
 	return &Filter{
 		base:  base{cost: cost, rows: child.OutRows() * sel, order: child.OutOrder()},
@@ -168,11 +173,37 @@ func NewFilter(child Node, sel float64, desc string, cost Cost) *Filter {
 	}
 }
 
+// NewPredFilter constructs a filter node that evaluates preds; cost must
+// include the child's cost.
+func NewPredFilter(child Node, sel float64, preds []sqlx.Expr, cost Cost) *Filter {
+	f := NewFilter(child, sel, "", cost)
+	f.Preds = preds
+	return f
+}
+
 // Children implements Node.
 func (n *Filter) Children() []Node { return []Node{n.Child} }
 
 // Label implements Node.
-func (n *Filter) Label() string { return fmt.Sprintf("Filter(%s, sel=%.4g)", n.Desc, n.Selectivity) }
+func (n *Filter) Label() string {
+	desc := n.Desc
+	if len(n.Preds) > 0 {
+		desc = conjunction(n.Preds)
+	}
+	return fmt.Sprintf("Filter(%s, sel=%.4g)", desc, n.Selectivity)
+}
+
+// conjunction renders predicates joined with AND.
+func conjunction[P fmt.Stringer](preds []P) string {
+	var sb strings.Builder
+	for i, p := range preds {
+		if i > 0 {
+			sb.WriteString(" AND ")
+		}
+		sb.WriteString(p.String())
+	}
+	return sb.String()
+}
 
 // Sort enforces an output order.
 type Sort struct {
@@ -218,24 +249,30 @@ func (m JoinMethod) String() string {
 	}
 }
 
-// Join combines two inputs on equi-join predicates.
+// Join combines two inputs on equi-join predicates; a join on none is a
+// cross product.
 type Join struct {
 	base
 	Method JoinMethod
 	L, R   Node
-	On     string
+	Edges  []physical.JoinPred
 }
 
 // NewJoin constructs a join node with the given output order.
-func NewJoin(m JoinMethod, l, r Node, on string, rows float64, order []string, cost Cost) *Join {
-	return &Join{base: base{cost: cost, rows: rows, order: order}, Method: m, L: l, R: r, On: on}
+func NewJoin(m JoinMethod, l, r Node, edges []physical.JoinPred, rows float64, order []string, cost Cost) *Join {
+	return &Join{base: base{cost: cost, rows: rows, order: order}, Method: m, L: l, R: r, Edges: edges}
 }
 
 // Children implements Node.
 func (n *Join) Children() []Node { return []Node{n.L, n.R} }
 
 // Label implements Node.
-func (n *Join) Label() string { return fmt.Sprintf("%s(%s)", n.Method, n.On) }
+func (n *Join) Label() string {
+	if len(n.Edges) == 0 {
+		return n.Method.String() + "(cross)"
+	}
+	return n.Method.String() + "(" + conjunction(n.Edges) + ")"
+}
 
 // AggMode distinguishes hash aggregation from order-exploiting streaming.
 type AggMode int

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/physical"
+	"repro/internal/sqlx"
 )
 
 func TestCostArithmetic(t *testing.T) {
@@ -125,11 +126,35 @@ func TestJoinOrderPropagation(t *testing.T) {
 	ix := physical.NewIndex("t", []string{"a"}, nil, false)
 	outer := NewIndexScan(ix, 100, Cost{IO: 1}, []string{"t.a"})
 	inner := NewHeapScan("u", 50, Cost{IO: 1})
-	j := NewJoin(JoinHash, outer, inner, "t.a = u.b", 500, outer.OutOrder(), Cost{IO: 2})
+	edges := []physical.JoinPred{
+		physical.NewJoinPred(sqlx.ColRef{Table: "t", Column: "a"}, sqlx.ColRef{Table: "u", Column: "b"}),
+		physical.NewJoinPred(sqlx.ColRef{Table: "u", Column: "c"}, sqlx.ColRef{Table: "t", Column: "d"}),
+	}
+	j := NewJoin(JoinHash, outer, inner, edges, 500, outer.OutOrder(), Cost{IO: 2})
 	if len(j.OutOrder()) != 1 || j.OutOrder()[0] != "t.a" {
 		t.Error("probe-side order should propagate")
 	}
 	if len(j.Children()) != 2 {
 		t.Error("join has two children")
+	}
+	if got, want := j.Label(), "HashJoin(t.a = u.b AND t.d = u.c)"; got != want {
+		t.Errorf("join label %q, want %q", got, want)
+	}
+	if got := NewJoin(JoinNestedLoop, outer, inner, nil, 5000, nil, Cost{}).Label(); got != "NLJoin(cross)" {
+		t.Errorf("cross product label %q", got)
+	}
+}
+
+func TestPredFilterLabel(t *testing.T) {
+	scan := NewHeapScan("t", 1000, Cost{IO: 10})
+	gt := func(l, r string) sqlx.Expr {
+		return &sqlx.CmpExpr{Op: sqlx.CmpGT, L: sqlx.ColRef{Table: "t", Column: l}, R: sqlx.ColRef{Table: "u", Column: r}}
+	}
+	f := NewPredFilter(scan, 0.25, []sqlx.Expr{gt("a", "b"), gt("c", "d")}, scan.TotalCost())
+	if got, want := f.Label(), "Filter(t.a > u.b AND t.c > u.d, sel=0.25)"; got != want {
+		t.Errorf("filter label %q, want %q", got, want)
+	}
+	if f.OutRows() != 250 {
+		t.Errorf("rows through filter: %g", f.OutRows())
 	}
 }

@@ -36,19 +36,6 @@ func parseTokens(toks []Token) (Statement, error) {
 	return stmt, nil
 }
 
-// ParseSelect parses src and requires it to be a SELECT statement.
-func ParseSelect(src string) (*SelectStmt, error) {
-	stmt, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sqlx: expected SELECT statement, got %T", stmt)
-	}
-	return sel, nil
-}
-
 // ParseScript parses a semicolon-separated sequence of statements.
 func ParseScript(src string) ([]Statement, error) {
 	toks, err := Tokenize(src)

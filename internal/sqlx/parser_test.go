@@ -11,9 +11,13 @@ import (
 
 func mustSelect(t *testing.T, src string) *SelectStmt {
 	t.Helper()
-	sel, err := ParseSelect(src)
+	stmt, err := Parse(src)
 	if err != nil {
-		t.Fatalf("ParseSelect(%q): %v", src, err)
+		t.Fatalf("Parse(%q): %v", src, err)
+	}
+	sel, ok := stmt.(*SelectStmt)
+	if !ok {
+		t.Fatalf("Parse(%q) is a %T, not a SELECT", src, stmt)
 	}
 	return sel
 }
