@@ -25,12 +25,10 @@ type accessSpec struct {
 	// which may prefer hash aggregation) decides how to compensate. When
 	// false, an explicit sort is appended.
 	orderOptional bool
-	// qual prefixes column names in plan order properties ("table.col").
-	qual string
 	// width is the average byte width of the needed columns (sort sizing).
 	width int
 	// eqBound memoizes eqBoundCols — specs are per-call and
-	// single-threaded, and the set is consulted once per candidate plan.
+	// single-threaded, and the set is consulted once per candidate path.
 	eqBound map[string]bool
 }
 
@@ -51,15 +49,16 @@ type residCond struct {
 	sel  float64
 }
 
+// qualify spells cols as plan order properties do ("table.col").
 func (s *accessSpec) qualify(cols []string) []string {
 	out := make([]string, len(cols))
 	for i, c := range cols {
-		out[i] = s.qual + "." + c
+		out[i] = s.table + "." + c
 	}
 	return out
 }
 
-// eqBoundCols returns the qualified columns bound to single points by the
+// eqBoundCols returns the local columns bound to single points by the
 // sargable predicates; such columns can be skipped when checking order
 // satisfaction.
 func (s *accessSpec) eqBoundCols() map[string]bool {
@@ -67,7 +66,7 @@ func (s *accessSpec) eqBoundCols() map[string]bool {
 		out := map[string]bool{}
 		for _, c := range s.sargs {
 			if c.Iv.IsPoint() {
-				out[s.qual+"."+c.Col] = true
+				out[c.Col] = true
 			}
 		}
 		s.eqBound = out
@@ -75,85 +74,149 @@ func (s *accessSpec) eqBoundCols() map[string]bool {
 	return s.eqBound
 }
 
-// accessResult couples a candidate plan with its index usage records.
-type accessResult struct {
-	node   plan.Node
-	usages []*plan.IndexUsage
-}
-
-func (r *accessResult) cost() float64 {
-	if r == nil || r.node == nil {
-		return inf
+// colSels returns the selectivity of each column of a seek prefix (nil
+// for none).
+func (s *accessSpec) colSels(cols []string) []float64 {
+	if len(cols) == 0 {
+		return nil
 	}
-	return r.node.TotalCost().Total()
+	out := make([]float64, len(cols))
+	for i, c := range cols {
+		out[i] = s.findSarg(c).Sel
+	}
+	return out
 }
 
 const inf = 1e308
 
-// bestAccess generates the access path alternatives of Figure 1 — index
-// seeks, rid intersections, rid lookups, covering scans, heap scans,
-// residual filters and sorts — over the indexes available in cfg, and
-// returns the cheapest.
-func (o *Optimizer) bestAccess(oc *optCtx, cfg *physical.Configuration, spec *accessSpec) *accessResult {
-	indexes := cfg.IndexesOn(spec.table)
+// pathKind is what an access path reads at its base (Figure 1).
+type pathKind uint8
+
+const (
+	pathSeek      pathKind = iota // one index seek
+	pathScan                      // a full index scan: covering, or a heap table's promoted clustered index
+	pathHeap                      // a heap scan
+	pathIntersect                 // two index seeks whose rids are intersected
+)
+
+// accessLeg is one index read — a seek over a key prefix, or a scan when
+// the prefix is empty — with its own cost and rows.
+type accessLeg struct {
+	ix   *physical.Index
+	seek seekInfo
+	cost plan.Cost
+	rows float64
+}
+
+// accessPath is one priced alternative of bestAccess: its base and the
+// layers chain puts above it, with the cost after each layer, so
+// treeBuilder makes the nodes and usage records of the winning path only.
+// rows and order are what the path returns; order is qualified only on
+// the path bestAccess returns.
+type accessPath struct {
+	spec       *accessSpec
+	kind       pathKind
+	legs       [2]accessLeg // a seek or scan reads legs[0]; an intersection both
+	baseRows   float64
+	onSel      float64 // residual on the index; 1 when none
+	lookup     bool    // rid lookup into the primary structure
+	offSel     float64 // residual after the lookup; 1 when none
+	indexOrder bool    // the base's key order delivers spec.order
+	sorted     bool    // a sort delivers spec.order
+	// The cost after the base and after each layer above it.
+	baseCost, onCost, lookupCost, offCost, total plan.Cost
+	rows                                         float64
+	order                                        []string
+}
+
+// bestAccess prices the access path alternatives of Figure 1 — index
+// seeks, covering scans, rid intersections and heap scans, each with the
+// residual filters, rid lookup and sort it needs — over the indexes
+// available in cfg, and returns the cheapest; of equal costs, the first
+// priced.
+func (o *Optimizer) bestAccess(oc *optCtx, cfg *physical.Configuration, spec *accessSpec) (accessPath, bool) {
 	clustered := cfg.ClusteredOn(spec.table)
-
-	var best *accessResult
-	consider := func(r *accessResult) {
-		if r != nil && r.node != nil && (best == nil || r.cost() < best.cost()) {
-			best = r
+	var best, c accessPath
+	found := false
+	keep := func() {
+		if !found || c.total.Total() < best.total.Total() {
+			best, found = c, true
 		}
 	}
 
-	for _, ix := range indexes {
-		consider(o.seekPlan(cfg, spec, ix, clustered))
-		consider(o.scanPlan(cfg, spec, ix))
-	}
-	// Binary rid intersections between seekable secondary indexes; seek
-	// prefixes are resolved once per index and shared across pairs.
-	var seekable []*physical.Index
-	var infos []seekInfo
-	for _, ix := range indexes {
-		if ix.Clustered {
-			continue
+	legs := oc.legs[:0] // seek legs of the secondary indexes, for intersections
+	for _, ix := range cfg.IndexesOn(spec.table) {
+		covers := ix.Covers(spec.needed)
+		if info := o.seekPrefix(spec, ix); len(info.cols) > 0 {
+			leg := o.seekLeg(cfg, spec, ix, info)
+			c = accessPath{kind: pathSeek, legs: [2]accessLeg{leg}, lookup: !covers}
+			c.onSel, c.offSel = o.residualAfter(spec, ix, info.cols)
+			o.chain(cfg, spec, &c, leg.cost, leg.rows, ix.Keys, clustered)
+			keep()
+			if !ix.Clustered {
+				legs = append(legs, leg)
+			}
 		}
-		if k, _ := o.seekPrefixLen(spec, ix); k > 0 {
-			seekable = append(seekable, ix)
-			infos = append(infos, o.seekPrefix(spec, ix))
-		}
-	}
-	for i := 0; i < len(seekable); i++ {
-		for j := i + 1; j < len(seekable); j++ {
-			consider(o.intersectPlan(cfg, spec, seekable[i], seekable[j], infos[i], infos[j], clustered))
+		if covers { // non-covering full scans are dominated by primary scans
+			o.scanPath(cfg, spec, &c, ix, clustered)
+			keep()
 		}
 	}
+	for i := range legs {
+		for j := i + 1; j < len(legs); j++ {
+			l1, l2 := legs[i], legs[j]
+			residSel := 1.0
+			for _, s := range spec.sargs {
+				if !slices.Contains(l1.seek.cols, s.Col) && !slices.Contains(l2.seek.cols, s.Col) {
+					residSel *= s.Sel
+				}
+			}
+			for _, rc := range spec.others {
+				residSel *= rc.sel
+			}
+			c = accessPath{kind: pathIntersect, legs: [2]accessLeg{l1, l2}, onSel: 1, lookup: true, offSel: residSel}
+			base := l1.cost.Add(l2.cost).Add(plan.Cost{CPU: o.model.CPUHash * (l1.rows + l2.rows)})
+			o.chain(cfg, spec, &c, base, float64(spec.rows)*l1.seek.sel*l2.seek.sel, nil, clustered)
+			keep()
+		}
+	}
+	oc.legs = legs
+
 	if clustered == nil {
-		consider(o.heapScanPlan(cfg, spec))
-	} else if best == nil && spec.view == nil {
+		rows := float64(spec.rows)
+		base := plan.Cost{IO: float64(o.sizer.HeapPages(spec.table, cfg)) * o.model.SeqPage, CPU: o.model.CPURow * rows}
+		c = accessPath{kind: pathHeap, onSel: allSel(spec), offSel: 1}
+		o.chain(cfg, spec, &c, base, rows, nil, clustered)
+		keep()
+	} else if !found && spec.view == nil {
 		// A heap table's promoted clustered index keeps the key and suffix
 		// lists of the secondary index it came from, so Covers can fail on
 		// it; once the last covering secondary index is gone the table
 		// would have no access path at all. Its leaves are the table's
 		// rows (the sizer sizes them so): scan them.
-		best = o.fullScanPlan(cfg, spec, clustered)
+		o.scanPath(cfg, spec, &c, clustered, clustered)
+		keep()
 	}
-	return best
+	if best.sorted {
+		best.order = spec.qualify(spec.order)
+	} else if found && (best.kind == pathSeek || best.kind == pathScan) {
+		best.order = spec.qualify(best.legs[0].ix.Keys)
+	}
+	return best, found
 }
 
 // seekInfo is the outcome of matching sargable predicates to a key
 // prefix. The consumed sargable columns are exactly the matched prefix,
 // so no separate "used" set is tracked; membership in cols answers it.
 type seekInfo struct {
-	cols    []string // matched key prefix (aliases the index's Keys)
-	colSels []float64
-	sel     float64
+	cols []string // matched key prefix (aliases the index's Keys)
+	sel  float64
 }
 
-// seekPrefixLen returns the length and combined selectivity of the
-// longest usable key prefix — equality-bound columns extend the prefix;
-// the first range-bound column is consumed and ends it — without
-// materializing per-column data.
-func (o *Optimizer) seekPrefixLen(spec *accessSpec, ix *physical.Index) (int, float64) {
+// seekPrefix resolves the longest usable key prefix of ix and its
+// combined selectivity: equality-bound columns extend the prefix; the
+// first range-bound column is consumed and ends it.
+func (o *Optimizer) seekPrefix(spec *accessSpec, ix *physical.Index) seekInfo {
 	k, sel := 0, 1.0
 	for _, key := range ix.Keys {
 		cond := spec.findSarg(key)
@@ -166,38 +229,55 @@ func (o *Optimizer) seekPrefixLen(spec *accessSpec, ix *physical.Index) (int, fl
 			break // a range column ends the seekable prefix
 		}
 	}
-	return k, sel
+	return seekInfo{cols: ix.Keys[:k:k], sel: sel}
 }
 
-// seekPrefix resolves the longest usable key prefix with its per-column
-// selectivities. The cols slice aliases the index's key list.
-func (o *Optimizer) seekPrefix(spec *accessSpec, ix *physical.Index) seekInfo {
-	k, _ := o.seekPrefixLen(spec, ix)
-	info := seekInfo{sel: 1}
-	if k == 0 {
-		return info
+// seekLeg prices a seek of ix over info's key prefix: one descent of the
+// B-tree and the fraction of its leaves the prefix selects. A seek path
+// and both legs of an intersection are priced here.
+func (o *Optimizer) seekLeg(cfg *physical.Configuration, spec *accessSpec, ix *physical.Index, info seekInfo) accessLeg {
+	sh := o.sizer.IndexShape(ix, cfg)
+	rows := float64(spec.rows) * info.sel
+	return accessLeg{ix: ix, seek: info, rows: rows, cost: plan.Cost{
+		IO:  float64(sh.Height)*o.model.RandPage + storage.FracPages(sh.LeafPages, info.sel)*o.model.SeqPage,
+		CPU: o.model.CPURow * rows,
+	}}
+}
+
+// scanPath prices into p a read of every leaf of ix that filters on all
+// the spec's predicates.
+func (o *Optimizer) scanPath(cfg *physical.Configuration, spec *accessSpec, p *accessPath, ix, clustered *physical.Index) {
+	rows := float64(spec.rows)
+	leg := accessLeg{ix: ix, seek: seekInfo{sel: 1}, rows: rows, cost: plan.Cost{
+		IO:  float64(o.sizer.IndexShape(ix, cfg).LeafPages) * o.model.SeqPage,
+		CPU: o.model.CPURow * rows,
+	}}
+	*p = accessPath{kind: pathScan, legs: [2]accessLeg{leg}, onSel: allSel(spec), offSel: 1}
+	o.chain(cfg, spec, p, leg.cost, rows, ix.Keys, clustered)
+}
+
+// allSel is the combined selectivity of every predicate of the spec.
+func allSel(spec *accessSpec) float64 {
+	sel := 1.0
+	for _, c := range spec.sargs {
+		sel *= c.Sel
 	}
-	info.cols = ix.Keys[:k:k]
-	info.colSels = make([]float64, k)
-	for i := 0; i < k; i++ {
-		s := spec.findSarg(ix.Keys[i]).Sel
-		info.colSels[i] = s
-		info.sel *= s
+	for _, rc := range spec.others {
+		sel *= rc.sel
 	}
-	return info
+	return sel
 }
 
 // residualAfter splits the predicates not consumed by a seek into those
 // evaluable on the index (before any lookup) and those requiring fetched
 // columns, returning the combined selectivities. used is the seek's
 // matched key prefix.
-func (o *Optimizer) residualAfter(spec *accessSpec, ix *physical.Index, used []string) (onSel, offSel float64, any bool) {
+func (o *Optimizer) residualAfter(spec *accessSpec, ix *physical.Index, used []string) (onSel, offSel float64) {
 	onSel, offSel = 1, 1
 	for _, c := range spec.sargs {
 		if slices.Contains(used, c.Col) {
 			continue
 		}
-		any = true
 		if ix.HasColumn(c.Col) {
 			onSel *= c.Sel
 		} else {
@@ -205,21 +285,13 @@ func (o *Optimizer) residualAfter(spec *accessSpec, ix *physical.Index, used []s
 		}
 	}
 	for _, rc := range spec.others {
-		any = true
-		on := true
-		for _, c := range rc.cols {
-			if !ix.HasColumn(c) {
-				on = false
-				break
-			}
-		}
-		if on {
+		if !slices.ContainsFunc(rc.cols, func(c string) bool { return !ix.HasColumn(c) }) {
 			onSel *= rc.sel
 		} else {
 			offSel *= rc.sel
 		}
 	}
-	return onSel, offSel, any
+	return onSel, offSel
 }
 
 // primaryPages returns the page count of the relation's primary structure
@@ -231,165 +303,94 @@ func (o *Optimizer) primaryPages(cfg *physical.Configuration, spec *accessSpec, 
 	return o.sizer.HeapPages(spec.table, cfg)
 }
 
-func (o *Optimizer) seekPlan(cfg *physical.Configuration, spec *accessSpec, ix *physical.Index, clustered *physical.Index) *accessResult {
-	info := o.seekPrefix(spec, ix)
-	if len(info.cols) == 0 {
-		return nil
+// chain prices the layers every kind of path shares above its base, in
+// order: the residual on the index (p.onSel), the rid lookup (p.lookup),
+// the residual after it (p.offSel), and the sort that spec.order needs
+// when the base's key order (keys, local names) does not deliver it and
+// the order is not optional. A filter costs one CPU row per input row.
+func (o *Optimizer) chain(cfg *physical.Configuration, spec *accessSpec, p *accessPath, cost plan.Cost, rows float64, keys []string, clustered *physical.Index) {
+	p.spec, p.baseRows, p.baseCost = spec, rows, cost
+	if p.onSel < 1 {
+		cost, rows = cost.Add(plan.Cost{CPU: o.model.CPURow * rows}), rows*p.onSel
 	}
-	sh := o.sizer.IndexShape(ix, cfg)
-	leafPages, height := sh.LeafPages, sh.Height
-	rowsAfterSeek := float64(spec.rows) * info.sel
-	access := plan.Cost{
-		IO:  float64(height)*o.model.RandPage + storage.FracPages(leafPages, info.sel)*o.model.SeqPage,
-		CPU: o.model.CPURow * rowsAfterSeek,
+	p.onCost = cost
+	if p.lookup {
+		cost = cost.Add(o.model.RidLookupCost(spec.rows, o.primaryPages(cfg, spec, clustered), rows))
 	}
-	usage := &plan.IndexUsage{
-		Index: ix, Seek: true, SeekCols: info.cols, SeekColSels: info.colSels, Selectivity: info.sel,
-		Rows: rowsAfterSeek, AccessCost: access, NeededCols: spec.needed,
+	p.lookupCost = cost
+	if p.offSel < 1 {
+		cost, rows = cost.Add(plan.Cost{CPU: o.model.CPURow * rows}), rows*p.offSel
 	}
-	if spec.view != nil {
-		usage.ViewName = spec.view.Name
+	p.offCost = cost
+	if len(spec.order) > 0 {
+		p.indexOrder = plan.OrderSatisfies(keys, spec.order, spec.eqBoundCols())
+		if !p.indexOrder && !spec.orderOptional {
+			cost = cost.Add(o.model.SortCost(rows, rows*float64(spec.width)/storage.PageSize))
+			p.sorted = true
+		}
 	}
-	var node plan.Node = plan.NewIndexSeek(ix, info.cols, info.sel, rowsAfterSeek, access, spec.qualify(ix.Keys))
-
-	onSel, offSel, _ := o.residualAfter(spec, ix, info.cols)
-	if onSel < 1 {
-		node = plan.NewFilter(node, onSel, "index-residual", node.TotalCost().Add(plan.Cost{CPU: o.model.CPURow * node.OutRows()}))
-	}
-	if !ix.Covers(spec.needed) {
-		k := node.OutRows()
-		lk := o.model.RidLookupCost(spec.rows, o.primaryPages(cfg, spec, clustered), k)
-		node = plan.NewRidLookup(node, spec.table, node.TotalCost().Add(lk))
-		usage.LookedUp = true
-	}
-	if offSel < 1 {
-		node = plan.NewFilter(node, offSel, "post-lookup-residual", node.TotalCost().Add(plan.Cost{CPU: o.model.CPURow * node.OutRows()}))
-	}
-	node, satisfied := o.enforceOrder(spec, node)
-	if satisfied {
-		usage.OrderCols = spec.order
-	}
-	return &accessResult{node: node, usages: []*plan.IndexUsage{usage}}
+	p.total, p.rows = cost, rows
 }
 
-func (o *Optimizer) scanPlan(cfg *physical.Configuration, spec *accessSpec, ix *physical.Index) *accessResult {
-	if !ix.Covers(spec.needed) {
-		return nil // non-covering full scans are dominated by primary scans
+// access makes the nodes of a path bestAccess returned, base first, and
+// appends its index usage records and view to the plan's lists.
+func (b *treeBuilder) access(p *accessPath) plan.Node {
+	spec := p.spec
+	onDesc, offDesc := "scan-residual", "post-lookup-residual"
+	var n plan.Node
+	switch p.kind {
+	case pathSeek, pathScan:
+		l, keys := &p.legs[0], p.order
+		if p.sorted {
+			keys = spec.qualify(l.ix.Keys)
+		}
+		if p.kind == pathScan {
+			n = plan.NewIndexScan(l.ix, l.rows, l.cost, keys)
+		} else {
+			n = plan.NewIndexSeek(l.ix, l.seek.cols, l.seek.sel, l.rows, l.cost, keys)
+			onDesc = "index-residual"
+		}
+	case pathHeap:
+		n = plan.NewHeapScan(spec.table, p.baseRows, p.baseCost)
+	case pathIntersect:
+		l1, l2 := &p.legs[0], &p.legs[1]
+		n = plan.NewRidIntersect(plan.NewIndexSeek(l1.ix, l1.seek.cols, l1.seek.sel, l1.rows, l1.cost, nil),
+			plan.NewIndexSeek(l2.ix, l2.seek.cols, l2.seek.sel, l2.rows, l2.cost, nil), p.baseRows, p.baseCost)
+		offDesc = "post-intersect-residual"
 	}
-	return o.fullScanPlan(cfg, spec, ix)
-}
+	if p.onSel < 1 {
+		n = plan.NewFilter(n, p.onSel, onDesc, p.onCost)
+	}
+	if p.lookup {
+		n = plan.NewRidLookup(n, spec.table, p.lookupCost)
+	}
+	if p.offSel < 1 {
+		n = plan.NewFilter(n, p.offSel, offDesc, p.offCost)
+	}
+	if p.sorted {
+		n = plan.NewSort(n, p.order, p.total)
+	}
 
-// fullScanPlan reads every leaf of ix and filters.
-func (o *Optimizer) fullScanPlan(cfg *physical.Configuration, spec *accessSpec, ix *physical.Index) *accessResult {
-	leafPages := o.sizer.IndexShape(ix, cfg).LeafPages
-	rows := float64(spec.rows)
-	access := plan.Cost{IO: float64(leafPages) * o.model.SeqPage, CPU: o.model.CPURow * rows}
-	usage := &plan.IndexUsage{
-		Index: ix, Seek: false, Selectivity: 1,
-		Rows: rows, AccessCost: access, NeededCols: spec.needed,
-	}
-	if spec.view != nil {
-		usage.ViewName = spec.view.Name
-	}
-	var node plan.Node = plan.NewIndexScan(ix, rows, access, spec.qualify(ix.Keys))
-	node = o.filterAll(spec, node)
-	node, satisfied := o.enforceOrder(spec, node)
-	if satisfied {
-		usage.OrderCols = spec.order
-	}
-	return &accessResult{node: node, usages: []*plan.IndexUsage{usage}}
-}
-
-func (o *Optimizer) heapScanPlan(cfg *physical.Configuration, spec *accessSpec) *accessResult {
-	pages := o.sizer.HeapPages(spec.table, cfg)
-	rows := float64(spec.rows)
-	access := plan.Cost{IO: float64(pages) * o.model.SeqPage, CPU: o.model.CPURow * rows}
-	var node plan.Node = plan.NewHeapScan(spec.table, rows, access)
-	node = o.filterAll(spec, node)
-	node, _ = o.enforceOrder(spec, node)
-	return &accessResult{node: node}
-}
-
-func (o *Optimizer) intersectPlan(cfg *physical.Configuration, spec *accessSpec, i1, i2 *physical.Index, s1, s2 seekInfo, clustered *physical.Index) *accessResult {
-	if len(s1.cols) == 0 || len(s2.cols) == 0 {
-		return nil
-	}
-	mkSeek := func(ix *physical.Index, info seekInfo) (plan.Node, *plan.IndexUsage) {
-		sh := o.sizer.IndexShape(ix, cfg)
-		leafPages, height := sh.LeafPages, sh.Height
-		rows := float64(spec.rows) * info.sel
-		access := plan.Cost{
-			IO:  float64(height)*o.model.RandPage + storage.FracPages(leafPages, info.sel)*o.model.SeqPage,
-			CPU: o.model.CPURow * rows,
+	for i := range p.legs {
+		l := &p.legs[i]
+		if l.ix == nil {
+			break
 		}
 		u := &plan.IndexUsage{
-			Index: ix, Seek: true, SeekCols: info.cols, SeekColSels: info.colSels, Selectivity: info.sel,
-			Rows: rows, AccessCost: access, NeededCols: spec.needed,
-			InIntersection: true, LookedUp: true,
+			Index: l.ix, Seek: len(l.seek.cols) > 0, SeekCols: l.seek.cols, SeekColSels: spec.colSels(l.seek.cols),
+			Selectivity: l.seek.sel, Rows: l.rows, AccessCost: l.cost, NeededCols: spec.needed,
+			LookedUp: p.lookup, InIntersection: p.kind == pathIntersect,
+		}
+		if p.indexOrder {
+			u.OrderCols = spec.order
 		}
 		if spec.view != nil {
 			u.ViewName = spec.view.Name
 		}
-		return plan.NewIndexSeek(ix, info.cols, info.sel, rows, access, nil), u
+		b.usages = append(b.usages, u)
 	}
-	n1, u1 := mkSeek(i1, s1)
-	n2, u2 := mkSeek(i2, s2)
-	outRows := float64(spec.rows) * s1.sel * s2.sel
-	icost := n1.TotalCost().Add(n2.TotalCost()).Add(plan.Cost{CPU: o.model.CPUHash * (n1.OutRows() + n2.OutRows())})
-	var node plan.Node = plan.NewRidIntersect(n1, n2, outRows, icost)
-
-	// Intersections produce rids; fetch the rows, then apply residuals.
-	lk := o.model.RidLookupCost(spec.rows, o.primaryPages(cfg, spec, clustered), outRows)
-	node = plan.NewRidLookup(node, spec.table, node.TotalCost().Add(lk))
-	residSel := 1.0
-	for _, c := range spec.sargs {
-		if !slices.Contains(s1.cols, c.Col) && !slices.Contains(s2.cols, c.Col) {
-			residSel *= c.Sel
-		}
+	if spec.view != nil {
+		b.views = append(b.views, spec.view.Name)
 	}
-	for _, rc := range spec.others {
-		residSel *= rc.sel
-	}
-	if residSel < 1 {
-		node = plan.NewFilter(node, residSel, "post-intersect-residual", node.TotalCost().Add(plan.Cost{CPU: o.model.CPURow * node.OutRows()}))
-	}
-	node, _ = o.enforceOrder(spec, node)
-	return &accessResult{node: node, usages: []*plan.IndexUsage{u1, u2}}
-}
-
-// filterAll applies every predicate of the spec as one residual filter.
-func (o *Optimizer) filterAll(spec *accessSpec, node plan.Node) plan.Node {
-	sel := 1.0
-	for _, c := range spec.sargs {
-		sel *= c.Sel
-	}
-	for _, rc := range spec.others {
-		sel *= rc.sel
-	}
-	if sel >= 1 {
-		return node
-	}
-	return plan.NewFilter(node, sel, "scan-residual", node.TotalCost().Add(plan.Cost{CPU: o.model.CPURow * node.OutRows()}))
-}
-
-// enforceOrder handles the spec's order requirement. It reports whether
-// the access path provided the order "for free" (an index supplied it):
-// in that case the index usage may record the exploited order. When the
-// order is unsatisfied, a sort is appended — unless the order is
-// optional, in which case the node is returned unsorted and the caller
-// compensates.
-func (o *Optimizer) enforceOrder(spec *accessSpec, node plan.Node) (plan.Node, bool) {
-	if len(spec.order) == 0 {
-		return node, false
-	}
-	want := spec.qualify(spec.order)
-	if plan.OrderSatisfies(node.OutOrder(), want, spec.eqBoundCols()) {
-		return node, true
-	}
-	if spec.orderOptional {
-		return node, false
-	}
-	pages := node.OutRows() * float64(spec.width) / storage.PageSize
-	sc := o.model.SortCost(node.OutRows(), pages)
-	return plan.NewSort(node, want, node.TotalCost().Add(sc)), false
+	return n
 }

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/physical"
 )
 
 // allocQuery is the workhorse shape for the allocation pins and
@@ -17,20 +20,37 @@ const allocQuery = "SELECT r.b, u.x FROM r, u WHERE r.a = u.fk AND r.b < 100 ORD
 // enumeration's per-split work, not only its one two-table split.
 const allocJoin3 = "SELECT r.b, u.x, w.y FROM r, u, w WHERE r.a = u.fk AND u.id = w.uid AND r.b < 100 ORDER BY r.b"
 
-// allocCases are the pinned queries with their allocation ceilings per
-// Optimize call, without and with the §2 request hooks, each about twice
-// what was measured: headroom for GC emptying the optCtx pool
-// mid-measurement. Re-costing calls build the returned plan's nodes but
-// no request objects and no per-call maps; hooked calls additionally
-// materialize one IndexRequest (plus its S/N/O/A slices) per first-seen
-// request.
+// allocAccess reads one table that several secondary indexes serve
+// (multiIndexCfg), so access-path selection prices seeks, covering scans
+// and a rid intersection.
+const allocAccess = "SELECT a FROM r WHERE b = 7 AND c = 3 ORDER BY a"
+
+// multiIndexCfg is baseCfg plus secondary indexes on r: two that seek
+// allocAccess's predicates and one that covers it.
+func multiIndexCfg(db *catalog.Database) *physical.Configuration {
+	cfg := baseCfg(db)
+	cfg.AddIndex(physical.NewIndex("r", []string{"b"}, nil, false))
+	cfg.AddIndex(physical.NewIndex("r", []string{"c"}, nil, false))
+	cfg.AddIndex(physical.NewIndex("r", []string{"a"}, []string{"b", "c"}, false))
+	return cfg
+}
+
+// allocCases are the pinned queries, each under its configuration, with
+// their allocation ceilings per Optimize call, without and with the §2
+// request hooks, each about twice what was measured: headroom for GC
+// emptying the optCtx pool mid-measurement. Re-costing calls build the
+// returned plan's nodes but no request objects and no per-call maps;
+// hooked calls additionally materialize one IndexRequest (plus its
+// S/N/O/A slices) per first-seen request.
 var allocCases = []struct {
 	name          string
 	sql           string
+	cfg           func(*catalog.Database) *physical.Configuration
 	plain, hooked float64
 }{
-	{name: "join2", sql: allocQuery, plain: 56, hooked: 80},   // 28 and 40 measured
-	{name: "join3", sql: allocJoin3, plain: 106, hooked: 166}, // 53 and 83 measured
+	{name: "join2", sql: allocQuery, cfg: baseCfg, plain: 44, hooked: 68},         // 22 and 34 measured
+	{name: "join3", sql: allocJoin3, cfg: baseCfg, plain: 70, hooked: 130},        // 35 and 65 measured
+	{name: "access", sql: allocAccess, cfg: multiIndexCfg, plain: 40, hooked: 46}, // 20 and 23 measured
 }
 
 // TestOptimizeAllocsPinned pins the allocation count of a single
@@ -43,7 +63,6 @@ var allocCases = []struct {
 // look.
 func TestOptimizeAllocsPinned(t *testing.T) {
 	db := testDB(t)
-	cfg := baseCfg(db)
 	for _, hooked := range []bool{false, true} {
 		name := "no-hooks"
 		if hooked {
@@ -62,7 +81,7 @@ func TestOptimizeAllocsPinned(t *testing.T) {
 						})
 						ceiling = c.hooked
 					}
-					q := mustBind(t, db, c.sql)
+					q, cfg := mustBind(t, db, c.sql), c.cfg(db)
 					mustPlan(t, o, q, cfg) // warm the pool and the per-query block memo
 					avg := testing.AllocsPerRun(100, func() {
 						if _, err := o.Optimize(q, cfg); err != nil {
@@ -86,21 +105,24 @@ func TestOptimizeAllocsPinned(t *testing.T) {
 // across concurrent forked workers: many goroutines repeatedly optimize
 // the same bound queries (so every worker keeps drawing previously-used
 // scratch contexts from the shared pool) and every result must be
-// bit-identical to the serial reference. Run under -race this also
-// checks the pool handoff and the per-query block memo for data races.
+// bit-identical to the serial reference. Each query runs under the base
+// configuration and under multiIndexCfg, whose seek legs the pooled
+// scratch holds. Run under -race this also checks the pool handoff and
+// the per-query block memo for data races.
 func TestForkPoolSharing(t *testing.T) {
 	db := testDB(t)
 	o := New(db)
-	cfg := baseCfg(db)
+	cfgs := []*physical.Configuration{baseCfg(db), multiIndexCfg(db)}
 
 	queries := []*BoundQuery{
 		mustBind(t, db, allocQuery),
 		mustBind(t, db, "SELECT r.c FROM r WHERE r.b < 500 AND r.c = 3"),
 		mustBind(t, db, "SELECT r.a, u.x FROM r, u WHERE r.a = u.fk GROUP BY r.a, u.x"),
+		mustBind(t, db, allocAccess),
 	}
-	want := make([]float64, len(queries))
-	for i, q := range queries {
-		want[i] = mustPlan(t, o, q, cfg).Root.TotalCost().Total()
+	want := make([]float64, 2*len(queries))
+	for i := range want {
+		want[i] = mustPlan(t, o, queries[i/2], cfgs[i%2]).Root.TotalCost().Total()
 	}
 
 	const workers = 8
@@ -113,14 +135,14 @@ func TestForkPoolSharing(t *testing.T) {
 			defer wg.Done()
 			f := o.Fork()
 			for r := 0; r < rounds; r++ {
-				for i, q := range queries {
-					p, err := f.Optimize(q, cfg)
+				for i := range want {
+					p, err := f.Optimize(queries[i/2], cfgs[i%2])
 					if err != nil {
 						errs <- err
 						return
 					}
 					if got := p.Root.TotalCost().Total(); got != want[i] {
-						errs <- fmt.Errorf("worker %d round %d query %d: cost %v, serial reference %v", w, r, i, got, want[i])
+						errs <- fmt.Errorf("worker %d round %d query %d config %d: cost %v, serial reference %v", w, r, i/2, i%2, got, want[i])
 						return
 					}
 				}
@@ -140,12 +162,11 @@ func TestForkPoolSharing(t *testing.T) {
 // figures are the per-call view of the alloc_bytes scenario gate.
 func benchOptimize(b *testing.B, h *Hooks) {
 	db := testDB(b)
-	cfg := baseCfg(db)
 	for _, c := range allocCases {
 		b.Run(c.name, func(b *testing.B) {
 			o := New(db)
 			o.SetHooks(h)
-			q := mustBind(b, db, c.sql)
+			q, cfg := mustBind(b, db, c.sql), c.cfg(db)
 			mustPlan(b, o, q, cfg)
 			b.ReportAllocs()
 			b.ResetTimer()

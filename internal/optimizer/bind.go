@@ -69,6 +69,9 @@ type BoundQuery struct {
 	Tables []string // real table names in FROM order (no self-joins)
 	Preds  map[string]*TablePreds
 	Joins  []physical.JoinPred
+	// joinCols spells each join's L and R columns as plan order
+	// properties do ("table.col"), for merge-join keys.
+	joinCols [][2]string
 	// CrossOthers are non-equi-join predicates spanning tables; applied
 	// after the join of all their referenced tables.
 	CrossOthers []OtherCond
@@ -453,7 +456,9 @@ func (b *binder) classifyConjunct(e sqlx.Expr) error {
 		case rIsCol && lIsConst:
 			return b.addSargOrOther(r, cmp.Op.Flip(), lc, e)
 		case lIsCol && rIsCol && l.Table != r.Table && cmp.Op == sqlx.CmpEQ:
-			b.q.Joins = append(b.q.Joins, physical.NewJoinPred(l, r))
+			j := physical.NewJoinPred(l, r)
+			b.q.Joins = append(b.q.Joins, j)
+			b.q.joinCols = append(b.q.joinCols, [2]string{j.L.Table + "." + j.L.Column, j.R.Table + "." + j.R.Column})
 			return nil
 		}
 	}

@@ -46,17 +46,19 @@ type statCounters struct {
 // probes of the same relation during join enumeration count (and fire
 // hooks) once. Contexts are pooled: every Optimize call — including calls
 // from forked workers, which share the package-level pool — takes a
-// context whose maps, DP table, and dpEntry arena retain their capacity
-// from earlier calls, so the steady-state what-if loop allocates no
-// per-call bookkeeping.
+// context whose maps, DP table, dpEntry arena and priced seek legs retain
+// their capacity from earlier calls, so the steady-state what-if loop
+// allocates no per-call bookkeeping.
 type optCtx struct {
 	reqSeen map[string]bool // request dedup keys seen this call
 	key     []byte          // request dedup key build scratch
 	idx     map[string]int  // table → FROM position for the current query
 	dp      []*dpEntry      // DP table over table subsets
 	arena   []dpEntry       // bump arena backing the dpEntries of one call
+	legs    []accessLeg     // priced seek legs of one bestAccess call
 
 	edges        []physical.JoinPred // join-edge scratch (one split live at a time)
+	edgeAt       []int               // each edge's position in the query's Joins
 	lKeys, rKeys []string            // merge-join key scratch (one split live at a time)
 	probeCols    []string            // index-NL probe-column scratch (one candidate live at a time)
 
@@ -75,16 +77,17 @@ var ctxPool = sync.Pool{New: func() any {
 
 func getOptCtx() *optCtx { return ctxPool.Get().(*optCtx) }
 
-// putOptCtx scrubs every reference the call left behind — plan nodes in
-// the DP table and arena — so pooled scratch never pins a finished plan
-// tree, then returns the context.
+// putOptCtx scrubs every reference the call left behind — specs, indexes
+// and views in the DP table, the arena and the seek legs — so pooled
+// scratch never pins a finished call's state, then returns the context.
+// Arena entries past its length were scrubbed by an earlier put.
 func putOptCtx(oc *optCtx) {
 	clear(oc.reqSeen)
 	clear(oc.idx)
 	clear(oc.dp)
-	oc.arena = oc.arena[:cap(oc.arena)]
 	clear(oc.arena)
 	oc.arena = oc.arena[:0]
+	clear(oc.legs[:cap(oc.legs)])
 	oc.probeSpec = accessSpec{}
 	ctxPool.Put(oc)
 }
@@ -102,10 +105,10 @@ func (oc *optCtx) dpTable(n int) []*dpEntry {
 }
 
 // newEntry hands out one dpEntry from the arena. Entries never escape
-// Optimize (only their node/usage fields do), so the arena is recycled
-// wholesale when the call finishes. When a chunk fills, a larger one
-// replaces it; entries already handed out stay valid in the old backing
-// array, which lives until the call returns.
+// Optimize, so the arena is recycled wholesale when the call finishes.
+// When a chunk fills, a larger one replaces it; entries already handed
+// out stay valid in the old backing array, which lives until the call
+// returns.
 func (oc *optCtx) newEntry() *dpEntry {
 	if len(oc.arena) == cap(oc.arena) {
 		next := 2 * cap(oc.arena)
@@ -165,21 +168,20 @@ func (o *Optimizer) Model() CostModel { return o.model }
 func (o *Optimizer) DB() *catalog.Database { return o.db }
 
 // dpEntry is the best plan found for one table subset, priced: total,
-// rows and order are what its plan costs, returns and is sorted by. Leaf
-// and view entries hold the access plan they priced (node) with its usage
-// and view records. Join entries hold no node: they record the decision
-// joinPlans priced and link their inputs through left/right, and
-// treeBuilder makes the nodes, the index-NL usage records and the usage
-// and view lists of the winning tree only, once, when Optimize returns.
+// rows and order are what its plan costs, returns and is sorted by. It
+// holds decisions, not nodes: a leaf or view entry its priced access path
+// (a view entry also whether it hash-aggregates the path), a join entry
+// the decision joinPlans priced, with its inputs in left/right.
+// treeBuilder makes the nodes, usage records and view list of the winning
+// tree only, once, when Optimize returns.
 type dpEntry struct {
 	mask  uint64 // the table subset
 	total plan.Cost
 	rows  float64
 	order []string
 
-	node   plan.Node
-	usages []*plan.IndexUsage
-	views  []string
+	path    accessPath
+	regroup bool // a hash aggregation above the view path (total and rows are its)
 	// grouped reports that the sub-plan already produced the query's
 	// aggregation (view-based plans may embed it).
 	grouped bool
@@ -197,9 +199,9 @@ type dpEntry struct {
 	probe       probeResult // index-NL: the inner side's probe index
 }
 
-// setNode makes e a leaf or view entry priced by its access plan n.
-func (e *dpEntry) setNode(n plan.Node) {
-	e.node, e.total, e.rows, e.order = n, n.TotalCost(), n.OutRows(), n.OutOrder()
+// pathEntry is a leaf or view entry priced by its access path p.
+func pathEntry(p accessPath) dpEntry {
+	return dpEntry{path: p, total: p.total, rows: p.rows, order: p.order}
 }
 
 func (e *dpEntry) cost() float64 {
@@ -233,14 +235,12 @@ func (o *Optimizer) Optimize(q *BoundQuery, cfg *physical.Configuration) (*plan.
 
 	// Leaf level: one access-path request per table.
 	for i, t := range q.Tables {
-		spec := o.tableSpec(q, t, n == 1)
-		res := o.requestAccess(oc, cfg, spec)
-		if res == nil {
+		p, ok := o.requestAccess(oc, cfg, o.tableSpec(q, t, n == 1))
+		if !ok {
 			return nil, fmt.Errorf("optimizer: no access path for table %s", t)
 		}
 		e := oc.newEntry()
-		e.setNode(res.node)
-		e.usages = res.usages
+		*e = pathEntry(p)
 		dp[1<<uint(i)] = e
 	}
 
@@ -315,10 +315,19 @@ func (o *Optimizer) Optimize(q *BoundQuery, cfg *physical.Configuration) (*plan.
 }
 
 // countEntry counts the usage and view records of the winning tree under
-// e: each leaf's and view's own, and one per index-NL join.
+// e: one per index its leaf and view paths read, one per view, and one
+// per index-NL join.
 func countEntry(e *dpEntry) (nu, nv int) {
 	if e.left == nil {
-		return len(e.usages), len(e.views)
+		for _, l := range e.path.legs {
+			if l.ix != nil {
+				nu++
+			}
+		}
+		if e.path.spec.view != nil {
+			nv++
+		}
+		return nu, nv
 	}
 	nu, nv = countEntry(e.left)
 	a, b := countEntry(e.right)
@@ -389,7 +398,6 @@ func (o *Optimizer) tableSpec(q *BoundQuery, table string, root bool) *accessSpe
 		rows:   t.Rows,
 		sargs:  tp.Sargs,
 		needed: needed,
-		qual:   table,
 		width:  o.neededWidth(table, needed),
 	}
 	for _, oc := range tp.Others {
@@ -438,7 +446,7 @@ func (o *Optimizer) neededWidth(table string, cols []string) int {
 
 // requestAccess fires the index-request hook (§2) and then generates the
 // best access path with whatever structures the hook simulated.
-func (o *Optimizer) requestAccess(oc *optCtx, cfg *physical.Configuration, spec *accessSpec) *accessResult {
+func (o *Optimizer) requestAccess(oc *optCtx, cfg *physical.Configuration, spec *accessSpec) (accessPath, bool) {
 	o.issueIndexRequest(oc, spec)
 	return o.bestAccess(oc, cfg, spec)
 }
@@ -553,19 +561,20 @@ func (o *Optimizer) buildIndexRequest(spec *accessSpec) *IndexRequest {
 	return req
 }
 
-// joinEdges returns the join predicates connecting two disjoint masks.
-// The result is backed by the call's scratch buffer: it is valid until
-// the next joinEdges call, which matches its one-split lifetime.
+// joinEdges returns the join predicates connecting two disjoint masks,
+// and records their positions in q.Joins in oc.edgeAt. The result is
+// backed by the call's scratch buffers: it is valid until the next
+// joinEdges call, which matches its one-split lifetime.
 func (o *Optimizer) joinEdges(oc *optCtx, q *BoundQuery, idx map[string]int, a, b uint64) []physical.JoinPred {
-	out := oc.edges[:0]
-	for _, j := range q.Joins {
+	out, at := oc.edges[:0], oc.edgeAt[:0]
+	for i, j := range q.Joins {
 		la, ra := maskHasCol(idx, a, j.L), maskHasCol(idx, a, j.R)
 		lb, rb := maskHasCol(idx, b, j.L), maskHasCol(idx, b, j.R)
 		if (la && rb) || (ra && lb) {
-			out = append(out, j)
+			out, at = append(out, j), append(at, i)
 		}
 	}
-	oc.edges = out
+	oc.edges, oc.edgeAt = out, at
 	return out
 }
 
@@ -624,7 +633,7 @@ func (o *Optimizer) joinPlans(oc *optCtx, q *BoundQuery, cfg *physical.Configura
 	if len(edges) > 0 {
 		consider(plan.JoinHash, false, o.hashJoinCost(l, r))
 		consider(plan.JoinHash, true, o.hashJoinCost(r, l))
-		lk, rk := oc.mergeKeys(idx, sub, edges)
+		lk, rk := oc.mergeKeys(q, idx, sub)
 		lc, sorted := o.mergePrep(l, lk)
 		rc, _ := o.mergePrep(r, rk)
 		if consider(plan.JoinMerge, false, lc.Add(rc).Add(plan.Cost{CPU: o.model.CPURow * (l.rows + r.rows)})) {
@@ -671,18 +680,18 @@ func (o *Optimizer) hashJoinCost(probe, build *dpEntry) plan.Cost {
 	return cost
 }
 
-// mergeKeys resolves each join edge's columns onto the left/right input
-// (left = the tables in lMask) as qualified names. The returned slices
-// are the call's scratch, valid until the next mergeKeys call.
-func (oc *optCtx) mergeKeys(idx map[string]int, lMask uint64, edges []physical.JoinPred) ([]string, []string) {
+// mergeKeys resolves the columns of the edges the last joinEdges call
+// found onto the left/right input (left = the tables in lMask) as the
+// qualified names bind made. The returned slices are the call's scratch,
+// valid until the next mergeKeys call.
+func (oc *optCtx) mergeKeys(q *BoundQuery, idx map[string]int, lMask uint64) ([]string, []string) {
 	lk, rk := oc.lKeys[:0], oc.rKeys[:0]
-	for _, e := range edges {
-		lc, rc := e.L, e.R
-		if !maskHasCol(idx, lMask, lc) {
-			lc, rc = rc, lc
+	for _, i := range oc.edgeAt {
+		l, r := q.joinCols[i][0], q.joinCols[i][1]
+		if !maskHasCol(idx, lMask, q.Joins[i].L) {
+			l, r = r, l
 		}
-		lk = append(lk, lc.Table+"."+lc.Column)
-		rk = append(rk, rc.Table+"."+rc.Column)
+		lk, rk = append(lk, l), append(rk, r)
 	}
 	oc.lKeys, oc.rKeys = lk, rk
 	return lk, rk
@@ -772,9 +781,18 @@ type treeBuilder struct {
 // helper that priced them in the DP.
 func (b *treeBuilder) build(e *dpEntry) plan.Node {
 	if e.left == nil {
-		b.usages = append(b.usages, e.usages...)
-		b.views = append(b.views, e.views...)
-		return e.node
+		node := b.access(&e.path)
+		if e.regroup {
+			v := e.path.spec.view
+			keys := make([]string, 0, len(b.q.GroupBy))
+			for _, g := range b.q.GroupBy {
+				if vc := v.ColumnForSource(g); vc != nil {
+					keys = append(keys, v.Name+"."+vc.Name)
+				}
+			}
+			node = plan.NewGroupBy(node, keys, plan.AggHash, e.rows, e.total)
+		}
+		return node
 	}
 	o, oc, idx := b.o, b.oc, b.oc.idx
 	ln, rn := b.build(e.left), b.build(e.right)
@@ -786,7 +804,7 @@ func (b *treeBuilder) build(e *dpEntry) plan.Node {
 	edges := slices.Clone(o.joinEdges(oc, b.q, idx, e.left.mask, e.right.mask))
 	switch e.method {
 	case plan.JoinMerge:
-		lk, rk := oc.mergeKeys(idx, e.left.mask, edges)
+		lk, rk := oc.mergeKeys(b.q, idx, e.left.mask)
 		if c, sorted := o.mergePrep(e.left, lk); sorted {
 			ln = plan.NewSort(ln, e.order, c)
 		}
@@ -831,7 +849,7 @@ func (o *Optimizer) innerProbe(oc *optCtx, q *BoundQuery, cfg *physical.Configur
 	// path request: the join columns appear as (parameterized) equality
 	// sargable predicates (§2 intercepts these like any other request).
 	spec := &oc.probeSpec
-	*spec = accessSpec{table: table, rows: t.Rows, needed: needed, qual: table}
+	*spec = accessSpec{table: table, rows: t.Rows, needed: needed}
 	sargs := oc.probeSargs[:0]
 	for _, pc := range probeCols {
 		dv := o.columnDistinct(sqlx.ColRef{Table: table, Column: pc})
@@ -850,12 +868,11 @@ func (o *Optimizer) innerProbe(oc *optCtx, q *BoundQuery, cfg *physical.Configur
 
 	var best probeResult
 	bestTotal := inf
-	found := false
 	for _, ix := range cfg.IndexesOn(table) {
-		k, sel := o.seekPrefixLen(spec, ix)
+		info := o.seekPrefix(spec, ix)
 		usesProbe := false
 		for _, pc := range probeCols {
-			if slices.Contains(ix.Keys[:k], pc) {
+			if slices.Contains(info.cols, pc) {
 				usesProbe = true
 				break
 			}
@@ -863,7 +880,7 @@ func (o *Optimizer) innerProbe(oc *optCtx, q *BoundQuery, cfg *physical.Configur
 		if !usesProbe {
 			continue
 		}
-		matched := max(1e-9, float64(t.Rows)*sel)
+		matched := max(1e-9, float64(t.Rows)*info.sel)
 		sh := o.sizer.IndexShape(ix, cfg)
 		height, leafPages := sh.Height, sh.LeafPages
 		perLeaf := max(1, matched/max(1, float64(t.Rows)/max(1, float64(leafPages))))
@@ -871,7 +888,7 @@ func (o *Optimizer) innerProbe(oc *optCtx, q *BoundQuery, cfg *physical.Configur
 			IO:  (float64(height) + perLeaf) * o.model.RandPage,
 			CPU: o.model.CPURow * matched,
 		}
-		onSel, offSel, _ := o.residualAfter(spec, ix, ix.Keys[:k])
+		onSel, offSel := o.residualAfter(spec, ix, info.cols)
 		if !ix.Covers(needed) {
 			clustered := cfg.ClusteredOn(table)
 			pp := o.primaryPages(cfg, spec, clustered)
@@ -880,16 +897,11 @@ func (o *Optimizer) innerProbe(oc *optCtx, q *BoundQuery, cfg *physical.Configur
 		outRows := matched * onSel * offSel
 		if cost.Total() < bestTotal {
 			bestTotal = cost.Total()
-			colSels := make([]float64, k)
-			for i := 0; i < k; i++ {
-				colSels[i] = spec.findSarg(ix.Keys[i]).Sel
-			}
 			best = probeResult{
-				cost: cost, ix: ix, cols: ix.Keys[:k:k], colSels: colSels, sel: sel,
+				cost: cost, ix: ix, cols: info.cols, colSels: spec.colSels(info.cols), sel: info.sel,
 				rows: outRows, lookedUp: !ix.Covers(needed), needed: needed,
 			}
-			found = true
 		}
 	}
-	return best, found
+	return best, best.ix != nil
 }

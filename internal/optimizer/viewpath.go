@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/physical"
-	"repro/internal/plan"
 	"repro/internal/sqlx"
 )
 
@@ -211,14 +210,13 @@ func (o *Optimizer) issueViewRequest(oc *optCtx, key string, block *physical.Vie
 	}
 }
 
-// viewAccessPlan builds an access path over a matched view, applying the
+// viewAccessPlan prices an access path over a matched view, applying the
 // match's compensating filters and (when needed) re-aggregation.
 func (o *Optimizer) viewAccessPlan(oc *optCtx, q *BoundQuery, cfg *physical.Configuration, idx map[string]int, v *physical.View, m *physical.ViewMatch, mask uint64, isFull, groupedMatch bool) *dpEntry {
 	spec := &accessSpec{
 		table: v.Name,
 		view:  v,
 		rows:  v.EstRows,
-		qual:  v.Name,
 	}
 	// Residual ranges become sargable over the view, with selectivities
 	// conditioned on what the view already filters.
@@ -322,39 +320,26 @@ func (o *Optimizer) viewAccessPlan(oc *optCtx, q *BoundQuery, cfg *physical.Conf
 		}
 	}
 
-	res := o.requestAccess(oc, cfg, spec)
-	if res == nil {
+	p, ok := o.requestAccess(oc, cfg, spec)
+	if !ok {
 		return nil
 	}
-	node := res.node
-	entry := oc.newEntry()
-	entry.usages = res.usages
-	entry.views = []string{v.Name}
-	// The view plan's order properties use view-local names; flag order
+	e := oc.newEntry()
+	*e = pathEntry(p)
+	// The view path's order properties use view-local names; flag order
 	// delivery explicitly so the root does not add a redundant sort.
-	if len(spec.order) > 0 && plan.OrderSatisfies(node.OutOrder(), spec.qualify(spec.order), spec.eqBoundCols()) {
-		entry.ordered = true
-	}
-	if regroup {
-		keys := make([]string, 0, len(q.GroupBy))
-		for _, g := range q.GroupBy {
-			if vc := v.ColumnForSource(g); vc != nil {
-				keys = append(keys, v.Name+"."+vc.Name)
-			}
-		}
+	e.ordered = p.indexOrder || p.sorted
+	if regroup && (groupedMatch || isFull) {
 		groups := o.groupCardinality(o.selRows(q, idx, mask), q.GroupBy)
 		if len(q.GroupBy) == 0 {
 			groups = 1
 		}
-		if groupedMatch || isFull {
-			node = plan.NewGroupBy(node, keys, plan.AggHash, groups, node.TotalCost().Add(o.model.HashAggCost(node.OutRows())))
-			entry.grouped = true
-		}
-	} else if groupedMatch {
-		entry.grouped = true
+		e.total, e.rows, e.order = p.total.Add(o.model.HashAggCost(p.rows)), groups, nil
+		e.regroup, e.grouped = true, true
+	} else if !regroup && groupedMatch {
+		e.grouped = true
 	}
-	entry.setNode(node)
-	return entry
+	return e
 }
 
 // derivableAggCols returns the view columns needed to derive an aggregate

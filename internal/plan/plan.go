@@ -33,9 +33,6 @@ func (c Cost) Scale(f float64) Cost { return Cost{IO: c.IO * f, CPU: c.CPU * f} 
 
 func (c Cost) String() string { return fmt.Sprintf("io=%.1f cpu=%.1f", c.IO, c.CPU) }
 
-// Less compares total costs.
-func (c Cost) Less(o Cost) bool { return c.Total() < o.Total() }
-
 // Node is a physical plan operator. TotalCost is cumulative (includes
 // children); OutRows is the estimated output cardinality; OutOrder is the
 // column sequence the output is sorted by (nil when unordered).

@@ -20,8 +20,8 @@ func TestCostArithmetic(t *testing.T) {
 	if a.Total() != 12 {
 		t.Errorf("Total: %g", a.Total())
 	}
-	if !b.Less(a) || a.Less(b) {
-		t.Error("Less ordering wrong")
+	if !(b.Total() < a.Total()) || a.Total() < b.Total() {
+		t.Error("Total ordering wrong")
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 )
 
 // warmRetuneBytesCeiling is the most bytes a warm retune of
-// TestWarmRetuneAllocBytes may allocate: 5.935 MB, what it measured once
-// join enumeration kept priced decisions and built only the plan it
-// returns (9.92 MB before), plus 5 %.
-const warmRetuneBytesCeiling = 5_935_000 * 105 / 100
+// TestWarmRetuneAllocBytes may allocate: 5.175 MB, what it measured once
+// the optimizer built only the access paths and joins of the plans it
+// returns, plus 5 %.
+const warmRetuneBytesCeiling = 5_175_000 * 105 / 100
 
 // raceEnabled is set under the race detector (race_test.go).
 var raceEnabled bool
