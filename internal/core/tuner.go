@@ -186,7 +186,7 @@ type cbvEntry struct {
 // configuration (required primary-key indexes) is derived from the
 // catalog. A statement that does not bind fails it.
 func NewTuner(db *catalog.Database, w *workloads.Workload, opts Options) (*Tuner, error) {
-	t, unbound := NewTunerSkipping(db, w, opts)
+	t, unbound := NewTunerSkipping(db, w, opts, nil)
 	if len(unbound) > 0 {
 		return nil, unbound[0]
 	}
@@ -195,8 +195,11 @@ func NewTuner(db *catalog.Database, w *workloads.Workload, opts Options) (*Tuner
 
 // NewTunerSkipping is NewTuner over the statements of w that bind: it
 // prepares a session over those, in workload order, and returns one
-// error per statement it left out. Its Queries may be empty.
-func NewTunerSkipping(db *catalog.Database, w *workloads.Workload, opts Options) (*Tuner, []error) {
+// error per statement it left out. Its Queries may be empty. A statement
+// whose canonical SQL keys prior, statements an earlier session bound
+// against db, reuses that binding and the view blocks it memoized;
+// only the others are parsed and bound.
+func NewTunerSkipping(db *catalog.Database, w *workloads.Workload, opts Options, prior map[string]*optimizer.BoundQuery) (*Tuner, []error) {
 	t := &Tuner{
 		DB:         db,
 		Opt:        optimizer.New(db),
@@ -210,14 +213,26 @@ func NewTunerSkipping(db *catalog.Database, w *workloads.Workload, opts Options)
 	t.enum = physical.NewEnumerator(t.enumerateOptions())
 	var unbound []error
 	for _, q := range w.Queries {
-		b, err := optimizer.Bind(db, q.Stmt)
-		if err != nil {
-			unbound = append(unbound, fmt.Errorf("core: binding %s: %w", q.ID, err))
-			continue
+		b, ok := prior[q.SQL]
+		if !ok {
+			var err error
+			if b, err = BindQuery(db, q); err != nil {
+				unbound = append(unbound, fmt.Errorf("core: binding %s: %w", q.ID, err))
+				continue
+			}
 		}
 		t.Queries = append(t.Queries, &TunedQuery{Query: q, Bound: b})
 	}
 	return t, unbound
+}
+
+// BindQuery parses q's statement on demand and binds it against db.
+func BindQuery(db *catalog.Database, q *workloads.Query) (*optimizer.BoundQuery, error) {
+	stmt, err := q.Statement()
+	if err != nil {
+		return nil, err
+	}
+	return optimizer.Bind(db, stmt)
 }
 
 // EvaluatedConfig is a configuration together with its per-query results

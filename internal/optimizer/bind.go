@@ -109,6 +109,9 @@ type BoundQuery struct {
 // and column name in the result is spelled as the catalog spells it, so
 // code downstream of Bind compares names with ==.
 func Bind(db *catalog.Database, stmt sqlx.Statement) (*BoundQuery, error) {
+	if stmt == nil {
+		return nil, fmt.Errorf("optimizer: no statement to bind")
+	}
 	b := &binder{db: db, q: &BoundQuery{
 		SQL:    stmt.SQL(),
 		Kind:   stmt.Kind(),

@@ -78,6 +78,13 @@ func TestBindRejectsSelfJoin(t *testing.T) {
 	}
 }
 
+// A Query that kept no parse tree hands Bind nil: an error, not a panic.
+func TestBindRejectsNilStatement(t *testing.T) {
+	if _, err := Bind(testDB(t), nil); err == nil {
+		t.Error("binding no statement must fail")
+	}
+}
+
 func TestBindRejectsUnknownNames(t *testing.T) {
 	db := testDB(t)
 	for _, src := range []string{

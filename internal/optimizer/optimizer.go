@@ -46,16 +46,17 @@ type statCounters struct {
 // probes of the same relation during join enumeration count (and fire
 // hooks) once. Contexts are pooled: every Optimize call — including calls
 // from forked workers, which share the package-level pool — takes a
-// context whose maps, DP table, dpEntry arena and priced seek legs retain
+// context whose maps, DP table, arenas and priced seek legs retain
 // their capacity from earlier calls, so the steady-state what-if loop
 // allocates no per-call bookkeeping.
 type optCtx struct {
-	reqSeen map[string]bool // request dedup keys seen this call
-	key     []byte          // request dedup key build scratch
-	idx     map[string]int  // table → FROM position for the current query
-	dp      []*dpEntry      // DP table over table subsets
-	arena   []dpEntry       // bump arena backing the dpEntries of one call
-	legs    []accessLeg     // priced seek legs of one bestAccess call
+	reqSeen map[string]bool   // request dedup keys seen this call
+	key     []byte            // request dedup key build scratch
+	idx     map[string]int    // table → FROM position for the current query
+	dp      []*dpEntry        // DP table over table subsets
+	entries arena[dpEntry]    // the dpEntries of one call
+	paths   arena[accessPath] // the access paths of its leaf and view entries
+	legs    []accessLeg       // priced seek legs of one bestAccess call
 
 	edges        []physical.JoinPred // join-edge scratch (one split live at a time)
 	edgeAt       []int               // each edge's position in the query's Joins
@@ -78,15 +79,14 @@ var ctxPool = sync.Pool{New: func() any {
 func getOptCtx() *optCtx { return ctxPool.Get().(*optCtx) }
 
 // putOptCtx scrubs every reference the call left behind — specs, indexes
-// and views in the DP table, the arena and the seek legs — so pooled
+// and views in the DP table, the arenas and the seek legs — so pooled
 // scratch never pins a finished call's state, then returns the context.
-// Arena entries past its length were scrubbed by an earlier put.
 func putOptCtx(oc *optCtx) {
 	clear(oc.reqSeen)
 	clear(oc.idx)
 	clear(oc.dp)
-	clear(oc.arena)
-	oc.arena = oc.arena[:0]
+	oc.entries.reset()
+	oc.paths.reset()
 	clear(oc.legs[:cap(oc.legs)])
 	oc.probeSpec = accessSpec{}
 	ctxPool.Put(oc)
@@ -104,21 +104,40 @@ func (oc *optCtx) dpTable(n int) []*dpEntry {
 	return oc.dp
 }
 
-// newEntry hands out one dpEntry from the arena. Entries never escape
-// Optimize, so the arena is recycled wholesale when the call finishes.
-// When a chunk fills, a larger one replaces it; entries already handed
-// out stay valid in the old backing array, which lives until the call
-// returns.
-func (oc *optCtx) newEntry() *dpEntry {
-	if len(oc.arena) == cap(oc.arena) {
-		next := 2 * cap(oc.arena)
-		if next < 64 {
-			next = 64
-		}
-		oc.arena = make([]dpEntry, 0, next)
+// arena is a bump allocator for values that never escape one Optimize
+// call, so it is recycled wholesale when the call finishes. When a chunk
+// fills, a larger one replaces it; values already handed out stay valid
+// in the old backing array, which lives until the call returns.
+type arena[T any] struct{ buf []T }
+
+// alloc hands out one zeroed value. The first chunk holds 16, a
+// three-table query's DP table, so a context rebuilt after a collection
+// empties the pool starts small; larger queries double it.
+func (a *arena[T]) alloc() *T {
+	if len(a.buf) == cap(a.buf) {
+		a.buf = make([]T, 0, max(16, 2*cap(a.buf)))
 	}
-	oc.arena = append(oc.arena, dpEntry{})
-	return &oc.arena[len(oc.arena)-1]
+	var zero T
+	a.buf = append(a.buf, zero)
+	return &a.buf[len(a.buf)-1]
+}
+
+// reset scrubs the current chunk and empties it; values past its length
+// were scrubbed by an earlier reset.
+func (a *arena[T]) reset() {
+	clear(a.buf)
+	a.buf = a.buf[:0]
+}
+
+// pathEntry hands out a leaf or view entry priced by its access path p,
+// which it keeps out of line: join entries, most of the DP table, carry
+// no path.
+func (oc *optCtx) pathEntry(p *accessPath) *dpEntry {
+	path := oc.paths.alloc()
+	*path = *p
+	e := oc.entries.alloc()
+	*e = dpEntry{path: path, total: p.total, rows: p.rows, order: p.order}
+	return e
 }
 
 // New returns an optimizer over db with the default cost model.
@@ -169,9 +188,10 @@ func (o *Optimizer) DB() *catalog.Database { return o.db }
 
 // dpEntry is the best plan found for one table subset, priced: total,
 // rows and order are what its plan costs, returns and is sorted by. It
-// holds decisions, not nodes: a leaf or view entry its priced access path
-// (a view entry also whether it hash-aggregates the path), a join entry
-// the decision joinPlans priced, with its inputs in left/right.
+// holds decisions, not nodes: a leaf or view entry its priced access path,
+// in the context's path arena (a view entry also whether it
+// hash-aggregates the path), a join entry the decision joinPlans priced,
+// with its inputs in left/right.
 // treeBuilder makes the nodes, usage records and view list of the winning
 // tree only, once, when Optimize returns.
 type dpEntry struct {
@@ -180,8 +200,8 @@ type dpEntry struct {
 	rows  float64
 	order []string
 
-	path    accessPath
-	regroup bool // a hash aggregation above the view path (total and rows are its)
+	path    *accessPath // nil on a join entry
+	regroup bool        // a hash aggregation above the view path (total and rows are its)
 	// grouped reports that the sub-plan already produced the query's
 	// aggregation (view-based plans may embed it).
 	grouped bool
@@ -197,11 +217,6 @@ type dpEntry struct {
 	joinRows    float64
 	filterSel   float64     // the cross-table filter above the join; 1 when none
 	probe       probeResult // index-NL: the inner side's probe index
-}
-
-// pathEntry is a leaf or view entry priced by its access path p.
-func pathEntry(p accessPath) dpEntry {
-	return dpEntry{path: p, total: p.total, rows: p.rows, order: p.order}
 }
 
 func (e *dpEntry) cost() float64 {
@@ -239,9 +254,7 @@ func (o *Optimizer) Optimize(q *BoundQuery, cfg *physical.Configuration) (*plan.
 		if !ok {
 			return nil, fmt.Errorf("optimizer: no access path for table %s", t)
 		}
-		e := oc.newEntry()
-		*e = pathEntry(p)
-		dp[1<<uint(i)] = e
+		dp[1<<uint(i)] = oc.pathEntry(&p)
 	}
 
 	idx := oc.idx
@@ -274,7 +287,7 @@ func (o *Optimizer) Optimize(q *BoundQuery, cfg *physical.Configuration) (*plan.
 				}
 				if cand, ok := o.joinPlans(oc, q, cfg, idx, mask, sub, other, l, r, edges); ok && cand.cost() < best.cost() {
 					if joined == nil {
-						joined = oc.newEntry()
+						joined = oc.entries.alloc()
 					}
 					*joined = cand
 					best = joined
@@ -781,7 +794,7 @@ type treeBuilder struct {
 // helper that priced them in the DP.
 func (b *treeBuilder) build(e *dpEntry) plan.Node {
 	if e.left == nil {
-		node := b.access(&e.path)
+		node := b.access(e.path)
 		if e.regroup {
 			v := e.path.spec.view
 			keys := make([]string, 0, len(b.q.GroupBy))

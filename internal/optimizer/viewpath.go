@@ -324,8 +324,7 @@ func (o *Optimizer) viewAccessPlan(oc *optCtx, q *BoundQuery, cfg *physical.Conf
 	if !ok {
 		return nil
 	}
-	e := oc.newEntry()
-	*e = pathEntry(p)
+	e := oc.pathEntry(&p)
 	// The view path's order properties use view-local names; flag order
 	// delivery explicitly so the root does not add a redundant sort.
 	e.ordered = p.indexOrder || p.sorted

@@ -156,7 +156,7 @@ func bindStatements(db *catalog.Database, queries []*workloads.Query, maxStmts i
 		if len(stmts) >= maxStmts {
 			continue
 		}
-		bq, err := optimizer.Bind(db, q.Stmt)
+		bq, err := core.BindQuery(db, q)
 		if err != nil {
 			return nil, 0, fmt.Errorf("replay: bind %s: %w", q.ID, err)
 		}

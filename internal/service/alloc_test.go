@@ -9,10 +9,9 @@ import (
 )
 
 // warmRetuneBytesCeiling is the most bytes a warm retune of
-// TestWarmRetuneAllocBytes may allocate: 5.175 MB, what it measured once
-// the optimizer built only the access paths and joins of the plans it
-// returns, plus 5 %.
-const warmRetuneBytesCeiling = 5_175_000 * 105 / 100
+// TestWarmRetuneAllocBytes may allocate: 3.60 MB, what it measured once a
+// retune reused its predecessor's bindings and view blocks, plus 5 %.
+const warmRetuneBytesCeiling = 3_600_000 * 105 / 100
 
 // raceEnabled is set under the race detector (race_test.go).
 var raceEnabled bool

@@ -199,8 +199,12 @@ type Service struct {
 	replayDB    *catalog.Database
 	replayStore *exec.Store
 
-	// tuneMu serializes tuning sessions (one retune at a time).
+	// tuneMu serializes tuning sessions (one retune at a time) and guards
+	// bound: the last retune's bound statements by canonical SQL, replaced
+	// wholesale by each retune, so the next one parses and binds only the
+	// statements new since.
 	tuneMu sync.Mutex
+	bound  map[string]*optimizer.BoundQuery
 
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -416,7 +420,7 @@ func (s *Service) windowCostPerWeight(snap *workloads.Workload, rec *Recommendat
 			}
 		}
 		if !ok {
-			bound, err := optimizer.Bind(s.db, q.Stmt)
+			bound, err := core.BindQuery(s.db, q)
 			if err != nil {
 				continue
 			}
@@ -530,7 +534,7 @@ func (s *Service) retune(trigger string, budget int64, overrideBudget bool) (*Re
 	s.trace.SetSession(sessionID)
 	startedAt := time.Now()
 
-	t, unbound := core.NewTunerSkipping(s.db, snap, opts)
+	t, unbound := core.NewTunerSkipping(s.db, snap, opts, s.bound)
 	if len(unbound) > 0 {
 		if len(t.Queries) == 0 {
 			return nil, fmt.Errorf("%w: none of its %d statements binds (%v)", ErrEmptyWindow, len(snap.Queries), unbound[0])
@@ -545,6 +549,10 @@ func (s *Service) retune(trigger string, budget int64, overrideBudget bool) (*Re
 	res, err := tuneRecovered(t)
 	if err != nil {
 		return nil, fmt.Errorf("service: retune: %w", err)
+	}
+	s.bound = make(map[string]*optimizer.BoundQuery, len(t.Queries))
+	for _, tq := range t.Queries {
+		s.bound[tq.Query.SQL] = tq.Bound
 	}
 
 	rec := &Recommendation{

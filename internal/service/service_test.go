@@ -1,9 +1,12 @@
 package service
 
 import (
+	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/obs"
+	"repro/internal/optimizer"
 	"repro/internal/workloads"
 )
 
@@ -318,4 +322,118 @@ func TestRetuneWorkerOnlyWithoutScheduler(t *testing.T) {
 	expectWorkers(1, "a self-scheduling service")
 	own.Close()
 	expectWorkers(0, "after Close")
+}
+
+// A retune parses and binds only the statements its predecessor did not:
+// the others keep their bindings (and the view blocks memoized on them),
+// and the set holds the last retune's statements only, so statements the
+// window evicted leave it.
+func TestRetuneReusesBindings(t *testing.T) {
+	sqls := workloads.TPCH22SQL()
+	s := newTestService(t, Options{Window: workloads.WindowOptions{MaxUnique: 12}})
+	retune := func(batch []string) map[string]*optimizer.BoundQuery {
+		t.Helper()
+		s.Ingest(batch)
+		if _, err := s.Retune(); err != nil {
+			t.Fatal(err)
+		}
+		s.tuneMu.Lock()
+		defer s.tuneMu.Unlock()
+		return maps.Clone(s.bound)
+	}
+	keys := func(batch []string) []string {
+		w, err := workloads.FromStatements("want", "tpch", batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(w.Queries))
+		for i, q := range w.Queries {
+			out[i] = q.SQL
+		}
+		return out
+	}
+	first := retune(sqls[:10])
+	// 5..9 arrive again and 10, 11 are new: twelve entries, none evicted.
+	second := retune(sqls[5:12])
+	// 12..15 are new and evict the lightest, the first observed among
+	// equals: 0..3.
+	third := retune(sqls[12:16])
+	for _, tc := range []struct {
+		name        string
+		prev, cur   map[string]*optimizer.BoundQuery
+		kept, fresh []string
+	}{
+		{"second", first, second, keys(sqls[:10]), keys(sqls[10:12])},
+		{"third", second, third, keys(sqls[4:12]), keys(sqls[12:16])},
+	} {
+		if len(tc.cur) != len(tc.kept)+len(tc.fresh) {
+			t.Errorf("%s retune keeps %d bindings, want %d", tc.name, len(tc.cur), len(tc.kept)+len(tc.fresh))
+		}
+		for _, k := range tc.kept {
+			if tc.cur[k] == nil || tc.cur[k] != tc.prev[k] {
+				t.Errorf("%s retune bound %q again", tc.name, k)
+			}
+		}
+		for _, k := range tc.fresh {
+			if tc.cur[k] == nil || tc.prev[k] != nil {
+				t.Errorf("%s retune: %q bound %v, before %v", tc.name, k, tc.cur[k] != nil, tc.prev[k] != nil)
+			}
+		}
+	}
+}
+
+// The last retune's snapshot is read while the next retune runs: /workload
+// signs its statements (with the sketch off, by parsing them on demand)
+// and a ground-truth replay binds them. Under -race this checks that the
+// on-demand parse shares nothing between readers.
+func TestSnapshotReadersDuringRetune(t *testing.T) {
+	builds := 0
+	s := newTestService(t, Options{Window: workloads.WindowOptions{SketchSize: -1}, Replay: tpchSource(&builds)})
+	s.Ingest(phase1)
+	if _, err := s.Retune(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for _, read := range []func() error{
+		func() error {
+			if rep := s.WorkloadReport(); len(rep.Signatures) == 0 || rep.TunedSession == "" {
+				return fmt.Errorf("workload report attributes nothing")
+			}
+			return nil
+		},
+		func() error {
+			_, err := s.Calibration(true)
+			return err
+		},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := read(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for _, batch := range [][]string{phase2, phase1, phase2} {
+		s.Ingest(batch)
+		if _, err := s.Retune(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
 }

@@ -3,6 +3,7 @@ package workloads
 import (
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/sqlx"
 )
@@ -19,7 +20,8 @@ import (
 // The extraction is static (AST only, no optimizer round trip) so the
 // sliding window can compute it once per distinct statement at ingest.
 func SignatureOf(stmt sqlx.Statement) string {
-	b := &sigBuilder{}
+	b := sigBuilders.Get().(*sigBuilder)
+	defer b.release()
 	b.bindings, b.tables, b.cols = b.bindingBuf[:0], b.tableBuf[:0], b.colBuf[:0]
 	switch s := stmt.(type) {
 	case *sqlx.SelectStmt:
@@ -83,8 +85,9 @@ type sigCol struct {
 // sigBuilder accumulates a statement's tables and column classes in small
 // slices: a statement names a handful of each, so a linear scan dedupes
 // them faster than a map is built. The slices start in the builder's own
-// arrays, so a statement that fits them costs one allocation for the
-// builder.
+// arrays, so a statement that fits them allocates no scratch. A builder
+// points into itself, so it would escape, 3 KB of garbage per statement;
+// sigBuilders recycles them instead.
 type sigBuilder struct {
 	kind     string
 	bindings []sigBinding
@@ -96,6 +99,15 @@ type sigBuilder struct {
 	bindingBuf [8]sigBinding
 	tableBuf   [8]string
 	colBuf     [32]sigCol
+}
+
+var sigBuilders = sync.Pool{New: func() any { return new(sigBuilder) }}
+
+// release zeroes b, so the pool pins no statement's strings, and returns
+// it to the pool.
+func (b *sigBuilder) release() {
+	*b = sigBuilder{}
+	sigBuilders.Put(b)
 }
 
 // start sets the statement kind and binds its FROM tables.

@@ -86,13 +86,14 @@ type WindowStats struct {
 	SketchWeightShare float64 // fraction of total decayed weight tracked
 }
 
-// windowEntry is one distinct statement inside the window.
+// windowEntry is one distinct statement inside the window. It keeps text,
+// not the parse tree: a snapshot's Query parses aliases[0] when something
+// binds it.
 type windowEntry struct {
-	stmt   sqlx.Statement
-	sql    string
-	sig    string // canonical signature; empty when the sketch is disabled
-	update bool   // statement modifies data
-	count  int    // raw observations still in the window
+	sql   string
+	sig   string // canonical signature; empty when the sketch is disabled
+	kind  sqlx.StmtKind
+	count int // raw observations still in the window
 	// weight is the decayed weight normalized to lastUpd; reading it at a
 	// later sequence number multiplies by decay^(now-lastUpd).
 	weight  float64
@@ -103,7 +104,8 @@ type windowEntry struct {
 	key  float64
 	hidx int
 	// aliases are the raw texts byText resolves to this entry, oldest
-	// first; never more than count of them.
+	// first; never more than count of them, and never none while count is
+	// positive, since trimAliases drops the newest first.
 	aliases []string
 }
 
@@ -165,8 +167,10 @@ func NewSlidingWindow(database string, opts WindowOptions) *SlidingWindow {
 // Observe adds one SQL statement to the window. A text the window already
 // holds is found in byText and recorded without parsing or rendering it; a
 // new text is parsed outside the lock and becomes an alias of the entry it
-// resolves to. Malformed text is never cached, so every copy of it is
-// parsed and counted as a parse error.
+// resolves to, and its parse tree is dropped. Statements are deduplicated
+// by their canonical SQL rendering, so differently formatted copies of the
+// same statement compress together. Malformed text is never cached, so
+// every copy of it is parsed and counted as a parse error.
 func (w *SlidingWindow) Observe(sql string) error {
 	w.mu.Lock()
 	if e, ok := w.byText[sql]; ok {
@@ -189,25 +193,21 @@ func (w *SlidingWindow) Observe(sql string) error {
 	defer w.mu.Unlock()
 	w.arrive()
 	e := w.entryFor(stmt)
-	// Another goroutine may have aliased the text since the lookup above;
-	// it resolved to this same entry. The alias goes in before record so
-	// that record's evictions trim e's aliases against its final count.
-	if _, ok := w.byText[sql]; !ok {
-		w.byText[sql] = e
-		e.aliases = append(e.aliases, sql)
-	}
+	w.alias(e, sql)
 	w.record(e)
 	return nil
 }
 
-// ObserveStatement adds an already-parsed statement to the window.
-// Statements are deduplicated by their canonical SQL rendering, so
-// differently formatted copies of the same statement compress together.
-func (w *SlidingWindow) ObserveStatement(stmt sqlx.Statement) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.arrive()
-	w.record(w.entryFor(stmt))
+// alias makes text, which parses to e's statement, one of e's aliases
+// unless it already is: another goroutine may have aliased it since
+// Observe's lookup, to this same entry. The alias goes in before record so
+// that record's evictions trim e's aliases against its final count (mu
+// held).
+func (w *SlidingWindow) alias(e *windowEntry, text string) {
+	if _, ok := w.byText[text]; !ok {
+		w.byText[text] = e
+		e.aliases = append(e.aliases, text)
+	}
 }
 
 // arrive counts one accepted arrival (mu held).
@@ -217,8 +217,8 @@ func (w *SlidingWindow) arrive() {
 }
 
 // entryFor returns the live entry keyed by stmt's canonical SQL, inserting
-// one (and evicting the lightest at MaxUnique) when there is none (mu
-// held).
+// one (and evicting the lightest at MaxUnique) when there is none. The
+// entry keeps stmt's rendering, signature and kind, not stmt (mu held).
 func (w *SlidingWindow) entryFor(stmt sqlx.Statement) *windowEntry {
 	key := stmt.SQL()
 	if e, ok := w.entries[key]; ok {
@@ -227,8 +227,7 @@ func (w *SlidingWindow) entryFor(stmt sqlx.Statement) *windowEntry {
 	if len(w.entries) >= w.opts.MaxUnique {
 		w.evictLightest()
 	}
-	e := &windowEntry{stmt: stmt, sql: key, firstAt: w.seq, lastUpd: w.seq}
-	e.update = stmt.Kind() != sqlx.StmtSelect
+	e := &windowEntry{sql: key, kind: stmt.Kind(), firstAt: w.seq, lastUpd: w.seq}
 	if w.sketch != nil {
 		e.sig = SignatureOf(stmt)
 	}
@@ -240,7 +239,7 @@ func (w *SlidingWindow) entryFor(stmt sqlx.Statement) *windowEntry {
 // record adds the current arrival to e and evicts the oldest observations
 // past MaxObservations (mu held).
 func (w *SlidingWindow) record(e *windowEntry) {
-	if e.update {
+	if e.kind != sqlx.StmtSelect {
 		w.observedUpdates++
 	} else {
 		w.observedSelects++
@@ -413,8 +412,10 @@ func (w *SlidingWindow) compactRing() {
 }
 
 // Snapshot returns the window contents as a compressed weighted workload,
-// in first-observation order. The workload shares no mutable state with
-// the window and is safe to tune while ingestion continues.
+// in first-observation order. It parses nothing: each Query carries its
+// entry's oldest alias as the text its Statement parses. The workload
+// shares no mutable state with the window and is safe to tune while
+// ingestion continues.
 func (w *SlidingWindow) Snapshot() *Workload {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -436,9 +437,10 @@ func (w *SlidingWindow) Snapshot() *Workload {
 		out.Queries = append(out.Queries, &Query{
 			ID:     fmt.Sprintf("win-q%d", i+1),
 			SQL:    e.sql,
-			Stmt:   e.stmt,
 			Sig:    e.sig,
 			Weight: weight,
+			text:   e.aliases[0],
+			kind:   e.kind,
 		})
 	}
 	return out
@@ -469,7 +471,7 @@ func (w *SlidingWindow) Stats() WindowStats {
 	}
 	for _, e := range w.entries {
 		s.TotalWeight += e.weightAt(w.seq, w.decay)
-		if e.update {
+		if e.kind != sqlx.StmtSelect {
 			s.UpdatesInWindow += e.count
 		} else {
 			s.SelectsInWindow += e.count

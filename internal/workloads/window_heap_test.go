@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -108,8 +109,8 @@ func (o *evictionOracle) arrive(t testing.TB, w *SlidingWindow, observe func()) 
 var raceEnabled bool
 
 // A new statement costs one lex, one render and one map-free signature on
-// top of the window's own work: 17 allocations with the sketch off and 20
-// with it on, the other three the signature's, on a full default window,
+// top of the window's own work: 17 allocations with the sketch off and 19
+// with it on, the other two the signature's, on a full default window,
 // with and without decay. A repeated statement stays at zero
 // (TestObserveDuplicateZeroAlloc).
 func TestObserveDistinctAllocs(t *testing.T) {
@@ -120,7 +121,7 @@ func TestObserveDistinctAllocs(t *testing.T) {
 		sketch   int
 		halfLife int
 		max      float64
-	}{{-1, 0, 17}, {-1, 64, 17}, {0, 0, 20}, {0, 64, 20}} {
+	}{{-1, 0, 17}, {-1, 64, 17}, {0, 0, 19}, {0, 64, 19}} {
 		t.Run(fmt.Sprintf("sk%d-hl%d", tc.sketch, tc.halfLife), func(t *testing.T) {
 			w, texts := warmDistinct(4096, WindowOptions{HalfLife: tc.halfLife, SketchSize: tc.sketch})
 			i := 0
@@ -132,5 +133,45 @@ func TestObserveDistinctAllocs(t *testing.T) {
 				t.Errorf("distinct observe: %v allocs/run, want at most %v", allocs, tc.max)
 			}
 		})
+	}
+}
+
+// retainedBytesPerEntryCeiling is the most live heap a default window may
+// hold per distinct TPC-H-shaped statement: 697 bytes, what it measured
+// once entries kept text rather than parse trees (2,099 while they kept
+// the tree), plus 5 %.
+const retainedBytesPerEntryCeiling = 697 * 105 / 100
+
+// TestWindowRetainedAllocBytes pins what the window keeps live: 512
+// distinct TPC-H-shaped statements observed into a default window, then a
+// collection; the heap's growth over the window's empty state is divided
+// by its entries. The texts are allocated before the first reading, so
+// the aliases that share them do not count.
+func TestWindowRetainedAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	texts := distinctTPCHTexts(t, 512)
+	var before, after runtime.MemStats
+	settle := func(m *runtime.MemStats) {
+		runtime.GC()
+		runtime.GC() // the second empties what sync.Pools kept
+		runtime.ReadMemStats(m)
+	}
+	settle(&before)
+	w := NewSlidingWindow("tpch", WindowOptions{})
+	for _, text := range texts {
+		if err := w.Observe(text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle(&after)
+	if _, unique, _ := w.Size(); unique != len(texts) {
+		t.Fatalf("window holds %d entries, want %d", unique, len(texts))
+	}
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(len(texts))
+	t.Logf("the window keeps %d bytes per entry; ceiling %d", per, retainedBytesPerEntryCeiling)
+	if per > retainedBytesPerEntryCeiling {
+		t.Errorf("the window keeps %d bytes per entry, ceiling %d", per, retainedBytesPerEntryCeiling)
 	}
 }

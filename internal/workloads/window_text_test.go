@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -46,7 +48,7 @@ func randomText(rng *rand.Rand, corpus []string) string {
 }
 
 // windowPair feeds one stream to a window through Observe (the text
-// index) and to a reference window through sqlx.Parse + ObserveStatement,
+// index) and to a reference window through sqlx.Parse + observeReference,
 // which never consults the index. Both windows' unique-evictions are
 // checked against the scan.
 type windowPair struct {
@@ -70,7 +72,7 @@ func (p *windowPair) observe(t testing.TB, text string) {
 	if perr != nil {
 		p.refErrors++
 	} else {
-		p.oracle.arrive(t, p.ref, func() { p.ref.ObserveStatement(stmt) })
+		p.oracle.arrive(t, p.ref, func() { observeReference(p.ref, text, stmt) })
 		p.canonical[text] = stmt.SQL()
 	}
 	p.oracle.arrive(t, p.cached, func() {
@@ -78,6 +80,17 @@ func (p *windowPair) observe(t testing.TB, text string) {
 			t.Fatalf("Observe(%q) error %v, Parse error %v", text, err, perr)
 		}
 	})
+}
+
+// observeReference is Observe without the text-index lookup: every copy of
+// text arrives parsed, as stmt, and resolves to its entry by canonical SQL.
+func observeReference(w *SlidingWindow, text string, stmt sqlx.Statement) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.arrive()
+	e := w.entryFor(stmt)
+	w.alias(e, text)
+	w.record(e)
 }
 
 // check asserts that both windows agree on every counter, snapshot entry
@@ -117,6 +130,8 @@ func (p *windowPair) check(t testing.TB, step int) {
 				step, i, q.ID, q.SQL, q.Weight, q.Sig, r.ID, r.SQL, r.Weight, r.Sig)
 		}
 	}
+	checkSnapshotParses(t, gs)
+	checkSnapshotParses(t, ws)
 	if gi, wi := p.cached.SketchItems(), p.ref.SketchItems(); !reflect.DeepEqual(gi, wi) {
 		t.Fatalf("step %d: sketch items\n got  %+v\n want %+v", step, gi, wi)
 	}
@@ -128,15 +143,46 @@ func (p *windowPair) check(t testing.TB, step int) {
 }
 
 // checkSignatures asserts that every entry of a sketching window carries
-// the signature the map-based reference builder gives its statement.
+// the signature the map-based reference builder gives its statement,
+// parsed from the entry's oldest alias.
 func checkSignatures(t testing.TB, w *SlidingWindow) {
 	t.Helper()
 	if w.sketch == nil {
 		return
 	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	for _, e := range w.entries {
-		if want := refSignatureOf(e.stmt); e.sig != want {
+		stmt, err := sqlx.Parse(e.aliases[0])
+		if err != nil {
+			t.Fatalf("entry %q: alias %q: %v", e.sql, e.aliases[0], err)
+		}
+		if want := refSignatureOf(stmt); e.sig != want {
 			t.Fatalf("entry %q: signature %q, reference %q", e.sql, e.sig, want)
+		}
+	}
+}
+
+// checkSnapshotParses asserts that every snapshot query holds no parse tree
+// and that the statement it parses on demand is the one observed: it
+// renders to q.SQL, signs to q.Sig (or, with the sketch off, to what
+// Signature reports) and has the kind IsUpdate reports.
+func checkSnapshotParses(t testing.TB, snap *Workload) {
+	t.Helper()
+	for _, q := range snap.Queries {
+		if q.Stmt != nil {
+			t.Fatalf("%s: snapshot query holds a parse tree", q.ID)
+		}
+		stmt, err := q.Statement()
+		if err != nil {
+			t.Fatalf("%s: %q does not parse: %v", q.ID, q.SQL, err)
+		}
+		sig := refSignatureOf(stmt)
+		if stmt.SQL() != q.SQL || (q.Sig != "" && sig != q.Sig) || sig != q.Signature() {
+			t.Fatalf("%s: parses to %q sig %q, observed %q sig %q (Signature %q)", q.ID, stmt.SQL(), sig, q.SQL, q.Sig, q.Signature())
+		}
+		if update := stmt.Kind() != sqlx.StmtSelect; update != q.IsUpdate() {
+			t.Fatalf("%s: %q parses to an update: %v, IsUpdate %v", q.ID, q.SQL, update, q.IsUpdate())
 		}
 	}
 }
@@ -155,6 +201,9 @@ func checkTextIndex(t testing.TB, w *SlidingWindow, canonical map[string]string)
 	for _, e := range w.entries {
 		if len(e.aliases) > e.count {
 			t.Fatalf("entry %q: %d aliases for %d observations", e.sql, len(e.aliases), e.count)
+		}
+		if len(e.aliases) == 0 {
+			t.Fatalf("entry %q: %d observations and no alias to parse", e.sql, e.count)
 		}
 		for _, text := range e.aliases {
 			if w.byText[text] != e {
@@ -176,8 +225,8 @@ func checkTextIndex(t testing.TB, w *SlidingWindow, canonical map[string]string)
 	}
 }
 
-// Observing through the text index is the same function as parse +
-// ObserveStatement: every counter, weight, eviction victim, snapshot and
+// Observing through the text index is the same function as parsing every
+// arrival: every counter, weight, eviction victim, snapshot and
 // sketch item agrees after every step, over tiny windows that make every
 // eviction path fire; every unique-eviction is the scan's.
 func TestWindowTextIndexMatchesReference(t *testing.T) {
@@ -205,6 +254,94 @@ func TestWindowTextIndexMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// distinctTPCHTexts returns n TPC-H-shaped texts that differ after
+// canonical rendering: the TPC-H 22 that hold an integer literal in turn,
+// each round with the last of them raised by the round number.
+func distinctTPCHTexts(t testing.TB, n int) []string {
+	t.Helper()
+	lastInt := regexp.MustCompile(`\b\d+\b([^\d]*)$`)
+	var corpus []string
+	for _, text := range TPCH22SQL() {
+		if lastInt.MatchString(text) {
+			corpus = append(corpus, text)
+		}
+	}
+	seen := map[string]bool{}
+	out := make([]string, n)
+	for i := range out {
+		round := i / len(corpus)
+		out[i] = lastInt.ReplaceAllStringFunc(corpus[i%len(corpus)], func(m string) string {
+			sub := lastInt.FindStringSubmatch(m)
+			v, _ := strconv.Atoi(strings.TrimSuffix(m, sub[1]))
+			return strconv.Itoa(v+round) + sub[1]
+		})
+		stmt, err := sqlx.Parse(out[i])
+		if err != nil {
+			t.Fatalf("%q: %v", out[i], err)
+		}
+		if seen[stmt.SQL()] {
+			t.Fatalf("text %d renders as an earlier one: %q", i, stmt.SQL())
+		}
+		seen[stmt.SQL()] = true
+	}
+	return out
+}
+
+// The statement a snapshot query parses on demand is the one the window
+// observed, over the window corpus, the TPC-H refresh updates and a full
+// default window of distinct TPC-H-shaped statements.
+func TestSnapshotStatementIsObserved(t *testing.T) {
+	texts := append(textCorpus(), TPCHRefresh()...)
+	texts = append(texts, distinctTPCHTexts(t, 600)...)
+	for _, sketch := range []int{-1, 0} {
+		w := NewSlidingWindow("tpch", WindowOptions{SketchSize: sketch})
+		for _, text := range texts {
+			_ = w.Observe(text)
+		}
+		snap := w.Snapshot()
+		if len(snap.Queries) != 512 {
+			t.Fatalf("sketch %d: snapshot holds %d statements, want 512", sketch, len(snap.Queries))
+		}
+		checkSnapshotParses(t, snap)
+	}
+}
+
+// No parse tree is reachable from a window: no type in the graph of
+// SlidingWindow's fields comes from the SQL package except the statement
+// kind, and none is an interface that could hold a statement.
+func TestWindowHoldsNoParseTree(t *testing.T) {
+	kind := reflect.TypeOf(sqlx.StmtSelect)
+	seen := map[reflect.Type]bool{}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch {
+		case typ == kind:
+			return
+		case typ.PkgPath() == kind.PkgPath():
+			t.Errorf("%s: %v is a SQL package type", path, typ)
+		case typ.Kind() == reflect.Interface:
+			t.Errorf("%s: %v can hold a statement", path, typ)
+		}
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Map:
+			walk(typ.Key(), path+"{key}")
+			walk(typ.Elem(), path+"{}")
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(f.Type, path+"."+f.Name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(SlidingWindow{}), "SlidingWindow")
 }
 
 // Snapshot's sort returns what the insertion sort it replaced returned,

@@ -13,25 +13,53 @@ import (
 
 // Query is one workload statement with an execution weight (frequency).
 type Query struct {
-	ID   string
-	SQL  string
+	ID  string
+	SQL string
+	// Stmt is the parsed statement when the workload was built from parsed
+	// statements (Parse, FromStatements, Generate, Compress). A window
+	// snapshot keeps text only and leaves it nil; Statement parses on
+	// demand.
 	Stmt sqlx.Statement
 	// Sig caches the statement's canonical signature when its producer
 	// already computed it (a window snapshot does); empty means unknown.
 	Sig    string
 	Weight float64
+
+	// text and kind stand in for a nil Stmt: the raw text Statement
+	// parses, whose canonical rendering is SQL, and the statement's kind.
+	text string
+	kind sqlx.StmtKind
+}
+
+// Statement returns the parsed statement: Stmt when the producer kept it,
+// otherwise a fresh parse of the text on every call, so a Query is safe to
+// read from several goroutines.
+func (q *Query) Statement() (sqlx.Statement, error) {
+	if q.Stmt != nil {
+		return q.Stmt, nil
+	}
+	return sqlx.Parse(q.text)
 }
 
 // IsUpdate reports whether the statement modifies data.
-func (q *Query) IsUpdate() bool { return q.Stmt.Kind() != sqlx.StmtSelect }
+func (q *Query) IsUpdate() bool {
+	if q.Stmt != nil {
+		return q.Stmt.Kind() != sqlx.StmtSelect
+	}
+	return q.kind != sqlx.StmtSelect
+}
 
 // Signature returns the statement's canonical signature, computing it only
-// when Sig is empty.
+// when Sig is empty ("" when the statement does not parse).
 func (q *Query) Signature() string {
 	if q.Sig != "" {
 		return q.Sig
 	}
-	return SignatureOf(q.Stmt)
+	stmt, err := q.Statement()
+	if err != nil {
+		return ""
+	}
+	return SignatureOf(stmt)
 }
 
 // Workload is a weighted set of statements over one database.
@@ -104,7 +132,8 @@ func Compress(w *Workload) *Workload {
 			prev.Weight += q.Weight
 			continue
 		}
-		nq := &Query{ID: q.ID, SQL: q.SQL, Stmt: q.Stmt, Sig: q.Sig, Weight: q.Weight}
+		c := *q
+		nq := &c
 		index[q.SQL] = nq
 		out.Queries = append(out.Queries, nq)
 	}
