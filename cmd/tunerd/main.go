@@ -101,7 +101,7 @@ func main() {
 		tracePath  = flag.String("trace", "", "write search trace events (JSONL) to this file")
 		dbName     = flag.String("db", "tpch", "database: tpch, ds1, or bench")
 		sf         = flag.Float64("sf", 0.001, "database scale factor")
-		budgetMB   = flag.Float64("budget", 0, "storage budget in MB, fractions allowed (0 = unconstrained)")
+		budgetMB   = flag.Float64("budget", 0, "storage budget in MB, fractions allowed (0 = unconstrained; under 2^43)")
 		views      = flag.Bool("views", true, "consider materialized views")
 		iters      = flag.Int("iters", 120, "maximum relaxation iterations per retune")
 		tuneTime   = flag.Duration("tune-time", 0, "per-retune time budget (0 = unbounded)")
@@ -153,11 +153,15 @@ func main() {
 		logger.Info("tunerd: tracing retunes", "path", *tracePath)
 	}
 
+	budget, err := service.BudgetBytes(*budgetMB)
+	if err != nil {
+		fatal("tunerd: -budget", err)
+	}
 	// baseOpts is the single-tenant configuration and, in fleet mode,
 	// the template every registered tenant starts from.
 	baseOpts := service.Options{
 		Tuning: core.Options{
-			SpaceBudget:   int64(*budgetMB * (1 << 20)),
+			SpaceBudget:   budget,
 			NoViews:       !*views,
 			MaxIterations: *iters,
 			TimeBudget:    *tuneTime,

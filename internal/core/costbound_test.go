@@ -39,7 +39,7 @@ func TestBoundDeltaIsUpperBound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tr, err)
 		}
-		after, ok, err := tn.EvaluateIncremental(ec, tr.Apply(optCfg), tr.RemovedIndexIDs(), tr.RemovedViewNames(), 0)
+		after, ok, err := tn.evalQueries(ec, tr.Apply(optCfg), tr.RemovedIndexIDs(), tr.RemovedViewNames(), 0)
 		if err != nil {
 			t.Fatalf("%s: %v", tr, err)
 		}
@@ -89,7 +89,7 @@ func TestBoundDeltaWithViews(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tr, err)
 		}
-		after, ok, err := tn.EvaluateIncremental(ec, tr.Apply(optCfg), tr.RemovedIndexIDs(), tr.RemovedViewNames(), 0)
+		after, ok, err := tn.evalQueries(ec, tr.Apply(optCfg), tr.RemovedIndexIDs(), tr.RemovedViewNames(), 0)
 		if err != nil {
 			t.Fatalf("%s: %v", tr, err)
 		}

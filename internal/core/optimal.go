@@ -142,19 +142,11 @@ func clusterKeysFor(v *physical.View) []string {
 	return v.AllColumnNames()[:1]
 }
 
-// OptimalForQuery runs the instrumented optimization of §2 for one query:
-// it returns the structures the optimal plan actually uses (a per-query
-// optimal configuration fragment) along with the resulting plan.
-func (t *Tuner) OptimalForQuery(tq *TunedQuery) (*physical.Configuration, *optimizer.QueryResult, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.optimalForQueryOn(t.Opt, tq)
-}
-
-// optimalForQueryOn is the §2 instrumented optimization against an
-// explicit optimizer: hooks are per-optimizer state, so a parallel §2
-// phase gives every worker its own fork and routes each query through
-// it.
+// optimalForQueryOn runs the instrumented optimization of §2 for one
+// query against opt: it returns the structures the optimal plan actually
+// uses (a per-query optimal configuration fragment) along with the
+// resulting plan. Hooks are per-optimizer state, so a parallel §2 phase
+// gives every worker its own fork and routes each query through it.
 func (t *Tuner) optimalForQueryOn(opt *optimizer.Optimizer, tq *TunedQuery) (*physical.Configuration, *optimizer.QueryResult, error) {
 	defer t.Options.Profile.StartAlloc("optimal-config/instrument")()
 	work := t.Base.Clone()

@@ -103,7 +103,7 @@ func tpchTuner(t testing.TB, opts Options) *Tuner {
 func TestOptimalFragmentIsUsed(t *testing.T) {
 	tn := tpchTuner(t, Options{})
 	for _, tq := range tn.Queries[:6] {
-		frag, res, err := tn.OptimalForQuery(tq)
+		frag, res, err := tn.optimalForQueryOn(tn.Opt, tq)
 		if err != nil {
 			t.Fatalf("%s: %v", tq.Query.ID, err)
 		}

@@ -29,7 +29,7 @@ func TestIncrementalEvaluationMatchesFull(t *testing.T) {
 	rng.Shuffle(len(trs), func(i, j int) { trs[i], trs[j] = trs[j], trs[i] })
 	for _, tr := range trs[:15] {
 		cfgNew := tr.Apply(optCfg)
-		inc, ok, err := tn.EvaluateIncremental(parent, cfgNew, tr.RemovedIndexIDs(), tr.RemovedViewNames(), 0)
+		inc, ok, err := tn.evalQueries(parent, cfgNew, tr.RemovedIndexIDs(), tr.RemovedViewNames(), 0)
 		if err != nil || !ok {
 			t.Fatalf("%s: %v", tr, err)
 		}
@@ -69,7 +69,7 @@ func TestIncrementalSavesOptimizerCalls(t *testing.T) {
 		t.Skip("no prefix transformation found")
 	}
 	before := tn.Opt.Stats().OptimizeCalls
-	_, ok, err := tn.EvaluateIncremental(parent, tr.Apply(optCfg), tr.RemovedIndexIDs(), tr.RemovedViewNames(), 0)
+	_, ok, err := tn.evalQueries(parent, tr.Apply(optCfg), tr.RemovedIndexIDs(), tr.RemovedViewNames(), 0)
 	if err != nil || !ok {
 		t.Fatal(err)
 	}

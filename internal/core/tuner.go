@@ -261,24 +261,14 @@ func (t *Tuner) evaluate(cfg *physical.Configuration) (*EvaluatedConfig, error) 
 	return ec, err
 }
 
-// EvaluateIncremental evaluates cfg reusing the parent's plans for every
-// query that did not use a removed structure (the optimality-principle
-// optimization of §3 and §3.3.2). Update-shell costs are always
-// recomputed against cfg since they depend on all present indexes. When
-// cutoff > 0 and the running total exceeds it, evaluation aborts
-// (shortcut evaluation, §3.5) and returns (nil, false, nil).
-func (t *Tuner) EvaluateIncremental(parent *EvaluatedConfig, cfg *physical.Configuration, removedIdx, removedViews []string, cutoff float64) (*EvaluatedConfig, bool, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.evalQueries(parent, cfg, removedIdx, removedViews, cutoff)
-}
-
-// evalQueries optimizes every workload query under cfg: the shared body
-// of Evaluate and EvaluateIncremental. A non-nil parent enables the
-// §3.3.2 plan-reuse path for queries untouched by the removed
-// structures; cutoff > 0 enables §3.5 shortcut abort. Dispatches to the
-// parallel engine when the session has more than one worker; the serial
-// path is today's exact algorithm.
+// evalQueries optimizes every workload query under cfg. A non-nil parent
+// reuses the parent's plans for every query that did not use a removed
+// structure (the optimality-principle optimization of §3 and §3.3.2);
+// update-shell costs are always recomputed against cfg, since they
+// depend on all present indexes. When cutoff > 0 and the running total
+// exceeds it, evaluation aborts (shortcut evaluation, §3.5) and returns
+// (nil, false, nil). Dispatches to the parallel engine when the session
+// has more than one worker; the serial path is today's exact algorithm.
 func (t *Tuner) evalQueries(parent *EvaluatedConfig, cfg *physical.Configuration, removedIdx, removedViews []string, cutoff float64) (*EvaluatedConfig, bool, error) {
 	if w := t.workers(); w > 1 && len(t.Queries) > 1 {
 		return t.evalQueriesParallel(parent, cfg, removedIdx, removedViews, cutoff, w)

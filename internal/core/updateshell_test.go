@@ -232,7 +232,7 @@ func lineageEvaluations(t testing.TB, tn *Tuner, res *Result) []*EvaluatedConfig
 	for _, step := range res.Lineage {
 		prev := cfgs[len(cfgs)-1]
 		removedIdx, removedViews := prev.Config.Diff(step.Config)
-		ec, ok, err := tn.EvaluateIncremental(prev, step.Config, removedIdx, removedViews, 0)
+		ec, ok, err := tn.evalQueries(prev, step.Config, removedIdx, removedViews, 0)
 		if err != nil || !ok {
 			t.Fatalf("replaying lineage step %d: ok=%v, %v", step.Iteration, ok, err)
 		}

@@ -44,7 +44,7 @@ type TenantSpec struct {
 	// ScaleFactor sizes the catalog (default 0.001).
 	ScaleFactor float64 `json:"scale_factor,omitempty"`
 	// BudgetMB is the tenant's storage budget in MB, fractions allowed
-	// (0 = unconstrained).
+	// (0 = the fleet default; see service.BudgetBytes for the range).
 	BudgetMB float64 `json:"budget_mb,omitempty"`
 	// NoViews restricts this tenant's tuning to indexes only.
 	NoViews bool `json:"no_views,omitempty"`
@@ -192,6 +192,10 @@ func (r *Registry) Add(spec TenantSpec) (*Tenant, error) {
 	if spec.ScaleFactor <= 0 {
 		spec.ScaleFactor = 0.001
 	}
+	budget, err := service.BudgetBytes(spec.BudgetMB)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: tenant %s: %w", spec.ID, err)
+	}
 	if spec.Quota == (QuotaSpec{}) {
 		spec.Quota = r.opts.DefaultQuota
 	}
@@ -228,8 +232,8 @@ func (r *Registry) Add(spec TenantSpec) (*Tenant, error) {
 			r.pool.EnqueueAuto(id, trigger)
 		}
 	}
-	if spec.BudgetMB > 0 {
-		svcOpts.Tuning.SpaceBudget = int64(spec.BudgetMB * (1 << 20))
+	if budget > 0 {
+		svcOpts.Tuning.SpaceBudget = budget
 	}
 	if spec.NoViews {
 		svcOpts.Tuning.NoViews = true

@@ -13,7 +13,8 @@ import (
 
 // The fleet surface answers with the single-tenant service's HTTP
 // helpers and payload shapes (service.WriteJSON, ErrorResponse,
-// IngestRequest, ServeReady, ...), so the two cannot drift apart.
+// DecodeIngest, RetuneRequest.Budget, ServeReady, ...), so the two
+// cannot drift apart.
 
 // tenantsResponse wraps GET /tenants.
 type tenantsResponse struct {
@@ -185,15 +186,11 @@ func (r *Registry) tenantStatus(t *Tenant) TenantStatus {
 func (r *Registry) serveIngest(t *Tenant, w http.ResponseWriter, req *http.Request) {
 	// Decoded here, not by the tenant's handler, so the quota sees the
 	// batch size before any statement is admitted.
-	var body service.IngestRequest
-	if !service.DecodeBody(w, req, &body, false) {
+	stmts, ok := service.DecodeIngest(w, req)
+	if !ok {
 		return
 	}
-	if len(body.Statements) == 0 {
-		service.WriteJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: "statements is empty"})
-		return
-	}
-	if ok, retryAfter := t.quota.take(len(body.Statements), time.Now()); !ok {
+	if ok, retryAfter := t.quota.take(len(stmts), time.Now()); !ok {
 		r.noteQuotaRejection(t)
 		secs := int(retryAfter / time.Second)
 		if secs < 1 {
@@ -206,7 +203,7 @@ func (r *Registry) serveIngest(t *Tenant, w http.ResponseWriter, req *http.Reque
 		})
 		return
 	}
-	service.WriteJSON(w, http.StatusOK, t.Service.Ingest(body.Statements))
+	service.WriteJSON(w, http.StatusOK, t.Service.Ingest(stmts))
 }
 
 // serveRetune runs a tenant retune through the shared worker pool —
@@ -217,9 +214,10 @@ func (r *Registry) serveRetune(t *Tenant, w http.ResponseWriter, req *http.Reque
 	if !service.DecodeBody(w, req, &body, true) {
 		return
 	}
-	budget, override := int64(0), false
-	if body.BudgetMB != nil {
-		budget, override = int64(*body.BudgetMB*(1<<20)), true
+	budget, override, err := body.Budget()
+	if err != nil {
+		service.WriteJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: err.Error()})
+		return
 	}
 	ch := r.pool.Submit(t.Spec.ID, "manual", budget, override)
 	select {

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/service"
+	"repro/internal/workloads"
 )
 
 func newTestServer(t *testing.T, opts Options) (*Registry, *httptest.Server) {
@@ -139,6 +140,76 @@ func TestFleetHTTPBodyLimit(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("oversized POST %s = %d, want 413", path, resp.StatusCode)
+		}
+	}
+}
+
+// TestRetuneBudgetRange posts budget_mb values to the single service's
+// POST /retune, to a fleet tenant's and in a POST /tenants spec: one
+// conversion decides all three. A negative budget and one no int64 of
+// bytes holds are 400, since the tuner reads a budget of 0 or less as
+// none; 0 is unconstrained and a fraction is honoured.
+func TestRetuneBudgetRange(t *testing.T) {
+	window := workloads.TPCH22SQL()
+	_, fleetSrv := newTestServer(t, Options{Workers: 1})
+	for _, mb := range []float64{-1, 1e300} {
+		resp, body := doJSON(t, "POST", fleetSrv.URL+"/tenants", TenantSpec{ID: "bad", Database: "tpch", BudgetMB: mb})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "budget_mb") {
+			t.Fatalf("POST /tenants with budget_mb %g = %d %s, want 400 naming budget_mb", mb, resp.StatusCode, body)
+		}
+	}
+	if resp, body := doJSON(t, "POST", fleetSrv.URL+"/tenants", TenantSpec{ID: "alpha", Database: "tpch"}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /tenants = %d: %s", resp.StatusCode, body)
+	}
+	if resp, body := doJSON(t, "POST", fleetSrv.URL+"/tenants/alpha/ingest", service.IngestRequest{Statements: window}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("tenant ingest = %d: %s", resp.StatusCode, body)
+	}
+	opts := testDefaults()
+	opts.DB, _ = testCatalog("tpch", 0.001)
+	svc, err := service.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	svc.Ingest(window)
+	svcSrv := httptest.NewServer(service.NewHandler(svc))
+	t.Cleanup(svcSrv.Close)
+
+	for _, route := range []string{svcSrv.URL + "/retune", fleetSrv.URL + "/tenants/alpha/retune"} {
+		for _, c := range []struct {
+			body string
+			want int
+		}{
+			{`{"budget_mb":-1}`, http.StatusBadRequest},
+			{`{"budget_mb":1e300}`, http.StatusBadRequest},
+			{`{"budget_mb":0}`, http.StatusOK},
+			{`{"budget_mb":0.5}`, http.StatusOK},
+		} {
+			resp, err := http.Post(route, "application/json", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != c.want {
+				t.Fatalf("POST %s %s = %d, want %d: %s", route, c.body, resp.StatusCode, c.want, data)
+			}
+			if c.want != http.StatusOK {
+				if !strings.Contains(string(data), "budget_mb") {
+					t.Errorf("POST %s %s: error %s does not name budget_mb", route, c.body, data)
+				}
+				continue
+			}
+			var out service.RetuneResponse
+			if err := json.Unmarshal(data, &out); err != nil {
+				t.Fatal(err)
+			}
+			// Unconstrained, the optimal configuration stands: nothing
+			// is relaxed. Half a MB is below its size.
+			rec := out.Recommendation
+			if unconstrained := c.body == `{"budget_mb":0}`; unconstrained != (rec.Iterations == 0) {
+				t.Errorf("POST %s %s: %d iterations to %d bytes", route, c.body, rec.Iterations, rec.SizeBytes)
+			}
 		}
 	}
 }

@@ -17,7 +17,10 @@ import (
 // one is answered 413 before it can occupy memory.
 const MaxBodyBytes = 16 << 20
 
-// IngestRequest is the POST /ingest payload.
+// IngestRequest is the POST /ingest payload. DecodeIngest scans a body
+// of exactly this shape whose strings hold no escape and no non-ASCII
+// byte itself, and hands any other to encoding/json with this type,
+// which is also the reference its tests hold it to.
 type IngestRequest struct {
 	// Statements are observed SQL statements, one entry per execution
 	// (repeat a statement to weight it).
@@ -29,6 +32,29 @@ type RetuneRequest struct {
 	// BudgetMB overrides the space budget for this session only
 	// (fractional MB allowed; 0 = unconstrained).
 	BudgetMB *float64 `json:"budget_mb,omitempty"`
+}
+
+// Budget is the request's space budget in bytes, from BudgetBytes, and
+// whether it overrides the configured one.
+func (r RetuneRequest) Budget() (int64, bool, error) {
+	if r.BudgetMB == nil {
+		return 0, false, nil
+	}
+	b, err := BudgetBytes(*r.BudgetMB)
+	return b, err == nil, err
+}
+
+// BudgetBytes converts a space budget in MB to bytes. mb must be 0
+// (unconstrained) or from one byte up to, not including, 8 EiB: the
+// tuner reads any budget of 0 or less as none, so a negative one, one
+// that overflows int64 or one that rounds down to 0 bytes would silently
+// lift the limit, and is an error instead.
+func BudgetBytes(mb float64) (int64, error) {
+	b := mb * (1 << 20)
+	if !(mb == 0 || b >= 1 && b < 1<<63) {
+		return 0, fmt.Errorf("budget_mb %g out of range: want 0 (unconstrained) or from 1 byte to under %d MB", mb, 1<<43)
+	}
+	return int64(b), nil
 }
 
 // ErrorResponse is the uniform JSON error shape.
@@ -106,15 +132,11 @@ func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /ingest", func(w http.ResponseWriter, r *http.Request) {
-		var req IngestRequest
-		if !DecodeBody(w, r, &req, false) {
+		stmts, ok := DecodeIngest(w, r)
+		if !ok {
 			return
 		}
-		if len(req.Statements) == 0 {
-			WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "statements is empty"})
-			return
-		}
-		WriteJSON(w, http.StatusOK, s.Ingest(req.Statements))
+		WriteJSON(w, http.StatusOK, s.Ingest(stmts))
 	})
 
 	mux.HandleFunc("GET /recommendation", func(w http.ResponseWriter, r *http.Request) {
@@ -136,13 +158,12 @@ func NewHandler(s *Service) http.Handler {
 		if !DecodeBody(w, r, &req, true) {
 			return
 		}
-		var rec *Recommendation
-		var err error
-		if req.BudgetMB != nil {
-			rec, err = s.RetuneWithBudget(int64(*req.BudgetMB * (1 << 20)))
-		} else {
-			rec, err = s.Retune()
+		budget, override, err := req.Budget()
+		if err != nil {
+			WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+			return
 		}
+		rec, err := s.retune("manual", budget, override)
 		if err != nil {
 			status := http.StatusInternalServerError
 			if errors.Is(err, ErrEmptyWindow) {
@@ -325,21 +346,28 @@ func NewHandler(s *Service) http.Handler {
 // DecodeBody decodes a JSON request body of at most MaxBodyBytes into
 // v and reports whether the handler should go on: a larger body has
 // been answered 413, anything that is not JSON 400. optional accepts an
-// empty body (v keeps its zero value).
+// empty body (v keeps its zero value). Every route but the ingest ones
+// decodes through it; an ingest body goes through DecodeIngest.
 func DecodeBody(w http.ResponseWriter, r *http.Request, v any, optional bool) bool {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
-	var tooLarge *http.MaxBytesError
-	switch {
-	case err == nil, optional && errors.Is(err, io.EOF):
+	if err == nil || optional && errors.Is(err, io.EOF) {
 		return true
-	case errors.As(err, &tooLarge):
+	}
+	writeBodyError(w, err)
+	return false
+}
+
+// writeBodyError answers a request whose body could not be read or
+// decoded: 413 when it exceeds MaxBodyBytes, 400 with err otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
 		WriteJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
 			Error: fmt.Sprintf("request body exceeds %d bytes", MaxBodyBytes),
 		})
-	default:
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "invalid JSON: " + err.Error()})
+		return
 	}
-	return false
+	WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "invalid JSON: " + err.Error()})
 }
 
 // ServeReady renders the readiness probe answer: 200 once ready, 503

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -13,32 +15,84 @@ import (
 	"repro/internal/workloads"
 )
 
-// FuzzIngestBody sends any body to POST /ingest and then retunes. The
-// handler answers 200, 400 or 413 and never panics; on 200 every
-// statement of the body is either accepted or rejected. The retune that
-// follows succeeds, or finds nothing to tune: an empty window, or one in
-// which no statement binds.
-func FuzzIngestBody(f *testing.F) {
+// ingestSeeds are FuzzIngestBody's seed bodies: the TPC-H statements one
+// to a body, a window's worth, statements that do not parse or bind, and
+// bodies that are not an IngestRequest.
+func ingestSeeds(tb testing.TB) [][]byte {
 	body := func(stmts ...string) []byte {
 		b, err := json.Marshal(IngestRequest{Statements: stmts})
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
 		return b
 	}
+	var seeds [][]byte
 	for _, sql := range workloads.TPCH22SQL() {
-		f.Add(body(sql))
+		seeds = append(seeds, body(sql))
 	}
-	f.Add(body(phase1...))
-	f.Add(body("SELECT x FROM nosuchtable", phase2[0]))
-	f.Add(body("SELECT x FROM nosuchtable"))
-	f.Add(body("SELECT FROM WHERE", ""))
-	f.Add(body())
-	f.Add([]byte(`{"statements": [`))
-	f.Add([]byte(`{"statements": "SELECT s_name FROM supplier"}`))
-	f.Add([]byte(`{"statements": [1, null]}`))
-	f.Add([]byte(`not json`))
-	f.Add([]byte(``))
+	return append(seeds,
+		body(phase1...),
+		body("SELECT x FROM nosuchtable", phase2[0]),
+		body("SELECT x FROM nosuchtable"),
+		body("SELECT FROM WHERE", ""),
+		body(),
+		[]byte(`{"statements": [`),
+		[]byte(`{"statements": "SELECT s_name FROM supplier"}`),
+		[]byte(`{"statements": [1, null]}`),
+		[]byte(`not json`),
+		[]byte(``),
+	)
+}
+
+// decoderSeeds are the bodies every DecodeIngest check starts from:
+// benchmark-shaped batches, escapes, non-ASCII and invalid UTF-8, lone
+// surrogates, JSON whitespace, trailing bytes, and shapes the one-pass
+// scan leaves to encoding/json.
+var decoderSeeds = []string{
+	`{"statements":["a\"b","c\\d","é\n\t\/","A"]}`,
+	`{"statements":["SELECT c_name FROM customer WHERE c_name = 'Zoë'","日本語"]}`,
+	"{\"statements\":[\"a\xff\xfeb\",\"\xc3\"]}",
+	`{"statements":["\ud800","𐀀","x\udc00y","𝄞"]}`,
+	`{"statements":["SELECT s_name FROM supplier"]} trailing garbage`,
+	`{"statements":["SELECT s_name FROM supplier"]}{"statements":[1]}`,
+	" \t\r\n{ \"statements\" :\n[ \"a\" ,\t\"b\" ] } ",
+	`{"statements":[]}`,
+	`{"statements":null}`,
+	`{"statements":["a",null]}`,
+	`{"Statements":["a"]}`,
+	`{"STATEMENTS":["a"]}`,
+	`{"statements":["a"]}`,
+	`{"statements":["a"],"statements":["b"]}`,
+	`{"other":1,"statements":["a"]}`,
+	`{"statements":["a"],"other":1}`,
+	`{"statements":["a",]}`,
+	`{"statements":["a" "b"]}`,
+	"{\"statements\":[\"a\x01b\"]}",
+	"{\"statements\":[\"a\x7fb\"]}",
+	`{"statements":["a\x"]}`,
+	`{"statements":["a\u12"]}`,
+	`{"statements":["a\`,
+	`{"statements":["a"`,
+	`{"statements":["a"]`,
+	`{"statements":["a"]]`,
+	`[]`,
+	`null`,
+	`{}`,
+	"\xef\xbb\xbf{\"statements\":[\"a\"]}",
+	` `,
+}
+
+// FuzzIngestBody sends any body to POST /ingest and then retunes. The
+// handler answers 200, 400 or 413 and never panics. It answers 400
+// exactly when encoding/json rejects the body as an IngestRequest or
+// finds no statement in it, and on 200 every statement of the body is
+// either accepted or rejected. The retune that follows succeeds, or
+// finds nothing to tune: an empty window, or one in which no statement
+// binds.
+func FuzzIngestBody(f *testing.F) {
+	for _, b := range ingestSeeds(f) {
+		f.Add(b)
+	}
 
 	db := datagen.TPCH(0.001)
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -49,11 +103,13 @@ func FuzzIngestBody(f *testing.F) {
 		defer s.Close()
 		rr := httptest.NewRecorder()
 		NewHandler(s).ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(b)))
+		var req IngestRequest
+		refErr := json.NewDecoder(bytes.NewReader(b)).Decode(&req)
+		refRejects := refErr != nil || len(req.Statements) == 0
 		switch rr.Code {
 		case http.StatusOK:
-			var req IngestRequest
-			if err := json.NewDecoder(bytes.NewReader(b)).Decode(&req); err != nil {
-				t.Fatalf("200 for a body that does not decode: %v", err)
+			if refRejects {
+				t.Fatalf("200 for a body the reference rejects (%v, %d statements)", refErr, len(req.Statements))
 			}
 			var res IngestResult
 			if err := json.Unmarshal(rr.Body.Bytes(), &res); err != nil {
@@ -62,7 +118,11 @@ func FuzzIngestBody(f *testing.F) {
 			if res.Accepted+res.Rejected != len(req.Statements) {
 				t.Fatalf("%d accepted + %d rejected of %d statements", res.Accepted, res.Rejected, len(req.Statements))
 			}
-		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		case http.StatusBadRequest:
+			if !refRejects {
+				t.Fatalf("400 for a body the reference decodes to %d statements: %s", len(req.Statements), rr.Body.Bytes())
+			}
+		case http.StatusRequestEntityTooLarge:
 		default:
 			t.Fatalf("status %d: %s", rr.Code, rr.Body.Bytes())
 		}
@@ -70,4 +130,70 @@ func FuzzIngestBody(f *testing.F) {
 			t.Fatalf("retune: %v", err)
 		}
 	})
+}
+
+// FuzzDecodeIngestMatchesReference holds DecodeIngest to encoding/json
+// on any body: see checkDecodeIngest.
+func FuzzDecodeIngestMatchesReference(f *testing.F) {
+	for _, n := range []int{1, 3, 100} {
+		f.Add(benchShapedBody(n))
+	}
+	for _, b := range decoderSeeds {
+		f.Add([]byte(b))
+	}
+	for _, b := range ingestSeeds(f) {
+		f.Add(b)
+	}
+	f.Fuzz(checkDecodeIngest)
+}
+
+// checkDecodeIngest decodes b with DecodeIngest and with the reference,
+// json.NewDecoder(…).Decode(&IngestRequest{}) as every ingest body was
+// decoded before the one-pass scan. Where the reference yields
+// statements, DecodeIngest must return the same strings byte for byte
+// and write nothing; where it fails or yields none, DecodeIngest must
+// write the same 400 response, byte for byte.
+func checkDecodeIngest(t *testing.T, b []byte) {
+	rr := httptest.NewRecorder()
+	got, ok := DecodeIngest(rr, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(b)))
+	var req IngestRequest
+	refErr := json.NewDecoder(bytes.NewReader(b)).Decode(&req)
+	want := httptest.NewRecorder()
+	switch {
+	case refErr != nil:
+		writeBodyError(want, refErr)
+	case len(req.Statements) == 0:
+		WriteJSON(want, http.StatusBadRequest, ErrorResponse{Error: "statements is empty"})
+	default:
+		if !ok || rr.Body.Len() > 0 {
+			t.Fatalf("body %q: the reference decodes %d statements, DecodeIngest answered %d %s", b, len(req.Statements), rr.Code, rr.Body.Bytes())
+		}
+		if !slices.Equal(got, req.Statements) {
+			t.Fatalf("body %q: DecodeIngest returned %q, the reference %q", b, got, req.Statements)
+		}
+		return
+	}
+	if ok {
+		t.Fatalf("body %q: DecodeIngest returned %q, the reference answers %d %s", b, got, want.Code, want.Body.Bytes())
+	}
+	if rr.Code != want.Code || !bytes.Equal(rr.Body.Bytes(), want.Body.Bytes()) {
+		t.Fatalf("body %q: DecodeIngest answered %d %s, the reference %d %s", b, rr.Code, rr.Body.Bytes(), want.Code, want.Body.Bytes())
+	}
+}
+
+// benchShapedBody is a POST /ingest body as the benchmark's clients
+// write it: n statements on one line each, single-spaced, none with a
+// byte JSON escapes, in {"statements":[…]} without whitespace.
+func benchShapedBody(n int) []byte {
+	sqls := workloads.TPCH22SQL()
+	b := []byte(`{"statements":[`)
+	for i := range n {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '"')
+		b = append(b, strings.Join(strings.Fields(sqls[i%len(sqls)]), " ")...)
+		b = append(b, '"')
+	}
+	return append(b, "]}"...)
 }

@@ -310,7 +310,7 @@ func TestDefaultRulesQuietOnHealthyDaemon(t *testing.T) {
 	relaxed, downToBase := 0, 0
 	for sec := 0; sec <= 300; sec += 5 {
 		if sec%10 == 0 {
-			rec, err := svc.RetuneWithBudget(int64(budgetsMB[sec/10%len(budgetsMB)] * (1 << 20)))
+			rec, err := svc.RetuneSession("manual", int64(budgetsMB[sec/10%len(budgetsMB)]*(1<<20)), true)
 			if err != nil {
 				t.Fatalf("retune at %ds: %v", sec, err)
 			}

@@ -463,18 +463,12 @@ func (s *Service) Retune() (*Recommendation, error) {
 	return s.retune("manual", 0, false)
 }
 
-// RetuneWithBudget retunes with a one-off space budget override
-// (budget <= 0 = unconstrained for this session). The override applies
-// to this session only; later retunes revert to the configured budget.
-func (s *Service) RetuneWithBudget(budget int64) (*Recommendation, error) {
-	return s.retune("manual", budget, true)
-}
-
 // RetuneSession is the fully parameterized synchronous retune: the
-// trigger lands in the session record, and overrideBudget applies a
-// one-off budget. External schedulers (the fleet worker pool) use this
-// entry point so drift-triggered retunes record "auto" even though the
-// pool, not the service's own worker, ran them.
+// trigger lands in the session record, and overrideBudget applies budget
+// to this session only (budget <= 0 = unconstrained); later retunes
+// revert to the configured budget. External schedulers (the fleet worker
+// pool) use this entry point so drift-triggered retunes record "auto"
+// even though the pool, not the service's own worker, ran them.
 func (s *Service) RetuneSession(trigger string, budget int64, overrideBudget bool) (*Recommendation, error) {
 	return s.retune(trigger, budget, overrideBudget)
 }
