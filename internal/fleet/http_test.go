@@ -424,3 +424,71 @@ func TestTenantStatusIsItsFleetRow(t *testing.T) {
 		}
 	}
 }
+
+// TestTrailingBytesAre400 posts bodies with bytes after their JSON value
+// to every route that decodes one: the service's and a tenant's /retune
+// and /ingest, and POST /tenants. Anything but whitespace after the value
+// is a 400 that runs nothing; trailing whitespace is accepted.
+func TestTrailingBytesAre400(t *testing.T) {
+	r, fleetSrv := newTestServer(t, Options{Workers: 1})
+	if _, err := r.Add(TenantSpec{ID: "alpha", Database: "tpch"}); err != nil {
+		t.Fatal(err)
+	}
+	alpha := r.Get("alpha").Service
+	opts := testDefaults()
+	opts.DB, _ = testCatalog("tpch", 0.001)
+	svc, err := service.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	svcSrv := httptest.NewServer(service.NewHandler(svc))
+	t.Cleanup(svcSrv.Close)
+	window := workloads.TPCH22SQL()[:3]
+	svc.Ingest(window)
+	alpha.Ingest(window)
+
+	ingest := func(int) string {
+		b, _ := json.Marshal(service.IngestRequest{Statements: window})
+		return string(b)
+	}
+	retune := func(int) string { return `{"budget_mb":0}` }
+	tenant := func(i int) string { return fmt.Sprintf(`{"id":"beta-%d","database":"tpch"}`, i) }
+	ingested := func(s *service.Service) func() int64 {
+		return func() int64 { return s.MetricsSnapshot().StatementsIngested }
+	}
+	sessions := func(s *service.Service) func() int64 {
+		return func() int64 { return int64(s.SessionCount()) }
+	}
+	for _, route := range []struct {
+		url  string
+		body func(i int) string
+		ok   int
+		runs func() int64 // what a request runs, counted
+	}{
+		{svcSrv.URL + "/retune", retune, http.StatusOK, sessions(svc)},
+		{svcSrv.URL + "/ingest", ingest, http.StatusOK, ingested(svc)},
+		{fleetSrv.URL + "/tenants/alpha/retune", retune, http.StatusOK, sessions(alpha)},
+		{fleetSrv.URL + "/tenants/alpha/ingest", ingest, http.StatusOK, ingested(alpha)},
+		{fleetSrv.URL + "/tenants", tenant, http.StatusCreated, func() int64 { return int64(len(r.Status().Tenants)) }},
+	} {
+		for i, tail := range []string{" x", `{"x":`, "\n}", "\x00", " \t\r\n", "\n", ""} {
+			before := route.runs()
+			body := route.body(i) + tail
+			resp, err := http.Post(route.url, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			ran := route.runs() - before
+			if strings.Trim(tail, " \t\r\n") != "" {
+				if resp.StatusCode != http.StatusBadRequest || ran != 0 || !strings.Contains(string(data), "invalid JSON") {
+					t.Errorf("POST %s %q = %d and ran %d, want 400 running nothing: %s", route.url, body, resp.StatusCode, ran, data)
+				}
+			} else if resp.StatusCode != route.ok || ran == 0 {
+				t.Errorf("POST %s %q = %d and ran %d, want %d: %s", route.url, body, resp.StatusCode, ran, route.ok, data)
+			}
+		}
+	}
+}

@@ -345,16 +345,42 @@ func NewHandler(s *Service) http.Handler {
 
 // DecodeBody decodes a JSON request body of at most MaxBodyBytes into
 // v and reports whether the handler should go on: a larger body has
-// been answered 413, anything that is not JSON 400. optional accepts an
-// empty body (v keeps its zero value). Every route but the ingest ones
-// decodes through it; an ingest body goes through DecodeIngest.
+// been answered 413, anything that is not one JSON value 400. optional
+// accepts an empty body (v keeps its zero value). Every route but the
+// ingest ones decodes through it; an ingest body goes through
+// DecodeIngest.
 func DecodeBody(w http.ResponseWriter, r *http.Request, v any, optional bool) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	err := decodeOne(http.MaxBytesReader(w, r.Body, MaxBodyBytes), v)
 	if err == nil || optional && errors.Is(err, io.EOF) {
 		return true
 	}
 	writeBodyError(w, err)
 	return false
+}
+
+// decodeOne decodes the JSON value r holds into v with encoding/json's
+// Decoder. Only JSON whitespace may follow the value; any other byte is
+// an error, worded as json.Unmarshal words it, so a body with a second
+// value or a fragment after the first is never half-read and obeyed.
+func decodeOne(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	rest := io.MultiReader(dec.Buffered(), r)
+	var chunk [512]byte
+	for {
+		n, err := rest.Read(chunk[:])
+		if i := skipSpace(chunk[:n], 0); i < n {
+			return fmt.Errorf("invalid character %q after top-level value", rune(chunk[i]))
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 // writeBodyError answers a request whose body could not be read or

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"sync"
 )
@@ -24,6 +23,7 @@ var ingestBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // {"statements":[<string>,…]} with any JSON whitespace, is then scanned
 // once; every other body goes to encoding/json's Decoder, as any other
 // route's body does, so its acceptance and error texts are the stdlib's.
+// Either way only JSON whitespace may follow the value.
 func DecodeIngest(w http.ResponseWriter, r *http.Request) ([]string, bool) {
 	buf := ingestBufs.Get().(*bytes.Buffer)
 	defer func() {
@@ -43,7 +43,7 @@ func DecodeIngest(w http.ResponseWriter, r *http.Request) ([]string, bool) {
 	stmts, ok := scanIngest(buf.Bytes())
 	if !ok {
 		var req IngestRequest
-		if err := json.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&req); err != nil {
+		if err := decodeOne(bytes.NewReader(buf.Bytes()), &req); err != nil {
 			writeBodyError(w, err)
 			return nil, false
 		}
@@ -57,8 +57,7 @@ func DecodeIngest(w http.ResponseWriter, r *http.Request) ([]string, bool) {
 }
 
 // scanIngest decodes b in one pass when it is {"statements":[<string>,…]}
-// with any JSON whitespace, and reports whether it was. What follows the
-// closing brace is ignored, as json.Decoder.Decode ignores it. A string
+// with any JSON whitespace, and reports whether it was. A string
 // without an escape, a control byte or a non-ASCII byte is its bytes,
 // which is what encoding/json makes of it. A body with any other string
 // is reported false, like every body of another shape and every body
@@ -107,7 +106,10 @@ func scanIngest(b []byte) ([]string, bool) {
 			break
 		}
 	}
-	return stmts, at(b, skipSpace(b, i), '}')
+	if i = skipSpace(b, i); !at(b, i, '}') || skipSpace(b, i+1) < len(b) {
+		return nil, false
+	}
+	return stmts, true
 }
 
 // scanString returns the JSON string whose opening quote precedes b[s]

@@ -36,6 +36,8 @@ func ingestSeeds(tb testing.TB) [][]byte {
 		body("SELECT x FROM nosuchtable"),
 		body("SELECT FROM WHERE", ""),
 		body(),
+		append(body(phase2[0]), `{"statements":[`...),
+		append(body(phase2[0]), " \n"...),
 		[]byte(`{"statements": [`),
 		[]byte(`{"statements": "SELECT s_name FROM supplier"}`),
 		[]byte(`{"statements": [1, null]}`),
@@ -84,11 +86,11 @@ var decoderSeeds = []string{
 
 // FuzzIngestBody sends any body to POST /ingest and then retunes. The
 // handler answers 200, 400 or 413 and never panics. It answers 400
-// exactly when encoding/json rejects the body as an IngestRequest or
-// finds no statement in it, and on 200 every statement of the body is
-// either accepted or rejected. The retune that follows succeeds, or
-// finds nothing to tune: an empty window, or one in which no statement
-// binds.
+// exactly when the reference, refDecode, rejects the body as an
+// IngestRequest or finds no statement in it, and on 200 every statement
+// of the body is either accepted or rejected. The retune that follows
+// succeeds, or finds nothing to tune: an empty window, or one in which
+// no statement binds.
 func FuzzIngestBody(f *testing.F) {
 	for _, b := range ingestSeeds(f) {
 		f.Add(b)
@@ -104,7 +106,7 @@ func FuzzIngestBody(f *testing.F) {
 		rr := httptest.NewRecorder()
 		NewHandler(s).ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(b)))
 		var req IngestRequest
-		refErr := json.NewDecoder(bytes.NewReader(b)).Decode(&req)
+		refErr := refDecode(b, &req)
 		refRejects := refErr != nil || len(req.Statements) == 0
 		switch rr.Code {
 		case http.StatusOK:
@@ -132,6 +134,24 @@ func FuzzIngestBody(f *testing.F) {
 	})
 }
 
+// refDecode is the reference every body decoder is held to: encoding/json's
+// Decoder decodes one value of b into v, and only JSON whitespace may
+// follow it. What else follows is the error json.Unmarshal reports for
+// the whole of b.
+func refDecode(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if len(bytes.TrimLeft(b[dec.InputOffset():], " \t\r\n")) == 0 {
+		return nil
+	}
+	if err := json.Unmarshal(b, new(any)); err != nil {
+		return err
+	}
+	return errors.New("reference: bytes after the value, and json.Unmarshal accepts the body")
+}
+
 // FuzzDecodeIngestMatchesReference holds DecodeIngest to encoding/json
 // on any body: see checkDecodeIngest.
 func FuzzDecodeIngestMatchesReference(f *testing.F) {
@@ -148,8 +168,9 @@ func FuzzDecodeIngestMatchesReference(f *testing.F) {
 }
 
 // checkDecodeIngest decodes b with DecodeIngest and with the reference,
-// json.NewDecoder(…).Decode(&IngestRequest{}) as every ingest body was
-// decoded before the one-pass scan. Where the reference yields
+// refDecode(b, &IngestRequest{}): encoding/json's Decoder, as every ingest
+// body was decoded before the one-pass scan, with nothing but JSON
+// whitespace after the value. Where the reference yields
 // statements, DecodeIngest must return the same strings byte for byte
 // and write nothing; where it fails or yields none, DecodeIngest must
 // write the same 400 response, byte for byte.
@@ -157,7 +178,7 @@ func checkDecodeIngest(t *testing.T, b []byte) {
 	rr := httptest.NewRecorder()
 	got, ok := DecodeIngest(rr, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(b)))
 	var req IngestRequest
-	refErr := json.NewDecoder(bytes.NewReader(b)).Decode(&req)
+	refErr := refDecode(b, &req)
 	want := httptest.NewRecorder()
 	switch {
 	case refErr != nil:

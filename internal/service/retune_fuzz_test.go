@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -16,8 +15,8 @@ import (
 
 // FuzzRetuneBody sends any body to POST /retune over a window that
 // binds. The handler answers 200, 400, 409 or 413 and never panics. It
-// answers 400 exactly when a non-empty body is not a RetuneRequest to
-// encoding/json or its budget is out of range, so a negative budget, one
+// answers 400 exactly when a non-empty body is not one RetuneRequest
+// (refDecode) or its budget is out of range, so a negative budget, one
 // no int64 of bytes holds and one under a byte never get a 200: the
 // tuner would read them as no budget at all.
 func FuzzRetuneBody(f *testing.F) {
@@ -25,6 +24,7 @@ func FuzzRetuneBody(f *testing.F) {
 		`{}`, `{"budget_mb":0.05}`, `{"budget_mb":-1}`, `{"budget_mb":1e300}`, `null`, `not json`,
 		``, `{"budget_mb":0}`, `{"budget_mb":-0}`, `{"budget_mb":1e-300}`, `{"budget_mb":8796093022207}`,
 		`{"budget_mb":8796093022208}`, `{"budget_mb":"1"}`, `{"budget_mb":null}`, `{"budget_mb":1}{"x":`,
+		`{"budget_mb":1} x`, "{\"budget_mb\":1}\n", ` `,
 	} {
 		f.Add([]byte(b))
 	}
@@ -40,7 +40,7 @@ func FuzzRetuneBody(f *testing.F) {
 		rr := httptest.NewRecorder()
 		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/retune", bytes.NewReader(b)))
 		var req RetuneRequest
-		refErr := json.NewDecoder(bytes.NewReader(b)).Decode(&req)
+		refErr := refDecode(b, &req)
 		if errors.Is(refErr, io.EOF) {
 			refErr = nil // an empty body asks for the configured budget
 		}

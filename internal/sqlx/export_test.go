@@ -1,8 +1,7 @@
 package sqlx
 
-// The reference lexer and renderer (reference_test.go) and parseTokens,
-// for the external test package, whose seeds come from packages that
-// import sqlx.
+// The reference lexer and renderer (reference_test.go), for the external
+// test package, whose seeds come from packages that import sqlx.
 var (
 	RefTokenize   = refTokenize
 	RefSQL        = refSQL
@@ -10,5 +9,4 @@ var (
 	RefSelectItem = refSelectItem
 	RefTableRef   = refTableRef
 	RefOrderItem  = refOrderItem
-	ParseTokens   = parseTokens
 )

@@ -1,7 +1,6 @@
 package sqlx_test
 
 import (
-	"reflect"
 	"slices"
 	"testing"
 
@@ -29,7 +28,7 @@ func lexRenderSeeds(tb testing.TB) []string {
 			}
 		}
 	}
-	return append(seeds,
+	return append(append(seeds,
 		"SELECT a, b FROM t WHERE a >= 10.5 AND b <> 'x''y' -- tail\n",
 		"select TOP(3) x.a AS y, COUNT(*) n FROM t x WHERE NOT (a = 1 OR b != 2) ORDER BY a DESC, b",
 		"SELECT a FROM t WHERE a * (b + c) > -d AND -(a - 1) < 2e6 AND b NOT LIKE '%''%' AND c NOT IN (1, 'q')",
@@ -40,13 +39,15 @@ func lexRenderSeeds(tb testing.TB) []string {
 		"CREATE CLUSTERED INDEX i ON t (a, b) INCLUDE (c)",
 		"SELECT a FROM t WHERE a @ b", "'open", "SELECT 1.2.3 FROM t",
 		"SELECT é FROM t", "SELECT a FROM t", "ſelect a FROM t",
-	)
+	), errorPrecedenceInputs...)
 }
 
 // FuzzLexRenderMatchesReference checks the lexer and renderer against the
 // implementations they replaced (reference_test.go): on ASCII input the
-// tokens, the parse and every error string are the reference's, and for
-// every statement that parses, SQL() and the String() of every part are.
+// tokens and lexical errors are the reference's, and Parse and ParseScript
+// fail with the reference's lexical error wherever it falls, whatever the
+// parser makes of the tokens before it; for every statement that parses,
+// SQL() and the String() of every part are the reference's.
 func FuzzLexRenderMatchesReference(f *testing.F) {
 	for _, s := range lexRenderSeeds(f) {
 		f.Add(s)
@@ -59,10 +60,10 @@ func FuzzLexRenderMatchesReference(f *testing.F) {
 			if errString(terr) != errString(rerr) || !slices.Equal(toks, ref) {
 				t.Fatalf("tokens of %q\n got  %v %v\n want %v %v", src, toks, terr, ref, rerr)
 			}
-			if rerr == nil {
-				refStmt, perr := sqlx.ParseTokens(ref)
-				if errString(err) != errString(perr) || !reflect.DeepEqual(stmt, refStmt) {
-					t.Fatalf("parse of %q\n got  %#v %v\n want %#v %v", src, stmt, err, refStmt, perr)
+			if rerr != nil {
+				_, serr := sqlx.ParseScript(src)
+				if errString(err) != rerr.Error() || errString(serr) != rerr.Error() {
+					t.Fatalf("parse of %q\n got  %v\n and  %v (script)\n want %v", src, err, serr, rerr)
 				}
 			}
 		}

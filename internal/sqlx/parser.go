@@ -6,53 +6,53 @@ import (
 	"strings"
 )
 
-// Parser parses the SQL subset into statements.
+// Parser parses the SQL subset into statements. It pulls its tokens from
+// the lexer one at a time and holds only the current one: the grammar
+// reads one token ahead and never backtracks.
 type Parser struct {
-	toks []Token
-	pos  int
+	lx  Lexer
+	tok Token // the current token; TokEOF at the end or after a lexical error
+	err error // the lexer's error, once it has met one
+}
+
+func newParser(src string) Parser {
+	p := Parser{lx: Lexer{src: src}}
+	p.advance()
+	return p
 }
 
 // Parse parses a single statement from src. Trailing semicolons are allowed.
 func Parse(src string) (Statement, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	return parseTokens(toks)
-}
-
-// parseTokens parses a single statement from toks, as Parse does from the
-// tokens of its text.
-func parseTokens(toks []Token) (Statement, error) {
-	p := &Parser{toks: toks}
+	p := newParser(src)
 	stmt, err := p.parseStatement()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		p.accept(TokSymbol, ";")
+		if !p.atEOF() {
+			err = fmt.Errorf("sqlx: unexpected trailing input near %s", p.peek())
+		}
 	}
-	p.accept(TokSymbol, ";")
-	if !p.atEOF() {
-		return nil, fmt.Errorf("sqlx: unexpected trailing input near %s", p.peek())
+	if err := p.finish(err); err != nil {
+		return nil, err
 	}
 	return stmt, nil
 }
 
 // ParseScript parses a semicolon-separated sequence of statements.
 func ParseScript(src string) ([]Statement, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
+	p := newParser(src)
 	var out []Statement
 	for !p.atEOF() {
 		stmt, err := p.parseStatement()
+		if err == nil && !p.accept(TokSymbol, ";") && !p.atEOF() {
+			err = fmt.Errorf("sqlx: expected ';' between statements, got %s", p.peek())
+		}
 		if err != nil {
-			return nil, err
+			return nil, p.finish(err)
 		}
 		out = append(out, stmt)
-		if !p.accept(TokSymbol, ";") && !p.atEOF() {
-			return nil, fmt.Errorf("sqlx: expected ';' between statements, got %s", p.peek())
-		}
+	}
+	if err := p.finish(nil); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -627,22 +627,42 @@ func (p *Parser) parseParenInt() (int, error) {
 
 // --- token helpers ---
 
-func (p *Parser) peek() Token {
-	if p.pos >= len(p.toks) {
-		return Token{Kind: TokEOF}
+// advance lexes the next token into p.tok. A lexical error ends the
+// input: it is kept in p.err, and the parser sees TokEOF from then on.
+func (p *Parser) advance() {
+	t, err := p.lx.Next()
+	if err != nil {
+		p.err = err
+		t = Token{Kind: TokEOF}
 	}
-	return p.toks[p.pos]
+	p.tok = t
 }
 
+// finish returns the error parsing the whole input ends with: the input's
+// first lexical error if it has one, else err. It lexes what the parser
+// has not read, so a lexical error anywhere wins over a parse error, as
+// if the input had been lexed in full before parsing began.
+func (p *Parser) finish(err error) error {
+	for !p.atEOF() {
+		p.advance()
+	}
+	if p.err != nil {
+		return p.err
+	}
+	return err
+}
+
+func (p *Parser) peek() Token { return p.tok }
+
 func (p *Parser) next() Token {
-	t := p.peek()
-	if p.pos < len(p.toks) {
-		p.pos++
+	t := p.tok
+	if t.Kind != TokEOF {
+		p.advance()
 	}
 	return t
 }
 
-func (p *Parser) atEOF() bool { return p.pos >= len(p.toks) }
+func (p *Parser) atEOF() bool { return p.tok.Kind == TokEOF }
 
 func (p *Parser) peekKeyword(kw string) bool {
 	t := p.peek()

@@ -246,6 +246,7 @@ func isASCIILetter(c byte) bool {
 }
 
 // Tokenize returns all tokens in src, excluding the trailing EOF token.
+// The parser does not call it: it reads the lexer a token at a time.
 func Tokenize(src string) ([]Token, error) {
 	lx := NewLexer(src)
 	// Workload statements run five to seven bytes per token, so a fourth

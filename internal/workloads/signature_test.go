@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -466,9 +467,9 @@ func BenchmarkSignature(b *testing.B) {
 }
 
 // A new statement costs one lex and parse, one render and one signature.
-// On a TPC-H-shaped statement the parse allocates its tokens and AST
-// (51), the render only its string, and the signature its column scratch
-// as it grows and its string (3): its builder comes from a pool.
+// On a TPC-H-shaped statement the parse allocates its AST (50), the
+// render only its string, and the signature its column scratch as it
+// grows and its string (3): its builder comes from a pool.
 func TestParseRenderSignatureAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -482,12 +483,43 @@ func TestParseRenderSignatureAllocs(t *testing.T) {
 		max  float64
 		run  func()
 	}{
-		{"parse", 51, func() { _, _ = sqlx.Parse(tpchShaped) }},
+		{"parse", 50, func() { _, _ = sqlx.Parse(tpchShaped) }},
 		{"render", 1, func() { _ = stmt.SQL() }},
 		{"signature", 3, func() { _ = SignatureOf(stmt) }},
 	} {
 		if allocs := testing.AllocsPerRun(200, tc.run); allocs > tc.max {
 			t.Errorf("%s: %v allocs/run, want at most %v", tc.name, allocs, tc.max)
 		}
+	}
+}
+
+// parseBytesCeiling is the most a parse of tpchShaped may allocate: 2,432
+// bytes, what it measured once the parser read the lexer a token at a
+// time, plus 5 %. While Parse lexed the whole text into a token slice
+// first, it allocated 5,888 bytes, 3,456 of them the slice.
+const parseBytesCeiling = 2_432 * 105 / 100
+
+// TestParseAllocBytes pins the bytes one parse of a TPC-H-shaped
+// statement allocates: its AST, and no token slice.
+func TestParseAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n = 200
+	least := uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range n {
+			_, _ = sqlx.Parse(tpchShaped)
+		}
+		runtime.ReadMemStats(&after)
+		if b := (after.TotalAlloc - before.TotalAlloc) / n; least == 0 || b < least {
+			least = b
+		}
+	}
+	t.Logf("parse of tpchShaped: %d bytes (ceiling %d)", least, parseBytesCeiling)
+	if least > parseBytesCeiling {
+		t.Errorf("parse of tpchShaped allocates %d bytes, ceiling %d", least, parseBytesCeiling)
 	}
 }

@@ -108,8 +108,8 @@ func (o *evictionOracle) arrive(t testing.TB, w *SlidingWindow, observe func()) 
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 
-// A new statement costs one lex, one render and one map-free signature on
-// top of the window's own work: 17 allocations with the sketch off and 19
+// A new statement costs one parse, one render and one map-free signature
+// on top of the window's own work: 16 allocations with the sketch off and 18
 // with it on, the other two the signature's, on a full default window,
 // with and without decay. A repeated statement stays at zero
 // (TestObserveDuplicateZeroAlloc).
@@ -121,7 +121,7 @@ func TestObserveDistinctAllocs(t *testing.T) {
 		sketch   int
 		halfLife int
 		max      float64
-	}{{-1, 0, 17}, {-1, 64, 17}, {0, 0, 19}, {0, 64, 19}} {
+	}{{-1, 0, 16}, {-1, 64, 16}, {0, 0, 18}, {0, 64, 18}} {
 		t.Run(fmt.Sprintf("sk%d-hl%d", tc.sketch, tc.halfLife), func(t *testing.T) {
 			w, texts := warmDistinct(4096, WindowOptions{HalfLife: tc.halfLife, SketchSize: tc.sketch})
 			i := 0
